@@ -16,6 +16,7 @@ real kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.common.errors import GraphError
 from repro.common.rng import spread
@@ -47,9 +48,20 @@ def _noise(seed: int, layer: int, phase: Phase, microbatch: int) -> float:
     scheme, so kernel noise, baseline jitter and chaos fault plans all
     hang off one reproducible seed without correlating.
     """
-    systematic = spread(seed, layer, phase.value) * KERNEL_NOISE
     jitter = spread(seed, layer, phase.value, microbatch) * SHAPE_JITTER
-    return systematic + jitter
+    return _systematic(seed, layer, phase.value) + jitter
+
+
+@lru_cache(maxsize=None)
+def _systematic(seed: int, layer: int, phase: str) -> float:
+    """The microbatch-independent part of :func:`_noise`, drawn once.
+
+    Pure in its arguments, and bounded by seeds x layers x 3 phases (a few
+    thousand entries), so it is cached for the process: the Profiler
+    times every layer at several microbatch sizes but needs only one
+    systematic draw per (layer, phase).
+    """
+    return spread(seed, layer, phase) * KERNEL_NOISE
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,7 @@ class Harmony:
                 profiles, self.server, self.minibatch, schedule_options,
                 self.options.search_settings(),
             ).search()
+            graph = builder.build(search.best)
         else:
             graph = builder.build(config)
             estimator = RuntimeEstimator(profiles, self.server,
@@ -214,7 +215,6 @@ class Harmony:
                 best=config, best_estimate=estimate,
                 explored=[Explored(config, estimate)],
             )
-        graph = builder.build(search.best)
         plan = HarmonyPlan(
             model=self.model,
             server=self.server,

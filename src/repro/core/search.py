@@ -219,9 +219,9 @@ class ConfigurationSearch:
         return candidates
 
     def _evaluate_one(self, config: Configuration) -> Optional[float]:
-        """Build + estimate one candidate; None when infeasible."""
+        """Assemble + estimate one candidate; None when infeasible."""
         try:
-            graph = self.builder.build(config)
+            graph = self.builder.assemble(config)
             return self.estimator.estimate_graph(graph)
         except InfeasibleConfigError:
             return None
@@ -326,7 +326,7 @@ def _eval_candidate(config: Configuration) -> Optional[float]:
     assert _EVAL_STATE is not None, "worker used before initialization"
     builder, estimator = _EVAL_STATE
     try:
-        graph = builder.build(config)
+        graph = builder.assemble(config)
         return estimator.estimate_graph(graph)
     except InfeasibleConfigError:
         return None

@@ -124,13 +124,28 @@ class HarmonyGraphBuilder:
     # -- public entry ----------------------------------------------------------
 
     def build(self, config: Configuration) -> TaskGraph:
+        """The task graph for ``config``, certified by ``graph.validate()``.
+
+        Every graph that is returned as a plan or executed comes from here.
+        """
+        graph = self.assemble(config)
+        graph.validate()
+        return graph
+
+    def assemble(self, config: Configuration) -> TaskGraph:
+        """The task graph for ``config`` without structural validation.
+
+        For scoring search candidates: the estimator needs only the
+        graph's shape, and the winner is then built, and so validated,
+        again.  A graph failing validation is a builder bug, not an
+        infeasible candidate, so it aborts planning rather than being
+        skipped; validating only the winner therefore changes no
+        successful search's outcome.
+        """
         config.validate(len(self.profiles))
         if self.options.mode == "pp":
-            graph = self._build_pp(config)
-        else:
-            graph = self._build_dp(config)
-        self._graph = None
-        return graph
+            return self._build_pp(config)
+        return self._build_dp(config)
 
     # -- shared emission helpers -------------------------------------------------
 
@@ -214,7 +229,6 @@ class HarmonyGraphBuilder:
     def _build_pp(self, config: Configuration) -> TaskGraph:
         opts = self.options
         graph = TaskGraph(mode="harmony-pp", n_devices=self.n_gpus)
-        self._graph = graph
 
         fuse_last = opts.jit and config.jit_compute_aligned
         fwd_packs = list(config.packs_f[:-1] if fuse_last else config.packs_f)
@@ -259,7 +273,6 @@ class HarmonyGraphBuilder:
         if not opts.jit:
             for pack, src_bwd, device in update_specs:
                 self._add_update_task(graph, pack, src_bwd=src_bwd, device=device)
-        graph.validate()
         return graph
 
     # -- Harmony DP --------------------------------------------------------------
@@ -273,7 +286,6 @@ class HarmonyGraphBuilder:
             )
         share = self.minibatch // self.n_gpus
         graph = TaskGraph(mode="harmony-dp", n_devices=self.n_gpus)
-        self._graph = graph
 
         fuse_last = opts.jit and config.jit_compute_aligned
         fwd_packs = list(config.packs_f[:-1] if fuse_last else config.packs_f)
@@ -323,7 +335,6 @@ class HarmonyGraphBuilder:
                 graph, pack, src_bwd=deps[-1], device=pos % self.n_gpus,
                 extra_deps=deps[:-1],
             )
-        graph.validate()
         return graph
 
     # -- move attachment -----------------------------------------------------------

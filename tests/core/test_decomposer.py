@@ -1,5 +1,7 @@
 """Tests for the Decomposer (graph creation + per-layer code)."""
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import GraphError
@@ -7,6 +9,7 @@ from repro.core.decomposer import (
     Decomposer,
     KERNEL_NOISE,
     SHAPE_JITTER,
+    _noise,
     split_minibatch,
 )
 from repro.graph.layer import Phase
@@ -51,6 +54,29 @@ class TestDecompose:
     def test_memory_bytes_by_phase(self, toy_decomposed):
         unit = toy_decomposed.units[2]
         assert unit.memory_bytes(Phase.BWD, 4) > unit.memory_bytes(Phase.FWD, 4)
+
+
+def _reference_noise(seed, layer, phase, microbatch):
+    """``_noise`` as two inline md5 draws, with no cached component."""
+    def draw(*parts):
+        digest = hashlib.md5(":".join(str(p) for p in parts).encode()).digest()
+        return 2.0 * (int.from_bytes(digest[:8], "big") / 2**64) - 1.0
+
+    return (draw(seed, layer, phase.value) * KERNEL_NOISE
+            + draw(seed, layer, phase.value, microbatch) * SHAPE_JITTER)
+
+
+def test_noise_matches_the_unfactored_formula():
+    """Bit for bit, in one process, across seeds, phases, layers and
+    sizes: a systematic-draw cache keyed without the seed or the phase
+    would return a neighbour's draw here."""
+    for seed in (0, 7):
+        for phase in Phase:
+            for layer in (0, 1, 5, 42):
+                for u in (1, 2, 3, 16, 64):
+                    assert _noise(seed, layer, phase, u).hex() == \
+                        _reference_noise(seed, layer, phase, u).hex(), \
+                        (seed, phase, layer, u)
 
 
 class TestSplitMinibatch:

@@ -6,7 +6,9 @@ planner and simulator outputs are *bit-identical* with caches on
 promise down to ``float.hex()`` on the small zoo models in both
 execution modes: the chosen configuration, the best estimate, every
 explored candidate's estimate, the full task graph shape, the simulated
-iteration time, and the canonical execution trace.
+iteration time, and the canonical execution trace.  The Runtime's time
+table serves every run path, so a seeded chaos run and a heterogeneous
+bind are held to the same promise.
 
 ``perf_enabled`` is consulted at object construction time, so flipping
 the environment variable and building a fresh ``Harmony`` per arm is
@@ -17,8 +19,10 @@ import pytest
 
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import server_for
+from repro.faults import FaultPlan, FaultSpec
 from repro.perf import DISABLE_ENV
 from repro.trace import TraceRecorder
+from repro.virt import DeviceBinding
 
 MATRIX = (
     ("toy-transformer", "pp"),
@@ -29,8 +33,24 @@ MATRIX = (
 GPUS = 2
 MINIBATCH = 8
 
+#: ``Harmony.run`` arguments for the run paths beyond the plain executor,
+#: built fresh per arm.
+RUN_PATHS = {
+    # FaultTolerantRunner: seed 2 injects transfer and compute retries,
+    # so the same packs are timed again within one run.
+    "chaos": lambda: {
+        "iterations": 2,
+        "fault_plan": FaultPlan(FaultSpec.chaos(1.0), seed=2),
+    },
+    # ScaledTimeModel wrapping the tabulated TrueTimeModel.
+    "hetero-bind": lambda: {
+        "binding": DeviceBinding.heterogeneous([1.5, 0.75]),
+    },
+}
 
-def _fingerprint(model, mode, monkeypatch, disable, workers=1):
+
+def _fingerprint(model, mode, monkeypatch, disable, workers=1,
+                 run_kwargs=dict):
     """Plan + run one cell and capture every output, floats as hex."""
     if disable:
         monkeypatch.setenv(DISABLE_ENV, "1")
@@ -42,7 +62,7 @@ def _fingerprint(model, mode, monkeypatch, disable, workers=1):
     )
     plan = harmony.plan()
     recorder = TraceRecorder()
-    report = harmony.run(plan=plan, trace=recorder)
+    report = harmony.run(plan=plan, trace=recorder, **run_kwargs())
     return {
         "config": plan.search.best,
         "best_estimate": plan.search.best_estimate.hex(),
@@ -57,6 +77,7 @@ def _fingerprint(model, mode, monkeypatch, disable, workers=1):
             for t in plan.graph.tasks
         ),
         "iteration_time": report.metrics.iteration_time.hex(),
+        "recovery": report.metrics.recovery,
         "trace": recorder.canonical(),
     }
 
@@ -69,6 +90,22 @@ def test_caches_are_bit_identical_to_disabled(model, mode, monkeypatch):
     for field in fast:
         assert fast[field] == slow[field], (
             f"{model}/{mode}: {field} diverged between cached and "
+            f"{DISABLE_ENV}=1 runs -- a perf cache changed an output bit"
+        )
+
+
+@pytest.mark.parametrize("path", sorted(RUN_PATHS))
+def test_run_paths_are_bit_identical_to_disabled(path, monkeypatch):
+    run_kwargs = RUN_PATHS[path]
+    fast = _fingerprint("toy-transformer", "pp", monkeypatch, disable=False,
+                        run_kwargs=run_kwargs)
+    slow = _fingerprint("toy-transformer", "pp", monkeypatch, disable=True,
+                        run_kwargs=run_kwargs)
+    if path == "chaos":
+        assert fast["recovery"].faults_injected > 0
+    for field in fast:
+        assert fast[field] == slow[field], (
+            f"{path}: {field} diverged between cached and "
             f"{DISABLE_ENV}=1 runs -- a perf cache changed an output bit"
         )
 
