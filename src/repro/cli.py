@@ -265,9 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=3,
                        help="repeats per case; the minimum is reported "
                             "(default 3)")
-    bench.add_argument("--workers", type=int, default=1,
-                       help="search candidate evaluators (default 1 = "
-                            "serial; >1 forks a worker pool)")
     bench.add_argument("--out", metavar="PATH", default=None,
                        help="report path (default BENCH_<date>.json)")
 
@@ -466,8 +463,7 @@ def _bench(args: argparse.Namespace) -> int:
         write_report,
     )
 
-    report = run_bench(args.suite, repeats=args.repeats,
-                       search_workers=args.workers)
+    report = run_bench(args.suite, repeats=args.repeats)
     print(render_report(report))
     out = args.out or default_out_path()
     write_report(report, out)

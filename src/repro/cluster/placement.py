@@ -28,12 +28,12 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.common.errors import GraphError, ReproError
+from repro.common.fingerprint import fingerprint
 from repro.cluster.spec import ClusterSpec
 from repro.core.harmony import Harmony, HarmonyOptions, HarmonyPlan
 from repro.graph.graph import LayerGraph
 from repro.models.spec import ModelSpec
 from repro.models.zoo import build_model
-from repro.virt.devices import server_fingerprint
 
 CLUSTER_MODES = ("dp", "pp")
 
@@ -188,32 +188,33 @@ class ClusterPlanner:
         #: composition, not the intra-server mode.
         self.options = replace(options, mode="pp")
         self._plans: dict[tuple, ClusterPlan] = {}
-        #: Harmony instances memoized per (server, stage model, samples,
-        #: hardware fingerprint): a re-plan on survivors reuses each
-        #: survivor's scheduler state, but never across a hardware swap.
+        #: Harmony instances memoized per (server, stage model content,
+        #: samples, hardware): a re-plan on survivors reuses each
+        #: survivor's scheduler state, but never across a hardware swap
+        #: or a re-cut stage that kept its name.
         self._harmonies: dict[tuple, Harmony] = {}
 
     def _harmony(self, server: int, model: ModelSpec,
                  samples: int) -> Harmony:
         spec = self.cluster.servers[server]
-        key = (server, model.name, samples, server_fingerprint(spec))
+        key = (server, model.fingerprint, samples, fingerprint(spec))
         if key not in self._harmonies:
             self._harmonies[key] = Harmony(
                 model, spec, samples, self.options
             )
         return self._harmonies[key]
 
-    def _topology_key(self, live: tuple[int, ...]) -> tuple[str, ...]:
-        """Physical fingerprints of the live servers (+ the network).
+    def _topology_key(self, live: tuple[int, ...]) -> str:
+        """Content address of the live servers' specs and the network.
 
         Part of every plan memo key: a placement computed against one
         hardware mix must never be served after the cluster's specs
         change (e.g. a server swapped for a different GPU count), even
         though the live-index tuple looks identical.
         """
-        return tuple(
-            server_fingerprint(self.cluster.servers[s]) for s in live
-        ) + (server_fingerprint(self.cluster.network),)
+        return fingerprint(
+            tuple(self.cluster.servers[s] for s in live), self.cluster.network
+        )
 
     def plan_for(self, live: tuple[int, ...]) -> ClusterPlan:
         """The placement for the given live-server subset; memoized.

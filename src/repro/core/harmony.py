@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
+from repro.common.fingerprint import fingerprint
 from repro.core.config import Configuration
 from repro.core.decomposer import DecomposedModel, Decomposer
 from repro.core.estimator import RuntimeEstimator
@@ -55,10 +56,6 @@ class HarmonyOptions:
     capacity_fraction: float = 0.45
     exhaustive_search: bool = False
     equi_fb: bool = False
-    # Configuration-search candidate evaluators: 1 is serial; > 1 fans the
-    # candidate estimates over a forked worker pool (bit-identical result,
-    # see SearchSettings.workers).
-    search_workers: int = 1
     seed: int = 0
     # Static schedule verification before execution: "off" skips it,
     # "warn" prints diagnostics to stderr, "strict" refuses to run a
@@ -89,7 +86,6 @@ class HarmonyOptions:
             capacity_fraction=self.capacity_fraction,
             exhaustive=self.exhaustive_search,
             equi_fb=self.equi_fb,
-            workers=self.search_workers,
         )
 
     def without(self, optimization: str) -> "HarmonyOptions":
@@ -107,6 +103,20 @@ class HarmonyOptions:
                 f"expected one of {sorted(known)}"
             )
         return replace(self, **known[optimization])
+
+
+def plan_key(model: ModelSpec, server: Optional[ServerSpec], minibatch: int,
+             options: HarmonyOptions) -> str:
+    """The content address of one Scheduler problem: every plan memo's key.
+
+    A plan is a pure function of the model content, the server, the
+    minibatch, the search and schedule settings, and the seed, so the key
+    covers exactly those (``analyze`` only gates execution).  ``server``
+    None gives the *family* key: the same workload on any server.
+    """
+    return fingerprint(model.fingerprint, server, minibatch,
+                       options.search_settings(), options.schedule_options(),
+                       options.seed)
 
 
 @dataclass
@@ -161,18 +171,12 @@ class Harmony:
         self.server = server
         self.minibatch = minibatch
         self.options = options
-        self._plan: Optional[HarmonyPlan] = None
-        self._plan_options: Optional[HarmonyOptions] = None
-        self._plan_server: Optional[ServerSpec] = None
-        # Elastic re-plans memoized by (surviving GPU count, mode, search
-        # + schedule settings): the logical plan depends only on how many
-        # devices survive, never on *which* -- relabeling onto physical
-        # ids is the runtime's job.  The settings are part of the key so
-        # a re-plan requested after an options override (e.g. an elastic
-        # policy tightening the capacity fraction or capping microbatch
-        # sizes mid-incident) never reuses a plan searched under the old
-        # settings.
-        self._subset_plans: dict[tuple, HarmonyPlan] = {}
+        # Searched plans by plan_key: the full plan and every elastic
+        # re-plan.  A re-plan depends only on how many devices survive,
+        # never on *which* (relabeling onto physical ids is the runtime's
+        # job), and the key covers the server and every setting, so a
+        # reassigned server or options override never reuses a stale plan.
+        self._plans: dict[str, HarmonyPlan] = {}
 
     @property
     def host_state_bytes(self) -> int:
@@ -190,10 +194,9 @@ class Harmony:
         Passing ``config`` skips the search and plans that configuration
         verbatim (used by the ablation and estimator-accuracy experiments).
         """
-        if (self._plan is not None and config is None
-                and self._plan_options == self.options
-                and self._plan_server == self.server):
-            return self._plan
+        key = plan_key(self.model, self.server, self.minibatch, self.options)
+        if config is None and key in self._plans:
+            return self._plans[key]
         decomposed = Decomposer(seed=self.options.seed).decompose(self.model)
         profiles = Profiler(self.server.gpu).profile(decomposed)
         schedule_options = self.options.schedule_options()
@@ -226,9 +229,7 @@ class Harmony:
             graph=graph,
         )
         if config is None:
-            self._plan = plan
-            self._plan_options = self.options
-            self._plan_server = self.server
+            self._plans[key] = plan
         return plan
 
     # -- elastic re-planning ------------------------------------------------------
@@ -267,25 +268,15 @@ class Harmony:
         """
         from repro.common.errors import InfeasibleConfigError, SchedulingError
 
-        from repro.virt.devices import server_fingerprint
-
         mode = mode if mode is not None else self.options.mode
         options = replace(self.options, mode=mode)
-        # Settings are part of the memo key (regression: an elastic
-        # re-plan after a settings override must not reuse a stale plan),
-        # and so is the physical server fingerprint (regression: a plan
-        # searched against one hardware mix must never be served after
-        # the server spec changes, e.g. a rebind onto different GPUs).
-        key = (n_gpus, mode, options.search_settings(),
-               options.schedule_options(), server_fingerprint(self.server))
-        if key in self._subset_plans:
-            return self._subset_plans[key]
-        if n_gpus == self.server.n_gpus and mode == self.options.mode:
-            plan = self.plan()
-            self._subset_plans[key] = plan
-            return plan
-        base = self.plan()
         server = self.reduced_server(n_gpus)
+        key = plan_key(self.model, server, self.minibatch, options)
+        if key in self._plans:
+            return self._plans[key]
+        if n_gpus == self.server.n_gpus and mode == self.options.mode:
+            return self.plan()  # same key: the full server is unreduced
+        base = self.plan()
         schedule_options = options.schedule_options()
         try:
             search = ConfigurationSearch(
@@ -302,7 +293,7 @@ class Harmony:
             # DP cannot split this minibatch across the survivors; the
             # wrap-around pipeline works for any device count >= 1.
             plan = self.plan_for_server(n_gpus, mode="pp")
-            self._subset_plans[key] = plan
+            self._plans[key] = plan
             return plan
         plan = HarmonyPlan(
             model=self.model,
@@ -314,7 +305,7 @@ class Harmony:
             search=search,
             graph=graph,
         )
-        self._subset_plans[key] = plan
+        self._plans[key] = plan
         return plan
 
     # -- binding -----------------------------------------------------------------

@@ -15,9 +15,7 @@ search times close to the paper's reported seconds.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,7 +27,6 @@ from repro.core.profiler import ModelProfiles
 from repro.core.taskgraph import HarmonyGraphBuilder, ScheduleOptions
 from repro.graph.layer import Phase
 from repro.hardware.server import ServerSpec
-from repro.perf import perf_enabled
 
 
 @dataclass(frozen=True)
@@ -46,12 +43,6 @@ class SearchSettings:
     # Equi-FB (Table 4): reuse the backward packs and microbatch size for
     # the forward pass instead of searching them independently.
     equi_fb: bool = False
-    # Candidate evaluators: 1 evaluates serially in-process; > 1 fans the
-    # per-(U, P) candidate graph builds and estimates out over a forked
-    # process pool with a deterministic (submission-order) reduce, so the
-    # winner is bit-identical to the serial sweep.  Ignored (serial) when
-    # REPRO_PERF_DISABLE is set or the platform cannot fork.
-    workers: int = 1
 
 
 @dataclass
@@ -186,8 +177,8 @@ class ConfigurationSearch:
     def _enumerate_candidates(self) -> list[Configuration]:
         """Lines 1-8 of Algorithm 1: the deduplicated candidate four-tuples,
         in the exact order the original nested sweep visited them.  Packing
-        (Algorithm 2) runs here, serially and memoized; only the expensive
-        per-candidate graph build + estimate is fanned out."""
+        (Algorithm 2) runs here, memoized; the per-candidate graph
+        assembly + estimate runs in :meth:`search`."""
         local = self.minibatch
         if self.options.mode == "dp":
             if self.minibatch % self.server.n_gpus:
@@ -226,50 +217,10 @@ class ConfigurationSearch:
         except InfeasibleConfigError:
             return None
 
-    def _evaluate_serial(
-        self, candidates: list[Configuration]
-    ) -> list[Optional[float]]:
-        return [self._evaluate_one(config) for config in candidates]
-
-    def _evaluate_parallel(
-        self, candidates: list[Configuration], workers: int
-    ) -> list[Optional[float]]:
-        """Fan candidate evaluation over a forked process pool.
-
-        Each worker builds its own graph builder + estimator from the
-        shared profiles (sent once, at pool init); a candidate's estimate
-        is a pure function of (profiles, server, options, candidate), so
-        the value computed in a worker is bit-identical to the serial
-        path no matter which worker ran it or in what order.  ``map``
-        returns results in submission order, so the reduce below is the
-        deterministic serial reduce.
-        """
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(candidates) // (4 * workers))
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(candidates)),
-            mp_context=ctx,
-            initializer=_init_eval_worker,
-            initargs=(self.profiles, self.server, self.minibatch,
-                      self.options),
-        ) as pool:
-            return list(pool.map(_eval_candidate, candidates, chunksize=chunk))
-
     def search(self) -> SearchResult:
         start = time.perf_counter()
         candidates = self._enumerate_candidates()
-
-        workers = self.settings.workers
-        use_pool = (
-            workers > 1
-            and len(candidates) > 1
-            and perf_enabled()
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-        if use_pool:
-            estimates = self._evaluate_parallel(candidates, workers)
-        else:
-            estimates = self._evaluate_serial(candidates)
+        estimates = [self._evaluate_one(config) for config in candidates]
 
         # Deterministic reduce in enumeration order: the first strict
         # minimum wins, exactly as the serial sweep picked it.
@@ -298,35 +249,3 @@ class ConfigurationSearch:
             n_feasible=len(explored),
             n_infeasible=infeasible,
         )
-
-
-# -- process-pool plumbing --------------------------------------------------------
-#
-# Workers rebuild the graph builder and estimator once per process (pool
-# initializer) and then evaluate candidates sent over the pipe.  Module-level
-# by necessity: ProcessPoolExecutor requires picklable (or fork-inherited)
-# callables.
-
-_EVAL_STATE: Optional[tuple[HarmonyGraphBuilder, RuntimeEstimator]] = None
-
-
-def _init_eval_worker(
-    profiles: ModelProfiles,
-    server: ServerSpec,
-    minibatch: int,
-    options: ScheduleOptions,
-) -> None:
-    global _EVAL_STATE
-    builder = HarmonyGraphBuilder(profiles, server.n_gpus, minibatch, options)
-    estimator = RuntimeEstimator(profiles, server, prefetch=options.prefetch)
-    _EVAL_STATE = (builder, estimator)
-
-
-def _eval_candidate(config: Configuration) -> Optional[float]:
-    assert _EVAL_STATE is not None, "worker used before initialization"
-    builder, estimator = _EVAL_STATE
-    try:
-        graph = builder.assemble(config)
-        return estimator.estimate_graph(graph)
-    except InfeasibleConfigError:
-        return None

@@ -8,7 +8,7 @@ through :func:`~repro.graph.sequentialize.sequentialize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import GraphError
@@ -23,15 +23,22 @@ class Edge:
     dst: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerGraph:
-    """A DAG of layers, indexed 0..R-1 in topological (definition) order."""
+    """A DAG of layers, indexed 0..R-1 in topological (definition) order.
+
+    Immutable once built (layers and edges are stored as tuples), so a
+    content address derived from it -- ``ModelSpec.fingerprint`` -- can
+    be cached without going stale.
+    """
 
     name: str
-    layers: list[LayerSpec] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
+    layers: tuple[LayerSpec, ...] = ()
+    edges: tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "edges", tuple(self.edges))
         self.validate()
 
     # -- construction --------------------------------------------------------
@@ -110,7 +117,8 @@ class LayerGraph:
         )
 
 
-def subchain_layers(graph: LayerGraph, first: int, last: int) -> list[LayerSpec]:
+def subchain_layers(graph: LayerGraph, first: int,
+                    last: int) -> tuple[LayerSpec, ...]:
     """Layers ``first..last`` inclusive, with bounds checking."""
     if not (0 <= first <= last < len(graph)):
         raise GraphError(f"bad subchain [{first}, {last}] of {len(graph)} layers")

@@ -19,6 +19,10 @@ the AST of every file under ``src/repro`` and enforces them:
   dataclass in ``repro/trace/events.py`` must be ``frozen=True`` --
   recorded events are shared, hashed and replayed, so mutation is
   corruption;
+- **one content address** (``hash/content-address``): ``hashlib`` may
+  be imported only by :mod:`repro.common.fingerprint` (every memo key)
+  and :mod:`repro.common.rng` (seeded draws), so no third hashing scheme
+  -- and no key digesting a convenient summary -- can creep back in;
 - **integer-exact capacity arithmetic** (``exact/float-arithmetic``):
   the capacity certification paths (``analysis/capacity.py``,
   ``analysis/parametric.py``) must stay in integer arithmetic -- no
@@ -40,6 +44,12 @@ from typing import Iterator
 
 #: The one module allowed to import stdlib ``random``.
 RNG_MODULE = Path("repro") / "common" / "rng.py"
+
+#: The only modules allowed to import ``hashlib``.
+HASHING_MODULES = (
+    Path("repro") / "common" / "fingerprint.py",
+    RNG_MODULE,
+)
 
 #: Files whose arithmetic must stay integer-exact.
 INTEGER_EXACT = (
@@ -90,6 +100,7 @@ class _Checker(ast.NodeVisitor):
         self.in_fstring = 0
         self.integer_exact = rel_path in INTEGER_EXACT
         self.allow_stdlib_random = rel_path == RNG_MODULE
+        self.allow_hashlib = rel_path in HASHING_MODULES
         self.check_frozen = rel_path == FROZEN_DATACLASSES
 
     def flag(self, node: ast.AST, rule: str, message: str) -> None:
@@ -97,26 +108,16 @@ class _Checker(ast.NodeVisitor):
             self.rel_path, getattr(node, "lineno", 0), rule, message,
         ))
 
-    # -- seeded randomness -------------------------------------------------------
+    # -- restricted imports: stdlib random, hashlib ------------------------------
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            if alias.name == "random" and not self.allow_stdlib_random:
-                self.flag(
-                    node, "rng/stdlib-random",
-                    "stdlib random imported outside repro.common.rng; "
-                    "derive draws from repro.common.rng.seeded_rng",
-                )
+            self._check_module(node, alias.name)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
-        if module == "random" and not self.allow_stdlib_random:
-            self.flag(
-                node, "rng/stdlib-random",
-                "stdlib random imported outside repro.common.rng; "
-                "derive draws from repro.common.rng.seeded_rng",
-            )
+        self._check_module(node, module)
         if module in ("numpy.random", "np.random"):
             for alias in node.names:
                 if alias.name not in _NUMPY_RANDOM_OK:
@@ -126,6 +127,20 @@ class _Checker(ast.NodeVisitor):
                         "Generator API; use default_rng(seed)",
                     )
         self.generic_visit(node)
+
+    def _check_module(self, node: ast.AST, module: str) -> None:
+        if module == "random" and not self.allow_stdlib_random:
+            self.flag(
+                node, "rng/stdlib-random",
+                "stdlib random imported outside repro.common.rng; "
+                "derive draws from repro.common.rng.seeded_rng",
+            )
+        if module == "hashlib" and not self.allow_hashlib:
+            self.flag(
+                node, "hash/content-address",
+                "hashlib imported outside repro.common.fingerprint; key "
+                "memos with repro.common.fingerprint.fingerprint",
+            )
 
     # -- calls: numpy.random, wall clocks, float() -------------------------------
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from repro.common.fingerprint import fingerprint
 from repro.graph.graph import LayerGraph
 
 #: Extra fp32 state per parameter kept by each optimizer (Adam: two
@@ -27,6 +29,18 @@ class ModelSpec:
                 f"unknown optimizer {self.optimizer!r}; "
                 f"expected one of {sorted(OPTIMIZER_SLOTS)}"
             )
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content address of everything a plan depends on in the model.
+
+        Every layer's costs, the edge list, the optimizer and the sample
+        size -- not the model, graph or description names, so a renamed
+        model still hits a memo.  Cached: the graph is immutable, and
+        walking a deep model costs milliseconds a memo lookup must not.
+        """
+        return fingerprint(self.graph.layers, self.graph.edges,
+                           self.optimizer, self.sample_bytes)
 
     @property
     def optimizer_slots(self) -> int:

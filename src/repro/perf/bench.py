@@ -112,8 +112,7 @@ def calibrate(scale: int = 200_000, rounds: int = 3) -> float:
     return best
 
 
-def _time_case(case: BenchCase, repeats: int,
-               search_workers: int = 1) -> dict[str, Any]:
+def _time_case(case: BenchCase, repeats: int) -> dict[str, Any]:
     """Measure one case; returns a schema-shaped case record."""
     from repro.core.harmony import Harmony, HarmonyOptions
     from repro.experiments.common import server_for
@@ -122,7 +121,7 @@ def _time_case(case: BenchCase, repeats: int,
 
     build_model(case.model)  # warm the lru-cached model builder
 
-    options = HarmonyOptions(mode=case.mode, search_workers=search_workers)
+    options = HarmonyOptions(mode=case.mode)
     server = server_for(case.gpus)
 
     search_s = plan_s = run_s = trace_s = float("inf")
@@ -287,7 +286,6 @@ def _time_fleet(repeats: int) -> dict[str, Any]:
 
 
 def run_bench(suite: str = "smoke", repeats: int = 3,
-              search_workers: int = 1,
               cases: Optional[Sequence[BenchCase]] = None) -> dict[str, Any]:
     """Run a suite and return the schema-valid report dict."""
     picked = tuple(cases) if cases is not None else SUITES[suite]
@@ -297,16 +295,13 @@ def run_bench(suite: str = "smoke", repeats: int = 3,
         "repeats": repeats,
         "calibration_seconds": calibrate(),
         "perf_disabled": not perf_enabled(),
-        "search_workers": search_workers,
         "injected_slowdown": injected_slowdown(),
         "host": {
             "python": platform.python_version(),
             "platform": platform.platform(),
             "cpus": os.cpu_count() or 1,
         },
-        "cases": [
-            _time_case(case, repeats, search_workers) for case in picked
-        ],
+        "cases": [_time_case(case, repeats) for case in picked],
         "service": _time_service(repeats),
         "fleet": _time_fleet(repeats),
     }
@@ -386,11 +381,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--suite", choices=sorted(SUITES), default="smoke")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    report = run_bench(args.suite, repeats=args.repeats,
-                       search_workers=args.workers)
+    report = run_bench(args.suite, repeats=args.repeats)
     print(render_report(report))
     out = args.out or default_out_path()
     write_report(report, out)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: The service-throughput benchmark: one seeded request storm against
 #: :class:`repro.service.PlannerService` (virtual latency/shed numbers
@@ -124,8 +124,7 @@ BENCH_SCHEMA: dict[str, Any] = {
     "additionalProperties": False,
     "required": [
         "schema_version", "suite", "repeats", "calibration_seconds",
-        "perf_disabled", "search_workers", "host", "cases", "service",
-        "fleet",
+        "perf_disabled", "host", "cases", "service", "fleet",
     ],
     "properties": {
         "schema_version": {"type": "integer", "enum": [SCHEMA_VERSION]},
@@ -136,7 +135,6 @@ BENCH_SCHEMA: dict[str, Any] = {
         # so baselines compare across machines of different speeds.
         "calibration_seconds": {"type": "number", "minimum": 0},
         "perf_disabled": {"type": "boolean"},
-        "search_workers": {"type": "integer", "minimum": 1},
         "injected_slowdown": {"type": "number", "minimum": 0},
         "host": {
             "type": "object",

@@ -1,24 +1,18 @@
 """Content-addressed plan cache with near-spec (stale) lookup.
 
-The cache key is a digest over everything that determines a plan bit-
-for-bit: the *model content* (layer count, parameter bytes, optimizer
-state, sample bytes -- not just the name), the *server spec* (GPU count,
-per-GPU and host specs, topology), the minibatch, and every search +
-schedule setting of :class:`~repro.core.harmony.HarmonyOptions`.  Two
-requests with the same fingerprints share a plan across tenants and
-across time; a request differing in *any* search or schedule setting
-misses (the cross-request correctness tests enumerate these).  The one
-deliberate exception: ``search_workers`` is normalized out of the key,
-because the worker-pool search is bit-identical to the serial search by
-construction (see ``SearchSettings.workers``) -- a plan searched with 4
-workers *is* the serial plan.
+Entries are keyed by :func:`repro.core.harmony.plan_key`, the one content
+address every plan memo uses: a digest of the full model content (every
+layer's costs and the edge list, the optimizer, sample bytes -- not the
+name), the server spec, the minibatch, and every search + schedule
+setting plus the seed.  Two requests with the same key share a plan
+across tenants and across time; a request differing in *any* of those
+misses (the cross-request correctness tests enumerate them).
 
 For the degradation ladder the cache also indexes plans by *family* --
-(model fingerprint, minibatch, options fingerprint) without the server
--- so a breaker-open request can be served a **near-spec** plan: a
-cached plan for the same workload on *fewer* devices, relabeled onto the
-requested device range via
-:func:`repro.elastic.rebind.relabel_graph`.
+the same key without the server (:func:`family_key`) -- so a
+breaker-open request can be served a **near-spec** plan: a cached plan
+for the same workload on *fewer* devices, relabeled onto the requested
+device range via :func:`repro.elastic.rebind.relabel_graph`.
 
 Eviction is LRU over a fixed capacity; evicted plans leave their family
 index too, so a near-spec lookup can never resurrect an evicted plan.
@@ -26,66 +20,17 @@ index too, so a near-spec lookup can never resurrect an evicted plan.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Any, Optional
 
-from repro.core.harmony import HarmonyOptions
-from repro.hardware.server import ServerSpec
+from repro.core.harmony import HarmonyOptions, plan_key
 from repro.models.spec import ModelSpec
 
 
-def _digest(*parts: object) -> str:
-    raw = "|".join(str(p) for p in parts).encode()
-    return hashlib.sha256(raw).hexdigest()[:16]
-
-
-def model_fingerprint(model: ModelSpec) -> str:
-    """Content address of a model: renaming a model cannot fake a hit,
-    and two identical architectures under different names share one."""
-    return _digest(
-        "model", model.n_layers, model.n_parameters, model.weight_bytes,
-        model.model_state_bytes, model.sample_bytes,
-    )
-
-
-def server_fingerprint(server: ServerSpec) -> str:
-    """Digest of the full server spec (GPU/host/topology dataclass
-    reprs are deterministic field-order renderings)."""
-    return _digest(
-        "server", server.n_gpus, server.gpu, server.host, server.topology
-    )
-
-
-def options_fingerprint(options: HarmonyOptions) -> str:
-    """Digest of every plan-relevant option.
-
-    Spans the full search settings (u_fmax/u_bmax, capacity fraction,
-    exhaustive, equi_fb) and schedule options (mode, grouping, jit, p2p,
-    offload_optimizer, prefetch) plus the seed; ``workers`` is pinned to
-    1 first because the forked search is bit-identical to the serial one.
-    """
-    settings = replace(options.search_settings(), workers=1)
-    return _digest(
-        "options", settings, options.schedule_options(), options.seed
-    )
-
-
-def plan_key(model: ModelSpec, server: ServerSpec, minibatch: int,
-             options: HarmonyOptions) -> str:
-    """The content-addressed cache key for one planning request."""
-    return _digest(
-        "plan", model_fingerprint(model), server_fingerprint(server),
-        minibatch, options_fingerprint(options),
-    )
-
-
 def family_key(model: ModelSpec, minibatch: int,
-               options: HarmonyOptions) -> tuple:
+               options: HarmonyOptions) -> str:
     """The near-spec grouping: same workload, any server size."""
-    return (model_fingerprint(model), minibatch,
-            options_fingerprint(options))
+    return plan_key(model, None, minibatch, options)
 
 
 class PlanCache:
@@ -97,9 +42,9 @@ class PlanCache:
         self.capacity = capacity
         self._plans: OrderedDict[str, Any] = OrderedDict()
         #: family -> {key: n_gpus} for surviving entries
-        self._families: dict[tuple, dict[str, int]] = {}
+        self._families: dict[str, dict[str, int]] = {}
         #: key -> family, for eviction bookkeeping
-        self._member_family: dict[str, tuple] = {}
+        self._member_family: dict[str, str] = {}
         self.hits = 0
         self.misses = 0
         self.stale_hits = 0
@@ -118,7 +63,7 @@ class PlanCache:
         self.hits += 1
         return plan
 
-    def put(self, key: str, plan: Any, *, family: Optional[tuple] = None,
+    def put(self, key: str, plan: Any, *, family: Optional[str] = None,
             n_gpus: Optional[int] = None) -> None:
         """Insert (or refresh) a plan; evicts LRU past capacity."""
         if key in self._plans:
@@ -140,7 +85,7 @@ class PlanCache:
                     if not members:
                         self._families.pop(fam, None)
 
-    def near(self, family: tuple, gpus: int,
+    def near(self, family: str, gpus: int,
              exclude: str = "") -> Optional[tuple[int, str, Any]]:
         """Best near-spec entry: the largest cached plan of this family
         with ``n_gpus <= gpus`` (its graph relabels injectively onto the

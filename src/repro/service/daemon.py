@@ -195,8 +195,8 @@ class PlannerService:
         self._harmonys: dict[str, Harmony] = {}
         #: plan key -> memoized simulated iteration seconds
         self._run_seconds: dict[str, float] = {}
-        #: (model fp, gpus, minibatch) -> memoized baseline plan
-        self._baselines: dict[tuple, Any] = {}
+        #: plan key -> memoized baseline plan
+        self._baselines: dict[str, Any] = {}
         self.fleet = fleet
         #: rid -> (live reservation, virtual placement time)
         self._reservations: dict[int, tuple[FleetReservation, float]] = {}
@@ -427,7 +427,7 @@ class PlannerService:
                 return
             if fits(self.config.baseline_cost):
                 baseline = self._baseline_plan(
-                    model, server, request.minibatch
+                    key, model, server, request.minibatch
                 )
                 if baseline is not None:
                     yield self.sim.timeout(self.config.baseline_cost)
@@ -464,7 +464,7 @@ class PlannerService:
 
     def _plan_fresh(self, request: PlanRequest, model: Any,
                     server: ServerSpec, options: HarmonyOptions, key: str,
-                    family: tuple, deadline: float,
+                    family: str, deadline: float,
                     wait: float) -> Generator:
         """Fresh planning with chaos, deadline checks and seeded-backoff
         retries.  Returns ``(resolved, attempts)``; ``resolved`` False
@@ -685,13 +685,11 @@ class PlannerService:
         """Nominal virtual planning cost, scaled by model depth."""
         return self.config.plan_cost * (1.0 + model.n_layers / 32.0)
 
-    def _baseline_plan(self, model: Any, server: ServerSpec,
+    def _baseline_plan(self, key: str, model: Any, server: ServerSpec,
                        minibatch: int) -> Optional[Any]:
-        """Memoized GPipe-swap baseline plan (None if even the baseline
-        cannot plan this request -- then the ladder sheds)."""
-        from repro.service.cache import model_fingerprint
-
-        key = (model_fingerprint(model), server.n_gpus, minibatch)
+        """GPipe-swap baseline plan memoized by the request's plan key
+        (None if even the baseline cannot plan this request -- then the
+        ladder sheds)."""
         if key in self._baselines:
             return self._baselines[key]
         from repro.baselines import GpipeSwapPlanner

@@ -20,7 +20,6 @@ from repro.virt.devices import (
     VirtualTopology,
     apply_device_mapping,
     remap_move,
-    server_fingerprint,
 )
 from repro.virt.timemodel import ScaledTimeModel
 
@@ -35,6 +34,5 @@ __all__ = [
     "bind",
     "physical_server",
     "remap_move",
-    "server_fingerprint",
     "verify_bound",
 ]

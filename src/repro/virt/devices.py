@@ -30,11 +30,11 @@ elastic, and service layers can use it without cycles.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from repro.common.fingerprint import fingerprint
 from repro.core.types import Channel, Move, Task, TaskGraph
 
 
@@ -97,38 +97,6 @@ def apply_device_mapping(graph: TaskGraph, mapping: dict[int, int],
         ]
         rebound.add(moved)
     return rebound
-
-
-def _canon(value: object) -> str:
-    """Bit-stable canonical text for fingerprint material."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, (tuple, list)):
-        return "(" + ",".join(_canon(v) for v in value) + ")"
-    if hasattr(value, "__dataclass_fields__"):
-        import dataclasses
-
-        parts = ",".join(
-            f"{f.name}={_canon(getattr(value, f.name))}"
-            for f in dataclasses.fields(value)
-        )
-        return f"{type(value).__name__}({parts})"
-    return repr(value)
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def server_fingerprint(spec: object) -> str:
-    """Stable digest of a :class:`~repro.hardware.server.ServerSpec`.
-
-    Covers everything the Scheduler's output depends on: GPU count and
-    per-GPU FLOPs/memory, host spec, and the PCIe topology shape.  Used
-    in plan memo keys so a plan searched against one hardware mix is
-    never served for another (duck-typed to stay import-cycle-free).
-    """
-    return _digest(_canon(spec))
 
 
 @dataclass(frozen=True)
@@ -231,7 +199,7 @@ class VirtualTopology:
         return [d.memory_bytes(base_bytes) for d in self.devices]
 
     def fingerprint(self) -> str:
-        return _digest(_canon(self.devices))
+        return fingerprint(self.devices)
 
     def describe(self) -> str:
         return ", ".join(
@@ -381,9 +349,7 @@ class DeviceBinding:
         return self.topology.device_memory(base_bytes)
 
     def fingerprint(self) -> str:
-        return _digest(
-            _canon(self.assignment) + "|" + _canon(self.topology.devices)
-        )
+        return fingerprint(self.assignment, self.topology.devices)
 
     def describe(self) -> str:
         slices = "; ".join(

@@ -49,8 +49,7 @@ RUN_PATHS = {
 }
 
 
-def _fingerprint(model, mode, monkeypatch, disable, workers=1,
-                 run_kwargs=dict):
+def _fingerprint(model, mode, monkeypatch, disable, run_kwargs=dict):
     """Plan + run one cell and capture every output, floats as hex."""
     if disable:
         monkeypatch.setenv(DISABLE_ENV, "1")
@@ -58,7 +57,7 @@ def _fingerprint(model, mode, monkeypatch, disable, workers=1,
         monkeypatch.delenv(DISABLE_ENV, raising=False)
     harmony = Harmony(
         model, server_for(GPUS), MINIBATCH,
-        options=HarmonyOptions(mode=mode, search_workers=workers),
+        options=HarmonyOptions(mode=mode),
     )
     plan = harmony.plan()
     recorder = TraceRecorder()
@@ -107,23 +106,6 @@ def test_run_paths_are_bit_identical_to_disabled(path, monkeypatch):
         assert fast[field] == slow[field], (
             f"{path}: {field} diverged between cached and "
             f"{DISABLE_ENV}=1 runs -- a perf cache changed an output bit"
-        )
-
-
-def test_parallel_search_is_bit_identical_to_serial(monkeypatch):
-    """workers=2 fans candidate evaluation over a fork pool; the reduce
-    must pick the same winner with the same bits as the serial sweep."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fork start method unavailable on this platform")
-    serial = _fingerprint("toy-transformer", "pp", monkeypatch,
-                          disable=False, workers=1)
-    parallel = _fingerprint("toy-transformer", "pp", monkeypatch,
-                            disable=False, workers=2)
-    for field in serial:
-        assert serial[field] == parallel[field], (
-            f"{field} diverged between serial and workers=2 search"
         )
 
 

@@ -68,7 +68,6 @@ def _report(cases=None, calibration=0.03, **overrides):
         "repeats": 3,
         "calibration_seconds": calibration,
         "perf_disabled": False,
-        "search_workers": 1,
         "host": {"python": "3.12.0", "platform": "test", "cpus": 1},
         "cases": cases if cases is not None else [_case()],
         "service": _service(),

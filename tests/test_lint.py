@@ -28,6 +28,20 @@ class TestStdlibRandom:
         assert rules == []
 
 
+class TestContentAddress:
+    def test_hashlib_outside_fingerprint_flagged(self, tmp_path):
+        rules = run(tmp_path, "repro/service/cache.py",
+                    "import hashlib\n")
+        assert rules == ["hash/content-address"]
+        rules = run(tmp_path, "repro/virt/devices.py",
+                    "from hashlib import sha256\n")
+        assert rules == ["hash/content-address"]
+
+    def test_fingerprint_and_rng_modules_are_exempt(self, tmp_path):
+        for rel in ("repro/common/fingerprint.py", "repro/common/rng.py"):
+            assert run(tmp_path, rel, "import hashlib\n") == []
+
+
 class TestNumpyRandom:
     def test_unseeded_module_call_flagged(self, tmp_path):
         rules = run(tmp_path, "repro/numeric/x.py",

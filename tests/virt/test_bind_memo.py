@@ -4,13 +4,15 @@ Mirrors ``tests/elastic/test_plan_memo.py`` for the hardware dimension:
 after a rebind the *server spec* can change (different GPU memory, a
 different count behind the same live indices), and every memo that used
 to key only on counts/settings would happily serve a plan searched
-against the old hardware.  Both ``Harmony`` memos and both
-``ClusterPlanner`` memos now carry a physical fingerprint.
+against the old hardware.  ``Harmony``'s plan memo and both
+``ClusterPlanner`` memos are content-addressed over the server spec and
+the (stage) model's content, not its name.
 """
 
 from dataclasses import replace
 
 from repro.cluster import ClusterPlanner, homogeneous_cluster
+from repro.cluster.placement import stage_model
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import server_for
 
@@ -94,6 +96,11 @@ class TestClusterPlannerMemos:
         model = planner.model
         first = planner._harmony(0, model, 8)
         assert planner._harmony(0, model, 8) is first
+        # Keyed on content: a renamed model hits, a re-cut one misses.
+        renamed = replace(model, name="renamed")
+        assert planner._harmony(0, renamed, 8) is first
+        recut = stage_model(model, 0, len(model.graph) - 1, 0)
+        assert planner._harmony(0, recut, 8) is not first
         planner.cluster = replace(
             planner.cluster,
             servers=(_shrunk_gpu(planner.cluster.servers[0]),
@@ -102,3 +109,18 @@ class TestClusterPlannerMemos:
         second = planner._harmony(0, model, 8)
         assert second is not first
         assert second.server == planner.cluster.servers[0]
+
+    def test_stage_plans_follow_a_recut_after_server_loss(self):
+        """Regression: losing one of four servers re-cuts every stage,
+        but stage 0 keeps its name (``gpt2[s0]``); a memo keyed on the
+        name served server 0 the old 14-layer plan for 18 layers."""
+        planner = ClusterPlanner(
+            "gpt2", homogeneous_cluster(4, server_for(2)), 8, mode="pp",
+        )
+        for live in ((0, 1, 2, 3), (0, 1, 2)):
+            for stage in planner.plan_for(live).stages:
+                lo, hi = stage.layers
+                assert len(stage.plan.model.graph) == hi - lo, (
+                    f"s{stage.server} trains layers [{lo}, {hi}) with a "
+                    f"plan for {len(stage.plan.model.graph)} layers"
+                )

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.common.fingerprint import fingerprint
 from repro.core.types import Channel
 from repro.virt import (
     DeviceBinding,
     LogicalDevice,
     PhysicalDevice,
     VirtualTopology,
-    server_fingerprint,
 )
 
 
@@ -140,7 +140,5 @@ class TestApply:
 
 
 def test_server_fingerprint_tracks_hardware(small_server, four_gpu_server):
-    assert server_fingerprint(small_server) != \
-        server_fingerprint(four_gpu_server)
-    assert server_fingerprint(small_server) == \
-        server_fingerprint(small_server)
+    assert fingerprint(small_server) != fingerprint(four_gpu_server)
+    assert fingerprint(small_server) == fingerprint(small_server)
