@@ -98,6 +98,11 @@ class DecomposedModel:
     def n_layers(self) -> int:
         return len(self.graph)
 
+    @property
+    def seed(self) -> int:
+        """The kernel-noise seed the Decomposer gave every unit."""
+        return self.units[0].seed
+
 
 class Decomposer:
     """Graph Creator + Code Generator of Figure 3."""

@@ -51,20 +51,14 @@ class RuntimeEstimator:
         # most of their (pack, u, phase) combinations; the per-layer time
         # sums dominate search CPU time (>75% on deep CNNs).  Entries are
         # computed once with the naive left-to-right summation order, so
-        # hits are bit-identical to the uncached path.  The cache is tied
-        # to the profiles' ``cache_token``: a profile mutation invalidates
-        # every entry (see _sync_cache).
+        # hits are bit-identical to the uncached path.  No invalidation:
+        # ``ModelProfiles`` is immutable.
         self._cache_enabled = perf_enabled()
         self._time_cache: dict[tuple, float] = {}
         self._dep_maps: dict[tuple, tuple[int, ...]] = {}
-        self._profiles_token = profiles.cache_token
-
-    def _sync_cache(self) -> None:
-        """Drop cached task times if the underlying profiles changed."""
-        token = self.profiles.cache_token
-        if token != self._profiles_token:
-            self._time_cache.clear()
-            self._profiles_token = token
+        # Microbatch sizes by task id of the graph being estimated; set by
+        # prepare() so the chunk-dependency helper stays small.
+        self._producer_sizes: dict[int, tuple[int, ...]] = {}
 
     # -- task timing from regressed profiles -------------------------------------
 
@@ -77,7 +71,6 @@ class RuntimeEstimator:
         else:
             raise ValueError("update tasks timed separately")
         if self._cache_enabled:
-            self._sync_cache()
             cached = self._time_cache.get(key)
             if cached is not None:
                 return cached
@@ -101,7 +94,6 @@ class RuntimeEstimator:
             return self.server.host.optimizer_time(task.compute_flops, cores)
         if not self._cache_enabled:
             return sum(self.profiles[i].time(Phase.UPD, 1) for i in task.layers)
-        self._sync_cache()
         key = (TaskKind.UPD, task.first_layer, task.last_layer, 1, False)
         cached = self._time_cache.get(key)
         if cached is None:
@@ -250,14 +242,8 @@ class RuntimeEstimator:
             compute_free[d] = end
         return _TaskTimes([end], end, end)
 
-    # Populated lazily per estimate() call; kept as an attribute so the
-    # chunk-dependency helper stays small.
-    @property
-    def _producer_sizes(self) -> dict[int, tuple[int, ...]]:
-        return self.__dict__.setdefault("_producer_sizes_cache", {})
-
     def prepare(self, graph: TaskGraph) -> None:
-        self.__dict__["_producer_sizes_cache"] = {
+        self._producer_sizes = {
             task.tid: task.microbatches for task in graph.tasks
         }
 
@@ -267,4 +253,4 @@ class RuntimeEstimator:
         try:
             return self.estimate(graph)
         finally:
-            self.__dict__["_producer_sizes_cache"] = {}
+            self._producer_sizes = {}

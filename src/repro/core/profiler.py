@@ -10,16 +10,23 @@ The resulting :class:`ModelProfiles` is the ``phi`` argument of
 Algorithms 1 and 2: per-layer time/memory/activation sizes, plus the
 pack-level aggregates (footprints and boundary tensor sizes) the packing
 algorithm and task-graph generator consume.
+
+The fits depend only on the model content, the GPU, the kernel-noise seed
+and the sample sizes -- not on the server's GPU count, the minibatch or
+any plan option -- so :meth:`Profiler.profile` profiles each model once
+per process and reuses the fits from a content-addressed store.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
 from repro.common.errors import SchedulingError
+from repro.common.fingerprint import fingerprint
 from repro.core.config import Pack
 from repro.core.decomposer import DecomposedModel
 from repro.graph.layer import Phase
@@ -29,6 +36,10 @@ from repro.perf import perf_enabled
 _T = TypeVar("_T")
 
 DEFAULT_SAMPLE_SIZES = (1, 2, 4, 8, 16, 32, 64)
+
+#: Most fitted models the profile store keeps; the least recently used is
+#: evicted, so a long-running service planning many models stays bounded.
+PROFILE_STORE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -114,10 +125,10 @@ class ModelProfiles:
       bit pattern (prefix differences would NOT be bit-stable for
       floats, which is why they are only used for ints).
 
-    Mutating a profile after construction must go through
-    :meth:`replace_layer` (or be followed by :meth:`invalidate_caches`),
-    which clears the tables and bumps :attr:`cache_token` so dependent
-    caches (the runtime estimator's) drop their entries too.
+    Immutable: ``layers`` is a tuple of frozen fits, which the profile
+    store shares between instances, so no memo table (here or in a
+    dependent cache such as the runtime estimator's) can go stale.  A
+    different profile is a new instance.
     """
 
     def __init__(
@@ -126,12 +137,11 @@ class ModelProfiles:
         optimizer_slots: int,
         gpu: GpuSpec,
     ):
-        self.layers = list(layers)
+        self.layers = tuple(layers)
         self.optimizer_slots = optimizer_slots
         self.gpu = gpu
         self._memo_enabled = perf_enabled()
         self._memo: dict[Any, Any] = {}
-        self._cache_token = 0
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -140,21 +150,6 @@ class ModelProfiles:
         return self.layers[index]
 
     # -- memoization -----------------------------------------------------------
-
-    @property
-    def cache_token(self) -> int:
-        """Bumped on every invalidation; dependent caches compare it."""
-        return self._cache_token
-
-    def invalidate_caches(self) -> None:
-        """Drop every memoized aggregate (after mutating ``layers``)."""
-        self._memo.clear()
-        self._cache_token += 1
-
-    def replace_layer(self, index: int, profile: LayerProfile) -> None:
-        """Swap one layer's profile and invalidate all derived caches."""
-        self.layers[index] = profile
-        self.invalidate_caches()
 
     def memo(self, key: Any, compute: Callable[[], _T]) -> _T:
         """Memoize ``compute()`` under ``key`` (no-op when disabled).
@@ -286,6 +281,11 @@ class ModelProfiles:
         return sum(layer.param_bytes for layer in self.layers)
 
 
+#: The profile store: fitted layers by content address, least recently
+#: used first.  Holds only immutable fits, never a ``ModelProfiles``.
+_STORE: OrderedDict[str, tuple[LayerProfile, ...]] = OrderedDict()
+
+
 class Profiler:
     """Times each layer unit at sampled microbatch sizes, fits regressions.
 
@@ -301,6 +301,36 @@ class Profiler:
         self.sample_sizes = tuple(sorted(set(sample_sizes)))
 
     def profile(self, decomposed: DecomposedModel) -> ModelProfiles:
+        """Profile ``decomposed``; each distinct model is fitted once.
+
+        The fits are keyed by the model's content address, the GPU spec,
+        the kernel-noise seed and the sample sizes -- everything they
+        depend on.  A hit shares the stored tuple of frozen fits; every
+        call still returns a fresh :class:`ModelProfiles` with its own
+        memo tables, which are freed with their plan (shared tables would
+        grow with every minibatch and server ever planned).
+        ``REPRO_PERF_DISABLE=1`` bypasses the store and fits afresh.
+        """
+        if not perf_enabled():
+            layers = self._fit(decomposed)
+        else:
+            key = fingerprint(decomposed.model.fingerprint, self.gpu,
+                              decomposed.seed, self.sample_sizes)
+            stored = _STORE.get(key)
+            if stored is None:
+                stored = _STORE[key] = self._fit(decomposed)
+                if len(_STORE) > PROFILE_STORE_SIZE:
+                    _STORE.popitem(last=False)
+            else:
+                _STORE.move_to_end(key)
+            layers = stored
+        return ModelProfiles(
+            layers,
+            optimizer_slots=decomposed.model.optimizer_slots,
+            gpu=self.gpu,
+        )
+
+    def _fit(self, decomposed: DecomposedModel) -> tuple[LayerProfile, ...]:
         profiles = []
         for unit in decomposed.units:
             xs = list(self.sample_sizes)
@@ -328,8 +358,4 @@ class Profiler:
                     workspace_per_sample=spec.workspace_bytes_per_sample,
                 )
             )
-        return ModelProfiles(
-            profiles,
-            optimizer_slots=decomposed.model.optimizer_slots,
-            gpu=self.gpu,
-        )
+        return tuple(profiles)

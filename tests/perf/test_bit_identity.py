@@ -8,15 +8,19 @@ execution modes: the chosen configuration, the best estimate, every
 explored candidate's estimate, the full task graph shape, the simulated
 iteration time, and the canonical execution trace.  The Runtime's time
 table serves every run path, so a seeded chaos run and a heterogeneous
-bind are held to the same promise.
+bind are held to the same promise, and so is a plan whose fits come from
+a profile store warmed by another plan of the same model.
 
 ``perf_enabled`` is consulted at object construction time, so flipping
 the environment variable and building a fresh ``Harmony`` per arm is
 sufficient -- no subprocess needed.
 """
 
+from collections import OrderedDict
+
 import pytest
 
+from repro.core import profiler
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import server_for
 from repro.faults import FaultPlan, FaultSpec
@@ -90,6 +94,28 @@ def test_caches_are_bit_identical_to_disabled(model, mode, monkeypatch):
         assert fast[field] == slow[field], (
             f"{model}/{mode}: {field} diverged between cached and "
             f"{DISABLE_ENV}=1 runs -- a perf cache changed an output bit"
+        )
+
+
+@pytest.mark.parametrize("model,mode", MATRIX,
+                         ids=[f"{m}-{mode}" for m, mode in MATRIX])
+def test_warm_profile_store_is_bit_identical_to_disabled(model, mode,
+                                                         monkeypatch):
+    """The cell's fits come from a store warmed by planning the same
+    model at another GPU count and minibatch."""
+    store = OrderedDict()
+    monkeypatch.setattr(profiler, "_STORE", store)
+    monkeypatch.delenv(DISABLE_ENV, raising=False)
+    Harmony(model, server_for(2 * GPUS), 2 * MINIBATCH,
+            options=HarmonyOptions(mode=mode)).plan()
+    assert len(store) == 1
+    warm = _fingerprint(model, mode, monkeypatch, disable=False)
+    assert len(store) == 1, "the cell re-profiled instead of hitting"
+    cold = _fingerprint(model, mode, monkeypatch, disable=True)
+    for field in warm:
+        assert warm[field] == cold[field], (
+            f"{model}/{mode}: {field} diverged between the warm profile "
+            f"store and {DISABLE_ENV}=1 -- a shared fit changed an output bit"
         )
 
 

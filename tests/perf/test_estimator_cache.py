@@ -1,13 +1,12 @@
 """The estimator's shared task-time cache must never serve stale values.
 
 The cache in :class:`RuntimeEstimator` is keyed on
-``(kind, first_layer, last_layer, u, recompute)`` and tied to the
-profiles' ``cache_token``: mutating a layer profile through
-:meth:`ModelProfiles.replace_layer` (or calling ``invalidate_caches``)
-bumps the token and must flush every cached task time.  These tests
-mutate profiles mid-flight and check the estimator tracks reality, plus
-cover the per-graph ``_producer_sizes_cache`` lifecycle and the
-``REPRO_PERF_DISABLE=1`` arm.
+``(kind, first_layer, last_layer, u, recompute)`` and needs no
+invalidation because :class:`ModelProfiles` is immutable: a changed
+layer profile is a new ``ModelProfiles`` and a new estimator.  These
+tests swap a layer that way and check the new estimator tracks it while
+the old one is untouched, plus cover the per-graph ``_producer_sizes``
+lifecycle and the ``REPRO_PERF_DISABLE=1`` arm.
 """
 
 from dataclasses import replace
@@ -16,7 +15,7 @@ import pytest
 
 from repro.core.estimator import RuntimeEstimator
 from repro.core.harmony import Harmony, HarmonyOptions
-from repro.core.profiler import AffineFit
+from repro.core.profiler import AffineFit, ModelProfiles
 from repro.core.types import TaskKind
 from repro.experiments.common import server_for
 from repro.perf import DISABLE_ENV
@@ -24,10 +23,16 @@ from repro.perf import DISABLE_ENV
 
 @pytest.fixture
 def planned():
-    """A fresh plan per test: these tests mutate its profiles."""
     harmony = Harmony("toy-transformer", server_for(2), 8,
                       options=HarmonyOptions(mode="pp"))
     return harmony.plan()
+
+
+def _with_layer(profiles, index, layer):
+    """``profiles`` with layer ``index`` swapped, as a new instance."""
+    layers = profiles.layers
+    return ModelProfiles(layers[:index] + (layer,) + layers[index + 1:],
+                         profiles.optimizer_slots, profiles.gpu)
 
 
 def _fwd_task(graph):
@@ -52,33 +57,43 @@ def test_mb_time_cache_hit_is_identical(planned):
     assert estimator.mb_time(task, u) == estimator._mb_time_uncached(task, u)
 
 
-def test_replace_layer_invalidates_cached_times(planned):
+def test_replaced_layer_gets_fresh_times(planned):
     estimator = RuntimeEstimator(planned.profiles, planned.server)
     task = _fwd_task(planned.graph)
     u = task.microbatches[0]
     before = estimator.mb_time(task, u)
 
     layer = planned.profiles[task.first_layer]
-    doubled = replace(layer, time_fwd=AffineFit(
-        2 * layer.time_fwd.intercept, 2 * layer.time_fwd.slope))
-    planned.profiles.replace_layer(task.first_layer, doubled)
+    doubled = _with_layer(planned.profiles, task.first_layer, replace(
+        layer, time_fwd=AffineFit(2 * layer.time_fwd.intercept,
+                                  2 * layer.time_fwd.slope)))
+    fresh = RuntimeEstimator(doubled, planned.server)
 
-    after = estimator.mb_time(task, u)
-    assert after > before, "estimator served a stale cached task time"
-    assert after == estimator._mb_time_uncached(task, u)
+    after = fresh.mb_time(task, u)
+    assert after > before, "new profiles served the old task time"
+    assert after == fresh._mb_time_uncached(task, u)
+    assert planned.profiles[task.first_layer] is layer
+    assert estimator.mb_time(task, u).hex() == before.hex()
 
 
-def test_invalidate_caches_bumps_token_and_flushes(planned):
-    estimator = RuntimeEstimator(planned.profiles, planned.server)
+def test_rebuilt_profiles_start_a_fresh_cache(planned):
+    """Profiles cannot change in place; rebuilding them over the same
+    fits gives a new estimator an empty cache and the same bits."""
+    profiles = planned.profiles
+    assert isinstance(profiles.layers, tuple)
+    with pytest.raises(TypeError):
+        profiles.layers[0] = profiles.layers[0]
+    estimator = RuntimeEstimator(profiles, planned.server)
     task = _fwd_task(planned.graph)
-    estimator.mb_time(task, task.microbatches[0])
+    first = estimator.mb_time(task, task.microbatches[0])
     assert estimator._time_cache
-    token = planned.profiles.cache_token
-    planned.profiles.invalidate_caches()
-    assert planned.profiles.cache_token == token + 1
-    # The flush happens lazily on the next timed call.
-    estimator.mb_time(task, task.microbatches[0])
-    assert estimator._profiles_token == planned.profiles.cache_token
+
+    rebuilt = ModelProfiles(profiles.layers, profiles.optimizer_slots,
+                            profiles.gpu)
+    assert rebuilt.layers is profiles.layers
+    fresh = RuntimeEstimator(rebuilt, planned.server)
+    assert fresh._time_cache == {}
+    assert fresh.mb_time(task, task.microbatches[0]).hex() == first.hex()
 
 
 def test_distinct_u_are_distinct_entries(planned):
@@ -119,14 +134,16 @@ def test_producer_sizes_cache_is_per_graph(planned):
     }
 
 
-def test_estimates_track_profile_mutation_end_to_end(planned):
-    """The headline staleness scenario: estimate, mutate, re-estimate."""
-    estimator = RuntimeEstimator(planned.profiles, planned.server)
-    before = estimator.estimate_graph(planned.graph)
+def test_estimates_track_replaced_profiles_end_to_end(planned):
+    """The headline staleness scenario: estimate, swap a layer, re-estimate."""
+    before = RuntimeEstimator(planned.profiles, planned.server) \
+        .estimate_graph(planned.graph)
     layer = planned.profiles[0]
-    planned.profiles.replace_layer(0, replace(layer, time_fwd=AffineFit(
-        layer.time_fwd.intercept, 10 * layer.time_fwd.slope)))
-    after = estimator.estimate_graph(planned.graph)
+    slower = _with_layer(planned.profiles, 0, replace(
+        layer, time_fwd=AffineFit(layer.time_fwd.intercept,
+                                  10 * layer.time_fwd.slope)))
+    after = RuntimeEstimator(slower, planned.server) \
+        .estimate_graph(planned.graph)
     assert after > before
 
 

@@ -145,7 +145,9 @@ def test_balanced_packing_is_memoized_and_stable(seed):
         pytest.skip("capacity draw infeasible for this seed")
     again = balanced_time_packing(Phase.FWD, u, profiles, capacity)
     assert again == first
-    # After invalidation the result is recomputed -- same inputs, same
-    # packs -- rather than served stale.
-    profiles.invalidate_caches()
-    assert balanced_time_packing(Phase.FWD, u, profiles, capacity) == first
+    # New profiles over the same fits start an empty memo: the result is
+    # recomputed -- same inputs, same packs -- rather than served stale.
+    rebuilt = ModelProfiles(profiles.layers, profiles.optimizer_slots,
+                            profiles.gpu)
+    assert rebuilt._memo == {}
+    assert balanced_time_packing(Phase.FWD, u, rebuilt, capacity) == first
