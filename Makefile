@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check lint typecheck test analyze analyze-smoke chaos-smoke cluster-smoke trace-smoke bench-smoke bench-baseline service-smoke virt-smoke fleet-smoke
+.PHONY: check lint typecheck test analyze analyze-smoke chaos-smoke cluster-smoke trace-smoke service-smoke virt-smoke fleet-smoke
 
 # Full gate: lint + typecheck + tier-1 tests.  Lint/typecheck legs skip
 # themselves (with a message) when ruff/mypy are not installed.
@@ -54,18 +54,6 @@ cluster-smoke:
 	python -m repro.cli chaos toy-transformer --minibatch 9 --gpus 2 \
 	    --mode dp --servers 3 --seeds 2 --partition-at 0.001 \
 	    --partition-for 0.01 --iterations 2 --json cluster-chaos-dp.json
-
-# Perf-regression gate: run the smoke bench suite and compare against the
-# committed baseline (benchmarks/BENCH_baseline.json), normalized by each
-# report's calibration loop so it works across machine speeds.  Exits
-# nonzero on a >25% regression.
-bench-smoke:
-	python scripts/perf_gate.py --run --repeats 3
-
-# Re-bless the committed baseline on this machine (run after deliberate
-# perf-relevant changes; commit the result).
-bench-baseline:
-	python scripts/perf_gate.py --run --repeats 5 --update
 
 # Service smoke: a seeded 500-request chaos storm through the hardened
 # planning service, plus a no-chaos storm.  Exits nonzero if any request

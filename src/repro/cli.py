@@ -32,10 +32,6 @@ Subcommands:
   stage shrinking; ``--json`` writes the sweep as a machine-readable
   report (cluster sweeps include per-category fault counts and recovery
   outcomes per seed).
-- ``bench`` -- time planner search, simulated execution and tracing for a
-  benchmark suite and write a schema-valid ``BENCH_<date>.json`` report;
-  ``scripts/perf_gate.py`` compares such reports against the committed
-  baseline and fails on regressions.
 - ``serve`` -- drive a seeded scripted request storm through the hardened
   planning service (:mod:`repro.service`): admission control, deadlines,
   retry/backoff, circuit breaker and the graceful-degradation ladder,
@@ -64,7 +60,6 @@ Examples::
     python -m repro.cli chaos toy-transformer --minibatch 8 --gpus 2 \\
         --servers 3 --seeds 5 --servers-lost 1 --iterations 3 \\
         --json cluster-chaos.json
-    python -m repro.cli bench --suite smoke --repeats 3 --out BENCH_smoke.json
     python -m repro.cli serve --requests 500 --chaos --intensity 1.0 \\
         --check-determinism --max-shed-rate 0.35 --json serve.json
 """
@@ -254,20 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(cluster sweeps add per-category cluster "
                             "fault counts and recovery outcomes)")
 
-    from repro.perf.bench import SUITES
-
-    bench = sub.add_parser(
-        "bench",
-        help="time planner/simulator/tracing and write BENCH_<date>.json",
-    )
-    bench.add_argument("--suite", choices=sorted(SUITES), default="smoke",
-                       help="benchmark suite (default smoke)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="repeats per case; the minimum is reported "
-                            "(default 3)")
-    bench.add_argument("--out", metavar="PATH", default=None,
-                       help="report path (default BENCH_<date>.json)")
-
     serve = sub.add_parser(
         "serve",
         help="drive a seeded request storm through the planning service",
@@ -356,8 +337,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _trace(args)
     if args.command == "chaos":
         return _chaos(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "serve":
         return _serve(args)
     return 2  # pragma: no cover - argparse enforces the choices
@@ -452,23 +431,6 @@ def _check(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"wrote {args.json}")
     return 0 if report.ok else 1
-
-
-def _bench(args: argparse.Namespace) -> int:
-    """Run a benchmark suite and write the schema-valid JSON report."""
-    from repro.perf.bench import (
-        default_out_path,
-        render_report,
-        run_bench,
-        write_report,
-    )
-
-    report = run_bench(args.suite, repeats=args.repeats)
-    print(render_report(report))
-    out = args.out or default_out_path()
-    write_report(report, out)
-    print(f"wrote {out}")
-    return 0
 
 
 def _serve(args: argparse.Namespace) -> int:

@@ -13,8 +13,9 @@ the AST of every file under ``src/repro`` and enforces them:
 - **no wall-clock reads** (``time/wall-clock``): simulated time is the
   only clock; ``time.time``/``time.monotonic`` and ``datetime.now``
   kin would leak host time into supposedly deterministic runs
-  (``time.perf_counter`` stays legal -- the bench harness measures real
-  durations on purpose);
+  (``time.perf_counter`` stays legal -- ``ConfigurationSearch`` measures
+  its real ``elapsed_seconds`` on purpose, the scheduler cost Table 1
+  reports);
 - **frozen trace events** (``trace/unfrozen-dataclass``): every
   dataclass in ``repro/trace/events.py`` must be ``frozen=True`` --
   recorded events are shared, hashed and replayed, so mutation is
@@ -169,7 +170,7 @@ class _Checker(ast.NodeVisitor):
                 node, "time/wall-clock",
                 f"time.{chain[1]}() reads the wall clock; simulated "
                 "time is the only clock (perf_counter is allowed for "
-                "benchmarks)",
+                "measuring real durations)",
             )
         if chain and chain[-1] in _WALL_CLOCK_DATETIME and "datetime" in (
             chain[0], chain[-2] if len(chain) >= 2 else ""

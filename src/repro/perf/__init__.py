@@ -1,20 +1,12 @@
-"""Performance subsystem: hot-path caches, benchmarks, and the perf gate.
+"""The enable switch for the hot-path caches, and their contract.
 
 Harmony's scheduler is the heaviest CPU path in this reproduction -- the
 paper reports ~1 s configuration searches for transformers but ~32 s for
 ResNet1K (Table 1), and the discrete-event engine is re-executed
-thousands of times across the test/chaos/elastic suites.  This package
-holds the machinery that keeps those paths fast *without changing a
-single planned or simulated output*:
-
-- the global enable switch the hot-path caches consult
-  (:func:`perf_enabled`, the ``REPRO_PERF_DISABLE=1`` escape hatch);
-- the benchmark harness (:mod:`repro.perf.bench`, the ``repro bench``
-  CLI) that times planner search, simulated execution and tracing
-  overhead per model x mode and emits machine-readable
-  ``BENCH_<date>.json``;
-- the bench-report schema and validator (:mod:`repro.perf.schema`)
-  that ``scripts/perf_gate.py`` and CI check reports against.
+thousands of times across the test/chaos/elastic suites.  The profile
+store, the estimator's memo tables and the time model's tables keep
+those paths fast; each is gated on :func:`perf_enabled`, and
+``REPRO_PERF_DISABLE=1`` turns them all off.
 
 Every optimization gated on :func:`perf_enabled` is *bit-identical* to
 the naive computation it replaces: integer prefix sums are exact, and
@@ -28,16 +20,11 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["perf_enabled", "injected_slowdown"]
+__all__ = ["perf_enabled"]
 
-#: Environment variable that disables every perf-subsystem cache and the
-#: parallel search pool when set to a truthy value ("1", "true", "yes").
+#: Environment variable that disables every perf cache and store when set
+#: to a truthy value ("1", "true", "yes", "on").
 DISABLE_ENV = "REPRO_PERF_DISABLE"
-
-#: Test hook for the perf gate: a float multiplier applied to measured
-#: bench timings, so the gate's failure path can be exercised without
-#: actually making the code slower.
-SLOWDOWN_ENV = "REPRO_PERF_INJECT_SLOWDOWN"
 
 _TRUTHY = {"1", "true", "yes", "on"}
 
@@ -50,18 +37,3 @@ def perf_enabled() -> bool:
     mid-object does not change that object's behavior.
     """
     return os.environ.get(DISABLE_ENV, "").strip().lower() not in _TRUTHY
-
-
-def injected_slowdown() -> float:
-    """Multiplier the bench harness applies to measured wall times.
-
-    Defaults to 1.0; the perf-gate tests set ``REPRO_PERF_INJECT_SLOWDOWN``
-    to demonstrate that the gate actually fails on a regression.
-    """
-    raw = os.environ.get(SLOWDOWN_ENV, "").strip()
-    if not raw:
-        return 1.0
-    value = float(raw)
-    if value <= 0:
-        raise ValueError(f"{SLOWDOWN_ENV} must be positive, got {raw!r}")
-    return value

@@ -1,0 +1,111 @@
+"""Exact work counts for one plan and one run: the tier-1 perf gate.
+
+A wall-clock gate on a shared machine has to tolerate tens of percent of
+noise, so it misses the regressions that matter here: a lost memo, an
+extra validation pass, a spurious engine event.  Those all change a
+*count*, and counts are deterministic.  For three small zoo cases this
+suite pins, exactly:
+
+- one ``Harmony.plan()`` builds (and so validates) one graph: the winner;
+- ``HarmonyGraphBuilder.assemble`` runs once per search candidate, plus
+  once for that final build, and a second ``plan()`` is a memo hit;
+- the number of candidates Algorithm 1 enumerates;
+- the ``Simulator.steps`` one simulated iteration drains.
+
+It also holds the estimator's drift from the simulated iteration time
+under a ceiling per case, so the cost model may get closer to the
+Runtime but never further from it.
+
+A deliberate change to the search or the Runtime moves these numbers on
+purpose; re-measure and update ``CASES`` in the same change.  Wall-clock
+speed is measured by the repository benchmark under ``bench/``.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+
+import pytest
+
+from repro.core.harmony import Harmony, HarmonyOptions
+from repro.core.taskgraph import HarmonyGraphBuilder
+from repro.core.types import TaskGraph
+from repro.experiments.common import server_for
+from repro.sim.engine import Simulator
+
+
+@dataclass(frozen=True)
+class Case:
+    model: str
+    mode: str
+    gpus: int
+    minibatch: int
+    #: ``n_feasible + n_infeasible`` of the search.
+    candidates: int
+    #: ``Simulator.steps`` drained by ``run(plan=..., iterations=1)``.
+    steps: int
+    #: Ceiling on ``|best_estimate - iteration_time| / iteration_time``.
+    max_drift: float
+
+
+CASES = (
+    Case("toy-transformer", "pp", 2, 8,
+         candidates=48, steps=478, max_drift=0.39),
+    Case("tiny-cnn", "dp", 2, 8,
+         candidates=9, steps=174, max_drift=0.17),
+    Case("gpt2", "pp", 4, 32,
+         candidates=68, steps=5942, max_drift=0.02),
+)
+
+
+def _count_calls(monkeypatch, counts: Counter, cls: type, name: str) -> None:
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        counts[name] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+@pytest.mark.parametrize(
+    "case", CASES,
+    ids=lambda c: f"{c.model}-{c.mode}-x{c.gpus}-mb{c.minibatch}",
+)
+def test_plan_and_run_do_exact_work(case, monkeypatch):
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "build")
+    _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "assemble")
+    _count_calls(monkeypatch, counts, TaskGraph, "validate")
+    simulators: list[Simulator] = []
+    original_init = Simulator.__init__
+
+    def init(self):
+        original_init(self)
+        simulators.append(self)
+
+    monkeypatch.setattr(Simulator, "__init__", init)
+
+    harmony = Harmony(case.model, server_for(case.gpus), case.minibatch,
+                      options=HarmonyOptions(mode=case.mode))
+    plan = harmony.plan()
+    search = plan.search
+    assert search.n_feasible + search.n_infeasible == case.candidates
+    expected = {"build": 1, "validate": 1, "assemble": case.candidates + 1}
+    assert counts == expected, (
+        "one plan() must build and validate only the winner and assemble "
+        "each candidate once"
+    )
+    assert harmony.plan() is plan
+    assert counts == expected, "a second plan() must be a memo hit"
+
+    report = harmony.run(plan=plan, iterations=1)
+    iteration_time = report.metrics.iteration_time
+    assert len(simulators) == 1
+    assert simulators[0].steps == case.steps
+    drift = (search.best_estimate - iteration_time) / iteration_time
+    assert abs(drift) <= case.max_drift, (
+        f"estimator drift {drift:+.3f} exceeds the ceiling "
+        f"{case.max_drift} for {case.model} {case.mode}"
+    )
