@@ -68,13 +68,19 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.analysis import INJECTIONS, analyze, inject
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import render, server_for
 from repro.models.zoo import available_models
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.common.chaos import ChaosSpec
+    from repro.faults import FaultSpec
+    from repro.runtime.metrics import RunMetrics
 
 EXPERIMENTS = {
     "fig01": "fig01_growth",
@@ -387,7 +393,6 @@ def _check(args: argparse.Namespace) -> int:
             print(f"  certificate: {cert.describe()}")
     if args.json:
         import dataclasses
-        import json
 
         payload = {
             "model": args.model,
@@ -426,10 +431,7 @@ def _check(args: argparse.Namespace) -> int:
             ],
             "ok": report.ok,
         }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, payload)
     return 0 if report.ok else 1
 
 
@@ -443,8 +445,6 @@ def _serve(args: argparse.Namespace) -> int:
     fails, when ``--max-shed-rate`` is exceeded, or when the service
     leaves a request unresolved (which raises out of ``run``).
     """
-    import json as json_module
-
     from repro.service import (
         PlannerService,
         ServiceChaosSpec,
@@ -535,10 +535,7 @@ def _serve(args: argparse.Namespace) -> int:
             "ok": not failures,
             "failures": failures,
         }
-        with open(args.json, "w") as fh:
-            json_module.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, payload)
     for failure in failures:
         print(failure)
     return 1 if failures else 0
@@ -565,8 +562,6 @@ def _bind(args: argparse.Namespace) -> int:
     memory, and optionally executes it.  Exits 1 when the analyzer
     rejects the bind (e.g. a memory scale the schedule cannot fit).
     """
-    import json as json_module
-
     from repro.common.errors import ScheduleAnalysisError
     from repro.virt import DeviceBinding, VirtualTopology
 
@@ -601,19 +596,12 @@ def _bind(args: argparse.Namespace) -> int:
         "fingerprint": binding.fingerprint(),
     }
 
-    def write_json() -> None:
-        if args.json:
-            with open(args.json, "w") as fh:
-                json_module.dump(payload, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote JSON report to {args.json}")
-
     try:
         bound = harmony.bind(binding, plan=plan)
     except ScheduleAnalysisError as exc:
         print(f"bind REJECTED by the analyzer:\n{exc}")
         payload.update(ok=False, error=str(exc))
-        write_json()
+        _write_json(args.json, payload, "JSON report to ")
         return 1
     print(bound.describe())
     print(f"analyzer: clean on {bound.server.describe()}")
@@ -630,7 +618,7 @@ def _bind(args: argparse.Namespace) -> int:
             iteration_time=report.metrics.iteration_time,
             throughput=report.metrics.throughput,
         )
-    write_json()
+    _write_json(args.json, payload, "JSON report to ")
     return 0
 
 
@@ -707,35 +695,19 @@ def _loss_victims(graph, n: int, seed: int) -> list[int]:
 def _chaos(args: argparse.Namespace) -> int:
     """Seed-sweep fault injection over one planned schedule.
 
-    Three per-seed outcomes: *completed* (recovery won -- byte invariants
-    were audited inside the runner), *typed failure* (faults exhausted the
-    recovery policy; an acceptable chaos outcome, reported with the fault's
-    entity), and *hard failure* (watchdog trip or broken byte accounting
-    -- a runtime bug).  Only hard failures make the exit code nonzero.
-
-    ``--devices-lost`` additionally scripts permanent GPU losses on top of
-    the seeded chaos mix, driving the elastic escalation ladder (re-bind
-    -> re-plan -> state migration); ``--json`` writes the sweep's per-seed
-    outcomes and counters for machines (CI artifacts, dashboards).
+    ``--devices-lost`` scripts permanent GPU losses on top of the seeded
+    chaos mix, driving the elastic escalation ladder (re-bind -> re-plan
+    -> state migration); ``--servers N`` runs :func:`_cluster_chaos`.
     """
-    import json as json_module
-    from dataclasses import asdict, replace
-
-    from repro.common.errors import FaultError, SimulationError
     from repro.faults import FaultPlan, FaultSpec, ScriptedFaultPlan
 
     if args.servers > 1:
         if args.hetero:
             raise SystemExit("--hetero applies to single-server sweeps")
         return _cluster_chaos(args)
-    spec = FaultSpec.chaos(args.intensity)
-    if args.transfer_rate is not None:
-        spec = replace(spec, transfer_fault_rate=args.transfer_rate)
-    if args.crash_rate is not None:
-        spec = replace(spec, task_crash_rate=args.crash_rate)
+    spec = _rate_overrides(args, FaultSpec.chaos(args.intensity))
     harmony = _harmony(args)
     plan = harmony.plan()
-    binding = None
     if args.hetero:
         from repro.virt import DeviceBinding
 
@@ -743,106 +715,57 @@ def _chaos(args: argparse.Namespace) -> int:
         if len(scales) != args.gpus:
             raise SystemExit(f"--hetero needs one scale per GPU "
                              f"({args.gpus}), got {len(scales)}")
-        binding = DeviceBinding.heterogeneous(scales)
         # One strict-analyzer certification up front; the sweep reuses
         # the bound plan across seeds.
-        plan = harmony.bind(binding, plan=plan)
-    print(plan.describe() if binding is None else plan.plan.describe())
+        plan = harmony.bind(DeviceBinding.heterogeneous(scales), plan=plan)
+    print((plan.plan if args.hetero else plan).describe())
     print(f"chaos sweep: {args.seeds} seed(s) from {args.seed_base}, "
           f"{spec.describe()}"
           + (f", {args.devices_lost} device(s) lost at iteration "
              f"{args.lose_at}" if args.devices_lost else "")
           + (f", heterogeneous bind x{args.hetero}" if args.hetero else ""))
-    completed = failed = hard = 0
-    records = []
-    for seed in range(args.seed_base, args.seed_base + args.seeds):
+
+    def run_seed(seed: int, extra: dict) -> RunMetrics:
+        fault_plan = FaultPlan(spec, seed=seed)
         if args.devices_lost:
             victims = _loss_victims(plan.graph, args.devices_lost, seed)
-            fault_plan: FaultPlan = ScriptedFaultPlan(
+            fault_plan = ScriptedFaultPlan(
                 losses={d: args.lose_at for d in victims},
                 spec=spec, seed=seed,
             )
-        else:
-            fault_plan = FaultPlan(spec, seed=seed)
-        record: dict = {"seed": seed}
-        try:
-            report = harmony.run(plan=plan, iterations=args.iterations,
-                                 fault_plan=fault_plan)
-        except FaultError as exc:
-            failed += 1
-            entity = f" [{exc.entity}]" if exc.entity else ""
-            print(f"  seed {seed}: FAILED {type(exc).__name__}{entity}: {exc}")
-            record.update(outcome="failed", error_type=type(exc).__name__,
-                          entity=exc.entity, message=str(exc))
-        except SimulationError as exc:
-            hard += 1
-            print(f"  seed {seed}: HARD FAILURE {type(exc).__name__}: {exc}")
-            record.update(outcome="hard_failure",
-                          error_type=type(exc).__name__, message=str(exc))
-        else:
-            completed += 1
-            metrics = report.metrics
-            line = (f"  seed {seed}: completed, iteration "
-                    f"{metrics.iteration_time:.4f}s, "
-                    f"{metrics.recovery.describe()}")
-            if metrics.elastic.any:
-                line += f"; {metrics.elastic.describe()}"
-            print(line)
-            record.update(
-                outcome="completed",
-                iteration_time=metrics.iteration_time,
-                throughput=metrics.throughput,
-                recovery=asdict(metrics.recovery),
-                elastic=asdict(metrics.elastic),
-            )
-        records.append(record)
-    print(f"chaos summary: {completed} completed, {failed} failed with a "
-          f"typed fault, {hard} hard failure(s) "
-          f"({'runtime bug' if hard else 'byte accounting intact, no hangs'})")
-    if args.json:
-        payload = {
-            "model": args.model,
-            "mode": args.mode,
-            "gpus": args.gpus,
-            "minibatch": args.minibatch,
-            "iterations": args.iterations,
-            "intensity": args.intensity,
-            "devices_lost": args.devices_lost,
-            "hetero": args.hetero,
-            "seed_base": args.seed_base,
-            "seeds": args.seeds,
-            "spec": spec.describe(),
-            "results": records,
-            "summary": {
-                "completed": completed,
-                "failed": failed,
-                "hard_failures": hard,
-                "replans": sum(
-                    r.get("elastic", {}).get("replans", 0) for r in records
-                ),
-            },
-        }
-        with open(args.json, "w") as fh:
-            json_module.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote JSON report to {args.json}")
-    return 1 if hard else 0
+        return harmony.run(plan=plan, iterations=args.iterations,
+                           fault_plan=fault_plan).metrics
+
+    return _sweep(
+        args, "chaos", spec,
+        _settings(args, "model", "mode", "gpus", "minibatch", "iterations",
+                  "intensity", "devices_lost", "hetero"),
+        run_seed,
+        summary=lambda records: {"replans": sum(
+            r.get("elastic", {}).get("replans", 0) for r in records
+        )},
+        completed=lambda metrics: {"throughput": metrics.throughput},
+    )
+
+
+#: The ``ClusterMetrics`` counters each cluster sweep record reports.
+_CLUSTER_COUNTERS = (
+    "servers_lost", "servers_retired", "cluster_replans", "stage_shrinks",
+    "state_restores", "partition_stalls", "network_bytes",
+    "replication_bytes", "migration_network_bytes",
+)
 
 
 def _cluster_chaos(args: argparse.Namespace) -> int:
     """Seed-sweep cluster chaos: failure domains above one machine.
 
-    Same outcome taxonomy as the single-server sweep -- *completed*
-    (the server-level recovery ladder won: replica restore, cross-server
-    re-plan, stage shrink), *typed failure* (an acceptable
-    :class:`~repro.common.errors.ClusterFaultError` or inner fault), and
-    *hard failure* (watchdog trip or broken byte accounting, including
-    the per-network-link reconciliation).  Only hard failures exit
-    nonzero.  Plans are memoized across the sweep (placements do not
-    depend on the fault seed), so the sweep re-searches nothing.
+    Recovery is the server-level ladder (replica restore, cross-server
+    re-plan, stage shrink); typed failures include
+    :class:`~repro.common.errors.ClusterFaultError`, and hard failures
+    include broken per-network-link byte reconciliation.  Plans are
+    memoized across the sweep, so it re-searches nothing.
     """
-    import json as json_module
-    from dataclasses import asdict, replace
+    from dataclasses import replace
 
     from repro.cluster import (
         ClusterFaultPlan,
@@ -853,141 +776,167 @@ def _cluster_chaos(args: argparse.Namespace) -> int:
         ScriptedClusterFaultPlan,
         homogeneous_cluster,
     )
-    from repro.common.errors import FaultError, SimulationError
 
     n = args.servers
     spec = ClusterFaultSpec.cluster_chaos(args.intensity)
-    inner = spec.inner
-    if args.transfer_rate is not None:
-        inner = replace(inner, transfer_fault_rate=args.transfer_rate)
-    if args.crash_rate is not None:
-        inner = replace(inner, task_crash_rate=args.crash_rate)
-    spec = replace(spec, inner=inner)
+    spec = replace(spec, inner=_rate_overrides(args, spec.inner))
     cluster = homogeneous_cluster(n, server_for(args.gpus))
     planner = ClusterPlanner(args.model, cluster, args.minibatch,
                              mode=args.mode)
-    plan = planner.plan_for(tuple(range(n)))
-    print(plan.describe())
+    print(planner.plan_for(tuple(range(n))).describe())
     scripted_losses = min(args.servers_lost, n - 1)
     scripted = scripted_losses > 0 or args.partition_at is not None
-    line = (f"cluster chaos sweep: {n} server(s), {args.seeds} seed(s) "
-            f"from {args.seed_base}, {spec.describe()}")
-    if scripted_losses:
-        line += (f", {scripted_losses} server(s) lost at iteration "
-                 f"{args.lose_at}")
-    if args.partition_at is not None:
-        line += (f", partition at t={args.partition_at:g} "
-                 f"for {args.partition_for:g}s")
-    print(line)
-    completed = failed = hard = 0
-    records = []
-    for seed in range(args.seed_base, args.seed_base + args.seeds):
+    print(f"cluster chaos sweep: {n} server(s), {args.seeds} seed(s) "
+          f"from {args.seed_base}, {spec.describe()}"
+          + (f", {scripted_losses} server(s) lost at iteration "
+             f"{args.lose_at}" if scripted_losses else "")
+          + (f", partition at t={args.partition_at:g} for "
+             f"{args.partition_for:g}s" if args.partition_at is not None
+             else ""))
+
+    def run_seed(seed: int, extra: dict) -> RunMetrics:
+        fault_plan = ClusterFaultPlan(spec, seed=seed)
         if scripted:
             # Scripted losses are the only whole-server crashes (mirrors
             # --devices-lost one level down): stacking seeded crashes on
             # top would kill owner+buddy pairs on most seeds.
-            crashes = {(seed + i) % n: args.lose_at
-                       for i in range(scripted_losses)}
-            partitions = []
-            if args.partition_at is not None:
-                partitions.append(PartitionWindow(
-                    args.partition_at,
-                    args.partition_at + args.partition_for,
-                    frozenset({seed % n}),
-                ))
-            fault_plan: ClusterFaultPlan = ScriptedClusterFaultPlan(
-                crashes=crashes, partitions=partitions,
+            partitions = [] if args.partition_at is None else [
+                PartitionWindow(args.partition_at,
+                                args.partition_at + args.partition_for,
+                                frozenset({seed % n})),
+            ]
+            fault_plan = ScriptedClusterFaultPlan(
+                crashes={(seed + i) % n: args.lose_at
+                         for i in range(scripted_losses)},
+                partitions=partitions,
                 spec=replace(spec, server_crash_rate=0.0), seed=seed,
             )
-        else:
-            fault_plan = ClusterFaultPlan(spec, seed=seed)
         runner = ClusterRunner(planner, fault_plan)
-        record: dict = {"seed": seed}
         try:
-            metrics = runner.run(args.iterations)
+            return runner.run(args.iterations)
+        finally:
+            # Cluster counters exist for failed runs too (faults
+            # delivered, recovery attempted before the ladder gave out).
+            extra["cluster"] = {
+                "fault_counts": runner.metrics.fault_counts(),
+                **{k: getattr(runner.metrics, k) for k in _CLUSTER_COUNTERS},
+            }
+
+    return _sweep(
+        args, "cluster chaos", spec,
+        _settings(args, "model", "mode", "gpus", "servers", "minibatch",
+                  "iterations", "intensity", "servers_lost", "partition_at",
+                  "partition_for") | {"servers_lost": scripted_losses},
+        run_seed,
+        summary=lambda records: {
+            key: sum(r["cluster"][key] for r in records)
+            for key in ("cluster_replans", "state_restores",
+                        "migration_network_bytes")
+        },
+    )
+
+
+def _rate_overrides(args: argparse.Namespace, spec: FaultSpec) -> FaultSpec:
+    """``spec`` with the ``--transfer-rate`` / ``--crash-rate`` overrides."""
+    from dataclasses import replace
+
+    if args.transfer_rate is not None:
+        spec = replace(spec, transfer_fault_rate=args.transfer_rate)
+    if args.crash_rate is not None:
+        spec = replace(spec, task_crash_rate=args.crash_rate)
+    return spec
+
+
+def _settings(args: argparse.Namespace, *names: str) -> dict:
+    return {name: getattr(args, name) for name in names}
+
+
+def _sweep(
+    args: argparse.Namespace,
+    title: str,
+    spec: ChaosSpec,
+    settings: dict,
+    run_seed: Callable[[int, dict], RunMetrics],
+    summary: Callable[[list[dict]], dict],
+    completed: Callable[[RunMetrics], dict] = lambda metrics: {},
+) -> int:
+    """Run one chaos seed sweep, print and ``--json``-report it.
+
+    Three per-seed outcomes: *completed* (recovery won -- byte invariants
+    were audited inside the runner), *typed failure* (faults exhausted the
+    recovery policy; an acceptable chaos outcome, reported with the fault's
+    entity), and *hard failure* (watchdog trip or broken byte accounting
+    -- a runtime bug).  Only hard failures make the exit code nonzero.
+
+    ``run_seed(seed, extra)`` builds the seed's fault plan and returns
+    the run's metrics; what it puts in ``extra`` ends the seed's record
+    whatever the outcome.  ``summary(records)`` adds summary totals,
+    ``completed(metrics)`` fields to completed records, and ``settings``
+    opens the ``--json`` report.
+    """
+    from dataclasses import asdict
+
+    from repro.common.errors import FaultError, SimulationError
+
+    records = []
+    for seed in range(args.seed_base, args.seed_base + args.seeds):
+        record: dict = {"seed": seed}
+        extra: dict = {}
+        try:
+            metrics = run_seed(seed, extra)
         except FaultError as exc:
-            failed += 1
             entity = f" [{exc.entity}]" if exc.entity else ""
-            print(f"  seed {seed}: FAILED {type(exc).__name__}{entity}: "
-                  f"{exc}")
+            print(f"  seed {seed}: FAILED {type(exc).__name__}{entity}: {exc}")
             record.update(outcome="failed", error_type=type(exc).__name__,
                           entity=exc.entity, message=str(exc))
         except SimulationError as exc:
-            hard += 1
             print(f"  seed {seed}: HARD FAILURE {type(exc).__name__}: {exc}")
             record.update(outcome="hard_failure",
                           error_type=type(exc).__name__, message=str(exc))
         else:
-            completed += 1
-            cl = metrics.cluster
-            assert cl is not None
-            line = (f"  seed {seed}: completed, iteration "
-                    f"{metrics.iteration_time:.4f}s, "
-                    f"{metrics.recovery.describe()}")
-            if cl.any:
-                line += f"; {cl.describe()}"
-            print(line)
+            # A cluster run reports its cluster counters, a single-server
+            # run its elastic ones.
+            detail = (metrics.cluster if metrics.cluster is not None
+                      else metrics.elastic)
+            print(f"  seed {seed}: completed, iteration "
+                  f"{metrics.iteration_time:.4f}s, "
+                  f"{metrics.recovery.describe()}"
+                  + (f"; {detail.describe()}" if detail.any else ""))
             record.update(
                 outcome="completed",
                 iteration_time=metrics.iteration_time,
+                **completed(metrics),
                 recovery=asdict(metrics.recovery),
                 elastic=asdict(metrics.elastic),
             )
-        # Cluster counters exist for failed runs too (faults delivered,
-        # recovery attempted before the ladder gave out).
-        cl = runner.metrics
-        record["cluster"] = {
-            "fault_counts": cl.fault_counts(),
-            "servers_lost": cl.servers_lost,
-            "servers_retired": cl.servers_retired,
-            "cluster_replans": cl.cluster_replans,
-            "stage_shrinks": cl.stage_shrinks,
-            "state_restores": cl.state_restores,
-            "partition_stalls": cl.partition_stalls,
-            "network_bytes": cl.network_bytes,
-            "replication_bytes": cl.replication_bytes,
-            "migration_network_bytes": cl.migration_network_bytes,
-        }
-        records.append(record)
-    print(f"cluster chaos summary: {completed} completed, {failed} failed "
-          f"with a typed fault, {hard} hard failure(s) "
+        records.append(record | extra)
+    outcomes = [r["outcome"] for r in records]
+    counts = {"completed": outcomes.count("completed"),
+              "failed": outcomes.count("failed"),
+              "hard_failures": outcomes.count("hard_failure")}
+    hard = counts["hard_failures"]
+    print(f"{title} summary: {counts['completed']} completed, "
+          f"{counts['failed']} failed with a typed fault, {hard} hard "
+          f"failure(s) "
           f"({'runtime bug' if hard else 'byte accounting intact, no hangs'})")
-    if args.json:
-        payload = {
-            "model": args.model,
-            "mode": args.mode,
-            "gpus": args.gpus,
-            "servers": n,
-            "minibatch": args.minibatch,
-            "iterations": args.iterations,
-            "intensity": args.intensity,
-            "servers_lost": scripted_losses,
-            "partition_at": args.partition_at,
-            "partition_for": args.partition_for,
-            "seed_base": args.seed_base,
-            "seeds": args.seeds,
-            "spec": spec.describe(),
-            "results": records,
-            "summary": {
-                "completed": completed,
-                "failed": failed,
-                "hard_failures": hard,
-                "cluster_replans": sum(
-                    r["cluster"]["cluster_replans"] for r in records
-                ),
-                "state_restores": sum(
-                    r["cluster"]["state_restores"] for r in records
-                ),
-                "migration_network_bytes": sum(
-                    r["cluster"]["migration_network_bytes"] for r in records
-                ),
-            },
-        }
-        with open(args.json, "w") as fh:
-            json_module.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote JSON report to {args.json}")
+    _write_json(args.json, settings | {
+        "seed_base": args.seed_base,
+        "seeds": args.seeds,
+        "spec": spec.describe(),
+        "results": records,
+        "summary": counts | summary(records),
+    }, "JSON report to ")
     return 1 if hard else 0
+
+
+def _write_json(path: Optional[str], payload: dict, what: str = "") -> None:
+    """Write a subcommand's ``--json`` report (no-op without a path)."""
+    if path is None:
+        return
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {what}{path}")
 
 
 if __name__ == "__main__":

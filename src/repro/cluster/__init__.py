@@ -11,7 +11,6 @@ re-planning, and pipeline stage shrinking (DESIGN.md section 14).
 
 from repro.cluster.fabric import ClusterFabric
 from repro.cluster.faults import (
-    ClusterFaultKind,
     ClusterFaultPlan,
     ClusterFaultSpec,
     ClusterInjector,
@@ -39,7 +38,6 @@ __all__ = [
     "ETH_25G",
     "ETH_100G",
     "ClusterFabric",
-    "ClusterFaultKind",
     "ClusterFaultPlan",
     "ClusterFaultSpec",
     "ClusterInjector",

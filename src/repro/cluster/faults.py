@@ -2,7 +2,7 @@
 
 Extends the per-server taxonomy (:mod:`repro.faults.plan`) one level up.
 All decisions are the same *stateless* hash draws
-(:mod:`repro.common.rng`): a decision depends only on ``(seed, fault
+(:mod:`repro.common.chaos`): a decision depends only on ``(seed, fault
 kind, entity labels, epoch)``, never on question order, so a cluster
 chaos run is byte-for-byte reproducible from its seed alone.
 
@@ -27,82 +27,43 @@ cluster seed, so intra-server chaos and cluster chaos compose.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.common.rng import unit
+from repro.common.chaos import (
+    ChaosPlan,
+    ChaosSpec,
+    Scripted,
+    factor,
+    interval,
+    rate,
+)
 from repro.faults.plan import FaultPlan, FaultSpec
 
 
-class ClusterFaultKind(enum.Enum):
-    """Cluster-level fault classes the injector can deliver."""
-
-    SERVER_CRASH = "server_crash"
-    PARTITION = "partition"
-    NIC_DEGRADE = "nic_degrade"
-    SWITCH_FLAP = "switch_flap"
-
-
-_RATES = (
-    "server_crash_rate",
-    "partition_rate",
-    "nic_degrade_rate",
-    "switch_flap_rate",
-)
-
-
 @dataclass(frozen=True)
-class ClusterFaultSpec:
+class ClusterFaultSpec(ChaosSpec):
     """Rates and magnitudes for each cluster fault class (rates in [0, 1])."""
 
     #: probability a given server permanently crashes during the run
-    server_crash_rate: float = 0.0
+    server_crash_rate: float = rate()
     #: probability a given window epoch is a network partition
-    partition_rate: float = 0.0
+    partition_rate: float = rate()
     #: virtual seconds per partition window epoch
-    partition_interval: float = 0.05
+    partition_interval: float = interval(0.05)
     #: probability a NIC direction spends a given epoch degraded
-    nic_degrade_rate: float = 0.0
+    nic_degrade_rate: float = rate()
     #: bandwidth multiplier while a NIC is degraded
-    nic_degrade_factor: float = 0.25
+    nic_degrade_factor: float = factor(0.25)
     #: virtual seconds per NIC degradation epoch
-    nic_flap_interval: float = 0.05
+    nic_flap_interval: float = interval(0.05)
     #: probability the switch spends a given epoch degraded
-    switch_flap_rate: float = 0.0
+    switch_flap_rate: float = rate()
     #: bandwidth multiplier while the switch is degraded
-    switch_flap_factor: float = 0.5
+    switch_flap_factor: float = factor(0.5)
     #: per-server (intra-machine) fault mix
     inner: FaultSpec = field(default_factory=FaultSpec)
-
-    def __post_init__(self) -> None:
-        for name in _RATES:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        for name in ("nic_degrade_factor", "switch_flap_factor"):
-            factor = getattr(self, name)
-            if not 0.0 < factor <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {factor}")
-        for name in ("partition_interval", "nic_flap_interval"):
-            interval = getattr(self, name)
-            if interval <= 0:
-                raise ValueError(f"{name} must be positive, got {interval}")
-
-    @property
-    def any_enabled(self) -> bool:
-        return (
-            any(getattr(self, name) > 0.0 for name in _RATES)
-            or self.inner.any_enabled
-        )
-
-    # -- presets -----------------------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "ClusterFaultSpec":
-        """All cluster faults off."""
-        return cls()
 
     @classmethod
     def cluster_chaos(cls, intensity: float = 1.0) -> "ClusterFaultSpec":
@@ -114,9 +75,7 @@ class ClusterFaultSpec:
         making completion unlikely.  The inner per-server mix runs at
         half intensity so cluster-level faults dominate the storm.
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
-        clamp = lambda r: min(1.0, r * intensity)  # noqa: E731
+        clamp = cls.scaled(intensity)
         return cls(
             server_crash_rate=clamp(0.25),
             partition_rate=clamp(0.15),
@@ -125,31 +84,9 @@ class ClusterFaultSpec:
             inner=FaultSpec.chaos(0.5 * intensity),
         )
 
-    def describe(self) -> str:
-        parts = [
-            f"{f.name}={getattr(self, f.name):g}"
-            for f in fields(self)
-            if f.name != "inner"
-            and getattr(self, f.name) != getattr(type(self)(), f.name)
-        ]
-        if self.inner.any_enabled:
-            parts.append(f"inner={self.inner.describe()}")
-        return (
-            "ClusterFaultSpec(" + ", ".join(parts) + ")"
-            if parts else "ClusterFaultSpec(off)"
-        )
 
-
-class ClusterFaultPlan:
+class ClusterFaultPlan(ChaosPlan[ClusterFaultSpec]):
     """A seeded, reproducible oracle for every cluster fault decision."""
-
-    def __init__(self, spec: ClusterFaultSpec, seed: int = 0):
-        self.spec = spec
-        self.seed = seed
-
-    @property
-    def enabled(self) -> bool:
-        return self.spec.any_enabled
 
     # -- per-server inner chaos --------------------------------------------------
 
@@ -160,7 +97,7 @@ class ClusterFaultPlan:
         servers never see correlated inner dice and the whole cluster
         run still reproduces from one number.
         """
-        derived = int(unit(self.seed, "server-seed", server) * 2**31)
+        derived = int(self.draw("server-seed", server) * 2**31)
         return FaultPlan(self.spec.inner, seed=derived)
 
     # -- whole-server crash ------------------------------------------------------
@@ -172,16 +109,16 @@ class ClusterFaultPlan:
         retries.  Drawn from ``[1, 4]`` so a crash always strikes after
         at least one healthy iteration established the replica baseline.
         """
-        if unit(self.seed, "server-loss", server) >= self.spec.server_crash_rate:
+        if not self.hit(self.spec.server_crash_rate, "server-loss", server):
             return None
-        return 1 + int(unit(self.seed, "server-loss-iter", server) * 4.0)
+        return 1 + int(self.draw("server-loss-iter", server) * 4.0)
 
     # -- network partition -------------------------------------------------------
 
     def partition_sides(self, now: float) -> Optional[int]:
         """The active partition epoch at ``now``, or None if connected."""
         epoch = int(math.floor(now / self.spec.partition_interval))
-        if unit(self.seed, "partition", epoch) < self.spec.partition_rate:
+        if self.hit(self.spec.partition_rate, "partition", epoch):
             return epoch
         return None
 
@@ -198,7 +135,7 @@ class ClusterFaultPlan:
         epoch = self.partition_sides(now)
         if epoch is None:
             return False
-        side = lambda s: int(unit(self.seed, "partition-side", epoch, s) * 2)  # noqa: E731
+        side = lambda s: int(self.draw("partition-side", epoch, s) * 2)  # noqa: E731
         return side(a) != side(b)
 
     def partition_blocked(self, pairs: Iterable[tuple[int, int]],
@@ -221,20 +158,15 @@ class ClusterFaultPlan:
     def nic_degradation(self, server: int, direction: str, epoch: int,
                         context: tuple = ()) -> float:
         """Bandwidth multiplier for one NIC direction during ``epoch``."""
-        if unit(self.seed, "nic-flap", context, server, direction, epoch) < \
-                self.spec.nic_degrade_rate:
-            return self.spec.nic_degrade_factor
-        return 1.0
+        return self.scale(self.spec.nic_degrade_rate,
+                          self.spec.nic_degrade_factor,
+                          "nic-flap", context, server, direction, epoch)
 
     def switch_degradation(self, epoch: int, context: tuple = ()) -> float:
         """Bandwidth multiplier for the shared switch during ``epoch``."""
-        if unit(self.seed, "switch-flap", context, epoch) < \
-                self.spec.switch_flap_rate:
-            return self.spec.switch_flap_factor
-        return 1.0
-
-    def describe(self) -> str:
-        return f"ClusterFaultPlan(seed={self.seed}, {self.spec.describe()})"
+        return self.scale(self.spec.switch_flap_rate,
+                          self.spec.switch_flap_factor,
+                          "switch-flap", context, epoch)
 
 
 @dataclass(frozen=True)
@@ -256,7 +188,7 @@ class PartitionWindow:
         )
 
 
-class ScriptedClusterFaultPlan(ClusterFaultPlan):
+class ScriptedClusterFaultPlan(Scripted, ClusterFaultPlan):
     """Cluster fault decisions spelled out explicitly (for tests).
 
     ``crashes`` maps ``server -> death iteration``; ``partitions`` is a
@@ -281,13 +213,6 @@ class ScriptedClusterFaultPlan(ClusterFaultPlan):
             for w in partitions
         ]
         self.server_plans = dict(server_plans or {})
-
-    @property
-    def enabled(self) -> bool:
-        return bool(
-            self.crashes or self.windows or self.server_plans
-            or self.spec.any_enabled
-        )
 
     def server_plan(self, server: int) -> FaultPlan:
         if server in self.server_plans:

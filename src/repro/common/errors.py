@@ -97,13 +97,6 @@ class UnrecoveredFaultError(FaultError):
     fallback, restarts) and the run cannot make progress."""
 
 
-class ServerLostError(FaultError):
-    """A whole server permanently crashed (the cluster-level analog of
-    :class:`GpuLostError`).  Recovery means re-planning the pipeline on
-    the surviving servers and restoring the lost stage's state from its
-    replica (:mod:`repro.cluster`)."""
-
-
 class NetworkPartitionError(FaultError):
     """A cross-server transfer was attempted while its endpoints sit in
     disconnected partition components.  Transient: the cluster runner

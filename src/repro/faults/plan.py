@@ -3,7 +3,7 @@
 A :class:`FaultSpec` sets *rates* for each fault class; a
 :class:`FaultPlan` binds a spec to a seed and answers every "does this
 attempt fault?" question the runtime asks.  All decisions are *stateless*
-hash draws through :mod:`repro.common.rng`: a decision depends only on
+hash draws through :mod:`repro.common.chaos`: a decision depends only on
 ``(seed, fault kind, entity labels, attempt number, restart context)``,
 never on the order questions get asked in -- which is what makes a chaos
 run byte-for-byte reproducible from its seed alone.
@@ -30,10 +30,19 @@ The fault taxonomy (DESIGN.md section 8):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.rng import unit
+from repro.common.chaos import (
+    ChaosPlan,
+    ChaosSpec,
+    Scripted,
+    factor,
+    interval,
+    multiplier,
+    probability,
+    rate,
+)
 
 
 class FaultKind(enum.Enum):
@@ -47,78 +56,34 @@ class FaultKind(enum.Enum):
     GPU_LOSS = "gpu_loss"
 
 
-_RATES = (
-    "transfer_fault_rate",
-    "link_degrade_rate",
-    "gpu_slowdown_rate",
-    "task_crash_rate",
-    "host_pressure_rate",
-    "gpu_loss_rate",
-)
-
-
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(ChaosSpec):
     """Rates and magnitudes for each fault class.  All rates in [0, 1]."""
 
     #: probability one transfer attempt fails in flight
-    transfer_fault_rate: float = 0.0
+    transfer_fault_rate: float = rate()
     #: probability a link spends a given epoch degraded
-    link_degrade_rate: float = 0.0
+    link_degrade_rate: float = rate()
     #: bandwidth multiplier while a link is degraded
-    link_degrade_factor: float = 0.25
+    link_degrade_factor: float = factor(0.25)
     #: virtual seconds per link degradation epoch (flap granularity)
-    link_flap_interval: float = 0.05
+    link_flap_interval: float = interval(0.05)
     #: probability a GPU is a straggler for the whole run
-    gpu_slowdown_rate: float = 0.0
+    gpu_slowdown_rate: float = rate()
     #: kernel-time multiplier of a straggler GPU
-    gpu_slowdown_factor: float = 2.0
+    gpu_slowdown_factor: float = multiplier(2.0)
     #: probability a straggler is persistent (re-bind candidate)
-    gpu_persistent_rate: float = 0.5
+    gpu_persistent_rate: float = probability(0.5)
     #: probability one compute attempt crashes
-    task_crash_rate: float = 0.0
+    task_crash_rate: float = rate()
     #: probability the host spends a given epoch under memory pressure
-    host_pressure_rate: float = 0.0
+    host_pressure_rate: float = rate()
     #: host-side bandwidth multiplier during a pressure epoch
-    host_pressure_factor: float = 0.5
+    host_pressure_factor: float = factor(0.5)
     #: virtual seconds per host pressure epoch
-    host_pressure_interval: float = 0.1
+    host_pressure_interval: float = interval(0.1)
     #: probability a GPU permanently dies during the run (hardware loss)
-    gpu_loss_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in _RATES:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        for name in ("link_degrade_factor", "host_pressure_factor"):
-            factor = getattr(self, name)
-            if not 0.0 < factor <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {factor}")
-        if self.gpu_slowdown_factor < 1.0:
-            raise ValueError(
-                f"gpu_slowdown_factor must be >= 1, got {self.gpu_slowdown_factor}"
-            )
-        if not 0.0 <= self.gpu_persistent_rate <= 1.0:
-            raise ValueError(
-                f"gpu_persistent_rate must be in [0, 1], "
-                f"got {self.gpu_persistent_rate}"
-            )
-        for name in ("link_flap_interval", "host_pressure_interval"):
-            interval = getattr(self, name)
-            if interval <= 0:
-                raise ValueError(f"{name} must be positive, got {interval}")
-
-    @property
-    def any_enabled(self) -> bool:
-        return any(getattr(self, name) > 0.0 for name in _RATES)
-
-    # -- presets -----------------------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "FaultSpec":
-        """All faults off (the zero-overhead baseline)."""
-        return cls()
+    gpu_loss_rate: float = rate()
 
     @classmethod
     def chaos(cls, intensity: float = 1.0) -> "FaultSpec":
@@ -129,9 +94,7 @@ class FaultSpec:
         fifth seed, and occasional task crashes -- enough to exercise
         every recovery path without making completion unlikely.
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
-        clamp = lambda r: min(1.0, r * intensity)  # noqa: E731
+        clamp = cls.scaled(intensity)
         return cls(
             transfer_fault_rate=clamp(0.02),
             link_degrade_rate=clamp(0.10),
@@ -144,14 +107,6 @@ class FaultSpec:
             host_pressure_factor=0.5,
         )
 
-    def describe(self) -> str:
-        parts = [
-            f"{f.name}={getattr(self, f.name):g}"
-            for f in fields(self)
-            if getattr(self, f.name) != getattr(type(self)(), f.name)
-        ]
-        return "FaultSpec(" + ", ".join(parts) + ")" if parts else "FaultSpec(off)"
-
 
 @dataclass(frozen=True)
 class Crash:
@@ -160,7 +115,7 @@ class Crash:
     fraction: float
 
 
-class FaultPlan:
+class FaultPlan(ChaosPlan[FaultSpec]):
     """A seeded, reproducible oracle for every fault decision.
 
     ``context`` distinguishes restart attempts of the same iteration: the
@@ -170,18 +125,6 @@ class FaultPlan:
     the same fault forever.
     """
 
-    def __init__(self, spec: FaultSpec, seed: int = 0):
-        self.spec = spec
-        self.seed = seed
-
-    @property
-    def enabled(self) -> bool:
-        """False for an all-faults-disabled plan (zero-overhead mode)."""
-        return self.spec.any_enabled
-
-    def with_spec(self, **changes: float) -> "FaultPlan":
-        return FaultPlan(replace(self.spec, **changes), seed=self.seed)
-
     # -- decisions ---------------------------------------------------------------
 
     def transfer_fault(
@@ -189,22 +132,22 @@ class FaultPlan:
     ) -> Optional[float]:
         """Does this transfer attempt fault?  Returns the abort fraction
         (how far through the transfer the fault strikes) or None."""
-        key = (self.seed, "xfer", context, entity, label, attempt)
-        if unit(*key) >= self.spec.transfer_fault_rate:
+        if not self.hit(self.spec.transfer_fault_rate,
+                        "xfer", context, entity, label, attempt):
             return None
-        return 0.05 + 0.9 * unit(self.seed, "xfer-frac", context, entity,
-                                 label, attempt)
+        return 0.05 + 0.9 * self.draw("xfer-frac", context, entity, label,
+                                      attempt)
 
     def task_crash(
         self, tid: int, mb_index: int, attempt: int, context: tuple = ()
     ) -> Optional[Crash]:
         """Does this compute attempt crash?  Returns the crash point or None."""
-        key = (self.seed, "crash", context, tid, mb_index, attempt)
-        if unit(*key) >= self.spec.task_crash_rate:
+        if not self.hit(self.spec.task_crash_rate,
+                        "crash", context, tid, mb_index, attempt):
             return None
         return Crash(
             fraction=0.05
-            + 0.9 * unit(self.seed, "crash-frac", context, tid, mb_index, attempt)
+            + 0.9 * self.draw("crash-frac", context, tid, mb_index, attempt)
         )
 
     def gpu_slowdown(self, device: int) -> tuple[float, bool]:
@@ -214,11 +157,10 @@ class FaultPlan:
         iterations and restarts, which is what makes persistent
         degradation detectable and re-bind worthwhile.
         """
-        if unit(self.seed, "slow", device) >= self.spec.gpu_slowdown_rate:
+        if not self.hit(self.spec.gpu_slowdown_rate, "slow", device):
             return 1.0, False
-        persistent = (
-            unit(self.seed, "slow-persist", device) < self.spec.gpu_persistent_rate
-        )
+        persistent = self.hit(self.spec.gpu_persistent_rate,
+                              "slow-persist", device)
         return self.spec.gpu_slowdown_factor, persistent
 
     def gpu_slowdown_at(self, device: int, iteration: int) -> tuple[float, bool]:
@@ -242,31 +184,26 @@ class FaultPlan:
         ``[1, 4]`` so a loss always strikes after at least one healthy
         iteration (iteration 0 establishes the checkpoint baseline).
         """
-        if unit(self.seed, "loss", device) >= self.spec.gpu_loss_rate:
+        if not self.hit(self.spec.gpu_loss_rate, "loss", device):
             return None
-        return 1 + int(unit(self.seed, "loss-iter", device) * 4.0)
+        return 1 + int(self.draw("loss-iter", device) * 4.0)
 
     def link_degradation(
         self, link_name: str, epoch: int, context: tuple = ()
     ) -> float:
         """Bandwidth multiplier for ``link_name`` during flap epoch ``epoch``."""
-        if unit(self.seed, "flap", context, link_name, epoch) < \
-                self.spec.link_degrade_rate:
-            return self.spec.link_degrade_factor
-        return 1.0
+        return self.scale(self.spec.link_degrade_rate,
+                          self.spec.link_degrade_factor,
+                          "flap", context, link_name, epoch)
 
     def host_pressure(self, epoch: int, context: tuple = ()) -> float:
         """Host-side bandwidth multiplier during pressure epoch ``epoch``."""
-        if unit(self.seed, "pressure", context, epoch) < \
-                self.spec.host_pressure_rate:
-            return self.spec.host_pressure_factor
-        return 1.0
-
-    def describe(self) -> str:
-        return f"FaultPlan(seed={self.seed}, {self.spec.describe()})"
+        return self.scale(self.spec.host_pressure_rate,
+                          self.spec.host_pressure_factor,
+                          "pressure", context, epoch)
 
 
-class ScriptedFaultPlan(FaultPlan):
+class ScriptedFaultPlan(Scripted, FaultPlan):
     """A plan whose decisions are spelled out explicitly (for tests).
 
     ``transfer_faults`` maps ``(label, attempt) -> abort fraction`` (the
@@ -296,13 +233,6 @@ class ScriptedFaultPlan(FaultPlan):
         self.slowdowns = dict(slowdowns or {})
         self.slowdowns_at = dict(slowdowns_at or {})
         self.losses = dict(losses or {})
-
-    @property
-    def enabled(self) -> bool:
-        return bool(
-            self.transfer_faults or self.crashes or self.slowdowns
-            or self.slowdowns_at or self.losses or self.spec.any_enabled
-        )
 
     def transfer_fault(
         self, entity: str, label: str, attempt: int, context: tuple = ()

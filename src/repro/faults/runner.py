@@ -192,38 +192,6 @@ class FaultTolerantRunner:
         if self.trace is not None:
             self.trace.instant(cat, name, 0.0, lane="run", **meta)
 
-    # -- re-bind planning ---------------------------------------------------------
-
-    def _rebind_mapping(self, graph: TaskGraph,
-                        injector: FaultInjector) -> dict[int, int]:
-        """Map persistently degraded in-use GPUs to healthy spare devices.
-
-        Only devices the graph actually uses need rescuing; only healthy
-        devices the graph does *not* use can absorb them (piling two
-        devices' tasks onto one GPU would violate the planner's memory
-        fit).  Stragglers with no available spare are tolerated: the run
-        completes, just slower -- degradation, not failure.
-        """
-        degraded = {
-            device: multiplier
-            for device, multiplier, persistent in
-            injector.degraded_gpus(self.spec.n_gpus)
-            if persistent and multiplier >= self.policy.rebind_threshold
-        }
-        if not degraded:
-            return {}
-        used = {task.device for task in graph.tasks}
-        spares = [
-            d for d in range(self.spec.n_gpus)
-            if d not in used and d not in degraded
-        ]
-        mapping: dict[int, int] = {}
-        for device in sorted(d for d in degraded if d in used):
-            if not spares:
-                break
-            mapping[device] = spares.pop(0)
-        return mapping
-
     # -- execution ----------------------------------------------------------------
 
     def _attempt(self, graph: TaskGraph, iteration: int, attempt: int,

@@ -144,7 +144,3 @@ class PcieTree:
         if not path:
             raise SimulationError("empty path has no bandwidth")
         return min(link.bandwidth for link in path)
-
-    def total_bytes_moved(self) -> int:
-        links = self.leaf_up + self.leaf_down + self.uplink_up + self.uplink_down
-        return sum(link.bytes_moved for link in links)

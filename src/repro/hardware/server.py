@@ -112,18 +112,3 @@ class SimulatedServer:
 
     def compute_time(self, flops: float) -> float:
         return self.spec.gpu.compute_time(flops)
-
-    def swap_in_time(self, gpu: int, nbytes: int) -> float:
-        """Uncontended host->GPU transfer time (for estimation)."""
-        path = self.tree.host_to_gpu(gpu)
-        return nbytes / self.tree.min_bandwidth(path)
-
-    def swap_out_time(self, gpu: int, nbytes: int) -> float:
-        path = self.tree.gpu_to_host(gpu)
-        return nbytes / self.tree.min_bandwidth(path)
-
-    def p2p_time(self, src: int, dst: int, nbytes: int) -> float:
-        path = self.tree.gpu_to_gpu(src, dst)
-        if not path:
-            return 0.0
-        return nbytes / self.tree.min_bandwidth(path)

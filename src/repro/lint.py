@@ -24,6 +24,10 @@ the AST of every file under ``src/repro`` and enforces them:
   be imported only by :mod:`repro.common.fingerprint` (every memo key)
   and :mod:`repro.common.rng` (seeded draws), so no third hashing scheme
   -- and no key digesting a convenient summary -- can creep back in;
+- **one fault draw** (``rng/chaos-draw``): ``unit`` may be imported
+  from :mod:`repro.common.rng` (or its ``repro.common`` re-export) only
+  by :mod:`repro.common.chaos`, whose ``ChaosPlan`` is the one seeded
+  fault draw, so no family can grow a draw with its own label scheme;
 - **integer-exact capacity arithmetic** (``exact/float-arithmetic``):
   the capacity certification paths (``analysis/capacity.py``,
   ``analysis/parametric.py``) must stay in integer arithmetic -- no
@@ -50,6 +54,13 @@ RNG_MODULE = Path("repro") / "common" / "rng.py"
 HASHING_MODULES = (
     Path("repro") / "common" / "fingerprint.py",
     RNG_MODULE,
+)
+
+#: The only modules allowed to import the stateless draw ``unit``.
+CHAOS_DRAW_MODULES = (
+    Path("repro") / "common" / "chaos.py",
+    RNG_MODULE,
+    Path("repro") / "common" / "__init__.py",
 )
 
 #: Files whose arithmetic must stay integer-exact.
@@ -102,6 +113,7 @@ class _Checker(ast.NodeVisitor):
         self.integer_exact = rel_path in INTEGER_EXACT
         self.allow_stdlib_random = rel_path == RNG_MODULE
         self.allow_hashlib = rel_path in HASHING_MODULES
+        self.allow_unit = rel_path in CHAOS_DRAW_MODULES
         self.check_frozen = rel_path == FROZEN_DATACLASSES
 
     def flag(self, node: ast.AST, rule: str, message: str) -> None:
@@ -109,7 +121,7 @@ class _Checker(ast.NodeVisitor):
             self.rel_path, getattr(node, "lineno", 0), rule, message,
         ))
 
-    # -- restricted imports: stdlib random, hashlib ------------------------------
+    # -- restricted imports: stdlib random, hashlib, the fault draw --------------
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -119,6 +131,16 @@ class _Checker(ast.NodeVisitor):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
         self._check_module(node, module)
+        if (
+            module in ("repro.common.rng", "repro.common")
+            and not self.allow_unit
+            and any(alias.name == "unit" for alias in node.names)
+        ):
+            self.flag(
+                node, "rng/chaos-draw",
+                "unit imported outside repro.common.chaos; draw faults "
+                "through repro.common.chaos.ChaosPlan",
+            )
         if module in ("numpy.random", "np.random"):
             for alias in node.names:
                 if alias.name not in _NUMPY_RANDOM_OK:

@@ -9,7 +9,7 @@ re-binds, restarts) through :class:`RecoveryMetrics`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
@@ -18,7 +18,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
 
 
 @dataclass
-class GpuMetrics:
+class _Accumulating:
+    """Counters that fold across iterations, restarts and stages."""
+
+    def accumulate(self, other: "_Accumulating") -> None:
+        """Fold ``other`` in: every field sums, except the
+        ``peak_resident_bytes`` high-water mark, which takes the max."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, max(mine, theirs)
+                    if f.name == "peak_resident_bytes" else mine + theirs)
+
+
+@dataclass
+class GpuMetrics(_Accumulating):
     """Per-GPU counters for one iteration."""
 
     swap_in_bytes: int = 0
@@ -36,22 +49,9 @@ class GpuMetrics:
     def swap_bytes(self) -> int:
         return self.swap_in_bytes + self.swap_out_bytes
 
-    def accumulate(self, other: "GpuMetrics") -> None:
-        """Fold another iteration's counters into this one (summing)."""
-        self.swap_in_bytes += other.swap_in_bytes
-        self.swap_out_bytes += other.swap_out_bytes
-        self.p2p_in_bytes += other.p2p_in_bytes
-        self.compute_busy += other.compute_busy
-        self.cpu_busy += other.cpu_busy
-        self.swap_busy += other.swap_busy
-        self.p2p_busy += other.p2p_busy
-        self.peak_resident_bytes = max(
-            self.peak_resident_bytes, other.peak_resident_bytes
-        )
-
 
 @dataclass
-class RecoveryMetrics:
+class RecoveryMetrics(_Accumulating):
     """Every recovery action a fault-tolerant run took, by mechanism.
 
     ``faults_injected`` counts fault deliveries by the chaos engine
@@ -82,16 +82,6 @@ class RecoveryMetrics:
     def any(self) -> bool:
         return self.total_actions > 0 or self.faults_injected > 0
 
-    def accumulate(self, other: "RecoveryMetrics") -> None:
-        self.transfer_retries += other.transfer_retries
-        self.compute_retries += other.compute_retries
-        self.p2p_fallbacks += other.p2p_fallbacks
-        self.fallback_bytes += other.fallback_bytes
-        self.rebinds += other.rebinds
-        self.restarts += other.restarts
-        self.faults_injected += other.faults_injected
-        self.faults_fatal += other.faults_fatal
-
     def describe(self) -> str:
         return (
             f"faults {self.faults_injected} injected / "
@@ -105,7 +95,7 @@ class RecoveryMetrics:
 
 
 @dataclass
-class ElasticMetrics:
+class ElasticMetrics(_Accumulating):
     """Every elastic action a run took: re-plans and state migration.
 
     All zeros unless the escalation ladder actually reached a re-plan --
@@ -139,15 +129,6 @@ class ElasticMetrics:
             or self.migrations > 0
         )
 
-    def accumulate(self, other: "ElasticMetrics") -> None:
-        self.replans += other.replans
-        self.devices_lost += other.devices_lost
-        self.mode_switches += other.mode_switches
-        self.migrations += other.migrations
-        self.migration_time += other.migration_time
-        self.migration_p2p_bytes += other.migration_p2p_bytes
-        self.migration_host_bytes += other.migration_host_bytes
-
     def describe(self) -> str:
         switches = (
             f" ({self.mode_switches} mode switch(es))"
@@ -163,7 +144,7 @@ class ElasticMetrics:
 
 
 @dataclass
-class ClusterMetrics:
+class ClusterMetrics(_Accumulating):
     """Every cluster-level fault and recovery action a run took.
 
     Pay-for-use like :class:`ElasticMetrics`: all zeros on a single-server
@@ -221,24 +202,6 @@ class ClusterMetrics:
             "nic_degrade": self.nic_degrade_epochs,
             "switch_flap": self.switch_flap_epochs,
         }
-
-    def accumulate(self, other: "ClusterMetrics") -> None:
-        self.servers_lost += other.servers_lost
-        self.servers_retired += other.servers_retired
-        self.cluster_replans += other.cluster_replans
-        self.stage_shrinks += other.stage_shrinks
-        self.partition_stalls += other.partition_stalls
-        self.partition_stall_time += other.partition_stall_time
-        self.network_bytes += other.network_bytes
-        self.replication_bytes += other.replication_bytes
-        self.migration_moves += other.migration_moves
-        self.migration_network_bytes += other.migration_network_bytes
-        self.migration_time += other.migration_time
-        self.state_restores += other.state_restores
-        self.server_crashes += other.server_crashes
-        self.partition_epochs += other.partition_epochs
-        self.nic_degrade_epochs += other.nic_degrade_epochs
-        self.switch_flap_epochs += other.switch_flap_epochs
 
     def describe(self) -> str:
         return (

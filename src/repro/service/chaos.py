@@ -1,8 +1,8 @@
 """Service-level chaos: seeded faults against the planning daemon.
 
-Mirrors :mod:`repro.faults`'s discipline at the service layer: a frozen
-spec of *rates*, bound to a seed, answering every "does this go wrong?"
-question with a stateless :func:`repro.common.rng.unit` draw keyed on
+The service-layer family of :mod:`repro.common.chaos`: a frozen spec of
+*rates*, bound to a seed, answering every "does this go wrong?"
+question with a stateless draw keyed on
 ``(seed, kind, request id, attempt)`` -- order-independent, so a chaos
 storm is bit-reproducible from its seed no matter how the simulator
 interleaves workers.
@@ -19,10 +19,6 @@ Three service fault classes:
   planning-time validation catches; resolves FAILED with a typed reason
   and, crucially, does *not* count against the circuit breaker (a bad
   request is the client's fault, not the planner's).
-
-:meth:`ServiceChaosSpec.from_fault_spec` maps a runtime
-:class:`~repro.faults.plan.FaultSpec` onto these rates so one chaos
-intensity knob drives both layers.
 """
 
 from __future__ import annotations
@@ -30,67 +26,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.common.rng import unit
-from repro.faults.plan import FaultSpec
-
-_RATES = ("slow_rate", "crash_rate", "poison_rate")
+from repro.common.chaos import ChaosPlan, ChaosSpec, Scripted, multiplier, rate
 
 
 @dataclass(frozen=True)
-class ServiceChaosSpec:
+class ServiceChaosSpec(ChaosSpec):
     """Rates and magnitudes for service-level faults.  Rates in [0, 1]."""
 
     #: probability one planning attempt runs slow
-    slow_rate: float = 0.0
+    slow_rate: float = rate()
     #: virtual-cost multiplier of a slow attempt
-    slow_factor: float = 4.0
+    slow_factor: float = multiplier(4.0)
     #: probability one planning attempt crashes after doing its work
-    crash_rate: float = 0.0
+    crash_rate: float = rate()
     #: probability a request is poisoned (malformed payload)
-    poison_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in _RATES:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.slow_factor < 1.0:
-            raise ValueError(
-                f"slow_factor must be >= 1, got {self.slow_factor}"
-            )
-
-    @property
-    def any_enabled(self) -> bool:
-        return any(getattr(self, name) > 0.0 for name in _RATES)
-
-    @classmethod
-    def none(cls) -> "ServiceChaosSpec":
-        return cls()
+    poison_rate: float = rate()
 
     @classmethod
     def chaos(cls, intensity: float = 1.0) -> "ServiceChaosSpec":
         """The standard service chaos mix, scaled like
         :meth:`repro.faults.plan.FaultSpec.chaos`."""
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
-        clamp = lambda r: min(1.0, r * intensity)  # noqa: E731
+        clamp = cls.scaled(intensity)
         return cls(
             slow_rate=clamp(0.15),
             slow_factor=1.0 + 3.0 * max(intensity, 0.1),
             crash_rate=clamp(0.10),
             poison_rate=clamp(0.02),
-        )
-
-    @classmethod
-    def from_fault_spec(cls, spec: FaultSpec) -> "ServiceChaosSpec":
-        """Project runtime fault rates onto the service layer: straggler
-        GPUs -> slow planners, task crashes -> crashed planner attempts,
-        transfer faults -> poisoned requests."""
-        return cls(
-            slow_rate=spec.gpu_slowdown_rate,
-            slow_factor=max(1.0, spec.gpu_slowdown_factor),
-            crash_rate=spec.task_crash_rate,
-            poison_rate=spec.transfer_fault_rate,
         )
 
     def describe(self) -> str:
@@ -103,38 +64,29 @@ class ServiceChaosSpec:
         )
 
 
-class ServiceFaultPlan:
+class ServiceFaultPlan(ChaosPlan[ServiceChaosSpec]):
     """Seeded oracle for service fault decisions (stateless draws)."""
 
     def __init__(self, spec: Optional[ServiceChaosSpec] = None,
                  seed: int = 0):
-        self.spec = spec if spec is not None else ServiceChaosSpec.none()
-        self.seed = seed
-
-    @property
-    def enabled(self) -> bool:
-        return self.spec.any_enabled
+        super().__init__(spec if spec is not None else ServiceChaosSpec(),
+                         seed=seed)
 
     def poisoned(self, rid: int) -> bool:
         """Is request ``rid`` malformed?  A per-request property."""
-        return unit(self.seed, "svc-poison", rid) < self.spec.poison_rate
+        return self.hit(self.spec.poison_rate, "svc-poison", rid)
 
     def slowdown(self, rid: int, attempt: int) -> float:
         """Virtual-cost multiplier for planning attempt ``attempt``."""
-        if unit(self.seed, "svc-slow", rid, attempt) < self.spec.slow_rate:
-            return self.spec.slow_factor
-        return 1.0
+        return self.scale(self.spec.slow_rate, self.spec.slow_factor,
+                          "svc-slow", rid, attempt)
 
     def crash(self, rid: int, attempt: int) -> bool:
         """Does planning attempt ``attempt`` of ``rid`` crash?"""
-        return unit(self.seed, "svc-crash", rid, attempt) < \
-            self.spec.crash_rate
-
-    def describe(self) -> str:
-        return f"ServiceFaultPlan(seed={self.seed}, {self.spec.describe()})"
+        return self.hit(self.spec.crash_rate, "svc-crash", rid, attempt)
 
 
-class ScriptedServiceFaultPlan(ServiceFaultPlan):
+class ScriptedServiceFaultPlan(Scripted, ServiceFaultPlan):
     """Explicitly scripted service faults (for tests).
 
     ``poisoned_rids`` poisons those requests; ``crashes`` maps
@@ -151,13 +103,6 @@ class ScriptedServiceFaultPlan(ServiceFaultPlan):
         self.poisoned_rids = frozenset(poisoned_rids)
         self.crashes = dict(crashes or {})
         self.slowdowns = dict(slowdowns or {})
-
-    @property
-    def enabled(self) -> bool:
-        return bool(
-            self.poisoned_rids or self.crashes or self.slowdowns
-            or self.spec.any_enabled
-        )
 
     def poisoned(self, rid: int) -> bool:
         if rid in self.poisoned_rids:

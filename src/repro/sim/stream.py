@@ -40,15 +40,10 @@ class Stream:
         self._running = False
         self.busy_time = 0.0
         self._ops_done = 0
-        self._ops_failed = 0
 
     @property
     def ops_completed(self) -> int:
         return self._ops_done
-
-    @property
-    def ops_failed(self) -> int:
-        return self._ops_failed
 
     def submit(self, op: Generator, label: str = "") -> SimEvent:
         """Enqueue ``op`` (a generator body) and return its completion event."""
@@ -101,7 +96,6 @@ class Stream:
             except Exception as exc:
                 # The op failed; fail its completion event so dependents
                 # observe the typed error, and keep serving the queue.
-                self._ops_failed += 1
                 if trace is not None:
                     trace.span("stream", label, start, self.sim.now,
                                device=self.device, lane=self.lane, ok=0)

@@ -112,11 +112,6 @@ class TraceAnalytics:
             return 0.0
         return self.overlap_time[device] / self.swap_hold[device]
 
-    def stream_utilization(self, device: int, lane: str) -> float:
-        if self.total_time <= 0:
-            return 0.0
-        return self.stream_busy[device].get(lane, 0.0) / self.total_time
-
     @property
     def contended_links(self) -> list:
         """(name, contention) for every link that saw any waiting."""

@@ -5,9 +5,17 @@ yield finite ratios, not ZeroDivisionError) and the recovery-counter
 arithmetic the fault-tolerant runner relies on.
 """
 
+from dataclasses import fields
+
 import pytest
 
-from repro.runtime.metrics import GpuMetrics, RecoveryMetrics, RunMetrics
+from repro.runtime.metrics import (
+    ClusterMetrics,
+    ElasticMetrics,
+    GpuMetrics,
+    RecoveryMetrics,
+    RunMetrics,
+)
 
 
 def _run(iteration_time, minibatch=8, gpus=1, **gpu_kwargs):
@@ -59,6 +67,32 @@ class TestGpuMetricsAccumulate:
 
     def test_swap_bytes_property(self):
         assert GpuMetrics(swap_in_bytes=3, swap_out_bytes=4).swap_bytes == 7
+
+
+@pytest.mark.parametrize(
+    "cls", [GpuMetrics, RecoveryMetrics, ElasticMetrics, ClusterMetrics],
+)
+def test_accumulate_folds_every_field(cls):
+    """Every field sums (the peak maxes): a field added later cannot be
+    silently dropped from the fold."""
+    names = [f.name for f in fields(cls)]
+
+    def distinct(base):
+        return cls(**{
+            f.name: type(f.default)(base + i)
+            for i, f in enumerate(fields(cls))
+        })
+
+    for a_base, b_base in ((1, 1000), (1000, 1)):
+        a, b = distinct(a_base), distinct(b_base)
+        before = {name: getattr(a, name) for name in names}
+        a.accumulate(b)
+        for name in names:
+            expected = (max if name == "peak_resident_bytes" else sum)(
+                (before[name], getattr(b, name))
+            )
+            assert getattr(a, name) == expected, name
+            assert type(getattr(a, name)) is type(before[name]), name
 
 
 class TestRecoveryMetrics:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.faults.plan import FaultSpec
 from repro.service import (
     ScriptedServiceFaultPlan,
     ServiceChaosSpec,
@@ -70,11 +69,6 @@ class TestChaosSpec:
         mild, harsh = ServiceChaosSpec.chaos(0.5), ServiceChaosSpec.chaos(2.0)
         assert mild.crash_rate < harsh.crash_rate
         assert harsh.crash_rate <= 1.0
-
-    def test_from_fault_spec_projection(self):
-        spec = ServiceChaosSpec.from_fault_spec(FaultSpec.chaos(1.0))
-        assert spec.any_enabled
-        assert spec.slow_factor >= 1.0
 
 
 class TestFaultPlanDraws:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
@@ -48,8 +50,6 @@ class TestClusterChaosCli:
         assert "cluster chaos summary" in printed
         assert "0 hard failure(s)" in printed
 
-        import json
-
         payload = json.loads(out.read_text())
         assert payload["servers"] == 3
         assert payload["summary"]["hard_failures"] == 0
@@ -82,3 +82,55 @@ class TestClusterChaosCli:
             "--seeds", "1",
         ]) == 0
         assert "chaos summary" in capsys.readouterr().out
+
+
+class TestChaosJson:
+    """The single-server ``repro chaos --json`` report schema."""
+
+    def _sweep(self, tmp_path, *extra):
+        out = tmp_path / "chaos.json"
+        assert main([
+            "chaos", "toy-transformer", "--minibatch", "8", "--gpus", "2",
+            "--json", str(out), *extra,
+        ]) == 0
+        return json.loads(out.read_text())
+
+    def test_completed_and_typed_failure_records(self, capsys, tmp_path):
+        # Seed 3 recovers from its crashes; seed 4 exhausts the restart
+        # budget on one task and fails typed.
+        payload = self._sweep(tmp_path, "--seed-base", "3", "--seeds", "2",
+                              "--crash-rate", "0.25")
+        assert list(payload) == [
+            "model", "mode", "gpus", "minibatch", "iterations", "intensity",
+            "devices_lost", "hetero", "seed_base", "seeds", "spec",
+            "results", "summary",
+        ]
+        assert payload["summary"] == {
+            "completed": 1, "failed": 1, "hard_failures": 0, "replans": 0,
+        }
+        completed, failed = payload["results"]
+        assert list(completed) == [
+            "seed", "outcome", "iteration_time", "throughput", "recovery",
+            "elastic",
+        ]
+        assert (completed["seed"], completed["outcome"]) == (3, "completed")
+        assert completed["recovery"]["compute_retries"] > 0
+        assert list(failed) == [
+            "seed", "outcome", "error_type", "entity", "message",
+        ]
+        assert failed["seed"] == 4
+        assert failed["outcome"] == "failed"
+        assert failed["error_type"] == "UnrecoveredFaultError"
+        assert failed["entity"] == "t0"
+        printed = capsys.readouterr().out
+        assert "chaos summary: 1 completed, 1 failed with a typed fault" in (
+            printed
+        )
+        assert f"wrote JSON report to {tmp_path / 'chaos.json'}" in printed
+
+    def test_devices_lost_counts_replans(self, tmp_path):
+        payload = self._sweep(tmp_path, "--seeds", "2", "--iterations", "3",
+                              "--devices-lost", "1")
+        assert payload["devices_lost"] == 1
+        assert payload["summary"]["replans"] == 2
+        assert [r["elastic"]["replans"] for r in payload["results"]] == [1, 1]

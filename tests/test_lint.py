@@ -42,6 +42,27 @@ class TestContentAddress:
             assert run(tmp_path, rel, "import hashlib\n") == []
 
 
+class TestChaosDraw:
+    def test_unit_import_outside_chaos_flagged(self, tmp_path):
+        rules = run(tmp_path, "repro/faults/plan.py",
+                    "from repro.common.rng import unit\n")
+        assert rules == ["rng/chaos-draw"]
+        rules = run(tmp_path, "repro/service/chaos.py",
+                    "from repro.common import fmt_bytes, unit\n")
+        assert rules == ["rng/chaos-draw"]
+
+    def test_other_rng_helpers_ok(self, tmp_path):
+        rules = run(tmp_path, "repro/core/decomposer.py",
+                    "from repro.common.rng import seeded_rng, spread\n")
+        assert rules == []
+
+    def test_chaos_rng_and_package_init_are_exempt(self, tmp_path):
+        for rel in ("repro/common/chaos.py", "repro/common/rng.py",
+                    "repro/common/__init__.py"):
+            assert run(tmp_path, rel,
+                       "from repro.common.rng import unit\n") == []
+
+
 class TestNumpyRandom:
     def test_unseeded_module_call_flagged(self, tmp_path):
         rules = run(tmp_path, "repro/numeric/x.py",
