@@ -19,7 +19,7 @@ mechanically, not by hand-coded formulas), then emits a task graph that
 the same Runtime executes.
 """
 
-from repro.baselines.base import BaselinePlan, BaselineScheme, run_baseline
+from repro.baselines.base import BaselinePlan, BaselineScheme
 from repro.baselines.dp_swap import DpSwapPlanner
 from repro.baselines.gpipe_swap import GpipeSwapPlanner
 from repro.baselines.pipedream_2bw import PipeDream2BWPlanner
@@ -28,7 +28,6 @@ from repro.baselines.zero_infinity import ZeroInfinityPlanner
 __all__ = [
     "BaselinePlan",
     "BaselineScheme",
-    "run_baseline",
     "DpSwapPlanner",
     "GpipeSwapPlanner",
     "PipeDream2BWPlanner",

@@ -21,14 +21,13 @@ from typing import Optional, Union
 from repro.core.decomposer import DecomposedModel, Decomposer
 from repro.core.profiler import ModelProfiles, Profiler
 from repro.core.types import TaskGraph
-from repro.hardware.server import ServerSpec, SimulatedServer
+from repro.hardware.server import ServerSpec
 from repro.memory.swap_manager import LruSwapManager
 from repro.models.spec import ModelSpec
 from repro.models.zoo import build_model
-from repro.runtime.executor import Executor
+from repro.runtime.executor import run_phase
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.timemodel import TrueTimeModel
-from repro.sim.engine import Simulator
 
 
 class LmsReplay:
@@ -161,19 +160,11 @@ class BaselineScheme:
 
     def run(self, plan: Optional[BaselinePlan] = None) -> RunMetrics:
         plan = plan or self.plan()
-        sim = Simulator()
-        live = SimulatedServer(sim, self.server)
         time_model = TrueTimeModel(
             self.decomposed, self.server.gpu, self.server.host,
             n_gpus=self.server.n_gpus,
         )
-        executor = Executor(
-            live, time_model, prefetch=not self.reactive,
+        return run_phase(
+            self.server, plan.graph, time_model, prefetch=not self.reactive,
             host_state_bytes=plan.host_state_bytes,
         )
-        return executor.run(plan.graph)
-
-
-def run_baseline(scheme: BaselineScheme) -> RunMetrics:
-    """Plan and execute a baseline in one call."""
-    return scheme.run()

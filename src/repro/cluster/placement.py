@@ -309,8 +309,9 @@ class ClusterPlanner:
 
         Returns ``(moves, restores, lost)``:
 
-        - ``moves`` -- executable :class:`~repro.runtime.migration.NetworkMove`
-          list (co-located source/destination elided);
+        - ``moves`` -- executable server-to-server
+          :class:`~repro.elastic.migration.MigrationMove` list
+          (co-located source/destination elided);
         - ``restores`` -- overlaps sourced from a replica instead of the
           (dead) owner, including co-located ones;
         - ``lost`` -- ``(old stage index, reason)`` for overlaps with no
@@ -322,7 +323,7 @@ class ClusterPlanner:
         on every participant by construction, so any survivor sources
         locally.
         """
-        from repro.runtime.migration import NetworkMove
+        from repro.elastic.migration import MigrationMove
 
         moves: list = []
         lost: list[tuple[int, str]] = []
@@ -349,7 +350,7 @@ class ClusterPlanner:
                     restores += 1
                 if src == ns.server:
                     continue
-                moves.append(NetworkMove(
+                moves.append(MigrationMove(
                     src=src, dst=ns.server, nbytes=nbytes,
                     label=f"stage{i}->stage{j}",
                 ))

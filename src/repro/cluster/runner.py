@@ -6,9 +6,9 @@ iteration by iteration.  Each cluster iteration has three phases:
 1. **boundary** -- detect whole-server crashes (seeded, run-scoped, like
    GPU loss one level down) and re-plan on the survivors when the
    current placement uses a dead or retired server.  Re-planning
-   migrates checkpointed stage state over the real network links
-   (:class:`~repro.runtime.migration.NetworkMigrationExecutor`), sourcing
-   a dead owner's state from its replica buddy;
+   migrates checkpointed stage state over the real network links (a
+   :func:`~repro.runtime.migration.run_transfers` phase), sourcing a
+   dead owner's state from its replica buddy;
 2. **compute** -- every stage runs one iteration of its own per-server
    fault-tolerant runner (:class:`~repro.faults.runner.FaultTolerantRunner`
    stepped with a shared :class:`~repro.faults.runner.RunnerState`), so
@@ -20,9 +20,13 @@ iteration by iteration.  Each cluster iteration has three phases:
 3. **comm** -- the cross-server traffic of the iteration (pipeline
    boundary activations and gradients, or the DP ring all-reduce, plus
    buddy checkpoint replication) moves over the simulated network
-   fabric, with seeded NIC/switch degradation armed and partition
-   windows pre-checked: a cut pair stalls the phase until the window
-   heals (bounded by policy, then a typed failure).
+   fabric in another transfer phase, with seeded NIC/switch degradation
+   armed and partition windows pre-checked: a cut pair stalls the phase
+   until the window heals (bounded by policy, then a typed failure).
+
+Both network phases move :class:`~repro.elastic.migration.MigrationMove`
+lists between servers, and every phase reconciles each network link's
+byte counter against the bytes its moves routed over it.
 
 The escalation ladder one level up from the per-server one, cheapest
 rung first: intra-server recovery -> replica restore + cross-server
@@ -49,12 +53,12 @@ from repro.common.errors import (
     ClusterFaultError,
     FaultError,
     ReproError,
-    SimulationError,
     UnrecoveredFaultError,
 )
 from repro.cluster.fabric import ClusterFabric
 from repro.cluster.faults import ClusterFaultPlan, ClusterFaultSpec, ClusterInjector
 from repro.cluster.placement import ClusterPlan, ClusterPlanner
+from repro.elastic.migration import MigrationMove
 from repro.elastic.replanner import ElasticReplanner
 from repro.faults.monitor import ServerHealthMonitor
 from repro.faults.policy import RecoveryPolicy
@@ -65,13 +69,23 @@ from repro.runtime.metrics import (
     RecoveryMetrics,
     RunMetrics,
 )
-from repro.runtime.migration import NetworkMigrationExecutor
+from repro.runtime.migration import run_transfers
 from repro.runtime.timemodel import TrueTimeModel
 from repro.sim.engine import Simulator
-from repro.sim.links import transfer
 
-#: Watchdog for one comm/migration phase: a handful of bulk transfers.
-COMM_MAX_STEPS = 1_000_000
+
+def _moving(moves: list[MigrationMove]) -> list[MigrationMove]:
+    """The moves that put bytes on the network."""
+    return [m for m in moves if m.src != m.dst and m.nbytes > 0]
+
+
+def _migration_span(move: MigrationMove) -> tuple[str, dict]:
+    # cat "cluster", not "migration": the fault-event invariant pairs
+    # "migration" spans 1:1 with per-server elastic counters, and
+    # cross-server moves are counted separately in
+    # ClusterMetrics.migration_moves.
+    return "cluster", {"kind_": "migration", "src": move.src,
+                       "dst": move.dst}
 
 
 @dataclass(frozen=True)
@@ -137,7 +151,7 @@ class ClusterRunner:
         self.injector = ClusterInjector(self.fault_plan)
         #: accumulated per-network-link goodput across all phases, for
         #: byte reconciliation against the trace
-        self.network_link_bytes: dict[str, int] = {}
+        self.network_link_bytes: Counter[str] = Counter()
         self._plan: Optional[ClusterPlan] = None
         self._runtimes: list[tuple[FaultTolerantRunner, RunnerState]] = []
 
@@ -180,14 +194,6 @@ class ClusterRunner:
         self.replicas = {}
 
     # -- fabric + connectivity ----------------------------------------------------
-
-    def _fabric(self, sim: Simulator, offset: float) -> ClusterFabric:
-        """A fresh fabric for a phase starting at global time ``offset``,
-        armed with seeded degradation and the partition guard."""
-        fabric = ClusterFabric(sim, self.planner.cluster)
-        if self.fault_plan.enabled:
-            self.injector.arm(fabric, offset=offset)
-        return fabric
 
     def _await_connectivity(
         self, pairs: set[tuple[int, int]], t_global: float, what: str,
@@ -232,50 +238,25 @@ class ClusterRunner:
                 )
         return t
 
-    def _run_transfers(
-        self, moves: list[tuple[int, int, int, str]], t_global: float,
-    ) -> float:
-        """Execute cross-server transfers concurrently on a fresh fabric.
+    def _run_transfers(self, moves: list[MigrationMove], t_global: float,
+                       span=None) -> float:
+        """Run cross-server moves as one transfer phase on a fresh fabric
+        (armed with seeded degradation and the partition guard as of
+        global time ``t_global``); returns the phase duration."""
 
-        Returns the phase duration; reconciles the fabric's per-link byte
-        counters against the independently computed expectation and
-        accumulates them for the trace-side check.
-        """
-        expected: Counter = Counter()
-        sim = Simulator()
-        sim.trace = self.trace
-        fabric = self._fabric(sim, t_global)
-        launched = 0
-        for src, dst, nbytes, label in moves:
-            if src == dst or nbytes <= 0:
-                continue
-            for name in (f"s{src}.nic.up", "net.switch", f"s{dst}.nic.down"):
-                expected[name] += nbytes
-            sim.process(
-                transfer(sim, fabric.route(src, dst), nbytes,
-                         label=label, device=-1, lane="cluster"),
-                name=label,
-            )
-            launched += 1
-        if not launched:
-            return 0.0
-        sim.run(max_steps=COMM_MAX_STEPS)
-        actual = fabric.bytes_by_link()
-        for name in sorted(set(expected) | set(actual)):
-            if expected.get(name, 0) != actual.get(name, 0):
-                raise SimulationError(
-                    f"network link {name!r} byte accounting broken: "
-                    f"expected {expected.get(name, 0)}, "
-                    f"fabric counted {actual.get(name, 0)}"
-                )
-        for name, nbytes in actual.items():
-            if nbytes:
-                self.network_link_bytes[name] = (
-                    self.network_link_bytes.get(name, 0) + nbytes
-                )
-        if self.trace is not None:
-            self.trace.advance(sim.now)
-        return sim.now
+        def fabric(sim: Simulator) -> ClusterFabric:
+            built = ClusterFabric(sim, self.planner.cluster)
+            if self.fault_plan.enabled:
+                self.injector.arm(built, offset=t_global)
+            return built
+
+        time, link_bytes = run_transfers(
+            moves, fabric,
+            lambda built, m: [(built.route(m.src, m.dst), m.label)],
+            lane="cluster", trace=self.trace, span=span,
+        )
+        self.network_link_bytes.update(link_bytes)
+        return time
 
     # -- boundary: crash detection + re-plan --------------------------------------
 
@@ -336,24 +317,14 @@ class ClusterRunner:
             # iteration-0 checkpoint baseline (zero network bytes).
             restores += 1
             self._mark(f"stage{stage}-reinit", iteration=iteration)
-        if moves:
-            pairs = {(m.src, m.dst) for m in moves}
-            t_global = self._await_connectivity(pairs, t_global, "migration")
-            executor = NetworkMigrationExecutor(
-                lambda sim: self._fabric(sim, t_global), trace=self.trace,
-            )
-            report = executor.run(moves, max_steps=COMM_MAX_STEPS)
-            for name, nbytes in executor.link_bytes.items():
-                if nbytes:
-                    self.network_link_bytes[name] = (
-                        self.network_link_bytes.get(name, 0) + nbytes
-                    )
-            self.metrics.migration_moves += report.n_moves
-            self.metrics.migration_network_bytes += sum(
-                m.nbytes for m in moves
-            )
-            self.metrics.migration_time += report.time
-            t_global += report.time
+        pairs = {(m.src, m.dst) for m in moves}
+        t_global = self._await_connectivity(pairs, t_global, "migration")
+        real = _moving(moves)
+        duration = self._run_transfers(real, t_global, span=_migration_span)
+        self.metrics.migration_moves += len(real)
+        self.metrics.migration_network_bytes += sum(m.nbytes for m in moves)
+        self.metrics.migration_time += duration
+        t_global += duration
         self.metrics.cluster_replans += 1
         self.metrics.state_restores += restores
         if len(new.stages) < len(old.stages):
@@ -458,13 +429,13 @@ class ClusterRunner:
 
     # -- comm phase ---------------------------------------------------------------
 
-    def _comm_moves(self) -> tuple[list[tuple[int, int, int, str]],
-                                   int, dict[int, int]]:
+    def _comm_moves(self) -> tuple[list[MigrationMove], int,
+                                   dict[int, int]]:
         """The iteration's cross-server traffic: ``(moves, replication
         bytes, new replica map)``."""
         plan = self._plan
         assert plan is not None
-        moves: list[tuple[int, int, int, str]] = []
+        moves: list[MigrationMove] = []
         repl_bytes = 0
         replicas: dict[int, int] = {}
         stages = plan.stages
@@ -472,16 +443,20 @@ class ClusterRunner:
             for k in range(len(stages) - 1):
                 src, dst = stages[k].server, stages[k + 1].server
                 nbytes = stages[k].boundary_out_bytes
-                moves.append((src, dst, nbytes, f"act.s{src}->s{dst}"))
-                moves.append((dst, src, nbytes, f"grad.s{dst}->s{src}"))
+                moves.append(MigrationMove(src, dst, nbytes,
+                                           f"act.s{src}->s{dst}"))
+                moves.append(MigrationMove(dst, src, nbytes,
+                                           f"grad.s{dst}->s{src}"))
             if self.policy.replicate and len(stages) > 1:
                 for k, stage in enumerate(stages):
                     buddy = stages[(k + 1) % len(stages)].server
                     if buddy == stage.server:
                         continue
                     replicas[k] = buddy
-                    moves.append((stage.server, buddy, stage.state_bytes,
-                                  f"repl.stage{k}"))
+                    moves.append(MigrationMove(
+                        stage.server, buddy, stage.state_bytes,
+                        f"repl.stage{k}",
+                    ))
                     repl_bytes += stage.state_bytes
         else:
             n = len(stages)
@@ -493,23 +468,21 @@ class ClusterRunner:
                 )
                 for i, stage in enumerate(stages):
                     dst = stages[(i + 1) % n].server
-                    moves.append((stage.server, dst, ring,
-                                  f"allreduce.s{stage.server}->s{dst}"))
+                    moves.append(MigrationMove(
+                        stage.server, dst, ring,
+                        f"allreduce.s{stage.server}->s{dst}",
+                    ))
             # DP state is replicated by construction: no explicit moves.
         return moves, repl_bytes, replicas
 
     def _comm(self, iteration: int, t_global: float) -> float:
         moves, repl_bytes, replicas = self._comm_moves()
-        real = [(s, d, b, lbl) for s, d, b, lbl in moves
-                if s != d and b > 0]
-        if not real:
-            self.replicas = replicas
-            return t_global
-        pairs = {(s, d) for s, d, _, _ in real}
+        real = _moving(moves)
+        pairs = {(m.src, m.dst) for m in real}
         t_global = self._await_connectivity(pairs, t_global,
                                             f"iteration {iteration} comm")
         duration = self._run_transfers(real, t_global)
-        self.metrics.network_bytes += sum(b for _, _, b, _ in real)
+        self.metrics.network_bytes += sum(m.nbytes for m in real)
         self.metrics.replication_bytes += repl_bytes
         self.replicas = replicas
         return t_global + duration

@@ -32,13 +32,12 @@ from repro.core.search import (
 )
 from repro.core.taskgraph import HarmonyGraphBuilder, ScheduleOptions
 from repro.core.types import TaskGraph
-from repro.hardware.server import ServerSpec, SimulatedServer
+from repro.hardware.server import ServerSpec
 from repro.models.spec import ModelSpec
 from repro.models.zoo import build_model
-from repro.runtime.executor import DEFAULT_MAX_STEPS, Executor
+from repro.runtime.executor import DEFAULT_MAX_STEPS
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.timemodel import TrueTimeModel
-from repro.sim.engine import Simulator
 
 
 @dataclass(frozen=True)
@@ -344,13 +343,15 @@ class Harmony:
         ``iterations > 1`` runs back-to-back iterations (flush-separated,
         preserving synchronous SGD) and reports per-iteration averages.
 
-        ``fault_plan`` (a :class:`repro.faults.FaultPlan`) turns the run
-        into a chaos run: faults are injected per the plan and recovered
-        per ``recovery`` (a :class:`repro.faults.RecoveryPolicy`, default
-        policy if omitted).  A plan with every fault disabled takes the
-        plain path and is bit-identical to no plan at all.  ``max_steps``
-        and ``horizon`` bound the simulator watchdog: a schedule that
-        stops making progress raises
+        Every run goes through a
+        :class:`repro.faults.runner.FaultTolerantRunner`.  ``fault_plan``
+        (a :class:`repro.faults.FaultPlan`) turns the run into a chaos
+        run: faults are injected per the plan and recovered per
+        ``recovery`` (a :class:`repro.faults.RecoveryPolicy`, default
+        policy if omitted).  Without a plan, or with every fault
+        disabled, the runner executes one plain executor phase.
+        ``max_steps`` and ``horizon`` bound the simulator watchdog: a
+        schedule that stops making progress raises
         :class:`~repro.common.errors.SimulationError` naming the pending
         work instead of spinning forever.
 
@@ -359,7 +360,9 @@ class Harmony:
         derived timeline analytics (``metrics.trace``) and the recorder
         holds the raw events for export.  Recording never consumes
         virtual time: a traced run's schedule is bit-identical to an
-        untraced one.
+        untraced one.  The run advances the recorder's base by its
+        virtual time, so a recorder reused across runs continues one
+        timeline.
 
         ``plan`` may be a :class:`repro.virt.BoundPlan` (from
         :meth:`bind`), or ``binding`` a
@@ -398,47 +401,30 @@ class Harmony:
         if self.options.analyze != "off" and bound is None:
             # Bound plans were already strictly certified by bind().
             self._analyze(plan, host_state)
-        if fault_plan is not None and getattr(fault_plan, "enabled", False):
-            # Imported lazily: repro.faults pulls in the runner (and thus
-            # this module's dependencies) at package scope.
-            from repro.elastic import ElasticReplanner
-            from repro.faults.runner import FaultTolerantRunner
+        # Imported lazily: repro.faults pulls in the runner (and thus
+        # this module's dependencies) at package scope.
+        from repro.elastic import ElasticReplanner
+        from repro.faults.runner import FaultTolerantRunner
 
-            elastic_on = recovery is None or getattr(recovery, "elastic", True)
-            if bound is not None and exec_spec.n_gpus != self.server.n_gpus:
-                # The elastic replanner plans in the logical universe
-                # (this Harmony's server); under a count-changing bind
-                # its relabel targets would not match the physical
-                # device range, so escalation stops at rebind/restart.
-                elastic_on = False
-            runner = FaultTolerantRunner(
-                exec_spec, time_model, fault_plan,  # type: ignore[arg-type]
-                policy=recovery,  # type: ignore[arg-type]
-                prefetch=self.options.prefetch,
-                host_state_bytes=host_state,
-                max_steps=max_steps,
-                horizon=horizon,
-                replanner=ElasticReplanner(self) if elastic_on else None,
-                trace=trace,
-                binding=bound.binding if bound is not None else None,
-            )
-            metrics = runner.run(graph, iterations=iterations)
-            self._attach_analytics(metrics, trace, n_devices=graph.n_devices)
-            return HarmonyReport(plan=plan, metrics=metrics)
-        sim = Simulator()
-        sim.trace = trace
-        live = SimulatedServer(
-            sim, exec_spec,
-            binding=bound.binding if bound is not None else None,
-        )
-        executor = Executor(
-            live, time_model,
+        elastic_on = recovery is None or getattr(recovery, "elastic", True)
+        if bound is not None and exec_spec.n_gpus != self.server.n_gpus:
+            # The elastic replanner plans in the logical universe
+            # (this Harmony's server); under a count-changing bind
+            # its relabel targets would not match the physical
+            # device range, so escalation stops at rebind/restart.
+            elastic_on = False
+        runner = FaultTolerantRunner(
+            exec_spec, time_model, fault_plan,  # type: ignore[arg-type]
+            policy=recovery,  # type: ignore[arg-type]
             prefetch=self.options.prefetch,
             host_state_bytes=host_state,
             max_steps=max_steps,
             horizon=horizon,
+            replanner=ElasticReplanner(self) if elastic_on else None,
+            trace=trace,
+            binding=bound.binding if bound is not None else None,
         )
-        metrics = executor.run(graph, iterations=iterations)
+        metrics = runner.run(graph, iterations=iterations)
         self._attach_analytics(metrics, trace, n_devices=graph.n_devices)
         return HarmonyReport(plan=plan, metrics=metrics)
 

@@ -15,7 +15,6 @@ from repro.elastic.migration import (
     MigrationMove,
     layer_ownership,
     plan_migration,
-    total_bytes,
 )
 from repro.elastic.rebind import rebind_graph, relabel_graph
 from repro.elastic.replanner import ElasticPlan, ElasticReplanner
@@ -28,5 +27,4 @@ __all__ = [
     "plan_migration",
     "rebind_graph",
     "relabel_graph",
-    "total_bytes",
 ]

@@ -7,7 +7,8 @@ backstop -- while the new plan needs each pack's state on its *new*
 owner before training can resume.  Teleporting it for free would hide
 exactly the cost elasticity is supposed to expose, so migration is
 planned here as explicit byte moves and executed over the real simulated
-links by :class:`repro.runtime.migration.MigrationExecutor`.
+links by :class:`repro.runtime.migration.MigrationExecutor`, a
+:func:`~repro.runtime.migration.run_transfers` phase.
 
 Ownership model:
 
@@ -33,18 +34,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.common.errors import SimulationError
 from repro.core.profiler import ModelProfiles
 from repro.core.types import TaskGraph, TaskKind
 
 
 @dataclass(frozen=True)
 class MigrationMove:
-    """One aggregated state transfer; ``None`` endpoints mean host memory."""
+    """One aggregated state transfer: between GPUs of one server
+    (``None`` = host memory), or between the servers of a cluster."""
 
     src: Optional[int]
     dst: Optional[int]
     nbytes: int
     label: str
+
+    def __post_init__(self) -> None:
+        if self.nbytes < 0:
+            raise SimulationError(
+                f"negative move size: {self.nbytes} ({self.label})"
+            )
+        if self.src is None and self.dst is None:
+            raise SimulationError(
+                f"host->host move should have been elided: {self.label}"
+            )
 
     def describe(self) -> str:
         src = "host" if self.src is None else f"gpu{self.src}"
@@ -125,7 +138,3 @@ def plan_migration(
             label=f"migrate:{src_name}->{dst_name}",
         ))
     return moves
-
-
-def total_bytes(moves: Iterable[MigrationMove]) -> int:
-    return sum(m.nbytes for m in moves)

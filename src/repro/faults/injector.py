@@ -49,13 +49,9 @@ class FaultInjector:
         self.injected: dict[FaultKind, int] = {kind: 0 for kind in FaultKind}
         self._counted_slow: set[int] = set()
         self._counted_lost: set[int] = set()
-        #: live simulator, bound by :meth:`arm` / the executor; lets every
-        #: counted fault also land on the execution trace when one is on
+        #: live simulator, bound by :meth:`arm`; lets every counted fault
+        #: also land on the execution trace when one is on
         self._sim = None
-
-    def attach_sim(self, sim) -> None:
-        """Bind the live simulator so counted faults hit its trace."""
-        self._sim = sim
 
     def _record(self, kind: FaultKind, device: int = -1, tid: int = -1,
                 **meta) -> None:

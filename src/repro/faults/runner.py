@@ -26,8 +26,10 @@ recovery mechanisms that live *above* a single iteration:
   verified strictly against the reduced spec, and the checkpointed
   model/optimizer state migrates from the old packing to the new one
   over the real simulated links
-  (:class:`repro.runtime.migration.MigrationExecutor`) -- the migration's
-  time and bytes land in :class:`~repro.runtime.metrics.ElasticMetrics`.
+  (:class:`repro.runtime.migration.MigrationExecutor`, a
+  :func:`~repro.runtime.migration.run_transfers` phase) -- the
+  migration's time and bytes land in
+  :class:`~repro.runtime.metrics.ElasticMetrics`.
 
 The escalation ladder, cheapest rung first: transfer retry -> p2p->swap
 fallback -> compute retry -> iteration restart -> re-bind -> re-plan.
@@ -56,8 +58,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.monitor import DeviceHealthMonitor
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RecoveryPolicy
-from repro.hardware.server import ServerSpec, SimulatedServer
-from repro.runtime.executor import DEFAULT_MAX_STEPS, Executor
+from repro.hardware.server import ServerSpec
+from repro.runtime.executor import DEFAULT_MAX_STEPS, run_phase
 from repro.runtime.metrics import (
     ElasticMetrics,
     GpuMetrics,
@@ -66,7 +68,6 @@ from repro.runtime.metrics import (
 )
 from repro.runtime.migration import MigrationExecutor
 from repro.runtime.timemodel import TrueTimeModel
-from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.elastic.replanner import ElasticReplanner
@@ -142,19 +143,21 @@ def check_byte_invariants(graph: TaskGraph, metrics: RunMetrics) -> None:
 class FaultTolerantRunner:
     """Run a task graph under a fault plan, recovering where policy allows.
 
-    Each iteration attempt executes on a fresh :class:`Simulator` and
-    :class:`SimulatedServer` -- the simulated analog of restarting from
-    the iteration-boundary checkpoint.  This is timing-faithful because
+    Each iteration attempt is one
+    :func:`~repro.runtime.executor.run_phase` on a fresh simulator and
+    server -- the simulated analog of restarting from the
+    iteration-boundary checkpoint.  This is timing-faithful because
     iterations are flush-separated anyway (synchronous SGD): the plain
     multi-iteration executor also starts every iteration from an all-idle,
-    all-flushed state.
+    all-flushed state.  Without an enabled plan, the whole run is one
+    plain phase.
     """
 
     def __init__(
         self,
         spec: ServerSpec,
         time_model: TrueTimeModel,
-        plan: FaultPlan,
+        plan: Optional[FaultPlan],
         policy: Optional[RecoveryPolicy] = None,
         prefetch: bool = True,
         host_state_bytes: int = 0,
@@ -194,39 +197,24 @@ class FaultTolerantRunner:
 
     # -- execution ----------------------------------------------------------------
 
-    def _attempt(self, graph: TaskGraph, iteration: int, attempt: int,
-                 recovery: RecoveryMetrics) -> RunMetrics:
-        injector = FaultInjector(self.plan, context=(iteration, attempt))
-        sim = Simulator()
-        sim.trace = self.trace
-        live = SimulatedServer(sim, self.spec, binding=self.binding)
-        injector.arm(live)
-        executor = Executor(
-            live, self.time_model,
+    def _phase(self, graph: TaskGraph, iterations: int = 1,
+               faults: Optional[FaultInjector] = None,
+               failed: Optional[RecoveryMetrics] = None) -> RunMetrics:
+        """One executor phase on a fresh simulated server (the restart
+        from the iteration-boundary checkpoint)."""
+        return run_phase(
+            self.spec, graph, self.time_model,
+            iterations=iterations,
             prefetch=self.prefetch,
             host_state_bytes=self.host_state_bytes,
-            faults=injector,
+            faults=faults,
             recovery=self.policy,
             max_steps=self.max_steps,
             horizon=self.horizon,
+            trace=self.trace,
+            binding=self.binding,
+            failed=failed,
         )
-        try:
-            return executor.run(graph, iterations=1)
-        except FaultError:
-            # The attempt died, but its recovery effort and injected
-            # faults still happened -- fold the partial counters in so
-            # the final report reflects the whole fight, not just the
-            # winning attempt.
-            partial = getattr(executor, "recovery", None)
-            if partial is not None:
-                recovery.accumulate(partial)
-            recovery.faults_injected += injector.total_injected
-            raise
-        finally:
-            # Success or not, the attempt's virtual time really elapsed;
-            # later phases continue the global timeline after it.
-            if self.trace is not None:
-                self.trace.advance(sim.now)
 
     # -- rescue (re-bind and elastic escalation) ----------------------------------
 
@@ -372,22 +360,10 @@ class FaultTolerantRunner:
         -- run-scoped losses persist, strikes accumulate, and the rescued
         graph carries forward through ``state.graph``.
         """
-        if not self.plan.enabled:
+        if self.plan is None or not self.plan.enabled:
             # Zero-overhead path: no injector, no recovery machinery --
-            # bit-identical to a plain executor run.
-            sim = Simulator()
-            sim.trace = self.trace
-            live = SimulatedServer(sim, self.spec, binding=self.binding)
-            executor = Executor(
-                live, self.time_model,
-                prefetch=self.prefetch,
-                host_state_bytes=self.host_state_bytes,
-                max_steps=self.max_steps,
-                horizon=self.horizon,
-            )
-            metrics = executor.run(graph, iterations=iterations)
-            if self.trace is not None:
-                self.trace.advance(sim.now)
+            # the plain executor phase.
+            metrics = self._phase(graph, iterations=iterations)
             if state is not None:
                 state.graph = graph
             return metrics
@@ -419,8 +395,12 @@ class FaultTolerantRunner:
             metrics: Optional[RunMetrics] = None
             for attempt in range(self.policy.max_iteration_restarts + 1):
                 try:
-                    metrics = self._attempt(current, iteration, attempt,
-                                            recovery)
+                    # A failed attempt's recovery effort and injected
+                    # faults still happened: they fold into ``recovery``.
+                    metrics = self._phase(
+                        current, failed=recovery, faults=FaultInjector(
+                            self.plan, context=(iteration, attempt)),
+                    )
                 except FaultError as exc:
                     recovery.faults_fatal += 1
                     if attempt >= self.policy.max_iteration_restarts:
@@ -455,13 +435,8 @@ class FaultTolerantRunner:
             host_peak = max(host_peak, metrics.host_peak_bytes)
             minibatch = metrics.minibatch
         state.graph = current
-        if iterations > 1:
-            for g in gpus:
-                g.swap_in_bytes //= iterations
-                g.swap_out_bytes //= iterations
-                g.p2p_in_bytes //= iterations
-                g.compute_busy /= iterations
-                g.cpu_busy /= iterations
+        for g in gpus:
+            g.per_iteration(iterations)
         return RunMetrics(
             mode=graph.mode,
             minibatch=minibatch,

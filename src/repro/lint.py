@@ -28,6 +28,12 @@ the AST of every file under ``src/repro`` and enforces them:
   from :mod:`repro.common.rng` (or its ``repro.common`` re-export) only
   by :mod:`repro.common.chaos`, whose ``ChaosPlan`` is the one seeded
   fault draw, so no family can grow a draw with its own label scheme;
+- **one phase runner per kind** (``sim/fresh-phase``): ``Simulator()``
+  may be constructed only by the phase runners
+  (:func:`repro.runtime.executor.run_phase`,
+  :func:`repro.runtime.migration.run_transfers`), the engine itself and
+  the planner service's long-lived clock, so every simulated phase
+  attaches the trace and advances its base the same way;
 - **integer-exact capacity arithmetic** (``exact/float-arithmetic``):
   the capacity certification paths (``analysis/capacity.py``,
   ``analysis/parametric.py``) must stay in integer arithmetic -- no
@@ -61,6 +67,14 @@ CHAOS_DRAW_MODULES = (
     Path("repro") / "common" / "chaos.py",
     RNG_MODULE,
     Path("repro") / "common" / "__init__.py",
+)
+
+#: The only modules allowed to construct a ``Simulator``.
+SIMULATOR_MODULES = (
+    Path("repro") / "runtime" / "executor.py",
+    Path("repro") / "runtime" / "migration.py",
+    Path("repro") / "sim" / "engine.py",
+    Path("repro") / "service" / "daemon.py",
 )
 
 #: Files whose arithmetic must stay integer-exact.
@@ -114,6 +128,7 @@ class _Checker(ast.NodeVisitor):
         self.allow_stdlib_random = rel_path == RNG_MODULE
         self.allow_hashlib = rel_path in HASHING_MODULES
         self.allow_unit = rel_path in CHAOS_DRAW_MODULES
+        self.allow_simulator = rel_path in SIMULATOR_MODULES
         self.check_frozen = rel_path == FROZEN_DATACLASSES
 
     def flag(self, node: ast.AST, rule: str, message: str) -> None:
@@ -165,10 +180,17 @@ class _Checker(ast.NodeVisitor):
                 "memos with repro.common.fingerprint.fingerprint",
             )
 
-    # -- calls: numpy.random, wall clocks, float() -------------------------------
+    # -- calls: numpy.random, wall clocks, simulators, float() ------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         chain = _attr_chain(node.func)
+        if chain and chain[-1] == "Simulator" and not self.allow_simulator:
+            self.flag(
+                node, "sim/fresh-phase",
+                "Simulator() constructed outside the phase runners; run "
+                "the phase through repro.runtime.executor.run_phase or "
+                "repro.runtime.migration.run_transfers",
+            )
         if len(chain) >= 2 and chain[-2] == "random" and chain[0] in (
             "np", "numpy"
         ):

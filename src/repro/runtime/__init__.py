@@ -7,13 +7,13 @@ runs Harmony task graphs and every baseline's, so throughput and swap
 metrics are directly comparable.
 """
 
-from repro.runtime.executor import Executor, run_task_graph
+from repro.runtime.executor import Executor, run_phase
 from repro.runtime.metrics import GpuMetrics, RunMetrics
 from repro.runtime.timemodel import TrueTimeModel
 
 __all__ = [
     "Executor",
-    "run_task_graph",
+    "run_phase",
     "GpuMetrics",
     "RunMetrics",
     "TrueTimeModel",

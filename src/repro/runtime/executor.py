@@ -18,11 +18,12 @@ State tensors (weights, gradients, optimizer state) move once per task;
 activation-family tensors (X/Y/DY/CKPT) move per microbatch.
 
 Fault tolerance: when a :class:`~repro.faults.injector.FaultInjector` is
-attached, every transfer and compute attempt first asks it for an injected
-fault.  Transient transfer faults retry with exponential backoff; a p2p
-path that stays faulted degrades to a host-staged swap route (the bytes
-re-accounted as swap traffic, riding the same contended links real swaps
-use); crashed compute attempts retry from their still-resident inputs.
+attached, it arms its link degradation on the server, and every transfer
+and compute attempt first asks it for an injected fault.  Transient
+transfer faults retry with exponential backoff; a p2p path that stays
+faulted degrades to a host-staged swap route (the bytes re-accounted as
+swap traffic, riding the same contended links real swaps use); crashed
+compute attempts retry from their still-resident inputs.
 Faults that exhaust the :class:`~repro.faults.policy.RecoveryPolicy`
 propagate as typed :class:`~repro.common.errors.FaultError` through the
 simulator's failure machinery -- never as a hang, which the simulator
@@ -37,6 +38,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from repro.analysis.diagnostics import stream_ref, task_ref
 from repro.common.errors import (
+    FaultError,
     HostOutOfMemoryError,
     SchedulingError,
     SimulationError,
@@ -44,7 +46,7 @@ from repro.common.errors import (
 )
 from repro.core.taskgraph import mb_dependency
 from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
-from repro.hardware.server import SimulatedServer
+from repro.hardware.server import ServerSpec, SimulatedServer
 from repro.runtime.metrics import GpuMetrics, RecoveryMetrics, RunMetrics
 from repro.runtime.timemodel import TrueTimeModel
 from repro.sim.engine import Resource, SimEvent, Simulator
@@ -116,7 +118,7 @@ class Executor:
         self.host_state_bytes = host_state_bytes
         self.faults = faults if (faults is not None and faults.enabled) else None
         if self.faults is not None:
-            self.faults.attach_sim(self.sim)
+            self.faults.arm(server)
         if self.faults is not None and recovery is None:
             from repro.faults.policy import RecoveryPolicy as _Policy
 
@@ -175,17 +177,8 @@ class Executor:
             self._check_completion()
 
         end_time = sim.now
-        if iterations > 1:
-            # Report per-iteration figures (counters accumulated over the
-            # whole run).
-            for g in self.metrics:
-                g.swap_in_bytes //= iterations
-                g.swap_out_bytes //= iterations
-                g.p2p_in_bytes //= iterations
-                g.compute_busy /= iterations
-                g.cpu_busy /= iterations
-                g.swap_busy /= iterations
-                g.p2p_busy /= iterations
+        for g in self.metrics:
+            g.per_iteration(iterations)
         if self.faults is not None:
             self.recovery.faults_injected += self.faults.total_injected
         run = RunMetrics(
@@ -705,48 +698,50 @@ class Executor:
                     notify=self._task_tick(device, task.tid, "flushed"))
 
 
-def run_task_graph(
-    server: SimulatedServer,
+def run_phase(
+    spec: ServerSpec,
     graph: TaskGraph,
     time_model: TrueTimeModel,
+    iterations: int = 1,
     prefetch: bool = True,
     host_state_bytes: int = 0,
-    analyze: str = "off",
     faults: Optional["FaultInjector"] = None,
     recovery: Optional["RecoveryPolicy"] = None,
     max_steps: Optional[int] = DEFAULT_MAX_STEPS,
     horizon: Optional[float] = None,
+    trace=None,
+    binding=None,
+    failed: Optional[RecoveryMetrics] = None,
 ) -> RunMetrics:
-    """Convenience wrapper: execute ``graph`` once and return metrics.
+    """Run ``graph`` as one simulated phase on a fresh server.
 
-    ``analyze`` gates the static schedule verifier: ``"warn"`` prints
-    diagnostics to stderr, ``"strict"`` raises
-    :class:`~repro.common.errors.ScheduleAnalysisError` instead of
-    executing an unsafe schedule.  ``faults`` attaches a chaos injector
-    (see :mod:`repro.faults`); ``max_steps`` / ``horizon`` bound the
-    simulator watchdog.
+    Builds a fresh :class:`Simulator` (with ``trace`` attached) and a
+    :class:`SimulatedServer` carrying ``binding``, and runs
+    ``iterations`` iterations through :meth:`Executor.run` with
+    ``faults`` armed on that server.
+    Success or not, the phase's virtual time really elapsed, so the
+    recorder's base advances by it and later phases continue the global
+    timeline.  When the phase dies of a :class:`FaultError`, its partial
+    recovery effort and injected faults fold into ``failed`` before the
+    error propagates.
     """
-    if analyze not in ("off", "warn", "strict"):
-        raise ValueError(
-            f"analyze must be 'off', 'warn' or 'strict', got {analyze!r}"
-        )
-    if analyze != "off":
-        from repro.analysis import analyze as run_analysis
-
-        report = run_analysis(
-            graph,
-            server=server.spec,
-            host_state_bytes=host_state_bytes or None,
-            prefetch=prefetch,
-        )
-        if analyze == "strict":
-            report.raise_if_errors()
-        elif report.diagnostics:
-            import sys
-
-            print(report.describe(), file=sys.stderr)
+    sim = Simulator()
+    sim.trace = trace
+    live = SimulatedServer(sim, spec, binding=binding)
     executor = Executor(
-        server, time_model, prefetch=prefetch, host_state_bytes=host_state_bytes,
+        live, time_model, prefetch=prefetch, host_state_bytes=host_state_bytes,
         faults=faults, recovery=recovery, max_steps=max_steps, horizon=horizon,
     )
-    return executor.run(graph)
+    try:
+        return executor.run(graph, iterations=iterations)
+    except FaultError:
+        if failed is not None:
+            partial = getattr(executor, "recovery", None)
+            if partial is not None:
+                failed.accumulate(partial)
+            if faults is not None:
+                failed.faults_injected += faults.total_injected
+        raise
+    finally:
+        if trace is not None:
+            trace.advance(sim.now)

@@ -49,6 +49,16 @@ class GpuMetrics(_Accumulating):
     def swap_bytes(self) -> int:
         return self.swap_in_bytes + self.swap_out_bytes
 
+    def per_iteration(self, iterations: int) -> None:
+        """Turn counters summed over ``iterations`` iterations into
+        per-iteration figures (byte counts floor-divide); the
+        ``peak_resident_bytes`` high-water mark stays as it is."""
+        for f in fields(self):
+            if f.name != "peak_resident_bytes":
+                value = getattr(self, f.name)
+                setattr(self, f.name, value // iterations
+                        if f.type == "int" else value / iterations)
+
 
 @dataclass
 class RecoveryMetrics(_Accumulating):

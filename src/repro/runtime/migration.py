@@ -1,14 +1,17 @@
-"""Executes a planned state migration over the real simulated links.
+"""Transfer phases: bulk state moves over the real simulated links.
 
-The moves come from :func:`repro.elastic.migration.plan_migration`; this
-module spends the virtual time.  Every move runs as its own simulator
-process, so migrations contend with each other on shared hops (several
-survivors restoring from the host checkpoint all squeeze through the
-oversubscribed switch uplinks -- the same bottleneck training traffic
-fights over), and the reported migration time is the makespan of the
-whole phase, not a sum of uncontended transfer times.
+:func:`run_transfers` is the one transfer-phase runner.  Every move runs
+as its own simulator process, so moves contend on shared hops (survivors
+restoring from the host checkpoint all squeeze through the oversubscribed
+switch uplinks training traffic fights over; cluster transfers share the
+network switch), and the phase time is the makespan, not a sum of
+uncontended transfer times.
 
-Routing mirrors the training executor's conventions:
+Three phases use it: intra-server state migration after an elastic
+re-plan (:class:`MigrationExecutor`), and the cluster runner's
+cross-server migration and per-iteration comm phases.
+
+Intra-server routing mirrors the training executor's conventions:
 
 - host -> GPU (checkpoint restore) rides the host-to-GPU tree path;
 - GPU -> host (state spill) rides the GPU-to-host path plus the pageable
@@ -21,17 +24,78 @@ Routing mirrors the training executor's conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.common.errors import SimulationError
 from repro.elastic.migration import MigrationMove
 from repro.hardware.server import ServerSpec, SimulatedServer
 from repro.sim.engine import Simulator
-from repro.sim.links import transfer
+from repro.sim.links import Link, transfer
 
-#: Watchdog for the migration phase: a handful of bulk transfers needs
-#: a few thousand events at most; runaway growth means a broken move.
-MIGRATION_MAX_STEPS = 1_000_000
+#: Watchdog for one transfer phase: a handful of bulk transfers needs a
+#: few thousand events at most; runaway growth means a broken move.
+TRANSFER_MAX_STEPS = 1_000_000
+
+#: One leg of a move: the links it holds and the label its ``xfer`` span
+#: carries.
+Leg = tuple[Sequence[Link], str]
+
+
+def run_transfers(
+    moves: Sequence[MigrationMove],
+    build: Callable[[Simulator], Any],
+    legs: Callable[[Any, MigrationMove], Sequence[Leg]],
+    lane: str,
+    trace=None,
+    device: Callable[[MigrationMove], int] = lambda move: -1,
+    span: Optional[Callable[[MigrationMove], tuple[str, dict]]] = None,
+) -> tuple[float, dict[str, int]]:
+    """Run ``moves`` concurrently on a fresh simulator.
+
+    ``build(sim)`` instantiates the links (a server or a network fabric)
+    on the phase's simulator; ``legs(built, move)`` routes one move as
+    sequential legs.  One process per move, in list order, transfers the
+    move's bytes over each leg on ``lane``, attributed to
+    ``device(move)``.  With ``trace`` attached, ``span(move)`` names the
+    ``(category, metadata)`` of a span covering the whole move, and the
+    recorder's base advances by the phase's makespan.
+
+    Returns the makespan and the bytes each link moved; raises
+    :class:`SimulationError` when a link counted other bytes than the
+    moves routed over it.
+    """
+    if not moves:
+        return 0.0, {}
+    sim = Simulator()
+    sim.trace = trace
+    built = build(sim)
+    expected: dict[Link, int] = {}
+
+    def op(move: MigrationMove):
+        start = sim.now
+        where = device(move)
+        for path, label in legs(built, move):
+            for link in path:
+                expected[link] = expected.get(link, 0) + move.nbytes
+            yield from transfer(sim, path, move.nbytes, label=label,
+                                device=where, lane=lane)
+        if span is not None and sim.trace is not None:
+            cat, meta = span(move)
+            sim.trace.span(cat, move.label, start, sim.now, device=where,
+                           lane=lane, nbytes=move.nbytes, **meta)
+
+    for i, move in enumerate(moves):
+        sim.process(op(move), name=f"{move.label}#{i}")
+    sim.run(max_steps=TRANSFER_MAX_STEPS)
+    for link, nbytes in expected.items():
+        if link.bytes_moved != nbytes:
+            raise SimulationError(
+                f"link {link.name!r} byte accounting broken: expected "
+                f"{nbytes}, counted {link.bytes_moved}"
+            )
+    if trace is not None:
+        trace.advance(sim.now)
+    return sim.now, {link.name: link.bytes_moved for link in expected}
 
 
 @dataclass
@@ -43,16 +107,9 @@ class MigrationReport:
     host_bytes: int = 0
     n_moves: int = 0
 
-    def describe(self) -> str:
-        return (
-            f"migration: {self.n_moves} moves in {self.time:.3f}s, "
-            f"p2p {self.p2p_bytes / 2**20:.2f} MiB, "
-            f"host {self.host_bytes / 2**20:.2f} MiB"
-        )
-
 
 class MigrationExecutor:
-    """Run a migration move list on a fresh simulated server.
+    """Run an intra-server migration move list on a fresh simulated server.
 
     ``trace`` (a :class:`~repro.trace.recorder.TraceRecorder`) attaches to
     the phase's private simulator; every move lands as one ``migration``
@@ -66,149 +123,39 @@ class MigrationExecutor:
         self.p2p = p2p
         self.trace = trace
 
-    def _move_op(self, live: SimulatedServer, sim: Simulator,
-                 move: MigrationMove,
-                 report: MigrationReport) -> Generator:
+    def _legs(self, live: SimulatedServer, move: MigrationMove) -> list[Leg]:
         tree = live.tree
-        start = sim.now
-        device = move.dst if move.dst is not None else move.src
-        if device is None:
-            raise SimulationError(
-                f"host->host migration move should have been elided: {move}"
-            )
         if move.src is None:
             # Checkpoint restore: host -> surviving GPU.
-            yield from transfer(sim, tree.host_to_gpu(move.dst), move.nbytes,
-                                label=move.label, device=device,
-                                lane="migration")
-            report.host_bytes += move.nbytes
-        elif move.dst is None:
-            # State spill: GPU -> host (pageable, so staging throttles).
-            path = tree.gpu_to_host(move.src) + [live.pageable_staging]
-            yield from transfer(sim, path, move.nbytes, label=move.label,
-                                device=device, lane="migration")
-            report.host_bytes += move.nbytes
-        elif self.p2p:
-            yield from transfer(
-                sim, tree.gpu_to_gpu(move.src, move.dst), move.nbytes,
-                label=move.label, device=device, lane="migration",
-            )
-            report.p2p_bytes += move.nbytes
-        else:
-            # No p2p allowed: host-staged relay, both legs real traffic.
-            up = tree.gpu_to_host(move.src) + [live.pageable_staging]
-            yield from transfer(sim, up, move.nbytes, label=move.label,
-                                device=device, lane="migration")
-            report.host_bytes += move.nbytes
-            yield from transfer(sim, tree.host_to_gpu(move.dst), move.nbytes,
-                                label=f"{move.label}^", device=device,
-                                lane="migration")
-            report.host_bytes += move.nbytes
-        trace = sim.trace
-        if trace is not None:
-            trace.span("migration", move.label, start, sim.now,
-                       device=device, lane="migration", nbytes=move.nbytes,
-                       src=-1 if move.src is None else move.src,
-                       dst=-1 if move.dst is None else move.dst)
+            return [(tree.host_to_gpu(move.dst), move.label)]
+        # State spill: GPU -> host (pageable, so staging throttles).
+        spill = tree.gpu_to_host(move.src) + [live.pageable_staging]
+        if move.dst is None:
+            return [(spill, move.label)]
+        if self.p2p:
+            return [(tree.gpu_to_gpu(move.src, move.dst), move.label)]
+        # No p2p allowed: host-staged relay, both legs real traffic.
+        return [(spill, move.label),
+                (tree.host_to_gpu(move.dst), f"{move.label}^")]
 
-    def run(self, moves: Iterable[MigrationMove],
-            max_steps: Optional[int] = MIGRATION_MAX_STEPS) -> MigrationReport:
+    def run(self, moves: Iterable[MigrationMove]) -> MigrationReport:
         """Execute all moves concurrently; returns the phase's cost."""
-        report = MigrationReport()
         todo = list(moves)
-        if not todo:
-            return report
-        sim = Simulator()
-        sim.trace = self.trace
-        live = SimulatedServer(sim, self.spec)
-        for i, move in enumerate(todo):
-            sim.process(
-                self._move_op(live, sim, move, report),
-                name=f"{move.label}#{i}",
-            )
-        sim.run(max_steps=max_steps)
-        report.time = sim.now
-        report.n_moves = len(todo)
-        if self.trace is not None:
-            self.trace.advance(sim.now)
-        return report
-
-
-@dataclass(frozen=True)
-class NetworkMove:
-    """One cross-server state move: ``nbytes`` from server ``src`` to ``dst``."""
-
-    src: int
-    dst: int
-    nbytes: int
-    label: str = "net-move"
-
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise SimulationError(
-                f"negative network move size: {self.nbytes} ({self.label})"
-            )
-
-
-class NetworkMigrationExecutor:
-    """Run cross-server state moves over a cluster's real network fabric.
-
-    The cluster analog of :class:`MigrationExecutor`: every move is its own
-    simulator process, so simultaneous restores contend on the shared
-    switch link and the reported time is the phase makespan.  The caller
-    supplies ``fabric_factory(sim)`` returning an object with
-    ``route(src, dst)`` (a list of :class:`~repro.sim.links.NetworkLink`
-    hops) and ``bytes_by_link()`` -- normally a
-    :class:`~repro.cluster.fabric.ClusterFabric` bound to the phase's
-    private simulator, optionally pre-armed with fault degradation.
-
-    After :meth:`run`, ``link_bytes`` holds the per-link byte counters the
-    phase produced, for the runner's network byte reconciliation.
-    """
-
-    def __init__(self, fabric_factory: Callable[[Simulator], object],
-                 trace=None):
-        self.fabric_factory = fabric_factory
-        self.trace = trace
-        self.link_bytes: dict = {}
-
-    def _move_op(self, fabric, sim: Simulator, move: NetworkMove,
-                 report: MigrationReport) -> Generator:
-        start = sim.now
-        path = fabric.route(move.src, move.dst)
-        yield from transfer(sim, path, move.nbytes, label=move.label,
-                            device=-1, lane="cluster")
-        report.host_bytes += move.nbytes
-        trace = sim.trace
-        if trace is not None:
-            # cat "cluster", not "migration": the fault-event invariant
-            # pairs "migration" spans 1:1 with per-server elastic counters,
-            # and cross-server moves are counted separately in
-            # ClusterMetrics.migration_moves.
-            trace.span("cluster", move.label, start, sim.now,
-                       device=-1, lane="cluster", nbytes=move.nbytes,
-                       kind_="migration", src=move.src, dst=move.dst)
-
-    def run(self, moves: Iterable[NetworkMove],
-            max_steps: Optional[int] = MIGRATION_MAX_STEPS) -> MigrationReport:
-        """Execute all moves concurrently; returns the phase's cost."""
-        report = MigrationReport()
-        todo = [m for m in moves if m.src != m.dst and m.nbytes > 0]
-        self.link_bytes = {}
-        if not todo:
-            return report
-        sim = Simulator()
-        sim.trace = self.trace
-        fabric = self.fabric_factory(sim)
-        for i, move in enumerate(todo):
-            sim.process(
-                self._move_op(fabric, sim, move, report),
-                name=f"{move.label}#{i}",
-            )
-        sim.run(max_steps=max_steps)
-        report.time = sim.now
-        report.n_moves = len(todo)
-        self.link_bytes = dict(fabric.bytes_by_link())
-        if self.trace is not None:
-            self.trace.advance(sim.now)
+        time, _ = run_transfers(
+            todo, lambda sim: SimulatedServer(sim, self.spec), self._legs,
+            lane="migration", trace=self.trace,
+            device=lambda m: m.dst if m.dst is not None else m.src,
+            span=lambda m: ("migration", {
+                "src": -1 if m.src is None else m.src,
+                "dst": -1 if m.dst is None else m.dst,
+            }),
+        )
+        report = MigrationReport(time=time, n_moves=len(todo))
+        for move in todo:
+            if move.src is None or move.dst is None:
+                report.host_bytes += move.nbytes
+            elif self.p2p:
+                report.p2p_bytes += move.nbytes
+            else:
+                report.host_bytes += 2 * move.nbytes
         return report

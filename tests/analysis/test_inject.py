@@ -70,35 +70,3 @@ class TestHarmonyGate:
     def test_bad_analyze_value_rejected(self):
         with pytest.raises(ValueError, match="analyze"):
             HarmonyOptions(analyze="loud")
-
-
-class TestRunTaskGraphGate:
-    def test_strict_gate(self, small_server, toy_decomposed, toy_profiles):
-        from repro.core.config import Configuration
-        from repro.core.packing import balanced_time_packing
-        from repro.core.taskgraph import HarmonyGraphBuilder, ScheduleOptions
-        from repro.graph.layer import Phase
-        from repro.hardware.server import SimulatedServer
-        from repro.runtime.executor import run_task_graph
-        from repro.runtime.timemodel import TrueTimeModel
-        from repro.sim.engine import Simulator
-
-        packs_b = balanced_time_packing(Phase.BWD, 1, toy_profiles, 1_300_000)
-        packs_f = balanced_time_packing(
-            Phase.FWD, 2, toy_profiles, 1_300_000, backward_packs=packs_b
-        )
-        config = Configuration(u_f=2, packs_f=packs_f, u_b=1, packs_b=packs_b)
-        graph = HarmonyGraphBuilder(
-            toy_profiles, 2, 8, ScheduleOptions(mode="pp")
-        ).build(config)
-        sim = Simulator()
-        server = SimulatedServer(sim, small_server)
-        time_model = TrueTimeModel(
-            toy_decomposed, small_server.gpu, small_server.host, 2
-        )
-        metrics = run_task_graph(
-            server, graph, time_model, analyze="strict"
-        )
-        assert metrics.iteration_time > 0
-        with pytest.raises(ValueError, match="analyze"):
-            run_task_graph(server, graph, time_model, analyze="nope")

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cluster import partition_stages, stage_model
 from repro.common.errors import GraphError
+from repro.elastic.migration import MigrationMove
 from repro.models.zoo import build_model
-from repro.runtime.migration import NetworkMove
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ class TestMigrationMoves:
         assert lost == []
         # Dead s2's stage restores from its buddy s0.
         assert restores >= 1
-        assert all(isinstance(m, NetworkMove) for m in moves)
+        assert all(isinstance(m, MigrationMove) for m in moves)
         assert all(m.nbytes > 0 for m in moves)
         assert all(m.src != m.dst for m in moves)
 

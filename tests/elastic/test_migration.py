@@ -8,14 +8,13 @@ concurrent moves contend on shared hops.
 
 import pytest
 
-from repro.core.types import TaskKind
+from repro.core.types import TaskKind, total_bytes
 from repro.elastic import (
     ElasticReplanner,
     MigrationMove,
     layer_ownership,
     plan_migration,
     rebind_graph,
-    total_bytes,
 )
 from repro.runtime.migration import MigrationExecutor
 

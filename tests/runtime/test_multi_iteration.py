@@ -54,3 +54,47 @@ class TestMultiIteration:
         assert report.metrics.throughput == pytest.approx(
             8 / report.metrics.iteration_time
         )
+
+
+class TestRunnerAveraging:
+    """The fault-tolerant runner reports the same per-iteration figures
+    as the plain executor when its plan never fires."""
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_every_gpu_field_matches_plain_run(self, iterations):
+        from dataclasses import fields
+
+        from repro.experiments.common import server_for
+        from repro.faults import ScriptedFaultPlan
+        from repro.runtime.metrics import GpuMetrics
+
+        harmony = Harmony("toy-transformer", server_for(2), 8,
+                          HarmonyOptions(mode="pp"))
+        never = ScriptedFaultPlan(transfer_faults={("no-such-move", 0): 0.5})
+        assert never.enabled
+        plain = harmony.run(iterations=iterations).metrics
+        chaos = harmony.run(iterations=iterations, fault_plan=never).metrics
+        assert chaos.recovery.faults_injected == 0
+        assert len(chaos.gpus) == len(plain.gpus)
+        for mine, theirs in zip(chaos.gpus, plain.gpus):
+            for f in fields(GpuMetrics):
+                assert getattr(mine, f.name) == pytest.approx(
+                    getattr(theirs, f.name), rel=1e-9), f.name
+        assert chaos.overlap_fraction(0) == pytest.approx(
+            plain.overlap_fraction(0), rel=1e-9)
+
+
+class TestTraceBase:
+    def test_reused_recorder_continues_the_timeline(self, harmony):
+        from repro.trace import TraceRecorder
+
+        recorder = TraceRecorder()
+        harmony.run(trace=recorder)
+        first = len(recorder.events)
+        extent = recorder.extent
+        assert first and extent > 0
+        harmony.run(trace=recorder)
+        second = recorder.events[first:]
+        assert second
+        assert min(e.t0 for e in second) >= extent
+        assert recorder.extent > extent

@@ -63,6 +63,28 @@ class TestChaosDraw:
                        "from repro.common.rng import unit\n") == []
 
 
+class TestFreshPhase:
+    def test_simulator_outside_phase_runners_flagged(self, tmp_path):
+        rules = run(tmp_path, "repro/faults/runner.py",
+                    "from repro.sim.engine import Simulator\n"
+                    "sim = Simulator()\n")
+        assert rules == ["sim/fresh-phase"]
+        rules = run(tmp_path, "repro/cluster/runner.py",
+                    "from repro.sim import engine\nsim = engine.Simulator()\n")
+        assert rules == ["sim/fresh-phase"]
+
+    def test_importing_the_type_ok(self, tmp_path):
+        rules = run(tmp_path, "repro/cluster/fabric.py",
+                    "from repro.sim.engine import Simulator\n"
+                    "def f(sim: Simulator) -> None: ...\n")
+        assert rules == []
+
+    def test_phase_runners_engine_and_daemon_are_exempt(self, tmp_path):
+        for rel in ("repro/runtime/executor.py", "repro/runtime/migration.py",
+                    "repro/sim/engine.py", "repro/service/daemon.py"):
+            assert run(tmp_path, rel, "sim = Simulator()\n") == []
+
+
 class TestNumpyRandom:
     def test_unseeded_module_call_flagged(self, tmp_path):
         rules = run(tmp_path, "repro/numeric/x.py",
