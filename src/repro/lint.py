@@ -17,9 +17,9 @@ the AST of every file under ``src/repro`` and enforces them:
   its real ``elapsed_seconds`` on purpose, the scheduler cost Table 1
   reports);
 - **frozen trace events** (``trace/unfrozen-dataclass``): every
-  dataclass in ``repro/trace/events.py`` must be ``frozen=True`` --
-  recorded events are shared, hashed and replayed, so mutation is
-  corruption;
+  class in ``repro/trace/events.py`` must be a ``frozen=True``
+  dataclass or a ``NamedTuple`` -- recorded events are shared, hashed
+  and replayed, so mutation is corruption;
 - **one content address** (``hash/content-address``): ``hashlib`` may
   be imported only by :mod:`repro.common.fingerprint` (every memo key)
   and :mod:`repro.common.rng` (seeded draws), so no third hashing scheme
@@ -83,7 +83,7 @@ INTEGER_EXACT = (
     Path("repro") / "analysis" / "parametric.py",
 )
 
-#: File whose dataclasses must all be frozen.
+#: File whose classes must all be frozen dataclasses or NamedTuples.
 FROZEN_DATACLASSES = Path("repro") / "trace" / "events.py"
 
 #: Wall-clock reads on the stdlib ``time`` module (perf_counter is the
@@ -260,30 +260,28 @@ class _Checker(ast.NodeVisitor):
     # -- frozen trace events -----------------------------------------------------
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self.check_frozen:
-            for decorator in node.decorator_list:
-                if self._is_unfrozen_dataclass(decorator):
-                    self.flag(
-                        node, "trace/unfrozen-dataclass",
-                        f"dataclass {node.name!r} in trace/events.py "
-                        "must be frozen=True; recorded events are "
-                        "shared and replayed",
-                    )
+        if self.check_frozen and not self._is_immutable_record(node):
+            self.flag(
+                node, "trace/unfrozen-dataclass",
+                f"class {node.name!r} in trace/events.py must be a "
+                "frozen dataclass or a NamedTuple; recorded events are "
+                "shared and replayed",
+            )
         self.generic_visit(node)
 
     @staticmethod
-    def _is_unfrozen_dataclass(decorator: ast.AST) -> bool:
-        if isinstance(decorator, ast.Name):
-            return decorator.id == "dataclass"
-        if isinstance(decorator, ast.Call):
-            chain = _attr_chain(decorator.func)
-            if not chain or chain[-1] != "dataclass":
-                return False
-            for kw in decorator.keywords:
-                if kw.arg == "frozen" and isinstance(kw.value, ast.Constant):
-                    return kw.value.value is not True
-            return True  # dataclass(...) without frozen=True
-        return False
+    def _is_immutable_record(node: ast.ClassDef) -> bool:
+        if any(_attr_chain(base)[-1:] == ["NamedTuple"]
+               for base in node.bases):
+            return True
+        return any(
+            isinstance(decorator, ast.Call)
+            and _attr_chain(decorator.func)[-1:] == ["dataclass"]
+            and any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is True
+                    for kw in decorator.keywords)
+            for decorator in node.decorator_list
+        )
 
 
 def lint_file(path: Path, root: Path) -> list[Finding]:

@@ -25,6 +25,7 @@ Definitions:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -36,14 +37,19 @@ _SWAP_LANES = ("swap_in", "swap_out")
 def _union(intervals: Iterable[tuple]) -> list:
     """Merge intervals into a sorted disjoint list."""
     merged: list = []
+    lo = hi = None
     for start, end in sorted(intervals):
         if end <= start:
             continue
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
+        if hi is not None and start <= hi:
+            if end > hi:
+                hi = end
+            continue
+        if hi is not None:
+            merged.append((lo, hi))
+        lo, hi = start, end
+    if hi is not None:
+        merged.append((lo, hi))
     return merged
 
 
@@ -206,33 +212,39 @@ def _contention(xfers: Sequence[TraceEvent]) -> dict:
 
     A transfer's wait interval is ``[t0 - wait, t0)``; its overlap with
     *other* transfers' holds of a shared link is contention on that link.
+    Each link's holds are unioned once and every wait window is bisected
+    into that union.  The waiting transfer's own hold needs no exclusion:
+    it starts exactly where the window ends, so it can only extend a
+    union piece past ``t0`` or add one at or after it, and neither
+    changes the measure inside the window.
     """
+    paths = []
     holds: dict = {}
     for e in xfers:
-        for link in _links_of(e):
-            holds.setdefault(link, []).append((e.t0, e.t1, e.seq))
+        meta = dict(e.meta)
+        links = [name for name in str(meta.get("links", "")).split("+")
+                 if name]
+        paths.append((e.t0, float(meta.get("wait", 0.0)), links))
+        for link in links:
+            holds.setdefault(link, []).append((e.t0, e.t1))
     out: dict = {}
+    unions: dict = {}
     for link, spans in holds.items():
-        c = LinkContention(busy=_measure([(s, t) for s, t, _ in spans]))
-        out[link] = c
-    for e in xfers:
-        meta = e.meta_dict()
-        wait = float(meta.get("wait", 0.0))
+        out[link] = LinkContention(busy=_measure(spans))
+        merged = _union(spans)
+        unions[link] = (merged, [end for _, end in merged])
+    for t0, wait, links in paths:
         if wait <= 0:
             continue
-        w0, w1 = e.t0 - wait, e.t0
-        for link in _links_of(e):
-            overlap = _measure(_intersect(
-                [(w0, w1)],
-                _union([(s, t) for s, t, seq in holds[link]
-                        if seq != e.seq]),
-            ))
+        w0 = t0 - wait
+        for link in links:
+            merged, ends = unions[link]
+            overlap = 0.0
+            for start, end in merged[bisect_right(ends, w0):]:
+                if start >= t0:
+                    break
+                overlap += min(t0, end) - max(w0, start)
             if overlap > 0:
                 out[link].contended += overlap
                 out[link].intervals += 1
     return out
-
-
-def _links_of(event: TraceEvent) -> list:
-    links = event.meta_dict().get("links", "")
-    return [name for name in str(links).split("+") if name]

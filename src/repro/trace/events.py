@@ -50,16 +50,22 @@ reconciliation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Lanes the per-device timeline knows about, in display order.
 LANES = ("compute", "swap_in", "swap_out", "p2p_in", "p2p_out", "cpu", "run",
          "migration", "service", "cluster", "fleet")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One timeline event.  Immutable; ``meta`` is a sorted k/v tuple."""
+class TraceEvent(NamedTuple):
+    """One timeline event.  Immutable; ``meta`` is a sorted k/v tuple.
+
+    A named tuple rather than a frozen dataclass: the recorder builds one
+    per recorded event, and a tuple is filled in one allocation where a
+    frozen dataclass pays ``object.__setattr__`` for every field.  Fields
+    stay read-only (assignment raises ``AttributeError``); ``_replace``
+    makes a modified copy.
+    """
 
     kind: str                  # "span" | "instant"
     cat: str                   # taxonomy above

@@ -22,6 +22,10 @@ from typing import Optional
 
 from repro.trace.events import TraceEvent, make_meta
 
+#: Fills a :class:`TraceEvent` from a tuple of its fields in declaration
+#: order, skipping the generated ``__new__``'s per-field argument binding.
+_new_event = tuple.__new__
+
 
 class TraceRecorder:
     """Collects :class:`TraceEvent` records in arrival order."""
@@ -45,34 +49,30 @@ class TraceRecorder:
              device: int = -1, lane: str = "", tid: int = -1,
              nbytes: int = 0, **meta) -> TraceEvent:
         """Record an interval event (local times; base applied here)."""
-        return self._record(TraceEvent(
-            kind="span", cat=cat, name=name,
-            t0=self.base + t0, t1=self.base + t1,
-            device=device, lane=lane, tid=tid, nbytes=nbytes,
-            seq=self._next_seq(), meta=make_meta(**meta),
-        ))
+        return self._record("span", cat, name, self.base + t0,
+                            self.base + t1, device, lane, tid, nbytes, meta)
 
     def instant(self, cat: str, name: str, t: float, *,
                 device: int = -1, lane: str = "", tid: int = -1,
                 nbytes: int = 0, **meta) -> TraceEvent:
         """Record a point event (local time; base applied here)."""
-        return self._record(TraceEvent(
-            kind="instant", cat=cat, name=name,
-            t0=self.base + t, t1=self.base + t,
-            device=device, lane=lane, tid=tid, nbytes=nbytes,
-            seq=self._next_seq(), meta=make_meta(**meta),
-        ))
+        at = self.base + t
+        return self._record("instant", cat, name, at, at, device, lane, tid,
+                            nbytes, meta)
 
-    def _next_seq(self) -> int:
+    def _record(self, kind: str, cat: str, name: str, t0: float, t1: float,
+                device: int, lane: str, tid: int, nbytes: int,
+                meta: dict) -> TraceEvent:
         self._seq += 1
-        return self._seq
-
-    def _record(self, event: TraceEvent) -> TraceEvent:
+        event = _new_event(TraceEvent, (
+            kind, cat, name, t0, t1, device, lane, tid, nbytes, self._seq,
+            make_meta(**meta) if meta else (),
+        ))
         if self.ring is not None and len(self._events) == self.ring:
             self.dropped += 1
         self._events.append(event)
-        if event.t1 > self.extent:
-            self.extent = event.t1
+        if t1 > self.extent:
+            self.extent = t1
         return event
 
     # -- multi-simulator stitching ------------------------------------------------

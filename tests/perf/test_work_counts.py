@@ -10,7 +10,10 @@ suite pins, exactly:
 - ``HarmonyGraphBuilder.assemble`` runs once per search candidate, plus
   once for that final build, and a second ``plan()`` is a memo hit;
 - the number of candidates Algorithm 1 enumerates;
-- the ``Simulator.steps`` one simulated iteration drains.
+- the ``Simulator.steps`` one simulated iteration drains;
+- the interval unions one ``analyze_trace`` makes over a traced gpt2
+  iteration: one per (device, track) and one per link, not one per
+  (waiting transfer, link) pair.
 
 It also holds the estimator's drift from the simulated iteration time
 under a ceiling per case, so the cost model may get closer to the
@@ -33,6 +36,7 @@ from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskGraph
 from repro.experiments.common import server_for
 from repro.sim.engine import Simulator
+from repro.trace import TraceRecorder, analytics
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,10 @@ CASES = (
     Case("gpt2", "pp", 4, 32,
          candidates=68, steps=5942, max_drift=0.02),
 )
+
+#: ``analytics._union`` calls one ``analyze_trace`` makes over a traced
+#: gpt2 pp x4 mb32 iteration (1,782 events).
+TRACED_GPT2_UNIONS = 42
 
 
 def _count_calls(monkeypatch, counts: Counter, cls: type, name: str) -> None:
@@ -108,4 +116,31 @@ def test_plan_and_run_do_exact_work(case, monkeypatch):
     assert abs(drift) <= case.max_drift, (
         f"estimator drift {drift:+.3f} exceeds the ceiling "
         f"{case.max_drift} for {case.model} {case.mode}"
+    )
+
+
+def test_traced_run_analytics_do_exact_work(monkeypatch):
+    counts: Counter = Counter()
+    union = analytics._union
+
+    def counted_union(intervals):
+        counts["union"] += 1
+        return union(intervals)
+
+    analyze = analytics.analyze_trace
+
+    def counted_analyze(*args, **kwargs):
+        counts["analyze"] += 1
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "_union", counted_union)
+    monkeypatch.setattr("repro.trace.analyze_trace", counted_analyze)
+    harmony = Harmony("gpt2", server_for(4), 32,
+                      options=HarmonyOptions(mode="pp"))
+    recorder = TraceRecorder()
+    report = harmony.run(iterations=1, trace=recorder)
+    assert len(recorder) == 1782
+    assert report.metrics.trace.link_contention
+    assert counts == {"analyze": 1, "union": TRACED_GPT2_UNIONS}, (
+        "analyze_trace must union each track and each link once"
     )

@@ -164,6 +164,65 @@ class TestFrozenTraceEvents:
         rules = run(tmp_path, "repro/runtime/metrics.py", src)
         assert rules == []
 
+    def test_qualified_frozen_true_ok(self, tmp_path):
+        src = ("import dataclasses\n"
+               "@dataclasses.dataclass(frozen=True)\n"
+               "class E:\n    x: int\n")
+        rules = run(tmp_path, "repro/trace/events.py", src)
+        assert rules == []
+
+    def test_qualified_bare_dataclass_flagged(self, tmp_path):
+        src = ("import dataclasses\n"
+               "@dataclasses.dataclass\n"
+               "class E:\n    x: int\n")
+        rules = run(tmp_path, "repro/trace/events.py", src)
+        assert rules == ["trace/unfrozen-dataclass"]
+
+    def test_named_tuple_ok(self, tmp_path):
+        src = ("from typing import NamedTuple\n"
+               "class E(NamedTuple):\n    x: int\n")
+        rules = run(tmp_path, "repro/trace/events.py", src)
+        assert rules == []
+
+    def test_qualified_named_tuple_ok(self, tmp_path):
+        src = ("import typing\n"
+               "class E(typing.NamedTuple):\n    x: int\n")
+        rules = run(tmp_path, "repro/trace/events.py", src)
+        assert rules == []
+
+    def test_plain_class_flagged(self, tmp_path):
+        src = "class E:\n    x = 0\n"
+        rules = run(tmp_path, "repro/trace/events.py", src)
+        assert rules == ["trace/unfrozen-dataclass"]
+
+    def test_other_base_flagged(self, tmp_path):
+        src = ("class Base:\n    pass\n"
+               "class E(Base, tuple):\n    pass\n")
+        rules = run(tmp_path, "repro/trace/events.py", src)
+        assert rules == ["trace/unfrozen-dataclass"] * 2
+
+    def test_other_decorator_flagged(self, tmp_path):
+        src = ("import functools\n"
+               "@functools.total_ordering\n"
+               "class E:\n    x = 0\n")
+        rules = run(tmp_path, "repro/trace/events.py", src)
+        assert rules == ["trace/unfrozen-dataclass"]
+
+    def test_nested_class_checked(self, tmp_path):
+        src = ("from typing import NamedTuple\n"
+               "class E(NamedTuple):\n"
+               "    x: int\n"
+               "    class Inner:\n        pass\n")
+        rules = run(tmp_path, "repro/trace/events.py", src)
+        assert rules == ["trace/unfrozen-dataclass"]
+
+    def test_repo_events_module_is_clean(self):
+        import repro.trace.events as events
+
+        path = Path(events.__file__)
+        root = path.parent.parent.parent
+        assert lint_file(path, root) == []
+
 
 class TestIntegerExact:
     def test_true_division_flagged(self, tmp_path):

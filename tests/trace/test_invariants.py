@@ -7,8 +7,6 @@ passes; with the task lifecycle instants pushed past the end of the run,
 every dependent kernel appears to start before its producers finished.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.runtime.metrics import GpuMetrics, RunMetrics
@@ -142,7 +140,7 @@ def test_dependencies_catch_time_travel(toy_traced):
     plan, _metrics_, recorder = toy_traced
     late = recorder.extent + 1.0
     tampered = [
-        dataclasses.replace(e, t0=late, t1=late)
+        e._replace(t0=late, t1=late)
         if e.kind == "instant" and e.cat == "task" else e
         for e in recorder.events
     ]
