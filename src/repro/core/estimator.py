@@ -16,6 +16,7 @@ configuration in microseconds, enabling the sweep of Algorithm 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.profiler import ModelProfiles
 from repro.core.taskgraph import mb_dependency
@@ -24,7 +25,15 @@ from repro.graph.layer import Phase
 from repro.hardware.server import ServerSpec
 from repro.perf import perf_enabled
 
-_PER_TASK_TENSORS = frozenset({TensorKind.W, TensorKind.DW, TensorKind.K})
+_PHASES = {TaskKind.FWD: Phase.FWD, TaskKind.BWD: Phase.BWD,
+           TaskKind.UPD: Phase.UPD}
+
+
+def _per_task(tensor: TensorKind) -> bool:
+    """Weights, gradients and optimizer state move once per task; the
+    rest move per microbatch chunk.  (Identity tests: hashing an enum
+    member runs Python code.)"""
+    return tensor is TensorKind.W or tensor is TensorKind.DW or tensor is TensorKind.K
 
 
 @dataclass
@@ -46,61 +55,49 @@ class RuntimeEstimator:
         self._swap_bw = min(topo.leaf_bandwidth, topo.uplink_bandwidth)
         self._p2p_bw = topo.leaf_bandwidth
         self._staging_bw = server.host.pageable_copy_bandwidth
-        # Shared cross-configuration task-time cache.  One estimator scores
-        # every candidate of a configuration search, and candidates share
-        # most of their (pack, u, phase) combinations; the per-layer time
-        # sums dominate search CPU time (>75% on deep CNNs).  Entries are
-        # computed once with the naive left-to-right summation order, so
-        # hits are bit-identical to the uncached path.  No invalidation:
-        # ``ModelProfiles`` is immutable.
+        # Task-time cache shared by every candidate of one configuration
+        # search: candidates share most of their (pack, u, phase)
+        # combinations.  A miss sums a slice of the profiles' per-layer
+        # time table, in the same order as the per-layer sum, so entries
+        # are bit-identical to the uncached path.  No invalidation:
+        # ``ModelProfiles`` is immutable.  The cache lives here, not on
+        # the profiles, so it is freed with the search while a plan keeps
+        # its profiles alive.
         self._cache_enabled = perf_enabled()
         self._time_cache: dict[tuple, float] = {}
-        self._dep_maps: dict[tuple, tuple[int, ...]] = {}
-        # Microbatch sizes by task id of the graph being estimated; set by
-        # prepare() so the chunk-dependency helper stays small.
-        self._producer_sizes: dict[int, tuple[int, ...]] = {}
+        # (producer sizes, consumer sizes) -> per-chunk producer index, or
+        # None when the two granularities cover different samples.
+        self._dep_maps: dict[tuple, Optional[tuple[int, ...]]] = {}
 
     # -- task timing from regressed profiles -------------------------------------
 
     def mb_time(self, task: Task, u: int) -> float:
-        if task.kind is TaskKind.FWD:
-            key = (TaskKind.FWD, task.first_layer, task.last_layer, u, False)
-        elif task.kind is TaskKind.BWD:
-            key = (TaskKind.BWD, task.first_layer, task.last_layer, u,
-                   task.fused or task.recompute)
-        else:
+        if task.kind is TaskKind.UPD:
             raise ValueError("update tasks timed separately")
-        if self._cache_enabled:
-            cached = self._time_cache.get(key)
-            if cached is not None:
-                return cached
-        value = self._mb_time_uncached(task, u)
-        if self._cache_enabled:
-            self._time_cache[key] = value
-        return value
-
-    def _mb_time_uncached(self, task: Task, u: int) -> float:
-        layers = task.layers
-        if task.kind is TaskKind.FWD:
-            return sum(self.profiles[i].time(Phase.FWD, u) for i in layers)
-        bwd = sum(self.profiles[i].time(Phase.BWD, u) for i in layers)
-        if task.fused or task.recompute:
-            bwd += sum(self.profiles[i].time(Phase.FWD, u) for i in layers)
-        return bwd
+        recompute = task.kind is TaskKind.BWD and (task.fused or task.recompute)
+        return self._task_time(task, u, recompute)
 
     def update_time(self, task: Task, n_gpus: int) -> float:
         if task.on_cpu:
             cores = max(1, self.server.host.cores // max(1, n_gpus))
             return self.server.host.optimizer_time(task.compute_flops, cores)
-        if not self._cache_enabled:
-            return sum(self.profiles[i].time(Phase.UPD, 1) for i in task.layers)
-        key = (TaskKind.UPD, task.first_layer, task.last_layer, 1, False)
-        cached = self._time_cache.get(key)
-        if cached is None:
-            cached = self._time_cache[key] = sum(
-                self.profiles[i].time(Phase.UPD, 1) for i in task.layers
-            )
-        return cached
+        return self._task_time(task, 1, False)
+
+    def _task_time(self, task: Task, u: int, recompute: bool) -> float:
+        """Sum of ``task``'s layer times at ``u`` in its own phase, plus
+        their forward times when it recomputes them."""
+        key = (task.kind, task.first_layer, task.last_layer, u, recompute)
+        value = self._time_cache.get(key)
+        if value is None:
+            span_time = self.profiles.span_time
+            value = span_time(_PHASES[task.kind], task.first_layer,
+                              task.last_layer, u)
+            if recompute:
+                value += span_time(Phase.FWD, task.first_layer,
+                                   task.last_layer, u)
+            if self._cache_enabled:
+                self._time_cache[key] = value
+        return value
 
     def _xfer(self, move: Move, nbytes: int) -> float:
         if move.channel is Channel.LOCAL or nbytes == 0:
@@ -114,6 +111,14 @@ class RuntimeEstimator:
     # -- the estimate -----------------------------------------------------------------
 
     def estimate(self, graph: TaskGraph) -> float:
+        """``graph``'s estimated iteration time.
+
+        Each move's chunk dependencies, chunk transfer time and lane are
+        worked out once per move, and each distinct microbatch size is
+        timed once per task; the per-chunk ``max``/``+`` sequence is the
+        same as a chunk-by-chunk walk, so every estimate is bit-identical
+        to it.
+        """
         n = graph.n_devices
         compute_free = [0.0] * n
         swap_in_free = [0.0] * n
@@ -122,10 +127,11 @@ class RuntimeEstimator:
         cpu_free = [0.0] * n
         prev_compute_done = [0.0] * n
 
+        tasks = graph.tasks
         times: list[_TaskTimes] = []
         finish = 0.0
 
-        for task in graph.tasks:
+        for task in tasks:
             d = task.device
             if task.kind is TaskKind.UPD:
                 tt = self._estimate_update(task, times, cpu_free, compute_free)
@@ -138,8 +144,10 @@ class RuntimeEstimator:
             # Per-task state tensors ride the swap-in lane back-to-back.
             state_bytes = 0
             state_dep = 0.0
+            chunked = []
             for move in task.ins:
-                if move.tensor not in _PER_TASK_TENSORS:
+                if not _per_task(move.tensor):
+                    chunked.append(move)
                     continue
                 if move.src_task is not None:
                     state_dep = max(state_dep, times[move.src_task].outs_flushed)
@@ -149,46 +157,55 @@ class RuntimeEstimator:
             state_ready = start + state_bytes / self._swap_bw
             swap_in_free[d] = state_ready
 
-            # Per-microbatch chunks.
+            # Per-microbatch chunks.  The hot loops spell ``max`` as
+            # comparisons: ``b if b > a else a`` is ``max(a, b)``, ties
+            # included.
             mbs = task.microbatches
-            input_ready = [state_ready] * len(mbs)
-            for move in task.ins:
-                if move.tensor in _PER_TASK_TENSORS:
+            n_mb = len(mbs)
+            input_ready = [state_ready] * n_mb
+            for move in chunked:
+                deps = self._chunk_deps(move, mbs, tasks, times)
+                if move.channel is Channel.LOCAL:
+                    input_ready = list(map(max, input_ready, deps))
                     continue
-                chunk = move.nbytes / len(mbs) if mbs else 0.0
-                for i in range(len(mbs)):
-                    dep = self._chunk_dep(move, task, i, times)
-                    if move.channel is Channel.LOCAL:
-                        input_ready[i] = max(input_ready[i], dep)
-                        continue
-                    lane = p2p_free if move.channel is Channel.P2P else swap_in_free
-                    begin = max(lane[d], dep, fetch_floor)
-                    end = begin + self._xfer(move, int(chunk))
-                    lane[d] = end
-                    input_ready[i] = max(input_ready[i], end)
+                lane = p2p_free if move.channel is Channel.P2P else swap_in_free
+                xfer = self._xfer(move, int(move.nbytes / n_mb))
+                end = lane[d]
+                for i, dep in enumerate(deps):
+                    if dep > end:
+                        end = dep
+                    if fetch_floor > end:
+                        end = fetch_floor
+                    end += xfer
+                    if end > input_ready[i]:
+                        input_ready[i] = end
+                lane[d] = end
 
+            durations = {u: self.mb_time(task, u) for u in dict.fromkeys(mbs)}
+            end = compute_free[d]
             mb_done = []
-            for i, u in enumerate(mbs):
-                begin = max(compute_free[d], input_ready[i])
-                end = begin + self.mb_time(task, u)
-                compute_free[d] = end
+            for u, ready in zip(mbs, input_ready):
+                if ready > end:
+                    end = ready
+                end += durations[u]
                 mb_done.append(end)
-            done = mb_done[-1]
+            compute_free[d] = end
+            done = end
             prev_compute_done[d] = done
 
             outs_flushed = done
             for move in task.outs:
                 if move.channel is Channel.LOCAL or move.nbytes == 0:
                     continue
-                if move.tensor in _PER_TASK_TENSORS:
-                    begin = max(swap_out_free[d], done)
-                    end = begin + self._xfer(move, move.nbytes)
+                if _per_task(move.tensor):
+                    end = max(swap_out_free[d], done) + self._xfer(move, move.nbytes)
                 else:
-                    chunk = move.nbytes / len(mbs)
+                    xfer = self._xfer(move, int(move.nbytes / n_mb))
                     end = swap_out_free[d]
-                    for i in range(len(mbs)):
-                        begin = max(end, mb_done[i])
-                        end = begin + self._xfer(move, int(chunk))
+                    for mb_end in mb_done:
+                        if mb_end > end:
+                            end = mb_end
+                        end += xfer
                 swap_out_free[d] = end
                 outs_flushed = max(outs_flushed, end)
 
@@ -197,26 +214,33 @@ class RuntimeEstimator:
 
         return finish
 
-    def _chunk_dep(self, move: Move, task: Task, mb_index: int,
-                   times: list[_TaskTimes]) -> float:
-        if move.src_task is None:
-            return 0.0
-        producer = times[move.src_task]
+    def _chunk_deps(self, move: Move, mbs: tuple[int, ...],
+                    tasks: list[Task], times: list[_TaskTimes]) -> list[float]:
+        """When each of the consumer's microbatch chunks of ``move`` may
+        start: the producer's flush for a swap, its last microbatch when
+        the two granularities cover different samples, else the producer
+        microbatch that completes the chunk's samples."""
+        src = move.src_task
+        if src is None:
+            return [0.0] * len(mbs)
+        producer = times[src]
         if move.channel is Channel.SWAP:
-            return producer.outs_flushed
-        src_sizes = self._producer_sizes.get(move.src_task)
-        if src_sizes is None or sum(src_sizes) != task.group_samples:
-            return producer.done
-        # Pure function of the two size tuples; the same producer/consumer
-        # granularity pair recurs for every microbatch chunk and across
-        # candidate graphs, so memoize the map (bit-identical by purity).
-        dep_key = (src_sizes, task.microbatches)
-        dep_map = self._dep_maps.get(dep_key)
-        if dep_map is None:
-            dep_map = self._dep_maps[dep_key] = tuple(
-                mb_dependency(src_sizes, task.microbatches)
+            return [producer.outs_flushed] * len(mbs)
+        # Pure function of the two size tuples, which recur across chunks
+        # and candidate graphs, so memoize it (bit-identical by purity).
+        key = (tasks[src].microbatches, mbs)
+        try:
+            dep_map = self._dep_maps[key]
+        except KeyError:
+            src_sizes = key[0]
+            dep_map = self._dep_maps[key] = (
+                tuple(mb_dependency(src_sizes, mbs))
+                if sum(src_sizes) == sum(mbs) else None
             )
-        return producer.mb_done[dep_map[mb_index]]
+        if dep_map is None:
+            return [producer.done] * len(mbs)
+        mb_done = producer.mb_done
+        return [mb_done[j] for j in dep_map]
 
     def _estimate_update(self, task: Task, times: list[_TaskTimes],
                          cpu_free: list[float], compute_free: list[float]) -> _TaskTimes:
@@ -242,15 +266,6 @@ class RuntimeEstimator:
             compute_free[d] = end
         return _TaskTimes([end], end, end)
 
-    def prepare(self, graph: TaskGraph) -> None:
-        self._producer_sizes = {
-            task.tid: task.microbatches for task in graph.tasks
-        }
-
     def estimate_graph(self, graph: TaskGraph) -> float:
-        """Public entry: estimate with producer-size context prepared."""
-        self.prepare(graph)
-        try:
-            return self.estimate(graph)
-        finally:
-            self._producer_sizes = {}
+        """Public entry: ``graph``'s estimated iteration time."""
+        return self.estimate(graph)

@@ -38,19 +38,20 @@ def _essential_bytes(profiles: ModelProfiles, phase: Phase, layer: int, u: int) 
     return 2 * params + profiles[layer].act_out_bytes(u)
 
 
-def _split_packs(times: Sequence[float], n_packs: int) -> Optional[tuple[Pack, ...]]:
+def _split_packs(prefix: np.ndarray, prefix_list: list[float],
+                 n_packs: int) -> Optional[tuple[Pack, ...]]:
     """Split layers into ``n_packs`` contiguous packs of near-equal time.
 
     Implements lines 7-11 of Algorithm 2: compute the average per-pack
     time ``c``, binary-search the accumulated pack times ``[c, 2c, ...]``
-    into the prefix sums of layer times, and cut there.  Returns ``None``
-    when cuts collide (a single layer exceeds the quantile step), in which
-    case the caller tries more packs.
+    into the prefix sums of layer times, and cut there.  ``prefix`` is
+    the cumulative layer-time array and ``prefix_list`` the same values
+    as Python floats.  Returns ``None`` when cuts collide (a single layer
+    exceeds the quantile step), in which case the caller tries more packs.
     """
-    n_layers = len(times)
+    n_layers = len(prefix)
     if n_packs == 1:
         return (Pack(0, n_layers - 1),)
-    prefix = np.cumsum(np.asarray(times, dtype=float))
     total = prefix[-1]
     targets = np.arange(1, n_packs) * (total / n_packs)
     cuts = np.searchsorted(prefix, targets, side="left") + 1
@@ -58,43 +59,53 @@ def _split_packs(times: Sequence[float], n_packs: int) -> Optional[tuple[Pack, .
     boundaries = [0] + sorted(set(int(c) for c in cuts))
     if len(boundaries) != n_packs:
         return None
-    boundaries = _refine_boundaries(prefix, boundaries)
+    boundaries = _refine_boundaries(prefix_list, boundaries)
     return packs_from_boundaries(boundaries, n_layers)
 
 
-def _refine_boundaries(prefix: np.ndarray, boundaries: list[int]) -> list[int]:
+def _refine_boundaries(prefix: list[float], boundaries: list[int]) -> list[int]:
     """Local search shaving the longest pack: nudge each cut one layer at a
     time while it reduces the maximum pack time.  Quantile cuts land within
     one layer of optimal; this removes that rounding (a straggler pack is a
-    straggler *pipeline stage*, so the last layer matters)."""
+    straggler *pipeline stage*, so the last layer matters).
+
+    A cut's move is a pure function of its position and its two
+    neighbours, so a cut whose three values are unchanged since it last
+    stayed put is skipped: it would stay put again.  The sweeps make the
+    same moves in the same order as re-examining every cut.
+    """
     n_layers = len(prefix)
+    # Sentinel: the last cut's right neighbour is the end of the chain.
+    cuts = boundaries + [n_layers]
+    settled: list[Optional[tuple[int, int, int]]] = [None] * len(cuts)
 
     def pack_time(first: int, last_exclusive: int) -> float:
         left = prefix[first - 1] if first > 0 else 0.0
-        return float(prefix[last_exclusive - 1] - left)
+        return prefix[last_exclusive - 1] - left
 
     improved = True
     while improved:
         improved = False
         for i in range(1, len(boundaries)):
-            lo = boundaries[i - 1] + 1
-            hi = boundaries[i + 1] - 1 if i + 1 < len(boundaries) else n_layers - 1
-            cur = boundaries[i]
-            left_first = boundaries[i - 1]
-            right_end = boundaries[i + 1] if i + 1 < len(boundaries) else n_layers
+            state = (cuts[i - 1], cuts[i], cuts[i + 1])
+            if settled[i] == state:
+                continue
+            left_first, cur, right_end = state
             best_cut, best_cost = cur, max(
                 pack_time(left_first, cur), pack_time(cur, right_end)
             )
             for cut in (cur - 1, cur + 1):
-                if not lo <= cut <= hi:
+                if not left_first < cut < right_end:
                     continue
                 cost = max(pack_time(left_first, cut), pack_time(cut, right_end))
                 if cost < best_cost - 1e-12:
                     best_cut, best_cost = cut, cost
             if best_cut != cur:
-                boundaries[i] = best_cut
+                cuts[i] = best_cut
                 improved = True
-    return boundaries
+            else:
+                settled[i] = state
+    return cuts[:-1]
 
 
 def balanced_time_packing(
@@ -122,7 +133,10 @@ def balanced_time_packing(
     backward sweep asked); results -- including the infeasible outcome --
     are memoized on ``profiles`` under the full argument key, so a repeat
     call is a dict hit.  The returned tuple is immutable and safe to
-    share.
+    share.  An infeasible outcome is memoized as its message, not as the
+    exception: a raised exception's traceback reaches back through the
+    planner's frames to ``profiles`` itself, a cycle that would keep the
+    whole plan alive until the cyclic garbage collector ran.
     """
     forced_tail = backward_packs[-1] if backward_packs is not None else None
     key = ("btp", phase, u, capacity, n_layers, forced_tail, min_packs)
@@ -135,11 +149,11 @@ def balanced_time_packing(
                 min_packs=min_packs,
             ))
         except InfeasibleConfigError as exc:
-            return (False, exc)
+            return (False, str(exc))
 
     ok, value = profiles.memo(key, compute)
     if not ok:
-        raise value  # type: ignore[misc]
+        raise InfeasibleConfigError(value)
     return value  # type: ignore[return-value]
 
 
@@ -159,10 +173,11 @@ def _balanced_time_packing(
         if total_layers == 0:
             return (forced_tail,)
 
-    # Per-layer scratch lists are identical across the many (n_packs,
-    # min_packs) probes of one search sweep; serve them from the profile
-    # memo (keyed on phase and u) instead of rebuilding them per call.
-    times = profiles.time_list(phase, u)[:total_layers]
+    # The layer-time table is shared by every probe of the search; the
+    # prefix sums are computed once for all the pack counts tried below.
+    times = profiles.layer_times(phase, u)[:total_layers]
+    prefix = np.cumsum(np.asarray(times, dtype=float))
+    prefix_list = prefix.tolist()
     essential_total = profiles.memo(
         ("esssum", phase, u, total_layers),
         lambda: sum(
@@ -173,7 +188,7 @@ def _balanced_time_packing(
     s_min = max(min_packs, 1, -(-essential_total // capacity))
 
     for n_packs in range(s_min, total_layers + 1):
-        packs = _split_packs(times, n_packs)
+        packs = _split_packs(prefix, prefix_list, n_packs)
         if packs is None:
             continue
         if all(

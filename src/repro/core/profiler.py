@@ -119,11 +119,13 @@ class ModelProfiles:
     - **integer** aggregates (memory footprints, parameter bytes) come
       from prefix-sum tables -- Python ints, so the prefix difference is
       *exactly* the naive sum, bit for bit;
-    - **float** aggregates (pack times, update FLOPs) are memoized whole:
-      the cached value was computed once with the very same left-to-right
-      summation order the naive code uses, so a hit returns the identical
-      bit pattern (prefix differences would NOT be bit-stable for
-      floats, which is why they are only used for ints).
+    - **pack times** are slices of one memoized per-layer time table
+      (:meth:`layer_times`), summed with the builtin ``sum`` in the same
+      order as the naive per-layer sum, so they are the identical bit
+      pattern (prefix differences would NOT be bit-stable for floats,
+      which is why prefix tables are only used for ints);
+    - **update FLOPs** are memoized whole, computed once with the naive
+      summation order.
 
     Immutable: ``layers`` is a tuple of frozen fits, which the profile
     store shares between instances, so no memo table (here or in a
@@ -191,12 +193,26 @@ class ModelProfiles:
 
     # -- per-layer lists used by Algorithm 2 ---------------------------------
 
-    def time_list(self, phase: Phase, u: int) -> list[float]:
-        times = self.memo(
+    def layer_times(self, phase: Phase, u: int) -> tuple[float, ...]:
+        """The per-layer time table at microbatch ``u``: one
+        :meth:`LayerProfile.time` call per layer, memoized per
+        ``(phase, u)``.  Every pack and task time is summed from it."""
+        return self.memo(
             ("times", phase, u),
             lambda: tuple(layer.time(phase, u) for layer in self.layers),
         )
-        return list(times)
+
+    def span_time(self, phase: Phase, first: int, last: int, u: int) -> float:
+        """Time of layers ``first..last`` (inclusive) at microbatch ``u``.
+
+        The builtin ``sum`` over a slice of the table adds the same floats
+        in the same order as summing the layers one by one, so the result
+        is bit-identical to that naive sum on every interpreter (a prefix
+        difference would not be)."""
+        return sum(self.layer_times(phase, u)[first:last + 1])
+
+    def time_list(self, phase: Phase, u: int) -> list[float]:
+        return list(self.layer_times(phase, u))
 
     def memory_list(self, phase: Phase, u: int) -> list[int]:
         prefix = self._mem_prefix(phase, u)
@@ -211,10 +227,7 @@ class ModelProfiles:
         return prefix[pack.last + 1] - prefix[pack.first]
 
     def pack_time(self, phase: Phase, pack: Pack, u: int) -> float:
-        return self.memo(
-            ("ptime", phase, pack.first, pack.last, u),
-            lambda: sum(self.layers[i].time(phase, u) for i in pack.layers),
-        )
+        return self.span_time(phase, pack.first, pack.last, u)
 
     def pack_fwd_memory(self, pack: Pack, u: int) -> int:
         """Footprint of a forward task, following Algorithm 2 line 13:

@@ -247,9 +247,9 @@ class HarmonyGraphBuilder:
             wrap += 1
             self._attach_fwd_moves(tasks, pack, bwd_starts, prev_act,
                                    chain_channel=self._act_channel())
-            for boundary in self._stash_boundaries(pack, bwd_starts):
-                stash_by_boundary[boundary] = self._as_producers(tasks)
             prev_act = self._as_producers(tasks)
+            for boundary in self._stash_boundaries(pack, bwd_starts):
+                stash_by_boundary[boundary] = prev_act
 
         prev_bwd: Optional[_Producers] = None
         update_specs: list[tuple[Pack, int, int]] = []  # (pack, src_bwd, device)
@@ -307,9 +307,9 @@ class HarmonyGraphBuilder:
                 chain = Channel.MSG if prev_spilled else Channel.LOCAL
                 self._attach_fwd_moves(tasks, pack, bwd_starts, prev_act,
                                        chain_channel=chain)
-                for boundary in self._stash_boundaries(pack, bwd_starts):
-                    stash_by_boundary[boundary] = self._as_producers(tasks)
                 prev_act = self._as_producers(tasks)
+                for boundary in self._stash_boundaries(pack, bwd_starts):
+                    stash_by_boundary[boundary] = prev_act
                 prev_spilled = spill
 
             prev_bwd: Optional[_Producers] = None

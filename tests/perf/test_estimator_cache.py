@@ -5,8 +5,10 @@ The cache in :class:`RuntimeEstimator` is keyed on
 invalidation because :class:`ModelProfiles` is immutable: a changed
 layer profile is a new ``ModelProfiles`` and a new estimator.  These
 tests swap a layer that way and check the new estimator tracks it while
-the old one is untouched, plus cover the per-graph ``_producer_sizes``
-lifecycle and the ``REPRO_PERF_DISABLE=1`` arm.
+the old one is untouched, check that nothing one graph's estimate leaves
+behind changes another's, and cover the ``REPRO_PERF_DISABLE=1`` arm.
+Cached task times are compared with a per-layer sum over the fits, the
+naive computation they replace.
 """
 
 from dataclasses import replace
@@ -16,8 +18,10 @@ import pytest
 from repro.core.estimator import RuntimeEstimator
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.profiler import AffineFit, ModelProfiles
+from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskKind
 from repro.experiments.common import server_for
+from repro.graph.layer import Phase
 from repro.perf import DISABLE_ENV
 
 
@@ -33,6 +37,17 @@ def _with_layer(profiles, index, layer):
     layers = profiles.layers
     return ModelProfiles(layers[:index] + (layer,) + layers[index + 1:],
                          profiles.optimizer_slots, profiles.gpu)
+
+
+def naive_mb_time(profiles, task, u):
+    """A task's microbatch time summed layer by layer from the fits."""
+    layers = task.layers
+    if task.kind is TaskKind.FWD:
+        return sum(profiles[i].time(Phase.FWD, u) for i in layers)
+    bwd = sum(profiles[i].time(Phase.BWD, u) for i in layers)
+    if task.fused or task.recompute:
+        bwd += sum(profiles[i].time(Phase.FWD, u) for i in layers)
+    return bwd
 
 
 def _fwd_task(graph):
@@ -54,7 +69,8 @@ def test_mb_time_cache_hit_is_identical(planned):
     assert (TaskKind.FWD, task.first_layer, task.last_layer, u, False) \
         in estimator._time_cache
     assert estimator.mb_time(task, u).hex() == first.hex()
-    assert estimator.mb_time(task, u) == estimator._mb_time_uncached(task, u)
+    assert estimator.mb_time(task, u).hex() == \
+        naive_mb_time(planned.profiles, task, u).hex()
 
 
 def test_replaced_layer_gets_fresh_times(planned):
@@ -71,7 +87,7 @@ def test_replaced_layer_gets_fresh_times(planned):
 
     after = fresh.mb_time(task, u)
     assert after > before, "new profiles served the old task time"
-    assert after == fresh._mb_time_uncached(task, u)
+    assert after.hex() == naive_mb_time(doubled, task, u).hex()
     assert planned.profiles[task.first_layer] is layer
     assert estimator.mb_time(task, u).hex() == before.hex()
 
@@ -120,18 +136,40 @@ def test_update_time_gpu_cached_cpu_not():
     assert estimator.update_time(upd, planned.server.n_gpus) == first
 
 
-def test_producer_sizes_cache_is_per_graph(planned):
-    """``estimate_graph`` populates the producer-size map for its graph
-    and clears it afterwards, so one graph's granularities can never
-    leak into another's chunk-dependency resolution."""
+def test_no_state_leaks_between_graphs(planned):
+    """Estimating one graph leaves nothing that changes the next graph's
+    estimate: graph A then graph B equals a fresh estimator on B.  The
+    two graphs differ in their microbatch granularities, so stale
+    producer sizes or dependency maps would move B's chunk dependencies."""
+    builder = HarmonyGraphBuilder(planned.profiles, planned.server.n_gpus,
+                                  planned.minibatch,
+                                  planned.options.schedule_options())
+    configs = [entry.config for entry in planned.search.explored]
+    a = next(c for c in configs if c.u_f != c.u_b)
+    b = next(c for c in configs if c.u_f != c.u_b and
+             (c.u_f, c.u_b) != (a.u_f, a.u_b))
+    graph_a, graph_b = builder.assemble(a), builder.assemble(b)
     estimator = RuntimeEstimator(planned.profiles, planned.server)
-    assert estimator._producer_sizes == {}
-    estimator.estimate_graph(planned.graph)
-    assert estimator._producer_sizes == {}
-    estimator.prepare(planned.graph)
-    assert set(estimator._producer_sizes) == {
-        t.tid for t in planned.graph.tasks
-    }
+    estimator.estimate_graph(graph_a)
+    after_a = estimator.estimate_graph(graph_b)
+    fresh = RuntimeEstimator(planned.profiles, planned.server)
+    assert after_a.hex() == fresh.estimate_graph(graph_b).hex()
+    assert estimator.estimate_graph(graph_a).hex() == \
+        RuntimeEstimator(planned.profiles, planned.server) \
+        .estimate_graph(graph_a).hex()
+
+
+@pytest.mark.parametrize("model, minibatch", [("gpt2", 32),
+                                              ("bert-large", 12)])
+def test_public_estimate_needs_no_preparation(model, minibatch):
+    """``estimate`` on its own scores the winner exactly as the search
+    did; it once fell back to whole-task dependencies unless a separate
+    preparation step had run first."""
+    plan = Harmony(model, server_for(4), minibatch,
+                   options=HarmonyOptions(mode="pp")).plan()
+    estimator = RuntimeEstimator(plan.profiles, plan.server)
+    assert estimator.estimate(plan.graph).hex() == \
+        plan.search.best_estimate.hex()
 
 
 def test_estimates_track_replaced_profiles_end_to_end(planned):
@@ -153,4 +191,5 @@ def test_disabled_estimator_never_caches(planned, monkeypatch):
     task = _fwd_task(planned.graph)
     value = estimator.mb_time(task, task.microbatches[0])
     assert estimator._time_cache == {}
-    assert value == estimator._mb_time_uncached(task, task.microbatches[0])
+    assert value.hex() == naive_mb_time(
+        planned.profiles, task, task.microbatches[0]).hex()

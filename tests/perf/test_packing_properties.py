@@ -1,7 +1,7 @@
 """Property tests for Algorithm 2's packing against randomized profiles.
 
 ~50 seeds of synthetic per-layer profiles (via :mod:`repro.common.rng`,
-so the suite is deterministic) pin three properties:
+so the suite is deterministic) pin these properties:
 
 - the prefix-sum ``pack_memory`` tables equal the naive per-layer sum
   exactly (Python ints, so the equality is bit-level, not approximate);
@@ -10,11 +10,16 @@ so the suite is deterministic) pin three properties:
   classic wrap-around bound ``sum(pack_times) + (M-1) * max(pack_times)``;
 - a single layer exceeding GPU capacity raises
   :class:`InfeasibleConfigError` from both packers -- including on a
-  *repeat* call, which exercises the memoized-infeasibility path.
+  *repeat* call, which exercises the memoized-infeasibility path;
+- that memoized infeasibility leaves no reference cycle through the
+  profiles.
 
 No wall-clock assertions here: timing claims belong to the bench harness
 and the perf gate, not the unit suite.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -131,6 +136,29 @@ def test_single_layer_overflow_raises(seed):
         balanced_time_packing(Phase.BWD, u, profiles, capacity)
     with pytest.raises(InfeasibleConfigError):
         greedy_memory_packing(Phase.BWD, u, profiles, capacity)
+
+
+def test_memoized_infeasibility_keeps_no_cycle():
+    """A memoized infeasible outcome must not tie ``profiles`` into a
+    reference cycle (a stored exception's traceback reaches back to the
+    frames holding ``profiles``), or every plan whose search probed an
+    infeasible packing would outlive its last reference until the cyclic
+    garbage collector ran."""
+    profiles = make_profiles(0)
+    capacity = min(
+        profiles.pack_memory_naive(Phase.BWD, Pack(i, i), 4)
+        for i in range(len(profiles))
+    ) - 1
+    for _ in range(2):
+        with pytest.raises(InfeasibleConfigError):
+            balanced_time_packing(Phase.BWD, 4, profiles, capacity)
+    ref = weakref.ref(profiles)
+    gc.disable()
+    try:
+        del profiles
+        assert ref() is None, "memoized infeasibility kept profiles alive"
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -1,0 +1,275 @@
+"""Differential oracles for the planner's two hottest loops.
+
+The Algorithm 2 refine step and the Runtime Estimator's timeline walk are
+written for speed: the refine step skips cuts whose neighbourhood has not
+changed, and the estimator works out each move's dependencies, transfer
+time and lane once rather than once per microbatch chunk.  Both promise
+the exact results of the straightforward loops, which are kept here as
+naive references:
+
+- :func:`naive_refine` re-examines every cut on every sweep over a numpy
+  prefix;
+- :class:`NaiveEstimator` walks every chunk of every move, resolves each
+  chunk's dependency on its own, and sums task times layer by layer.
+
+The refine step is compared on seeded random prefixes (ties, zero-time
+layers, one dominant layer, every pack count); the estimator by
+``float.hex`` on every candidate graph of the search-pin problems, with
+all optimizations on and with each one ablated.
+"""
+
+import numpy as np
+import pytest
+
+from repro.common.errors import InfeasibleConfigError
+from repro.common.rng import seeded_rng
+from repro.core.decomposer import Decomposer
+from repro.core.estimator import RuntimeEstimator, _TaskTimes
+from repro.core.harmony import HarmonyOptions
+from repro.core.packing import _refine_boundaries
+from repro.core.profiler import Profiler
+from repro.core.search import ConfigurationSearch
+from repro.core.taskgraph import mb_dependency
+from repro.core.types import Channel, TaskKind, TensorKind
+from repro.experiments.common import server_for
+from repro.graph.layer import Phase
+from repro.models.zoo import build_model
+
+# -- Algorithm 2 refine ----------------------------------------------------------
+
+
+def naive_refine(prefix: np.ndarray, boundaries: list[int]) -> list[int]:
+    """Sweep every cut until a whole sweep moves none."""
+    n_layers = len(prefix)
+
+    def pack_time(first: int, last_exclusive: int) -> float:
+        left = prefix[first - 1] if first > 0 else 0.0
+        return float(prefix[last_exclusive - 1] - left)
+
+    improved = True
+    while improved:
+        improved = False
+        for i in range(1, len(boundaries)):
+            lo = boundaries[i - 1] + 1
+            hi = boundaries[i + 1] - 1 if i + 1 < len(boundaries) else n_layers - 1
+            cur = boundaries[i]
+            left_first = boundaries[i - 1]
+            right_end = boundaries[i + 1] if i + 1 < len(boundaries) else n_layers
+            best_cut, best_cost = cur, max(
+                pack_time(left_first, cur), pack_time(cur, right_end)
+            )
+            for cut in (cur - 1, cur + 1):
+                if not lo <= cut <= hi:
+                    continue
+                cost = max(pack_time(left_first, cut), pack_time(cut, right_end))
+                if cost < best_cost - 1e-12:
+                    best_cut, best_cost = cut, cost
+            if best_cut != cur:
+                boundaries[i] = best_cut
+                improved = True
+    return boundaries
+
+
+def _layer_times(rng, shape: str, n_layers: int) -> list[float]:
+    if shape == "ties":
+        levels = [rng.choice((1e-3, 2e-3, 4e-3)) for _ in range(3)]
+        return [rng.choice(levels) for _ in range(n_layers)]
+    times = [rng.uniform(1e-4, 5e-3) for _ in range(n_layers)]
+    if shape == "zeros":
+        for i in rng.sample(range(n_layers), n_layers // 2):
+            times[i] = 0.0
+    elif shape == "dominant":
+        times[rng.randrange(n_layers)] = 100 * sum(times)
+    return times
+
+
+@pytest.mark.parametrize("shape", ["random", "ties", "zeros", "dominant"])
+@pytest.mark.parametrize("seed", range(10))
+def test_refine_matches_full_sweeps(shape, seed):
+    rng = seeded_rng(seed, f"refine-oracle-{shape}")
+    n_layers = rng.randrange(2, 40)
+    prefix = np.cumsum(np.asarray(_layer_times(rng, shape, n_layers)))
+    for n_packs in range(2, n_layers + 1):
+        for _ in range(3):
+            cuts = sorted(rng.sample(range(1, n_layers), n_packs - 1))
+            boundaries = [0] + cuts
+            expected = naive_refine(prefix, list(boundaries))
+            assert _refine_boundaries(prefix.tolist(), list(boundaries)) \
+                == expected, (n_packs, boundaries)
+
+
+# -- Runtime Estimator ----------------------------------------------------------
+
+_PER_TASK_TENSORS = frozenset({TensorKind.W, TensorKind.DW, TensorKind.K})
+
+
+class NaiveEstimator(RuntimeEstimator):
+    """The estimator walked chunk by chunk, with per-layer time sums
+    (memoized per task shape, as the estimator always has)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._naive_times = {}
+
+    def mb_time(self, task, u):
+        key = (task.kind, task.first_layer, task.last_layer, u,
+               task.fused or task.recompute)
+        if key not in self._naive_times:
+            self._naive_times[key] = self._layer_sum(task, u)
+        return self._naive_times[key]
+
+    def _layer_sum(self, task, u):
+        layers = task.layers
+        if task.kind is TaskKind.FWD:
+            return sum(self.profiles[i].time(Phase.FWD, u) for i in layers)
+        bwd = sum(self.profiles[i].time(Phase.BWD, u) for i in layers)
+        if task.fused or task.recompute:
+            bwd += sum(self.profiles[i].time(Phase.FWD, u) for i in layers)
+        return bwd
+
+    def update_time(self, task, n_gpus):
+        if task.on_cpu:
+            return super().update_time(task, n_gpus)
+        return sum(self.profiles[i].time(Phase.UPD, 1) for i in task.layers)
+
+    def estimate(self, graph):
+        self._naive_dep_maps = {}
+        self._producer_sizes = {
+            task.tid: task.microbatches for task in graph.tasks
+        }
+        n = graph.n_devices
+        compute_free = [0.0] * n
+        swap_in_free = [0.0] * n
+        swap_out_free = [0.0] * n
+        p2p_free = [0.0] * n
+        cpu_free = [0.0] * n
+        prev_compute_done = [0.0] * n
+
+        times = []
+        finish = 0.0
+
+        for task in graph.tasks:
+            d = task.device
+            if task.kind is TaskKind.UPD:
+                tt = self._estimate_update(task, times, cpu_free, compute_free)
+                times.append(tt)
+                finish = max(finish, tt.outs_flushed)
+                continue
+
+            fetch_floor = 0.0 if self.prefetch else prev_compute_done[d]
+
+            state_bytes = 0
+            state_dep = 0.0
+            for move in task.ins:
+                if move.tensor not in _PER_TASK_TENSORS:
+                    continue
+                if move.src_task is not None:
+                    state_dep = max(state_dep, times[move.src_task].outs_flushed)
+                if move.channel is not Channel.LOCAL:
+                    state_bytes += move.nbytes
+            start = max(swap_in_free[d], state_dep, fetch_floor)
+            state_ready = start + state_bytes / self._swap_bw
+            swap_in_free[d] = state_ready
+
+            mbs = task.microbatches
+            input_ready = [state_ready] * len(mbs)
+            for move in task.ins:
+                if move.tensor in _PER_TASK_TENSORS:
+                    continue
+                chunk = move.nbytes / len(mbs) if mbs else 0.0
+                for i in range(len(mbs)):
+                    dep = self._chunk_dep(move, task, i, times)
+                    if move.channel is Channel.LOCAL:
+                        input_ready[i] = max(input_ready[i], dep)
+                        continue
+                    lane = p2p_free if move.channel is Channel.P2P else swap_in_free
+                    begin = max(lane[d], dep, fetch_floor)
+                    end = begin + self._xfer(move, int(chunk))
+                    lane[d] = end
+                    input_ready[i] = max(input_ready[i], end)
+
+            mb_done = []
+            for i, u in enumerate(mbs):
+                begin = max(compute_free[d], input_ready[i])
+                end = begin + self.mb_time(task, u)
+                compute_free[d] = end
+                mb_done.append(end)
+            done = mb_done[-1]
+            prev_compute_done[d] = done
+
+            outs_flushed = done
+            for move in task.outs:
+                if move.channel is Channel.LOCAL or move.nbytes == 0:
+                    continue
+                if move.tensor in _PER_TASK_TENSORS:
+                    begin = max(swap_out_free[d], done)
+                    end = begin + self._xfer(move, move.nbytes)
+                else:
+                    chunk = move.nbytes / len(mbs)
+                    end = swap_out_free[d]
+                    for i in range(len(mbs)):
+                        begin = max(end, mb_done[i])
+                        end = begin + self._xfer(move, int(chunk))
+                swap_out_free[d] = end
+                outs_flushed = max(outs_flushed, end)
+
+            times.append(_TaskTimes(mb_done, done, outs_flushed))
+            finish = max(finish, outs_flushed)
+
+        return finish
+
+    def _chunk_dep(self, move, task, mb_index, times):
+        if move.src_task is None:
+            return 0.0
+        producer = times[move.src_task]
+        if move.channel is Channel.SWAP:
+            return producer.outs_flushed
+        src_sizes = self._producer_sizes[move.src_task]
+        if sum(src_sizes) != task.group_samples:
+            return producer.done
+        dep_key = (src_sizes, task.microbatches)
+        dep_map = self._naive_dep_maps.get(dep_key)
+        if dep_map is None:
+            dep_map = self._naive_dep_maps[dep_key] = tuple(
+                mb_dependency(src_sizes, task.microbatches)
+            )
+        return producer.mb_done[dep_map[mb_index]]
+
+
+#: The search-pin problems: (model, mode, gpus, minibatch).
+PROBLEMS = (
+    ("gpt2", "pp", 4, 32),
+    ("vgg416", "pp", 4, 16),
+    ("resnet1k", "pp", 8, 16),
+    ("bert-large", "dp", 4, 16),
+    ("vgg416", "dp", 4, 16),
+)
+ABLATIONS = (None, "prefetch", "grouping", "p2p", "jit", "offload_optimizer")
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS, ids=lambda a: a or "all-on")
+@pytest.mark.parametrize(
+    "problem", PROBLEMS, ids=lambda p: f"{p[0]}-{p[1]}-x{p[2]}-mb{p[3]}",
+)
+def test_estimator_matches_chunk_walk(problem, ablation):
+    model, mode, gpus, minibatch = problem
+    options = HarmonyOptions(mode=mode)
+    if ablation is not None:
+        options = options.without(ablation)
+    server = server_for(gpus)
+    decomposed = Decomposer(seed=options.seed).decompose(build_model(model))
+    profiles = Profiler(server.gpu).profile(decomposed)
+    schedule = options.schedule_options()
+    search = ConfigurationSearch(profiles, server, minibatch, schedule,
+                                 options.search_settings())
+    naive = NaiveEstimator(profiles, server, prefetch=schedule.prefetch)
+    compared = 0
+    for config in search._enumerate_candidates():
+        try:
+            graph = search.builder.assemble(config)
+        except InfeasibleConfigError:
+            continue
+        assert search.estimator.estimate(graph).hex() == \
+            naive.estimate(graph).hex(), config.describe()
+        compared += 1
+    assert compared

@@ -10,6 +10,9 @@ suite pins, exactly:
 - ``HarmonyGraphBuilder.assemble`` runs once per search candidate, plus
   once for that final build, and a second ``plan()`` is a memo hit;
 - the number of candidates Algorithm 1 enumerates;
+- the ``LayerProfile.time`` calls one ``plan()`` makes: one per layer
+  per (phase, microbatch size) time table, however many packs and
+  candidates are timed from it;
 - the ``Simulator.steps`` one simulated iteration drains;
 - the interval unions one ``analyze_trace`` makes over a traced gpt2
   iteration: one per (device, track) and one per link, not one per
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core.harmony import Harmony, HarmonyOptions
+from repro.core.profiler import LayerProfile
 from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskGraph
 from repro.experiments.common import server_for
@@ -47,6 +51,8 @@ class Case:
     minibatch: int
     #: ``n_feasible + n_infeasible`` of the search.
     candidates: int
+    #: ``LayerProfile.time`` calls made by one ``plan()``.
+    layer_times: int
     #: ``Simulator.steps`` drained by ``run(plan=..., iterations=1)``.
     steps: int
     #: Ceiling on ``|best_estimate - iteration_time| / iteration_time``.
@@ -55,11 +61,11 @@ class Case:
 
 CASES = (
     Case("toy-transformer", "pp", 2, 8,
-         candidates=48, steps=478, max_drift=0.39),
+         candidates=48, layer_times=80, steps=478, max_drift=0.39),
     Case("tiny-cnn", "dp", 2, 8,
-         candidates=9, steps=174, max_drift=0.17),
+         candidates=9, layer_times=78, steps=174, max_drift=0.17),
     Case("gpt2", "pp", 4, 32,
-         candidates=68, steps=5942, max_drift=0.02),
+         candidates=68, layer_times=624, steps=5942, max_drift=0.02),
 )
 
 #: ``analytics._union`` calls one ``analyze_trace`` makes over a traced
@@ -86,6 +92,7 @@ def test_plan_and_run_do_exact_work(case, monkeypatch):
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "build")
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "assemble")
     _count_calls(monkeypatch, counts, TaskGraph, "validate")
+    _count_calls(monkeypatch, counts, LayerProfile, "time")
     simulators: list[Simulator] = []
     original_init = Simulator.__init__
 
@@ -100,10 +107,11 @@ def test_plan_and_run_do_exact_work(case, monkeypatch):
     plan = harmony.plan()
     search = plan.search
     assert search.n_feasible + search.n_infeasible == case.candidates
-    expected = {"build": 1, "validate": 1, "assemble": case.candidates + 1}
+    expected = {"build": 1, "validate": 1, "assemble": case.candidates + 1,
+                "time": case.layer_times}
     assert counts == expected, (
-        "one plan() must build and validate only the winner and assemble "
-        "each candidate once"
+        "one plan() must build and validate only the winner, assemble "
+        "each candidate once and time each layer once per time table"
     )
     assert harmony.plan() is plan
     assert counts == expected, "a second plan() must be a memo hit"
