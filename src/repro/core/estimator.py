@@ -1,6 +1,7 @@
 """Runtime Estimator (the ``epsilon`` of Algorithm 1).
 
-Estimates one iteration's end-to-end time for a candidate task graph by
+Estimates one iteration's end-to-end time for a candidate schedule -- the
+graph builder's flat task records, or a built task graph -- by
 event-driven simulation over per-device timelines (compute, swap, p2p,
 host optimizer lane), at per-microbatch granularity so pipeline overlap is
 captured.
@@ -16,14 +17,25 @@ configuration in microseconds, enabling the sweep of Algorithm 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from repro.core.profiler import ModelProfiles
 from repro.core.taskgraph import mb_dependency
-from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
+from repro.core.types import (
+    Channel,
+    MoveRecord,
+    Task,
+    TaskGraph,
+    TaskKind,
+    TaskRecord,
+    TensorKind,
+)
 from repro.graph.layer import Phase
 from repro.hardware.server import ServerSpec
 from repro.perf import perf_enabled
+
+#: A built task or its record: both carry every field the timing reads.
+_AnyTask = Union[Task, TaskRecord]
 
 _PHASES = {TaskKind.FWD: Phase.FWD, TaskKind.BWD: Phase.BWD,
            TaskKind.UPD: Phase.UPD}
@@ -71,19 +83,19 @@ class RuntimeEstimator:
 
     # -- task timing from regressed profiles -------------------------------------
 
-    def mb_time(self, task: Task, u: int) -> float:
+    def mb_time(self, task: _AnyTask, u: int) -> float:
         if task.kind is TaskKind.UPD:
             raise ValueError("update tasks timed separately")
         recompute = task.kind is TaskKind.BWD and (task.fused or task.recompute)
         return self._task_time(task, u, recompute)
 
-    def update_time(self, task: Task, n_gpus: int) -> float:
+    def update_time(self, task: _AnyTask, n_gpus: int) -> float:
         if task.on_cpu:
             cores = max(1, self.server.host.cores // max(1, n_gpus))
             return self.server.host.optimizer_time(task.compute_flops, cores)
         return self._task_time(task, 1, False)
 
-    def _task_time(self, task: Task, u: int, recompute: bool) -> float:
+    def _task_time(self, task: _AnyTask, u: int, recompute: bool) -> float:
         """Sum of ``task``'s layer times at ``u`` in its own phase, plus
         their forward times when it recomputes them."""
         key = (task.kind, task.first_layer, task.last_layer, u, recompute)
@@ -99,7 +111,7 @@ class RuntimeEstimator:
                 self._time_cache[key] = value
         return value
 
-    def _xfer(self, move: Move, nbytes: int) -> float:
+    def _xfer(self, move: MoveRecord, nbytes: int) -> float:
         if move.channel is Channel.LOCAL or nbytes == 0:
             return 0.0
         if move.channel is Channel.MSG and move.src_task is not None:
@@ -110,8 +122,13 @@ class RuntimeEstimator:
 
     # -- the estimate -----------------------------------------------------------------
 
-    def estimate(self, graph: TaskGraph) -> float:
-        """``graph``'s estimated iteration time.
+    def estimate(self, schedule: Union[TaskGraph, Sequence[TaskRecord]]) -> float:
+        """The estimated iteration time of a task graph, or of the flat
+        records :meth:`HarmonyGraphBuilder.records` emits for one.
+
+        A graph is read as the records of its tasks, so both take this
+        one loop.  Records carry no device count: they are scored on this
+        estimator's server, the one the search's builder is bound to.
 
         Each move's chunk dependencies, chunk transfer time and lane are
         worked out once per move, and each distinct microbatch size is
@@ -119,7 +136,14 @@ class RuntimeEstimator:
         same as a chunk-by-chunk walk, so every estimate is bit-identical
         to it.
         """
-        n = graph.n_devices
+        if isinstance(schedule, TaskGraph):
+            n = schedule.n_devices
+            tasks: Sequence[TaskRecord] = [
+                TaskRecord.of(task) for task in schedule.tasks
+            ]
+        else:
+            n = self.server.n_gpus
+            tasks = schedule
         compute_free = [0.0] * n
         swap_in_free = [0.0] * n
         swap_out_free = [0.0] * n
@@ -127,7 +151,6 @@ class RuntimeEstimator:
         cpu_free = [0.0] * n
         prev_compute_done = [0.0] * n
 
-        tasks = graph.tasks
         times: list[_TaskTimes] = []
         finish = 0.0
 
@@ -214,8 +237,9 @@ class RuntimeEstimator:
 
         return finish
 
-    def _chunk_deps(self, move: Move, mbs: tuple[int, ...],
-                    tasks: list[Task], times: list[_TaskTimes]) -> list[float]:
+    def _chunk_deps(self, move: MoveRecord, mbs: tuple[int, ...],
+                    tasks: Sequence[TaskRecord],
+                    times: list[_TaskTimes]) -> list[float]:
         """When each of the consumer's microbatch chunks of ``move`` may
         start: the producer's flush for a swap, its last microbatch when
         the two granularities cover different samples, else the producer
@@ -242,7 +266,7 @@ class RuntimeEstimator:
         mb_done = producer.mb_done
         return [mb_done[j] for j in dep_map]
 
-    def _estimate_update(self, task: Task, times: list[_TaskTimes],
+    def _estimate_update(self, task: TaskRecord, times: list[_TaskTimes],
                          cpu_free: list[float], compute_free: list[float]) -> _TaskTimes:
         d = task.device
         dep = 0.0

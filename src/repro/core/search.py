@@ -3,8 +3,9 @@
 Sweeps backward microbatch sizes, derives backward packs (Algorithm 2),
 then sweeps forward microbatch sizes with forward packs constrained so the
 last forward pack equals the last backward pack (jit-compute); every
-candidate four-tuple is turned into a task graph (Algorithm 3) and scored
-by the Runtime Estimator.  The minimum-estimate configuration wins.
+candidate four-tuple is unrolled into its schedule (Algorithm 3) as flat
+task records and scored by the Runtime Estimator.  The minimum-estimate
+configuration wins; only its task graph is built.
 
 The paper sweeps every integer microbatch size up to ``U_MAX``; by default
 we sweep divisors of the minibatch plus powers of two (a documented knob
@@ -177,8 +178,8 @@ class ConfigurationSearch:
     def _enumerate_candidates(self) -> list[Configuration]:
         """Lines 1-8 of Algorithm 1: the deduplicated candidate four-tuples,
         in the exact order the original nested sweep visited them.  Packing
-        (Algorithm 2) runs here, memoized; the per-candidate graph
-        assembly + estimate runs in :meth:`search`."""
+        (Algorithm 2) runs here, memoized; the per-candidate schedule
+        emission + estimate runs in :meth:`search`."""
         local = self.minibatch
         if self.options.mode == "dp":
             if self.minibatch % self.server.n_gpus:
@@ -210,10 +211,10 @@ class ConfigurationSearch:
         return candidates
 
     def _evaluate_one(self, config: Configuration) -> Optional[float]:
-        """Assemble + estimate one candidate; None when infeasible."""
+        """Estimate one candidate from its schedule records, without
+        building its task graph; None when infeasible."""
         try:
-            graph = self.builder.assemble(config)
-            return self.estimator.estimate_graph(graph)
+            return self.estimator.estimate(self.builder.records(config))
         except InfeasibleConfigError:
             return None
 

@@ -7,6 +7,10 @@ round-robin device binding ``pack i -> GPU (i mod N)`` and every tensor
 move (weights in, activations p2p, checkpoints stashed, gradients out)
 spelled out per Figure 5(a).
 
+The schedule is emitted once, as flat :class:`~repro.core.types.TaskRecord`
+rows: the configuration search scores every candidate on those records,
+and only the winner's records become a :class:`TaskGraph`.
+
 Each of Harmony's optimizations is an explicit switch so the Figure 13
 ablations can turn them off one at a time:
 
@@ -28,12 +32,19 @@ ablations can turn them off one at a time:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence, TypeVar
 
 from repro.common.errors import SchedulingError
 from repro.core.config import Configuration, Pack, microbatch_group
 from repro.core.profiler import ModelProfiles
-from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
+from repro.core.types import (
+    Channel,
+    MoveRecord,
+    TaskGraph,
+    TaskKind,
+    TaskRecord,
+    TensorKind,
+)
 
 
 @dataclass(frozen=True)
@@ -54,27 +65,6 @@ class ScheduleOptions:
     def __post_init__(self) -> None:
         if self.mode not in ("pp", "dp"):
             raise SchedulingError(f"unknown Harmony mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class _Producers:
-    """Who produced the current chain-head activation: the task (or, with
-    grouping off, the per-microbatch tasks) and their microbatch sizes."""
-
-    tids: tuple[int, ...]
-    sizes: tuple[int, ...]  # one entry per task: that task's sample count
-
-    def covering(self, first_sample: int, last_sample: int) -> int:
-        """The producer task whose completion covers samples up to
-        ``last_sample`` (exclusive)."""
-        produced = 0
-        for tid, size in zip(self.tids, self.sizes):
-            produced += size
-            if produced >= last_sample:
-                return tid
-        raise SchedulingError(
-            f"producers cover only {produced} samples, need {last_sample}"
-        )
 
 
 def mb_dependency(producer_sizes: tuple[int, ...], consumer_sizes: tuple[int, ...]) -> list[int]:
@@ -102,8 +92,127 @@ def mb_dependency(producer_sizes: tuple[int, ...], consumer_sizes: tuple[int, ..
     return deps
 
 
+#: One task's microbatch group: its sizes, its sample count, its largest size.
+_Group = tuple[tuple[int, ...], int, int]
+
+#: The producers of a chain-head activation: the tid of their first task
+#: (a pass's tasks are consecutive) and the microbatch size they ran at.
+_Producers = tuple[int, int]
+
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
+
+class _Table(dict[_K, _V]):
+    """A memo table: a missing key is filled once, from ``fill(key)``."""
+
+    def __init__(self, fill: Callable[[_K], _V]) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key: _K) -> _V:
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _PackParts:
+    """What every task of one pack needs and no candidate changes: its
+    label, its boundary activation sizes and its weights' in-move."""
+
+    __slots__ = ("name", "w_in", "in_per_sample", "out_per_sample")
+
+    def __init__(self, profiles: ModelProfiles, pack: Pack):
+        name = self.name = str(pack)
+        self.w_in = MoveRecord(TensorKind.W, Channel.SHM,
+                               profiles.pack_param_bytes(pack), None, f"W{name}")
+        self.in_per_sample = profiles.boundary_in_bytes(pack, 1)
+        self.out_per_sample = profiles.boundary_out_bytes(pack, 1)
+
+
+def _task_groups(total: int, u: int, grouping: bool) -> tuple[_Group, ...]:
+    """The task groups running ``total`` samples at microbatch ``u``: one
+    grouped task normally; one task per microbatch when input-batch
+    grouping is ablated."""
+    sizes = microbatch_group(total, u)
+    split = [sizes] if grouping else [(size,) for size in sizes]
+    return tuple((group, sum(group), max(group)) for group in split)
+
+
+def _dw_out(profiles: ModelProfiles, pack: Pack) -> MoveRecord:
+    """A backward task's gradients out, to the host optimizer."""
+    return MoveRecord(TensorKind.DW, Channel.SWAP,
+                      profiles.pack_param_bytes(pack), None, f"dW{pack}")
+
+
+def _optimizer_moves(profiles: ModelProfiles,
+                     pack: Pack) -> tuple[MoveRecord, MoveRecord, MoveRecord]:
+    """A GPU-side update's optimizer state in, weights and state out."""
+    param = profiles.pack_param_bytes(pack)
+    optimizer = profiles.pack_optimizer_bytes(pack)
+    return (
+        MoveRecord(TensorKind.K, Channel.SWAP, optimizer, None, f"K{pack}"),
+        MoveRecord(TensorKind.W, Channel.SWAP, param, None, f"W'{pack}"),
+        MoveRecord(TensorKind.K, Channel.SWAP, optimizer, None, f"K'{pack}"),
+    )
+
+
+class _ScheduleMemo:
+    """Everything the emitter derives without looking at a candidate.
+
+    Keyed on ints only: hashing a ``Pack`` or an enum member runs Python
+    code, which would cost about what the memo saves.  It grows with the
+    packs, microbatch sizes and task counts a search visits, not with its
+    candidates.  Chain activations depend on the candidate and are not
+    kept; resident bytes come from the profiles' ``(phase, u)`` tables.
+    """
+
+    def __init__(self, profiles: ModelProfiles, grouping: bool) -> None:
+        # (first, last) -> the pack's label, boundary sizes and W in
+        self.packs: _Table[tuple[int, int], _PackParts] = _Table(
+            lambda span: _PackParts(profiles, Pack(*span)))
+        # (first, last) -> the gradients' out-move
+        self.dw_outs: _Table[tuple[int, int], MoveRecord] = _Table(
+            lambda span: _dw_out(profiles, Pack(*span)))
+        # (first, last) -> a GPU-side update's K in, W' and K' out
+        self.optimizer_moves: _Table[
+            tuple[int, int], tuple[MoveRecord, MoveRecord, MoveRecord]
+        ] = _Table(lambda span: _optimizer_moves(profiles, Pack(*span)))
+        # (total samples, u) -> the task groups of one pass
+        groups: _Table[tuple[int, int], tuple[_Group, ...]] = _Table(
+            lambda key: _task_groups(*key, grouping))
+        self.groups = groups
+        # (total samples, producer u, consumer u) -> per consumer group,
+        # the producer group whose completion covers its samples
+        self.covering: _Table[tuple[int, int, int], tuple[int, ...]] = _Table(
+            lambda key: tuple(mb_dependency(
+                tuple(g[1] for g in groups[key[0], key[1]]),
+                tuple(g[1] for g in groups[key[0], key[2]]),
+            )))
+        # (boundary layer, samples) -> the checkpoint out-move
+        self.ckpt_outs: _Table[tuple[int, int], MoveRecord] = _Table(
+            lambda key: MoveRecord(
+                TensorKind.CKPT, Channel.MSG,
+                profiles[key[0]].act_in_bytes(1) * key[1], None,
+                f"ckpt@L{key[0]}"))
+        # samples -> the host input data's in-move
+        self.inputs: _Table[int, MoveRecord] = _Table(
+            lambda samples: MoveRecord(
+                TensorKind.X, Channel.SWAP,
+                profiles[0].act_in_bytes(1) * samples, None, "input"))
+        # backward tid -> an update's dependency link on it
+        self.dep_links: _Table[int, MoveRecord] = _Table(
+            lambda tid: MoveRecord(TensorKind.DW, Channel.LOCAL, 0, tid,
+                                   f"dep:b{tid}"))
+
+
 class HarmonyGraphBuilder:
-    """Generates the task graph for one iteration (the ``rho`` of Alg 1)."""
+    """Generates the schedule of one iteration (the ``rho`` of Alg 1).
+
+    :meth:`records` is the one schedule emitter: the search scores its
+    flat records directly and :meth:`build` makes the winner's task graph
+    from the same records.  The builder memoizes what no candidate
+    changes, so it is meant to live for one search.
+    """
 
     def __init__(
         self,
@@ -120,6 +229,7 @@ class HarmonyGraphBuilder:
         self.n_gpus = n_gpus
         self.minibatch = minibatch
         self.options = options
+        self._memo = _ScheduleMemo(profiles, options.grouping)
 
     # -- public entry ----------------------------------------------------------
 
@@ -133,384 +243,295 @@ class HarmonyGraphBuilder:
         return graph
 
     def assemble(self, config: Configuration) -> TaskGraph:
-        """The task graph for ``config`` without structural validation.
+        """The task graph made from ``records(config)``, unvalidated.
 
-        For scoring search candidates: the estimator needs only the
-        graph's shape, and the winner is then built, and so validated,
-        again.  A graph failing validation is a builder bug, not an
-        infeasible candidate, so it aborts planning rather than being
-        skipped; validating only the winner therefore changes no
-        successful search's outcome.
+        The only place a builder makes a graph; :meth:`build` validates
+        its result.
+        """
+        graph = TaskGraph(mode=f"harmony-{self.options.mode}",
+                          n_devices=self.n_gpus)
+        for tid, record in enumerate(self.records(config)):
+            graph.add(record.to_task(tid))
+        return graph
+
+    def records(self, config: Configuration) -> list[TaskRecord]:
+        """``config``'s schedule as flat task records in tid order.
+
+        The search scores candidates on these without building graphs.
+        A schedule failing validation is a builder bug, not an infeasible
+        candidate, so it aborts planning when the winner is built rather
+        than being skipped; validating only the winner therefore changes
+        no successful search's outcome.
         """
         config.validate(len(self.profiles))
         if self.options.mode == "pp":
-            return self._build_pp(config)
-        return self._build_dp(config)
+            return self._emit_pp(config)
+        return self._emit_dp(config)
 
     # -- shared emission helpers -------------------------------------------------
 
-    def _act_channel(self) -> Channel:
-        """Channel for adjacent-task activations (p2p unless ablated)."""
-        return Channel.P2P if self.options.p2p else Channel.MSG
-
-    def _emit_pass(
-        self,
-        graph: TaskGraph,
-        kind: TaskKind,
-        pack: Pack,
-        device: int,
-        total_samples: int,
-        u: int,
-        label: str,
-        fused: bool = False,
-    ) -> list[Task]:
-        """Create the task(s) running ``pack`` over ``total_samples``.
-
-        One grouped task normally; one singleton task per microbatch when
-        input-batch grouping is ablated.
-        """
-        sizes = microbatch_group(total_samples, u)
-        groups = [sizes] if self.options.grouping else [(s,) for s in sizes]
-        tasks = []
-        for group in groups:
-            tasks.append(graph.add(Task(
-                tid=len(graph.tasks),
-                kind=kind,
-                first_layer=pack.first,
-                last_layer=pack.last,
-                device=device,
-                microbatches=group,
-                fused=fused,
-                label=label,
-            )))
-        return tasks
-
-    def _link_chain(
-        self,
-        tasks: list[Task],
-        producers: Optional[_Producers],
-        tensor: TensorKind,
-        bytes_per_sample: int,
-        channel: Channel,
-        label: str,
-    ) -> None:
-        """Attach the chain-head activation in-move to each consumer task,
-        resolving which producer task covers its samples.
-
-        Host-routed chains (message passing: the p2p ablation, or a DP
-        boundary spilled to host) are executed by the Runtime as a two-hop
-        relay -- producer GPU to host staging to consumer GPU -- so the
-        activation crosses PCIe twice and pays the host copy.
-        """
-        offset = 0
-        for task in tasks:
-            samples = task.group_samples
-            src = None
-            if producers is not None:
-                src = producers.covering(offset, offset + samples)
-            task.ins.append(Move(
-                tensor=tensor,
-                nbytes=bytes_per_sample * samples,
-                channel=channel,
-                src_task=src,
-                label=label,
-            ))
-            offset += samples
+    def _sources(self, producers: Optional[_Producers], total: int,
+                 u: int) -> list[Optional[int]]:
+        """For each task group of a pass at ``u``, the producer task whose
+        completion covers its samples (None without producers)."""
+        if producers is None:
+            return [None] * len(self._memo.groups[total, u])
+        first_tid, producer_u = producers
+        return [first_tid + index
+                for index in self._memo.covering[total, producer_u, u]]
 
     @staticmethod
-    def _as_producers(tasks: list[Task]) -> _Producers:
-        return _Producers(
-            tids=tuple(t.tid for t in tasks),
-            sizes=tuple(t.group_samples for t in tasks),
-        )
+    def _stash_boundaries(fwd_packs: tuple[Pack, ...],
+                          bwd_packs: tuple[Pack, ...]) -> list[tuple[int, ...]]:
+        """Per forward pack, the backward-pack boundaries inside it whose
+        input activation the forward pass must checkpoint (layer 0's input
+        is the host-held input data and needs no stash)."""
+        firsts = [pack.first for pack in bwd_packs if pack.first != 0]
+        stashes = []
+        j = 0
+        for pack in fwd_packs:
+            lo = j
+            while j < len(firsts) and firsts[j] <= pack.last:
+                j += 1
+            stashes.append(tuple(firsts[lo:j]))
+        return stashes
 
     # -- Harmony PP --------------------------------------------------------------
 
-    def _build_pp(self, config: Configuration) -> TaskGraph:
+    def _emit_pp(self, config: Configuration) -> list[TaskRecord]:
         opts = self.options
-        graph = TaskGraph(mode="harmony-pp", n_devices=self.n_gpus)
+        memo = self._memo
+        records: list[TaskRecord] = []
+        total = self.minibatch
+        chain = Channel.P2P if opts.p2p else Channel.MSG
 
         fuse_last = opts.jit and config.jit_compute_aligned
-        fwd_packs = list(config.packs_f[:-1] if fuse_last else config.packs_f)
-        bwd_packs = list(config.packs_b)
-        bwd_starts = {pack.first for pack in bwd_packs}
-
+        fwd_packs = config.packs_f[:-1] if fuse_last else config.packs_f
         wrap = 0  # wrap-around device index, advances once per pack
         stash_by_boundary: dict[int, _Producers] = {}
         prev_act: Optional[_Producers] = None
 
-        for pack in fwd_packs:
-            tasks = self._emit_pass(
-                graph, TaskKind.FWD, pack, wrap % self.n_gpus,
-                self.minibatch, config.u_f, f"F{pack}",
-            )
+        stashes = self._stash_boundaries(fwd_packs, config.packs_b)
+        for pack, boundaries in zip(fwd_packs, stashes):
+            parts = memo.packs[pack.first, pack.last]
+            producers = (len(records), config.u_f)
+            self._emit_fwd(records, pack, parts, wrap % self.n_gpus, total,
+                           config.u_f, prev_act, chain, boundaries,
+                           "F" + parts.name)
             wrap += 1
-            self._attach_fwd_moves(tasks, pack, bwd_starts, prev_act,
-                                   chain_channel=self._act_channel())
-            prev_act = self._as_producers(tasks)
-            for boundary in self._stash_boundaries(pack, bwd_starts):
-                stash_by_boundary[boundary] = prev_act
+            prev_act = producers
+            for boundary in boundaries:
+                stash_by_boundary[boundary] = producers
 
         prev_bwd: Optional[_Producers] = None
-        update_specs: list[tuple[Pack, int, int]] = []  # (pack, src_bwd, device)
-        for pos, pack in enumerate(reversed(bwd_packs)):
+        updates: list[tuple[Pack, _PackParts, int, int]] = []
+        for pos, pack in enumerate(reversed(config.packs_b)):
+            parts = memo.packs[pack.first, pack.last]
             fused = fuse_last and pos == 0
-            tasks = self._emit_pass(
-                graph, TaskKind.BWD, pack, wrap % self.n_gpus,
-                self.minibatch, config.u_b, ("FB" if fused else "B") + str(pack),
-                fused=fused,
-            )
+            producers = (len(records), config.u_b)
+            device = wrap % self.n_gpus
+            self._emit_bwd(records, pack, parts, device, total, config.u_b,
+                           fused, prev_act, prev_bwd,
+                           stash_by_boundary.get(pack.first), chain, chain,
+                           ("FB" if fused else "B") + parts.name)
             wrap += 1
-            self._attach_bwd_moves(
-                tasks, pack, fused, prev_act, prev_bwd, stash_by_boundary,
-                chain_channel=self._act_channel(),
-            )
-            prev_bwd = self._as_producers(tasks)
-            update_specs.append((pack, tasks[-1].tid, tasks[-1].device))
+            prev_bwd = producers
+            update = (pack, parts, len(records) - 1, device)
             if opts.jit:
-                self._add_update_task(graph, pack, src_bwd=tasks[-1].tid,
-                                      device=tasks[-1].device)
-        if not opts.jit:
-            for pack, src_bwd, device in update_specs:
-                self._add_update_task(graph, pack, src_bwd=src_bwd, device=device)
-        return graph
+                self._emit_update(records, *update)
+            else:
+                updates.append(update)
+        for update in updates:
+            self._emit_update(records, *update)
+        return records
 
     # -- Harmony DP --------------------------------------------------------------
 
-    def _build_dp(self, config: Configuration) -> TaskGraph:
+    def _emit_dp(self, config: Configuration) -> list[TaskRecord]:
         opts = self.options
+        memo = self._memo
         if self.minibatch % self.n_gpus != 0:
             raise SchedulingError(
                 f"DP needs the minibatch ({self.minibatch}) divisible by the "
                 f"GPU count ({self.n_gpus})"
             )
         share = self.minibatch // self.n_gpus
-        graph = TaskGraph(mode="harmony-dp", n_devices=self.n_gpus)
+        records: list[TaskRecord] = []
 
         fuse_last = opts.jit and config.jit_compute_aligned
-        fwd_packs = list(config.packs_f[:-1] if fuse_last else config.packs_f)
-        bwd_packs = list(config.packs_b)
-        bwd_starts = {pack.first for pack in bwd_packs}
+        fwd_packs = config.packs_f[:-1] if fuse_last else config.packs_f
+        bwd_packs = config.packs_b
+        stashes = self._stash_boundaries(fwd_packs, bwd_packs)
         budget = int(self.profiles.gpu.memory_bytes * opts.resident_boundary_frac)
 
-        bwd_tail: dict[tuple[int, int], list[int]] = {}  # (gpu, pack pos) -> tid
+        bwd_tail: dict[tuple[int, int], int] = {}  # (gpu, pack pos) -> tid
         for gpu in range(self.n_gpus):
+            at_gpu = f"@g{gpu}"
             stash_by_boundary: dict[int, _Producers] = {}
             prev_act: Optional[_Producers] = None
             prev_spilled = False
-            for pack in fwd_packs:
-                spill = self.profiles.boundary_out_bytes(pack, 1) * share > budget
-                tasks = self._emit_pass(
-                    graph, TaskKind.FWD, pack, gpu, share, config.u_f,
-                    f"F{pack}@g{gpu}",
+            for pack, boundaries in zip(fwd_packs, stashes):
+                parts = memo.packs[pack.first, pack.last]
+                producers = (len(records), config.u_f)
+                self._emit_fwd(
+                    records, pack, parts, gpu, share, config.u_f, prev_act,
+                    Channel.MSG if prev_spilled else Channel.LOCAL,
+                    boundaries, "F" + parts.name + at_gpu,
                 )
-                chain = Channel.MSG if prev_spilled else Channel.LOCAL
-                self._attach_fwd_moves(tasks, pack, bwd_starts, prev_act,
-                                       chain_channel=chain)
-                prev_act = self._as_producers(tasks)
-                for boundary in self._stash_boundaries(pack, bwd_starts):
-                    stash_by_boundary[boundary] = prev_act
-                prev_spilled = spill
+                prev_act = producers
+                for boundary in boundaries:
+                    stash_by_boundary[boundary] = producers
+                prev_spilled = parts.out_per_sample * share > budget
 
             prev_bwd: Optional[_Producers] = None
             for pos, pack in enumerate(reversed(bwd_packs)):
+                parts = memo.packs[pack.first, pack.last]
                 fused = fuse_last and pos == 0
-                tasks = self._emit_pass(
-                    graph, TaskKind.BWD, pack, gpu, share, config.u_b,
-                    ("FB" if fused else "B") + f"{pack}@g{gpu}",
-                    fused=fused,
+                producers = (len(records), config.u_b)
+                self._emit_bwd(
+                    records, pack, parts, gpu, share, config.u_b, fused,
+                    prev_act, prev_bwd, stash_by_boundary.get(pack.first),
+                    Channel.LOCAL,
+                    Channel.MSG if prev_spilled else Channel.LOCAL,
+                    ("FB" if fused else "B") + parts.name + at_gpu,
                 )
-                fused_chain = Channel.MSG if prev_spilled else Channel.LOCAL
-                self._attach_bwd_moves(
-                    tasks, pack, fused, prev_act, prev_bwd, stash_by_boundary,
-                    chain_channel=Channel.LOCAL, fused_channel=fused_chain,
-                )
-                prev_bwd = self._as_producers(tasks)
-                bwd_tail[(gpu, pos)] = tasks[-1].tid
+                prev_bwd = producers
+                bwd_tail[(gpu, pos)] = len(records) - 1
 
         # One (reduced) weight update per pack, spread across runtimes.
         for pos, pack in enumerate(reversed(bwd_packs)):
             deps = [bwd_tail[(g, pos)] for g in range(self.n_gpus)]
-            self._add_update_task(
-                graph, pack, src_bwd=deps[-1], device=pos % self.n_gpus,
-                extra_deps=deps[:-1],
-            )
-        return graph
+            self._emit_update(records, pack, memo.packs[pack.first, pack.last],
+                              deps[-1], pos % self.n_gpus, deps[:-1])
+        return records
 
-    # -- move attachment -----------------------------------------------------------
+    # -- task emission -------------------------------------------------------------
 
-    def _stash_boundaries(self, pack: Pack, bwd_starts: set[int]) -> list[int]:
-        """Backward-pack boundaries inside ``pack`` whose input activation
-        the forward pass must checkpoint (layer 0's input is the host-held
-        input data and needs no stash)."""
-        return [
-            b for b in sorted(bwd_starts)
-            if b != 0 and pack.first <= b <= pack.last
-        ]
-
-    def _attach_fwd_moves(
+    def _emit_fwd(
         self,
-        tasks: list[Task],
+        records: list[TaskRecord],
         pack: Pack,
-        bwd_starts: set[int],
+        parts: _PackParts,
+        device: int,
+        total: int,
+        u: int,
         prev_act: Optional[_Producers],
         chain_channel: Channel,
+        boundaries: tuple[int, ...],
+        label: str,
     ) -> None:
-        profiles = self.profiles
-        for task in tasks:
-            task.ins.append(Move(
-                tensor=TensorKind.W,
-                nbytes=profiles.pack_param_bytes(pack),
-                channel=Channel.SHM,
-                label=f"W{pack}",
-            ))
-        in_per_sample = profiles.boundary_in_bytes(pack, 1)
-        if pack.first == 0:
-            for task in tasks:
-                task.ins.append(Move(
-                    tensor=TensorKind.X,
-                    nbytes=in_per_sample * task.group_samples,
-                    channel=Channel.SWAP,
-                    label="input",
-                ))
-        else:
-            self._link_chain(tasks, prev_act, TensorKind.X, in_per_sample,
-                             chain_channel, f"X{pack}")
-        for boundary in self._stash_boundaries(pack, bwd_starts):
-            per_sample = profiles[boundary].act_in_bytes(1)
-            for task in tasks:
-                task.outs.append(Move(
-                    tensor=TensorKind.CKPT,
-                    nbytes=per_sample * task.group_samples,
-                    channel=Channel.MSG,
-                    label=f"ckpt@L{boundary}",
-                ))
-        for task in tasks:
-            task.resident_bytes = profiles.pack_fwd_memory(
-                pack, max(task.microbatches)
-            )
+        """The forward task(s) of ``pack``: weights in, the chain-head
+        activation (or the host input data) in, checkpoints out.
 
-    def _attach_bwd_moves(
+        Host-routed chains (message passing: the p2p ablation, or a DP
+        boundary spilled to host) are executed by the Runtime as a two-hop
+        relay -- producer GPU to host staging to consumer GPU -- so the
+        activation crosses PCIe twice and pays the host copy.
+        """
+        memo = self._memo
+        sources = self._sources(prev_act, total, u)
+        for (sizes, samples, umax), src in zip(memo.groups[total, u], sources):
+            if pack.first == 0:
+                x_in = memo.inputs[samples]
+            else:
+                x_in = MoveRecord(TensorKind.X, chain_channel,
+                                  parts.in_per_sample * samples, src,
+                                  "X" + parts.name)
+            records.append(TaskRecord(
+                TaskKind.FWD, device, pack.first, pack.last, sizes,
+                False, True, False, 0.0,
+                [parts.w_in, x_in],
+                [memo.ckpt_outs[b, samples] for b in boundaries],
+                self.profiles.pack_fwd_memory(pack, umax), label,
+            ))
+
+    def _emit_bwd(
         self,
-        tasks: list[Task],
+        records: list[TaskRecord],
         pack: Pack,
+        parts: _PackParts,
+        device: int,
+        total: int,
+        u: int,
         fused: bool,
         prev_act: Optional[_Producers],
         prev_bwd: Optional[_Producers],
-        stash_by_boundary: dict[int, _Producers],
+        stash: Optional[_Producers],
         chain_channel: Channel,
-        fused_channel: Optional[Channel] = None,
+        fused_channel: Channel,
+        label: str,
     ) -> None:
-        profiles = self.profiles
-        for task in tasks:
-            task.ins.append(Move(
-                tensor=TensorKind.W,
-                nbytes=profiles.pack_param_bytes(pack),
-                channel=Channel.SHM,
-                label=f"W{pack}",
-            ))
-        in_per_sample = profiles.boundary_in_bytes(pack, 1)
-        out_per_sample = profiles.boundary_out_bytes(pack, 1)
-
-        if fused:
-            # jit-compute: runs forward+backward; input is the previous
-            # forward pack's output (or the host dataloader when the fused
-            # pack is the whole model).
-            if pack.first == 0 or prev_act is None:
-                for task in tasks:
-                    task.ins.append(Move(
-                        tensor=TensorKind.X,
-                        nbytes=in_per_sample * task.group_samples,
-                        channel=Channel.SWAP,
-                        label="input",
-                    ))
-            else:
-                self._link_chain(
-                    tasks, prev_act, TensorKind.X, in_per_sample,
-                    fused_channel if fused_channel is not None else chain_channel,
-                    f"X{pack}",
-                )
-        else:
-            stash = stash_by_boundary.get(pack.first)
-            self._link_chain(tasks, stash, TensorKind.CKPT, in_per_sample,
-                             Channel.SWAP, f"ckpt{pack}")
-            if prev_bwd is not None:
-                self._link_chain(tasks, prev_bwd, TensorKind.DY, out_per_sample,
-                                 chain_channel, f"dY{pack}")
-
+        """The backward task(s) of ``pack``: weights in, then either the
+        forward input (jit-compute: the task runs forward+backward on the
+        previous forward pack's output, or on the host input data when
+        the fused pack is the whole model) or the stashed checkpoint plus
+        the upstream gradient; gradients out."""
+        opts = self.options
+        memo = self._memo
         # Gradients leave for the host optimizer (or for the late update
         # when jit is off); with a GPU-side jit update they stay resident.
-        if self.options.offload_optimizer or not self.options.jit:
-            for task in tasks:
-                task.outs.append(Move(
-                    tensor=TensorKind.DW,
-                    nbytes=profiles.pack_param_bytes(pack),
-                    channel=Channel.SWAP,
-                    label=f"dW{pack}",
-                ))
-        for task in tasks:
-            task.resident_bytes = profiles.pack_bwd_memory(
-                pack, max(task.microbatches)
-            )
+        dw_out = ([memo.dw_outs[pack.first, pack.last]]
+                  if opts.offload_optimizer or not opts.jit else [])
+        groups = memo.groups[total, u]
+        from_input = fused and (pack.first == 0 or prev_act is None)
+        if fused:
+            sources = self._sources(None if from_input else prev_act, total, u)
+        else:
+            sources = self._sources(stash, total, u)
+            dy_sources = self._sources(prev_bwd, total, u)
+        for i, (sizes, samples, umax) in enumerate(groups):
+            ins = [parts.w_in]
+            if from_input:
+                ins.append(memo.inputs[samples])
+            elif fused:
+                ins.append(MoveRecord(TensorKind.X, fused_channel,
+                                      parts.in_per_sample * samples,
+                                      sources[i], "X" + parts.name))
+            else:
+                ins.append(MoveRecord(TensorKind.CKPT, Channel.SWAP,
+                                      parts.in_per_sample * samples,
+                                      sources[i], "ckpt" + parts.name))
+                if prev_bwd is not None:
+                    ins.append(MoveRecord(TensorKind.DY, chain_channel,
+                                          parts.out_per_sample * samples,
+                                          dy_sources[i], "dY" + parts.name))
+            records.append(TaskRecord(
+                TaskKind.BWD, device, pack.first, pack.last, sizes,
+                fused, True, False, 0.0, ins, list(dw_out),
+                self.profiles.pack_bwd_memory(pack, umax), label,
+            ))
 
-    def _add_update_task(
+    def _emit_update(
         self,
-        graph: TaskGraph,
+        records: list[TaskRecord],
         pack: Pack,
+        parts: _PackParts,
         src_bwd: int,
         device: int,
-        extra_deps: Optional[list[int]] = None,
+        extra_deps: Sequence[int] = (),
     ) -> None:
         opts = self.options
         profiles = self.profiles
+        memo = self._memo
         on_cpu = opts.offload_optimizer
-        task = Task(
-            tid=len(graph.tasks),
-            kind=TaskKind.UPD,
-            first_layer=pack.first,
-            last_layer=pack.last,
-            device=device,
-            microbatches=(1,),
-            on_cpu=on_cpu,
-            compute_flops=profiles.pack_update_flops(pack),
-            label=f"U{pack}",
-        )
-        for dep in [src_bwd] + list(extra_deps or []):
-            task.ins.append(Move(
-                tensor=TensorKind.DW, nbytes=0, channel=Channel.LOCAL,
-                src_task=dep, label=f"dep:b{dep}",
-            ))
+        ins = [memo.dep_links[dep] for dep in (src_bwd, *extra_deps)]
+        outs: list[MoveRecord] = []
+        resident = 0
         if not on_cpu:
             if not opts.jit:
                 # Weights and gradients were evicted since backward; the
                 # late update must swap everything back in (the paper's
                 # "unnecessary swaps").
-                task.ins.append(Move(
-                    tensor=TensorKind.W,
-                    nbytes=profiles.pack_param_bytes(pack),
-                    channel=Channel.SHM, label=f"W{pack}",
-                ))
-                task.ins.append(Move(
-                    tensor=TensorKind.DW,
-                    nbytes=profiles.pack_param_bytes(pack),
-                    channel=Channel.SWAP, src_task=src_bwd, label=f"dW{pack}",
-                ))
-            task.ins.append(Move(
-                tensor=TensorKind.K,
-                nbytes=profiles.pack_optimizer_bytes(pack),
-                channel=Channel.SWAP, label=f"K{pack}",
-            ))
-            task.outs.append(Move(
-                tensor=TensorKind.W,
-                nbytes=profiles.pack_param_bytes(pack),
-                channel=Channel.SWAP, label=f"W'{pack}",
-            ))
-            task.outs.append(Move(
-                tensor=TensorKind.K,
-                nbytes=profiles.pack_optimizer_bytes(pack),
-                channel=Channel.SWAP, label=f"K'{pack}",
-            ))
-            task.resident_bytes = (
-                (2 + profiles.optimizer_slots) * profiles.pack_param_bytes(pack)
-            )
-        graph.add(task)
+                ins.append(parts.w_in)
+                ins.append(MoveRecord(TensorKind.DW, Channel.SWAP,
+                                      parts.w_in.nbytes, src_bwd,
+                                      "dW" + parts.name))
+            k_in, w_out, k_out = memo.optimizer_moves[pack.first, pack.last]
+            ins.append(k_in)
+            outs += (w_out, k_out)
+            resident = (2 + profiles.optimizer_slots) * parts.w_in.nbytes
+        records.append(TaskRecord(
+            TaskKind.UPD, device, pack.first, pack.last, (1,),
+            False, True, on_cpu, profiles.pack_update_flops(pack), ins, outs,
+            resident, "U" + parts.name,
+        ))

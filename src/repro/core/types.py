@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class TaskKind(enum.Enum):
@@ -124,6 +124,70 @@ class Task:
 
     def with_device(self, device: int) -> "Task":
         return replace(self, device=device)
+
+
+class MoveRecord(NamedTuple):
+    """A :class:`Move` as the graph builder emits it and the estimator
+    scores it: a plain tuple, so a search candidate's moves are cheap to
+    make and share, and :meth:`to_move` validates only the winner's."""
+
+    tensor: TensorKind
+    channel: Channel
+    nbytes: int
+    src_task: Optional[int]
+    label: str
+
+    @classmethod
+    def of(cls, move: Move) -> "MoveRecord":
+        return cls(move.tensor, move.channel, move.nbytes, move.src_task,
+                   move.label)
+
+    def to_move(self) -> Move:
+        return Move(tensor=self.tensor, nbytes=self.nbytes,
+                    channel=self.channel, src_task=self.src_task,
+                    label=self.label)
+
+
+class TaskRecord(NamedTuple):
+    """One task of a schedule as a flat record: everything the Runtime
+    Estimator reads, plus the resident bytes and label a :class:`Task`
+    made from it carries.  A record's tid is its index in its schedule."""
+
+    kind: TaskKind
+    device: int
+    first_layer: int
+    last_layer: int
+    microbatches: tuple[int, ...]
+    fused: bool
+    recompute: bool
+    on_cpu: bool
+    compute_flops: float
+    ins: list[MoveRecord]
+    outs: list[MoveRecord]
+    resident_bytes: int
+    label: str
+
+    @classmethod
+    def of(cls, task: Task) -> "TaskRecord":
+        return cls(
+            task.kind, task.device, task.first_layer, task.last_layer,
+            task.microbatches, task.fused, task.recompute, task.on_cpu,
+            task.compute_flops, [MoveRecord.of(m) for m in task.ins],
+            [MoveRecord.of(m) for m in task.outs], task.resident_bytes,
+            task.label,
+        )
+
+    def to_task(self, tid: int) -> Task:
+        return Task(
+            tid=tid, kind=self.kind, first_layer=self.first_layer,
+            last_layer=self.last_layer, device=self.device,
+            microbatches=self.microbatches, on_cpu=self.on_cpu,
+            fused=self.fused, recompute=self.recompute,
+            ins=[m.to_move() for m in self.ins],
+            outs=[m.to_move() for m in self.outs],
+            compute_flops=self.compute_flops,
+            resident_bytes=self.resident_bytes, label=self.label,
+        )
 
 
 @dataclass

@@ -200,8 +200,8 @@ class PlannerService:
         self.fleet = fleet
         #: rid -> (live reservation, virtual placement time)
         self._reservations: dict[int, tuple[FleetReservation, float]] = {}
-        #: (plan key, width, share, n_logical) -> certified bound plan
-        #: (None = analyzer rejected that placement shape)
+        #: (plan key, bound topology's fingerprint) -> certified bound
+        #: plan (None = analyzer rejected that placement)
         self.fleet_bounds: dict[tuple, Optional[Any]] = {}
         #: rid -> its reservation, kept after release for reporting
         self.fleet_placed: dict[int, FleetReservation] = {}
@@ -535,10 +535,10 @@ class PlannerService:
 
         Fleet mode gates serving on certification: the plan is bound
         onto the held reservation and re-proved by the analyzer against
-        the tenant's memory partition (memoized per placement shape, so
-        a storm pays each unique analysis once).  A rejected bind sheds
-        with ``SHED_NO_CAPACITY`` -- the fleet cannot honestly host the
-        job at its declared share."""
+        the tenant's memory partition (memoized per plan and bound
+        topology, so a storm pays each unique analysis once).  A rejected
+        bind sheds with ``SHED_NO_CAPACITY`` -- the fleet cannot honestly
+        host the job at its declared share."""
         if self.fleet is not None:
             held = self._reservations.get(request.rid)
             if held is not None:
@@ -657,19 +657,19 @@ class PlannerService:
 
     def _certify(self, request: PlanRequest, key: str, plan: Any,
                  reservation: FleetReservation) -> Optional[Any]:
-        """Analyzer-certified bound plan for (plan, placement shape), or
-        None when the partition cannot hold the schedule.  Memoized: the
-        shape, not the request, determines the verdict."""
+        """Analyzer-certified bound plan for (plan, bound topology), or
+        None when the partition cannot hold the schedule.  Memoized on
+        the content the verdict depends on: the plan and the binding the
+        reservation realizes, not the request or a summary of its shape."""
         assert self.fleet is not None
-        shape = (key, len(reservation.devices), reservation.share,
-                 reservation.n_logical)
-        if shape in self.fleet_bounds:
-            return self.fleet_bounds[shape]
+        memo_key = (key, reservation.binding().fingerprint())
+        if memo_key in self.fleet_bounds:
+            return self.fleet_bounds[memo_key]
         try:
             bound = self.fleet.bind(reservation, plan)
         except ScheduleAnalysisError:
             bound = None
-        self.fleet_bounds[shape] = bound
+        self.fleet_bounds[memo_key] = bound
         return bound
 
     # -- plan production ---------------------------------------------------------

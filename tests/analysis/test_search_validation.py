@@ -1,8 +1,9 @@
-"""The search scores unvalidated candidate graphs; plans are still certified.
+"""The search scores unvalidated candidate schedules; plans are still certified.
 
-``ConfigurationSearch`` estimates each candidate on the builder's
-``assemble`` output and only the winner goes through ``build`` (and so
-``TaskGraph.validate()``).  Two properties keep that sound:
+``ConfigurationSearch`` estimates each candidate on the builder's flat
+schedule records and only the winner becomes a graph, through ``build``
+(``assemble``, then ``TaskGraph.validate()``).  Two properties keep that
+sound:
 
 - every candidate the search explores is a valid graph anyway, so skipping
   its validation hides nothing (an invalid graph is a builder bug that
@@ -35,41 +36,51 @@ def test_every_explored_candidate_validates(model, mode):
         builder.assemble(explored.config).validate()
 
 
-def _corrupt_assemble(monkeypatch):
+def _corrupt_assemble(monkeypatch) -> list[int]:
     """From now on every assembled graph carries a ghost-peer p2p move:
-    the estimator prices it, only validation rejects it."""
+    the estimator would price it, only validation rejects it.
+
+    ``assemble`` is the one path by which ``build`` makes a graph; the
+    returned counter records each injection, so a test fails rather than
+    passing vacuously if graphs stop coming through it."""
     assemble = HarmonyGraphBuilder.assemble
+    injected = [0]
 
     def corrupted(self, config):
         graph = assemble(self, config)
         inject_illegal_p2p(graph, self.options)
+        injected[0] += 1
         return graph
 
     monkeypatch.setattr(HarmonyGraphBuilder, "assemble", corrupted)
+    return injected
 
 
 @pytest.mark.parametrize("mode", ("pp", "dp"))
 def test_plan_rejects_a_corrupted_chosen_graph(mode, monkeypatch):
     harmony = Harmony("toy-transformer", server_for(GPUS), MINIBATCH,
                       options=HarmonyOptions(mode=mode))
-    _corrupt_assemble(monkeypatch)
+    injected = _corrupt_assemble(monkeypatch)
     with pytest.raises(ScheduleAnalysisError, match="channel/bad-peer"):
         harmony.plan()
+    assert injected[0] == 1, "only the winner is assembled"
 
 
 def test_explicit_config_plan_rejects_a_corrupted_graph(monkeypatch):
     harmony = Harmony("toy-transformer", server_for(GPUS), MINIBATCH,
                       options=HarmonyOptions(mode="pp"))
     config = harmony.plan().config
-    _corrupt_assemble(monkeypatch)
+    injected = _corrupt_assemble(monkeypatch)
     with pytest.raises(ScheduleAnalysisError, match="channel/bad-peer"):
         harmony.plan(config=config)
+    assert injected[0] == 1
 
 
 def test_replan_rejects_a_corrupted_chosen_graph(monkeypatch):
     harmony = Harmony("toy-transformer", server_for(GPUS), MINIBATCH,
                       options=HarmonyOptions(mode="pp"))
     harmony.plan()  # the memoized full plan the re-plan reuses
-    _corrupt_assemble(monkeypatch)
+    injected = _corrupt_assemble(monkeypatch)
     with pytest.raises(ScheduleAnalysisError, match="channel/bad-peer"):
         harmony.plan_for_server(GPUS - 1)
+    assert injected[0] == 1

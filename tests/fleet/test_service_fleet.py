@@ -9,10 +9,12 @@ always drains back to zero occupancy.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.fleet import FleetPlacer, fleet_of
+from repro.fleet.placer import FleetReservation
 from repro.service import (
     Outcome,
     PlannerService,
@@ -24,6 +26,7 @@ from repro.service import (
 )
 from repro.trace import TraceRecorder
 from repro.trace.events import LANES
+from repro.virt.devices import DeviceBinding, VirtualTopology
 
 
 def _request(rid=0, *, tenant="t0", model="toy-transformer", minibatch=8,
@@ -125,6 +128,42 @@ class TestCertificationGate:
         assert len(service.fleet_bounds) == 1
         (bound,) = service.fleet_bounds.values()
         assert bound is not None and bound.binding.is_identity
+
+    def test_same_shape_different_topology_is_certified_separately(
+            self, monkeypatch):
+        """The memo is keyed on the bound topology's content, not on the
+        reservation's (width, share, n_logical) summary: two placements
+        of one shape whose bindings differ are each analysed."""
+        realize = FleetReservation.binding
+
+        def binding(self):
+            bound = realize(self)
+            if self.token % 2 == 0:
+                return bound
+            slower = VirtualTopology(tuple(
+                replace(device, flops_scale=0.5)
+                for device in bound.topology.devices
+            ))
+            return DeviceBinding(slower, bound.assignment)
+
+        monkeypatch.setattr(FleetReservation, "binding", binding)
+        service, by_rid = _serve([
+            _request(rid, tenant=f"t{rid}", gpus=4, arrival=40.0 * rid)
+            for rid in range(3)
+        ])
+        assert all(by_rid[r].outcome.group == "served" for r in range(3))
+        shapes = {
+            (res.n_devices, res.share, res.n_logical)
+            for res in service.fleet_placed.values()
+        }
+        assert len(shapes) == 1, "the three placements share one shape"
+        assert service.metrics.fleet_certified == 3
+        assert len(service.fleet_bounds) == 2
+        scales = sorted(
+            bound.binding.topology.devices[0].flops_scale
+            for bound in service.fleet_bounds.values()
+        )
+        assert scales == [0.5, 1.0]
 
 
 class TestReleaseHygiene:

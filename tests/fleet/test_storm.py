@@ -87,9 +87,8 @@ class TestStormCell:
             reservation = service.fleet_placed.get(result.request.rid)
             if reservation is None or not result.outcome.carries_plan:
                 continue
-            shape = (result.plan_key, len(reservation.devices),
-                     reservation.share, reservation.n_logical)
-            bound = service.fleet_bounds[shape]
+            bound = service.fleet_bounds[
+                (result.plan_key, reservation.binding().fingerprint())]
             assert bound is not None, (
                 f"req{result.request.rid} served off an uncertified bind"
             )

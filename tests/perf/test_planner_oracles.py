@@ -16,7 +16,18 @@ The refine step is compared on seeded random prefixes (ties, zero-time
 layers, one dominant layer, every pack count); the estimator by
 ``float.hex`` on every candidate graph of the search-pin problems, with
 all optimizations on and with each one ablated.
+
+The search scores candidates on the graph builder's flat schedule
+records and builds a task graph only for the winner.  On the same
+problems and arms, every candidate's record-scored estimate must equal
+the estimate of the graph built from those records, and the records
+must be exactly what that graph reads back as.  The builder's memo of
+candidate-independent moves lives for one search: nothing a plan keeps
+may hold it.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,12 +36,12 @@ from repro.common.errors import InfeasibleConfigError
 from repro.common.rng import seeded_rng
 from repro.core.decomposer import Decomposer
 from repro.core.estimator import RuntimeEstimator, _TaskTimes
-from repro.core.harmony import HarmonyOptions
+from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.packing import _refine_boundaries
 from repro.core.profiler import Profiler
 from repro.core.search import ConfigurationSearch
-from repro.core.taskgraph import mb_dependency
-from repro.core.types import Channel, TaskKind, TensorKind
+from repro.core.taskgraph import HarmonyGraphBuilder, mb_dependency
+from repro.core.types import Channel, TaskKind, TaskRecord, TensorKind
 from repro.experiments.common import server_for
 from repro.graph.layer import Phase
 from repro.models.zoo import build_model
@@ -247,11 +258,7 @@ PROBLEMS = (
 ABLATIONS = (None, "prefetch", "grouping", "p2p", "jit", "offload_optimizer")
 
 
-@pytest.mark.parametrize("ablation", ABLATIONS, ids=lambda a: a or "all-on")
-@pytest.mark.parametrize(
-    "problem", PROBLEMS, ids=lambda p: f"{p[0]}-{p[1]}-x{p[2]}-mb{p[3]}",
-)
-def test_estimator_matches_chunk_walk(problem, ablation):
+def _search(problem, ablation) -> ConfigurationSearch:
     model, mode, gpus, minibatch = problem
     options = HarmonyOptions(mode=mode)
     if ablation is not None:
@@ -259,10 +266,19 @@ def test_estimator_matches_chunk_walk(problem, ablation):
     server = server_for(gpus)
     decomposed = Decomposer(seed=options.seed).decompose(build_model(model))
     profiles = Profiler(server.gpu).profile(decomposed)
-    schedule = options.schedule_options()
-    search = ConfigurationSearch(profiles, server, minibatch, schedule,
-                                 options.search_settings())
-    naive = NaiveEstimator(profiles, server, prefetch=schedule.prefetch)
+    return ConfigurationSearch(profiles, server, minibatch,
+                               options.schedule_options(),
+                               options.search_settings())
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS, ids=lambda a: a or "all-on")
+@pytest.mark.parametrize(
+    "problem", PROBLEMS, ids=lambda p: f"{p[0]}-{p[1]}-x{p[2]}-mb{p[3]}",
+)
+def test_estimator_matches_chunk_walk(problem, ablation):
+    search = _search(problem, ablation)
+    naive = NaiveEstimator(search.profiles, search.server,
+                           prefetch=search.options.prefetch)
     compared = 0
     for config in search._enumerate_candidates():
         try:
@@ -273,3 +289,51 @@ def test_estimator_matches_chunk_walk(problem, ablation):
             naive.estimate(graph).hex(), config.describe()
         compared += 1
     assert compared
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS, ids=lambda a: a or "all-on")
+@pytest.mark.parametrize(
+    "problem", PROBLEMS, ids=lambda p: f"{p[0]}-{p[1]}-x{p[2]}-mb{p[3]}",
+)
+def test_record_scores_match_built_graphs(problem, ablation):
+    """Scoring a candidate's records is scoring the graph built from them.
+
+    The graph is made by the path ``build`` takes (``assemble``), with a
+    fresh builder, so the search builder's memo state cannot leak in."""
+    search = _search(problem, ablation)
+    fresh = HarmonyGraphBuilder(search.profiles, search.server.n_gpus,
+                                search.minibatch, search.options)
+    compared = 0
+    for config in search._enumerate_candidates():
+        try:
+            records = search.builder.records(config)
+        except InfeasibleConfigError:
+            continue
+        graph = fresh.assemble(config)
+        assert [TaskRecord.of(task) for task in graph.tasks] == records, \
+            config.describe()
+        assert search.estimator.estimate(records).hex() == \
+            search.estimator.estimate(graph).hex(), config.describe()
+        compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("mode", ("pp", "dp"))
+def test_plan_holds_no_builder_memo(mode, monkeypatch):
+    """Every builder's memo is freed once ``plan()`` returns: the plan
+    keeps its profiles, search result and graph, never the memo."""
+    memos = []
+    init = HarmonyGraphBuilder.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        memos.append(weakref.ref(self._memo))
+
+    monkeypatch.setattr(HarmonyGraphBuilder, "__init__", tracked)
+    plan = Harmony("gpt2", server_for(4), 16,
+                   options=HarmonyOptions(mode=mode)).plan()
+    gc.collect()
+    assert len(memos) == 2, "one builder for the search, one for the winner"
+    assert plan.search.explored and plan.graph.tasks
+    assert all(ref() is None for ref in memos), \
+        "a builder memo outlived plan()"

@@ -7,8 +7,10 @@ extra validation pass, a spurious engine event.  Those all change a
 suite pins, exactly:
 
 - one ``Harmony.plan()`` builds (and so validates) one graph: the winner;
-- ``HarmonyGraphBuilder.assemble`` runs once per search candidate, plus
-  once for that final build, and a second ``plan()`` is a memo hit;
+- ``HarmonyGraphBuilder.assemble`` runs once, for that build: candidates
+  are scored on the builder's schedule records, never on a task graph;
+- ``HarmonyGraphBuilder.records`` runs once per search candidate, plus
+  once for the winner's graph, and a second ``plan()`` is a memo hit;
 - the number of candidates Algorithm 1 enumerates;
 - the ``LayerProfile.time`` calls one ``plan()`` makes: one per layer
   per (phase, microbatch size) time table, however many packs and
@@ -49,7 +51,8 @@ class Case:
     mode: str
     gpus: int
     minibatch: int
-    #: ``n_feasible + n_infeasible`` of the search.
+    #: ``n_feasible + n_infeasible`` of the search: the schedules scored
+    #: from records, each without a task graph.
     candidates: int
     #: ``LayerProfile.time`` calls made by one ``plan()``.
     layer_times: int
@@ -91,6 +94,7 @@ def test_plan_and_run_do_exact_work(case, monkeypatch):
     counts: Counter = Counter()
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "build")
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "assemble")
+    _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "records")
     _count_calls(monkeypatch, counts, TaskGraph, "validate")
     _count_calls(monkeypatch, counts, LayerProfile, "time")
     simulators: list[Simulator] = []
@@ -107,11 +111,12 @@ def test_plan_and_run_do_exact_work(case, monkeypatch):
     plan = harmony.plan()
     search = plan.search
     assert search.n_feasible + search.n_infeasible == case.candidates
-    expected = {"build": 1, "validate": 1, "assemble": case.candidates + 1,
-                "time": case.layer_times}
+    expected = {"build": 1, "validate": 1, "assemble": 1,
+                "records": case.candidates + 1, "time": case.layer_times}
     assert counts == expected, (
-        "one plan() must build and validate only the winner, assemble "
-        "each candidate once and time each layer once per time table"
+        "one plan() must assemble, build and validate only the winner, "
+        "emit each candidate's records once and time each layer once per "
+        "time table"
     )
     assert harmony.plan() is plan
     assert counts == expected, "a second plan() must be a memo hit"
