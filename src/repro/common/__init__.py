@@ -3,6 +3,7 @@ subsystems."""
 
 from repro.common.units import KiB, MiB, GiB, KB, MB, GB, fmt_bytes, fmt_time
 from repro.common.rng import seeded_rng, spread, unit
+from repro.common.floats import ordered_sum
 from repro.common.errors import (
     ReproError,
     GpuOutOfMemoryError,
@@ -29,6 +30,7 @@ __all__ = [
     "seeded_rng",
     "spread",
     "unit",
+    "ordered_sum",
     "ReproError",
     "GpuOutOfMemoryError",
     "HostOutOfMemoryError",

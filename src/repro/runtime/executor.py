@@ -34,6 +34,7 @@ bit-identical to the pre-fault runtime.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from repro.analysis.diagnostics import stream_ref, task_ref
@@ -66,6 +67,14 @@ DEFAULT_MAX_STEPS = 50_000_000
 
 def _is_per_task(move: Move) -> bool:
     return move.tensor in _PER_TASK_TENSORS
+
+
+@lru_cache(maxsize=1024)
+def _mb_dependency(producer_sizes: tuple[int, ...],
+                   consumer_sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`mb_dependency`, computed once per pair of microbatch groups
+    rather than once per chunk."""
+    return tuple(mb_dependency(producer_sizes, consumer_sizes))
 
 
 def _chunk_sizes(nbytes: int, microbatches: tuple[int, ...]) -> list[int]:
@@ -420,7 +429,8 @@ class Executor:
             return producer.done
         if producer.task.group_samples != consumer.group_samples:
             return producer.done
-        dep_map = mb_dependency(producer.task.microbatches, consumer.microbatches)
+        dep_map = _mb_dependency(producer.task.microbatches,
+                                 consumer.microbatches)
         return producer.mb_done[dep_map[mb_index]]
 
     def _p2p_source(self, device: int, move: Move) -> int:

@@ -4,23 +4,60 @@ The Scheduler estimates with regressed profiles; the Runtime executes with
 the *true* per-layer kernel times (including the deterministic kernel
 noise), which is exactly the estimated-vs-actual gap Figure 14 measures.
 
-A run asks for the same pack at the same microbatch size over and over
-(every microbatch of every task, every iteration, every chaos retry), and
-each answer is a pure function of frozen inputs (``LayerUnit``,
-``GpuSpec``).  So each instance tabulates pack times (GPU weight updates
-included) on first use.  An entry is filled by the same left-to-right
-``sum`` the naive path computes, so a table hit is the identical float;
-the table lives and dies with the instance and needs no invalidation.
+A layer's true kernel time is a pure function of the model's content, the
+GPU, the kernel-noise seed, the phase and the microbatch size, and every
+run of a model asks for the same few of them.  So the per-layer times live
+in one process-wide store (``_STORE``, bounded LRU, like the profiler's):
+per model, one row of layer times per ``(phase, microbatch size)``, each
+time drawn on first use.  A new :class:`TrueTimeModel` of a model already
+run draws no kernel noise at all.
+
+Each instance also tabulates pack times (GPU weight updates included),
+because a run asks for the same pack at the same microbatch size over and
+over (every microbatch of every task, every iteration, every chaos retry).
+A pack time is the left-to-right sum of its layers' times, so a table hit
+is the identical float the naive path computes.  ``REPRO_PERF_DISABLE=1``
+turns both tables off.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from typing import Optional
+
+from repro.common.fingerprint import fingerprint
+from repro.common.floats import ordered_sum
 from repro.core.decomposer import DecomposedModel
 from repro.core.types import Task, TaskKind
 from repro.graph.layer import Phase
 from repro.hardware.gpu import GpuSpec
 from repro.hardware.host import HostSpec
 from repro.perf import perf_enabled
+
+#: Most models whose kernel times the store keeps; the least recently used
+#: is evicted, so a long-running service stays bounded.
+KERNEL_STORE_SIZE = 64
+
+#: (phase, microbatch size) -> per-layer true kernel times (None: not yet
+#: drawn).  GPU weight updates are the UPD phase at u = 1.
+_Rows = dict[tuple[Phase, int], list[Optional[float]]]
+
+#: The kernel-time store: rows by ``fingerprint(model, gpu, seed)``, least
+#: recently used first.
+_STORE: OrderedDict[str, _Rows] = OrderedDict()
+
+
+def _kernel_rows(decomposed: DecomposedModel, gpu: GpuSpec) -> _Rows:
+    """The shared rows of ``decomposed`` on ``gpu`` (created if new)."""
+    key = fingerprint(decomposed.model.fingerprint, gpu, decomposed.seed)
+    rows = _STORE.get(key)
+    if rows is None:
+        rows = _STORE[key] = {}
+        if len(_STORE) > KERNEL_STORE_SIZE:
+            _STORE.popitem(last=False)
+    else:
+        _STORE.move_to_end(key)
+    return rows
 
 
 class TrueTimeModel:
@@ -32,18 +69,27 @@ class TrueTimeModel:
         self.gpu = gpu
         self.host = host
         self.cores_per_runtime = max(1, host.cores // max(1, n_gpus))
-        self._tabulate = perf_enabled()
-        #: (phase, first_layer, last_layer, u) -> summed kernel time; GPU
-        #: weight updates are the UPD phase at u = 1
+        #: Shared per-layer kernel times, or None when perf is disabled.
+        self._rows = _kernel_rows(decomposed, gpu) if perf_enabled() else None
+        #: (phase, first_layer, last_layer, u) -> summed kernel time
         self._pack_times: dict[tuple[Phase, int, int, int], float] = {}
 
     def _layer_sum(self, task: Task, phase: Phase, u: int) -> float:
-        return sum(
-            self.units[i].run_time(self.gpu, phase, u) for i in task.layers
-        )
+        rows = self._rows
+        if rows is None:
+            return ordered_sum(
+                self.units[i].run_time(self.gpu, phase, u) for i in task.layers
+            )
+        row = rows.get((phase, u))
+        if row is None:
+            row = rows[(phase, u)] = [None] * len(self.units)
+        for i in task.layers:
+            if row[i] is None:
+                row[i] = self.units[i].run_time(self.gpu, phase, u)
+        return ordered_sum(row[task.first_layer:task.last_layer + 1])
 
     def _pack_time(self, task: Task, phase: Phase, u: int) -> float:
-        if not self._tabulate:
+        if self._rows is None:
             return self._layer_sum(task, phase, u)
         key = (phase, task.first_layer, task.last_layer, u)
         t = self._pack_times.get(key)
@@ -80,4 +126,5 @@ class TrueTimeModel:
         """Total compute across the task's microbatch group."""
         if task.kind is TaskKind.UPD:
             return self.update_time(task)
-        return sum(self.microbatch_time(task, u) for u in task.microbatches)
+        return ordered_sum(self.microbatch_time(task, u)
+                           for u in task.microbatches)

@@ -2,8 +2,23 @@
 
 The kernel follows the SimPy model: a *process* is a Python generator that
 yields :class:`SimEvent` objects; yielding suspends the process until the
-event fires.  The :class:`Simulator` owns virtual time and a binary heap of
-scheduled callbacks.
+event fires.  The :class:`Simulator` owns virtual time and the scheduled
+callbacks: a binary heap for future ones and a FIFO for zero-delay ones
+(event wake-ups, process starts), which make up most of a run.
+
+Dispatch order
+--------------
+
+Every scheduled callback gets a sequence number, and callbacks run in
+``(time, seq)`` order -- exactly the order one heap of ``(time, seq)``
+entries would pop.  A zero-delay callback is due at the current time and
+its ``seq`` is the largest yet, so the FIFO is sorted by ``(time, seq)``
+too; each step runs the lower of the FIFO's head and the heap's.  The
+heap head wins a tie on time when it was scheduled earlier (a timeout
+due now), which is what keeps the merge equal to the single heap.
+Scheduling hops are part of that order: a timeout's waiter runs one hop
+after the timeout fires, never inside it, so same-time events interleave
+as they always have.
 
 Only the features the Harmony runtime needs are implemented -- timeouts,
 composable events, FIFO resources, interruptible (failable) events, and a
@@ -28,7 +43,10 @@ a hang.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.common.errors import SimulationError
@@ -51,7 +69,8 @@ class SimEvent:
     and a pre-run diagnostic point at the same schedule entity.
     """
 
-    __slots__ = ("sim", "name", "_fired", "_value", "_exc", "_waiters")
+    __slots__ = ("sim", "name", "_fired", "_value", "_exc", "_waiters",
+                 "__weakref__")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -93,9 +112,17 @@ class SimEvent:
             raise SimulationError(f"{self._label()} fired twice")
         self._fired = True
         self._value = value
-        waiters, self._waiters = self._waiters, []
-        for callback in waiters:
-            self.sim.schedule(0.0, callback, value)
+        waiters = self._waiters
+        if waiters:
+            # Inlined ``sim.schedule(0.0, callback, value)`` per waiter.
+            self._waiters = []
+            sim = self.sim
+            now, seq, append = sim._now, sim._seq, sim._fifo.append
+            args = (value,)
+            for callback in waiters:
+                seq += 1
+                append((now, seq, callback, args))
+            sim._seq = seq
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
@@ -138,6 +165,8 @@ class SimEvent:
 class Timeout(SimEvent):
     """An event that fires ``delay`` seconds after creation."""
 
+    __slots__ = ()
+
     def __init__(self, sim: "Simulator", delay: float):
         super().__init__(sim)
         if delay < 0:
@@ -155,6 +184,8 @@ class AllOf(SimEvent):
     reports the failure as soon as it is known).
     """
 
+    __slots__ = ("_events", "_remaining")
+
     def __init__(self, sim: "Simulator", events: Iterable[SimEvent],
                  name: str = ""):
         super().__init__(sim, name=name)
@@ -164,9 +195,9 @@ class AllOf(SimEvent):
             sim.schedule(0.0, self.succeed, [])
             return
         for event in self._events:
-            event.add_callback(lambda _v, e=event: self._one_done(e))
+            event.add_callback(partial(self._one_done, event))
 
-    def _one_done(self, event: SimEvent) -> None:
+    def _one_done(self, event: SimEvent, _value: Any) -> None:
         if self._fired:
             return
         if event.failed:
@@ -185,26 +216,37 @@ class Process(SimEvent):
     another process to join it).  An exception escaping the generator --
     either raised directly or thrown in by a failed event it was waiting
     on -- fails the process event, propagating the failure to joiners.
+
+    While waiting, the process holds the event in ``_target`` and the
+    event holds a freshly bound ``_resume`` among its waiters; the resume
+    clears ``_target``, so a finished process is freed by reference
+    counting.  (A bound method cached on the process itself would be a
+    reference cycle that only the cyclic collector frees.)
     """
+
+    __slots__ = ("_body", "_target")
 
     def __init__(self, sim: "Simulator", body: ProcessBody, name: str = "proc"):
         super().__init__(sim, name=name)
         self._body = body
+        self._target: Optional[SimEvent] = None
         sim._register_process(self)
-        sim.schedule(0.0, self._step, None)
+        sim.schedule(0.0, self._resume, None)
 
-    def _step(self, value: Any) -> None:
-        self._advance(self._body.send, value)
-
-    def _resume(self, event: SimEvent) -> None:
-        if event.failed:
-            self._advance(self._body.throw, event.exception)
-        else:
-            self._advance(self._body.send, event.value)
-
-    def _advance(self, dispatch: Callable[[Any], Any], arg: Any) -> None:
+    def _resume(self, _value: Any) -> None:
+        """Advance the generator past its wait on ``_target`` (or start
+        it), then wait on whatever it yields next."""
+        event = self._target
         try:
-            target = dispatch(arg)
+            if event is None:
+                target = self._body.send(None)
+            else:
+                self._target = None
+                exc = event._exc
+                if exc is None:
+                    target = self._body.send(event._value)
+                else:
+                    target = self._body.throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             self.sim._unregister_process(self)
@@ -221,7 +263,13 @@ class Process(SimEvent):
                 f"process {self.name!r} yielded {target!r}; processes must "
                 "yield SimEvent instances"
             )
-        target.add_callback(lambda _v, ev=target: self._resume(ev))
+        self._target = target
+        if target._fired:
+            sim = self.sim
+            sim._seq += 1
+            sim._fifo.append((sim._now, sim._seq, self._resume, (None,)))
+        else:
+            target._waiters.append(self._resume)
 
 
 class Resource:
@@ -264,7 +312,8 @@ class Resource:
 
 
 class Simulator:
-    """The event loop: virtual clock plus a heap of scheduled callbacks.
+    """The event loop: virtual clock plus the scheduled callbacks (a heap
+    for future ones, a FIFO for zero-delay ones; see the module docstring).
 
     The loop carries a watchdog: ``run(max_steps=...)`` bounds the number
     of executed callbacks and ``run(horizon=...)`` bounds virtual time;
@@ -276,6 +325,9 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        #: Zero-delay callbacks, same entries as the heap, in seq order.
+        self._fifo: deque[tuple[float, int, Callable[..., None], tuple]] = \
+            deque()
         self._seq = 0
         self._steps = 0
         self._unhandled: list[tuple[SimEvent, BaseException]] = []
@@ -310,7 +362,11 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, callback, args))
+        if delay == 0:
+            self._fifo.append((self._now, self._seq, callback, args))
+        else:
+            heapq.heappush(self._heap,
+                           (self._now + delay, self._seq, callback, args))
 
     def event(self, name: str = "") -> SimEvent:
         return SimEvent(self, name=name)
@@ -362,34 +418,53 @@ class Simulator:
         """
         if self._unhandled:
             self._raise_unhandled()
-        # The heap and pop are bound to locals: this loop runs once per
-        # scheduled callback and is re-entered thousands of times across
-        # a chaos sweep, so attribute lookups in it are measurable.
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            time, _seq, callback, args = heap[0]
-            if until is not None and time > until:
-                self._now = until
+        # Everything the loop touches is bound to locals: it runs once per
+        # scheduled callback and is re-entered thousands of times across a
+        # chaos sweep, so attribute lookups in it are measurable.
+        heap, fifo, unhandled = self._heap, self._fifo, self._unhandled
+        heappop, popleft = heapq.heappop, fifo.popleft
+        # One comparison per step guards both ``until`` and ``horizon``.
+        bound = min((t for t in (until, horizon) if t is not None),
+                    default=math.inf)
+        limit = sys.maxsize if max_steps is None else max_steps
+        while True:
+            if fifo:
+                item = fifo[0]
+                from_heap = False
+                # Tuples compare by (time, seq): an earlier-scheduled heap
+                # entry due now still runs first.
+                if heap and heap[0] < item:
+                    item = heap[0]
+                    from_heap = True
+            elif heap:
+                item = heap[0]
+                from_heap = True
+            else:
                 return self._now
-            if horizon is not None and time > horizon:
+            time = item[0]
+            if time > bound:
+                if until is not None and time > until:
+                    self._now = until
+                    return until
                 raise SimulationError(
                     f"simulation exceeded its virtual-time horizon "
                     f"({horizon:.6g}s) with work still pending; pending "
                     f"processes: {self._pending_processes()}"
                 )
-            if max_steps is not None and self._steps >= max_steps:
+            if self._steps >= limit:
                 raise SimulationError(
                     f"simulation exceeded {max_steps} steps without "
                     f"draining (suspected runaway or leaked process); "
                     f"pending processes: {self._pending_processes()}"
                 )
-            heappop(heap)
+            if from_heap:
+                heappop(heap)
+            else:
+                popleft()
             if time < self._now - 1e-12:
                 raise SimulationError("event heap time went backwards")
             self._now = time
             self._steps += 1
-            callback(*args)
-            if self._unhandled:
+            item[2](*item[3])
+            if unhandled:
                 self._raise_unhandled()
-        return self._now

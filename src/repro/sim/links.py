@@ -31,9 +31,11 @@ Two fault-injection surfaces live here so the chaos subsystem
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Generator, Iterable, Optional, Sequence
 
 from repro.common.errors import SimulationError, TransferFaultError
+from repro.common.floats import ordered_sum
 from repro.sim.engine import Resource, Simulator
 
 
@@ -95,6 +97,9 @@ class NetworkLink(Link):
             f"NetworkLink({self.name}, {self.bandwidth / 1e9:.1f} GB/s, "
             f"{self.latency * 1e6:.0f}us)"
         )
+
+
+_link_id = attrgetter("link_id")
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,12 @@ def transfer(
         return
     trace = sim.trace
     requested = sim.now
-    ordered = sorted(path, key=lambda link: link.link_id)
+    ordered = sorted(path, key=_link_id)
     for link in ordered:
         yield link._resource.request()
     acquired = sim.now
-    duration = sum(link.latency for link in path) + nbytes / min(
-        link.effective_bandwidth(sim.now) for link in path
+    duration = ordered_sum(link.latency for link in path) + nbytes / min(
+        link.effective_bandwidth(acquired) for link in path
     )
     if fault is not None:
         held = duration * fault.fraction
@@ -209,4 +214,4 @@ def path_time(path: Iterable[Link], nbytes: int) -> float:
     bandwidths = [link.bandwidth for link in hops]
     if not bandwidths or nbytes <= 0:
         return 0.0
-    return sum(link.latency for link in hops) + nbytes / min(bandwidths)
+    return ordered_sum(link.latency for link in hops) + nbytes / min(bandwidths)

@@ -37,6 +37,7 @@ class Stream:
         #: Trace lane: the short stream name ("compute", "swap_in", ...).
         self.lane = name.rsplit(".", 1)[-1]
         self._queue: deque[tuple[Generator, SimEvent, str]] = deque()
+        self._op_name = f"{name}:op"
         self._running = False
         self.busy_time = 0.0
         self._ops_done = 0
@@ -92,7 +93,7 @@ class Stream:
             trace = self.sim.trace
             start = self.sim.now
             try:
-                result = yield self.sim.process(op, name=f"{self.name}:op")
+                result = yield self.sim.process(op, name=self._op_name)
             except Exception as exc:
                 # The op failed; fail its completion event so dependents
                 # observe the typed error, and keep serving the queue.

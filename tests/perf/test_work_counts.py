@@ -16,6 +16,10 @@ suite pins, exactly:
   per (phase, microbatch size) time table, however many packs and
   candidates are timed from it;
 - the ``Simulator.steps`` one simulated iteration drains;
+- the ``LayerUnit.run_time`` calls (true kernel times) the first run of
+  a plan draws, one per layer per (phase, microbatch size) it runs, and
+  that a second run from a new ``Harmony`` draws none: the kernel-time
+  store is shared across runs;
 - the interval unions one ``analyze_trace`` makes over a traced gpt2
   iteration: one per (device, track) and one per link, not one per
   (waiting transfer, link) pair.
@@ -31,16 +35,18 @@ speed is measured by the repository benchmark under ``bench/``.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 import pytest
 
+from repro.core.decomposer import LayerUnit
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.profiler import LayerProfile
 from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskGraph
 from repro.experiments.common import server_for
+from repro.runtime import timemodel
 from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder, analytics
 
@@ -58,17 +64,22 @@ class Case:
     layer_times: int
     #: ``Simulator.steps`` drained by ``run(plan=..., iterations=1)``.
     steps: int
+    #: ``LayerUnit.run_time`` calls made by that run, kernel store cold.
+    kernel_times: int
     #: Ceiling on ``|best_estimate - iteration_time| / iteration_time``.
     max_drift: float
 
 
 CASES = (
     Case("toy-transformer", "pp", 2, 8,
-         candidates=48, layer_times=80, steps=478, max_drift=0.39),
+         candidates=48, layer_times=80, steps=478, kernel_times=25,
+         max_drift=0.39),
     Case("tiny-cnn", "dp", 2, 8,
-         candidates=9, layer_times=78, steps=174, max_drift=0.17),
+         candidates=9, layer_times=78, steps=174, kernel_times=26,
+         max_drift=0.17),
     Case("gpt2", "pp", 4, 32,
-         candidates=68, layer_times=624, steps=5942, max_drift=0.02),
+         candidates=68, layer_times=624, steps=5942, kernel_times=152,
+         max_drift=0.02),
 )
 
 #: ``analytics._union`` calls one ``analyze_trace`` makes over a traced
@@ -121,10 +132,23 @@ def test_plan_and_run_do_exact_work(case, monkeypatch):
     assert harmony.plan() is plan
     assert counts == expected, "a second plan() must be a memo hit"
 
+    monkeypatch.setattr(timemodel, "_STORE", OrderedDict())
+    kernel_counts: Counter = Counter()
+    _count_calls(monkeypatch, kernel_counts, LayerUnit, "run_time")
     report = harmony.run(plan=plan, iterations=1)
     iteration_time = report.metrics.iteration_time
     assert len(simulators) == 1
     assert simulators[0].steps == case.steps
+    assert kernel_counts == {"run_time": case.kernel_times}
+    kernel_counts.clear()
+    rerun = Harmony(case.model, server_for(case.gpus), case.minibatch,
+                    options=HarmonyOptions(mode=case.mode))
+    rerun.run(plan=plan, iterations=1)
+    assert kernel_counts == {}, (
+        "a second run of the plan must take every kernel time from the "
+        "store"
+    )
+    assert simulators[1].steps == case.steps
     drift = (search.best_estimate - iteration_time) / iteration_time
     assert abs(drift) <= case.max_drift, (
         f"estimator drift {drift:+.3f} exceeds the ceiling "

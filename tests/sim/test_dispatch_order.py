@@ -1,0 +1,235 @@
+"""Dispatch-order oracle: the FIFO/heap merge equals one heap.
+
+The engine keeps zero-delay callbacks in a FIFO beside its heap and runs
+the lower ``(time, seq)`` of the two heads each step.  The reference here
+is the older kernel: every callback, zero-delay or not, on one heap,
+drained by the heap-only loop below.  Seeded random process soups run on
+both, and the ``(now, label)`` logs the processes write, the unhandled
+failures the driver sees and the step counts must all be equal.
+
+The soups mix zero, tied and positive delays, delays absorbed by a huge
+clock (a heap entry due *now* scheduled after FIFO entries), shared
+events that succeed or fail, ``AllOf`` gates, contended resources,
+joins, failing processes and ``run(until=...)`` pauses with work
+injected between them.
+"""
+
+from __future__ import annotations
+
+import heapq
+import random
+from typing import Optional
+
+import pytest
+
+from repro.common.errors import SimulationError
+from repro.sim.engine import Resource, SimEvent, Simulator
+
+
+class _OnTheHeap:
+    """Stands in for the FIFO: every zero-delay entry goes on the heap."""
+
+    def __init__(self, heap: list) -> None:
+        self.heap = heap
+
+    def append(self, entry: tuple) -> None:
+        heapq.heappush(self.heap, entry)
+
+
+class HeapSimulator(Simulator):
+    """The reference kernel: one heap of ``(time, seq)`` entries."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._fifo = _OnTheHeap(self._heap)  # type: ignore[assignment]
+
+    def run(self, until: Optional[float] = None,
+            max_steps: Optional[int] = None,
+            horizon: Optional[float] = None) -> float:
+        if self._unhandled:
+            self._raise_unhandled()
+        heap = self._heap
+        heappop = heapq.heappop
+        while heap:
+            time, _seq, callback, args = heap[0]
+            if until is not None and time > until:
+                self._now = until
+                return self._now
+            if horizon is not None and time > horizon:
+                raise SimulationError("horizon")
+            if max_steps is not None and self._steps >= max_steps:
+                raise SimulationError("max_steps")
+            heappop(heap)
+            if time < self._now - 1e-12:
+                raise SimulationError("event heap time went backwards")
+            self._now = time
+            self._steps += 1
+            callback(*args)
+            if self._unhandled:
+                self._raise_unhandled()
+        return self._now
+
+
+class SoupError(Exception):
+    """The failure a soup injects."""
+
+
+#: Delay grid: repeated values make many callbacks tie on time.
+DELAYS = (0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0)
+#: A clock this large absorbs the grid's positive delays: ``now + 0.25``
+#: is ``now``, so a heap entry lands due now behind FIFO entries.
+HUGE = 1e16
+
+
+def _script(rng: random.Random, depth: int) -> list[tuple]:
+    """One process's actions, drawn up front so both kernels get the same
+    soup whatever order they run it in."""
+    actions = []
+    for _ in range(rng.randint(2, 8)):
+        kind = rng.choice(("sleep", "sleep", "wait", "fire", "use", "all",
+                           "join", "spawn", "raise", "schedule"))
+        if kind == "sleep":
+            delay = rng.choice(DELAYS) if rng.random() < 0.8 else rng.random()
+            actions.append(("sleep", delay))
+        elif kind in ("wait", "fire"):
+            actions.append((kind, rng.randrange(6), rng.random() < 0.7))
+        elif kind == "use":
+            actions.append(("use", rng.randrange(2), rng.choice(DELAYS)))
+        elif kind == "all":
+            events = rng.sample(range(6), rng.randint(0, 3))
+            actions.append(("all", events, rng.choice(DELAYS)))
+        elif kind == "join":
+            actions.append(("join", rng.randrange(64)))
+        elif kind == "spawn" and depth < 2:
+            actions.append(("spawn", _script(rng, depth + 1)))
+        elif kind == "raise":
+            actions.append(("raise",))
+            break
+        elif kind == "schedule":
+            actions.append(("schedule", rng.choice(DELAYS)))
+    return actions
+
+
+class Soup:
+    """Builds and drives one seeded soup on a given kernel."""
+
+    def __init__(self, sim: Simulator, seed: int) -> None:
+        rng = random.Random(f"dispatch-soup:{seed}")
+        self.sim = sim
+        self.log: list[tuple[float, str]] = []
+        self.events = [sim.event(name=f"e{i}") for i in range(6)]
+        self.resources = [Resource(sim, capacity=1), Resource(sim, capacity=2)]
+        self.processes: list[SimEvent] = []
+        huge = rng.random() < 0.3
+        self.scripts = [
+            ([("sleep", HUGE)] if huge else []) + _script(rng, 0)
+            for _ in range(rng.randint(3, 12))
+        ]
+        self.pauses = sorted(rng.choice(DELAYS) * rng.randint(1, 4)
+                             for _ in range(rng.randint(0, 3)))
+        if huge:
+            self.pauses = [HUGE + p for p in self.pauses]
+        self.late = [_script(rng, 1) for _ in self.pauses]
+
+    def spawn(self, script: list[tuple]) -> None:
+        pid = len(self.processes)
+        self.processes.append(
+            self.sim.process(self._body(pid, script), name=f"p{pid}"))
+
+    def _note(self, pid: int, what: str) -> None:
+        self.log.append((self.sim.now, f"p{pid}:{what}"))
+
+    def _body(self, pid: int, script: list[tuple]):
+        sim = self.sim
+        self._note(pid, "start")
+        for step, action in enumerate(script):
+            kind = action[0]
+            try:
+                if kind == "sleep":
+                    yield sim.timeout(action[1])
+                elif kind == "wait":
+                    value = yield self.events[action[1]]
+                    self._note(pid, f"{step}:got:{value}")
+                elif kind == "fire":
+                    event = self.events[action[1]]
+                    if not event.fired:
+                        if action[2]:
+                            event.succeed(f"v{pid}.{step}")
+                        else:
+                            event.fail(SoupError(f"f{pid}.{step}"))
+                elif kind == "use":
+                    resource = self.resources[action[1]]
+                    yield resource.request()
+                    self._note(pid, f"{step}:granted")
+                    yield sim.timeout(action[2])
+                    resource.release()
+                elif kind == "all":
+                    members = [self.events[i] for i in action[1]]
+                    members.append(sim.timeout(action[2]))
+                    yield sim.all_of(members)
+                elif kind == "join":
+                    if action[1] < len(self.processes):
+                        value = yield self.processes[action[1]]
+                        self._note(pid, f"{step}:joined:{value}")
+                elif kind == "spawn":
+                    self.spawn(action[1])
+                elif kind == "raise":
+                    raise SoupError(f"p{pid} raised")
+                elif kind == "schedule":
+                    sim.schedule(action[1], self._note, pid, f"{step}:cb")
+            except SoupError as exc:
+                if kind == "raise":
+                    raise  # fails the process, and so its joiners
+                self._note(pid, f"{step}:caught:{exc}")
+            self._note(pid, f"{step}:{kind}")
+        return pid
+
+    def drive(self) -> int:
+        for script in self.scripts:
+            self.spawn(script)
+        for until, late in zip(self.pauses + [None], self.late + [None]):
+            while True:
+                try:
+                    self.sim.run(until=until)
+                    break
+                except SoupError as exc:
+                    self.log.append((self.sim.now, f"unhandled:{exc}"))
+            self.log.append((self.sim.now, "pause"))
+            if late is not None:
+                self.spawn(late)
+                self.sim.schedule(0.0, self._note, -1, "injected")
+        return self.sim.steps
+
+
+def _drive(kernel: type, seed: int) -> tuple[list, int]:
+    soup = Soup(kernel(), seed)
+    steps = soup.drive()
+    return soup.log, steps
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_merge_dispatches_like_one_heap(block):
+    for seed in range(block * 40, (block + 1) * 40):
+        expected_log, expected_steps = _drive(HeapSimulator, seed)
+        log, steps = _drive(Simulator, seed)
+        assert log == expected_log, f"seed {seed}"
+        assert steps == expected_steps, f"seed {seed}"
+
+
+def test_soups_reach_the_interesting_cases():
+    """The soups really do hit ties, failures, pauses and contention."""
+    seen: set[str] = set()
+    for seed in range(320):
+        log, _ = _drive(Simulator, seed)
+        text = " ".join(label for _, label in log)
+        for needle in ("caught", "unhandled", "granted", "joined", "got",
+                       "injected", ":cb"):
+            if needle in text:
+                seen.add(needle)
+        times = [t for t, _ in log]
+        if len(times) != len(set(times)):
+            seen.add("ties")
+        if any(t >= HUGE for t in times):
+            seen.add("huge")
+    assert seen == {"caught", "unhandled", "granted", "joined", "got",
+                    "injected", ":cb", "ties", "huge"}

@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim.engine import AllOf, Resource, SimEvent, Simulator, Timeout
+from repro.sim.stream import Stream
 
 
 class TestSimulatorBasics:
@@ -268,3 +272,68 @@ class TestProcessRegistry:
         sim.process(stuck(), name="stuck-proc")
         sim.run()  # drains the heap; the process is still pending
         assert "stuck-proc" in sim._pending_processes()
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees objects inside the test."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestFreedByRefcount:
+    """Finished work must not sit in reference cycles.
+
+    A run spawns one short-lived process per stream operation; if a
+    finished process, the events it waited on or its generator were only
+    freeable by the cyclic collector, every pass would hold them until
+    the next collection (a bound ``_resume`` cached on the process is
+    such a cycle).
+    """
+
+    def test_finished_process_and_its_targets_are_freed(self, sim,
+                                                         no_cyclic_gc):
+        gate = sim.event("gate")
+        refs = [weakref.ref(gate)]
+
+        def body():
+            for delay in (1.0, 0.0):
+                timeout = sim.timeout(delay)
+                refs.append(weakref.ref(timeout))
+                yield timeout
+            yield gate
+            inner = sim.process(child())
+            refs.append(weakref.ref(inner))
+            return (yield inner)
+
+        def child():
+            yield sim.timeout(0.5)
+            return "ok"
+
+        body_gen = body()
+        proc = sim.process(body_gen)
+        refs += [weakref.ref(proc), weakref.ref(body_gen)]
+        sim.schedule(2.0, gate.succeed)
+        sim.run()
+        assert proc.value == "ok"
+        del gate, proc, body_gen
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_drained_stream_op_is_freed(self, sim, no_cyclic_gc):
+        stream = Stream(sim, "gpu0.compute", device=0)
+
+        def op():
+            yield sim.timeout(1.0)
+
+        op_gen = op()
+        done = stream.submit(op_gen, label="k")
+        refs = [weakref.ref(op_gen), weakref.ref(done)]
+        del op_gen, done
+        sim.run()
+        assert stream.ops_completed == 1
+        assert [ref() for ref in refs] == [None, None]
