@@ -32,7 +32,6 @@ from repro.core.types import (
 )
 from repro.graph.layer import Phase
 from repro.hardware.server import ServerSpec
-from repro.perf import perf_enabled
 
 #: A built task or its record: both carry every field the timing reads.
 _AnyTask = Union[Task, TaskRecord]
@@ -75,7 +74,6 @@ class RuntimeEstimator:
         # ``ModelProfiles`` is immutable.  The cache lives here, not on
         # the profiles, so it is freed with the search while a plan keeps
         # its profiles alive.
-        self._cache_enabled = perf_enabled()
         self._time_cache: dict[tuple, float] = {}
         # (producer sizes, consumer sizes) -> per-chunk producer index, or
         # None when the two granularities cover different samples.
@@ -107,8 +105,7 @@ class RuntimeEstimator:
             if recompute:
                 value += span_time(Phase.FWD, task.first_layer,
                                    task.last_layer, u)
-            if self._cache_enabled:
-                self._time_cache[key] = value
+            self._time_cache[key] = value
         return value
 
     def _xfer(self, move: MoveRecord, nbytes: int) -> float:
@@ -289,7 +286,3 @@ class RuntimeEstimator:
             end = begin + duration + out_bytes / self._swap_bw
             compute_free[d] = end
         return _TaskTimes([end], end, end)
-
-    def estimate_graph(self, graph: TaskGraph) -> float:
-        """Public entry: ``graph``'s estimated iteration time."""
-        return self.estimate(graph)

@@ -212,7 +212,7 @@ class Harmony:
             graph = builder.build(config)
             estimator = RuntimeEstimator(profiles, self.server,
                                          prefetch=schedule_options.prefetch)
-            estimate = estimator.estimate_graph(graph)
+            estimate = estimator.estimate(graph)
             search = SearchResult(
                 best=config, best_estimate=estimate,
                 explored=[Explored(config, estimate)],

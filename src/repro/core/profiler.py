@@ -27,11 +27,11 @@ import numpy as np
 
 from repro.common.errors import SchedulingError
 from repro.common.fingerprint import fingerprint
+from repro.common.lru import lru_get
 from repro.core.config import Pack
 from repro.core.decomposer import DecomposedModel
 from repro.graph.layer import Phase
 from repro.hardware.gpu import GpuSpec
-from repro.perf import perf_enabled
 
 _T = TypeVar("_T")
 
@@ -112,9 +112,8 @@ class ModelProfiles:
     builder's hot path: Algorithm 2 probes ``pack_memory`` for every
     candidate cut at every microbatch size, which naively re-sums the
     per-layer memory list each time (``O(R)`` per probe, ``O(R^3)`` per
-    search for deep CNNs).  When the perf subsystem is enabled (default;
-    ``REPRO_PERF_DISABLE=1`` turns it off) the aggregates are served from
-    memoized per-``(phase, u)`` tables:
+    search for deep CNNs).  The aggregates are served from memoized
+    per-``(phase, u)`` tables:
 
     - **integer** aggregates (memory footprints, parameter bytes) come
       from prefix-sum tables -- Python ints, so the prefix difference is
@@ -142,7 +141,6 @@ class ModelProfiles:
         self.layers = tuple(layers)
         self.optimizer_slots = optimizer_slots
         self.gpu = gpu
-        self._memo_enabled = perf_enabled()
         self._memo: dict[Any, Any] = {}
 
     def __len__(self) -> int:
@@ -154,13 +152,11 @@ class ModelProfiles:
     # -- memoization -----------------------------------------------------------
 
     def memo(self, key: Any, compute: Callable[[], _T]) -> _T:
-        """Memoize ``compute()`` under ``key`` (no-op when disabled).
+        """Memoize ``compute()`` under ``key``.
 
         Shared with :mod:`repro.core.packing` for its per-``(phase, u)``
         scratch lists; keys are namespaced by their first element.
         """
-        if not self._memo_enabled:
-            return compute()
         try:
             return self._memo[key]
         except KeyError:
@@ -211,18 +207,9 @@ class ModelProfiles:
         difference would not be)."""
         return sum(self.layer_times(phase, u)[first:last + 1])
 
-    def time_list(self, phase: Phase, u: int) -> list[float]:
-        return list(self.layer_times(phase, u))
-
-    def memory_list(self, phase: Phase, u: int) -> list[int]:
-        prefix = self._mem_prefix(phase, u)
-        return [prefix[i + 1] - prefix[i] for i in range(len(self.layers))]
-
     # -- pack-level aggregates -------------------------------------------------
 
     def pack_param_bytes(self, pack: Pack) -> int:
-        if not self._memo_enabled:
-            return sum(self.layers[i].param_bytes for i in pack.layers)
         prefix = self._param_prefix()
         return prefix[pack.last + 1] - prefix[pack.first]
 
@@ -235,8 +222,6 @@ class ModelProfiles:
         (``m[p].Sum()``).  Summing is conservative -- it charges every
         layer's live activations at once -- and is exactly what keeps the
         paper's packs fine-grained enough for the pipeline to balance."""
-        if not self._memo_enabled:
-            return sum(self.layers[i].memory(Phase.FWD, u) for i in pack.layers)
         prefix = self._mem_prefix(Phase.FWD, u)
         return prefix[pack.last + 1] - prefix[pack.first]
 
@@ -244,8 +229,6 @@ class ModelProfiles:
         """Footprint of a backward task: the sum of the per-layer backward
         memory list (weights + grads + recomputed stash + transients per
         layer), per Algorithm 2."""
-        if not self._memo_enabled:
-            return sum(self.layers[i].memory(Phase.BWD, u) for i in pack.layers)
         prefix = self._mem_prefix(Phase.BWD, u)
         return prefix[pack.last + 1] - prefix[pack.first]
 
@@ -322,21 +305,11 @@ class Profiler:
         call still returns a fresh :class:`ModelProfiles` with its own
         memo tables, which are freed with their plan (shared tables would
         grow with every minibatch and server ever planned).
-        ``REPRO_PERF_DISABLE=1`` bypasses the store and fits afresh.
         """
-        if not perf_enabled():
-            layers = self._fit(decomposed)
-        else:
-            key = fingerprint(decomposed.model.fingerprint, self.gpu,
-                              decomposed.seed, self.sample_sizes)
-            stored = _STORE.get(key)
-            if stored is None:
-                stored = _STORE[key] = self._fit(decomposed)
-                if len(_STORE) > PROFILE_STORE_SIZE:
-                    _STORE.popitem(last=False)
-            else:
-                _STORE.move_to_end(key)
-            layers = stored
+        key = fingerprint(decomposed.model.fingerprint, self.gpu,
+                          decomposed.seed, self.sample_sizes)
+        layers = lru_get(_STORE, key, lambda: self._fit(decomposed),
+                         PROFILE_STORE_SIZE)
         return ModelProfiles(
             layers,
             optimizer_slots=decomposed.model.optimizer_slots,

@@ -34,6 +34,10 @@ the AST of every file under ``src/repro`` and enforces them:
   :func:`repro.runtime.migration.run_transfers`), the engine itself and
   the planner service's long-lived clock, so every simulated phase
   attaches the trace and advances its base the same way;
+- **no run-time knobs** (``config/env-read``): nothing under
+  ``src/repro`` reads or writes the environment (``os.environ``,
+  ``os.getenv``, ``os.putenv``), so behaviour is a function of the
+  arguments alone and no cache can grow a second, switchable code path;
 - **integer-exact capacity arithmetic** (``exact/float-arithmetic``):
   the capacity certification paths (``analysis/capacity.py``,
   ``analysis/parametric.py``) must stay in integer arithmetic -- no
@@ -91,6 +95,9 @@ FROZEN_DATACLASSES = Path("repro") / "trace" / "events.py"
 _WALL_CLOCK_TIME = ("time", "time_ns", "monotonic", "monotonic_ns")
 _WALL_CLOCK_DATETIME = ("now", "utcnow", "today")
 
+#: The environment accessors of the ``os`` module.
+_ENV_ACCESS = ("environ", "getenv", "putenv")
+
 #: The only sanctioned entry points into numpy.random.
 _NUMPY_RANDOM_OK = ("default_rng", "Generator", "SeedSequence", "BitGenerator")
 
@@ -146,6 +153,10 @@ class _Checker(ast.NodeVisitor):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
         self._check_module(node, module)
+        if module == "os":
+            for alias in node.names:
+                if alias.name in _ENV_ACCESS:
+                    self._flag_env(node, alias.name)
         if (
             module in ("repro.common.rng", "repro.common")
             and not self.allow_unit
@@ -236,6 +247,21 @@ class _Checker(ast.NodeVisitor):
                 "must not round past 2**53 bytes",
             )
         self.generic_visit(node)
+
+    # -- the environment ---------------------------------------------------------
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (isinstance(node.value, ast.Name) and node.value.id == "os"
+                and node.attr in _ENV_ACCESS):
+            self._flag_env(node, node.attr)
+        self.generic_visit(node)
+
+    def _flag_env(self, node: ast.AST, name: str) -> None:
+        self.flag(
+            node, "config/env-read",
+            f"os.{name} touches the environment; pass the setting in as an "
+            "argument instead",
+        )
 
     # -- integer-exact arithmetic ------------------------------------------------
 

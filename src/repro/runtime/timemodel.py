@@ -16,8 +16,7 @@ Each instance also tabulates pack times (GPU weight updates included),
 because a run asks for the same pack at the same microbatch size over and
 over (every microbatch of every task, every iteration, every chaos retry).
 A pack time is the left-to-right sum of its layers' times, so a table hit
-is the identical float the naive path computes.  ``REPRO_PERF_DISABLE=1``
-turns both tables off.
+is the identical float the naive per-layer sum computes.
 """
 
 from __future__ import annotations
@@ -27,12 +26,12 @@ from typing import Optional
 
 from repro.common.fingerprint import fingerprint
 from repro.common.floats import ordered_sum
+from repro.common.lru import lru_get
 from repro.core.decomposer import DecomposedModel
 from repro.core.types import Task, TaskKind
 from repro.graph.layer import Phase
 from repro.hardware.gpu import GpuSpec
 from repro.hardware.host import HostSpec
-from repro.perf import perf_enabled
 
 #: Most models whose kernel times the store keeps; the least recently used
 #: is evicted, so a long-running service stays bounded.
@@ -50,14 +49,7 @@ _STORE: OrderedDict[str, _Rows] = OrderedDict()
 def _kernel_rows(decomposed: DecomposedModel, gpu: GpuSpec) -> _Rows:
     """The shared rows of ``decomposed`` on ``gpu`` (created if new)."""
     key = fingerprint(decomposed.model.fingerprint, gpu, decomposed.seed)
-    rows = _STORE.get(key)
-    if rows is None:
-        rows = _STORE[key] = {}
-        if len(_STORE) > KERNEL_STORE_SIZE:
-            _STORE.popitem(last=False)
-    else:
-        _STORE.move_to_end(key)
-    return rows
+    return lru_get(_STORE, key, dict, KERNEL_STORE_SIZE)
 
 
 class TrueTimeModel:
@@ -69,28 +61,21 @@ class TrueTimeModel:
         self.gpu = gpu
         self.host = host
         self.cores_per_runtime = max(1, host.cores // max(1, n_gpus))
-        #: Shared per-layer kernel times, or None when perf is disabled.
-        self._rows = _kernel_rows(decomposed, gpu) if perf_enabled() else None
+        #: Shared per-layer kernel times.
+        self._rows = _kernel_rows(decomposed, gpu)
         #: (phase, first_layer, last_layer, u) -> summed kernel time
         self._pack_times: dict[tuple[Phase, int, int, int], float] = {}
 
     def _layer_sum(self, task: Task, phase: Phase, u: int) -> float:
-        rows = self._rows
-        if rows is None:
-            return ordered_sum(
-                self.units[i].run_time(self.gpu, phase, u) for i in task.layers
-            )
-        row = rows.get((phase, u))
+        row = self._rows.get((phase, u))
         if row is None:
-            row = rows[(phase, u)] = [None] * len(self.units)
+            row = self._rows[(phase, u)] = [None] * len(self.units)
         for i in task.layers:
             if row[i] is None:
                 row[i] = self.units[i].run_time(self.gpu, phase, u)
         return ordered_sum(row[task.first_layer:task.last_layer + 1])
 
     def _pack_time(self, task: Task, phase: Phase, u: int) -> float:
-        if self._rows is None:
-            return self._layer_sum(task, phase, u)
         key = (phase, task.first_layer, task.last_layer, u)
         t = self._pack_times.get(key)
         if t is None:

@@ -30,8 +30,8 @@ class TestEstimator:
             toy_profiles, 2, 8, ScheduleOptions(mode="pp")
         ).build(toy_config)
         estimator = RuntimeEstimator(toy_profiles, small_server)
-        first = estimator.estimate_graph(graph)
-        second = estimator.estimate_graph(graph)
+        first = estimator.estimate(graph)
+        second = estimator.estimate(graph)
         assert first > 0
         assert first == second
 
@@ -49,11 +49,11 @@ class TestEstimator:
 
     def test_more_gpus_not_slower(self, toy_profiles, small_server,
                                   four_gpu_server, toy_config):
-        est2 = RuntimeEstimator(toy_profiles, small_server).estimate_graph(
+        est2 = RuntimeEstimator(toy_profiles, small_server).estimate(
             HarmonyGraphBuilder(toy_profiles, 2, 8,
                                 ScheduleOptions(mode="pp")).build(toy_config)
         )
-        est4 = RuntimeEstimator(toy_profiles, four_gpu_server).estimate_graph(
+        est4 = RuntimeEstimator(toy_profiles, four_gpu_server).estimate(
             HarmonyGraphBuilder(toy_profiles, 4, 8,
                                 ScheduleOptions(mode="pp")).build(toy_config)
         )

@@ -6,13 +6,14 @@ keeps them in a bounded, content-addressed LRU store.  These tests pin
 the key (a renamed model hits; a one-ULP FLOPs change, a one-byte
 activation change, another GPU, seed or sample set misses), what is
 shared (the tuple of frozen fits) and what is not (the ``ModelProfiles``
-view and its memo tables), the LRU bound, and the
-``REPRO_PERF_DISABLE=1`` bypass.
+view and its memo tables), and the LRU bound.  The oracle is a fresh fit:
+every bench-zoo model, under every input varied, must come back from the
+store cold and warm with the bits of ``Profiler._fit``.
 """
 
 import math
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,18 +21,17 @@ from repro.baselines.gpipe_swap import GpipeSwapPlanner
 from repro.core import profiler
 from repro.core.decomposer import Decomposer
 from repro.core.harmony import Harmony, HarmonyOptions
-from repro.core.profiler import Profiler
+from repro.core.profiler import AffineFit, Profiler
 from repro.experiments.common import server_for
 from repro.graph.graph import LayerGraph
+from repro.graph.layer import Phase
 from repro.hardware.gpu import GTX_1080TI
 from repro.models.zoo import build_model
-from repro.perf import DISABLE_ENV
 
 
 @pytest.fixture(autouse=True)
 def store(monkeypatch):
-    """An empty store per test, with the perf subsystem on."""
-    monkeypatch.delenv(DISABLE_ENV, raising=False)
+    """An empty store per test."""
     fresh = OrderedDict()
     monkeypatch.setattr(profiler, "_STORE", fresh)
     return fresh
@@ -139,10 +139,76 @@ class TestBound:
         assert _profile(model, seed=0).layers is seed0.layers
 
 
-def test_disabled_perf_fits_afresh(model, store, monkeypatch):
-    warm = _profile(model)
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    cold = _profile(model)
-    assert cold.layers is not warm.layers
-    assert cold.layers == warm.layers
-    assert list(store.values()) == [warm.layers]
+# -- the naive oracle: a fresh fit ---------------------------------------------
+
+#: The bench zoo (``bench/workloads.py``).
+ZOO = ("gpt2", "gpt2-medium", "bert96", "bert-large", "vgg416", "resnet1k")
+
+#: Every input the fits depend on, varied one at a time.
+VARIANTS = {
+    "seed-0": {},
+    "seed-1": {"seed": 1},
+    "gpu-2x-flops": {"gpu": replace(GTX_1080TI,
+                                    peak_flops=2 * GTX_1080TI.peak_flops)},
+    "samples-1-8": {"sample_sizes": (1, 2, 4, 8)},
+}
+
+#: (phase, microbatch sizes) probed on every layer-time table.
+PROBES = ((Phase.FWD, (1, 3, 8, 32)), (Phase.BWD, (1, 3, 8, 32)),
+          (Phase.UPD, (1,)))
+
+
+def _split(variant):
+    kwargs = dict(VARIANTS[variant])
+    seed = kwargs.pop("seed", 0)
+    gpu = kwargs.pop("gpu", GTX_1080TI)
+    return seed, Profiler(gpu, **kwargs)
+
+
+def _fields(layers):
+    """Every field of every fit: floats as hex, ints as they are."""
+    def bits(value):
+        if isinstance(value, AffineFit):
+            return (value.intercept.hex(), value.slope.hex())
+        if isinstance(value, float):
+            return value.hex()
+        return value
+
+    return [tuple(bits(getattr(layer, f.name)) for f in fields(layer))
+            for layer in layers]
+
+
+@pytest.fixture(scope="module")
+def fresh_fits():
+    """(model, variant) -> a fresh ``Profiler._fit`` of a fresh
+    decomposition: what the store must serve."""
+    fits = {}
+    for name in ZOO:
+        model = build_model(name)
+        for variant in VARIANTS:
+            seed, prof = _split(variant)
+            fits[name, variant] = prof._fit(Decomposer(seed).decompose(model))
+    return fits
+
+
+def test_store_serves_exactly_a_fresh_fit(store, fresh_fits):
+    """Every zoo model under every variant, profiled cold (one shared
+    store, so a key that drops an input collides with another variant)
+    and again warm (every other entry stored in between), returns the
+    fits of a fresh ``_fit`` -- floats by ``float.hex`` -- and layer-time
+    tables equal to per-layer ``LayerProfile.time`` calls."""
+    cases = [(name, variant) for name in ZOO for variant in VARIANTS]
+    for arm, order in (("cold", cases), ("warm", cases[::-1])):
+        for name, variant in order:
+            seed, prof = _split(variant)
+            profiles = prof.profile(Decomposer(seed).decompose(
+                build_model(name)))
+            expected = fresh_fits[name, variant]
+            assert _fields(profiles.layers) == _fields(expected), \
+                (arm, name, variant)
+            for phase, sizes in PROBES:
+                for u in sizes:
+                    assert [t.hex() for t in profiles.layer_times(phase, u)] \
+                        == [layer.time(phase, u).hex() for layer in expected], \
+                        (arm, name, variant, phase, u)
+        assert len(store) == len(cases), arm

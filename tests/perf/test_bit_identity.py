@@ -1,19 +1,18 @@
-"""Bit-identity regression: the perf caches must not move a single bit.
+"""Bit-identity regression: the caches must not move a single bit.
 
-Every optimization behind :func:`repro.perf.perf_enabled` promises that
-planner and simulator outputs are *bit-identical* with caches on
-(default) and off (``REPRO_PERF_DISABLE=1``).  This suite holds that
+The planner and the Runtime keep four caches: the profile store, the
+``ModelProfiles`` memo tables, the estimator's task-time cache and the
+Runtime's kernel-time store with its pack tables.  Each promises the
+bits of the naive computation it replaces.  This suite holds that
 promise down to ``float.hex()`` on the small zoo models in both
-execution modes: the chosen configuration, the best estimate, every
-explored candidate's estimate, the full task graph shape, the simulated
-iteration time, and the canonical execution trace.  The Runtime's time
-table serves every run path, so a seeded chaos run and a heterogeneous
-bind are held to the same promise, and so is a plan whose fits come from
-a profile store warmed by another plan of the same model.
-
-``perf_enabled`` is consulted at object construction time, so flipping
-the environment variable and building a fresh ``Harmony`` per arm is
-sufficient -- no subprocess needed.
+execution modes, against a ``naive`` arm that swaps every cache for that
+computation: the chosen configuration, the best estimate, every
+explored candidate's estimate, the full task graph shape, the estimated
+time of every task, the simulated iteration time, and the canonical
+execution trace.  The Runtime's time table serves every run path, so a
+seeded chaos run and a heterogeneous bind are held to the same promise,
+and so is a plan whose fits come from a profile store warmed by another
+plan of the same model.
 """
 
 from collections import OrderedDict
@@ -21,10 +20,14 @@ from collections import OrderedDict
 import pytest
 
 from repro.core import profiler
+from repro.core.estimator import _PHASES, RuntimeEstimator
 from repro.core.harmony import Harmony, HarmonyOptions
+from repro.core.profiler import ModelProfiles, Profiler
+from repro.core.types import TaskKind
 from repro.experiments.common import server_for
 from repro.faults import FaultPlan, FaultSpec
-from repro.perf import DISABLE_ENV
+from repro.graph.layer import Phase
+from repro.runtime.timemodel import TrueTimeModel
 from repro.trace import TraceRecorder
 from repro.virt import DeviceBinding
 
@@ -53,12 +56,60 @@ RUN_PATHS = {
 }
 
 
-def _fingerprint(model, mode, monkeypatch, disable, run_kwargs=dict):
+def _naive_profile(self, decomposed):
+    """A fresh fit every call: no profile store."""
+    return ModelProfiles(self._fit(decomposed),
+                         optimizer_slots=decomposed.model.optimizer_slots,
+                         gpu=self.gpu)
+
+
+def _naive_task_time(self, task, u, recompute):
+    """The task's layer times summed one by one: no time cache, no table."""
+    layers = range(task.first_layer, task.last_layer + 1)
+    value = sum(self.profiles[i].time(_PHASES[task.kind], u) for i in layers)
+    if recompute:
+        value += sum(self.profiles[i].time(Phase.FWD, u) for i in layers)
+    return value
+
+
+def _naive_pack_time(self, task, phase, u):
+    """Fresh kernel times, left to right: no kernel store, no pack table."""
+    total = 0.0
+    for i in task.layers:
+        total += self.units[i].run_time(self.gpu, phase, u)
+    return total
+
+
+@pytest.fixture
+def naive(monkeypatch):
+    """Call to swap every cache for the naive computation it replaces,
+    for the rest of the test."""
+    def disable_caches():
+        monkeypatch.setattr(ModelProfiles, "memo",
+                            lambda self, key, compute: compute())
+        monkeypatch.setattr(Profiler, "profile", _naive_profile)
+        monkeypatch.setattr(RuntimeEstimator, "_task_time", _naive_task_time)
+        monkeypatch.setattr(TrueTimeModel, "_pack_time", _naive_pack_time)
+
+    return disable_caches
+
+
+def _estimated_task_times(plan):
+    """The estimator's time for every microbatch (or update) of every
+    task: the explored estimates alone can hide a task time that only
+    moves a lane the iteration does not wait on."""
+    estimator = RuntimeEstimator(plan.profiles, plan.server)
+    times = []
+    for task in plan.graph.tasks:
+        if task.kind is TaskKind.UPD:
+            times.append(estimator.update_time(task, plan.server.n_gpus))
+        else:
+            times.extend(estimator.mb_time(task, u) for u in task.microbatches)
+    return tuple(t.hex() for t in times)
+
+
+def _fingerprint(model, mode, run_kwargs=dict):
     """Plan + run one cell and capture every output, floats as hex."""
-    if disable:
-        monkeypatch.setenv(DISABLE_ENV, "1")
-    else:
-        monkeypatch.delenv(DISABLE_ENV, raising=False)
     harmony = Harmony(
         model, server_for(GPUS), MINIBATCH,
         options=HarmonyOptions(mode=mode),
@@ -79,6 +130,7 @@ def _fingerprint(model, mode, monkeypatch, disable, run_kwargs=dict):
              t.microbatches)
             for t in plan.graph.tasks
         ),
+        "task_times": _estimated_task_times(plan),
         "iteration_time": report.metrics.iteration_time.hex(),
         "recovery": report.metrics.recovery,
         "trace": recorder.canonical(),
@@ -87,61 +139,50 @@ def _fingerprint(model, mode, monkeypatch, disable, run_kwargs=dict):
 
 @pytest.mark.parametrize("model,mode", MATRIX,
                          ids=[f"{m}-{mode}" for m, mode in MATRIX])
-def test_caches_are_bit_identical_to_disabled(model, mode, monkeypatch):
-    fast = _fingerprint(model, mode, monkeypatch, disable=False)
-    slow = _fingerprint(model, mode, monkeypatch, disable=True)
+def test_caches_are_bit_identical_to_disabled(model, mode, naive):
+    fast = _fingerprint(model, mode)
+    naive()
+    slow = _fingerprint(model, mode)
     for field in fast:
         assert fast[field] == slow[field], (
             f"{model}/{mode}: {field} diverged between cached and "
-            f"{DISABLE_ENV}=1 runs -- a perf cache changed an output bit"
+            f"naive runs -- a cache changed an output bit"
         )
 
 
 @pytest.mark.parametrize("model,mode", MATRIX,
                          ids=[f"{m}-{mode}" for m, mode in MATRIX])
 def test_warm_profile_store_is_bit_identical_to_disabled(model, mode,
-                                                         monkeypatch):
+                                                         monkeypatch, naive):
     """The cell's fits come from a store warmed by planning the same
     model at another GPU count and minibatch."""
     store = OrderedDict()
     monkeypatch.setattr(profiler, "_STORE", store)
-    monkeypatch.delenv(DISABLE_ENV, raising=False)
     Harmony(model, server_for(2 * GPUS), 2 * MINIBATCH,
             options=HarmonyOptions(mode=mode)).plan()
     assert len(store) == 1
-    warm = _fingerprint(model, mode, monkeypatch, disable=False)
+    warm = _fingerprint(model, mode)
     assert len(store) == 1, "the cell re-profiled instead of hitting"
-    cold = _fingerprint(model, mode, monkeypatch, disable=True)
+    naive()
+    cold = _fingerprint(model, mode)
+    assert len(store) == 1, "the naive arm used the profile store"
     for field in warm:
         assert warm[field] == cold[field], (
             f"{model}/{mode}: {field} diverged between the warm profile "
-            f"store and {DISABLE_ENV}=1 -- a shared fit changed an output bit"
+            f"store and naive runs -- a shared fit changed an output bit"
         )
 
 
 @pytest.mark.parametrize("path", sorted(RUN_PATHS))
-def test_run_paths_are_bit_identical_to_disabled(path, monkeypatch):
+def test_run_paths_are_bit_identical_to_disabled(path, naive):
     run_kwargs = RUN_PATHS[path]
-    fast = _fingerprint("toy-transformer", "pp", monkeypatch, disable=False,
-                        run_kwargs=run_kwargs)
-    slow = _fingerprint("toy-transformer", "pp", monkeypatch, disable=True,
-                        run_kwargs=run_kwargs)
+    fast = _fingerprint("toy-transformer", "pp", run_kwargs=run_kwargs)
+    naive()
+    slow = _fingerprint("toy-transformer", "pp", run_kwargs=run_kwargs)
     if path == "chaos":
         assert fast["recovery"].faults_injected > 0
     for field in fast:
         assert fast[field] == slow[field], (
             f"{path}: {field} diverged between cached and "
-            f"{DISABLE_ENV}=1 runs -- a perf cache changed an output bit"
+            f"naive runs -- a cache changed an output bit"
         )
-
-
-def test_disable_env_truthy_forms(monkeypatch):
-    """The escape hatch accepts the documented truthy spellings."""
-    from repro.perf import perf_enabled
-
-    for raw in ("1", "true", "YES", " on "):
-        monkeypatch.setenv(DISABLE_ENV, raw)
-        assert not perf_enabled(), raw
-    for raw in ("", "0", "no", "off"):
-        monkeypatch.setenv(DISABLE_ENV, raw)
-        assert perf_enabled(), raw

@@ -5,10 +5,9 @@ The cache in :class:`RuntimeEstimator` is keyed on
 invalidation because :class:`ModelProfiles` is immutable: a changed
 layer profile is a new ``ModelProfiles`` and a new estimator.  These
 tests swap a layer that way and check the new estimator tracks it while
-the old one is untouched, check that nothing one graph's estimate leaves
-behind changes another's, and cover the ``REPRO_PERF_DISABLE=1`` arm.
-Cached task times are compared with a per-layer sum over the fits, the
-naive computation they replace.
+the old one is untouched, and check that nothing one graph's estimate
+leaves behind changes another's.  Cached task times are compared with a
+per-layer sum over the fits, the naive computation they replace.
 """
 
 from dataclasses import replace
@@ -22,7 +21,6 @@ from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskKind
 from repro.experiments.common import server_for
 from repro.graph.layer import Phase
-from repro.perf import DISABLE_ENV
 
 
 @pytest.fixture
@@ -150,13 +148,13 @@ def test_no_state_leaks_between_graphs(planned):
              (c.u_f, c.u_b) != (a.u_f, a.u_b))
     graph_a, graph_b = builder.assemble(a), builder.assemble(b)
     estimator = RuntimeEstimator(planned.profiles, planned.server)
-    estimator.estimate_graph(graph_a)
-    after_a = estimator.estimate_graph(graph_b)
+    estimator.estimate(graph_a)
+    after_a = estimator.estimate(graph_b)
     fresh = RuntimeEstimator(planned.profiles, planned.server)
-    assert after_a.hex() == fresh.estimate_graph(graph_b).hex()
-    assert estimator.estimate_graph(graph_a).hex() == \
+    assert after_a.hex() == fresh.estimate(graph_b).hex()
+    assert estimator.estimate(graph_a).hex() == \
         RuntimeEstimator(planned.profiles, planned.server) \
-        .estimate_graph(graph_a).hex()
+        .estimate(graph_a).hex()
 
 
 @pytest.mark.parametrize("model, minibatch", [("gpt2", 32),
@@ -175,21 +173,11 @@ def test_public_estimate_needs_no_preparation(model, minibatch):
 def test_estimates_track_replaced_profiles_end_to_end(planned):
     """The headline staleness scenario: estimate, swap a layer, re-estimate."""
     before = RuntimeEstimator(planned.profiles, planned.server) \
-        .estimate_graph(planned.graph)
+        .estimate(planned.graph)
     layer = planned.profiles[0]
     slower = _with_layer(planned.profiles, 0, replace(
         layer, time_fwd=AffineFit(layer.time_fwd.intercept,
                                   10 * layer.time_fwd.slope)))
     after = RuntimeEstimator(slower, planned.server) \
-        .estimate_graph(planned.graph)
+        .estimate(planned.graph)
     assert after > before
-
-
-def test_disabled_estimator_never_caches(planned, monkeypatch):
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    estimator = RuntimeEstimator(planned.profiles, planned.server)
-    task = _fwd_task(planned.graph)
-    value = estimator.mb_time(task, task.microbatches[0])
-    assert estimator._time_cache == {}
-    assert value.hex() == naive_mb_time(
-        planned.profiles, task, task.microbatches[0]).hex()

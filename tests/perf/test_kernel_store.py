@@ -5,8 +5,7 @@
 them.  The oracle is the naive computation: a fresh left-to-right sum of
 ``LayerUnit.run_time`` over the pack's layers, compared by ``float.hex``
 for every pack of every bench-zoo plan at the benchmark's warm-up size --
-with the store cold, warm, and bypassed (``REPRO_PERF_DISABLE=1``).  The
-store's key must keep different GPUs and seeds apart, and the store must
+with the store cold and warm.  The store's key must keep different GPUs and seeds apart, and the store must
 stay within its size bound.
 """
 
@@ -23,7 +22,6 @@ from repro.core.types import Task, TaskKind
 from repro.experiments.common import server_for
 from repro.graph.layer import Phase
 from repro.models.zoo import build_model
-from repro.perf import DISABLE_ENV
 from repro.runtime import timemodel
 from repro.runtime.timemodel import TrueTimeModel
 
@@ -90,11 +88,8 @@ def _hexes(values: list[float]) -> list[str]:
     return [float.hex(v) for v in values]
 
 
-@pytest.mark.parametrize("arm", ["cold", "warm", "disabled"])
-def test_every_zoo_pack_equals_the_naive_sum(arm, zoo_plans, cold_store,
-                                             monkeypatch):
-    if arm == "disabled":
-        monkeypatch.setenv(DISABLE_ENV, "1")
+@pytest.mark.parametrize("arm", ["cold", "warm"])
+def test_every_zoo_pack_equals_the_naive_sum(arm, zoo_plans, cold_store):
     checked = 0
     for server, plan in zoo_plans:
         units = plan.decomposed.units
@@ -110,11 +105,8 @@ def test_every_zoo_pack_equals_the_naive_sum(arm, zoo_plans, cold_store,
                     (plan.decomposed.model.name, task.label)
                 checked += 1
     assert checked >= 400  # tasks, over all 24 plans
-    if arm == "disabled":
-        assert not cold_store, "REPRO_PERF_DISABLE=1 must bypass the store"
-    else:
-        # One model and GPU per entry: the six zoo models on one GPU type.
-        assert len(cold_store) == len(MODELS)
+    # One model and GPU per entry: the six zoo models on one GPU type.
+    assert len(cold_store) == len(MODELS)
 
 
 def _count_run_time(monkeypatch) -> Counter:

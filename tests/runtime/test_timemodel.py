@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.types import Task, TaskKind
 from repro.graph.layer import Phase
-from repro.perf import DISABLE_ENV
 from repro.runtime.timemodel import TrueTimeModel
 
 
@@ -75,24 +74,18 @@ class TestUpdateTime:
             small_server.host.optimizer_time(1e9, cores)
         )
 
-    def test_gpu_update_sums_layer_times(self, toy_decomposed, small_server,
-                                         monkeypatch):
-        """Bit for bit the per-layer sum, with the perf tables on and off,
-        for spans that share a first or a last layer."""
-        for disabled in ("", "1"):
-            monkeypatch.setenv(DISABLE_ENV, disabled)
-            time_model = TrueTimeModel(toy_decomposed, small_server.gpu,
-                                       small_server.host,
-                                       n_gpus=small_server.n_gpus)
-            # The second pass hits the table when the tables are on.
-            for _ in range(2):
-                for first, last in SPANS:
-                    task = make_task(TaskKind.UPD, first, last)
-                    expected = _layer_sum(toy_decomposed, small_server.gpu,
-                                          task, Phase.UPD, 1)
-                    assert expected > 0
-                    assert time_model.update_time(task).hex() \
-                        == expected.hex()
+    def test_gpu_update_sums_layer_times(self, time_model, toy_decomposed,
+                                         small_server):
+        """Bit for bit the per-layer sum, for spans that share a first or
+        a last layer."""
+        # The second pass hits the tables.
+        for _ in range(2):
+            for first, last in SPANS:
+                task = make_task(TaskKind.UPD, first, last)
+                expected = _layer_sum(toy_decomposed, small_server.gpu,
+                                      task, Phase.UPD, 1)
+                assert expected > 0
+                assert time_model.update_time(task).hex() == expected.hex()
 
     def test_non_update_rejected(self, time_model):
         with pytest.raises(ValueError):

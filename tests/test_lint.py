@@ -125,7 +125,7 @@ class TestWallClock:
         assert rules == ["time/wall-clock"]
 
     def test_perf_counter_allowed(self, tmp_path):
-        rules = run(tmp_path, "repro/perf/x.py",
+        rules = run(tmp_path, "repro/core/x.py",
                     "import time\nt = time.perf_counter()\n")
         assert rules == []
 
@@ -133,6 +133,24 @@ class TestWallClock:
         rules = run(tmp_path, "repro/sim/x.py",
                     "from datetime import datetime\nt = datetime.now()\n")
         assert rules == ["time/wall-clock"]
+
+
+class TestEnvRead:
+    def test_env_access_flagged(self, tmp_path):
+        for source in ("import os\nx = os.environ.get('A', '')\n",
+                       "import os\nx = os.environ['A']\n",
+                       "import os\nx = os.getenv('A')\n",
+                       "import os\nos.putenv('A', '1')\n",
+                       "from os import environ\n",
+                       "from os import getenv as ge\n"):
+            assert run(tmp_path, "repro/core/x.py", source) == \
+                ["config/env-read"], source
+
+    def test_other_os_use_ok(self, tmp_path):
+        source = ("import os\nfrom os import path\n"
+                  "p = os.path.join('a', 'b')\nenviron = {}\n"
+                  "x = environ.get('A')\n")
+        assert run(tmp_path, "repro/core/x.py", source) == []
 
 
 class TestFrozenTraceEvents:
