@@ -38,17 +38,11 @@ _Node = tuple[str, int]   # ("F" | "C", tid)
 
 
 def _has_host_fetch(task: Task) -> bool:
-    return any(
-        move.channel in (Channel.SWAP, Channel.MSG, Channel.SHM)
-        and move.nbytes > 0
-        for move in task.ins
-    )
+    return any(m.channel.via_host and m.nbytes > 0 for m in task.ins)
 
 
 def _has_p2p_fetch(task: Task) -> bool:
-    return any(
-        move.channel is Channel.P2P and move.nbytes > 0 for move in task.ins
-    )
+    return any(m.channel is Channel.P2P and m.nbytes > 0 for m in task.ins)
 
 
 @register

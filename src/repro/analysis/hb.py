@@ -46,23 +46,16 @@ from typing import Iterator, Optional
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataflow import _FAMILY
+from repro.analysis.deadlock import _has_host_fetch, _has_p2p_fetch
 from repro.analysis.diagnostics import Diagnostic, Severity, task_ref
 from repro.analysis.passes import AnalysisPass, register
-from repro.core.types import Channel, Task, TaskGraph, TaskKind
+from repro.core.types import Task, TaskGraph, TaskKind
 
 #: Node kinds: F = inputs fetched, C = compute complete, O = outs flushed.
 Node = tuple[str, int]
 
 #: Tensor families treated as shared mutable model state.
 _STATE_FAMILIES = ("weights", "optimizer-state")
-
-
-def _has_host_fetch(task: Task) -> bool:
-    return any(m.channel.via_host and m.nbytes > 0 for m in task.ins)
-
-
-def _has_p2p_fetch(task: Task) -> bool:
-    return any(m.channel is Channel.P2P and m.nbytes > 0 for m in task.ins)
 
 
 def _has_host_flush(task: Task) -> bool:

@@ -24,7 +24,7 @@ from repro.cluster.placement import (
     partition_stages,
     stage_model,
 )
-from repro.cluster.runner import ClusterPolicy, ClusterRunner
+from repro.cluster.runner import ClusterRunner
 from repro.cluster.spec import (
     ETH_25G,
     ETH_100G,
@@ -43,7 +43,6 @@ __all__ = [
     "ClusterInjector",
     "ClusterPlan",
     "ClusterPlanner",
-    "ClusterPolicy",
     "ClusterRunner",
     "ClusterSpec",
     "NetworkSpec",

@@ -22,7 +22,8 @@ iteration by iteration.  Each cluster iteration has three phases:
    buddy checkpoint replication) moves over the simulated network
    fabric in another transfer phase, with seeded NIC/switch degradation
    armed and partition windows pre-checked: a cut pair stalls the phase
-   until the window heals (bounded by policy, then a typed failure).
+   until the window heals (bounded by ``MAX_PARTITION_WAIT``, then a
+   typed failure).
 
 Both network phases move :class:`~repro.elastic.migration.MigrationMove`
 lists between servers, and every phase reconciles each network link's
@@ -46,7 +47,6 @@ the boundary); their recovery effort still lands in the counters.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import (
@@ -61,7 +61,6 @@ from repro.cluster.placement import ClusterPlan, ClusterPlanner
 from repro.elastic.migration import MigrationMove
 from repro.elastic.replanner import ElasticReplanner
 from repro.faults.monitor import ServerHealthMonitor
-from repro.faults.policy import RecoveryPolicy
 from repro.faults.runner import FaultTolerantRunner, RunnerState
 from repro.runtime.metrics import (
     ClusterMetrics,
@@ -88,61 +87,48 @@ def _migration_span(move: MigrationMove) -> tuple[str, dict]:
                        "dst": move.dst}
 
 
-@dataclass(frozen=True)
-class ClusterPolicy:
-    """Tunables for the server-level recovery ladder."""
-
-    #: per-server recovery policy (the intra-server ladder)
-    inner: RecoveryPolicy = field(default_factory=RecoveryPolicy)
-    #: consecutive degraded iterations (heavy inner recovery) before a
-    #: *live* server is retired; a crashed or hard-failed server
-    #: escalates immediately, like GPU loss one level down
-    server_patience: int = 2
-    #: cluster-level re-plans allowed per run
-    max_cluster_replans: int = 4
-    #: virtual seconds a comm phase may stall waiting for a partition
-    #: window to heal before the run fails typed
-    max_partition_wait: float = 1.0
-    #: total partition stalls tolerated per run
-    max_partition_stalls: int = 8
-    #: replicate each pipeline stage's checkpoint to a buddy server
-    #: every iteration (the state source for whole-server-loss recovery)
-    replicate: bool = True
-
-    def __post_init__(self) -> None:
-        if self.server_patience < 0:
-            raise ValueError("server_patience must be >= 0")
-        if self.max_cluster_replans < 0:
-            raise ValueError("max_cluster_replans must be >= 0")
-        if self.max_partition_wait <= 0:
-            raise ValueError("max_partition_wait must be positive")
-        if self.max_partition_stalls < 0:
-            raise ValueError("max_partition_stalls must be >= 0")
+#: consecutive degraded iterations (heavy inner recovery) before a
+#: *live* server is retired; a crashed or hard-failed server escalates
+#: immediately, like GPU loss one level down
+SERVER_PATIENCE = 2
+#: virtual seconds a comm phase may stall waiting for a partition window
+#: to heal before the run fails typed
+MAX_PARTITION_WAIT = 1.0
+#: total partition stalls tolerated per run
+MAX_PARTITION_STALLS = 8
 
 
 class ClusterRunner:
     """Run cluster iterations under a cluster fault plan, recovering
-    where policy allows; every outcome is typed."""
+    where the ladder allows; every outcome is typed.
+
+    Each stage's per-server runner uses the default
+    :class:`~repro.faults.policy.RecoveryPolicy`, and every pipeline
+    stage replicates its checkpoint to a buddy server each iteration
+    (the state source for whole-server-loss recovery).
+    ``max_cluster_replans`` bounds the cluster-level re-plans per run.
+    """
 
     def __init__(
         self,
         planner: ClusterPlanner,
         fault_plan: Optional[ClusterFaultPlan] = None,
-        policy: Optional[ClusterPolicy] = None,
+        *,
         trace=None,
-        check_invariants: bool = True,
+        max_cluster_replans: int = 4,
     ):
+        if max_cluster_replans < 0:
+            raise ValueError("max_cluster_replans must be >= 0")
         self.planner = planner
         self.fault_plan = (
             fault_plan if fault_plan is not None
             else ClusterFaultPlan(ClusterFaultSpec.none())
         )
-        self.policy = policy if policy is not None else ClusterPolicy()
         self.trace = trace
-        self.check_invariants = check_invariants
+        self.max_cluster_replans = max_cluster_replans
         self.metrics = ClusterMetrics()
         self.monitor: ServerHealthMonitor = ServerHealthMonitor(
-            self.policy.server_patience
+            SERVER_PATIENCE
         )
         self.dead: set[int] = set()
         self.retired: set[int] = set()
@@ -182,14 +168,13 @@ class ClusterRunner:
             )
             runner = FaultTolerantRunner(
                 spec, time_model, self.fault_plan.server_plan(stage.server),
-                policy=self.policy.inner,
                 prefetch=stage.harmony.options.prefetch,
                 host_state_bytes=stage.harmony.host_state_bytes,
                 replanner=ElasticReplanner(stage.harmony),
                 trace=None,  # device ids collide across servers; the
                 # cluster lane carries the cross-server timeline instead
             )
-            state = RunnerState(self.policy.inner.replan_patience)
+            state = RunnerState(runner.policy.replan_patience)
             self._runtimes.append((runner, state))
         self.replicas = {}
 
@@ -202,7 +187,7 @@ class ClusterRunner:
 
         The scan walks partition-state change points (window-epoch
         boundaries / scripted window edges), so it terminates after at
-        most ``max_partition_wait / interval`` steps -- never a hang.
+        most ``MAX_PARTITION_WAIT / interval`` steps -- never a hang.
         """
         if not self.fault_plan.enabled or not pairs:
             return t_global
@@ -210,12 +195,12 @@ class ClusterRunner:
         epochs = 0
         while self.fault_plan.partition_blocked(pairs, t):
             nxt = self.fault_plan.next_partition_change(t)
-            if nxt is None or nxt - t_global > self.policy.max_partition_wait:
+            if nxt is None or nxt - t_global > MAX_PARTITION_WAIT:
                 self.metrics.partition_stalls += 1
                 self.metrics.partition_epochs += max(epochs, 1)
                 raise ClusterFaultError(
                     f"network partition blocking {what} did not heal within "
-                    f"{self.policy.max_partition_wait:g}s "
+                    f"{MAX_PARTITION_WAIT:g}s "
                     f"(cut pairs: {sorted(pairs)})",
                     entity="net.partition",
                 )
@@ -229,11 +214,11 @@ class ClusterRunner:
             self._mark("partition-stall", stall=stall, what=what)
             if self.trace is not None:
                 self.trace.advance(stall)
-            if self.metrics.partition_stalls > self.policy.max_partition_stalls:
+            if self.metrics.partition_stalls > MAX_PARTITION_STALLS:
                 raise ClusterFaultError(
                     f"partition stall budget exhausted "
                     f"({self.metrics.partition_stalls} > "
-                    f"{self.policy.max_partition_stalls})",
+                    f"{MAX_PARTITION_STALLS})",
                     entity="net.partition",
                 )
         return t
@@ -283,10 +268,10 @@ class ClusterRunner:
                 f"iteration {iteration}",
                 entity="cluster",
             )
-        if self.metrics.cluster_replans >= self.policy.max_cluster_replans:
+        if self.metrics.cluster_replans >= self.max_cluster_replans:
             raise ClusterFaultError(
                 f"cluster re-plan budget exhausted "
-                f"({self.policy.max_cluster_replans}) at iteration {iteration}",
+                f"({self.max_cluster_replans}) at iteration {iteration}",
                 entity="cluster",
             )
         old = self._plan
@@ -447,7 +432,7 @@ class ClusterRunner:
                                            f"act.s{src}->s{dst}"))
                 moves.append(MigrationMove(dst, src, nbytes,
                                            f"grad.s{dst}->s{src}"))
-            if self.policy.replicate and len(stages) > 1:
+            if len(stages) > 1:
                 for k, stage in enumerate(stages):
                     buddy = stages[(k + 1) % len(stages)].server
                     if buddy == stage.server:
@@ -516,7 +501,7 @@ class ClusterRunner:
         finally:
             self.metrics.nic_degrade_epochs = len(self.injector.nic_epochs)
             self.metrics.switch_flap_epochs = len(self.injector.switch_epochs)
-        if self.trace is not None and self.check_invariants:
+        if self.trace is not None:
             from repro.trace.invariants import check_network_reconciliation
 
             check_network_reconciliation(self.trace.events,

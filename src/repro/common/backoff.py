@@ -1,18 +1,14 @@
 """Centralized retry/backoff policy: one formula for every retry loop.
 
-Before this module, each retrying subsystem carried its own backoff
-constants: the runtime executor's transfer-retry loop hard-wired
-``base * factor ** attempt`` through :class:`~repro.faults.policy.
-RecoveryPolicy`, and the fault-tolerant runner restarted iterations
-back-to-back with no wait at all.  The planning service adds two more
-retry sites (planner attempts, circuit-breaker cooldowns), which is the
-point where "every module rolls its own exponential" stops scaling.
-
-This module is now the single source of the formula:
+Two subsystems retry: the runtime executor's transfer-retry loop and the
+planning service (planner attempts, circuit-breaker cooldowns).  This
+module is the single source of the formula:
 
 - :func:`exponential` -- the deterministic schedule
-  ``base * factor ** attempt``, bit-identical to what the executor has
-  always computed (regression-pinned by the golden traces);
+  ``base * factor ** attempt``; the executor retries a faulted transfer
+  up to :data:`DEFAULT_TRANSFER_RETRIES` times, waiting
+  ``exponential(attempt, DEFAULT_BACKOFF_BASE)`` before each retry
+  (regression-pinned by the golden traces);
 - :class:`BackoffPolicy` -- the frozen, validated policy object: base,
   factor, cap, retry budget, and *seeded jitter*.  Jitter decorrelates
   retry storms (every queued request retrying at the same instant is
@@ -20,13 +16,10 @@ This module is now the single source of the formula:
   derived from :mod:`repro.common.rng`'s stateless hash draws -- a
   ``(seed, labels, attempt)`` tuple always yields the same delay, so a
   jittered run is still reproducible from its seed alone.  With
-  ``jitter=0`` (the default everywhere pre-existing code migrated to
-  this module) the delay is *exactly* :func:`exponential`'s value: the
-  executor's timing is bit-identical to the pre-refactor runtime.
+  ``jitter=0`` the delay is *exactly* :func:`exponential`'s value.
 
 Kept free of package imports beyond :mod:`repro.common.rng` so the
-executor, the faults runner and the service can all use it without
-cycles.
+executor and the service can both use it without cycles.
 """
 
 from __future__ import annotations
@@ -43,9 +36,7 @@ __all__ = [
     "BackoffPolicy",
 ]
 
-#: The executor's historical transfer-retry constants, extracted from
-#: :class:`repro.faults.policy.RecoveryPolicy` (which now re-imports
-#: them, so the defaults cannot drift apart).
+#: The executor's transfer-retry budget and backoff schedule.
 DEFAULT_TRANSFER_RETRIES = 3
 DEFAULT_BACKOFF_BASE = 0.002
 DEFAULT_BACKOFF_FACTOR = 2.0

@@ -234,24 +234,16 @@ class Harmony:
     # -- elastic re-planning ------------------------------------------------------
 
     def reduced_server(self, n_gpus: int) -> ServerSpec:
-        """The same machine with only ``n_gpus`` GPUs left.
-
-        Per-GPU and host specs are unchanged; the PCIe tree keeps its
-        shape (switch fan-out, link bandwidths) with fewer leaves -- the
-        surviving devices still sit behind the same class of switches.
+        """The same machine with only ``n_gpus`` GPUs left
+        (:meth:`ServerSpec.with_gpus`): the surviving devices still sit
+        behind the same class of switches.
         """
         if not 1 <= n_gpus <= self.server.n_gpus:
             raise ValueError(
                 f"reduced server needs 1..{self.server.n_gpus} GPUs, "
                 f"got {n_gpus}"
             )
-        topology = self.server.topology
-        return ServerSpec(
-            n_gpus=n_gpus,
-            gpu=self.server.gpu,
-            host=self.server.host,
-            topology=replace(topology, n_gpus=n_gpus),
-        )
+        return self.server.with_gpus(n_gpus)
 
     def plan_for_server(self, n_gpus: int,
                         mode: Optional[str] = None) -> HarmonyPlan:

@@ -8,42 +8,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.backoff import (
-    DEFAULT_BACKOFF_BASE,
-    DEFAULT_BACKOFF_FACTOR,
-    DEFAULT_TRANSFER_RETRIES,
-    BackoffPolicy,
-)
+#: persistent slow-down multiplier at or above which re-bind triggers
+REBIND_THRESHOLD = 1.5
 
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
     """Tunables for every recovery mechanism, in escalation order.
 
-    Transient transfer faults retry with exponential backoff; a p2p path
-    that keeps failing degrades to a host-staged swap route; a crashed
-    compute attempt retries from its still-resident inputs; an iteration
-    that dies anyway restarts from the iteration-boundary checkpoint; and
-    a persistently slow GPU gets its tasks re-bound to a healthy device
-    at the next iteration boundary (late binding makes the same schedule
-    valid under the new assignment).
+    Transient transfer faults retry with exponential backoff (the fixed
+    :mod:`repro.common.backoff` schedule); a p2p path that keeps failing
+    degrades to a host-staged swap route; a crashed compute attempt
+    retries from its still-resident inputs; an iteration that dies
+    anyway restarts at once from the iteration-boundary checkpoint; and
+    a GPU persistently slowed by :data:`REBIND_THRESHOLD` or more gets
+    its tasks re-bound to a healthy device at the next iteration
+    boundary (late binding makes the same schedule valid under the new
+    assignment).
     """
 
-    #: retries per transfer before escalating (fallback or fatal)
-    max_transfer_retries: int = DEFAULT_TRANSFER_RETRIES
-    #: virtual seconds of backoff before the first transfer retry
-    backoff_base: float = DEFAULT_BACKOFF_BASE
-    #: multiplier applied to the backoff per further retry
-    backoff_factor: float = DEFAULT_BACKOFF_FACTOR
-    #: seeded jitter fraction on every backoff delay (0 = the exact
-    #: historical exponential schedule, bit-identical to pre-backoff-
-    #: extraction runs; > 0 decorrelates concurrent retriers)
-    backoff_jitter: float = 0.0
-    #: seed for the jitter draws (only consulted when jitter > 0)
-    backoff_seed: int = 0
-    #: virtual seconds of backoff before the first iteration restart
-    #: (0 = restart immediately, the historical behavior)
-    restart_backoff_base: float = 0.0
     #: degrade an exhausted p2p transfer to a host-staged swap route
     p2p_fallback: bool = True
     #: compute retries per task attempt before the fault is fatal
@@ -52,8 +35,6 @@ class RecoveryPolicy:
     max_iteration_restarts: int = 2
     #: re-bind a persistently degraded GPU's tasks at iteration boundaries
     rebind: bool = True
-    #: persistent slow-down multiplier at or above which re-bind triggers
-    rebind_threshold: float = 1.5
     #: when re-bind finds no spare, escalate to a full elastic re-plan on
     #: the surviving device subset (requires a replanner on the runner)
     elastic: bool = True
@@ -67,52 +48,11 @@ class RecoveryPolicy:
     max_replans: int = 4
 
     def __post_init__(self) -> None:
-        if self.max_transfer_retries < 0:
-            raise ValueError("max_transfer_retries must be >= 0")
         if self.max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
         if self.max_iteration_restarts < 0:
             raise ValueError("max_iteration_restarts must be >= 0")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ValueError("backoff_jitter must be in [0, 1)")
-        if self.restart_backoff_base < 0:
-            raise ValueError("restart_backoff_base must be >= 0")
-        if self.rebind_threshold < 1.0:
-            raise ValueError("rebind_threshold must be >= 1")
         if self.replan_patience < 0:
             raise ValueError("replan_patience must be >= 0")
         if self.max_replans < 0:
             raise ValueError("max_replans must be >= 0")
-
-    def transfer_backoff(self) -> BackoffPolicy:
-        """The transfer-retry schedule as a shared BackoffPolicy."""
-        return BackoffPolicy(
-            max_retries=self.max_transfer_retries,
-            base=self.backoff_base,
-            factor=self.backoff_factor,
-            jitter=self.backoff_jitter,
-            seed=self.backoff_seed,
-        )
-
-    def restart_backoff(self) -> BackoffPolicy:
-        """The iteration-restart schedule (zero-delay by default)."""
-        return BackoffPolicy(
-            max_retries=self.max_iteration_restarts,
-            base=self.restart_backoff_base,
-            factor=self.backoff_factor,
-            jitter=self.backoff_jitter,
-            seed=self.backoff_seed,
-        )
-
-    def backoff(self, attempt: int, *labels: object) -> float:
-        """Backoff before retry number ``attempt + 1`` (0-indexed).
-
-        Delegates to :mod:`repro.common.backoff`; with the default
-        ``backoff_jitter=0`` the value is bit-identical to the
-        historical inline ``base * factor ** attempt``.
-        """
-        return self.transfer_backoff().delay(attempt, *labels)

@@ -7,13 +7,14 @@ recovery mechanisms that live *above* a single iteration:
   state to host at every iteration boundary (that is the Harmony execution
   model), so the last completed iteration is always a consistent
   checkpoint.  An iteration attempt killed by an escalated fault is simply
-  re-run on a fresh simulated server, with fresh (still seed-deterministic)
-  fault dice for the ``(iteration, attempt)`` context -- otherwise the
-  identical fault would deterministically recur forever;
+  re-run at once on a fresh simulated server, with fresh (still
+  seed-deterministic) fault dice for the ``(iteration, attempt)`` context
+  -- otherwise the identical fault would deterministically recur forever;
 - **late-binding re-bind** -- tasks carry a device *binding*, not an
   identity (Section 4.3.2's late binding), so at an iteration boundary the
-  tasks of a persistently degraded or dead GPU can be re-bound to a
-  healthy spare device.  P2P moves whose endpoints collapse onto one
+  tasks of a dead GPU, or of one persistently slowed by
+  :data:`~repro.faults.policy.REBIND_THRESHOLD` or more, can be re-bound
+  to a healthy spare device.  P2P moves whose endpoints collapse onto one
   device become LOCAL (no traffic), exactly the transformation
   :func:`repro.elastic.rebind.rebind_graph` performs.  Re-binding repeats
   as often as trouble appears: a second device degrading later in the run
@@ -34,11 +35,11 @@ recovery mechanisms that live *above* a single iteration:
 The escalation ladder, cheapest rung first: transfer retry -> p2p->swap
 fallback -> compute retry -> iteration restart -> re-bind -> re-plan.
 
-The runner also audits every completed iteration with
-:func:`check_byte_invariants`: whatever faults were injected and recovered,
-the bytes that actually moved must still reconcile with the task graph's
-static totals (fallback traffic re-accounted, nothing lost, nothing
-double-counted).
+The runner audits every completed iteration with
+:func:`check_byte_invariants`: whatever faults were injected and
+recovered, the bytes that actually moved must still reconcile with the
+task graph's static totals (fallback traffic re-accounted, nothing lost,
+nothing double-counted).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from repro.elastic.rebind import rebind_graph
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import DeviceHealthMonitor
 from repro.faults.plan import FaultPlan
-from repro.faults.policy import RecoveryPolicy
+from repro.faults.policy import REBIND_THRESHOLD, RecoveryPolicy
 from repro.hardware.server import ServerSpec
 from repro.runtime.executor import DEFAULT_MAX_STEPS, run_phase
 from repro.runtime.metrics import (
@@ -163,7 +164,6 @@ class FaultTolerantRunner:
         host_state_bytes: int = 0,
         max_steps: Optional[int] = DEFAULT_MAX_STEPS,
         horizon: Optional[float] = None,
-        check_invariants: bool = True,
         replanner: Optional["ElasticReplanner"] = None,
         trace=None,
         binding=None,
@@ -176,7 +176,6 @@ class FaultTolerantRunner:
         self.host_state_bytes = host_state_bytes
         self.max_steps = max_steps
         self.horizon = horizon
-        self.check_invariants = check_invariants
         #: elastic escalation target; None leaves only rebind-level rescue
         #: (anything with ``.replan(survivors) -> ElasticPlan`` works)
         self.replanner = replanner
@@ -237,7 +236,7 @@ class FaultTolerantRunner:
         whole restart budget.  The ladder, cheapest rung first:
 
         1. **re-bind**: troubled in-use devices (lost first, then
-           persistently degraded beyond ``rebind_threshold``) move 1:1
+           persistently degraded by ``REBIND_THRESHOLD`` or more) move 1:1
            onto idle healthy spares -- repeatable, every boundary;
         2. **re-plan**: devices still stranded after re-binding escalate.
            A *lost* device escalates immediately (dead hardware earns no
@@ -267,7 +266,7 @@ class FaultTolerantRunner:
                 for device, multiplier, persistent in
                 probe.degraded_gpus(self.spec.n_gpus)
                 if persistent
-                and multiplier >= self.policy.rebind_threshold
+                and multiplier >= REBIND_THRESHOLD
                 and device not in dead and device not in retired
             }
         # Rung 1: 1:1 re-bind onto idle healthy spares, lost devices first.
@@ -412,22 +411,11 @@ class FaultTolerantRunner:
                     recovery.restarts += 1
                     self._mark("restart", f"iteration{iteration}",
                                attempt=attempt, cause=type(exc).__name__)
-                    # Restart backoff rides the shared schedule
-                    # (repro.common.backoff); the default zero-delay
-                    # policy restarts immediately, bit-identical to the
-                    # pre-extraction runner.
-                    pause = self.policy.restart_backoff().delay(
-                        attempt, "restart", iteration)
-                    if pause > 0:
-                        total_time += pause
-                        if self.trace is not None:
-                            self.trace.advance(pause)
                     rescue(iteration, attempt + 1)
                     continue
                 break
             assert metrics is not None
-            if self.check_invariants:
-                check_byte_invariants(current, metrics)
+            check_byte_invariants(current, metrics)
             recovery.accumulate(metrics.recovery)
             for device, g in enumerate(metrics.gpus):
                 gpus[device].accumulate(g)

@@ -8,7 +8,7 @@ memory pools for the Runtime to execute against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.hardware.gpu import GTX_1080TI, GpuMemoryPool, GpuSpec
 from repro.hardware.host import (
@@ -45,6 +45,22 @@ class ServerSpec:
     @property
     def collective_gpu_memory(self) -> int:
         return self.n_gpus * self.gpu.memory_bytes
+
+    def with_gpus(self, n_gpus: int) -> "ServerSpec":
+        """The same machine with ``n_gpus`` GPUs (``self`` if unchanged).
+
+        Per-GPU and host specs are unchanged; the PCIe tree keeps its
+        shape (switch fan-out, link bandwidths) with more or fewer
+        leaves.
+        """
+        if n_gpus == self.n_gpus:
+            return self
+        return ServerSpec(
+            n_gpus=n_gpus,
+            gpu=self.gpu,
+            host=self.host,
+            topology=replace(self.topology, n_gpus=n_gpus),
+        )
 
     def describe(self) -> str:
         return (

@@ -1,19 +1,13 @@
 """GPU memory virtualization substrate.
 
-- :mod:`~repro.memory.tensor_state` -- the tensor-lifetime state machine
-  the Runtime's memory manager maintains (Section 4.4).
 - :mod:`~repro.memory.swap_manager` -- per-GPU LRU virtualization in the
   style of IBM-LMS; this is what the *baseline* schemes use and whose
   repeated/unnecessary/CPU-only/unbalanced swaps Section 2 dissects.
 """
 
-from repro.memory.tensor_state import TensorHome, TensorRecord, TensorTable
 from repro.memory.swap_manager import LruSwapManager, SwapDecision
 
 __all__ = [
-    "TensorHome",
-    "TensorRecord",
-    "TensorTable",
     "LruSwapManager",
     "SwapDecision",
 ]

@@ -38,6 +38,11 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from repro.analysis.diagnostics import stream_ref, task_ref
+from repro.common.backoff import (
+    DEFAULT_BACKOFF_BASE,
+    DEFAULT_TRANSFER_RETRIES,
+    exponential,
+)
 from repro.common.errors import (
     FaultError,
     HostOutOfMemoryError,
@@ -352,14 +357,16 @@ class Executor:
 
     def _transfer(self, path: Sequence[Link], nbytes: int, device: int,
                   stream: str, label: str) -> Generator:
-        """One logical transfer, retried per the recovery policy.
+        """One logical transfer, retried on the fixed backoff schedule.
 
         Without an injector this is exactly :func:`repro.sim.links.transfer`
         (zero overhead when faults are off).  With one, each attempt asks
         the injector for a fault; transient faults back off exponentially
-        and retry, and a fault on the last permitted attempt propagates as
-        :class:`TransferFaultError` for the caller (p2p fallback, or the
-        simulator's failure machinery) to handle.
+        (:mod:`repro.common.backoff`'s ``DEFAULT_TRANSFER_RETRIES`` and
+        ``DEFAULT_BACKOFF_BASE``) and retry, and a fault on the last
+        permitted attempt propagates as :class:`TransferFaultError` for
+        the caller (p2p fallback, or the simulator's failure machinery)
+        to handle.
 
         The occupied wall time (queueing plus hold, success or not) is
         accounted per device as ``swap_busy`` / ``p2p_busy`` so overlap
@@ -382,8 +389,7 @@ class Executor:
                                         lane=stream)
                     return
                 except TransferFaultError:
-                    assert self.policy is not None
-                    if attempt >= self.policy.max_transfer_retries:
+                    if attempt >= DEFAULT_TRANSFER_RETRIES:
                         raise
                     self.recovery.transfer_retries += 1
                     trace = self.sim.trace
@@ -391,10 +397,8 @@ class Executor:
                         trace.instant("retry", "transfer", self.sim.now,
                                       device=device, lane=stream, label=label,
                                       attempt=attempt)
-                    backoff = self.policy.backoff(attempt, device, stream,
-                                                  label)
-                    if backoff > 0:
-                        yield self.sim.timeout(backoff)
+                    yield self.sim.timeout(
+                        exponential(attempt, DEFAULT_BACKOFF_BASE))
                     attempt += 1
         finally:
             held = self.sim.now - start

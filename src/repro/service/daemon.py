@@ -22,7 +22,7 @@ certification -- they carry no execution promise).
 Serving walks the degradation ladder, cheapest-and-best first:
 
 1. **exact cache hit** -- the content-addressed key matches a plan
-   served before (any tenant, any time): serve it for ``cache_cost``;
+   served before (any tenant, any time): serve it for ``CACHE_COST``;
 2. **fresh plan** -- if the circuit breaker admits it: nominal virtual
    cost scaled by the model's depth, inflated by chaos slowdowns,
    retried with seeded-jitter backoff after chaos crashes.  An attempt
@@ -57,7 +57,7 @@ from repro.fleet.placer import FleetPlacer, FleetReservation
 from repro.core.harmony import Harmony, HarmonyOptions, HarmonyPlan
 from repro.hardware.server import ServerSpec
 from repro.models.zoo import build_model
-from repro.service.breaker import CircuitBreaker, DEFAULT_COOLDOWN
+from repro.service.breaker import CircuitBreaker
 from repro.service.cache import PlanCache, family_key, plan_key
 from repro.service.chaos import ServiceFaultPlan
 from repro.service.metrics import ServiceMetrics
@@ -72,9 +72,36 @@ def _default_server_factory(n_gpus: int) -> ServerSpec:
     return server_for(n_gpus)
 
 
+#: virtual budget for requests that carry no deadline
+DEFAULT_DEADLINE = 30.0
+#: nominal virtual seconds of planner work per fresh plan (scaled by
+#: model depth; chaos slowdowns multiply it further)
+PLAN_COST = 2.0
+#: virtual seconds to serve an exact cache hit
+CACHE_COST = 0.02
+#: virtual seconds to relabel + serve a near-spec stale plan
+STALE_COST = 0.10
+#: virtual seconds to produce + serve the baseline plan
+BASELINE_COST = 0.50
+#: virtual seconds to detect and reject a poisoned request
+DETECT_COST = 0.01
+#: virtual seconds for a fleet placement decision (fleet mode only)
+PLACE_COST = 0.05
+#: retry schedule for crashed planner attempts (seeded jitter
+#: decorrelates a storm of retrying requests; the service binds its
+#: seed into the draw)
+PLANNER_RETRY = BackoffPolicy(
+    max_retries=2, base=0.5, factor=2.0, jitter=0.25, cap=4.0
+)
+#: plan-cache capacity
+CACHE_CAPACITY = 64
+#: simulator watchdog: callbacks before a stuck service aborts
+MAX_STEPS = 2_000_000
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Every service tunable; defaults give a hardened 2-worker daemon."""
+    """The service's tunables; defaults give a hardened 2-worker daemon."""
 
     #: concurrent planner workers
     workers: int = 2
@@ -82,36 +109,8 @@ class ServiceConfig:
     queue_limit: int = 16
     #: unresolved requests (queued + in service) per tenant; 0 = no quota
     tenant_quota: int = 8
-    #: virtual budget for requests that carry no deadline
-    default_deadline: float = 30.0
-    #: nominal virtual seconds of planner work per fresh plan (scaled by
-    #: model depth; chaos slowdowns multiply it further)
-    plan_cost: float = 2.0
-    #: virtual seconds to serve an exact cache hit
-    cache_cost: float = 0.02
-    #: virtual seconds to relabel + serve a near-spec stale plan
-    stale_cost: float = 0.10
-    #: virtual seconds to produce + serve the baseline plan
-    baseline_cost: float = 0.50
-    #: virtual seconds to detect and reject a poisoned request
-    detect_cost: float = 0.01
-    #: virtual seconds for a fleet placement decision (fleet mode only)
-    place_cost: float = 0.05
-    #: retry schedule for crashed planner attempts (seeded jitter
-    #: decorrelates a storm of retrying requests)
-    retry: BackoffPolicy = BackoffPolicy(
-        max_retries=2, base=0.5, factor=2.0, jitter=0.25, cap=4.0
-    )
-    #: consecutive planner failures/timeouts that trip the breaker
-    breaker_threshold: int = 3
-    #: breaker cooldown schedule (exponential -> non-increasing flaps)
-    breaker_cooldown: BackoffPolicy = DEFAULT_COOLDOWN
     #: False turns rungs 3-4 off: breaker-open misses shed immediately
     degradation: bool = True
-    #: plan-cache capacity (None = unbounded)
-    cache_capacity: Optional[int] = 64
-    #: simulator watchdog: callbacks before a stuck service aborts
-    max_steps: int = 2_000_000
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -123,18 +122,6 @@ class ServiceConfig:
         if self.tenant_quota < 0:
             raise ValueError(
                 f"tenant_quota must be >= 0, got {self.tenant_quota}"
-            )
-        if self.default_deadline <= 0:
-            raise ValueError(
-                f"default_deadline must be > 0, got {self.default_deadline}"
-            )
-        for name in ("plan_cost", "cache_cost", "stale_cost",
-                     "baseline_cost", "detect_cost", "place_cost"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
             )
 
 
@@ -173,17 +160,11 @@ class PlannerService:
         self.sim = Simulator()
         self.sim.trace = trace
         self.trace = trace
-        retry = self.config.retry
-        if retry.jitter > 0.0 and retry.seed == 0 and seed != 0:
-            # Bind the service seed into the retry jitter unless the
-            # config pinned its own; labels still decorrelate requests.
-            retry = replace(retry, seed=seed)
-        self.retry = retry
-        self.cache = PlanCache(self.config.cache_capacity)
-        self.breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown,
-        )
+        # The service seed scopes the retry jitter; labels still
+        # decorrelate requests.
+        self.retry = replace(PLANNER_RETRY, seed=seed)
+        self.cache = PlanCache(CACHE_CAPACITY)
+        self.breaker = CircuitBreaker()
         self.metrics = ServiceMetrics()
         self.results: list[RequestResult] = []
         self._queue: deque[tuple[PlanRequest, float]] = deque()
@@ -191,8 +172,6 @@ class PlannerService:
         self._remaining = 0
         self._tenant_load: dict[str, int] = {}
         self._servers: dict[int, ServerSpec] = {}
-        #: plan key -> the Harmony that built it (for run requests)
-        self._harmonys: dict[str, Harmony] = {}
         #: plan key -> memoized simulated iteration seconds
         self._run_seconds: dict[str, float] = {}
         #: plan key -> memoized baseline plan
@@ -219,7 +198,7 @@ class PlannerService:
             self.sim.process(self._arrivals(ordered), name="svc.arrivals")
             for wid in range(self.config.workers):
                 self.sim.process(self._worker(wid), name=f"svc.worker{wid}")
-        self.sim.run(max_steps=self.config.max_steps)
+        self.sim.run(max_steps=MAX_STEPS)
         if len(self.results) != len(ordered):
             raise SimulationError(
                 f"service run ended with {len(ordered) - len(self.results)} "
@@ -314,7 +293,7 @@ class PlannerService:
         started = self.sim.now
         wait = started - enqueued
         budget = (request.deadline if request.deadline is not None
-                  else self.config.default_deadline)
+                  else DEFAULT_DEADLINE)
         deadline = request.arrival + budget
 
         def fits(cost: float) -> bool:
@@ -323,8 +302,7 @@ class PlannerService:
         # Poisoned / malformed requests: cheap detection, typed failure,
         # no breaker involvement (the planner did nothing wrong).
         if self.chaos.poisoned(request.rid):
-            if self.config.detect_cost > 0:
-                yield self.sim.timeout(self.config.detect_cost)
+            yield self.sim.timeout(DETECT_COST)
             self.metrics.chaos_poisoned += 1
             self._resolve(
                 request, Outcome.FAILED_POISONED,
@@ -335,8 +313,7 @@ class PlannerService:
         try:
             model = build_model(request.model)
         except (KeyError, ValueError) as exc:
-            if self.config.detect_cost > 0:
-                yield self.sim.timeout(self.config.detect_cost)
+            yield self.sim.timeout(DETECT_COST)
             self._resolve(
                 request, Outcome.FAILED_POISONED, detail=str(exc), wait=wait,
             )
@@ -346,8 +323,7 @@ class PlannerService:
         # the request resolves (released in _resolve); a placement miss
         # is a typed shed, not a queue hang.
         if self.fleet is not None:
-            if self.config.place_cost > 0:
-                yield self.sim.timeout(self.config.place_cost)
+            yield self.sim.timeout(PLACE_COST)
             reservation = self.fleet.reserve(
                 request.tenant, request.gpus,
                 share=Fraction(request.memory_share),
@@ -370,8 +346,8 @@ class PlannerService:
         # Rung 1: exact content-addressed cache hit.
         plan = self.cache.get(key)
         if plan is not None:
-            if fits(self.config.cache_cost):
-                yield self.sim.timeout(self.config.cache_cost)
+            if fits(CACHE_COST):
+                yield self.sim.timeout(CACHE_COST)
                 yield from self._finish(
                     request, Outcome.SERVED_CACHED, plan=plan, key=key,
                     wait=wait, deadline=deadline,
@@ -402,7 +378,7 @@ class PlannerService:
         # Rungs 3-4: degraded service.
         if self.config.degradation:
             near = self.cache.near(family, request.gpus, exclude=key)
-            if near is not None and fits(self.config.stale_cost):
+            if near is not None and fits(STALE_COST):
                 source_gpus, source_key, source = near
                 # The cached plan's logical devices embed in-place into
                 # the request's (larger or equal) physical device range;
@@ -411,7 +387,7 @@ class PlannerService:
                     source.graph.n_devices, request.gpus
                 )
                 graph = embedding.apply(source.graph)
-                yield self.sim.timeout(self.config.stale_cost)
+                yield self.sim.timeout(STALE_COST)
                 self.metrics.stale_rebinds += 1
                 stale = StalePlan(
                     source=source, graph=graph,
@@ -425,12 +401,12 @@ class PlannerService:
                     attempts=attempts,
                 )
                 return
-            if fits(self.config.baseline_cost):
+            if fits(BASELINE_COST):
                 baseline = self._baseline_plan(
                     key, model, server, request.minibatch
                 )
                 if baseline is not None:
-                    yield self.sim.timeout(self.config.baseline_cost)
+                    yield self.sim.timeout(BASELINE_COST)
                     self.metrics.baseline_plans += 1
                     self._resolve(
                         request, Outcome.DEGRADED_BASELINE,
@@ -444,7 +420,7 @@ class PlannerService:
         # cheapest degraded rung no longer fits the remaining budget;
         # otherwise the planner (breaker open, crashes, no plannable
         # rung) is what failed the request.
-        cheapest = min(self.config.stale_cost, self.config.baseline_cost)
+        cheapest = min(STALE_COST, BASELINE_COST)
         deadline_bound = self.sim.now + _EPS >= deadline or (
             self.config.degradation and not fits(cheapest)
         )
@@ -508,10 +484,9 @@ class PlannerService:
                 attempt += 1
                 continue
             try:
-                harmony = Harmony(
+                plan = Harmony(
                     model, server, request.minibatch, options=options
-                )
-                plan = harmony.plan()
+                ).plan()
             except Exception:
                 # Planner-side failure (infeasible config, scheduler
                 # error): terminal for the fresh rung.
@@ -520,7 +495,6 @@ class PlannerService:
                 return False, attempt + 1
             self.breaker.record_success(self.sim.now)
             self.cache.put(key, plan, family=family, n_gpus=request.gpus)
-            self._harmonys[key] = harmony
             yield from self._finish(
                 request, Outcome.SERVED_FRESH, plan=plan, key=key,
                 wait=wait, deadline=deadline, attempts=attempt + 1,
@@ -683,7 +657,7 @@ class PlannerService:
 
     def _plan_cost(self, model: Any) -> float:
         """Nominal virtual planning cost, scaled by model depth."""
-        return self.config.plan_cost * (1.0 + model.n_layers / 32.0)
+        return PLAN_COST * (1.0 + model.n_layers / 32.0)
 
     def _baseline_plan(self, key: str, model: Any, server: ServerSpec,
                        minibatch: int) -> Optional[Any]:
@@ -707,10 +681,8 @@ class PlannerService:
         simulated execution; later ones reuse its virtual duration."""
         if key in self._run_seconds:
             return self._run_seconds[key]
-        harmony = self._harmonys.get(key)
-        seconds = 0.0
-        if harmony is not None:
-            report = harmony.run(plan=plan)
-            seconds = report.metrics.iteration_time
+        harmony = Harmony(plan.model, plan.server, plan.minibatch,
+                          plan.options)
+        seconds = harmony.run(plan=plan).metrics.iteration_time
         self._run_seconds[key] = seconds
         return seconds

@@ -12,7 +12,7 @@ re-certification).  See DESIGN.md §15.
     >>> harmony.run(plan=bound)                # doctest: +SKIP
 """
 
-from repro.virt.bind import BoundPlan, bind, physical_server, verify_bound
+from repro.virt.bind import BoundPlan, bind, verify_bound
 from repro.virt.devices import (
     DeviceBinding,
     LogicalDevice,
@@ -32,7 +32,6 @@ __all__ = [
     "VirtualTopology",
     "apply_device_mapping",
     "bind",
-    "physical_server",
     "remap_move",
     "verify_bound",
 ]

@@ -12,7 +12,7 @@ per-physical-device memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.types import TaskGraph
@@ -22,25 +22,6 @@ from repro.virt.devices import DeviceBinding
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import AnalysisReport
     from repro.core.harmony import HarmonyPlan
-
-
-def physical_server(base: ServerSpec, binding: DeviceBinding) -> ServerSpec:
-    """The server spec the bound graph actually runs on.
-
-    Same-count binds keep the planned spec (identity binds must be
-    spec-identical, and heterogeneity is carried by the binding, not the
-    spec); count-changing binds keep the per-GPU/host specs and resize
-    the PCIe tree, mirroring ``Harmony.reduced_server``.
-    """
-    n = binding.n_physical
-    if n == base.n_gpus:
-        return base
-    return ServerSpec(
-        n_gpus=n,
-        gpu=base.gpu,
-        host=base.host,
-        topology=replace(base.topology, n_gpus=n),
-    )
 
 
 @dataclass
@@ -108,7 +89,9 @@ def bind(plan: "HarmonyPlan", binding: DeviceBinding, *,
             f"plan targets {plan.graph.n_devices}"
         )
     graph = binding.apply(plan.graph)
-    server = physical_server(plan.server, binding)
+    # Same-count binds keep the planned spec (identity binds must be
+    # spec-identical, and heterogeneity is carried by the binding).
+    server = plan.server.with_gpus(binding.n_physical)
     report = None
     if verify:
         host_input = plan.minibatch * plan.model.sample_bytes

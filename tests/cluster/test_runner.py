@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import (
-    ClusterPolicy,
     ClusterRunner,
     PartitionWindow,
     ScriptedClusterFaultPlan,
@@ -12,9 +11,9 @@ from repro.common.errors import ClusterFaultError
 from repro.trace import TraceRecorder, check_network_reconciliation
 
 
-def run_cluster(planner, fault_plan=None, iterations=3, policy=None,
-                trace=None):
-    runner = ClusterRunner(planner, fault_plan, policy=policy, trace=trace)
+def run_cluster(planner, fault_plan=None, iterations=3, trace=None,
+                **kwargs):
+    runner = ClusterRunner(planner, fault_plan, trace=trace, **kwargs)
     metrics = runner.run(iterations)
     return runner, metrics
 
@@ -88,9 +87,8 @@ class TestWholeServerLoss:
     def test_replan_budget_is_typed(self, make_planner):
         planner = make_planner(mode="pp", servers=3)
         plan = ScriptedClusterFaultPlan(crashes={1: 1})
-        policy = ClusterPolicy(max_cluster_replans=0)
         with pytest.raises(ClusterFaultError) as info:
-            run_cluster(planner, plan, iterations=3, policy=policy)
+            run_cluster(planner, plan, iterations=3, max_cluster_replans=0)
         assert "budget" in str(info.value)
 
 
@@ -159,8 +157,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             runner.run(0)
 
-    def test_policy_validation(self):
+    def test_policy_validation(self, make_planner):
         with pytest.raises(ValueError):
-            ClusterPolicy(server_patience=-1)
-        with pytest.raises(ValueError):
-            ClusterPolicy(max_partition_wait=0.0)
+            ClusterRunner(make_planner(mode="pp", servers=2),
+                          max_cluster_replans=-1)

@@ -131,18 +131,11 @@ class TestScriptedFaultPlan:
 
 
 class TestRecoveryPolicy:
-    def test_backoff_grows_exponentially(self):
-        policy = RecoveryPolicy(backoff_base=0.001, backoff_factor=2.0)
-        assert policy.backoff(0) == pytest.approx(0.001)
-        assert policy.backoff(2) == pytest.approx(0.004)
-
     @pytest.mark.parametrize("field,value", [
-        ("max_transfer_retries", -1),
         ("max_task_retries", -1),
         ("max_iteration_restarts", -1),
-        ("backoff_base", -0.1),
-        ("backoff_factor", 0.5),
-        ("rebind_threshold", 0.9),
+        ("replan_patience", -1),
+        ("max_replans", -1),
     ])
     def test_validation(self, field, value):
         with pytest.raises(ValueError):

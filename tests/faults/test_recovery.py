@@ -8,6 +8,7 @@ accounting.
 
 import pytest
 
+from repro.common.backoff import DEFAULT_TRANSFER_RETRIES
 from repro.common.errors import (
     GpuDegradedError,
     SimulationError,
@@ -56,21 +57,19 @@ class TestTransferRetry:
 
 
 class TestP2pFallback:
-    def _exhausting_plan(self, policy):
+    def _exhausting_plan(self):
         return ScriptedFaultPlan(transfer_faults={
             (P2P_CHUNK, attempt): 0.5
-            for attempt in range(policy.max_transfer_retries + 1)
+            for attempt in range(DEFAULT_TRANSFER_RETRIES + 1)
         })
 
     def test_exhausted_p2p_degrades_to_host_staging(self, toy_harmony,
                                                     make_runner):
-        policy = RecoveryPolicy()
         graph = toy_harmony.plan().graph
-        metrics = make_runner(self._exhausting_plan(policy),
-                              policy=policy).run(graph)
+        metrics = make_runner(self._exhausting_plan()).run(graph)
         assert metrics.recovery.p2p_fallbacks == 1
         assert metrics.recovery.fallback_bytes > 0
-        assert metrics.recovery.transfer_retries == policy.max_transfer_retries
+        assert metrics.recovery.transfer_retries == DEFAULT_TRANSFER_RETRIES
         # Re-accounting: the rescued bytes left the p2p ledger and entered
         # the swap ledger on both endpoints (the runner audits the same
         # equations internally; assert them explicitly here).
@@ -81,7 +80,7 @@ class TestP2pFallback:
 
     def test_fallback_disabled_is_fatal(self, toy_harmony, make_runner):
         policy = RecoveryPolicy(p2p_fallback=False, max_iteration_restarts=0)
-        runner = make_runner(self._exhausting_plan(policy), policy=policy)
+        runner = make_runner(self._exhausting_plan(), policy=policy)
         with pytest.raises(UnrecoveredFaultError) as err:
             runner.run(toy_harmony.plan().graph)
         assert "gpu" in str(err.value)  # names the faulted stream entity

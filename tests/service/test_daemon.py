@@ -229,9 +229,6 @@ class TestConfigValidation:
         {"workers": 0},
         {"queue_limit": 0},
         {"tenant_quota": -1},
-        {"default_deadline": 0.0},
-        {"plan_cost": -1.0},
-        {"breaker_threshold": 0},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

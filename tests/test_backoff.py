@@ -1,8 +1,7 @@
 """The centralized retry/backoff policy (``repro.common.backoff``).
 
 The extraction's contract is *bit-identity*: with the default
-``jitter=0``, every migrated call site (executor transfer retries,
-runner restarts, RecoveryPolicy.backoff) must compute exactly the
+``jitter=0``, the executor's transfer retries must wait exactly the
 historical ``base * factor ** attempt``.  Jitter, when enabled, must be
 seeded, bounded and label-scoped -- a reproducible decorrelator, not a
 randomness leak.
@@ -17,7 +16,6 @@ from repro.common.backoff import (
     BackoffPolicy,
     exponential,
 )
-from repro.faults.policy import RecoveryPolicy
 
 
 class TestExponential:
@@ -47,18 +45,11 @@ class TestBitIdentityPins:
         assert policy.delay(2, "dev0", "swap_in") == policy.delay(2)
 
     def test_recovery_policy_backoff_is_bit_identical(self):
-        """RecoveryPolicy.backoff == the pre-extraction inline formula."""
-        policy = RecoveryPolicy()
-        for attempt in range(policy.max_transfer_retries + 1):
-            assert policy.backoff(attempt) == 0.002 * 2.0 ** attempt
-        custom = RecoveryPolicy(backoff_base=0.01, backoff_factor=3.0)
-        assert custom.backoff(2) == 0.01 * 3.0 ** 2
-
-    def test_restart_backoff_zero_by_default(self):
-        """Restarts historically waited 0s; the default must preserve it."""
-        restart = RecoveryPolicy().restart_backoff()
-        for attempt in range(3):
-            assert restart.delay(attempt, "restart", attempt) == 0.0
+        """The executor's transfer-retry waits == the pre-extraction
+        inline formula."""
+        for attempt in range(DEFAULT_TRANSFER_RETRIES + 1):
+            assert exponential(attempt, DEFAULT_BACKOFF_BASE) \
+                == 0.002 * 2.0 ** attempt
 
 
 class TestExhausted:
@@ -120,11 +111,3 @@ class TestValidation:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             BackoffPolicy(**kwargs)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"backoff_jitter": 1.0},
-        {"restart_backoff_base": -0.1},
-    ])
-    def test_recovery_policy_validates_new_fields(self, kwargs):
-        with pytest.raises(ValueError):
-            RecoveryPolicy(**kwargs)

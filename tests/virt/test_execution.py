@@ -127,11 +127,10 @@ class TestHeterogeneous:
     def test_memory_pools_reflect_the_binding(self, harmony):
         from repro.hardware.server import SimulatedServer
         from repro.sim.engine import Simulator
-        from repro.virt import physical_server
 
         binding = DeviceBinding.heterogeneous([1.0] * GPUS,
                                               [1.0, 1.0, 0.5, 0.75])
-        spec = physical_server(harmony.server, binding)
+        spec = harmony.server.with_gpus(binding.n_physical)
         live = SimulatedServer(Simulator(), spec, binding=binding)
         base = spec.gpu.memory_bytes
         assert [p.capacity for p in live.gpu_memory] \
