@@ -12,11 +12,19 @@ parallel-training schemes with IBM-LMS-style per-GPU swapping:
 - :mod:`~repro.baselines.zero_infinity` -- a ZeRO-Infinity analog: sharded
   state streamed from host per layer pack per microbatch, CPU optimizer.
 
-Each planner replays its schedule's tensor touches through the
-:class:`~repro.memory.swap_manager.LruSwapManager` to derive swap volumes
-(reproducing the repeated/unnecessary/unbalanced swaps of Section 2
-mechanically, not by hand-coded formulas), then emits a task graph that
-the same Runtime executes.
+The three LMS schemes share one schedule compiler in
+:mod:`~repro.baselines.base`: :class:`~repro.baselines.base.LmsReplay`
+replays each forward, backward and update step's tensor touches through
+the :class:`~repro.memory.swap_manager.LruSwapManager` to derive its swap
+volume (reproducing the repeated/unnecessary/unbalanced swaps of Section
+2 mechanically, not by hand-coded formulas),
+:func:`~repro.baselines.base.emit_step` turns each step into a task, and
+:meth:`~repro.baselines.base.BaselineScheme.assemble` wraps the graph,
+which the same Runtime executes, as a :class:`BaselinePlan`.  A scheme
+keeps only what differs: DP its layer chunks and ring all-reduce; GPipe
+and 2BW, which share one plan body, their step order and weight
+versions.  The ZeRO-Infinity analog emits its own pinned, overlapped
+transfers and shares the plan assembly.
 """
 
 from repro.baselines.base import BaselinePlan, BaselineScheme

@@ -14,39 +14,26 @@ exposes the paper's pathologies mechanically:
 
 Result: swap volume ``(4m+2)N|W|`` plus activation/gradient traffic --
 the left bars of Figure 9 and the dominant line of Figure 10.
+
+What is DP's own: the replica's layer chunks (one task per microbatch and
+chunk) and the ring all-reduce ahead of each replica's update; the touch
+replay, task emission and plan assembly are :mod:`repro.baselines.base`'s.
 """
 
 from __future__ import annotations
 
-from repro.baselines.base import BaselinePlan, BaselineScheme, LmsReplay
-from repro.core.config import microbatch_group
-from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
-from repro.graph.layer import Phase
+from repro.baselines.base import (
+    BaselinePlan,
+    BaselineScheme,
+    LmsReplay,
+    emit_step,
+    layer_chunks,
+    order_after,
+)
+from repro.core.config import Pack, microbatch_group
+from repro.core.types import Channel, Move, TaskKind, TensorKind
 
-
-def layer_chunks(profiles, max_bytes: int, max_layers: int = 32) -> list[tuple[int, int]]:
-    """Contiguous layer chunks whose weights fit a transfer window.
-
-    LMS interleaves swapping and compute layer by layer; emitting one task
-    per (microbatch, chunk) lets the Runtime's prefetch reproduce that
-    overlap without one task per layer.
-    """
-    chunks = []
-    first = 0
-    n = len(profiles)
-    while first < n:
-        last = first
-        acc = profiles[first].param_bytes
-        while (
-            last + 1 < n
-            and last - first + 1 < max_layers
-            and acc + profiles[last + 1].param_bytes <= max_bytes
-        ):
-            last += 1
-            acc += profiles[last].param_bytes
-        chunks.append((first, last))
-        first = last + 1
-    return chunks
+__all__ = ["DpSwapPlanner", "layer_chunks"]
 
 
 class DpSwapPlanner(BaselineScheme):
@@ -62,168 +49,54 @@ class DpSwapPlanner(BaselineScheme):
         u = min(self.microbatch, share)
         mbs = microbatch_group(share, u)
         capacity = self.server.gpu.memory_bytes
-        chunks = layer_chunks(self.profiles, max_bytes=capacity // 8)
+        chunks = [Pack(first, last) for first, last
+                  in layer_chunks(self.profiles, max_bytes=capacity // 8)]
         profiles = self.profiles
-
-        graph = TaskGraph(mode="dp-swap", n_devices=n, pageable_swaps=True)
+        graph = self.new_graph()
         last_bwd_tid: dict[int, int] = {}
 
+        # Every replica runs all forwards, stashing every activation, then
+        # all backwards in reverse, consuming the stash and accumulating
+        # dW -- one task per (microbatch, chunk), each ordered after the
+        # previous one.
+        steps = [("F", i, chunk) for i in range(len(mbs)) for chunk in chunks]
+        steps += [("B", i, chunk) for i in reversed(range(len(mbs)))
+                  for chunk in reversed(chunks)]
         for gpu in range(n):
             replay = LmsReplay(capacity)
-            prev_tid = None
-
-            # -- forward: all microbatches, stashing every activation ------
-            for i, size in enumerate(mbs):
-                for first, last in chunks:
-                    replay.begin_step()
-                    for layer in range(first, last + 1):
-                        replay.use(f"W:{layer}", profiles[layer].param_bytes)
-                        replay.produce(
-                            f"stash:{layer}:{i}",
-                            profiles[layer].saved_for_backward_bytes(size),
-                        )
-                    swap_in, swap_out = replay.end_step()
-                    prev_tid = self._emit(
-                        graph, TaskKind.FWD, gpu, first, last, size,
-                        swap_in, swap_out, prev_tid,
-                        label=f"F[{first}-{last}]mb{i}@g{gpu}",
-                    )
-
-            # -- backward: reverse order, consuming stash, accumulating dW --
-            for i in reversed(range(len(mbs))):
-                size = mbs[i]
-                for first, last in reversed(chunks):
-                    replay.begin_step()
-                    for layer in range(last, first - 1, -1):
-                        replay.use(f"W:{layer}", profiles[layer].param_bytes)
-                        replay.use(
-                            f"stash:{layer}:{i}",
-                            profiles[layer].saved_for_backward_bytes(size),
-                        )
-                        replay.drop(f"stash:{layer}:{i}")
-                        replay.use(
-                            f"dW:{layer}", profiles[layer].param_bytes,
-                            write=True,
-                        )
-                    swap_in, swap_out = replay.end_step()
-                    prev_tid = self._emit(
-                        graph, TaskKind.BWD, gpu, first, last, size,
-                        swap_in, swap_out, prev_tid,
-                        label=f"B[{first}-{last}]mb{i}@g{gpu}",
-                    )
-            last_bwd_tid[gpu] = prev_tid
-
-        # -- allreduce + weight update, per replica -------------------------
-        slots = self.model.optimizer_slots
-        for gpu in range(n):
-            replay = LmsReplay(capacity)
-            replay.begin_step()
-            for layer in range(len(profiles)):
-                replay.use(f"W:{layer}", profiles[layer].param_bytes, write=True)
-                replay.use(f"dW:{layer}", profiles[layer].param_bytes)
-                replay.use(
-                    f"K:{layer}",
-                    profiles[layer].param_bytes * slots,
-                    write=True,
+            order: list[Move] = []
+            for letter, i, chunk in steps:
+                if letter == "F":
+                    kind, touch = TaskKind.FWD, replay.forward
+                else:
+                    kind, touch = TaskKind.BWD, replay.backward
+                task = emit_step(
+                    graph, kind, gpu, chunk, mbs[i],
+                    touch(profiles, chunk, i, mbs[i]), order,
+                    label=f"{letter}[{chunk.first}-{chunk.last}]mb{i}@g{gpu}",
+                    recompute=False,  # DP Swap stashes; it does not remat
                 )
-            for layer in range(len(profiles)):
-                replay.flush(f"W:{layer}")
-                replay.flush(f"K:{layer}")
-            swap_in, swap_out = replay.end_step()
-            task = Task(
-                tid=len(graph.tasks),
-                kind=TaskKind.UPD,
-                first_layer=0,
-                last_layer=len(profiles) - 1,
-                device=gpu,
-                microbatches=(1,),
-                label=f"U@g{gpu}",
-            )
-            task.ins.append(Move(
-                tensor=TensorKind.W, nbytes=swap_in, channel=Channel.SWAP,
-                label="lms-in",
-            ))
-            # Ring allreduce: each replica receives ~2(N-1)/N |W| from its
-            # peers over p2p before it can apply the averaged gradient.
-            ring_bytes = int(2 * (n - 1) / n * profiles.total_param_bytes)
-            for peer in range(n):
-                if peer == gpu:
-                    continue
-                task.ins.append(Move(
-                    tensor=TensorKind.DW,
-                    nbytes=ring_bytes // max(1, n - 1),
-                    channel=Channel.P2P,
-                    peer=peer,
-                    src_task=last_bwd_tid[peer],
-                    label=f"allreduce<-g{peer}",
-                ))
-            task.outs.append(Move(
-                tensor=TensorKind.DW, nbytes=swap_out, channel=Channel.SWAP,
-                label="lms-out",
-            ))
-            # Swapped-in state plus the allreduce shards it receives all
-            # occupy GPU memory while the update runs.
-            task.resident_bytes = sum(
-                move.nbytes for move in task.ins if move.channel.crosses_pcie
-            )
-            graph.add(task)
+                order = [order_after(task.tid)]
+            last_bwd_tid[gpu] = task.tid
 
-        graph.validate()
-        host_state = (
-            self.model.model_state_bytes
-            + self.minibatch * self.model.sample_bytes
-        )
-        return BaselinePlan(
-            scheme=self.name,
-            model=self.model,
-            server=self.server,
-            minibatch=self.minibatch,
-            microbatch=u,
-            decomposed=self.decomposed,
-            profiles=self.profiles,
-            graph=graph,
-            host_state_bytes=host_state,
-            notes=f"{len(mbs)} microbatches/GPU, {len(chunks)} layer chunks",
-        )
+        # Allreduce + weight update, per replica.  Ring allreduce: each
+        # replica receives ~2(N-1)/N |W| from its peers over p2p before
+        # it can apply the averaged gradient.
+        whole = Pack(0, len(profiles) - 1)
+        ring_bytes = int(2 * (n - 1) / n * profiles.total_param_bytes)
+        for gpu in range(n):
+            traffic = LmsReplay(capacity).update(
+                profiles, whole, self.model.optimizer_slots
+            )
+            ring = [
+                Move(tensor=TensorKind.DW, nbytes=ring_bytes // max(1, n - 1),
+                     channel=Channel.P2P, peer=peer,
+                     src_task=last_bwd_tid[peer], label=f"allreduce<-g{peer}")
+                for peer in range(n) if peer != gpu
+            ]
+            emit_step(graph, TaskKind.UPD, gpu, whole, 1, traffic, ring,
+                      label=f"U@g{gpu}")
 
-    def _emit(
-        self,
-        graph: TaskGraph,
-        kind: TaskKind,
-        gpu: int,
-        first: int,
-        last: int,
-        size: int,
-        swap_in: int,
-        swap_out: int,
-        prev_tid,
-        label: str,
-    ) -> int:
-        task = Task(
-            tid=len(graph.tasks),
-            kind=kind,
-            first_layer=first,
-            last_layer=last,
-            device=gpu,
-            microbatches=(size,),
-            recompute=False,  # DP Swap stashes; it does not rematerialize
-            label=label,
+        return self.assemble(
+            graph, u, f"{len(mbs)} microbatches/GPU, {len(chunks)} layer chunks"
         )
-        if swap_in:
-            task.ins.append(Move(
-                tensor=TensorKind.W, nbytes=swap_in, channel=Channel.SWAP,
-                label="lms-in",
-            ))
-        if prev_tid is not None:
-            task.ins.append(Move(
-                tensor=TensorKind.DW, nbytes=0, channel=Channel.LOCAL,
-                src_task=prev_tid, label="order",
-            ))
-        if swap_out:
-            task.outs.append(Move(
-                tensor=TensorKind.DW, nbytes=swap_out, channel=Channel.SWAP,
-                label="lms-out",
-            ))
-        task.resident_bytes = swap_in
-        graph.add(task)
-        return task.tid

@@ -12,45 +12,75 @@ tail's (Figure 2c).
 ``recompute=True`` gives the GP Swap (R) variant: stages checkpoint only
 their input and rematerialize in the backward pass, trading compute for a
 large reduction in stash traffic (the (R) bars of Figure 9).
+
+:class:`PipelineSwapScheme` is the plan body GP Swap shares with 2BW Swap
+(:mod:`repro.baselines.pipedream_2bw`): the schemes differ only in their
+step order, their weight versions and the host state those versions need.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaselinePlan, BaselineScheme, LmsReplay
+from repro.baselines.base import (
+    BaselinePlan,
+    BaselineScheme,
+    LmsReplay,
+    emit_step,
+    order_after,
+)
+from repro.common.errors import SchedulingError
 from repro.core.config import Pack, microbatch_group, packs_from_boundaries
-from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
+from repro.core.types import Channel, Move, TaskKind, TensorKind
 from repro.graph.layer import Phase
+
+#: One pipeline step: ("F" or "B", stage, microbatch index).
+Step = tuple[str, int, int]
 
 
 def compute_balanced_stages(profiles, n_stages: int) -> tuple[Pack, ...]:
     """Split layers into ``n_stages`` contiguous stages with near-equal
     total (forward + backward) compute -- how GPipe/PipeDream partition."""
+    n_layers = len(profiles)
+    if not 1 <= n_stages <= n_layers:
+        raise SchedulingError(
+            f"cannot split {n_layers} layers into {n_stages} stages"
+        )
     times = [
         profiles[i].time(Phase.FWD, 1) + profiles[i].time(Phase.BWD, 1)
-        for i in range(len(profiles))
+        for i in range(n_layers)
     ]
     prefix = np.cumsum(times)
     targets = np.arange(1, n_stages) * (prefix[-1] / n_stages)
     cuts = np.searchsorted(prefix, targets) + 1
-    cuts = np.clip(cuts, 1, len(times) - 1)
+    cuts = np.clip(cuts, 1, n_layers - 1)
     boundaries = [0] + sorted(set(int(c) for c in cuts))
-    while len(boundaries) < n_stages:  # degenerate tiny models
-        boundaries.append(boundaries[-1] + 1)
-    return packs_from_boundaries(boundaries[:n_stages], len(times))
+    # Degenerate tiny models: cut after the last boundary while layers
+    # remain, then at the first unused layers.
+    spare = (layer for layer in range(1, n_layers) if layer not in boundaries)
+    while len(boundaries) < n_stages:
+        if boundaries[-1] + 1 < n_layers:
+            boundaries.append(boundaries[-1] + 1)
+        else:
+            boundaries.append(next(spare))
+            boundaries.sort()
+    return packs_from_boundaries(boundaries, n_layers)
 
 
-class GpipeSwapPlanner(BaselineScheme):
-    """Plan and run GP Swap / GP Swap (R)."""
+class PipelineSwapScheme(BaselineScheme):
+    """Compute-balanced stages pinned one per GPU, replayed through LMS in
+    the order :meth:`steps` gives, then one weight update per stage."""
 
-    name = "gp-swap"
+    #: Weight versions each stage keeps; microbatch ``i`` uses ``i % n``.
+    weight_versions = 1
+    #: ``notes`` prefix, formatted with ``stages`` and ``microbatches``.
+    schedule_notes = ""
 
     def __init__(self, *args, recompute: bool = False, **kwargs):
         super().__init__(*args, **kwargs)
         self.recompute = recompute
         if recompute:
-            self.name = "gp-swap-r"
+            self.name = f"{self.name}-r"
 
     def default_microbatch(self) -> int:
         """Pipelines need several microbatches per stage to fill (GPipe
@@ -59,187 +89,84 @@ class GpipeSwapPlanner(BaselineScheme):
         pipelined = max(1, self.minibatch // (4 * self.server.n_gpus))
         return min(fit, pipelined)
 
-    # -- schedule -----------------------------------------------------------------
+    def host_state_bytes(self) -> int:
+        return (super().host_state_bytes()
+                + (self.weight_versions - 1) * self.model.weight_bytes)
+
+    def steps(self, n_stages: int, n_mbs: int) -> list[Step]:
+        """Every forward and backward step, in an order that respects the
+        cross-stage data dependencies."""
+        raise NotImplementedError
+
+    def version(self, mb: int) -> str:
+        """The weight-key suffix microbatch ``mb`` reads."""
+        return "" if self.weight_versions == 1 else f"@{mb % self.weight_versions}"
 
     def plan(self) -> BaselinePlan:
         n = self.server.n_gpus
         u = min(self.microbatch, self.minibatch)
         mbs = microbatch_group(self.minibatch, u)
         stages = compute_balanced_stages(self.profiles, n)
-        capacity = self.server.gpu.memory_bytes
         profiles = self.profiles
+        graph = self.new_graph()
+        replays = [LmsReplay(self.server.gpu.memory_bytes) for _ in range(n)]
+        tids: dict[Step, int] = {}
+        last_bwd: dict[int, int] = {}
 
-        graph = TaskGraph(mode=self.name, n_devices=n, pageable_swaps=True)
-        replays = [LmsReplay(capacity) for _ in range(n)]
-        fwd_tid: dict[tuple[int, int], int] = {}
-        bwd_tid: dict[tuple[int, int], int] = {}
-
-        # Forward phase: stage by stage per microbatch (pipelined by deps).
-        for i, size in enumerate(mbs):
-            for s, stage in enumerate(stages):
-                replay = replays[s]
-                replay.begin_step()
-                for layer in stage.layers:
-                    replay.use(f"W:{layer}", profiles[layer].param_bytes)
-                    if not self.recompute:
-                        replay.produce(
-                            f"stash:{layer}:{i}",
-                            profiles[layer].saved_for_backward_bytes(size),
-                        )
-                if self.recompute:
-                    replay.produce(
-                        f"ckpt:{s}:{i}",
-                        profiles.boundary_in_bytes(stage, size),
-                    )
-                swap_in, swap_out = replay.end_step()
-                task = self._emit(
-                    graph, TaskKind.FWD, s, stage, size, swap_in, swap_out,
-                    label=f"F{s}mb{i}",
-                )
-                if s > 0:
-                    boundary = profiles.boundary_in_bytes(stage, size)
-                    task.ins.append(Move(
-                        tensor=TensorKind.X,
-                        nbytes=boundary,
-                        channel=Channel.P2P,
-                        peer=s - 1,
-                        src_task=fwd_tid[(s - 1, i)],
-                        label="act",
-                    ))
-                    task.resident_bytes += boundary
-                fwd_tid[(s, i)] = task.tid
-
-        # Backward phase (after the flush): reverse stages, reverse mbs.
-        for i in reversed(range(len(mbs))):
-            size = mbs[i]
-            for s in reversed(range(n)):
-                stage = stages[s]
-                replay = replays[s]
-                replay.begin_step()
-                if self.recompute:
-                    replay.use(
-                        f"ckpt:{s}:{i}",
-                        profiles.boundary_in_bytes(stage, size),
-                    )
-                    replay.drop(f"ckpt:{s}:{i}")
-                for layer in reversed(list(stage.layers)):
-                    replay.use(f"W:{layer}", profiles[layer].param_bytes)
-                    if self.recompute:
-                        replay.produce(
-                            f"restash:{layer}",
-                            profiles[layer].saved_for_backward_bytes(size),
-                        )
-                        replay.drop(f"restash:{layer}")
-                    else:
-                        replay.use(
-                            f"stash:{layer}:{i}",
-                            profiles[layer].saved_for_backward_bytes(size),
-                        )
-                        replay.drop(f"stash:{layer}:{i}")
-                    replay.use(
-                        f"dW:{layer}", profiles[layer].param_bytes, write=True
-                    )
-                swap_in, swap_out = replay.end_step()
-                task = self._emit(
-                    graph, TaskKind.BWD, s, stage, size, swap_in, swap_out,
-                    label=f"B{s}mb{i}", recompute=self.recompute,
-                )
-                if s < n - 1:
-                    boundary = profiles.boundary_out_bytes(stage, size)
-                    task.ins.append(Move(
-                        tensor=TensorKind.DY,
-                        nbytes=boundary,
-                        channel=Channel.P2P,
-                        peer=s + 1,
-                        src_task=bwd_tid[(s + 1, i)],
-                        label="grad-act",
-                    ))
-                    task.resident_bytes += boundary
-                bwd_tid[(s, i)] = task.tid
-
-        # Per-stage weight update.
-        slots = self.model.optimizer_slots
-        for s, stage in enumerate(stages):
-            replay = replays[s]
-            replay.begin_step()
-            for layer in stage.layers:
-                replay.use(f"W:{layer}", profiles[layer].param_bytes, write=True)
-                replay.use(f"dW:{layer}", profiles[layer].param_bytes)
-                replay.use(
-                    f"K:{layer}", profiles[layer].param_bytes * slots,
-                    write=True,
-                )
-            for layer in stage.layers:
-                replay.flush(f"W:{layer}")
-                replay.flush(f"K:{layer}")
-            swap_in, swap_out = replay.end_step()
-            task = Task(
-                tid=len(graph.tasks),
-                kind=TaskKind.UPD,
-                first_layer=stage.first,
-                last_layer=stage.last,
-                device=s,
-                microbatches=(1,),
-                label=f"U{s}",
+        for step in self.steps(n, len(mbs)):
+            letter, s, i = step
+            stage, size = stages[s], mbs[i]
+            # A forward takes its input activation from the previous
+            # stage, a backward its output gradient from the next one.
+            if letter == "F":
+                kind, touch, peer = TaskKind.FWD, replays[s].forward, s - 1
+                tensor, label = TensorKind.X, "act"
+                nbytes = profiles.boundary_in_bytes(stage, size)
+            else:
+                kind, touch, peer = TaskKind.BWD, replays[s].backward, s + 1
+                tensor, label = TensorKind.DY, "grad-act"
+                nbytes = profiles.boundary_out_bytes(stage, size)
+            traffic = touch(profiles, stage, i, size, self.version(i),
+                            self.recompute)
+            boundary = [
+                Move(tensor=tensor, nbytes=nbytes, channel=Channel.P2P,
+                     peer=peer, src_task=tids[(letter, peer, i)], label=label)
+            ] if 0 <= peer < n else []
+            task = emit_step(
+                graph, kind, s, stage, size, traffic, boundary,
+                label=f"{letter}{s}mb{i}",
+                recompute=self.recompute and letter == "B",
             )
-            if swap_in:
-                task.ins.append(Move(
-                    tensor=TensorKind.W, nbytes=swap_in, channel=Channel.SWAP,
-                    label="lms-in",
-                ))
-            task.ins.append(Move(
-                tensor=TensorKind.DW, nbytes=0, channel=Channel.LOCAL,
-                src_task=bwd_tid[(s, 0)], label="order",
-            ))
-            if swap_out:
-                task.outs.append(Move(
-                    tensor=TensorKind.DW, nbytes=swap_out,
-                    channel=Channel.SWAP, label="lms-out",
-                ))
-            task.resident_bytes = swap_in
-            graph.add(task)
+            tids[step] = task.tid
+            if letter == "B":
+                last_bwd[s] = task.tid
 
-        graph.validate()
-        host_state = (
-            self.model.model_state_bytes
-            + self.minibatch * self.model.sample_bytes
-        )
-        return BaselinePlan(
-            scheme=self.name,
-            model=self.model,
-            server=self.server,
-            minibatch=self.minibatch,
-            microbatch=u,
-            decomposed=self.decomposed,
-            profiles=self.profiles,
-            graph=graph,
-            host_state_bytes=host_state,
-            notes=f"{n} stages, {len(mbs)} microbatches, "
-                  f"recompute={'on' if self.recompute else 'off'}",
+        # Per-stage weight update at iteration end.
+        for s, stage in enumerate(stages):
+            traffic = replays[s].update(
+                profiles, stage, self.model.optimizer_slots, self.version(0)
+            )
+            emit_step(graph, TaskKind.UPD, s, stage, 1, traffic,
+                      [order_after(last_bwd[s])], label=f"U{s}")
+
+        notes = self.schedule_notes.format(stages=n, microbatches=len(mbs))
+        return self.assemble(
+            graph, u,
+            f"{notes}, recompute={'on' if self.recompute else 'off'}",
         )
 
-    def _emit(self, graph, kind, device, stage, size, swap_in, swap_out,
-              label, recompute=False) -> Task:
-        task = Task(
-            tid=len(graph.tasks),
-            kind=kind,
-            first_layer=stage.first,
-            last_layer=stage.last,
-            device=device,
-            microbatches=(size,),
-            recompute=recompute,
-            label=label,
-        )
-        if swap_in:
-            task.ins.append(Move(
-                tensor=TensorKind.W, nbytes=swap_in, channel=Channel.SWAP,
-                label="lms-in",
-            ))
-        if swap_out:
-            task.outs.append(Move(
-                tensor=TensorKind.DW, nbytes=swap_out, channel=Channel.SWAP,
-                label="lms-out",
-            ))
-        task.resident_bytes = swap_in
-        graph.add(task)
-        return task
+
+class GpipeSwapPlanner(PipelineSwapScheme):
+    """Plan and run GP Swap / GP Swap (R)."""
+
+    name = "gp-swap"
+    schedule_notes = "{stages} stages, {microbatches} microbatches"
+
+    def steps(self, n_stages: int, n_mbs: int) -> list[Step]:
+        """All forwards stage-major per microbatch (pipelined by the p2p
+        dependencies), then -- after the flush -- all backwards in
+        reverse."""
+        forwards = [("F", s, i) for i in range(n_mbs) for s in range(n_stages)]
+        backwards = [("B", s, i) for i in reversed(range(n_mbs))
+                     for s in reversed(range(n_stages))]
+        return forwards + backwards

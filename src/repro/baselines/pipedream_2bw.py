@@ -7,15 +7,14 @@ the doubled weight state adds memory pressure -- which is why the paper
 finds the gap between GP Swap and 2BW Swap "less dramatic" in the
 swap-dominated regime than when models fit in memory.
 
-``recompute=True`` gives 2BW Swap (R).
+``recompute=True`` gives 2BW Swap (R).  The plan body is GP Swap's
+(:class:`~repro.baselines.gpipe_swap.PipelineSwapScheme`); 2BW supplies
+the 1F1B step order and the second weight version.
 """
 
 from __future__ import annotations
 
-from repro.baselines.base import BaselinePlan, BaselineScheme, LmsReplay
-from repro.baselines.gpipe_swap import compute_balanced_stages
-from repro.core.config import microbatch_group
-from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
+from repro.baselines.gpipe_swap import PipelineSwapScheme, Step
 
 
 def one_f_one_b_order(n_stages: int, stage: int, n_mbs: int) -> list[tuple[str, int]]:
@@ -33,205 +32,36 @@ def one_f_one_b_order(n_stages: int, stage: int, n_mbs: int) -> list[tuple[str, 
     return order
 
 
-class PipeDream2BWPlanner(BaselineScheme):
+class PipeDream2BWPlanner(PipelineSwapScheme):
     """Plan and run 2BW Swap / 2BW Swap (R)."""
 
     name = "2bw-swap"
+    weight_versions = 2  # double-buffered; host holds the second version
+    schedule_notes = "1F1B, 2 weight versions"
 
-    def __init__(self, *args, recompute: bool = False, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.recompute = recompute
-        if recompute:
-            self.name = "2bw-swap-r"
-
-    def default_microbatch(self) -> int:
-        """Pipelines need several microbatches per stage to fill (GPipe
-        recommends m >= 4x the stage count), on top of the memory bound."""
-        fit = super().default_microbatch()
-        pipelined = max(1, self.minibatch // (4 * self.server.n_gpus))
-        return min(fit, pipelined)
-
-    def plan(self) -> BaselinePlan:
-        n = self.server.n_gpus
-        u = min(self.microbatch, self.minibatch)
-        mbs = microbatch_group(self.minibatch, u)
-        stages = compute_balanced_stages(self.profiles, n)
-        capacity = self.server.gpu.memory_bytes
-        profiles = self.profiles
-
-        # Emit tasks in a global order consistent with every stage's local
-        # 1F1B order and with cross-stage data deps (fwd: stage-major per
-        # mb; bwd: reverse).  We interleave by walking per-stage orders and
-        # releasing a step once its dependency is already emitted.
-        per_stage = [one_f_one_b_order(n, s, len(mbs)) for s in range(n)]
-        cursor = [0] * n
-        emitted: dict[tuple[str, int, int], int] = {}  # (kind, stage, mb) -> tid
-
-        graph = TaskGraph(mode=self.name, n_devices=n, pageable_swaps=True)
-        replays = [LmsReplay(capacity) for _ in range(n)]
-        slots = self.model.optimizer_slots
-
-        def ready(s: int) -> bool:
-            kind, i = per_stage[s][cursor[s]]
-            if kind == "F":
-                return s == 0 or ("F", s - 1, i) in emitted
-            return s == n - 1 or ("B", s + 1, i) in emitted
-
-        def emit(s: int) -> None:
-            kind, i = per_stage[s][cursor[s]]
-            cursor[s] += 1
-            size = mbs[i]
-            stage = stages[s]
-            replay = replays[s]
-            version = i % 2  # double-buffered weight versions
-            replay.begin_step()
-            if kind == "F":
-                for layer in stage.layers:
-                    replay.use(
-                        f"W:{layer}@{version}", profiles[layer].param_bytes
-                    )
-                    if not self.recompute:
-                        replay.produce(
-                            f"stash:{layer}:{i}",
-                            profiles[layer].saved_for_backward_bytes(size),
-                        )
-                if self.recompute:
-                    replay.produce(
-                        f"ckpt:{s}:{i}",
-                        profiles.boundary_in_bytes(stage, size),
-                    )
-            else:
-                if self.recompute:
-                    replay.use(
-                        f"ckpt:{s}:{i}",
-                        profiles.boundary_in_bytes(stage, size),
-                    )
-                    replay.drop(f"ckpt:{s}:{i}")
-                for layer in reversed(list(stage.layers)):
-                    replay.use(
-                        f"W:{layer}@{version}", profiles[layer].param_bytes
-                    )
-                    stash_key = (
-                        f"restash:{layer}" if self.recompute
-                        else f"stash:{layer}:{i}"
-                    )
-                    if self.recompute:
-                        replay.produce(stash_key,
-                                       profiles[layer].saved_for_backward_bytes(size))
-                    else:
-                        replay.use(stash_key,
-                                   profiles[layer].saved_for_backward_bytes(size))
-                    replay.drop(stash_key)
-                    replay.use(
-                        f"dW:{layer}", profiles[layer].param_bytes, write=True
-                    )
-            swap_in, swap_out = replay.end_step()
-
-            task = Task(
-                tid=len(graph.tasks),
-                kind=TaskKind.FWD if kind == "F" else TaskKind.BWD,
-                first_layer=stage.first,
-                last_layer=stage.last,
-                device=s,
-                microbatches=(size,),
-                recompute=self.recompute and kind == "B",
-                label=f"{kind}{s}mb{i}",
-            )
-            if swap_in:
-                task.ins.append(Move(
-                    tensor=TensorKind.W, nbytes=swap_in,
-                    channel=Channel.SWAP, label="lms-in",
-                ))
-            if kind == "F" and s > 0:
-                task.ins.append(Move(
-                    tensor=TensorKind.X,
-                    nbytes=profiles.boundary_in_bytes(stage, size),
-                    channel=Channel.P2P, peer=s - 1,
-                    src_task=emitted[("F", s - 1, i)], label="act",
-                ))
-            if kind == "B" and s < n - 1:
-                task.ins.append(Move(
-                    tensor=TensorKind.DY,
-                    nbytes=profiles.boundary_out_bytes(stage, size),
-                    channel=Channel.P2P, peer=s + 1,
-                    src_task=emitted[("B", s + 1, i)], label="grad-act",
-                ))
-            if swap_out:
-                task.outs.append(Move(
-                    tensor=TensorKind.DW, nbytes=swap_out,
-                    channel=Channel.SWAP, label="lms-out",
-                ))
-            # Everything fetched across PCIe (host swaps and boundary
-            # activations alike) occupies GPU memory while the task runs.
-            task.resident_bytes = sum(
-                move.nbytes for move in task.ins if move.channel.crosses_pcie
-            )
-            graph.add(task)
-            emitted[(kind, s, i)] = task.tid
-
-        remaining = sum(len(order) for order in per_stage)
-        while remaining:
+    def steps(self, n_stages: int, n_mbs: int) -> list[Step]:
+        """A global order consistent with every stage's local 1F1B order
+        and with cross-stage data deps (fwd: stage-major per mb; bwd:
+        reverse): walk the per-stage orders, releasing a step once its
+        dependency is already placed."""
+        per_stage = [one_f_one_b_order(n_stages, s, n_mbs)
+                     for s in range(n_stages)]
+        cursor = [0] * n_stages
+        placed: set[Step] = set()
+        order: list[Step] = []
+        total = sum(len(steps) for steps in per_stage)
+        while len(order) < total:
             progressed = False
-            for s in range(n):
-                while cursor[s] < len(per_stage[s]) and ready(s):
-                    emit(s)
-                    remaining -= 1
+            for s in range(n_stages):
+                while cursor[s] < len(per_stage[s]):
+                    letter, i = per_stage[s][cursor[s]]
+                    peer = s - 1 if letter == "F" else s + 1
+                    if 0 <= peer < n_stages and (letter, peer, i) not in placed:
+                        break
+                    placed.add((letter, s, i))
+                    order.append((letter, s, i))
+                    cursor[s] += 1
                     progressed = True
             if not progressed:
                 raise RuntimeError("1F1B schedule deadlocked (bug)")
-
-        # Per-stage weight update at iteration end.
-        for s, stage in enumerate(stages):
-            replay = replays[s]
-            replay.begin_step()
-            for layer in stage.layers:
-                replay.use(f"W:{layer}@0", profiles[layer].param_bytes,
-                           write=True)
-                replay.use(f"dW:{layer}", profiles[layer].param_bytes)
-                replay.use(f"K:{layer}", profiles[layer].param_bytes * slots,
-                           write=True)
-            for layer in stage.layers:
-                replay.flush(f"W:{layer}@0")
-                replay.flush(f"K:{layer}")
-            swap_in, swap_out = replay.end_step()
-            task = Task(
-                tid=len(graph.tasks), kind=TaskKind.UPD,
-                first_layer=stage.first, last_layer=stage.last,
-                device=s, microbatches=(1,), label=f"U{s}",
-            )
-            if swap_in:
-                task.ins.append(Move(
-                    tensor=TensorKind.W, nbytes=swap_in,
-                    channel=Channel.SWAP, label="lms-in",
-                ))
-            task.ins.append(Move(
-                tensor=TensorKind.DW, nbytes=0, channel=Channel.LOCAL,
-                src_task=emitted[("B", s, len(mbs) - 1)], label="order",
-            ))
-            if swap_out:
-                task.outs.append(Move(
-                    tensor=TensorKind.DW, nbytes=swap_out,
-                    channel=Channel.SWAP, label="lms-out",
-                ))
-            task.resident_bytes = swap_in
-            graph.add(task)
-
-        graph.validate()
-        host_state = (
-            self.model.model_state_bytes
-            + self.model.weight_bytes  # the second weight version
-            + self.minibatch * self.model.sample_bytes
-        )
-        return BaselinePlan(
-            scheme=self.name,
-            model=self.model,
-            server=self.server,
-            minibatch=self.minibatch,
-            microbatch=u,
-            decomposed=self.decomposed,
-            profiles=self.profiles,
-            graph=graph,
-            host_state_bytes=host_state,
-            notes=f"1F1B, 2 weight versions, recompute="
-                  f"{'on' if self.recompute else 'off'}",
-        )
+        return order

@@ -23,9 +23,14 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.diagnostics import Waiver
-from repro.baselines.base import BaselinePlan, BaselineScheme
+from repro.baselines.base import (
+    BaselinePlan,
+    BaselineScheme,
+    layer_chunks,
+    order_after,
+)
 from repro.core.config import Pack, microbatch_group
-from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
+from repro.core.types import Channel, Move, Task, TaskKind, TensorKind
 
 HOST_OVERHEAD = 1.25
 
@@ -61,13 +66,17 @@ class ZeroInfinityPlanner(BaselineScheme):
         self.u_f = u_f
         self.u_b = u_b
 
+    def host_state_bytes(self) -> int:
+        return int(
+            self.model.model_state_bytes * HOST_OVERHEAD
+            + self.minibatch * self.model.sample_bytes
+        )
+
     def packs(self) -> tuple[Pack, ...]:
         """Recompute pack granularity; defaults to weight-sized chunks when
         no Harmony configuration is supplied."""
         if self._packs is not None:
             return self._packs
-        from repro.baselines.dp_swap import layer_chunks
-
         chunks = layer_chunks(
             self.profiles, max_bytes=self.server.gpu.memory_bytes // 8
         )
@@ -84,7 +93,7 @@ class ZeroInfinityPlanner(BaselineScheme):
         mbs_b = microbatch_group(share, u_b)
         packs = self.packs()
         profiles = self.profiles
-        graph = TaskGraph(mode=self.name, n_devices=n)
+        graph = self.new_graph()
         last_bwd: dict[tuple[int, int], int] = {}
 
         for gpu in range(n):
@@ -104,11 +113,7 @@ class ZeroInfinityPlanner(BaselineScheme):
                         channel=Channel.SWAP, label=f"W{pack}",
                     ))
                     if prev is not None:
-                        task.ins.append(Move(
-                            tensor=TensorKind.DW, nbytes=0,
-                            channel=Channel.LOCAL, src_task=prev,
-                            label="order",
-                        ))
+                        task.ins.append(order_after(prev))
                     if pack.first > 0:
                         task.outs.append(Move(
                             tensor=TensorKind.CKPT,
@@ -121,7 +126,8 @@ class ZeroInfinityPlanner(BaselineScheme):
             # Backward: re-fetch again, rematerialize, push gradients out.
             for i in reversed(range(len(mbs_b))):
                 size = mbs_b[i]
-                for pack in reversed(packs):
+                for idx in reversed(range(len(packs))):
+                    pack = packs[idx]
                     task = Task(
                         tid=len(graph.tasks), kind=TaskKind.BWD,
                         first_layer=pack.first, last_layer=pack.last,
@@ -140,11 +146,7 @@ class ZeroInfinityPlanner(BaselineScheme):
                         channel=Channel.SWAP, label="ckpt",
                     ))
                     if prev is not None:
-                        task.ins.append(Move(
-                            tensor=TensorKind.DW, nbytes=0,
-                            channel=Channel.LOCAL, src_task=prev,
-                            label="order",
-                        ))
+                        task.ins.append(order_after(prev))
                     # Reduce-scatter to host: gradients leave per microbatch.
                     task.outs.append(Move(
                         tensor=TensorKind.DW,
@@ -154,7 +156,7 @@ class ZeroInfinityPlanner(BaselineScheme):
                     task.resident_bytes = profiles.pack_bwd_memory(pack, size)
                     graph.add(task)
                     prev = task.tid
-                    last_bwd[(gpu, packs.index(pack))] = task.tid
+                    last_bwd[(gpu, idx)] = task.tid
 
         # CPU optimizer over the sharded state, one update per pack.
         for idx, pack in enumerate(packs):
@@ -173,21 +175,8 @@ class ZeroInfinityPlanner(BaselineScheme):
                 ))
             graph.add(task)
 
-        graph.validate()
-        host_state = int(
-            self.model.model_state_bytes * HOST_OVERHEAD
-            + self.minibatch * self.model.sample_bytes
-        )
-        return BaselinePlan(
-            scheme=self.name,
-            model=self.model,
-            server=self.server,
-            minibatch=self.minibatch,
-            microbatch=u_b,
-            decomposed=self.decomposed,
-            profiles=self.profiles,
-            graph=graph,
-            host_state_bytes=host_state,
-            notes=f"{len(packs)} packs, {len(mbs_f)}F/{len(mbs_b)}B "
-                  "microbatches/GPU, CPU optimizer",
+        return self.assemble(
+            graph, u_b,
+            f"{len(packs)} packs, {len(mbs_f)}F/{len(mbs_b)}B "
+            "microbatches/GPU, CPU optimizer",
         )

@@ -66,6 +66,16 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+#: The per-GPU-swap baselines: scheme name -> (planner class, kwargs).
+LMS_SCHEMES: dict[str, tuple[type, dict[str, Any]]] = {
+    "dp-swap": (DpSwapPlanner, {}),
+    "gp-swap": (GpipeSwapPlanner, {}),
+    "gp-swap-r": (GpipeSwapPlanner, {"recompute": True}),
+    "2bw-swap": (PipeDream2BWPlanner, {}),
+    "2bw-swap-r": (PipeDream2BWPlanner, {"recompute": True}),
+}
+
+
 @lru_cache(maxsize=None)
 def run_scheme(
     scheme: str,
@@ -85,17 +95,9 @@ def run_scheme(
     if scheme == "harmony-pp":
         return Harmony(model, server, minibatch,
                        options=HarmonyOptions(mode="pp")).run().metrics
-    if scheme == "dp-swap":
-        return DpSwapPlanner(model, server, minibatch).run()
-    if scheme == "gp-swap":
-        return GpipeSwapPlanner(model, server, minibatch).run()
-    if scheme == "gp-swap-r":
-        return GpipeSwapPlanner(model, server, minibatch, recompute=True).run()
-    if scheme == "2bw-swap":
-        return PipeDream2BWPlanner(model, server, minibatch).run()
-    if scheme == "2bw-swap-r":
-        return PipeDream2BWPlanner(model, server, minibatch,
-                                   recompute=True).run()
+    if scheme in LMS_SCHEMES:
+        planner_cls, kwargs = LMS_SCHEMES[scheme]
+        return planner_cls(model, server, minibatch, **kwargs).run()
     if scheme == "zero-infinity":
         config = Harmony(model, server, minibatch,
                          options=HarmonyOptions(mode="dp")).plan().config

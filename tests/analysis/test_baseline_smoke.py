@@ -11,6 +11,8 @@ the analyzer turns any *unmatched* waiver into an error, so the waiver
 dies with the violation it excuses.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.analysis import Waiver, analyze
@@ -23,13 +25,23 @@ from repro.baselines import (
 from repro.experiments.common import server_for
 
 PLANNERS = (
-    DpSwapPlanner, GpipeSwapPlanner, PipeDream2BWPlanner, ZeroInfinityPlanner,
+    DpSwapPlanner,
+    GpipeSwapPlanner,
+    partial(GpipeSwapPlanner, recompute=True),
+    PipeDream2BWPlanner,
+    partial(PipeDream2BWPlanner, recompute=True),
+    ZeroInfinityPlanner,
 )
 
 
-def analyzed(planner_cls, waivers=None):
+def scheme_name(make) -> str:
+    """The ``name`` an instance reports (recompute variants add ``-r``)."""
+    return make("toy-transformer", server_for(4), 32).name
+
+
+def analyzed(make, waivers=None):
     server = server_for(4)
-    scheme = planner_cls("bert-large", server, 32)
+    scheme = make("bert-large", server, 32)
     plan = scheme.plan()
     return analyze(
         plan.graph,
@@ -40,10 +52,9 @@ def analyzed(planner_cls, waivers=None):
     )
 
 
-@pytest.mark.parametrize("planner_cls", PLANNERS,
-                         ids=lambda cls: cls.name)
-def test_baseline_schedule_analyzes_clean(planner_cls):
-    report = analyzed(planner_cls)
+@pytest.mark.parametrize("make", PLANNERS, ids=scheme_name)
+def test_baseline_schedule_analyzes_clean(make):
+    report = analyzed(make)
     assert report.ok and not report.warnings, report.describe()
 
 

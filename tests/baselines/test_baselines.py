@@ -6,7 +6,12 @@ from repro.baselines.dp_swap import DpSwapPlanner, layer_chunks
 from repro.baselines.gpipe_swap import GpipeSwapPlanner, compute_balanced_stages
 from repro.baselines.pipedream_2bw import PipeDream2BWPlanner, one_f_one_b_order
 from repro.baselines.zero_infinity import ZeroInfinityPlanner
+from repro.common.errors import SchedulingError
+from repro.core.decomposer import Decomposer
+from repro.core.profiler import Profiler
 from repro.core.types import Channel, TaskKind, TensorKind
+from repro.experiments.common import server_for
+from repro.models.zoo import build_model
 
 
 @pytest.fixture
@@ -52,6 +57,23 @@ class TestGpipeSwap:
         assert len(stages) == 2
         assert stages[0].first == 0
         assert stages[-1].last == len(toy_profiles) - 1
+
+    @pytest.mark.parametrize("model", ["toy-transformer", "tiny-cnn"])
+    def test_every_stage_count_up_to_one_layer_each(self, model):
+        profiles = Profiler(server_for(4).gpu).profile(
+            Decomposer(seed=0).decompose(build_model(model))
+        )
+        n_layers = len(profiles)
+        for n_stages in range(1, n_layers + 1):
+            stages = compute_balanced_stages(profiles, n_stages)
+            assert len(stages) == n_stages
+            assert stages[0].first == 0
+            assert stages[-1].last == n_layers - 1
+            for left, right in zip(stages, stages[1:]):
+                assert right.first == left.last + 1
+        with pytest.raises(SchedulingError,
+                           match=rf"{n_layers} layers into {n_layers + 1} "):
+            compute_balanced_stages(profiles, n_layers + 1)
 
     def test_forward_then_backward(self, args):
         plan = GpipeSwapPlanner(**args).plan()

@@ -73,3 +73,19 @@ def test_run_scheme_memoized():
     a = run_scheme("harmony-pp", "gpt2", 16)
     b = run_scheme("harmony-pp", "gpt2", 16)
     assert a is b
+
+
+def test_lms_scheme_table_names_match_planners():
+    from repro.experiments.common import LMS_SCHEMES, SCHEMES, server_for
+
+    for scheme, (planner_cls, kwargs) in LMS_SCHEMES.items():
+        planner = planner_cls("toy-transformer", server_for(2), 8, **kwargs)
+        assert planner.name == scheme
+        assert scheme in SCHEMES
+
+
+def test_run_scheme_rejects_unknown_scheme():
+    from repro.experiments.common import run_scheme
+
+    with pytest.raises(ValueError, match="unknown scheme"):
+        run_scheme("gp-swap-x", "toy-transformer", 8, 2)

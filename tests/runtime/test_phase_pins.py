@@ -19,6 +19,7 @@ Any change to what these phases record or return moves a digest.
 
 import hashlib
 from dataclasses import asdict, fields
+from functools import partial
 
 import pytest
 
@@ -63,8 +64,12 @@ DIGESTS = {
         "d6a47768e5f0997f5e5040d749af623eeb139248ff596422a39122702c848c25"),
     "baseline-gpipe-swap": (None,
         "a94f3d8c8b80c80f507c43bca3cae1fcf8ff14ccdf74671e6de715a807109878"),
+    "baseline-gpipe-swap-r": (None,
+        "aea40ae36c17170aab87be7f556c080bf46dc993eec17a1e6f890855e6fec955"),
     "baseline-pipedream-2bw": (None,
         "6a33ef418e17cd9b9bb87f4647cf6016bc0583fc02ef3ab89cf90632b4944ffb"),
+    "baseline-pipedream-2bw-r": (None,
+        "5444d3bfd9003afb8abce4bcfcf94fdfd44f0f1c44ddaa7c63fa9bb5e795079d"),
     "baseline-zero-infinity": (None,
         "ebd1ae26ecae25739460eb8e05b74d95a87dd7573881085aebdb9b19af7d1683"),
 }
@@ -160,7 +165,11 @@ RUNS = {
     "cluster-dp-partition": _cluster_dp_partition,
     "baseline-dp-swap": _baseline(DpSwapPlanner),
     "baseline-gpipe-swap": _baseline(GpipeSwapPlanner),
+    "baseline-gpipe-swap-r": _baseline(
+        partial(GpipeSwapPlanner, recompute=True)),
     "baseline-pipedream-2bw": _baseline(PipeDream2BWPlanner),
+    "baseline-pipedream-2bw-r": _baseline(
+        partial(PipeDream2BWPlanner, recompute=True)),
     "baseline-zero-infinity": _baseline(ZeroInfinityPlanner),
 }
 
