@@ -35,7 +35,7 @@ from repro.analysis.diagnostics import (
     stream_ref,
     task_ref,
 )
-from repro.analysis.hb import HappensBefore, build_happens_before
+from repro.analysis.deadlock import HappensBefore, build_happens_before
 from repro.analysis.inject import INJECTIONS, inject
 from repro.analysis.parametric import (
     CapacityCertificate,

@@ -19,7 +19,6 @@ from repro.analysis import deadlock as _deadlock    # noqa: F401  isort:skip
 from repro.analysis import dataflow as _dataflow    # noqa: F401  isort:skip
 from repro.analysis import hb as _hb                # noqa: F401  isort:skip
 from repro.analysis import lifetime as _lifetime    # noqa: F401  isort:skip
-from repro.analysis import capacity as _capacity    # noqa: F401  isort:skip
 from repro.analysis import parametric as _parametric  # noqa: F401  isort:skip
 from repro.analysis import channels as _channels    # noqa: F401  isort:skip
 from repro.analysis import ablation as _ablation    # noqa: F401  isort:skip

@@ -9,11 +9,13 @@ lint) declare it and are skipped -- with an explicit reason in the report
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional, TypeVar
 
 from repro.core.taskgraph import ScheduleOptions
 from repro.core.types import Task, TaskGraph
 from repro.hardware.server import ServerSpec
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -40,6 +42,9 @@ class AnalysisContext:
 
     _per_device: Optional[list[list[Task]]] = field(
         default=None, init=False, repr=False
+    )
+    _memo: dict[Callable[..., Any], Any] = field(
+        default_factory=dict, init=False, repr=False
     )
 
     @property
@@ -76,3 +81,10 @@ class AnalysisContext:
                     buckets[task.device].append(task)
             self._per_device = buckets
         return self._per_device
+
+    def memo(self, derive: Callable[["AnalysisContext"], T]) -> T:
+        """``derive(self)``, computed once per context and shared by every
+        pass that asks (the wait graph, the capacity certificates)."""
+        if derive not in self._memo:
+            self._memo[derive] = derive(self)
+        return self._memo[derive]

@@ -1,36 +1,48 @@
-"""Parametric capacity certificates: peak memory as a function of N.
+"""Memory-capacity certification: peak memory as a function of N.
 
-The point capacity check (:mod:`repro.analysis.capacity`) certifies one
-profiled plan.  This pass generalizes it: peak residency is bounded by a
-symbolic *affine form* in the per-group microbatch count N, and the
-certificate either holds for every N >= 1 or names the smallest
-violating N -- the planner's whole parameter family is certified at
-once, not one point.
+Peak residency is bounded by a symbolic *affine form* in the per-group
+microbatch count N, and each certificate either holds for every N >= 1
+or names the smallest violating N -- the planner's whole parameter
+family is certified at once.  The point check of the plan as built is
+the certificate at N = 1.
 
 Derivation (all integer arithmetic; these paths are deliberately free of
 float accumulation and the project linter enforces that):
 
-- **per GPU**: a task's planned ``resident_bytes`` splits into an
-  N-independent part (weights, one in-flight microbatch's activations)
-  and the group-boundary tensors it holds for neighbouring groups --
-  exactly the bytes its ``LOCAL`` in-moves declare, which grow linearly
-  with the group's microbatch count.  With ``resident(t, N) =
-  max(0, resident_bytes - local_in) + local_in * N``, the device bound
-  is the max over every ``fetch_slots``-consecutive window of the
-  window's affine sum ``fixed_w + slope_w * N``.  At N = 1 this is
-  identically the point check's bound;
+- **per GPU**: the Executor grants at most ``fetch_slots`` concurrent
+  task windows per device (two with prefetch double-buffering, one
+  without) and holds each task's planned ``resident_bytes`` from slot
+  grant to completion, so the peak is bounded by the largest sum over
+  any ``fetch_slots`` consecutive tasks in device order -- independent
+  of event timing.  A task's residency splits into an N-independent part
+  (weights, one in-flight microbatch's activations) and the
+  group-boundary tensors it holds for neighbouring groups -- exactly the
+  bytes its ``LOCAL`` in-moves declare, which grow linearly with the
+  group's microbatch count.  With ``resident(t, N) = max(0,
+  resident_bytes - local_in) + local_in * N``, the device bound is the
+  max over every window of the window's affine sum ``fixed_w + slope_w
+  * N``;
 - **host**: pinned state splits into model state (N-independent) and
   input staging buffers (linear in N, when the caller supplies the
   split via ``host_input_bytes``); every live checkpoint stash also
-  scales with N.  ``peak(N) = (state - input) + (input + stash) * N``,
-  again collapsing to the point check at N = 1.
+  scales with N.  ``peak(N) = (state - input) + (input + stash) * N``
+  (the bound that stops ZeRO-Infinity at 40B parameters in the paper's
+  Figure 15).
 
 Each scope yields one :class:`CapacityCertificate` for its *binding*
-window -- the one violated at the smallest N.  A violation at N = 1
-(``parametric/gpu-unsafe`` / ``parametric/host-unsafe``) is an error and
-coincides with the point check; a finite ceiling N* > 1 is advisory
-(``parametric/gpu-ceiling`` / ``parametric/host-ceiling``): the plan as
-built is safe, but scaling the microbatch group past N* - 1 overflows.
+window -- the one violated at the smallest N, ties broken by the highest
+``peak(1)`` and then by the first window.  Two passes read them:
+
+- ``capacity`` (``capacity/gpu`` / ``capacity/host``) flags every scope
+  whose ``peak(1)`` exceeds its capacity -- the plan as built overflows;
+- ``parametric`` flags the same violation at N = 1 as an error
+  (``parametric/gpu-unsafe`` / ``parametric/host-unsafe``) and a finite
+  ceiling N* > 1 as advice (``parametric/gpu-ceiling`` /
+  ``parametric/host-ceiling``): the plan as built is safe, but scaling
+  the microbatch group past N* - 1 overflows.
+
+Both need a server spec; the host bound additionally needs the caller to
+say how much host state the run pins.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ from typing import Iterator, Optional
 from repro.analysis.context import AnalysisContext
 from repro.analysis.diagnostics import Diagnostic, Severity, task_ref
 from repro.analysis.passes import AnalysisPass, register
-from repro.core.types import Channel, Task, TensorKind
+from repro.core.types import Channel, Task
 
 _INF = None  # "no violating N" sentinel, for readability
 
@@ -98,34 +110,65 @@ def _window_names(tasks: list[Task]) -> str:
 
 def _device_certificate(
     device: int, tasks: list[Task], window: int, capacity: int
-) -> CapacityCertificate:
-    """The binding (smallest violating N) window bound for one GPU."""
+) -> tuple[CapacityCertificate, list[Task]]:
+    """The binding (smallest violating N) window bound for one GPU, and
+    that window's tasks."""
     slopes = [0 if t.on_cpu else _local_in_bytes(t) for t in tasks]
     fixeds = [
         0 if t.on_cpu else max(0, t.resident_bytes - slopes[i])
         for i, t in enumerate(tasks)
     ]
-    best: Optional[CapacityCertificate] = None
-    best_key: Optional[tuple[int, int]] = None
-    for i in range(len(tasks)):
-        cert = CapacityCertificate(
+    certs = [
+        CapacityCertificate(
             scope=f"gpu{device}",
             fixed_bytes=sum(fixeds[i:i + window]),
             slope_bytes=sum(slopes[i:i + window]),
             capacity_bytes=capacity,
             detail=f"window {_window_names(tasks[i:i + window])}",
         )
-        n = cert.smallest_violating_n()
-        # Order by: violated earliest, then highest as-built peak.
-        key = (n if n is not None else 1 << 62, -cert.peak(1))
-        if best_key is None or key < best_key:
-            best, best_key = cert, key
-    if best is None:
-        best = CapacityCertificate(
+        for i in range(len(tasks))
+    ]
+    if not certs:
+        return CapacityCertificate(
             scope=f"gpu{device}", fixed_bytes=0, slope_bytes=0,
             capacity_bytes=capacity, detail="no tasks bound to this GPU",
+        ), []
+
+    def key(i: int) -> tuple[int, int]:
+        # Violated earliest, then highest as-built peak; min() keeps
+        # the first of equal windows.
+        n = certs[i].smallest_violating_n()
+        return (n if n is not None else 1 << 62, -certs[i].peak(1))
+
+    at = min(range(len(certs)), key=key)
+    return certs[at], tasks[at:at + window]
+
+
+def _bounds(
+    ctx: AnalysisContext,
+) -> list[tuple[CapacityCertificate, list[Task]]]:
+    """Every scope's certificate with its binding window's tasks (none
+    for the host)."""
+    bounds = [
+        _device_certificate(
+            device, tasks, ctx.fetch_slots, ctx.device_capacity(device)
         )
-    return best
+        for device, tasks in enumerate(ctx.device_order())
+    ]
+    if ctx.host_state_bytes is not None:
+        assert ctx.server is not None, "capacity certificates need a server"
+        stash = ctx.graph.checkpoint_stash_bytes()
+        state = ctx.host_state_bytes
+        input_bytes = min(ctx.host_input_bytes or 0, state)
+        bounds.append((CapacityCertificate(
+            scope="host",
+            fixed_bytes=state - input_bytes,
+            slope_bytes=input_bytes + stash,
+            capacity_bytes=ctx.server.host.memory_bytes,
+            detail=f"pinned state {state} bytes (input staging "
+                   f"{input_bytes}) + checkpoint stash {stash} bytes",
+        ), []))
+    return bounds
 
 
 def capacity_certificates(ctx: AnalysisContext) -> list[CapacityCertificate]:
@@ -133,37 +176,57 @@ def capacity_certificates(ctx: AnalysisContext) -> list[CapacityCertificate]:
 
     One certificate per GPU, plus a host certificate when the caller
     supplied ``host_state_bytes`` (host fit for massive models is
-    otherwise out of scope, mirroring the point check).
+    otherwise out of scope).  Built once per context.
     """
     assert ctx.server is not None, "capacity certificates need a server"
-    certs = [
-        _device_certificate(
-            device, tasks, ctx.fetch_slots, ctx.device_capacity(device)
-        )
-        for device, tasks in enumerate(ctx.device_order())
-    ]
-    if ctx.host_state_bytes is not None:
-        stash = sum(
-            move.nbytes
-            for task in ctx.graph.tasks
-            for move in task.outs
-            if move.tensor is TensorKind.CKPT
-        )
-        state = ctx.host_state_bytes
-        input_bytes = min(ctx.host_input_bytes or 0, state)
-        certs.append(CapacityCertificate(
-            scope="host",
-            fixed_bytes=state - input_bytes,
-            slope_bytes=input_bytes + stash,
-            capacity_bytes=ctx.server.host.memory_bytes,
-            detail=f"pinned state {state} bytes (input staging "
-                   f"{input_bytes}) + checkpoint stash {stash} bytes",
-        ))
-    return certs
+    return [cert for cert, _window in ctx.memo(_bounds)]
+
+
+class _NeedsServer(AnalysisPass):
+    def skip_reason(self, ctx: AnalysisContext) -> Optional[str]:
+        if ctx.server is None:
+            return "no server spec"
+        return None
 
 
 @register
-class ParametricCapacityPass(AnalysisPass):
+class CapacityPass(_NeedsServer):
+    """The point check: the plan as built (N = 1) must fit."""
+
+    name = "capacity"
+    rules = ("capacity/gpu", "capacity/host")
+
+    def run(self, ctx: AnalysisContext) -> Iterator[Diagnostic]:
+        for cert, window in ctx.memo(_bounds):
+            peak, capacity = cert.peak(1), cert.capacity_bytes
+            if peak <= capacity:
+                continue
+            if cert.scope != "host":
+                device = window[0].device
+                yield Diagnostic(
+                    "capacity/gpu", Severity.ERROR,
+                    f"gpu{device} peak resident bound {peak} bytes "
+                    f"exceeds capacity {capacity} bytes "
+                    f"(worst window: {_window_names(window)})",
+                    task=window[0].tid, device=device,
+                    hint="repack with a smaller capacity fraction or a "
+                         "smaller microbatch",
+                )
+            else:
+                state = ctx.host_state_bytes or 0
+                yield Diagnostic(
+                    "capacity/host", Severity.ERROR,
+                    f"host working set {peak / 2**30:.1f} GiB (state "
+                    f"{state / 2**30:.1f} GiB + stash "
+                    f"{(peak - state) / 2**30:.1f} GiB) exceeds CPU memory "
+                    f"{capacity / 2**30:.1f} GiB",
+                    hint="reduce the checkpoint stash (more recompute) "
+                         "or the minibatch",
+                )
+
+
+@register
+class ParametricCapacityPass(_NeedsServer):
     name = "parametric"
     rules = (
         "parametric/gpu-unsafe",
@@ -171,11 +234,6 @@ class ParametricCapacityPass(AnalysisPass):
         "parametric/host-unsafe",
         "parametric/host-ceiling",
     )
-
-    def skip_reason(self, ctx: AnalysisContext) -> Optional[str]:
-        if ctx.server is None:
-            return "no server spec"
-        return None
 
     def run(self, ctx: AnalysisContext) -> Iterator[Diagnostic]:
         for cert in capacity_certificates(ctx):

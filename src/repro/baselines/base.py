@@ -69,7 +69,7 @@ class LmsReplay:
     """
 
     def __init__(self, capacity: int):
-        self.manager = LruSwapManager(capacity, writeback_clean=True)
+        self.manager = LruSwapManager(capacity)
         self._in = 0
         self._out = 0
 

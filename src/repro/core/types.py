@@ -265,6 +265,19 @@ class TaskGraph:
             if direction == "in" and move.channel is Channel.P2P
         )
 
+    def checkpoint_stash_bytes(self) -> int:
+        """Bytes of checkpoint stash the graph's out-moves park on host.
+
+        All of it is live at once, beside the pinned model state, in the
+        host working set the analyzer certifies and the Executor guards.
+        """
+        return sum(
+            move.nbytes
+            for task in self.tasks
+            for move in task.outs
+            if move.tensor is TensorKind.CKPT
+        )
+
     def validate(self) -> None:
         """Certify the graph's structural invariants.
 

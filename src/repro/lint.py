@@ -39,8 +39,10 @@ the AST of every file under ``src/repro`` and enforces them:
   ``os.getenv``, ``os.putenv``), so behaviour is a function of the
   arguments alone and no cache can grow a second, switchable code path;
 - **integer-exact capacity arithmetic** (``exact/float-arithmetic``):
-  the capacity certification paths (``analysis/capacity.py``,
-  ``analysis/parametric.py``) must stay in integer arithmetic -- no
+  the capacity certification paths -- ``analysis/parametric.py`` (the
+  certificates and the ``capacity`` / ``parametric`` passes that read
+  them) and ``core/types.py`` (``TaskGraph.checkpoint_stash_bytes``,
+  the host stash they sum) -- must stay in integer arithmetic -- no
   true division, no ``float()`` -- so certificates are exact at any
   byte count instead of drifting past 2**53.  Formatting inside
   f-strings is exempt (messages may render GiB).
@@ -83,8 +85,8 @@ SIMULATOR_MODULES = (
 
 #: Files whose arithmetic must stay integer-exact.
 INTEGER_EXACT = (
-    Path("repro") / "analysis" / "capacity.py",
     Path("repro") / "analysis" / "parametric.py",
+    Path("repro") / "core" / "types.py",
 )
 
 #: File whose classes must all be frozen dataclasses or NamedTuples.

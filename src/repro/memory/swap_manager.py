@@ -24,8 +24,9 @@ from repro.common.errors import GpuOutOfMemoryError
 class SwapDecision:
     """Outcome of touching one tensor.
 
-    ``swap_in_bytes`` is what must come over PCIe for this touch; evicted
-    tensors that were dirty add ``swap_out_bytes`` of write-back traffic.
+    ``swap_in_bytes`` is what must come over PCIe for this touch; every
+    evicted tensor adds its size to ``swap_out_bytes`` of write-back
+    traffic.
     """
 
     key: str
@@ -39,21 +40,19 @@ class SwapDecision:
 class _Resident:
     nbytes: int
     dirty: bool = False
-    pinned: bool = False
 
 
 class LruSwapManager:
     """Least-recently-used virtualization of one GPU's memory.
 
-    ``writeback_clean=True`` emulates IBM-LMS, which *moves* evicted
-    tensors to host rather than dropping clean copies -- the behaviour
-    behind the paper's ``(4m+2)N|W|`` DP-Swap weight volume.
+    Like IBM-LMS, eviction *moves* a tensor to host -- clean copies
+    included, rather than dropping them -- the behaviour behind the
+    paper's ``(4m+2)N|W|`` DP-Swap weight volume.
     """
 
-    def __init__(self, capacity: int, writeback_clean: bool = False):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise GpuOutOfMemoryError("swap manager needs positive capacity")
-        self.writeback_clean = writeback_clean
         self.capacity = capacity
         self.used = 0
         self._lru: OrderedDict[str, _Resident] = OrderedDict()
@@ -64,13 +63,12 @@ class LruSwapManager:
 
     # -- policy --------------------------------------------------------------
 
-    def touch(self, key: str, nbytes: int, write: bool = False,
-              pin: bool = False) -> SwapDecision:
+    def touch(self, key: str, nbytes: int,
+              write: bool = False) -> SwapDecision:
         """Access tensor ``key``; swap it in (evicting LRU victims) if absent.
 
-        ``write=True`` marks the resident copy dirty, so evicting it later
-        costs a write-back.  ``pin=True`` protects it from eviction until
-        :meth:`unpin`.
+        ``write=True`` marks the resident copy dirty, so a later
+        :meth:`flush` writes it back.
         """
         if nbytes > self.capacity:
             raise GpuOutOfMemoryError(
@@ -81,12 +79,11 @@ class LruSwapManager:
             entry = self._lru[key]
             self._lru.move_to_end(key)
             entry.dirty = entry.dirty or write
-            entry.pinned = entry.pinned or pin
             self.hits += 1
             return SwapDecision(key=key, hit=True, swap_in_bytes=0, swap_out_bytes=0)
 
         evicted, out_bytes = self._make_room(nbytes)
-        self._lru[key] = _Resident(nbytes=nbytes, dirty=write, pinned=pin)
+        self._lru[key] = _Resident(nbytes=nbytes, dirty=write)
         self.used += nbytes
         self.misses += 1
         self.total_swap_in += nbytes
@@ -125,11 +122,6 @@ class LruSwapManager:
         self.total_swap_out += entry.nbytes
         return entry.nbytes
 
-    def unpin(self, key: str) -> None:
-        entry = self._lru.get(key)
-        if entry is not None:
-            entry.pinned = False
-
     def resident(self, key: str) -> bool:
         return key in self._lru
 
@@ -139,19 +131,9 @@ class LruSwapManager:
         evicted: list[str] = []
         out_bytes = 0
         while self.used + nbytes > self.capacity:
-            victim = self._next_victim()
-            entry = self._lru.pop(victim)
+            victim, entry = self._lru.popitem(last=False)
             self.used -= entry.nbytes
-            if entry.dirty or self.writeback_clean:
-                out_bytes += entry.nbytes
-                self.total_swap_out += entry.nbytes
+            out_bytes += entry.nbytes
+            self.total_swap_out += entry.nbytes
             evicted.append(victim)
         return evicted, out_bytes
-
-    def _next_victim(self) -> str:
-        for key, entry in self._lru.items():
-            if not entry.pinned:
-                return key
-        raise GpuOutOfMemoryError(
-            "all resident tensors are pinned; working set cannot fit"
-        )

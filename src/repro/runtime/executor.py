@@ -37,6 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
+from repro.analysis.deadlock import fetch_stream
 from repro.analysis.diagnostics import stream_ref, task_ref
 from repro.common.backoff import (
     DEFAULT_BACKOFF_BASE,
@@ -224,16 +225,8 @@ class Executor:
                 rt.state_ready is not None and not rt.state_ready.fired
             ) or any(not event.fired for event in rt.input_ready)
             if fetch_stuck:
-                stream = (
-                    "p2p_in"
-                    if any(
-                        m.channel is Channel.P2P and m.nbytes > 0
-                        for m in task.ins
-                    ) and not any(m.channel.via_host and m.nbytes > 0
-                                  for m in task.ins)
-                    else "swap_in"
-                )
-                where = f"fetching inputs on {stream_ref(task.device, stream)}"
+                stream = stream_ref(task.device, fetch_stream(task))
+                where = f"fetching inputs on {stream}"
             else:
                 where = f"computing on {stream_ref(task.device, 'compute')}"
             details.append(f"{task_ref(task.tid)} stalled {where}")
@@ -254,13 +247,7 @@ class Executor:
         This is the bound that fails ZeRO-Infinity at 40B parameters in
         Figure 15 while Harmony, with its leaner working set, trains on.
         """
-        stash = sum(
-            move.nbytes
-            for task in graph.tasks
-            for direction, move in task.moves()
-            if direction == "out" and move.tensor is TensorKind.CKPT
-        )
-        peak = self.host_state_bytes + stash
+        peak = self.host_state_bytes + graph.checkpoint_stash_bytes()
         capacity = self.server.spec.host.memory_bytes
         if peak > capacity:
             raise HostOutOfMemoryError(

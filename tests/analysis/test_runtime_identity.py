@@ -2,7 +2,9 @@
 
 A schedule the analyzer statically rejects as a stream-FIFO deadlock
 really does hang the Executor, and the runtime's error names the same
-``t<tid>`` / ``gpu<d>.<stream>`` entities the diagnostic did.
+``t<tid>`` / ``gpu<d>.<stream>`` entities the diagnostic did.  The
+converse holds too: a schedule the Executor deadlocks on is rejected
+statically.
 """
 
 import pytest
@@ -57,6 +59,33 @@ def test_executor_hangs_with_matching_identifiers(small_server):
     assert "deadlock" in message
     assert task_ref(0) in message
     assert stream_ref(0, "swap_in") in message
+
+
+def flush_deadlocked_graph():
+    """A CPU update whose own flush is queued on gpu0.swap_out ahead of
+    the backward flush it fetches: a cycle only through the O nodes."""
+    graph = TaskGraph(mode="test", n_devices=1)
+    graph.add(Task(0, TaskKind.UPD, 0, 0, 0, (1,), on_cpu=True,
+                   ins=[Move(TensorKind.DW, 100, Channel.SWAP, src_task=1)],
+                   outs=[Move(TensorKind.W, 100, Channel.SWAP)]))
+    graph.add(Task(1, TaskKind.BWD, 0, 0, 0, (1,),
+                   outs=[Move(TensorKind.DW, 100, Channel.SWAP)]))
+    return graph
+
+
+def test_analyzer_rejects_a_swap_out_fifo_deadlock():
+    [diag] = analyze(flush_deadlocked_graph()).by_rule("deadlock/cycle")
+    assert stream_ref(0, "swap_out") in diag.message
+
+
+@pytest.mark.no_graph_analysis
+def test_executor_hangs_on_the_swap_out_fifo_deadlock(small_server):
+    sim = Simulator()
+    server = SimulatedServer(sim, small_server)
+    with pytest.raises(SimulationError, match="schedule deadlocked") as err:
+        Executor(server, _FlatTime()).run(flush_deadlocked_graph())
+    assert f"{task_ref(0)} stalled fetching inputs on " \
+           f"{stream_ref(0, 'swap_in')}" in str(err.value)
 
 
 @pytest.mark.no_graph_analysis

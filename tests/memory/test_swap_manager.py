@@ -40,12 +40,6 @@ class TestEviction:
         decision = manager.touch("c", 50)
         assert decision.evicted == ("b",)
 
-    def test_clean_eviction_free_by_default(self):
-        manager = LruSwapManager(capacity=100)
-        manager.touch("a", 60)
-        decision = manager.touch("b", 60)
-        assert decision.swap_out_bytes == 0
-
     def test_dirty_eviction_writes_back(self):
         manager = LruSwapManager(capacity=100)
         manager.touch("a", 60, write=True)
@@ -53,25 +47,10 @@ class TestEviction:
         assert decision.swap_out_bytes == 60
 
     def test_lms_mode_writes_back_clean(self):
-        manager = LruSwapManager(capacity=100, writeback_clean=True)
+        manager = LruSwapManager(capacity=100)
         manager.touch("a", 60)
         decision = manager.touch("b", 60)
         assert decision.swap_out_bytes == 60
-
-    def test_pinned_never_evicted(self):
-        manager = LruSwapManager(capacity=100)
-        manager.touch("keep", 60, pin=True)
-        decision = manager.touch("b", 40)
-        assert "keep" not in decision.evicted
-        manager.unpin("keep")
-        decision = manager.touch("c", 60)
-        assert "keep" in decision.evicted
-
-    def test_all_pinned_raises(self):
-        manager = LruSwapManager(capacity=100)
-        manager.touch("a", 90, pin=True)
-        with pytest.raises(GpuOutOfMemoryError):
-            manager.touch("b", 20)
 
 
 class TestProduceDropFlush:
@@ -99,7 +78,7 @@ class TestProduceDropFlush:
         displaces them each microbatch."""
         n_layers, w = 10, 10
         capacity = n_layers * w + 5  # weights barely fit; stash evicts them
-        manager = LruSwapManager(capacity, writeback_clean=True)
+        manager = LruSwapManager(capacity)
         m = 4
         for mb in range(m):  # forward
             for layer in range(n_layers):

@@ -244,7 +244,7 @@ class TestFrozenTraceEvents:
 
 class TestIntegerExact:
     def test_true_division_flagged(self, tmp_path):
-        rules = run(tmp_path, "repro/analysis/capacity.py",
+        rules = run(tmp_path, "repro/core/types.py",
                     "def f(a, b):\n    return a / b\n")
         assert rules == ["exact/float-arithmetic"]
 
@@ -254,7 +254,7 @@ class TestIntegerExact:
         assert rules == ["exact/float-arithmetic"]
 
     def test_fstring_formatting_exempt(self, tmp_path):
-        rules = run(tmp_path, "repro/analysis/capacity.py",
+        rules = run(tmp_path, "repro/core/types.py",
                     "def f(a):\n    return f'{a / 2**30:.1f} GiB'\n")
         assert rules == []
 
