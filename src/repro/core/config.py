@@ -18,6 +18,8 @@ from repro.common.errors import SchedulingError
 class Pack:
     """A contiguous run of layers, inclusive on both ends."""
 
+    __slots__ = ("first", "last")
+
     first: int
     last: int
 
@@ -94,6 +96,8 @@ def even_packs(n_layers: int, n_packs: int) -> tuple[Pack, ...]:
 @dataclass(frozen=True)
 class Configuration:
     """The four-tuple ``(U_F, P_F, U_B, P_B)``."""
+
+    __slots__ = ("u_f", "packs_f", "u_b", "packs_b")
 
     u_f: int
     packs_f: tuple[Pack, ...]

@@ -16,10 +16,12 @@ the plan and the measured iteration metrics.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.common.fingerprint import fingerprint
+from repro.common.lru import lru_get
 from repro.core.config import Configuration
 from repro.core.decomposer import DecomposedModel, Decomposer
 from repro.core.estimator import RuntimeEstimator
@@ -38,6 +40,10 @@ from repro.models.zoo import build_model
 from repro.runtime.executor import DEFAULT_MAX_STEPS
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.timemodel import TrueTimeModel
+
+#: Bound of the search store: 1.5x the 32 distinct problems one
+#: ``serve-fleet`` storm pass plans.
+SEARCH_STORE_SIZE = 48
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,29 @@ def plan_key(model: ModelSpec, server: Optional[ServerSpec], minibatch: int,
                        options.seed)
 
 
+#: The search store: Algorithm 1's result by :func:`plan_key`, least
+#: recently used first.  Only the frozen :class:`SearchResult` is shared,
+#: never a plan: each plan decomposes, looks up its profiles and builds
+#: (assembles and validates) its own winner graph, so no task graph,
+#: builder memo or ``ModelProfiles`` table outlives its plan.  The key is
+#: sound because it covers everything the search reads on every
+#: ``Harmony`` path -- the model content, the server (GPU spec included),
+#: the minibatch, the schedule options, the search settings and the seed
+#: -- and the Profiler always runs at its default sample sizes there.  A
+#: hit reports the original search's ``elapsed_seconds``.  An infeasible
+#: problem raises its typed error on every call and stores nothing.
+_SEARCHES: OrderedDict[str, SearchResult] = OrderedDict()
+
+
+def _search(key: str, profiles: ModelProfiles, server: ServerSpec,
+            minibatch: int, options: HarmonyOptions) -> SearchResult:
+    """Algorithm 1 on the problem ``key`` addresses, through the store."""
+    return lru_get(_SEARCHES, key, lambda: ConfigurationSearch(
+        profiles, server, minibatch, options.schedule_options(),
+        options.search_settings(),
+    ).search(), SEARCH_STORE_SIZE)
+
+
 @dataclass
 class HarmonyPlan:
     """Output of the Scheduler: everything needed to execute."""
@@ -190,8 +219,11 @@ class Harmony:
     def plan(self, config: Optional[Configuration] = None) -> HarmonyPlan:
         """Run Decomposer, Profiler and Scheduler; memoized.
 
-        Passing ``config`` skips the search and plans that configuration
-        verbatim (used by the ablation and estimator-accuracy experiments).
+        The configuration search runs once per problem per process (the
+        search store, ``_SEARCHES``); this plan still decomposes, profiles
+        and builds its own winner graph.  Passing ``config`` skips the
+        search and plans that configuration verbatim (used by the
+        ablation and estimator-accuracy experiments).
         """
         key = plan_key(self.model, self.server, self.minibatch, self.options)
         if config is None and key in self._plans:
@@ -203,10 +235,8 @@ class Harmony:
             profiles, self.server.n_gpus, self.minibatch, schedule_options
         )
         if config is None:
-            search = ConfigurationSearch(
-                profiles, self.server, self.minibatch, schedule_options,
-                self.options.search_settings(),
-            ).search()
+            search = _search(key, profiles, self.server, self.minibatch,
+                             self.options)
             graph = builder.build(search.best)
         else:
             graph = builder.build(config)
@@ -215,7 +245,7 @@ class Harmony:
             estimate = estimator.estimate(graph)
             search = SearchResult(
                 best=config, best_estimate=estimate,
-                explored=[Explored(config, estimate)],
+                explored=(Explored(config, estimate),),
             )
         plan = HarmonyPlan(
             model=self.model,
@@ -254,8 +284,10 @@ class Harmony:
         model's decomposition and profiles are reused from the memoized
         full plan (the model did not change -- the machine shrank), only
         the configuration search and packing run again, against
-        :meth:`reduced_server`.  A DP plan whose minibatch cannot divide
-        the survivor count falls back to PP on the same survivors.
+        :meth:`reduced_server`, through the same search store as
+        :meth:`plan`: a fresh ``Harmony`` on the reduced server reuses
+        this search, and vice versa.  A DP plan whose minibatch cannot
+        divide the survivor count falls back to PP on the same survivors.
         """
         from repro.common.errors import InfeasibleConfigError, SchedulingError
 
@@ -270,10 +302,8 @@ class Harmony:
         base = self.plan()
         schedule_options = options.schedule_options()
         try:
-            search = ConfigurationSearch(
-                base.profiles, server, self.minibatch, schedule_options,
-                options.search_settings(),
-            ).search()
+            search = _search(key, base.profiles, server, self.minibatch,
+                             options)
             builder = HarmonyGraphBuilder(
                 base.profiles, n_gpus, self.minibatch, schedule_options
             )

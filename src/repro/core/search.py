@@ -17,7 +17,7 @@ search times close to the paper's reported seconds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import InfeasibleConfigError, SchedulingError
@@ -46,19 +46,24 @@ class SearchSettings:
     equi_fb: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Explored:
     """One evaluated configuration with its estimated iteration time."""
+
+    __slots__ = ("config", "estimate")
 
     config: Configuration
     estimate: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
+    """What Algorithm 1 found.  Immutable: one result is shared by every
+    plan of its problem through ``repro.core.harmony``'s search store."""
+
     best: Configuration
     best_estimate: float
-    explored: list[Explored] = field(default_factory=list)
+    explored: tuple[Explored, ...] = ()
     elapsed_seconds: float = 0.0
     n_feasible: int = 0
     n_infeasible: int = 0
@@ -245,7 +250,7 @@ class ConfigurationSearch:
         return SearchResult(
             best=best.config,
             best_estimate=best.estimate,
-            explored=explored,
+            explored=tuple(explored),
             elapsed_seconds=time.perf_counter() - start,
             n_feasible=len(explored),
             n_infeasible=infeasible,

@@ -131,6 +131,9 @@ class FleetPlacer:
         self._residual: list[list[Fraction]] = [
             [Fraction(1)] * spec.n_gpus for spec in cluster.servers
         ]
+        #: occupied capacity in whole GPUs, kept by ``_commit`` and
+        #: ``release``: exactly the sum of ``1 - residual``
+        self._held = Fraction(0)
         self._active: dict[int, FleetReservation] = {}
         self._next_token = 0
         self.placements = 0
@@ -158,10 +161,7 @@ class FleetPlacer:
 
     def occupancy(self) -> Fraction:
         """Occupied fraction of the whole fleet's GPU capacity, exact."""
-        held = sum(
-            (Fraction(1) - r) for row in self._residual for r in row
-        )
-        return Fraction(held, self.total_gpus)
+        return self._held / self.total_gpus
 
     def tenants_on(self, server: int, gpu: int) -> tuple[str, ...]:
         """Tenants co-resident on one GPU, oldest placement first."""
@@ -237,6 +237,7 @@ class FleetPlacer:
                 raise SimulationError(
                     f"s{server}/gpu{gpu} oversubscribed to {row[gpu]}"
                 )
+        self._held += share * len(devices)
         reservation = FleetReservation(
             token=self._next_token, tenant=tenant, server=server,
             devices=devices, share=share, n_logical=n_logical, kind=kind,
@@ -262,6 +263,7 @@ class FleetPlacer:
                     f"s{reservation.server}/gpu{gpu} released past full: "
                     f"{row[gpu]}"
                 )
+        self._held -= reservation.share * len(reservation.devices)
         self.releases += 1
 
     # -- certification -----------------------------------------------------------

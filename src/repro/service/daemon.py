@@ -5,9 +5,10 @@ event simulator (:mod:`repro.sim.engine`): requests arrive on a seeded
 schedule, pass admission control (tenant quota, bounded queue), wait in
 FIFO order, and are served by the first free worker.  All *timing* is
 virtual and deterministic; the *plans themselves* are real -- a cache
-miss runs the actual Decomposer/Profiler/Scheduler stack (wall clock,
-memoized per content key), so a served plan is exactly what
-``repro plan`` would print.
+miss runs the actual Decomposer/Profiler/Scheduler stack (wall clock;
+the configuration search runs once per content key per process, in
+``repro.core.harmony``'s search store), so a served plan is exactly
+what ``repro plan`` would print.
 
 With a :class:`~repro.fleet.FleetPlacer` attached, a placement rung runs
 between admission and planning: the request's logical devices are
@@ -52,7 +53,11 @@ from fractions import Fraction
 from typing import Any, Callable, Generator, Optional
 
 from repro.common.backoff import BackoffPolicy
-from repro.common.errors import ScheduleAnalysisError, SimulationError
+from repro.common.errors import (
+    ReproError,
+    ScheduleAnalysisError,
+    SimulationError,
+)
 from repro.fleet.placer import FleetPlacer, FleetReservation
 from repro.core.harmony import Harmony, HarmonyOptions, HarmonyPlan
 from repro.hardware.server import ServerSpec
@@ -487,9 +492,10 @@ class PlannerService:
                 plan = Harmony(
                     model, server, request.minibatch, options=options
                 ).plan()
-            except Exception:
+            except ReproError:
                 # Planner-side failure (infeasible config, scheduler
-                # error): terminal for the fresh rung.
+                # error): terminal for the fresh rung.  Anything untyped
+                # is a bug and propagates.
                 self.metrics.planner_failures += 1
                 self.breaker.record_failure(self.sim.now)
                 return False, attempt + 1
@@ -670,7 +676,7 @@ class PlannerService:
 
         try:
             plan = GpipeSwapPlanner(model, server, minibatch).plan()
-        except Exception:
+        except ReproError:
             plan = None
         self._baselines[key] = plan
         return plan

@@ -1,8 +1,11 @@
 """Shared fixtures: a simulator, a small server, and a profiled toy model."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.analysis import check, verify_graph
+from repro.core import harmony, profiler
 from repro.core.decomposer import Decomposer
 from repro.core.profiler import Profiler
 from repro.hardware.gpu import GpuSpec
@@ -10,6 +13,7 @@ from repro.hardware.host import HostSpec
 from repro.hardware.interconnect import TopologySpec
 from repro.hardware.server import ServerSpec
 from repro.models.transformer import tiny_transformer
+from repro.runtime import timemodel
 from repro.runtime.executor import Executor
 from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder, check_trace
@@ -71,6 +75,17 @@ def _verify_executed_graphs(request, monkeypatch):
 
     monkeypatch.setattr(Executor, "run", run)
     yield
+
+
+@pytest.fixture
+def cold_stores(monkeypatch):
+    """Empty every process-wide store for one test: the profile store,
+    the kernel-time store and the search store.  Tests that pin the work
+    a first plan or run does use this, so no earlier test can warm them;
+    the stores are restored afterwards."""
+    monkeypatch.setattr(profiler, "_STORE", OrderedDict())
+    monkeypatch.setattr(timemodel, "_STORE", OrderedDict())
+    monkeypatch.setattr(harmony, "_SEARCHES", OrderedDict())
 
 
 @pytest.fixture

@@ -162,6 +162,35 @@ class TestExactAccounting:
             p.release(res)
         assert p.occupancy() == 0
 
+    def test_occupancy_is_the_residual_sum_at_every_step(self):
+        """Over 200 seeded reserve/release walks, the running occupancy
+        total equals the residual sum it replaces, by ``==`` on exact
+        Fractions, after every step."""
+        def recomputed(p):
+            held = sum(Fraction(1) - p.residual(s, g)
+                       for s in range(p.n_servers) for g in range(4))
+            return Fraction(held, p.total_gpus)
+
+        for seed in range(200):
+            rng = seeded_rng(seed, "fleet-occupancy")
+            p = placer(servers=3)
+            live = []
+            for step in range(60):
+                if live and rng.random() < 0.45:
+                    p.release(live.pop(rng.randrange(len(live))))
+                else:
+                    share = rng.choice([Fraction(1), HALF, QUARTER,
+                                        Fraction(1, 3)])
+                    res = p.reserve(f"t{step % 5}", rng.randrange(1, 6),
+                                    share)
+                    if res is not None:
+                        live.append(res)
+                assert p.occupancy() == recomputed(p), (seed, step)
+            while live:
+                p.release(live.pop())
+                assert p.occupancy() == recomputed(p), seed
+            assert p.occupancy() == 0
+
 
 class TestDeterminism:
     def test_identical_histories_place_identically(self):

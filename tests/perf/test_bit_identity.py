@@ -1,12 +1,12 @@
 """Bit-identity regression: the caches must not move a single bit.
 
-The planner and the Runtime keep four caches: the profile store, the
-``ModelProfiles`` memo tables, the estimator's task-time cache and the
-Runtime's kernel-time store with its pack tables.  Each promises the
-bits of the naive computation it replaces.  This suite holds that
-promise down to ``float.hex()`` on the small zoo models in both
-execution modes, against a ``naive`` arm that swaps every cache for that
-computation: the chosen configuration, the best estimate, every
+The planner and the Runtime keep five caches: the search store, the
+profile store, the ``ModelProfiles`` memo tables, the estimator's
+task-time cache and the Runtime's kernel-time store with its pack
+tables.  Each promises the bits of the naive computation it replaces.
+This suite holds that promise down to ``float.hex()`` on the small zoo
+models in both execution modes, against a ``naive`` arm that swaps every
+cache for that computation: the chosen configuration, the best estimate, every
 explored candidate's estimate, the full task graph shape, the estimated
 time of every task, the simulated iteration time, and the canonical
 execution trace.  The Runtime's time table serves every run path, so a
@@ -19,7 +19,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.core import profiler
+from repro.core import harmony, profiler
 from repro.core.estimator import _PHASES, RuntimeEstimator
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.profiler import ModelProfiles, Profiler
@@ -63,6 +63,11 @@ def _naive_profile(self, decomposed):
                          gpu=self.gpu)
 
 
+def _naive_search(store, key, make, bound):
+    """A fresh search every call: no search store."""
+    return make()
+
+
 def _naive_task_time(self, task, u, recompute):
     """The task's layer times summed one by one: no time cache, no table."""
     layers = range(task.first_layer, task.last_layer + 1)
@@ -87,6 +92,7 @@ def naive(monkeypatch):
     def disable_caches():
         monkeypatch.setattr(ModelProfiles, "memo",
                             lambda self, key, compute: compute())
+        monkeypatch.setattr(harmony, "lru_get", _naive_search)
         monkeypatch.setattr(Profiler, "profile", _naive_profile)
         monkeypatch.setattr(RuntimeEstimator, "_task_time", _naive_task_time)
         monkeypatch.setattr(TrueTimeModel, "_pack_time", _naive_pack_time)

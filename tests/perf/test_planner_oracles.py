@@ -319,7 +319,7 @@ def test_record_scores_match_built_graphs(problem, ablation):
 
 
 @pytest.mark.parametrize("mode", ("pp", "dp"))
-def test_plan_holds_no_builder_memo(mode, monkeypatch):
+def test_plan_holds_no_builder_memo(mode, monkeypatch, cold_stores):
     """Every builder's memo is freed once ``plan()`` returns: the plan
     keeps its profiles, search result and graph, never the memo."""
     memos = []

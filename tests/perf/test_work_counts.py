@@ -11,6 +11,9 @@ suite pins, exactly:
   are scored on the builder's schedule records, never on a task graph;
 - ``HarmonyGraphBuilder.records`` runs once per search candidate, plus
   once for the winner's graph, and a second ``plan()`` is a memo hit;
+- a second ``Harmony`` on the same problem takes the search from the
+  process-wide search store: no search, no ``LayerProfile.time`` call,
+  and one records/assemble/build/validate for its own winner graph;
 - the number of candidates Algorithm 1 enumerates;
 - the ``LayerProfile.time`` calls one ``plan()`` makes: one per layer
   per (phase, microbatch size) time table, however many packs and
@@ -35,7 +38,7 @@ speed is measured by the repository benchmark under ``bench/``.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -43,10 +46,10 @@ import pytest
 from repro.core.decomposer import LayerUnit
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.profiler import LayerProfile
+from repro.core.search import ConfigurationSearch
 from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskGraph
 from repro.experiments.common import server_for
-from repro.runtime import timemodel
 from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder, analytics
 
@@ -87,6 +90,12 @@ CASES = (
 TRACED_GPT2_UNIONS = 42
 
 
+by_case = pytest.mark.parametrize(
+    "case", CASES,
+    ids=lambda c: f"{c.model}-{c.mode}-x{c.gpus}-mb{c.minibatch}",
+)
+
+
 def _count_calls(monkeypatch, counts: Counter, cls: type, name: str) -> None:
     original = getattr(cls, name)
 
@@ -97,11 +106,8 @@ def _count_calls(monkeypatch, counts: Counter, cls: type, name: str) -> None:
     monkeypatch.setattr(cls, name, counted)
 
 
-@pytest.mark.parametrize(
-    "case", CASES,
-    ids=lambda c: f"{c.model}-{c.mode}-x{c.gpus}-mb{c.minibatch}",
-)
-def test_plan_and_run_do_exact_work(case, monkeypatch):
+@by_case
+def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
     counts: Counter = Counter()
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "build")
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "assemble")
@@ -132,7 +138,6 @@ def test_plan_and_run_do_exact_work(case, monkeypatch):
     assert harmony.plan() is plan
     assert counts == expected, "a second plan() must be a memo hit"
 
-    monkeypatch.setattr(timemodel, "_STORE", OrderedDict())
     kernel_counts: Counter = Counter()
     _count_calls(monkeypatch, kernel_counts, LayerUnit, "run_time")
     report = harmony.run(plan=plan, iterations=1)
@@ -154,6 +159,31 @@ def test_plan_and_run_do_exact_work(case, monkeypatch):
         f"estimator drift {drift:+.3f} exceeds the ceiling "
         f"{case.max_drift} for {case.model} {case.mode}"
     )
+
+
+@by_case
+def test_second_harmony_takes_the_stored_search(case, monkeypatch,
+                                                 cold_stores):
+    def fresh() -> Harmony:
+        return Harmony(case.model, server_for(case.gpus), case.minibatch,
+                       options=HarmonyOptions(mode=case.mode))
+
+    plan = fresh().plan()
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts, ConfigurationSearch, "search")
+    _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "build")
+    _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "assemble")
+    _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "records")
+    _count_calls(monkeypatch, counts, TaskGraph, "validate")
+    _count_calls(monkeypatch, counts, LayerProfile, "time")
+    again = fresh().plan()
+    assert counts == {"build": 1, "validate": 1, "assemble": 1,
+                      "records": 1}, (
+        "a stored search must not search or time a layer again; only the "
+        "winner graph is built"
+    )
+    assert again.search is plan.search
+    assert again.graph is not plan.graph
 
 
 def test_traced_run_analytics_do_exact_work(monkeypatch):

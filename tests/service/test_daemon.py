@@ -9,7 +9,9 @@ lean on.
 
 import pytest
 
-from repro.common.errors import SimulationError
+from repro.baselines import GpipeSwapPlanner
+from repro.common.errors import InfeasibleConfigError, SimulationError
+from repro.core.harmony import Harmony
 from repro.service import (
     Outcome,
     PlannerService,
@@ -168,6 +170,36 @@ class TestDegradationLadder:
         assert by_rid[0].attempts == 3
         assert service.metrics.retries == 2
         assert service.metrics.chaos_crashes == 2
+
+
+class TestPlannerFailures:
+    """Only typed planner errors fall down the ladder; anything else is a
+    bug in the planner and must not be counted as a planner failure."""
+
+    @staticmethod
+    def _raising(monkeypatch, cls, error):
+        def plan(self):
+            raise error
+
+        monkeypatch.setattr(cls, "plan", plan)
+
+    def test_typed_planner_error_falls_to_the_baseline(self, monkeypatch):
+        self._raising(monkeypatch, Harmony, InfeasibleConfigError("no fit"))
+        service, by_rid = _serve([_request(0)])
+        assert by_rid[0].outcome is Outcome.DEGRADED_BASELINE
+        assert service.metrics.planner_failures == 1
+
+    def test_untyped_planner_error_propagates(self, monkeypatch):
+        self._raising(monkeypatch, Harmony, RuntimeError("planner bug"))
+        with pytest.raises(RuntimeError, match="planner bug"):
+            _serve([_request(0)])
+
+    def test_untyped_baseline_error_propagates(self, monkeypatch):
+        self._raising(monkeypatch, GpipeSwapPlanner,
+                      RuntimeError("baseline bug"))
+        chaos = ScriptedServiceFaultPlan(crashes={0: -1})
+        with pytest.raises(RuntimeError, match="baseline bug"):
+            _serve([_request(0)], chaos=chaos)
 
 
 class TestRunRequests:
