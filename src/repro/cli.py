@@ -38,8 +38,8 @@ Subcommands:
   optionally under service-level chaos.  Prints the per-outcome counts
   and latency quantiles; ``--json`` writes the deterministic metrics
   snapshot, ``--check-determinism`` runs the storm twice and fails on
-  any metric mismatch, ``--max-shed-rate`` turns an excessive shed rate
-  into a nonzero exit.
+  any metric or per-request mismatch, ``--max-shed-rate`` turns an
+  excessive shed rate into a nonzero exit.
 
 Examples::
 
@@ -297,8 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default 1.0)")
     serve.add_argument("--check-determinism", action="store_true",
                        help="serve the storm twice on fresh services and "
-                            "fail unless the metrics snapshots are "
-                            "identical")
+                            "fail unless the metrics snapshots and the "
+                            "per-request results are identical")
     serve.add_argument("--max-shed-rate", type=float, default=None,
                        help="exit nonzero if the shed fraction exceeds "
                             "this bound")
@@ -440,10 +440,13 @@ def _serve(args: argparse.Namespace) -> int:
 
     Everything the storm produces is a deterministic function of the
     seed, so ``--check-determinism`` (serve twice on fresh services,
-    compare the full metrics snapshots) is a real bit-identity check,
-    not a flakiness lottery.  The exit code is nonzero when determinism
-    fails, when ``--max-shed-rate`` is exceeded, or when the service
-    leaves a request unresolved (which raises out of ``run``).
+    compare the full metrics snapshots and every request's outcome,
+    detail, run seconds and plan key) is a real bit-identity check, not
+    a flakiness lottery.  The second service finds the process-wide
+    stores warm, so the check also holds a warm storm to a cold one.
+    The exit code is nonzero when determinism fails, when
+    ``--max-shed-rate`` is exceeded, or when the service leaves a
+    request unresolved (which raises out of ``run``).
     """
     from repro.service import (
         PlannerService,
@@ -506,14 +509,20 @@ def _serve(args: argparse.Namespace) -> int:
     if fleet_on and service.fleet is not None:
         print(service.fleet.describe())
 
+    def served(run: PlannerService) -> list:
+        return [(r.outcome, r.detail, r.run_seconds, r.plan_key)
+                for r in run.results]
+
     failures = []
     if args.check_determinism:
-        again = storm().metrics.snapshot()
-        if again == metrics.snapshot():
+        again = storm()
+        if again.metrics.snapshot() == metrics.snapshot() \
+                and served(again) == served(service):
             print("determinism check: two runs bit-identical")
         else:
             failures.append("determinism check FAILED: metrics snapshots "
-                            "differ between two identically-seeded runs")
+                            "or per-request results differ between two "
+                            "identically-seeded runs")
     if args.max_shed_rate is not None:
         if metrics.shed_rate <= args.max_shed_rate:
             print(f"shed rate {metrics.shed_rate:.3f} within bound "

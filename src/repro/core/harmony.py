@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Union
 
 from repro.common.fingerprint import fingerprint
@@ -93,6 +94,15 @@ class HarmonyOptions:
             equi_fb=self.equi_fb,
         )
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content address of everything a plan depends on in the options:
+        the search settings, the schedule options and the seed (not
+        ``analyze``, which only gates execution).  Cached: the options
+        are frozen, and a plan key is made per request."""
+        return fingerprint(self.search_settings(), self.schedule_options(),
+                           self.seed)
+
     def without(self, optimization: str) -> "HarmonyOptions":
         """Turn one optimization off (for the Figure 13 ablations)."""
         known = {
@@ -117,11 +127,12 @@ def plan_key(model: ModelSpec, server: Optional[ServerSpec], minibatch: int,
     A plan is a pure function of the model content, the server, the
     minibatch, the search and schedule settings, and the seed, so the key
     covers exactly those (``analyze`` only gates execution).  ``server``
-    None gives the *family* key: the same workload on any server.
+    None gives the *family* key: the same workload on any server.  Each
+    part is its object's cached fingerprint, so a key costs one digest.
     """
-    return fingerprint(model.fingerprint, server, minibatch,
-                       options.search_settings(), options.schedule_options(),
-                       options.seed)
+    return fingerprint(model.fingerprint,
+                       None if server is None else server.fingerprint,
+                       minibatch, options.fingerprint)
 
 
 #: The search store: Algorithm 1's result by :func:`plan_key`, least

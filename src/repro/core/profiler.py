@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.common.errors import SchedulingError
 from repro.common.fingerprint import fingerprint
+from repro.common.floats import ordered_sum
 from repro.common.lru import lru_get
 from repro.core.config import Pack
 from repro.core.decomposer import DecomposedModel
@@ -201,11 +202,13 @@ class ModelProfiles:
     def span_time(self, phase: Phase, first: int, last: int, u: int) -> float:
         """Time of layers ``first..last`` (inclusive) at microbatch ``u``.
 
-        The builtin ``sum`` over a slice of the table adds the same floats
-        in the same order as summing the layers one by one, so the result
-        is bit-identical to that naive sum on every interpreter (a prefix
-        difference would not be)."""
-        return sum(self.layer_times(phase, u)[first:last + 1])
+        :func:`~repro.common.floats.ordered_sum` over a slice of the table
+        adds the same floats in the same left-to-right order as summing
+        the layers one by one, so the result is that naive sum's bits (a
+        prefix difference's would not be).  Builtin ``sum`` gives the same
+        bits only up to Python 3.11: from 3.12 on it compensates float
+        sums."""
+        return ordered_sum(self.layer_times(phase, u)[first:last + 1])
 
     # -- pack-level aggregates -------------------------------------------------
 
@@ -267,7 +270,7 @@ class ModelProfiles:
         """FLOPs of the optimizer step over the pack's parameters."""
         return self.memo(
             ("uflops", pack.first, pack.last),
-            lambda: sum(
+            lambda: ordered_sum(
                 10.0 * self.layers[i].param_bytes / 4 for i in pack.layers
             ),
         )

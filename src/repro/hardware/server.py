@@ -9,7 +9,9 @@ memory pools for the Runtime to execute against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
+from repro.common.fingerprint import fingerprint
 from repro.hardware.gpu import GTX_1080TI, GpuMemoryPool, GpuSpec
 from repro.hardware.host import (
     COMMODITY_XEON_18C,
@@ -41,6 +43,13 @@ class ServerSpec:
                 f"topology describes {self.topology.n_gpus} GPUs, "
                 f"server has {self.n_gpus}"
             )
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content address of the whole machine: GPU count, GPU and host
+        specs and the PCIe topology, every field walked.  Cached: the
+        spec is frozen, and a plan key is made per request."""
+        return fingerprint(self)
 
     @property
     def collective_gpu_memory(self) -> int:

@@ -25,7 +25,10 @@ suite pins, exactly:
   store is shared across runs;
 - the interval unions one ``analyze_trace`` makes over a traced gpt2
   iteration: one per (device, track) and one per link, not one per
-  (waiting transfer, link) pair.
+  (waiting transfer, link) pair;
+- that a fleet storm simulates each served plan key once and verifies
+  each (plan, binding) pair once, and that a second ``PlannerService``
+  on the same storm does neither: the served-plan store replays both.
 
 It also holds the estimator's drift from the simulated iteration time
 under a ceiling per case, so the cost model may get closer to the
@@ -50,6 +53,9 @@ from repro.core.search import ConfigurationSearch
 from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskGraph
 from repro.experiments.common import server_for
+from repro.fleet import FleetPlacer, fleet_of
+from repro.runtime.executor import Executor
+from repro.service import PlannerService, ServiceConfig, scripted_workload
 from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder, analytics
 
@@ -211,3 +217,40 @@ def test_traced_run_analytics_do_exact_work(monkeypatch):
     assert counts == {"analyze": 1, "union": TRACED_GPT2_UNIONS}, (
         "analyze_trace must union each track and each link once"
     )
+
+
+def test_warm_service_neither_runs_nor_verifies(monkeypatch, cold_stores):
+    requests = scripted_workload(30, seed=1, gpus=(2, 4), shares=(1.0, 0.5),
+                                 execute_fraction=0.5)
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts, Executor, "run")
+    bind = FleetPlacer.bind
+
+    def counted_bind(self, reservation, plan, *, verify=True):
+        if verify:
+            counts["verified_bind"] += 1
+        return bind(self, reservation, plan, verify=verify)
+
+    monkeypatch.setattr(FleetPlacer, "bind", counted_bind)
+
+    def storm() -> PlannerService:
+        service = PlannerService(ServiceConfig(workers=3),
+                                 fleet=FleetPlacer(fleet_of(1, 4)))
+        service.run(requests)
+        return service
+
+    cold = storm()
+    run_keys = {r.plan_key for r in cold.results if r.run_seconds > 0}
+    assert run_keys and cold.fleet_bounds
+    assert counts == {"run": len(run_keys),
+                      "verified_bind": len(cold.fleet_bounds)}, (
+        "a cold storm must simulate each run key and verify each "
+        "(plan, binding) pair once"
+    )
+    counts.clear()
+    warm = storm()
+    assert (counts["run"], counts["verified_bind"]) == (0, 0), (
+        "a warm service must take every iteration time and verdict from "
+        "the served-plan store"
+    )
+    assert warm.metrics.snapshot() == cold.metrics.snapshot()
