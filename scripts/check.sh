@@ -54,8 +54,7 @@ python -m repro.cli chaos toy-transformer --minibatch 9 --gpus 2 \
 echo "== service smoke =="
 # Seeded request storm through the hardened planning service: chaos and
 # clean; exits nonzero on an unresolved request, a determinism mismatch
-# or an excessive shed rate.  The determinism check's second storm runs
-# on warm process-wide stores, so it also holds warm results to cold ones.
+# or an excessive shed rate.
 python -m repro.cli serve --requests 500 --seed 0 --chaos --intensity 1.0 \
     --check-determinism --max-shed-rate 0.35 --json service-chaos.json \
     || failed=1

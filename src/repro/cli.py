@@ -442,8 +442,9 @@ def _serve(args: argparse.Namespace) -> int:
     seed, so ``--check-determinism`` (serve twice on fresh services,
     compare the full metrics snapshots and every request's outcome,
     detail, run seconds and plan key) is a real bit-identity check, not
-    a flakiness lottery.  The second service finds the process-wide
-    stores warm, so the check also holds a warm storm to a cold one.
+    a flakiness lottery.  The second service takes its searches from
+    the process-wide search store but simulates and certifies afresh,
+    so the check holds plans built from stored searches to fresh ones.
     The exit code is nonzero when determinism fails, when
     ``--max-shed-rate`` is exceeded, or when the service leaves a
     request unresolved (which raises out of ``run``).

@@ -20,15 +20,6 @@ are re-certified by the analyzer against the tenant's partition before
 they count as served (degraded plans are plan-only and skip
 certification -- they carry no execution promise).
 
-Both per-plan facts a served request may need are pure functions of
-content keys and live in one process-wide store, ``_SERVED``, under the
-plan key: the simulated iteration seconds a run request waits (one real
-simulated execution per key per process) and the analyzer's
-accept/reject verdict per binding fingerprint (one certification per
-(plan, binding) pair per process).  A later service, or a later storm,
-replays them: an accepted pair is bound again without verification, a
-rejected one sheds with the same reason.
-
 Serving walks the degradation ladder, cheapest-and-best first:
 
 1. **exact cache hit** -- the content-addressed key matches a plan
@@ -56,7 +47,7 @@ a hang or a silently dropped request.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Generator, Optional
@@ -67,14 +58,8 @@ from repro.common.errors import (
     ScheduleAnalysisError,
     SimulationError,
 )
-from repro.common.lru import lru_get
 from repro.fleet.placer import FleetPlacer, FleetReservation
-from repro.core.harmony import (
-    SEARCH_STORE_SIZE,
-    Harmony,
-    HarmonyOptions,
-    HarmonyPlan,
-)
+from repro.core.harmony import Harmony, HarmonyOptions, HarmonyPlan
 from repro.hardware.server import ServerSpec
 from repro.models.zoo import build_model
 from repro.service.breaker import CircuitBreaker
@@ -158,31 +143,6 @@ class StalePlan:
 _EPS = 1e-9
 
 
-@dataclass(slots=True)
-class _Served:
-    """What a served plan's key has settled: its simulated iteration
-    seconds (None until the first run request) and, per binding
-    fingerprint, whether the analyzer accepted the plan bound that way."""
-
-    seconds: Optional[float] = None
-    verdicts: dict[str, bool] = field(default_factory=dict)
-
-
-#: The served-plan store: per :func:`~repro.core.harmony.plan_key`, the
-#: facts every service would otherwise recompute, least recently used
-#: first and bounded like the search store.  Both facts are pure
-#: functions of their key: the key covers the model content, the server,
-#: the minibatch, the schedule and search settings and the seed, so it
-#: fixes the plan's graph and server, and a verdict adds the binding's
-#: content (topology and assignment).  Only floats and booleans are
-#: shared, never a plan, ``BoundPlan`` or ``AnalysisReport``.
-_SERVED: OrderedDict[str, _Served] = OrderedDict()
-
-
-def _served(key: str) -> _Served:
-    return lru_get(_SERVED, key, _Served, SEARCH_STORE_SIZE)
-
-
 class PlannerService:
     """The hardened planning daemon (see module docstring)."""
 
@@ -220,14 +180,15 @@ class PlannerService:
         #: mode -> the service's options in that mode (one object per
         #: mode, so its cached fingerprint makes plan keys cheap)
         self._modes: dict[str, HarmonyOptions] = {}
+        #: plan key -> memoized simulated iteration seconds
+        self._run_seconds: dict[str, float] = {}
         #: plan key -> memoized baseline plan
         self._baselines: dict[str, Any] = {}
         self.fleet = fleet
         #: rid -> (live reservation, virtual placement time)
         self._reservations: dict[int, tuple[FleetReservation, float]] = {}
-        #: (plan key, binding fingerprint) -> this service's bound plan
-        #: (None = analyzer rejected that placement); the verdicts
-        #: themselves live in the served-plan store
+        #: (plan key, bound topology's fingerprint) -> certified bound
+        #: plan (None = analyzer rejected that placement)
         self.fleet_bounds: dict[tuple, Optional[Any]] = {}
         #: rid -> its reservation, kept after release for reporting
         self.fleet_placed: dict[int, FleetReservation] = {}
@@ -557,11 +518,10 @@ class PlannerService:
 
         Fleet mode gates serving on certification: the plan is bound
         onto the held reservation and re-proved by the analyzer against
-        the tenant's memory partition (the verdict is stored per plan key
-        and binding fingerprint, so a process pays each unique analysis
-        once, however many services ask).  A rejected bind sheds with
-        ``SHED_NO_CAPACITY`` -- the fleet cannot honestly host the job at
-        its declared share."""
+        the tenant's memory partition (memoized per plan and bound
+        topology, so a storm pays each unique analysis once).  A rejected
+        bind sheds with ``SHED_NO_CAPACITY`` -- the fleet cannot honestly
+        host the job at its declared share."""
         if self.fleet is not None:
             held = self._reservations.get(request.rid)
             if held is not None:
@@ -680,29 +640,18 @@ class PlannerService:
 
     def _certify(self, request: PlanRequest, key: str, plan: Any,
                  reservation: FleetReservation) -> Optional[Any]:
-        """Analyzer-certified bound plan for (plan, binding), or None when
-        the partition cannot hold the schedule.  The verdict depends on
-        the plan and the binding the reservation realizes, not on the
-        request or a summary of its shape, so the served-plan store keeps
-        it by plan key and binding fingerprint: the analyzer runs once
-        per pair per process.  A stored acceptance binds again without
-        verification (a graph rewrite) for this service's record."""
+        """Analyzer-certified bound plan for (plan, bound topology), or
+        None when the partition cannot hold the schedule.  Memoized on
+        the content the verdict depends on: the plan and the binding the
+        reservation realizes, not the request or a summary of its shape."""
         assert self.fleet is not None
-        binding = reservation.binding().fingerprint()
-        memo_key = (key, binding)
+        memo_key = (key, reservation.binding().fingerprint())
         if memo_key in self.fleet_bounds:
             return self.fleet_bounds[memo_key]
-        verdicts = _served(key).verdicts
-        accepted = verdicts.get(binding)
-        bound = None
-        if accepted is None:
-            try:
-                bound = self.fleet.bind(reservation, plan)
-            except ScheduleAnalysisError:
-                pass
-            verdicts[binding] = bound is not None
-        elif accepted:
-            bound = self.fleet.bind(reservation, plan, verify=False)
+        try:
+            bound = self.fleet.bind(reservation, plan)
+        except ScheduleAnalysisError:
+            bound = None
         self.fleet_bounds[memo_key] = bound
         return bound
 
@@ -742,13 +691,13 @@ class PlannerService:
         return plan
 
     def _iteration_seconds(self, key: str, plan: Any) -> float:
-        """Simulated iteration time of a served plan (run requests).  The
-        first run request per plan key in the process pays one real
-        simulated execution; later ones, in any service, reuse its
-        virtual duration from the served-plan store."""
-        served = _served(key)
-        if served.seconds is None:
-            harmony = Harmony(plan.model, plan.server, plan.minibatch,
-                              plan.options)
-            served.seconds = harmony.run(plan=plan).metrics.iteration_time
-        return served.seconds
+        """Memoized simulated iteration time of a served plan (run
+        requests).  The first run request per plan key pays one real
+        simulated execution; later ones reuse its virtual duration."""
+        if key in self._run_seconds:
+            return self._run_seconds[key]
+        harmony = Harmony(plan.model, plan.server, plan.minibatch,
+                          plan.options)
+        seconds = harmony.run(plan=plan).metrics.iteration_time
+        self._run_seconds[key] = seconds
+        return seconds

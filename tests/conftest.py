@@ -15,7 +15,6 @@ from repro.hardware.server import ServerSpec
 from repro.models.transformer import tiny_transformer
 from repro.runtime import timemodel
 from repro.runtime.executor import Executor
-from repro.service import daemon
 from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder, check_trace
 
@@ -81,13 +80,12 @@ def _verify_executed_graphs(request, monkeypatch):
 @pytest.fixture
 def cold_stores(monkeypatch):
     """Empty every process-wide store for one test: the profile store,
-    the kernel-time store, the search store and the served-plan store.
-    Tests that pin the work a first plan, run or storm does use this, so
-    no earlier test can warm them; the stores are restored afterwards."""
+    the kernel-time store and the search store.  Tests that pin the work
+    a first plan or run does use this, so no earlier test can warm them;
+    the stores are restored afterwards."""
     monkeypatch.setattr(profiler, "_STORE", OrderedDict())
     monkeypatch.setattr(timemodel, "_STORE", OrderedDict())
     monkeypatch.setattr(harmony, "_SEARCHES", OrderedDict())
-    monkeypatch.setattr(daemon, "_SERVED", OrderedDict())
 
 
 @pytest.fixture
