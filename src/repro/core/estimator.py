@@ -10,14 +10,15 @@ It deliberately differs from the full Runtime in two ways -- it uses the
 Profiler's *regressed* layer times rather than true kernel times, and it
 ignores cross-GPU link contention -- which is why Figure 14 compares its
 estimates against actual (fully simulated) runs and finds them close but
-not identical.  Being contention-free and allocation-free, it evaluates a
-configuration in microseconds, enabling the sweep of Algorithm 1.
+not identical.  Being contention-free and allocation-free, it scores a
+candidate in about 0.18 ms (traced ``bench/run.py --workload plan-zoo``:
+~11.7 ms of estimator self time per plan over ~65 candidates, Python
+3.11 on a 2-vCPU x86 host), cheap enough for the sweep of Algorithm 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from repro.core.profiler import ModelProfiles
 from repro.core.taskgraph import mb_dependency
@@ -40,18 +41,20 @@ _PHASES = {TaskKind.FWD: Phase.FWD, TaskKind.BWD: Phase.BWD,
            TaskKind.UPD: Phase.UPD}
 
 
-def _per_task(tensor: TensorKind) -> bool:
-    """Weights, gradients and optimizer state move once per task; the
-    rest move per microbatch chunk.  (Identity tests: hashing an enum
-    member runs Python code.)"""
-    return tensor is TensorKind.W or tensor is TensorKind.DW or tensor is TensorKind.K
-
-
-@dataclass
-class _TaskTimes:
+class _TaskTimes(NamedTuple):
     mb_done: list[float]
     done: float
     outs_flushed: float
+
+
+def _dep_map(src_sizes: tuple[int, ...],
+             mbs: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """Per consumer chunk, the producer microbatch that completes its
+    samples; ``None`` when the two granularities cover different
+    samples."""
+    if sum(src_sizes) != sum(mbs):
+        return None
+    return tuple(mb_dependency(src_sizes, mbs))
 
 
 class RuntimeEstimator:
@@ -66,6 +69,8 @@ class RuntimeEstimator:
         self._swap_bw = min(topo.leaf_bandwidth, topo.uplink_bandwidth)
         self._p2p_bw = topo.leaf_bandwidth
         self._staging_bw = server.host.pageable_copy_bandwidth
+        # A relayed MSG move: two PCIe hops plus the host staging copy.
+        self._relay = 2.0 / self._swap_bw + 1.0 / self._staging_bw
         # Task-time cache shared by every candidate of one configuration
         # search: candidates share most of their (pack, u, phase)
         # combinations.  A miss sums a slice of the profiles' per-layer
@@ -75,6 +80,9 @@ class RuntimeEstimator:
         # the profiles, so it is freed with the search while a plan keeps
         # its profiles alive.
         self._time_cache: dict[tuple, float] = {}
+        # (first, last, is BWD, recomputes, sizes) -> per-microbatch
+        # ``mb_time``s; ints and tuples, as hashing an enum runs Python.
+        self._mb_times: dict[tuple, tuple[float, ...]] = {}
         # (producer sizes, consumer sizes) -> per-chunk producer index, or
         # None when the two granularities cover different samples.
         self._dep_maps: dict[tuple, Optional[tuple[int, ...]]] = {}
@@ -109,11 +117,11 @@ class RuntimeEstimator:
         return value
 
     def _xfer(self, move: MoveRecord, nbytes: int) -> float:
+        """Transfer time of ``nbytes`` of ``move`` (inlined in ``estimate``)."""
         if move.channel is Channel.LOCAL or nbytes == 0:
             return 0.0
         if move.channel is Channel.MSG and move.src_task is not None:
-            # Two PCIe hops plus the host staging copy (a relay).
-            return nbytes * (2.0 / self._swap_bw + 1.0 / self._staging_bw)
+            return nbytes * self._relay
         bw = self._p2p_bw if move.channel is Channel.P2P else self._swap_bw
         return nbytes / bw
 
@@ -128,10 +136,10 @@ class RuntimeEstimator:
         estimator's server, the one the search's builder is bound to.
 
         Each move's chunk dependencies, chunk transfer time and lane are
-        worked out once per move, and each distinct microbatch size is
-        timed once per task; the per-chunk ``max``/``+`` sequence is the
-        same as a chunk-by-chunk walk, so every estimate is bit-identical
-        to it.
+        worked out once per move, and a task's per-microbatch durations
+        once per search for each task shape; the per-chunk ``max``/``+``
+        sequence is the same as a chunk-by-chunk walk, so every estimate
+        is bit-identical to it.
         """
         if isinstance(schedule, TaskGraph):
             n = schedule.n_devices
@@ -151,45 +159,76 @@ class RuntimeEstimator:
         times: list[_TaskTimes] = []
         finish = 0.0
 
+        # Hot loop: lookups are bound to locals, and the move helpers
+        # (``_xfer``, the tensor test, chunk dependencies) are inlined.
+        prefetch = self.prefetch
+        swap_bw, p2p_bw, relay = self._swap_bw, self._p2p_bw, self._relay
+        dep_maps, mb_times = self._dep_maps, self._mb_times
+        UPD, BWD = TaskKind.UPD, TaskKind.BWD
+        W, DW, K = TensorKind.W, TensorKind.DW, TensorKind.K
+        LOCAL, SWAP, P2P, MSG = Channel.LOCAL, Channel.SWAP, Channel.P2P, Channel.MSG
+
         for task in tasks:
-            d = task.device
-            if task.kind is TaskKind.UPD:
+            (kind, d, first, last, mbs, fused, recompute, _, _, ins, outs,
+             _, _) = task
+            if kind is UPD:
                 tt = self._estimate_update(task, times, cpu_free, compute_free)
                 times.append(tt)
                 finish = max(finish, tt.outs_flushed)
                 continue
 
-            fetch_floor = 0.0 if self.prefetch else prev_compute_done[d]
+            fetch_floor = 0.0 if prefetch else prev_compute_done[d]
 
-            # Per-task state tensors ride the swap-in lane back-to-back.
+            # Per-task state tensors (W, dW, K) ride the swap-in lane
+            # back-to-back; the rest move per microbatch chunk.
             state_bytes = 0
             state_dep = 0.0
             chunked = []
-            for move in task.ins:
-                if not _per_task(move.tensor):
+            for move in ins:
+                tensor, channel, nbytes, src, _ = move
+                if not (tensor is W or tensor is DW or tensor is K):
                     chunked.append(move)
                     continue
-                if move.src_task is not None:
-                    state_dep = max(state_dep, times[move.src_task].outs_flushed)
-                if move.channel is not Channel.LOCAL:
-                    state_bytes += move.nbytes
+                if src is not None and times[src].outs_flushed > state_dep:
+                    state_dep = times[src].outs_flushed
+                if channel is not LOCAL:
+                    state_bytes += nbytes
             start = max(swap_in_free[d], state_dep, fetch_floor)
-            state_ready = start + state_bytes / self._swap_bw
+            state_ready = start + state_bytes / swap_bw
             swap_in_free[d] = state_ready
 
-            # Per-microbatch chunks.  The hot loops spell ``max`` as
-            # comparisons: ``b if b > a else a`` is ``max(a, b)``, ties
-            # included.
-            mbs = task.microbatches
+            # Per-microbatch chunks wait on the producer's flush (swap),
+            # its last microbatch (mismatched granularities) or the
+            # microbatch completing their samples.  The hot loops spell
+            # ``max(a, b)`` as ``b if b > a else a``, ties included.
             n_mb = len(mbs)
             input_ready = [state_ready] * n_mb
-            for move in chunked:
-                deps = self._chunk_deps(move, mbs, tasks, times)
-                if move.channel is Channel.LOCAL:
+            for _, channel, nbytes, src, _ in chunked:
+                if src is None:
+                    deps = [0.0] * n_mb
+                elif channel is SWAP:
+                    deps = [times[src].outs_flushed] * n_mb
+                else:
+                    # Pure in the two size tuples, which recur across
+                    # chunks and candidates, so memoized.
+                    key = (tasks[src].microbatches, mbs)
+                    try:
+                        dep_map = dep_maps[key]
+                    except KeyError:
+                        dep_map = dep_maps[key] = _dep_map(*key)
+                    producer = times[src]
+                    if dep_map is None:
+                        deps = [producer.done] * n_mb
+                    else:
+                        mb_done = producer.mb_done
+                        deps = [mb_done[j] for j in dep_map]
+                if channel is LOCAL:
                     input_ready = list(map(max, input_ready, deps))
                     continue
-                lane = p2p_free if move.channel is Channel.P2P else swap_in_free
-                xfer = self._xfer(move, int(move.nbytes / n_mb))
+                chunk = int(nbytes / n_mb)
+                lane = p2p_free if channel is P2P else swap_in_free
+                xfer = (chunk * relay if channel is MSG and src is not None
+                        else chunk / (p2p_bw if channel is P2P else swap_bw))
                 end = lane[d]
                 for i, dep in enumerate(deps):
                     if dep > end:
@@ -201,26 +240,35 @@ class RuntimeEstimator:
                         input_ready[i] = end
                 lane[d] = end
 
-            durations = {u: self.mb_time(task, u) for u in dict.fromkeys(mbs)}
+            bwd = kind is BWD
+            key = (first, last, bwd, bwd and (fused or recompute), mbs)
+            durations = mb_times.get(key)
+            if durations is None:
+                durations = mb_times[key] = tuple(
+                    [self.mb_time(task, u) for u in mbs])
             end = compute_free[d]
             mb_done = []
-            for u, ready in zip(mbs, input_ready):
+            for duration, ready in zip(durations, input_ready):
                 if ready > end:
                     end = ready
-                end += durations[u]
+                end += duration
                 mb_done.append(end)
             compute_free[d] = end
             done = end
             prev_compute_done[d] = done
 
             outs_flushed = done
-            for move in task.outs:
-                if move.channel is Channel.LOCAL or move.nbytes == 0:
+            for tensor, channel, nbytes, src, _ in outs:
+                if channel is LOCAL or nbytes == 0:
                     continue
-                if _per_task(move.tensor):
-                    end = max(swap_out_free[d], done) + self._xfer(move, move.nbytes)
+                per_task = tensor is W or tensor is DW or tensor is K
+                if not per_task:
+                    nbytes = int(nbytes / n_mb)
+                xfer = (nbytes * relay if channel is MSG and src is not None
+                        else nbytes / (p2p_bw if channel is P2P else swap_bw))
+                if per_task:
+                    end = max(swap_out_free[d], done) + xfer
                 else:
-                    xfer = self._xfer(move, int(move.nbytes / n_mb))
                     end = swap_out_free[d]
                     for mb_end in mb_done:
                         if mb_end > end:
@@ -233,35 +281,6 @@ class RuntimeEstimator:
             finish = max(finish, outs_flushed)
 
         return finish
-
-    def _chunk_deps(self, move: MoveRecord, mbs: tuple[int, ...],
-                    tasks: Sequence[TaskRecord],
-                    times: list[_TaskTimes]) -> list[float]:
-        """When each of the consumer's microbatch chunks of ``move`` may
-        start: the producer's flush for a swap, its last microbatch when
-        the two granularities cover different samples, else the producer
-        microbatch that completes the chunk's samples."""
-        src = move.src_task
-        if src is None:
-            return [0.0] * len(mbs)
-        producer = times[src]
-        if move.channel is Channel.SWAP:
-            return [producer.outs_flushed] * len(mbs)
-        # Pure function of the two size tuples, which recur across chunks
-        # and candidate graphs, so memoize it (bit-identical by purity).
-        key = (tasks[src].microbatches, mbs)
-        try:
-            dep_map = self._dep_maps[key]
-        except KeyError:
-            src_sizes = key[0]
-            dep_map = self._dep_maps[key] = (
-                tuple(mb_dependency(src_sizes, mbs))
-                if sum(src_sizes) == sum(mbs) else None
-            )
-        if dep_map is None:
-            return [producer.done] * len(mbs)
-        mb_done = producer.mb_done
-        return [mb_done[j] for j in dep_map]
 
     def _estimate_update(self, task: TaskRecord, times: list[_TaskTimes],
                          cpu_free: list[float], compute_free: list[float]) -> _TaskTimes:

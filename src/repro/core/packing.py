@@ -19,47 +19,37 @@ no rematerialization.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.common.errors import InfeasibleConfigError
+from repro.common.floats import ordered_sum
 from repro.core.config import Pack, packs_from_boundaries, validate_packs
 from repro.core.profiler import ModelProfiles
 from repro.graph.layer import Phase
 
 
-def _essential_bytes(profiles: ModelProfiles, phase: Phase, layer: int, u: int) -> int:
-    """Irreducible residency a layer contributes to its pack's footprint,
-    used only for the pack-count lower bound ``S_min``."""
-    params = profiles[layer].param_bytes
-    if phase is Phase.FWD:
-        return params
-    return 2 * params + profiles[layer].act_out_bytes(u)
-
-
-def _split_packs(prefix: np.ndarray, prefix_list: list[float],
-                 n_packs: int) -> Optional[tuple[Pack, ...]]:
+def _split_packs(prefix: list[float], n_packs: int) -> Optional[tuple[Pack, ...]]:
     """Split layers into ``n_packs`` contiguous packs of near-equal time.
 
     Implements lines 7-11 of Algorithm 2: compute the average per-pack
     time ``c``, binary-search the accumulated pack times ``[c, 2c, ...]``
-    into the prefix sums of layer times, and cut there.  ``prefix`` is
-    the cumulative layer-time array and ``prefix_list`` the same values
-    as Python floats.  Returns ``None`` when cuts collide (a single layer
-    exceeds the quantile step), in which case the caller tries more packs.
+    into ``prefix``, the running sums of the layer times, and cut there
+    (capped so the last pack keeps a layer).  Returns ``None`` when cuts
+    collide (a single layer exceeds the quantile step), in which case the
+    caller tries more packs.
     """
     n_layers = len(prefix)
     if n_packs == 1:
         return (Pack(0, n_layers - 1),)
-    total = prefix[-1]
-    targets = np.arange(1, n_packs) * (total / n_packs)
-    cuts = np.searchsorted(prefix, targets, side="left") + 1
-    cuts = np.clip(cuts, 1, n_layers - 1)
-    boundaries = [0] + sorted(set(int(c) for c in cuts))
-    if len(boundaries) != n_packs:
+    step = prefix[-1] / n_packs
+    last = n_layers - 1
+    cuts = {min(bisect_left(prefix, k * step) + 1, last)
+            for k in range(1, n_packs)}
+    if len(cuts) != n_packs - 1:
         return None
-    boundaries = _refine_boundaries(prefix_list, boundaries)
+    boundaries = _refine_boundaries(prefix, [0] + sorted(cuts))
     return packs_from_boundaries(boundaries, n_layers)
 
 
@@ -174,21 +164,13 @@ def _balanced_time_packing(
             return (forced_tail,)
 
     # The layer-time table is shared by every probe of the search; the
-    # prefix sums are computed once for all the pack counts tried below.
-    times = profiles.layer_times(phase, u)[:total_layers]
-    prefix = np.cumsum(np.asarray(times, dtype=float))
-    prefix_list = prefix.tolist()
-    essential_total = profiles.memo(
-        ("esssum", phase, u, total_layers),
-        lambda: sum(
-            _essential_bytes(profiles, phase, i, u)
-            for i in range(total_layers)
-        ),
-    )
-    s_min = max(min_packs, 1, -(-essential_total // capacity))
+    # running sums are computed once for all the pack counts tried below.
+    prefix = list(accumulate(profiles.layer_times(phase, u)[:total_layers]))
+    essential = profiles.essential_bytes(phase, total_layers, u)
+    s_min = max(min_packs, 1, -(-essential // capacity))
 
     for n_packs in range(s_min, total_layers + 1):
-        packs = _split_packs(prefix, prefix_list, n_packs)
+        packs = _split_packs(prefix, n_packs)
         if packs is None:
             continue
         if all(
@@ -237,7 +219,7 @@ def greedy_memory_packing(
 def pack_imbalance(profiles: ModelProfiles, phase: Phase, packs: Sequence[Pack], u: int) -> float:
     """Max/mean pack-time ratio; 1.0 is perfectly balanced."""
     times = [profiles.pack_time(phase, pack, u) for pack in packs]
-    mean = sum(times) / len(times)
+    mean = ordered_sum(times) / len(times)
     if mean == 0:
         return 1.0
     return max(times) / mean

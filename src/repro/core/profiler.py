@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
@@ -116,12 +117,13 @@ class ModelProfiles:
     search for deep CNNs).  The aggregates are served from memoized
     per-``(phase, u)`` tables:
 
-    - **integer** aggregates (memory footprints, parameter bytes) come
-      from prefix-sum tables -- Python ints, so the prefix difference is
-      *exactly* the naive sum, bit for bit;
+    - **integer** aggregates (memory footprints, parameter bytes, the
+      essential bytes of Algorithm 2's lower bound) come from prefix-sum
+      tables -- Python ints, so the prefix difference is *exactly* the
+      naive sum, bit for bit;
     - **pack times** are slices of one memoized per-layer time table
-      (:meth:`layer_times`), summed with the builtin ``sum`` in the same
-      order as the naive per-layer sum, so they are the identical bit
+      (:meth:`layer_times`), folded left to right in the same order as
+      the naive per-layer sum, so they are the identical bit
       pattern (prefix differences would NOT be bit-stable for floats,
       which is why prefix tables are only used for ints);
     - **update FLOPs** are memoized whole, computed once with the naive
@@ -155,8 +157,8 @@ class ModelProfiles:
     def memo(self, key: Any, compute: Callable[[], _T]) -> _T:
         """Memoize ``compute()`` under ``key``.
 
-        Shared with :mod:`repro.core.packing` for its per-``(phase, u)``
-        scratch lists; keys are namespaced by their first element.
+        Shared with :mod:`repro.core.packing`, which memoizes its
+        packings here; keys are namespaced by their first element.
         """
         try:
             return self._memo[key]
@@ -166,27 +168,18 @@ class ModelProfiles:
 
     def _mem_prefix(self, phase: Phase, u: int) -> list[int]:
         """Prefix sums of the per-layer memory list (exact: Python ints)."""
-
-        def build() -> list[int]:
-            prefix = [0]
-            total = 0
-            for layer in self.layers:
-                total += layer.memory(phase, u)
-                prefix.append(total)
-            return prefix
-
-        return self.memo(("memp", phase, u), build)
+        return self.memo(("memp", phase, u), lambda: list(accumulate(
+            (layer.memory(phase, u) for layer in self.layers), initial=0)))
 
     def _param_prefix(self) -> list[int]:
-        def build() -> list[int]:
-            prefix = [0]
-            total = 0
-            for layer in self.layers:
-                total += layer.param_bytes
-                prefix.append(total)
-            return prefix
+        return self.memo(("paramp",), lambda: list(accumulate(
+            (layer.param_bytes for layer in self.layers), initial=0)))
 
-        return self.memo(("paramp",), build)
+    def _act_out_prefix(self) -> list[int]:
+        """Prefix sums of the per-sample output activations, for every
+        ``u`` at once: ``act_out_bytes(u)`` is per-sample bytes times ``u``."""
+        return self.memo(("actp",), lambda: list(accumulate(
+            (layer.act_out_per_sample for layer in self.layers), initial=0)))
 
     # -- per-layer lists used by Algorithm 2 ---------------------------------
 
@@ -211,6 +204,15 @@ class ModelProfiles:
         return ordered_sum(self.layer_times(phase, u)[first:last + 1])
 
     # -- pack-level aggregates -------------------------------------------------
+
+    def essential_bytes(self, phase: Phase, n: int, u: int) -> int:
+        """Irreducible residency of layers ``0..n-1`` for Algorithm 2's
+        lower bound ``S_min``: parameters (FWD), plus gradients and output
+        activations (BWD).  Int prefixes, so exactly the per-layer sum."""
+        params = self._param_prefix()[n]
+        if phase is Phase.FWD:
+            return params
+        return 2 * params + u * self._act_out_prefix()[n]
 
     def pack_param_bytes(self, pack: Pack) -> int:
         prefix = self._param_prefix()

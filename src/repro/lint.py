@@ -45,7 +45,12 @@ the AST of every file under ``src/repro`` and enforces them:
   the host stash they sum) -- must stay in integer arithmetic -- no
   true division, no ``float()`` -- so certificates are exact at any
   byte count instead of drifting past 2**53.  Formatting inside
-  f-strings is exempt (messages may render GiB).
+  f-strings is exempt (messages may render GiB);
+- **interpreter-independent float sums** (``float/builtin-sum``): in
+  ``repro/core``, ``repro/trace`` and ``repro/runtime``, builtin ``sum``
+  may appear only in the reviewed integer sums of ``INTEGER_SUMS``.
+  Python 3.12 compensates float ``sum``, moving pinned bits, so a float
+  reduction folds with :func:`repro.common.ordered_sum` instead.
 
 Exit status is the number of findings (0 = clean), and each finding
 prints as ``path:line: rule: message``.
@@ -88,6 +93,22 @@ INTEGER_EXACT = (
     Path("repro") / "analysis" / "parametric.py",
     Path("repro") / "core" / "types.py",
 )
+
+#: Packages whose float reductions must not depend on the interpreter.
+FLOAT_SUM_PACKAGES = (Path("repro/core"), Path("repro/trace"), Path("repro/runtime"))
+
+#: The functions in those packages whose builtin ``sum`` adds only ints
+#: (or bools), reviewed one by one: an int ``sum`` is exact everywhere.
+INTEGER_SUMS = {
+    Path("repro/core/estimator.py"): ("_dep_map", "_estimate_update"),
+    Path("repro/core/profiler.py"): ("pack_memory_naive", "total_param_bytes"),
+    Path("repro/core/taskgraph.py"): ("mb_dependency", "_task_groups"),
+    Path("repro/core/types.py"): ("group_samples", "global_swap_bytes", "p2p_bytes",
+                                  "checkpoint_stash_bytes", "total_bytes"),
+    Path("repro/runtime/executor.py"): ("_chunk_sizes", "_minibatch_of"),
+    Path("repro/runtime/metrics.py"): ("global_swap_bytes", "global_p2p_bytes"),
+    Path("repro/trace/export.py"): ("to_text_timeline",),
+}
 
 #: File whose classes must all be frozen dataclasses or NamedTuples.
 FROZEN_DATACLASSES = Path("repro") / "trace" / "events.py"
@@ -139,6 +160,9 @@ class _Checker(ast.NodeVisitor):
         self.allow_unit = rel_path in CHAOS_DRAW_MODULES
         self.allow_simulator = rel_path in SIMULATOR_MODULES
         self.check_frozen = rel_path == FROZEN_DATACLASSES
+        self.check_sums = any(p in rel_path.parents for p in FLOAT_SUM_PACKAGES)
+        self.integer_sums = INTEGER_SUMS.get(rel_path, ())
+        self.function = ""  # the innermost enclosing function
 
     def flag(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(Finding(
@@ -238,6 +262,18 @@ class _Checker(ast.NodeVisitor):
                 "timestamps in explicitly",
             )
         if (
+            self.check_sums
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+            and self.function not in self.integer_sums
+        ):
+            self.flag(
+                node, "float/builtin-sum",
+                f"builtin sum() in {self.function or 'module scope'}: 3.12 "
+                "compensates float sums; fold with repro.common.ordered_sum "
+                "or list a reviewed int sum in repro.lint.INTEGER_SUMS",
+            )
+        if (
             self.integer_exact
             and not self.in_fstring
             and isinstance(node.func, ast.Name)
@@ -249,6 +285,15 @@ class _Checker(ast.NodeVisitor):
                 "must not round past 2**53 bytes",
             )
         self.generic_visit(node)
+
+    # -- enclosing functions, for the integer-sum allow-list ---------------------
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
     # -- the environment ---------------------------------------------------------
 

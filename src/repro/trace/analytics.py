@@ -29,6 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.common.floats import ordered_sum
 from repro.trace.events import TraceEvent
 
 _SWAP_LANES = ("swap_in", "swap_out")
@@ -54,7 +55,11 @@ def _union(intervals: Iterable[tuple]) -> list:
 
 
 def _measure(intervals: Sequence[tuple]) -> float:
-    return sum(end - start for start, end in intervals)
+    # Nothing measured stays the int 0 that builtin ``sum`` returned: the
+    # analytics pins and reports render it as ``0``.
+    if not intervals:
+        return 0
+    return ordered_sum(end - start for start, end in intervals)
 
 
 def _intersect(a: Sequence[tuple], b: Sequence[tuple]) -> list:

@@ -1,21 +1,29 @@
 """Differential oracles for the planner's two hottest loops.
 
-The Algorithm 2 refine step and the Runtime Estimator's timeline walk are
-written for speed: the refine step skips cuts whose neighbourhood has not
-changed, and the estimator works out each move's dependencies, transfer
-time and lane once rather than once per microbatch chunk.  Both promise
-the exact results of the straightforward loops, which are kept here as
-naive references:
+Algorithm 2 and the Runtime Estimator's timeline walk are written for
+speed: the pack-count lower bound reads two int prefixes, the quantile
+split bisects a list of running sums, the refine step skips cuts whose
+neighbourhood has not changed, and the estimator works out each move's
+dependencies, transfer time and lane once rather than once per
+microbatch chunk.  All of them promise the exact results of the
+straightforward code they replaced, which is kept here as naive
+references:
 
+- :func:`naive_essential_bytes` is the per-layer residency the lower
+  bound once summed layer by layer;
+- :func:`numpy_split` is the quantile split over numpy's ``cumsum``,
+  ``searchsorted`` and ``clip``;
 - :func:`naive_refine` re-examines every cut on every sweep over a numpy
   prefix;
 - :class:`NaiveEstimator` walks every chunk of every move, resolves each
   chunk's dependency on its own, and sums task times layer by layer.
 
-The refine step is compared on seeded random prefixes (ties, zero-time
-layers, one dominant layer, every pack count); the estimator by
-``float.hex`` on every candidate graph of the search-pin problems, with
-all optimizations on and with each one ablated.
+The lower bound is compared on the bench zoo and both toy models, and
+the running sums with ``float.hex`` on every time table of those models.
+The split and refine step are compared on seeded random prefixes (ties,
+zero-time layers, one dominant layer, every pack count); the estimator
+by ``float.hex`` on every candidate graph of the search-pin problems,
+with all optimizations on and with each one ablated.
 
 The search scores candidates on the graph builder's flat schedule
 records and builds a task graph only for the winner.  On the same
@@ -28,16 +36,18 @@ may hold it.
 
 import gc
 import weakref
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from repro.common.errors import InfeasibleConfigError
 from repro.common.rng import seeded_rng
+from repro.core.config import Pack, packs_from_boundaries
 from repro.core.decomposer import Decomposer
 from repro.core.estimator import RuntimeEstimator, _TaskTimes
 from repro.core.harmony import Harmony, HarmonyOptions
-from repro.core.packing import _refine_boundaries
+from repro.core.packing import _refine_boundaries, _split_packs
 from repro.core.profiler import Profiler
 from repro.core.search import ConfigurationSearch
 from repro.core.taskgraph import HarmonyGraphBuilder, mb_dependency
@@ -45,6 +55,83 @@ from repro.core.types import Channel, TaskKind, TaskRecord, TensorKind
 from repro.experiments.common import server_for
 from repro.graph.layer import Phase
 from repro.models.zoo import build_model
+
+#: The six bench zoo models and both toy models.
+ZOO = ("gpt2", "gpt2-medium", "bert96", "bert-large", "vgg416", "resnet1k",
+       "toy-transformer", "tiny-cnn")
+
+
+def _profiles(model):
+    server = server_for(4)
+    decomposed = Decomposer(seed=HarmonyOptions().seed) \
+        .decompose(build_model(model))
+    return Profiler(server.gpu).profile(decomposed)
+
+
+# -- Algorithm 2 lower bound and quantile split ----------------------------------
+
+
+def naive_essential_bytes(profiles, phase, layer, u):
+    """The residency one layer adds to the pack-count lower bound."""
+    params = profiles[layer].param_bytes
+    if phase is Phase.FWD:
+        return params
+    return 2 * params + profiles[layer].act_out_bytes(u)
+
+
+@pytest.mark.parametrize("model", ZOO)
+def test_essential_bytes_match_per_layer_sums(model):
+    profiles = _profiles(model)
+    for phase in (Phase.FWD, Phase.BWD):
+        for u in range(1, 17):
+            expected = 0
+            assert profiles.essential_bytes(phase, 0, u) == 0
+            for n in range(1, len(profiles) + 1):
+                expected += naive_essential_bytes(profiles, phase, n - 1, u)
+                assert profiles.essential_bytes(phase, n, u) == expected, \
+                    (phase, u, n)
+
+
+@pytest.mark.parametrize("model", ZOO)
+def test_running_sums_match_numpy_cumsum(model):
+    """``accumulate`` is the sequential fold ``np.cumsum`` is, so the two
+    agree bit for bit on every time table; a slice's running sums are a
+    prefix of the table's, for both."""
+    profiles = _profiles(model)
+    for phase in (Phase.FWD, Phase.BWD):
+        for u in range(1, 17):
+            times = profiles.layer_times(phase, u)
+            expected = np.cumsum(np.asarray(times, dtype=float)).tolist()
+            assert [t.hex() for t in accumulate(times)] == \
+                [t.hex() for t in expected], (phase, u)
+
+
+def numpy_split(prefix: list[float], n_packs: int):
+    """The quantile split over a numpy prefix, then the refine step."""
+    n_layers = len(prefix)
+    if n_packs == 1:
+        return (Pack(0, n_layers - 1),)
+    array = np.asarray(prefix, dtype=float)
+    targets = np.arange(1, n_packs) * (array[-1] / n_packs)
+    cuts = np.searchsorted(array, targets, side="left") + 1
+    cuts = np.clip(cuts, 1, n_layers - 1)
+    boundaries = [0] + sorted(set(int(c) for c in cuts))
+    if len(boundaries) != n_packs:
+        return None
+    return packs_from_boundaries(_refine_boundaries(prefix, boundaries),
+                                 n_layers)
+
+
+@pytest.mark.parametrize("shape", ["random", "ties", "zeros", "dominant"])
+@pytest.mark.parametrize("seed", range(10))
+def test_bisect_split_matches_numpy(shape, seed):
+    rng = seeded_rng(seed, f"split-oracle-{shape}")
+    n_layers = rng.randrange(1, 60)
+    prefix = list(accumulate(_layer_times(rng, shape, n_layers)))
+    for n_packs in range(1, n_layers + 1):
+        assert _split_packs(prefix, n_packs) == \
+            numpy_split(prefix, n_packs), n_packs
+
 
 # -- Algorithm 2 refine ----------------------------------------------------------
 

@@ -18,6 +18,9 @@ suite pins, exactly:
 - the ``LayerProfile.time`` calls one ``plan()`` makes: one per layer
   per (phase, microbatch size) time table, however many packs and
   candidates are timed from it;
+- the ``LayerProfile.act_out_bytes`` calls one ``plan()`` makes:
+  Algorithm 2's pack-count lower bound reads a per-sample prefix, not
+  one call per layer per forced tail and microbatch size;
 - the ``Simulator.steps`` one simulated iteration drains;
 - the ``LayerUnit.run_time`` calls (true kernel times) the first run of
   a plan draws, one per layer per (phase, microbatch size) it runs, and
@@ -73,6 +76,8 @@ class Case:
     candidates: int
     #: ``LayerProfile.time`` calls made by one ``plan()``.
     layer_times: int
+    #: ``LayerProfile.act_out_bytes`` calls made by one ``plan()``.
+    act_outs: int
     #: ``Simulator.steps`` drained by ``run(plan=..., iterations=1)``.
     steps: int
     #: ``LayerUnit.run_time`` calls made by that run, kernel store cold.
@@ -83,14 +88,14 @@ class Case:
 
 CASES = (
     Case("toy-transformer", "pp", 2, 8,
-         candidates=48, layer_times=80, steps=478, kernel_times=25,
-         max_drift=0.39),
+         candidates=48, layer_times=80, act_outs=9, steps=478,
+         kernel_times=25, max_drift=0.39),
     Case("tiny-cnn", "dp", 2, 8,
-         candidates=9, layer_times=78, steps=174, kernel_times=26,
-         max_drift=0.17),
+         candidates=9, layer_times=78, act_outs=2, steps=174,
+         kernel_times=26, max_drift=0.17),
     Case("gpt2", "pp", 4, 32,
-         candidates=68, layer_times=624, steps=5942, kernel_times=152,
-         max_drift=0.02),
+         candidates=68, layer_times=624, act_outs=243, steps=5942,
+         kernel_times=152, max_drift=0.02),
 )
 
 #: ``analytics._union`` calls one ``analyze_trace`` makes over a traced
@@ -122,6 +127,7 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "records")
     _count_calls(monkeypatch, counts, TaskGraph, "validate")
     _count_calls(monkeypatch, counts, LayerProfile, "time")
+    _count_calls(monkeypatch, counts, LayerProfile, "act_out_bytes")
     simulators: list[Simulator] = []
     original_init = Simulator.__init__
 
@@ -137,11 +143,12 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
     search = plan.search
     assert search.n_feasible + search.n_infeasible == case.candidates
     expected = {"build": 1, "validate": 1, "assemble": 1,
-                "records": case.candidates + 1, "time": case.layer_times}
+                "records": case.candidates + 1, "time": case.layer_times,
+                "act_out_bytes": case.act_outs}
     assert counts == expected, (
         "one plan() must assemble, build and validate only the winner, "
-        "emit each candidate's records once and time each layer once per "
-        "time table"
+        "emit each candidate's records once, time each layer once per "
+        "time table and read the lower bound off prefixes"
     )
     assert harmony.plan() is plan
     assert counts == expected, "a second plan() must be a memo hit"

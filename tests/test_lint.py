@@ -1,5 +1,6 @@
 """The project-invariant linter: each rule fires on the bad idiom only."""
 
+import ast
 from pathlib import Path
 
 import repro.lint as lint
@@ -267,6 +268,61 @@ class TestIntegerExact:
         rules = run(tmp_path, "repro/sim/engine.py",
                     "def f(a, b):\n    return a / b\n")
         assert rules == []
+
+
+class TestFloatSum:
+    def test_float_sum_flagged(self, tmp_path):
+        src = "def busy(spans):\n    return sum(b - a for a, b in spans)\n"
+        for rel in ("repro/trace/analytics.py", "repro/core/packing.py",
+                    "repro/runtime/x.py"):
+            assert run(tmp_path, rel, src) == ["float/builtin-sum"], rel
+
+    def test_module_scope_and_nested_sums_flagged(self, tmp_path):
+        assert run(tmp_path, "repro/core/x.py", "t = sum([0.1] * 10)\n") == \
+            ["float/builtin-sum"]
+        # The innermost function is the one that must be allow-listed.
+        src = ("def _chunk_sizes(xs):\n"
+               "    def mean():\n        return sum(xs) / len(xs)\n"
+               "    return mean()\n")
+        assert run(tmp_path, "repro/runtime/executor.py", src) == \
+            ["float/builtin-sum"]
+
+    def test_allow_listed_integer_sum_ok(self, tmp_path):
+        src = ("def checkpoint_stash_bytes(self):\n"
+               "    return sum(m.nbytes for m in self.moves)\n")
+        assert run(tmp_path, "repro/core/types.py", src) == []
+        src = "def _chunk_sizes(mbs):\n    return sum(mbs)\n"
+        assert run(tmp_path, "repro/runtime/executor.py", src) == []
+
+    def test_allow_list_is_per_file(self, tmp_path):
+        src = "def _chunk_sizes(mbs):\n    return sum(mbs)\n"
+        assert run(tmp_path, "repro/runtime/links.py", src) == \
+            ["float/builtin-sum"]
+
+    def test_ordered_sum_and_other_packages_ok(self, tmp_path):
+        src = ("from repro.common import ordered_sum\n"
+               "def busy(spans):\n"
+               "    return ordered_sum(b - a for a, b in spans)\n")
+        assert run(tmp_path, "repro/trace/analytics.py", src) == []
+        assert run(tmp_path, "repro/service/x.py",
+                   "def f(xs):\n    return sum(xs)\n") == []
+
+    def test_allow_list_names_real_sums(self):
+        """Every allow-listed function exists and calls builtin ``sum``, so
+        the list cannot go stale and shelter a future float sum."""
+        src_root = Path(lint.__file__).resolve().parent.parent
+        for rel, names in lint.INTEGER_SUMS.items():
+            tree = ast.parse((src_root / rel).read_text())
+            summing = {
+                node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "sum"
+                    for call in ast.walk(node)
+                )
+            }
+            assert set(names) <= summing, (rel, set(names) - summing)
 
 
 class TestTreeAndMain:
