@@ -11,7 +11,7 @@ degradation hooks and the byte counters work unchanged.
 An optional *partition guard* models network partitions: when armed
 (a callable ``(src, dst, now) -> bool``), :meth:`ClusterFabric.route`
 raises :class:`~repro.common.errors.NetworkPartitionError` for pairs in
-different components instead of returning a path.  The cluster runner
+different components instead of returning a route.  The cluster runner
 pre-checks partitions and stalls until the window heals, so an armed
 guard firing means the stall logic is broken -- it turns a silent wrong
 schedule into a typed error.
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from repro.common.errors import NetworkPartitionError, SimulationError
 from repro.cluster.spec import ClusterSpec
 from repro.sim.engine import Simulator
-from repro.sim.links import NetworkLink
+from repro.sim.links import NetworkLink, Route
 
 
 class ClusterFabric:
@@ -46,6 +46,8 @@ class ClusterFabric:
         #: optional partition oracle ``(src, dst, now) -> bool``; armed by
         #: the chaos injector for comm phases
         self.partition: Optional[Callable[[int, int, float], bool]] = None
+        #: routes by ``(src, dst)``, each built on first use
+        self._routes: dict[tuple[int, int], Route] = {}
 
     def _check(self, server: int) -> None:
         if not 0 <= server < self.spec.n_servers:
@@ -54,24 +56,29 @@ class ClusterFabric:
                 f"(cluster has {self.spec.n_servers})"
             )
 
-    def route(self, src: int, dst: int) -> list[NetworkLink]:
-        """Host-to-host network path from server ``src`` to ``dst``.
+    def route(self, src: int, dst: int) -> Route:
+        """Host-to-host network route from server ``src`` to ``dst``.
 
-        Empty for ``src == dst`` (co-located endpoints move no network
-        bytes).  Raises :class:`NetworkPartitionError` when an armed
-        partition guard puts the pair in different components.
+        Zero hops for ``src == dst`` (co-located endpoints move no
+        network bytes).  Raises :class:`NetworkPartitionError` when an
+        armed partition guard puts the pair in different components.
+        Each route is built on the first call and reused.
         """
         self._check(src)
         self._check(dst)
-        if src == dst:
-            return []
-        if self.partition is not None and self.partition(src, dst, self.sim.now):
+        if (src != dst and self.partition is not None
+                and self.partition(src, dst, self.sim.now)):
             raise NetworkPartitionError(
                 f"s{src} and s{dst} are in different partition components "
                 f"at t={self.sim.now:.6g}",
                 entity=f"s{src}->s{dst}",
             )
-        return [self.nic_up[src], self.switch, self.nic_down[dst]]
+        route = self._routes.get((src, dst))
+        if route is None:
+            hops = ([] if src == dst else
+                    [self.nic_up[src], self.switch, self.nic_down[dst]])
+            route = self._routes[src, dst] = Route(hops)
+        return route
 
     def network_links(self) -> list[NetworkLink]:
         """All fabric links in canonical (name-stable) order."""

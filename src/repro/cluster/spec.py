@@ -26,6 +26,7 @@ from repro.common.errors import SimulationError
 from repro.common.units import GB
 from repro.hardware.server import ServerSpec, SimulatedServer, four_gpu_commodity_server
 from repro.sim.engine import Simulator
+from repro.sim.links import Route
 
 
 @dataclass(frozen=True)
@@ -137,17 +138,18 @@ class SimulatedCluster:
         self.fabric = ClusterFabric(sim, spec)
 
     def gpu_path(self, src_server: int, src_gpu: int,
-                 dst_server: int, dst_gpu: int) -> list:
-        """The link path from one GPU's memory to another's, cross-server.
+                 dst_server: int, dst_gpu: int) -> Route:
+        """The route from one GPU's memory to another's, cross-server.
 
-        Same-server pairs ride the local PCIe tree (p2p path); different
+        Same-server pairs ride the local PCIe tree (p2p route); different
         servers ride GPU -> host tree, NIC up, switch, NIC down, host ->
         GPU tree -- the host-staged route every cross-server tensor takes.
         """
+        src = self.servers[src_server]
         if src_server == dst_server:
-            return self.servers[src_server].tree.gpu_to_gpu(src_gpu, dst_gpu)
-        return (
-            self.servers[src_server].tree.gpu_to_host(src_gpu)
-            + self.fabric.route(src_server, dst_server)
-            + self.servers[dst_server].tree.host_to_gpu(dst_gpu)
+            return src.route(src_gpu, dst_gpu)
+        return Route(
+            src.route(src_gpu, None).hops
+            + self.fabric.route(src_server, dst_server).hops
+            + self.servers[dst_server].route(None, dst_gpu).hops
         )

@@ -21,8 +21,6 @@ Paths:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 from repro.common.errors import SimulationError
 from repro.common.units import GB
 from repro.sim.engine import Simulator
@@ -139,8 +137,3 @@ class PcieTree:
             self.uplink_down[dst_switch],
             self.leaf_down[dst],
         ]
-
-    def min_bandwidth(self, path: Sequence[Link]) -> float:
-        if not path:
-            raise SimulationError("empty path has no bandwidth")
-        return min(link.bandwidth for link in path)

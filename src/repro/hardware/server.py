@@ -2,14 +2,15 @@
 
 :class:`ServerSpec` is the static description users hand to Harmony's
 Scheduler (GPU count/type, host memory, topology); :class:`SimulatedServer`
-binds that spec to a simulator instance with live links, streams, and
-memory pools for the Runtime to execute against.
+binds that spec to a simulator instance with live links, routes,
+streams, and memory pools for the Runtime to execute against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Optional
 
 from repro.common.fingerprint import fingerprint
 from repro.hardware.gpu import GTX_1080TI, GpuMemoryPool, GpuSpec
@@ -21,6 +22,7 @@ from repro.hardware.host import (
 )
 from repro.hardware.interconnect import PcieTree, TopologySpec
 from repro.sim.engine import Simulator
+from repro.sim.links import Link, Route
 from repro.sim.stream import StreamSet
 
 
@@ -96,10 +98,14 @@ def eight_gpu_commodity_server() -> ServerSpec:
 
 
 class SimulatedServer:
-    """Live server: links, per-GPU stream sets, and memory pools.
+    """Live server: links, routes, per-GPU stream sets, and memory pools.
 
     One instance per simulated run; the Runtime executes task graphs
     against it and metrics are read back from streams/links afterwards.
+
+    Every route a run takes is built once, on first use, by
+    :meth:`route`, and kept for the run.  Routes hold live links, so the
+    table belongs to this server and nothing is shared across runs.
     """
 
     def __init__(self, sim: Simulator, spec: ServerSpec, binding=None):
@@ -129,11 +135,34 @@ class SimulatedServer:
         self.host_memory = HostMemoryPool(capacity=spec.host.memory_bytes)
         # Shared pageable-staging engine (a host DRAM memcpy lane) that
         # LMS-style on-demand swaps must traverse; pinned transfers skip it.
-        from repro.sim.links import Link
-
         self.pageable_staging = Link(
             sim, "host-staging", spec.host.pageable_copy_bandwidth
         )
+        self._routes: dict[tuple[Optional[int], Optional[int], bool],
+                           Route] = {}
+
+    def route(self, src: Optional[int], dst: Optional[int],
+              staged: bool = False) -> Route:
+        """The route from ``src`` to ``dst``, each a GPU index or None for
+        host memory: host -> GPU, GPU -> host, or GPU -> GPU (zero hops
+        when ``src == dst``).  ``staged`` appends the pageable staging
+        engine, as every pageable swap and every host relay's down leg
+        takes it.  Built on the first call and reused for the run.
+        """
+        key = (src, dst, staged)
+        route = self._routes.get(key)
+        if route is None:
+            tree = self.tree
+            if src is None:
+                hops = tree.host_to_gpu(dst)  # type: ignore[arg-type]
+            elif dst is None:
+                hops = tree.gpu_to_host(src)
+            else:
+                hops = tree.gpu_to_gpu(src, dst)
+            if staged:
+                hops = hops + [self.pageable_staging]
+            route = self._routes[key] = Route(hops)
+        return route
 
     def compute_time(self, flops: float) -> float:
         return self.spec.gpu.compute_time(flops)

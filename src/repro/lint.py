@@ -47,8 +47,9 @@ the AST of every file under ``src/repro`` and enforces them:
   byte count instead of drifting past 2**53.  Formatting inside
   f-strings is exempt (messages may render GiB);
 - **interpreter-independent float sums** (``float/builtin-sum``): in
-  ``repro/core``, ``repro/trace`` and ``repro/runtime``, builtin ``sum``
-  may appear only in the reviewed integer sums of ``INTEGER_SUMS``.
+  ``repro/core``, ``repro/trace``, ``repro/runtime``, ``repro/sim`` and
+  ``repro/virt``, builtin ``sum`` may appear only in the reviewed integer
+  sums of ``INTEGER_SUMS``.
   Python 3.12 compensates float ``sum``, moving pinned bits, so a float
   reduction folds with :func:`repro.common.ordered_sum` instead.
 
@@ -95,7 +96,8 @@ INTEGER_EXACT = (
 )
 
 #: Packages whose float reductions must not depend on the interpreter.
-FLOAT_SUM_PACKAGES = (Path("repro/core"), Path("repro/trace"), Path("repro/runtime"))
+FLOAT_SUM_PACKAGES = (Path("repro/core"), Path("repro/trace"), Path("repro/runtime"),
+                      Path("repro/sim"), Path("repro/virt"))
 
 #: The functions in those packages whose builtin ``sum`` adds only ints
 #: (or bools), reviewed one by one: an int ``sum`` is exact everywhere.

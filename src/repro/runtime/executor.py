@@ -35,7 +35,7 @@ bit-identical to the pre-fault runtime.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.analysis.deadlock import fetch_stream
 from repro.analysis.diagnostics import stream_ref, task_ref
@@ -57,7 +57,7 @@ from repro.hardware.server import ServerSpec, SimulatedServer
 from repro.runtime.metrics import GpuMetrics, RecoveryMetrics, RunMetrics
 from repro.runtime.timemodel import TrueTimeModel
 from repro.sim.engine import Resource, SimEvent, Simulator
-from repro.sim.links import Link, transfer
+from repro.sim.links import Route, transfer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.faults.injector import FaultInjector
@@ -163,7 +163,13 @@ class Executor:
         self._check_host_memory(graph)
 
         sim = self.sim
-        self._pageable = graph.pageable_swaps
+        # Every device swaps both ways (pageable swaps through the
+        # staging engine); p2p and relay routes are taken per transfer.
+        server, pageable = self.server, graph.pageable_swaps
+        self._swap_in = [server.route(None, d, pageable)
+                         for d in range(graph.n_devices)]
+        self._swap_out = [server.route(d, None, pageable)
+                          for d in range(graph.n_devices)]
         self.metrics = [GpuMetrics() for _ in range(graph.n_devices)]
         self.recovery = RecoveryMetrics()
         self._resident = [0] * graph.n_devices
@@ -342,7 +348,7 @@ class Executor:
 
     # -- fault-aware transfer -----------------------------------------------------
 
-    def _transfer(self, path: Sequence[Link], nbytes: int, device: int,
+    def _transfer(self, route: Route, nbytes: int, device: int,
                   stream: str, label: str) -> Generator:
         """One logical transfer, retried on the fixed backoff schedule.
 
@@ -360,18 +366,19 @@ class Executor:
         analytics have an aggregate to reconcile against.
         """
         start = self.sim.now
+        if self.faults is None:
+            yield from transfer(self.sim, route, nbytes, label=label,
+                                device=device, lane=stream)
+            self._account_held(device, stream, start)
+            return
         try:
-            if self.faults is None:
-                yield from transfer(self.sim, path, nbytes, label=label,
-                                    device=device, lane=stream)
-                return
             attempt = 0
             while True:
                 fault = self.faults.transfer_fault(
                     device, stream, label, attempt
                 )
                 try:
-                    yield from transfer(self.sim, path, nbytes, fault=fault,
+                    yield from transfer(self.sim, route, nbytes, fault=fault,
                                         label=label, device=device,
                                         lane=stream)
                     return
@@ -388,21 +395,15 @@ class Executor:
                         exponential(attempt, DEFAULT_BACKOFF_BASE))
                     attempt += 1
         finally:
-            held = self.sim.now - start
-            busy = self.metrics[device]
-            if stream.startswith("p2p"):
-                busy.p2p_busy += held
-            else:
-                busy.swap_busy += held
+            self._account_held(device, stream, start)
 
-    def _host_staged_paths(self, src_device: int,
-                           dst_device: int) -> tuple[list[Link], list[Link]]:
-        """The two legs of a GPU->host->GPU relay (the MSG channel route)."""
-        down = self.server.tree.gpu_to_host(src_device) + [
-            self.server.pageable_staging
-        ]
-        up = self.server.tree.host_to_gpu(dst_device)
-        return down, up
+    def _account_held(self, device: int, stream: str, start: float) -> None:
+        held = self.sim.now - start
+        busy = self.metrics[device]
+        if stream.startswith("p2p"):
+            busy.p2p_busy += held
+        else:
+            busy.swap_busy += held
 
     # -- fetch side -------------------------------------------------------------------
 
@@ -433,12 +434,6 @@ class Executor:
             raise SchedulingError(f"p2p move {move.label!r} has no source")
         return src_device
 
-    def _swap_in_path(self, device: int) -> list[Link]:
-        path = self.server.tree.host_to_gpu(device)
-        if self._pageable:
-            path = path + [self.server.pageable_staging]
-        return path
-
     def _fetch_op(self, device: int, move: Move, nbytes: int,
                   dep: Optional[SimEvent], label: str = "") -> Generator:
         label = label or move.label
@@ -450,19 +445,20 @@ class Executor:
             # Message passing: relay GPU -> host staging -> GPU.  Pays both
             # PCIe hops plus the host-side copy.
             src_device = self.runtimes[move.src_task].task.device
-            down, up = self._host_staged_paths(src_device, device)
-            yield from self._transfer(down, nbytes, device, "swap_in", label)
-            yield from self._transfer(up, nbytes, device, "swap_in",
-                                      f"{label}^")
+            server = self.server
+            yield from self._transfer(server.route(src_device, None, True),
+                                      nbytes, device, "swap_in", label)
+            yield from self._transfer(server.route(None, device), nbytes,
+                                      device, "swap_in", f"{label}^")
             self.metrics[src_device].swap_out_bytes += nbytes
             self.metrics[device].swap_in_bytes += nbytes
             return
         if move.channel is Channel.P2P:
             src_device = self._p2p_source(device, move)
-            path = self.server.tree.gpu_to_gpu(src_device, device)
             try:
-                yield from self._transfer(path, nbytes, device, "p2p_in",
-                                          label)
+                yield from self._transfer(
+                    self.server.route(src_device, device), nbytes, device,
+                    "p2p_in", label)
             except TransferFaultError:
                 assert self.policy is not None
                 if not self.policy.p2p_fallback:
@@ -476,17 +472,18 @@ class Executor:
                 return
             self.metrics[device].p2p_in_bytes += nbytes
             return
-        path = self._swap_in_path(device)
-        yield from self._transfer(path, nbytes, device, "swap_in", label)
+        yield from self._transfer(self._swap_in[device], nbytes, device,
+                                  "swap_in", label)
         self.metrics[device].swap_in_bytes += nbytes
 
     def _p2p_fallback_op(self, src_device: int, device: int, label: str,
                          nbytes: int) -> Generator:
-        down, up = self._host_staged_paths(src_device, device)
-        yield from self._transfer(down, nbytes, device, "swap_in",
+        server = self.server
+        yield from self._transfer(server.route(src_device, None, True),
+                                  nbytes, device, "swap_in",
                                   f"{label}~fallback")
-        yield from self._transfer(up, nbytes, device, "swap_in",
-                                  f"{label}~fallback^")
+        yield from self._transfer(server.route(None, device), nbytes, device,
+                                  "swap_in", f"{label}~fallback^")
         self.metrics[src_device].swap_out_bytes += nbytes
         self.metrics[device].swap_in_bytes += nbytes
         self.recovery.p2p_fallbacks += 1
@@ -534,10 +531,10 @@ class Executor:
                         streams.p2p_in if move.channel is Channel.P2P
                         else streams.swap_in
                     )
+                    label = f"{move.label}#{i}"
                     mb_events[i].append(stream.submit(
-                        self._fetch_op(device, move, chunk, dep,
-                                       label=f"{move.label}#{i}"),
-                        label=f"{move.label}#{i}",
+                        self._fetch_op(device, move, chunk, dep, label=label),
+                        label=label,
                     ))
 
         rt.state_ready = self.sim.all_of(state_events)
@@ -669,11 +666,8 @@ class Executor:
         yield after
         if move.channel is Channel.LOCAL or nbytes == 0:
             return
-        path = self.server.tree.gpu_to_host(device)
-        if self._pageable:
-            path = path + [self.server.pageable_staging]
-        yield from self._transfer(path, nbytes, device, "swap_out",
-                                  label or move.label)
+        yield from self._transfer(self._swap_out[device], nbytes, device,
+                                  "swap_out", label or move.label)
         self.metrics[device].swap_out_bytes += nbytes
 
     def _submit_outs(self, device: int, rt: _TaskRuntime) -> None:
@@ -689,10 +683,11 @@ class Executor:
             else:
                 chunks = _chunk_sizes(move.nbytes, task.microbatches)
                 for i, chunk in enumerate(chunks):
+                    label = f"{move.label}#{i}"
                     events.append(streams.swap_out.submit(
                         self._out_op(device, move, chunk, rt.mb_done[i],
-                                     label=f"{move.label}#{i}"),
-                        label=f"{move.label}#{i}",
+                                     label=label),
+                        label=label,
                     ))
         gate = self.sim.all_of(events + [rt.done])
         self._chain(gate, rt.outs_flushed,

@@ -30,15 +30,15 @@ from repro.common.errors import SimulationError
 from repro.elastic.migration import MigrationMove
 from repro.hardware.server import ServerSpec, SimulatedServer
 from repro.sim.engine import Simulator
-from repro.sim.links import Link, transfer
+from repro.sim.links import Link, Route, transfer
 
 #: Watchdog for one transfer phase: a handful of bulk transfers needs a
 #: few thousand events at most; runaway growth means a broken move.
 TRANSFER_MAX_STEPS = 1_000_000
 
-#: One leg of a move: the links it holds and the label its ``xfer`` span
+#: One leg of a move: the route it holds and the label its ``xfer`` span
 #: carries.
-Leg = tuple[Sequence[Link], str]
+Leg = tuple[Route, str]
 
 
 def run_transfers(
@@ -52,13 +52,14 @@ def run_transfers(
 ) -> tuple[float, dict[str, int]]:
     """Run ``moves`` concurrently on a fresh simulator.
 
-    ``build(sim)`` instantiates the links (a server or a network fabric)
-    on the phase's simulator; ``legs(built, move)`` routes one move as
-    sequential legs.  One process per move, in list order, transfers the
-    move's bytes over each leg on ``lane``, attributed to
-    ``device(move)``.  With ``trace`` attached, ``span(move)`` names the
-    ``(category, metadata)`` of a span covering the whole move, and the
-    recorder's base advances by the phase's makespan.
+    ``build(sim)`` instantiates the links and their routes (a server or
+    a network fabric) on the phase's simulator; ``legs(built, move)``
+    routes one move as sequential legs.  One process per move, in list
+    order, transfers the move's bytes over each leg on ``lane``,
+    attributed to ``device(move)``.  With ``trace`` attached,
+    ``span(move)`` names the ``(category, metadata)`` of a span covering
+    the whole move, and the recorder's base advances by the phase's
+    makespan.
 
     Returns the makespan and the bytes each link moved; raises
     :class:`SimulationError` when a link counted other bytes than the
@@ -74,10 +75,10 @@ def run_transfers(
     def op(move: MigrationMove):
         start = sim.now
         where = device(move)
-        for path, label in legs(built, move):
-            for link in path:
+        for route, label in legs(built, move):
+            for link in route.hops:
                 expected[link] = expected.get(link, 0) + move.nbytes
-            yield from transfer(sim, path, move.nbytes, label=label,
+            yield from transfer(sim, route, move.nbytes, label=label,
                                 device=where, lane=lane)
         if span is not None and sim.trace is not None:
             cat, meta = span(move)
@@ -124,19 +125,18 @@ class MigrationExecutor:
         self.trace = trace
 
     def _legs(self, live: SimulatedServer, move: MigrationMove) -> list[Leg]:
-        tree = live.tree
         if move.src is None:
             # Checkpoint restore: host -> surviving GPU.
-            return [(tree.host_to_gpu(move.dst), move.label)]
+            return [(live.route(None, move.dst), move.label)]
         # State spill: GPU -> host (pageable, so staging throttles).
-        spill = tree.gpu_to_host(move.src) + [live.pageable_staging]
+        spill = live.route(move.src, None, staged=True)
         if move.dst is None:
             return [(spill, move.label)]
         if self.p2p:
-            return [(tree.gpu_to_gpu(move.src, move.dst), move.label)]
+            return [(live.route(move.src, move.dst), move.label)]
         # No p2p allowed: host-staged relay, both legs real traffic.
         return [(spill, move.label),
-                (tree.host_to_gpu(move.dst), f"{move.label}^")]
+                (live.route(None, move.dst), f"{move.label}^")]
 
     def run(self, moves: Iterable[MigrationMove]) -> MigrationReport:
         """Execute all moves concurrently; returns the phase's cost."""

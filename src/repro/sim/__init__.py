@@ -8,12 +8,13 @@ This package is the stand-in for the CUDA runtime the paper builds on:
   analog of a CUDA stream; :class:`~repro.sim.stream.StreamEvent` mirrors
   ``cudaEvent`` for cross-stream synchronization.
 - :class:`~repro.sim.links.Link` -- a bandwidth-arbitrated interconnect
-  link; :func:`~repro.sim.links.transfer` moves bytes over a path of links.
+  link; :func:`~repro.sim.links.transfer` moves bytes over a
+  :class:`~repro.sim.links.Route`, a path of links.
 """
 
 from repro.sim.engine import Simulator, SimEvent, Timeout, Process, AllOf, Resource
 from repro.sim.stream import Stream
-from repro.sim.links import Link, transfer
+from repro.sim.links import Link, Route, transfer
 
 __all__ = [
     "Simulator",
@@ -24,5 +25,6 @@ __all__ = [
     "Resource",
     "Stream",
     "Link",
+    "Route",
     "transfer",
 ]

@@ -20,6 +20,17 @@ Scheduling hops are part of that order: a timeout's waiter runs one hop
 after the timeout fires, never inside it, so same-time events interleave
 as they always have.
 
+An :class:`AllOf` counts down in its constituents' waiter slots instead
+of taking a hop per constituent.  When a constituent succeeds, the
+composite's counter drops in place; only the final countdown takes a
+hop, and it takes the FIFO position the waiter slot holds, which is the
+position a hop per constituent gave the final one.  A failure takes a
+hop at its slot too.  Constituents that had already fired when the
+composite was built count at construction.  The dropped hops ran
+nothing but a decrement, so the ``(time, seq)`` order of every other
+callback is unchanged; only :attr:`Simulator.steps` falls, by the number
+of non-final countdowns.
+
 Only the features the Harmony runtime needs are implemented -- timeouts,
 composable events, FIFO resources, interruptible (failable) events, and a
 watchdog -- which keeps the kernel small enough to reason about and fully
@@ -46,7 +57,6 @@ import heapq
 import math
 import sys
 from collections import deque
-from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.common.errors import SimulationError
@@ -78,7 +88,9 @@ class SimEvent:
         self._fired = False
         self._value: Any = None
         self._exc: Optional[BaseException] = None
-        self._waiters: list[Callable[[Any], None]] = []
+        #: Callbacks to schedule on firing, and waiting composites (an
+        #: :class:`AllOf` in its own slot), in registration order.
+        self._waiters: list[Any] = []
 
     def _label(self) -> str:
         return f"event {self.name!r}" if self.name else "event"
@@ -114,12 +126,20 @@ class SimEvent:
         self._value = value
         waiters = self._waiters
         if waiters:
-            # Inlined ``sim.schedule(0.0, callback, value)`` per waiter.
+            # Inlined ``sim.schedule(0.0, callback, value)`` per waiter; a
+            # waiting composite counts down in its slot instead.
             self._waiters = []
             sim = self.sim
             now, seq, append = sim._now, sim._seq, sim._fifo.append
             args = (value,)
             for callback in waiters:
+                if callback.__class__ is AllOf:
+                    callback._remaining -= 1
+                    if callback._remaining:
+                        continue
+                    seq += 1
+                    append((now, seq, callback._finish, ()))
+                    continue
                 seq += 1
                 append((now, seq, callback, args))
             sim._seq = seq
@@ -146,7 +166,10 @@ class SimEvent:
         if not waiters:
             self.sim._unhandled.append((self, exc))
         for callback in waiters:
-            self.sim.schedule(0.0, callback, exc)
+            if callback.__class__ is AllOf:
+                self.sim.schedule(0.0, callback._abort, exc)
+            else:
+                self.sim.schedule(0.0, callback, exc)
         return self
 
     def add_callback(self, callback: Callable[[Any], None]) -> None:
@@ -182,6 +205,10 @@ class AllOf(SimEvent):
     composite fails with the first such exception (the remaining
     constituents are still awaited by whoever holds them, but this event
     reports the failure as soon as it is known).
+
+    The composite sits in each pending constituent's waiter list itself;
+    :meth:`SimEvent.succeed` and :meth:`SimEvent.fail` count it down or
+    abort it there (see "Dispatch order" in the module docstring).
     """
 
     __slots__ = ("_events", "_remaining")
@@ -190,22 +217,27 @@ class AllOf(SimEvent):
                  name: str = ""):
         super().__init__(sim, name=name)
         self._events = list(events)
-        self._remaining = len(self._events)
-        if self._remaining == 0:
-            sim.schedule(0.0, self.succeed, [])
-            return
+        remaining = len(self._events)
         for event in self._events:
-            event.add_callback(partial(self._one_done, event))
+            if not event._fired:
+                event._waiters.append(self)
+            elif event._exc is None:
+                remaining -= 1
+            else:
+                sim.schedule(0.0, self._abort, event._exc)
+        self._remaining = remaining
+        if remaining == 0:
+            sim.schedule(0.0, self._finish)
 
-    def _one_done(self, event: SimEvent, _value: Any) -> None:
-        if self._fired:
-            return
-        if event.failed:
-            self.fail(event.exception)  # type: ignore[arg-type]
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e.value for e in self._events])
+    def _finish(self) -> None:
+        """The final countdown's hop: every constituent succeeded."""
+        if not self._fired:
+            self.succeed([event._value for event in self._events])
+
+    def _abort(self, exc: BaseException) -> None:
+        """A failed constituent's hop: the first one fails the composite."""
+        if not self._fired:
+            self.fail(exc)
 
 
 class Process(SimEvent):

@@ -2,9 +2,12 @@
 
 A :class:`Link` models one *direction* of a PCIe (or NVLink) hop: transfers
 over a link serialize FIFO at the link's bandwidth.  A transfer over a
-*path* of links holds every hop simultaneously for ``bytes / min(bw)``
-seconds -- the cut-through model.  Links are acquired in a canonical order
-(by id) so concurrent path transfers can never deadlock.
+:class:`Route` (a path of links) holds every hop simultaneously for
+``bytes / min(bw)`` seconds -- the cut-through model.  Links are acquired
+in a canonical order (by id) so concurrent path transfers can never
+deadlock.  A route works out that order, its latency and its nominal
+bandwidth once, when it is built; a live server builds each of its
+routes once per run.
 
 This is the mechanism that exposes the paper's PCIe oversubscription
 bottleneck (Figure 2a): several GPUs swapping to host all contend on the
@@ -20,7 +23,8 @@ Two fault-injection surfaces live here so the chaos subsystem
 - ``Link.degradation`` -- an optional function of virtual time returning
   a bandwidth multiplier in ``(0, 1]``; models link flapping, congestion
   episodes, and host-memory-pressure slowdowns.  Sampled when a transfer
-  acquires the path, like real cut-through routing locks in a rate.
+  acquires the path, like real cut-through routing locks in a rate; a
+  function installed after the route was built is sampled all the same.
 - ``transfer(..., fault=...)`` -- aborts the transfer partway: the links
   are held for ``fault.fraction`` of the nominal duration (the wasted
   bus time is real contention other transfers observe), *no* bytes are
@@ -30,9 +34,10 @@ Two fault-injection surfaces live here so the chaos subsystem
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Generator, Iterable, Optional, Sequence
+from typing import Callable, Generator, Iterable, Optional
 
 from repro.common.errors import SimulationError, TransferFaultError
 from repro.common.floats import ordered_sum
@@ -102,6 +107,44 @@ class NetworkLink(Link):
 _link_id = attrgetter("link_id")
 
 
+class Route:
+    """A fixed path of links and what every transfer over it reuses.
+
+    ``hops`` keeps path order, ``ordered`` the canonical acquisition
+    order (by link id), ``latency`` the hops' latencies folded with
+    :func:`~repro.common.floats.ordered_sum` in path order, ``bandwidth``
+    the nominal minimum (infinite for the zero-hop route) and ``names``
+    the hop names in acquisition order, as ``xfer`` spans carry them.
+    """
+
+    __slots__ = ("hops", "ordered", "latency", "bandwidth", "names")
+
+    def __init__(self, hops: Iterable[Link]):
+        self.hops = tuple(hops)
+        self.ordered = tuple(sorted(self.hops, key=_link_id))
+        self.latency = ordered_sum(link.latency for link in self.hops)
+        self.bandwidth = min((link.bandwidth for link in self.hops),
+                             default=math.inf)
+        self.names = "+".join(link.name for link in self.ordered)
+
+    def time(self, nbytes: int) -> float:
+        """Uncontended transfer time for ``nbytes`` (estimation).
+
+        Uses nominal bandwidths: the Scheduler's estimator plans for the
+        healthy machine; injected degradation is the runtime's problem.
+        Deterministically zero-cost for the zero-hop route or a
+        non-positive byte count (co-located endpoints or an empty tensor
+        cost nothing -- mirroring :func:`transfer`'s short-circuits),
+        never a division error.
+        """
+        if not self.hops or nbytes <= 0:
+            return 0.0
+        return self.latency + nbytes / self.bandwidth
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Route({' -> '.join(link.name for link in self.hops)})"
+
+
 @dataclass(frozen=True)
 class TransferFault:
     """Instruction to abort a transfer partway through.
@@ -122,19 +165,22 @@ class TransferFault:
 
 def transfer(
     sim: Simulator,
-    path: Sequence[Link],
+    route: Route,
     nbytes: int,
     fault: Optional[TransferFault] = None,
     label: str = "",
     device: int = -1,
     lane: str = "",
 ) -> Generator:
-    """Generator op that moves ``nbytes`` over ``path``.
+    """Generator op that moves ``nbytes`` over ``route``.
 
     Acquires every link (in canonical id order, preventing deadlock), holds
-    all of them for ``nbytes / min(effective bandwidth)`` seconds, then
-    releases.  Yields from inside, so it is submitted to a :class:`Stream`
-    or run as a process directly.
+    all of them for ``latency + nbytes / min(effective bandwidth)``
+    seconds, then releases.  The nominal minimum is the route's own;
+    a hop with a degradation function makes every hop's effective
+    bandwidth be sampled, in path order, at acquisition.  Yields from
+    inside, so it is submitted to a :class:`Stream` or run as a process
+    directly.
 
     With ``fault`` set, the links are held for ``fault.fraction`` of the
     duration, released, and ``fault.error`` is raised; the aborted bytes
@@ -149,7 +195,8 @@ def transfer(
     """
     if nbytes < 0:
         raise SimulationError(f"negative transfer size: {nbytes}")
-    if not path:
+    hops = route.hops
+    if not hops:
         if fault is not None:
             raise fault.error
         if nbytes > 0 and sim.trace is not None:
@@ -165,13 +212,16 @@ def transfer(
         return
     trace = sim.trace
     requested = sim.now
-    ordered = sorted(path, key=_link_id)
+    ordered = route.ordered
     for link in ordered:
         yield link._resource.request()
     acquired = sim.now
-    duration = ordered_sum(link.latency for link in path) + nbytes / min(
-        link.effective_bandwidth(acquired) for link in path
-    )
+    bandwidth = route.bandwidth
+    for link in hops:
+        if link.degradation is not None:
+            bandwidth = min(hop.effective_bandwidth(acquired) for hop in hops)
+            break
+    duration = route.latency + nbytes / bandwidth
     if fault is not None:
         held = duration * fault.fraction
         if held > 0:
@@ -182,8 +232,7 @@ def transfer(
         if trace is not None:
             trace.span(
                 "xfer", label, acquired, sim.now,
-                device=device, lane=lane, nbytes=0,
-                links="+".join(link.name for link in ordered),
+                device=device, lane=lane, nbytes=0, links=route.names,
                 wait=acquired - requested, faulted=1,
             )
         raise fault.error
@@ -195,23 +244,6 @@ def transfer(
     if trace is not None:
         trace.span(
             "xfer", label, acquired, sim.now,
-            device=device, lane=lane, nbytes=nbytes,
-            links="+".join(link.name for link in ordered),
+            device=device, lane=lane, nbytes=nbytes, links=route.names,
             wait=acquired - requested,
         )
-
-
-def path_time(path: Iterable[Link], nbytes: int) -> float:
-    """Uncontended transfer time for ``nbytes`` over ``path`` (estimation).
-
-    Uses nominal bandwidths: the Scheduler's estimator plans for the
-    healthy machine; injected degradation is the runtime's problem.
-    Deterministically zero-cost for an empty path or a non-positive byte
-    count (a zero-hop route or an empty tensor costs nothing -- mirroring
-    :func:`transfer`'s short-circuits), never a division error.
-    """
-    hops = list(path)
-    bandwidths = [link.bandwidth for link in hops]
-    if not bandwidths or nbytes <= 0:
-        return 0.0
-    return ordered_sum(link.latency for link in hops) + nbytes / min(bandwidths)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.common.floats import ordered_sum
 from repro.core.types import Task
 
 if TYPE_CHECKING:
@@ -48,8 +49,8 @@ class ScaledTimeModel:
 
         if task.kind is TaskKind.UPD:
             return self.update_time(task)
-        return sum(self.microbatch_time(task, u)
-                   for u in task.microbatches)
+        return ordered_sum(self.microbatch_time(task, u)
+                           for u in task.microbatches)
 
     def __getattr__(self, name: str):
         return getattr(self.base, name)

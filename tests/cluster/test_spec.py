@@ -13,7 +13,7 @@ from repro.cluster import (
 )
 from repro.common.errors import NetworkPartitionError, SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.links import NetworkLink, path_time, transfer
+from repro.sim.links import NetworkLink, transfer
 
 
 class TestSpecs:
@@ -55,12 +55,12 @@ class TestFabric:
 
     def test_route_same_server_is_empty(self, cluster3):
         fabric = ClusterFabric(Simulator(), cluster3)
-        assert fabric.route(1, 1) == []
+        assert fabric.route(1, 1).hops == ()
 
     def test_route_cross_server(self, cluster3):
         fabric = ClusterFabric(Simulator(), cluster3)
         path = fabric.route(0, 2)
-        assert [link.name for link in path] == [
+        assert [link.name for link in path.hops] == [
             "s0.nic.up", "net.switch", "s2.nic.down"
         ]
 
@@ -78,7 +78,7 @@ class TestFabric:
         net = cluster3.network
         nbytes = 10**6
         expected = 2 * net.latency + nbytes / net.bandwidth
-        assert path_time(path, nbytes) == pytest.approx(expected)
+        assert path.time(nbytes) == pytest.approx(expected)
         sim.process(transfer(sim, path, nbytes))
         sim.run()
         assert sim.now == pytest.approx(expected)
@@ -101,19 +101,19 @@ class TestFabric:
             fabric.route(0, 2)
         assert info.value.entity == "s0->s2"
         # Unaffected pairs still route.
-        assert len(fabric.route(0, 1)) == 3
+        assert len(fabric.route(0, 1).hops) == 3
 
 
 class TestSimulatedCluster:
     def test_same_server_path_stays_on_pcie(self, cluster2):
         live = SimulatedCluster(Simulator(), cluster2)
         path = live.gpu_path(0, 0, 0, 1)
-        assert all(not isinstance(link, NetworkLink) for link in path)
+        assert all(not isinstance(link, NetworkLink) for link in path.hops)
 
     def test_cross_server_path_traverses_fabric(self, cluster2):
         live = SimulatedCluster(Simulator(), cluster2)
         path = live.gpu_path(0, 0, 1, 1)
-        names = [link.name for link in path]
+        names = [link.name for link in path.hops]
         assert "s0.nic.up" in names
         assert "net.switch" in names
         assert "s1.nic.down" in names

@@ -10,7 +10,7 @@ from repro.hardware.interconnect import (
     TopologySpec,
 )
 from repro.sim.engine import Simulator
-from repro.sim.links import transfer
+from repro.sim.links import Route, transfer
 
 
 class TestTopologySpec:
@@ -69,16 +69,12 @@ class TestPaths:
         assert tree.gpu_to_gpu(3, 3) == []
 
     def test_min_bandwidth_is_shared_uplink(self, tree):
-        path = tree.gpu_to_host(0)
-        assert tree.min_bandwidth(path) == PCIE3_SHARED_UPLINK_BW
+        route = Route(tree.gpu_to_host(0))
+        assert route.bandwidth == PCIE3_SHARED_UPLINK_BW
 
     def test_p2p_bandwidth_is_leaf_rate(self, tree):
-        path = tree.gpu_to_gpu(0, 1)
-        assert tree.min_bandwidth(path) == PCIE3_X16_BW
-
-    def test_min_bandwidth_empty_raises(self, tree):
-        with pytest.raises(SimulationError):
-            tree.min_bandwidth([])
+        route = Route(tree.gpu_to_gpu(0, 1))
+        assert route.bandwidth == PCIE3_X16_BW
 
 
 class TestOversubscription:
@@ -88,7 +84,7 @@ class TestOversubscription:
         tree = PcieTree(sim, TopologySpec(n_gpus=4, gpus_per_switch=4))
         nbytes = int(PCIE3_SHARED_UPLINK_BW)  # 1 second each, uncontended
         for gpu in range(4):
-            sim.process(transfer(sim, tree.gpu_to_host(gpu), nbytes))
+            sim.process(transfer(sim, Route(tree.gpu_to_host(gpu)), nbytes))
         sim.run()
         assert sim.now == pytest.approx(4.0, rel=0.01)
 
@@ -96,14 +92,15 @@ class TestOversubscription:
         tree = PcieTree(sim, TopologySpec(n_gpus=4, gpus_per_switch=1))
         nbytes = int(PCIE3_SHARED_UPLINK_BW)
         for gpu in range(4):
-            sim.process(transfer(sim, tree.gpu_to_host(gpu), nbytes))
+            sim.process(transfer(sim, Route(tree.gpu_to_host(gpu)), nbytes))
         sim.run()
         assert sim.now == pytest.approx(1.0, rel=0.01)
 
     def test_p2p_avoids_swap_contention(self, sim):
         tree = PcieTree(sim, TopologySpec(n_gpus=4, gpus_per_switch=4))
-        sim.process(transfer(sim, tree.gpu_to_host(0),
+        sim.process(transfer(sim, Route(tree.gpu_to_host(0)),
                              int(PCIE3_SHARED_UPLINK_BW)))
-        sim.process(transfer(sim, tree.gpu_to_gpu(2, 3), int(PCIE3_X16_BW)))
+        sim.process(transfer(sim, Route(tree.gpu_to_gpu(2, 3)),
+                             int(PCIE3_X16_BW)))
         sim.run()
         assert sim.now == pytest.approx(1.0, rel=0.01)

@@ -39,12 +39,12 @@ class TestNvlinkTopology:
 
     def test_nvlink_relieves_pcie_contention(self, sim, topo):
         """A p2p transfer no longer shares any link with host swaps."""
-        from repro.sim.links import transfer
+        from repro.sim.links import Route, transfer
 
         tree = PcieTree(sim, topo)
         one_second = int(topo.uplink_bandwidth)
-        sim.process(transfer(sim, tree.gpu_to_host(0), one_second))
-        sim.process(transfer(sim, tree.gpu_to_gpu(0, 1),
+        sim.process(transfer(sim, Route(tree.gpu_to_host(0)), one_second))
+        sim.process(transfer(sim, Route(tree.gpu_to_gpu(0, 1)),
                              int(NVLINK2_BW)))
         sim.run()
         assert sim.now == pytest.approx(1.0, rel=0.01)

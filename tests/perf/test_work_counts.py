@@ -21,7 +21,9 @@ suite pins, exactly:
 - the ``LayerProfile.act_out_bytes`` calls one ``plan()`` makes:
   Algorithm 2's pack-count lower bound reads a per-sample prefix, not
   one call per layer per forced tail and microbatch size;
-- the ``Simulator.steps`` one simulated iteration drains;
+- the ``Simulator.steps`` one simulated iteration drains; an ``AllOf``
+  takes a hop only for its final countdown (or a failure), never one
+  per constituent;
 - the ``LayerUnit.run_time`` calls (true kernel times) the first run of
   a plan draws, one per layer per (phase, microbatch size) it runs, and
   that a second run from a new ``Harmony`` draws none: the kernel-time
@@ -88,13 +90,13 @@ class Case:
 
 CASES = (
     Case("toy-transformer", "pp", 2, 8,
-         candidates=48, layer_times=80, act_outs=9, steps=478,
+         candidates=48, layer_times=80, act_outs=9, steps=427,
          kernel_times=25, max_drift=0.39),
     Case("tiny-cnn", "dp", 2, 8,
-         candidates=9, layer_times=78, act_outs=2, steps=174,
+         candidates=9, layer_times=78, act_outs=2, steps=157,
          kernel_times=26, max_drift=0.17),
     Case("gpt2", "pp", 4, 32,
-         candidates=68, layer_times=624, act_outs=243, steps=5942,
+         candidates=68, layer_times=624, act_outs=243, steps=5233,
          kernel_times=152, max_drift=0.02),
 )
 

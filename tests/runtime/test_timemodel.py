@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.floats import ordered_sum
 from repro.core.types import Task, TaskKind
 from repro.graph.layer import Phase
 from repro.runtime.timemodel import TrueTimeModel
@@ -26,8 +27,8 @@ SPANS = ((1, 3), (1, 2), (0, 3), (2, 3), (2, 2))
 
 
 def _layer_sum(decomposed, gpu, task, phase, u):
-    return sum(decomposed.units[i].run_time(gpu, phase, u)
-               for i in task.layers)
+    return ordered_sum(decomposed.units[i].run_time(gpu, phase, u)
+                       for i in task.layers)
 
 
 class TestMicrobatchTime:
@@ -96,4 +97,4 @@ class TestTaskTotal:
     def test_group_sums_microbatches(self, time_model):
         task = make_task(TaskKind.FWD, microbatches=(3, 2, 1))
         per_mb = [time_model.microbatch_time(task, u) for u in (3, 2, 1)]
-        assert time_model.task_compute_time(task) == sum(per_mb)
+        assert time_model.task_compute_time(task) == ordered_sum(per_mb)

@@ -1,24 +1,31 @@
-"""Dispatch-order oracle: the FIFO/heap merge equals one heap.
+"""Dispatch-order oracle: the FIFO/heap merge and the in-slot ``AllOf``
+countdown equal one heap with a hop per constituent.
 
 The engine keeps zero-delay callbacks in a FIFO beside its heap and runs
-the lower ``(time, seq)`` of the two heads each step.  The reference here
-is the older kernel: every callback, zero-delay or not, on one heap,
-drained by the heap-only loop below.  Seeded random process soups run on
-both, and the ``(now, label)`` logs the processes write, the unhandled
-failures the driver sees and the step counts must all be equal.
+the lower ``(time, seq)`` of the two heads each step, and an ``AllOf``
+counts down in its constituents' waiter slots, taking a hop only for its
+final countdown or a failure.  The reference here is the older kernel:
+every callback, zero-delay or not, on one heap, drained by the heap-only
+loop below, and an ``AllOf`` (:class:`HopAllOf`) that takes one hop per
+constituent.  Seeded random process soups run on both, and the
+``(now, label)`` logs the processes write and the unhandled failures
+``Soup.drive`` catches must be equal; the step counts must differ by
+exactly the reference's non-final countdowns.
 
 The soups mix zero, tied and positive delays, delays absorbed by a huge
 clock (a heap entry due *now* scheduled after FIFO entries), shared
-events that succeed or fail, ``AllOf`` gates, contended resources,
-joins, failing processes and ``run(until=...)`` pauses with work
-injected between them.
+events that succeed or fail, ``AllOf`` gates (with duplicate
+constituents, constituents that fired before the gate was built, and
+failures among success countdowns), contended resources, joins, failing
+processes and ``run(until=...)`` pauses with work injected between them.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Optional
+from functools import partial
+from typing import Any, Iterable, Optional
 
 import pytest
 
@@ -36,12 +43,66 @@ class _OnTheHeap:
         heapq.heappush(self.heap, entry)
 
 
+class HopAllOf(SimEvent):
+    """The older ``AllOf``: one ``_one_done`` hop per constituent.
+
+    It counts the hops the engine's in-slot countdown drops (success
+    countdowns that do not fire the gate) on ``sim.non_final``, and notes
+    the cases the soups reach on ``sim.cases``.
+    """
+
+    __slots__ = ("_events", "_remaining", "_counted")
+
+    def __init__(self, sim: "HeapSimulator", events: Iterable[SimEvent],
+                 name: str = ""):
+        super().__init__(sim, name=name)
+        self._events = list(events)
+        self._remaining = len(self._events)
+        self._counted = 0
+        if any(event.fired for event in self._events):
+            sim.cases.add("prefired")
+        if len({id(event) for event in self._events}) < len(self._events):
+            sim.cases.add("duplicate")
+        if self._remaining == 0:
+            sim.schedule(0.0, self.succeed, [])
+            return
+        for event in self._events:
+            event.add_callback(partial(self._one_done, event))
+
+    def _one_done(self, event: SimEvent, _value: Any) -> None:
+        sim: HeapSimulator = self.sim  # type: ignore[assignment]
+        if self._fired:
+            if not event.failed:
+                sim.non_final += 1
+            return
+        if event.failed:
+            if self._counted:
+                sim.cases.add("failure-after-countdown")
+            self.fail(event.exception)  # type: ignore[arg-type]
+            return
+        self._remaining -= 1
+        self._counted += 1
+        if self._remaining == 0:
+            self.succeed([e.value for e in self._events])
+        else:
+            sim.non_final += 1
+
+
 class HeapSimulator(Simulator):
-    """The reference kernel: one heap of ``(time, seq)`` entries."""
+    """The reference kernel: one heap of ``(time, seq)`` entries, and a
+    hop per ``AllOf`` constituent."""
 
     def __init__(self) -> None:
         super().__init__()
         self._fifo = _OnTheHeap(self._heap)  # type: ignore[assignment]
+        #: Hops the engine's countdown drops: success countdowns that do
+        #: not fire their gate.
+        self.non_final = 0
+        self.cases: set[str] = set()
+
+    def all_of(self, events: Iterable[SimEvent],  # type: ignore[override]
+               name: str = "") -> HopAllOf:
+        return HopAllOf(self, events, name=name)
 
     def run(self, until: Optional[float] = None,
             max_steps: Optional[int] = None,
@@ -96,7 +157,7 @@ def _script(rng: random.Random, depth: int) -> list[tuple]:
         elif kind == "use":
             actions.append(("use", rng.randrange(2), rng.choice(DELAYS)))
         elif kind == "all":
-            events = rng.sample(range(6), rng.randint(0, 3))
+            events = [rng.randrange(6) for _ in range(rng.randint(0, 4))]
             actions.append(("all", events, rng.choice(DELAYS)))
         elif kind == "join":
             actions.append(("join", rng.randrange(64)))
@@ -201,26 +262,30 @@ class Soup:
         return self.sim.steps
 
 
-def _drive(kernel: type, seed: int) -> tuple[list, int]:
+def _drive(kernel: type, seed: int) -> tuple[list, int, Simulator]:
     soup = Soup(kernel(), seed)
     steps = soup.drive()
-    return soup.log, steps
+    return soup.log, steps, soup.sim
 
 
 @pytest.mark.parametrize("block", range(8))
 def test_merge_dispatches_like_one_heap(block):
     for seed in range(block * 40, (block + 1) * 40):
-        expected_log, expected_steps = _drive(HeapSimulator, seed)
-        log, steps = _drive(Simulator, seed)
+        expected_log, expected_steps, reference = _drive(HeapSimulator, seed)
+        log, steps, _ = _drive(Simulator, seed)
         assert log == expected_log, f"seed {seed}"
-        assert steps == expected_steps, f"seed {seed}"
+        assert steps == expected_steps - reference.non_final, f"seed {seed}"
 
 
 def test_soups_reach_the_interesting_cases():
-    """The soups really do hit ties, failures, pauses and contention."""
+    """The soups really do hit ties, failures, pauses, contention, and
+    every ``AllOf`` case the countdown has to get right."""
     seen: set[str] = set()
+    dropped = 0
     for seed in range(320):
-        log, _ = _drive(Simulator, seed)
+        log, _, reference = _drive(HeapSimulator, seed)
+        seen |= reference.cases
+        dropped += reference.non_final
         text = " ".join(label for _, label in log)
         for needle in ("caught", "unhandled", "granted", "joined", "got",
                        "injected", ":cb"):
@@ -232,4 +297,6 @@ def test_soups_reach_the_interesting_cases():
         if any(t >= HUGE for t in times):
             seen.add("huge")
     assert seen == {"caught", "unhandled", "granted", "joined", "got",
-                    "injected", ":cb", "ties", "huge"}
+                    "injected", ":cb", "ties", "huge", "prefired",
+                    "duplicate", "failure-after-countdown"}
+    assert dropped > 0

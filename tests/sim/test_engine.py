@@ -136,6 +136,31 @@ class TestAllOf:
         sim.run()
         assert gate.fired
 
+    def test_only_the_final_countdown_takes_a_hop(self, sim):
+        a, b, c = sim.event(), sim.event(), sim.event()
+        a.succeed("a")
+        gate = sim.all_of([a, b, c, b])
+        assert gate._remaining == 3  # ``a`` counted at construction
+        sim.schedule(1.0, b.succeed, "b")
+        sim.schedule(2.0, c.succeed, "c")
+        sim.run()
+        # Two scheduled succeeds plus one hop for the final countdown.
+        assert sim.steps == 3
+        assert gate.value == ["a", "b", "c", "b"]
+
+    def test_failure_takes_a_hop_and_later_successes_do_not(self, sim):
+        a, b = sim.event(), sim.event()
+        gate = sim.all_of([a, b])
+        caught = []
+        gate.add_callback(caught.append)
+        sim.schedule(1.0, a.fail, ValueError("boom"))
+        sim.schedule(2.0, b.succeed)
+        sim.run()
+        assert gate.failed and isinstance(gate.exception, ValueError)
+        # a.fail, its hop, the gate's waiter; b.succeed takes no hop.
+        assert sim.steps == 4
+        assert caught == [gate.exception]
+
 
 class TestProcess:
     def test_process_runs_to_completion(self, sim):

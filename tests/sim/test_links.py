@@ -4,11 +4,11 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.links import Link, path_time, transfer
+from repro.sim.links import Link, Route, transfer
 
 
 def run_transfer(sim, path, nbytes):
-    return sim.process(transfer(sim, path, nbytes))
+    return sim.process(transfer(sim, Route(path), nbytes))
 
 
 class TestSingleLink:
@@ -98,9 +98,9 @@ class TestPathTime:
     def test_uncontended_estimate(self, sim):
         fast = Link(sim, "fast", bandwidth=1000.0)
         slow = Link(sim, "slow", bandwidth=100.0)
-        assert path_time([fast, slow], 100) == pytest.approx(1.0)
+        assert Route([fast, slow]).time(100) == pytest.approx(1.0)
 
     def test_empty_or_zero(self, sim):
         link = Link(sim, "l", bandwidth=100.0)
-        assert path_time([], 100) == 0.0
-        assert path_time([link], 0) == 0.0
+        assert Route([]).time(100) == 0.0
+        assert Route([link]).time(0) == 0.0

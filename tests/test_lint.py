@@ -277,6 +277,19 @@ class TestFloatSum:
                     "repro/runtime/x.py"):
             assert run(tmp_path, rel, src) == ["float/builtin-sum"], rel
 
+    def test_sim_and_virt_float_sums_flagged(self, tmp_path):
+        # The scaled time model's microbatch fold, as it was written with
+        # builtin ``sum`` before it moved to ``ordered_sum``.
+        src = ("def task_compute_time(self, task):\n"
+               "    return sum(self.microbatch_time(task, u)\n"
+               "               for u in task.microbatches)\n")
+        assert run(tmp_path, "repro/virt/timemodel.py", src) == \
+            ["float/builtin-sum"]
+        src = ("def path_latency(hops):\n"
+               "    return sum(link.latency for link in hops)\n")
+        assert run(tmp_path, "repro/sim/links.py", src) == \
+            ["float/builtin-sum"]
+
     def test_module_scope_and_nested_sums_flagged(self, tmp_path):
         assert run(tmp_path, "repro/core/x.py", "t = sum([0.1] * 10)\n") == \
             ["float/builtin-sum"]

@@ -7,14 +7,18 @@ times and per-device memory pools; undersized memory must be refused by
 the analyzer *before* execution.
 """
 
+import builtins
+
 import pytest
 
 from repro.common.errors import ScheduleAnalysisError
+from repro.common.floats import ordered_sum
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import server_for
 from repro.runtime.timemodel import TrueTimeModel
 from repro.trace import TraceRecorder
 from repro.virt import DeviceBinding, ScaledTimeModel, VirtualTopology
+from tests.sum312 import sum312
 
 GPUS = 4
 MINIBATCH = 16
@@ -95,6 +99,30 @@ class TestHeterogeneous:
                 else:
                     assert s == t  # scale 1.0 is an exact passthrough
         assert checked > 0
+
+    def test_unit_scale_task_totals_match_the_base_on_312(self, harmony,
+                                                          monkeypatch):
+        """At scale 1.0 a task's total is the base model's, bit for bit,
+        even where Python 3.12's compensated ``sum`` (emulated here)
+        would round the microbatch fold differently."""
+        plan = harmony.plan()
+        base = TrueTimeModel(plan.decomposed, harmony.server.gpu,
+                             harmony.server.host, n_gpus=GPUS)
+        scaled = ScaledTimeModel(base, DeviceBinding.heterogeneous(
+            [1.0] * GPUS))
+        monkeypatch.setattr(builtins, "sum", sum312)
+        from repro.core.types import TaskKind
+
+        compensated = 0
+        for task in plan.graph.tasks:
+            if task.kind is TaskKind.UPD:
+                continue
+            assert scaled.task_compute_time(task).hex() \
+                == base.task_compute_time(task).hex()
+            per_mb = [base.microbatch_time(task, u)
+                      for u in task.microbatches]
+            compensated += sum312(per_mb) != ordered_sum(per_mb)
+        assert compensated, "no task's fold differs under 3.12's sum"
 
     def test_cpu_updates_are_not_scaled(self, harmony):
         plan = harmony.plan()
