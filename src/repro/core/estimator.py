@@ -11,9 +11,10 @@ Profiler's *regressed* layer times rather than true kernel times, and it
 ignores cross-GPU link contention -- which is why Figure 14 compares its
 estimates against actual (fully simulated) runs and finds them close but
 not identical.  Being contention-free and allocation-free, it scores a
-candidate in about 0.18 ms (traced ``bench/run.py --workload plan-zoo``:
-~11.7 ms of estimator self time per plan over ~65 candidates, Python
-3.11 on a 2-vCPU x86 host), cheap enough for the sweep of Algorithm 1.
+candidate in about 0.18 ms (traced ``bench/run.py --workload plan-zoo``,
+median of six runs: ~11.8 ms of estimator self time per plan over ~65
+candidates, Python 3.11 on a shared 2-vCPU x86 host), cheap enough for
+the sweep of Algorithm 1.
 """
 
 from __future__ import annotations

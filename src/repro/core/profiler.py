@@ -14,7 +14,9 @@ algorithm and task-graph generator consume.
 The fits depend only on the model content, the GPU, the kernel-noise seed
 and the sample sizes -- not on the server's GPU count, the minibatch or
 any plan option -- so :meth:`Profiler.profile` profiles each model once
-per process and reuses the fits from a content-addressed store.
+per process and reuses the fits from a content-addressed store.  So does
+every Algorithm 2 packing, which depends only on the fits and its own
+arguments: the store entry keeps one packing table per model.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -107,6 +109,41 @@ class LayerProfile:
         return (self.act_out_per_sample + self.workspace_per_sample) * u
 
 
+def _columns(fits: Sequence[AffineFit]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The intercept and slope columns of ``fits``."""
+    return (tuple(fit.intercept for fit in fits),
+            tuple(fit.slope for fit in fits))
+
+
+class FittedModel:
+    """A profile-store entry: what depends only on one model's fits.
+
+    ``layers`` are the frozen fits; the intercept and slope columns of the
+    FWD and BWD time and memory fits and the UPD times do not depend on
+    ``u``, so each per-``(phase, u)`` table is one comprehension over two
+    columns; ``packings`` is Algorithm 2's table
+    (:meth:`ModelProfiles.packing`), shared by every plan of the model.
+    Its keys range over microbatch sizes up to the search's ``u_max``,
+    never over the minibatch, and it is evicted with the fits.
+    """
+
+    __slots__ = ("layers", "time_columns", "mem_columns", "upd_times",
+                 "packings")
+
+    def __init__(self, layers: tuple[LayerProfile, ...]):
+        self.layers = layers
+        self.time_columns = {
+            Phase.FWD: _columns([layer.time_fwd for layer in layers]),
+            Phase.BWD: _columns([layer.time_bwd for layer in layers]),
+        }
+        self.mem_columns = {
+            Phase.FWD: _columns([layer.mem_fwd for layer in layers]),
+            Phase.BWD: _columns([layer.mem_bwd for layer in layers]),
+        }
+        self.upd_times = tuple(layer.time_upd for layer in layers)
+        self.packings: dict[Any, Any] = {}
+
+
 class ModelProfiles:
     """The Scheduler's view of a profiled model (``phi``).
 
@@ -132,7 +169,10 @@ class ModelProfiles:
     Immutable: ``layers`` is a tuple of frozen fits, which the profile
     store shares between instances, so no memo table (here or in a
     dependent cache such as the runtime estimator's) can go stale.  A
-    different profile is a new instance.
+    different profile is a new instance.  The per-``(phase, u)`` tables
+    are per instance and freed with their plan; Algorithm 2's packing
+    table lives on ``entry``, the :class:`FittedModel` the store shares
+    (a ``ModelProfiles`` built without one keeps a private entry).
     """
 
     def __init__(
@@ -140,8 +180,12 @@ class ModelProfiles:
         layers: Sequence[LayerProfile],
         optimizer_slots: int,
         gpu: GpuSpec,
+        entry: Optional[FittedModel] = None,
     ):
-        self.layers = tuple(layers)
+        if entry is None:
+            entry = FittedModel(tuple(layers))
+        self._entry = entry
+        self.layers = entry.layers
         self.optimizer_slots = optimizer_slots
         self.gpu = gpu
         self._memo: dict[Any, Any] = {}
@@ -155,21 +199,38 @@ class ModelProfiles:
     # -- memoization -----------------------------------------------------------
 
     def memo(self, key: Any, compute: Callable[[], _T]) -> _T:
-        """Memoize ``compute()`` under ``key``.
-
-        Shared with :mod:`repro.core.packing`, which memoizes its
-        packings here; keys are namespaced by their first element.
-        """
+        """Memoize ``compute()`` under ``key`` for this instance; keys are
+        namespaced by their first element."""
         try:
             return self._memo[key]
         except KeyError:
             value = self._memo[key] = compute()
             return value
 
+    def packing(self, key: Any, compute: Callable[[], _T]) -> _T:
+        """Memoize ``compute()`` under ``key`` in the packing table shared
+        by every profile of the same store entry.  Only
+        :func:`repro.core.packing.balanced_time_packing` stores here, under
+        a key that holds every argument its result depends on."""
+        table = self._entry.packings
+        try:
+            return table[key]
+        except KeyError:
+            value = table[key] = compute()
+            return value
+
     def _mem_prefix(self, phase: Phase, u: int) -> list[int]:
-        """Prefix sums of the per-layer memory list (exact: Python ints)."""
-        return self.memo(("memp", phase, u), lambda: list(accumulate(
-            (layer.memory(phase, u) for layer in self.layers), initial=0)))
+        """Prefix sums of the per-layer memory list (exact: Python ints).
+
+        ``int(a + b * u)`` clamped at 0 over the FWD or BWD memory fit's
+        columns is what :meth:`LayerProfile.memory` computes per layer."""
+        def build() -> list[int]:
+            intercepts, slopes = self._entry.mem_columns[phase]
+            return list(accumulate(
+                [m if (m := int(a + b * u)) > 0 else 0
+                 for a, b in zip(intercepts, slopes)], initial=0))
+
+        return self.memo(("memp", phase, u), build)
 
     def _param_prefix(self) -> list[int]:
         return self.memo(("paramp",), lambda: list(accumulate(
@@ -184,13 +245,20 @@ class ModelProfiles:
     # -- per-layer lists used by Algorithm 2 ---------------------------------
 
     def layer_times(self, phase: Phase, u: int) -> tuple[float, ...]:
-        """The per-layer time table at microbatch ``u``: one
-        :meth:`LayerProfile.time` call per layer, memoized per
-        ``(phase, u)``.  Every pack and task time is summed from it."""
-        return self.memo(
-            ("times", phase, u),
-            lambda: tuple(layer.time(phase, u) for layer in self.layers),
-        )
+        """The per-layer time table at microbatch ``u``, memoized per
+        ``(phase, u)``.  Every pack and task time is summed from it.
+
+        ``a + b * u`` clamped at 0.0 over the time fit's columns is the
+        float arithmetic :meth:`LayerProfile.time` does per layer, so the
+        table has its bits; UPD times do not depend on ``u``."""
+        def build() -> tuple[float, ...]:
+            if phase is Phase.UPD:
+                return self._entry.upd_times
+            intercepts, slopes = self._entry.time_columns[phase]
+            return tuple([v if (v := a + b * u) > 0.0 else 0.0
+                          for a, b in zip(intercepts, slopes)])
+
+        return self.memo(("times", phase, u), build)
 
     def span_time(self, phase: Phase, first: int, last: int, u: int) -> float:
         """Time of layers ``first..last`` (inclusive) at microbatch ``u``.
@@ -282,9 +350,10 @@ class ModelProfiles:
         return sum(layer.param_bytes for layer in self.layers)
 
 
-#: The profile store: fitted layers by content address, least recently
-#: used first.  Holds only immutable fits, never a ``ModelProfiles``.
-_STORE: OrderedDict[str, tuple[LayerProfile, ...]] = OrderedDict()
+#: The profile store: fitted models by content address, least recently
+#: used first.  Holds fits, their columns and packing tables, never a
+#: ``ModelProfiles``.
+_STORE: OrderedDict[str, FittedModel] = OrderedDict()
 
 
 class Profiler:
@@ -306,19 +375,22 @@ class Profiler:
 
         The fits are keyed by the model's content address, the GPU spec,
         the kernel-noise seed and the sample sizes -- everything they
-        depend on.  A hit shares the stored tuple of frozen fits; every
+        depend on.  A hit shares the stored :class:`FittedModel` -- the
+        frozen fits, their columns and Algorithm 2's packing table; every
         call still returns a fresh :class:`ModelProfiles` with its own
-        memo tables, which are freed with their plan (shared tables would
-        grow with every minibatch and server ever planned).
+        per-``(phase, u)`` tables, which are freed with their plan (shared
+        tables would grow with every minibatch and server ever planned).
         """
         key = fingerprint(decomposed.model.fingerprint, self.gpu,
                           decomposed.seed, self.sample_sizes)
-        layers = lru_get(_STORE, key, lambda: self._fit(decomposed),
-                         PROFILE_STORE_SIZE)
+        entry = lru_get(_STORE, key,
+                        lambda: FittedModel(self._fit(decomposed)),
+                        PROFILE_STORE_SIZE)
         return ModelProfiles(
-            layers,
+            entry.layers,
             optimizer_slots=decomposed.model.optimizer_slots,
             gpu=self.gpu,
+            entry=entry,
         )
 
     def _fit(self, decomposed: DecomposedModel) -> tuple[LayerProfile, ...]:

@@ -10,8 +10,6 @@ curves to coincide; in float64 they agree to ~1e-12.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.common import Row, render
 from repro.numeric.data import Dataset, synthetic_mrpc, synthetic_wikitext
 from repro.numeric.harmony_exec import HarmonyNumericTrainer

@@ -51,7 +51,11 @@ the AST of every file under ``src/repro`` and enforces them:
   ``repro/virt``, builtin ``sum`` may appear only in the reviewed integer
   sums of ``INTEGER_SUMS``.
   Python 3.12 compensates float ``sum``, moving pinned bits, so a float
-  reduction folds with :func:`repro.common.ordered_sum` instead.
+  reduction folds with :func:`repro.common.ordered_sum` instead;
+- **no unused imports** (``import/unused``): every name an import binds
+  is read somewhere in its module or listed in ``__all__`` (the F401 of
+  CI's ruff leg, which is absent locally).  An import kept for its side
+  effect says so with ``# noqa: F401`` on its line.
 
 Exit status is the number of findings (0 = clean), and each finding
 prints as ``path:line: rule: message``.
@@ -152,8 +156,12 @@ def _attr_chain(node: ast.AST) -> list[str]:
 
 
 class _Checker(ast.NodeVisitor):
-    def __init__(self, rel_path: Path):
+    def __init__(self, rel_path: Path, source: str = ""):
         self.rel_path = rel_path
+        self.lines = source.splitlines()
+        #: Name bound by an import -> the import node, for ``import/unused``.
+        self.imported: dict[str, ast.Import | ast.ImportFrom] = {}
+        self.used: set[str] = set()
         self.findings: list[Finding] = []
         self.in_fstring = 0
         self.integer_exact = rel_path in INTEGER_EXACT
@@ -176,11 +184,16 @@ class _Checker(ast.NodeVisitor):
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             self._check_module(node, alias.name)
+            self._bind(node, alias.asname or alias.name.split(".")[0])
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
         self._check_module(node, module)
+        if module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    self._bind(node, alias.asname or alias.name)
         if module == "os":
             for alias in node.names:
                 if alias.name in _ENV_ACCESS:
@@ -218,6 +231,51 @@ class _Checker(ast.NodeVisitor):
                 "hashlib imported outside repro.common.fingerprint; key "
                 "memos with repro.common.fingerprint.fingerprint",
             )
+
+    # -- unused imports ----------------------------------------------------------
+
+    def _bind(self, node: ast.Import | ast.ImportFrom, name: str) -> None:
+        span = self.lines[node.lineno - 1:node.end_lineno or node.lineno]
+        if not any("# noqa: F401" in line or line.rstrip().endswith("# noqa")
+                   for line in span):
+            self.imported.setdefault(name, node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self.used.add(node.id)
+
+    def _read_annotation(self, annotation: ast.AST | None) -> None:
+        """A string annotation (``"LayerGraph"``) reads the names in it."""
+        for node in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    expr = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                self.used.update(name.id for name in ast.walk(expr)
+                                 if isinstance(name, ast.Name))
+
+    def visit_arg(self, node: ast.arg) -> None:
+        self._read_annotation(node.annotation)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._read_annotation(node.annotation)
+        self.generic_visit(node)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if any(isinstance(t, ast.Name) and t.id == "__all__"
+               for t in node.targets) and isinstance(node.value, (ast.List, ast.Tuple)):
+            self.used.update(elt.value for elt in node.value.elts
+                             if isinstance(elt, ast.Constant))
+        self.generic_visit(node)
+
+    def finish(self) -> None:
+        """Flag the imports nothing in the module read."""
+        for name, node in self.imported.items():
+            if name not in self.used:
+                self.flag(node, "import/unused",
+                          f"{name!r} is imported but unused; delete it (or "
+                          "mark a side-effect import '# noqa: F401')")
 
     # -- calls: numpy.random, wall clocks, simulators, float() ------------------
 
@@ -291,6 +349,7 @@ class _Checker(ast.NodeVisitor):
     # -- enclosing functions, for the integer-sum allow-list ---------------------
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._read_annotation(node.returns)
         outer, self.function = self.function, node.name
         self.generic_visit(node)
         self.function = outer
@@ -361,13 +420,15 @@ class _Checker(ast.NodeVisitor):
 
 def lint_file(path: Path, root: Path) -> list[Finding]:
     rel = path.relative_to(root)
+    source = path.read_text()
     try:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         return [Finding(rel, exc.lineno or 0, "parse/syntax-error",
                         str(exc))]
-    checker = _Checker(rel)
+    checker = _Checker(rel, source)
     checker.visit(tree)
+    checker.finish()
     return checker.findings
 
 

@@ -15,7 +15,7 @@ hand-coding the volumes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import GpuOutOfMemoryError
 

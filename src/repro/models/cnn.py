@@ -12,7 +12,6 @@ ResNet1K spans L0-1029 (Table 5).
 
 from __future__ import annotations
 
-from repro.graph.graph import LayerGraph
 from repro.graph.layer import FP32_BYTES, LayerSpec
 from repro.graph.sequentialize import sequentialize
 from repro.graph.tracer import (

@@ -9,7 +9,7 @@ from repro.baselines.zero_infinity import ZeroInfinityPlanner
 from repro.common.errors import SchedulingError
 from repro.core.decomposer import Decomposer
 from repro.core.profiler import Profiler
-from repro.core.types import Channel, TaskKind, TensorKind
+from repro.core.types import TaskKind, TensorKind
 from repro.experiments.common import server_for
 from repro.models.zoo import build_model
 

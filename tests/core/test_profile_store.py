@@ -5,8 +5,11 @@ spec, the kernel-noise seed and the sample sizes, so ``Profiler.profile``
 keeps them in a bounded, content-addressed LRU store.  These tests pin
 the key (a renamed model hits; a one-ULP FLOPs change, a one-byte
 activation change, another GPU, seed or sample set misses), what is
-shared (the tuple of frozen fits) and what is not (the ``ModelProfiles``
-view and its memo tables), and the LRU bound.  The oracle is a fresh fit:
+shared (the tuple of frozen fits and Algorithm 2's packing table) and
+what is not (the ``ModelProfiles`` view and its per-``(phase, u)``
+tables), and the bounds: the LRU evicts a packing table with its fits,
+and a table's size is bounded by the search's microbatch sizes, not by
+the minibatches planned.  The oracle is a fresh fit:
 every bench-zoo model, under every input varied, must come back from the
 store cold and warm with the bits of ``Profiler._fit``.
 """
@@ -21,7 +24,9 @@ from repro.baselines.gpipe_swap import GpipeSwapPlanner
 from repro.core import profiler
 from repro.core.decomposer import Decomposer
 from repro.core.harmony import Harmony, HarmonyOptions
+from repro.core.packing import balanced_time_packing
 from repro.core.profiler import AffineFit, Profiler
+from repro.core.search import ConfigurationSearch, SearchSettings
 from repro.experiments.common import server_for
 from repro.graph.graph import LayerGraph
 from repro.graph.layer import Phase
@@ -106,6 +111,7 @@ class TestSharing:
         assert large.profiles is not small.profiles
         assert large.profiles._memo is not small.profiles._memo
         assert small.profiles._memo and large.profiles._memo
+        assert large.profiles._entry is small.profiles._entry
         assert len(store) == 1
 
     def test_baselines_take_the_same_path(self, store):
@@ -129,6 +135,25 @@ class TestBound:
         assert refit.layers == seed0.layers
         assert _profile(model, seed=2).layers is seed2.layers
         assert _profile(model, seed=1).layers is not seed1.layers
+
+    def test_evicted_packing_table_is_not_handed_out(self, model, store,
+                                                     monkeypatch):
+        """A refit after eviction starts an empty packing table; the
+        evicted one stays with the profiles that already hold it."""
+        monkeypatch.setattr(profiler, "PROFILE_STORE_SIZE", 2)
+        seed0 = _profile(model, seed=0)
+        capacity = GTX_1080TI.memory_bytes // 4
+        packs = balanced_time_packing(Phase.BWD, 4, seed0, capacity)
+        table = seed0._entry.packings
+        assert len(table) == 1
+        _profile(model, seed=1)
+        _profile(model, seed=2)                  # evicts seed 0
+        refit = _profile(model, seed=0)
+        assert refit._entry is not seed0._entry
+        assert refit._entry.packings == {}
+        assert balanced_time_packing(Phase.BWD, 4, refit, capacity) == packs
+        assert len(refit._entry.packings) == 1
+        assert refit._entry.packings is not table and len(table) == 1
 
     def test_a_hit_refreshes_recency(self, model, store, monkeypatch):
         monkeypatch.setattr(profiler, "PROFILE_STORE_SIZE", 2)
@@ -212,3 +237,38 @@ def test_store_serves_exactly_a_fresh_fit(store, fresh_fits):
                         == [layer.time(phase, u).hex() for layer in expected], \
                         (arm, name, variant, phase, u)
         assert len(store) == len(cases), arm
+
+
+#: Packing-table entries after enumerating every bench-zoo problem at all
+#: seven bench sizes (measured: 1,801 over the six models); a key that
+#: took in a per-plan input such as the minibatch would pass it.
+ZOO_PACKINGS_CEILING = 1_900
+
+
+def test_packing_tables_stay_bounded_over_the_zoo(store):
+    """Algorithm 1's packings for every bench-zoo problem at all seven
+    bench minibatches fill one table per model, every key at a microbatch
+    size ``u <= u_max`` whatever the minibatch."""
+    settings = SearchSettings()
+    u_max = max(settings.u_fmax, settings.u_bmax)
+    for name in ZOO:
+        decomposed = Decomposer(HarmonyOptions().seed).decompose(
+            build_model(name))
+        for mode in ("pp", "dp"):
+            options = HarmonyOptions(mode=mode)
+            for gpus in (4, 8):
+                server = server_for(gpus)
+                for step in range(7):
+                    minibatch = 8 + step if mode == "pp" \
+                        else gpus * (2 + step)
+                    profiles = Profiler(server.gpu).profile(decomposed)
+                    ConfigurationSearch(
+                        profiles, server, minibatch,
+                        options.schedule_options(), settings,
+                    )._enumerate_candidates()
+    assert len(store) == len(ZOO)
+    sizes = [len(entry.packings) for entry in store.values()]
+    assert all(sizes)
+    assert sum(sizes) <= ZOO_PACKINGS_CEILING, sizes
+    assert all(key[2] <= u_max
+               for entry in store.values() for key in entry.packings)

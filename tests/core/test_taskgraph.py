@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SchedulingError
-from repro.core.config import Configuration, Pack, even_packs
+from repro.core.config import Configuration
 from repro.core.packing import balanced_time_packing
 from repro.core.taskgraph import HarmonyGraphBuilder, ScheduleOptions, mb_dependency
 from repro.core.types import Channel, TaskKind, TensorKind

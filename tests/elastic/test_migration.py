@@ -6,8 +6,6 @@ owner -> no move, live owner -> p2p (or host-staged relay), dead owner
 concurrent moves contend on shared hops.
 """
 
-import pytest
-
 from repro.core.types import TaskKind, total_bytes
 from repro.elastic import (
     ElasticReplanner,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph.layer import FP32_BYTES, LayerSpec, Phase, identity_layer
+from repro.graph.layer import LayerSpec, Phase, identity_layer
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
 """Tests for the branch-sequentialization pass (Figure 6)."""
 
-import pytest
-
 from repro.graph.graph import Edge, LayerGraph
 from repro.graph.layer import LayerSpec
 from repro.graph.sequentialize import sequentialize

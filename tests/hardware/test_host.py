@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import HostOutOfMemoryError
 from repro.common.units import GiB
-from repro.hardware.host import COMMODITY_XEON_18C, COMMODITY_XEON_36C, HostMemoryPool, HostSpec
+from repro.hardware.host import COMMODITY_XEON_18C, COMMODITY_XEON_36C, HostMemoryPool
 
 
 class TestHostSpec:

@@ -9,7 +9,6 @@ from repro.hardware.interconnect import (
     PcieTree,
     TopologySpec,
 )
-from repro.sim.engine import Simulator
 from repro.sim.links import Route, transfer
 
 

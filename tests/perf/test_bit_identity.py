@@ -1,9 +1,11 @@
 """Bit-identity regression: the caches must not move a single bit.
 
-The planner and the Runtime keep five caches: the search store, the
-profile store, the ``ModelProfiles`` memo tables, the estimator's
-task-time cache and the Runtime's kernel-time store with its pack
-tables.  Each promises the bits of the naive computation it replaces.
+The planner and the Runtime keep six caches: the search store, the
+profile store, the packing table it shares per model, the
+``ModelProfiles`` memo tables (built from the fits' coefficient
+columns), the estimator's task-time cache and the Runtime's kernel-time
+store with its pack tables.  Each promises the bits of the naive
+computation it replaces.
 This suite holds that promise down to ``float.hex()`` on the small zoo
 models in both execution modes, against a ``naive`` arm that swaps every
 cache for that computation: the chosen configuration, the best estimate, every
@@ -11,11 +13,12 @@ explored candidate's estimate, the full task graph shape, the estimated
 time of every task, the simulated iteration time, and the canonical
 execution trace.  The Runtime's time table serves every run path, so a
 seeded chaos run and a heterogeneous bind are held to the same promise,
-and so is a plan whose fits come from a profile store warmed by another
-plan of the same model.
+and so is a plan whose fits and packings come from a profile store
+warmed by another plan of the same model.
 """
 
 from collections import OrderedDict
+from itertools import accumulate
 
 import pytest
 
@@ -63,6 +66,17 @@ def _naive_profile(self, decomposed):
                          gpu=self.gpu)
 
 
+def _naive_layer_times(self, phase, u):
+    """One ``LayerProfile.time`` call per layer: no coefficient columns."""
+    return tuple(layer.time(phase, u) for layer in self.layers)
+
+
+def _naive_mem_prefix(self, phase, u):
+    """One ``LayerProfile.memory`` call per layer: no coefficient columns."""
+    return list(accumulate((layer.memory(phase, u) for layer in self.layers),
+                           initial=0))
+
+
 def _naive_search(store, key, make, bound):
     """A fresh search every call: no search store."""
     return make()
@@ -92,6 +106,10 @@ def naive(monkeypatch):
     def disable_caches():
         monkeypatch.setattr(ModelProfiles, "memo",
                             lambda self, key, compute: compute())
+        monkeypatch.setattr(ModelProfiles, "packing",
+                            lambda self, key, compute: compute())
+        monkeypatch.setattr(ModelProfiles, "layer_times", _naive_layer_times)
+        monkeypatch.setattr(ModelProfiles, "_mem_prefix", _naive_mem_prefix)
         monkeypatch.setattr(harmony, "lru_get", _naive_search)
         monkeypatch.setattr(Profiler, "profile", _naive_profile)
         monkeypatch.setattr(RuntimeEstimator, "_task_time", _naive_task_time)
@@ -191,4 +209,39 @@ def test_run_paths_are_bit_identical_to_disabled(path, naive):
         assert fast[field] == slow[field], (
             f"{path}: {field} diverged between cached and "
             f"naive runs -- a cache changed an output bit"
+        )
+
+
+@pytest.mark.parametrize("model,mode", MATRIX,
+                         ids=[f"{m}-{mode}" for m, mode in MATRIX])
+def test_warm_packing_table_is_bit_identical_to_disabled(model, mode,
+                                                         monkeypatch, naive,
+                                                         cold_stores):
+    """The cell's packings come from a table warmed by planning the same
+    model in the other mode, at another GPU count and minibatch (every
+    store cold first, so the cell searches)."""
+    store = profiler._STORE
+    other = "dp" if mode == "pp" else "pp"
+    Harmony(model, server_for(2 * GPUS), 2 * MINIBATCH,
+            options=HarmonyOptions(mode=other)).plan()
+    (entry,) = store.values()
+    warmed = set(entry.packings)
+    requested = []
+    packing = ModelProfiles.packing
+
+    def recorded(self, key, compute):
+        requested.append(key)
+        return packing(self, key, compute)
+
+    monkeypatch.setattr(ModelProfiles, "packing", recorded)
+    warm = _fingerprint(model, mode)
+    assert warmed & set(requested), "the cell took no packing from the table"
+    naive()
+    stored = len(entry.packings)
+    cold = _fingerprint(model, mode)
+    assert len(entry.packings) == stored, "the naive arm used the table"
+    for field in warm:
+        assert warm[field] == cold[field], (
+            f"{model}/{mode}: {field} diverged between the warm packing "
+            f"table and naive runs -- a shared packing changed an output bit"
         )

@@ -25,6 +25,16 @@ zero-time layers, one dominant layer, every pack count); the estimator
 by ``float.hex`` on every candidate graph of the search-pin problems,
 with all optimizations on and with each one ablated.
 
+The per-``(phase, u)`` time tables and memory prefixes are built from
+the fits' intercept and slope columns; they must equal per-layer
+``LayerProfile.time`` and ``LayerProfile.memory`` calls for ``u`` in
+1..64 on the zoo and on a synthetic profile whose negative intercepts
+reach both clamps.  Algorithm 2's packings live in one table per
+profiled model, shared by every plan of it: after a zoo sweep every
+entry must equal a fresh packing of its key (an infeasible one its
+message, never an exception object), and varying each argument through
+one shared table must return what private profiles compute.
+
 The search scores candidates on the graph builder's flat schedule
 records and builds a task graph only for the winner.  On the same
 problems and arms, every candidate's record-scored estimate must equal
@@ -36,6 +46,7 @@ may hold it.
 
 import gc
 import weakref
+from collections import OrderedDict
 from itertools import accumulate
 
 import numpy as np
@@ -43,12 +54,18 @@ import pytest
 
 from repro.common.errors import InfeasibleConfigError
 from repro.common.rng import seeded_rng
+from repro.core import harmony, profiler
 from repro.core.config import Pack, packs_from_boundaries
 from repro.core.decomposer import Decomposer
 from repro.core.estimator import RuntimeEstimator, _TaskTimes
 from repro.core.harmony import Harmony, HarmonyOptions
-from repro.core.packing import _refine_boundaries, _split_packs
-from repro.core.profiler import Profiler
+from repro.core.packing import (
+    _balanced_time_packing,
+    _refine_boundaries,
+    _split_packs,
+    balanced_time_packing,
+)
+from repro.core.profiler import AffineFit, LayerProfile, ModelProfiles, Profiler
 from repro.core.search import ConfigurationSearch
 from repro.core.taskgraph import HarmonyGraphBuilder, mb_dependency
 from repro.core.types import Channel, TaskKind, TaskRecord, TensorKind
@@ -194,6 +211,154 @@ def test_refine_matches_full_sweeps(shape, seed):
             expected = naive_refine(prefix, list(boundaries))
             assert _refine_boundaries(prefix.tolist(), list(boundaries)) \
                 == expected, (n_packs, boundaries)
+
+
+# -- coefficient-column tables -------------------------------------------------
+
+
+def _synthetic_profiles():
+    """Fits with negative intercepts and slopes of both signs, so both
+    clamps run inside ``u`` in 1..64."""
+    layers = []
+    for i in range(12):
+        sign = -1.0 if i % 4 == 3 else 1.0
+        layers.append(LayerProfile(
+            index=i, name=f"synthetic{i}", param_bytes=4096 * (i + 1),
+            time_fwd=AffineFit(-1e-3 * (i + 1), sign * 1.1e-4),
+            time_bwd=AffineFit(0.1 - 0.03 * i, sign * 3.3e-3 * (i % 3)),
+            time_upd=1e-4 * i,
+            mem_fwd=AffineFit(-2.5e6 * (i + 1) + 0.3, sign * 1.7e5),
+            mem_bwd=AffineFit(1e6 - 4e5 * i, sign * 9.9e4 * (i % 5)),
+            act_in_per_sample=1024, act_out_per_sample=1024,
+        ))
+    return ModelProfiles(layers, optimizer_slots=2,
+                         gpu=server_for(4).gpu)
+
+
+@pytest.mark.parametrize("model", ZOO + ("synthetic",))
+def test_column_tables_match_per_layer_calls(model):
+    """Every time table equals per-layer ``LayerProfile.time`` calls by
+    ``float.hex`` and every memory prefix the per-layer
+    ``LayerProfile.memory`` sums, for ``u`` in 1..64."""
+    profiles = _synthetic_profiles() if model == "synthetic" \
+        else _profiles(model)
+    layers = profiles.layers
+    clamped = [0, 0]  # (time, memory) entries below zero before the clamp
+    for u in range(1, 65):
+        assert profiles.layer_times(Phase.UPD, u) == \
+            tuple(layer.time(Phase.UPD, u) for layer in layers), u
+        for phase in (Phase.FWD, Phase.BWD):
+            assert [t.hex() for t in profiles.layer_times(phase, u)] == \
+                [layer.time(phase, u).hex() for layer in layers], (phase, u)
+            assert profiles._mem_prefix(phase, u) == list(accumulate(
+                (layer.memory(phase, u) for layer in layers), initial=0)), \
+                (phase, u)
+            fits = ((layer.time_fwd, layer.mem_fwd) if phase is Phase.FWD
+                    else (layer.time_bwd, layer.mem_bwd) for layer in layers)
+            for time, memory in fits:
+                clamped[0] += time(u) < 0.0
+                clamped[1] += int(memory(u)) < 0
+    if model == "synthetic":
+        assert min(clamped) > 100, "the synthetic fits must reach both clamps"
+
+
+# -- the packing table shared per profiled model ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def zoo_sweep():
+    """Plan the bench zoo (every model, mode and GPU count) at two
+    minibatch sizes from cold stores: ``{entry: profiles}`` for every
+    profile-store entry the sweep filled."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiler, "_STORE", OrderedDict())
+        mp.setattr(harmony, "_SEARCHES", OrderedDict())
+        swept = {}
+        for model in ZOO[:6]:
+            for mode in ("pp", "dp"):
+                for gpus in (4, 8):
+                    for step in (0, 1):
+                        minibatch = 8 + step if mode == "pp" \
+                            else gpus * (2 + step)
+                        plan = Harmony(model, server_for(gpus), minibatch,
+                                       HarmonyOptions(mode=mode)).plan()
+                        swept.setdefault(plan.profiles._entry, plan.profiles)
+        assert list(swept) == list(profiler._STORE.values())
+        yield swept
+
+
+def test_shared_packings_match_fresh_packings(zoo_sweep):
+    """Every stored packing -- written by any plan of the model -- is what
+    a fresh ``_balanced_time_packing`` on fresh profiles returns for its
+    key, and an infeasible one stores that packing's message."""
+    outcomes = set()
+    for entry, profiles in zoo_sweep.items():
+        fresh = ModelProfiles(profiles.layers, profiles.optimizer_slots,
+                              profiles.gpu)
+        assert fresh._entry is not entry and not fresh._entry.packings
+        for key, stored in entry.packings.items():
+            _, phase, u, capacity, n_layers, tail, min_packs = key
+            try:
+                expected = (True, _balanced_time_packing(
+                    phase, u, fresh, capacity, n_layers, tail, min_packs))
+            except InfeasibleConfigError as exc:
+                expected = (False, str(exc))
+            assert stored == expected, key
+            outcomes.add(stored[0])
+    assert outcomes == {True, False}
+
+
+def test_packing_table_holds_no_exception(zoo_sweep):
+    """A stored exception's traceback would keep a plan's frames alive as
+    long as the store entry: entries are packs or a message."""
+    for entry in zoo_sweep:
+        assert entry.packings
+        for ok, value in entry.packings.values():
+            if ok:
+                assert type(value) is tuple
+                assert all(type(pack) is Pack for pack in value)
+            else:
+                assert type(value) is str
+
+
+@pytest.mark.parametrize("model", ("toy-transformer", "tiny-cnn", "gpt2"))
+def test_packing_table_key_holds_every_argument(model, cold_stores):
+    """Through one shared table, vary each argument of
+    ``balanced_time_packing`` in turn: every call returns what private
+    profiles compute, and each varied argument changes some result."""
+    shared = _profiles(model)
+    n = len(shared)
+    whole = shared.pack_memory(Phase.BWD, Pack(0, n - 1), 8)
+    capacities = (whole, whole // 3, whole // 9)
+    tail = balanced_time_packing(Phase.BWD, 2, shared, whole // 3)
+    grid = [(phase, u, capacity, n_layers, tails, min_packs)
+            for phase in (Phase.FWD, Phase.BWD)
+            for u in (1, 2, 8)
+            for capacity in capacities
+            for n_layers in (None, n - 1)
+            for tails in (None, tail)
+            for min_packs in (1, 3)]
+    results = {}
+    for args in grid:
+        phase, u, capacity, n_layers, tails, min_packs = args
+        private = ModelProfiles(shared.layers, shared.optimizer_slots,
+                                shared.gpu)
+        outcome = []
+        for profiles in (shared, private):
+            try:
+                outcome.append(balanced_time_packing(
+                    phase, u, profiles, capacity, n_layers=n_layers,
+                    backward_packs=tails, min_packs=min_packs))
+            except InfeasibleConfigError as exc:
+                outcome.append(str(exc))
+        assert outcome[0] == outcome[1], args
+        results[args] = outcome[0]
+    for position in range(len(grid[0])):
+        varied = {}
+        for args, result in results.items():
+            rest = args[:position] + args[position + 1:]
+            varied.setdefault(rest, set()).add(result)
+        assert any(len(seen) > 1 for seen in varied.values()), position
 
 
 # -- Runtime Estimator ----------------------------------------------------------

@@ -12,12 +12,16 @@ suite pins, exactly:
 - ``HarmonyGraphBuilder.records`` runs once per search candidate, plus
   once for the winner's graph, and a second ``plan()`` is a memo hit;
 - a second ``Harmony`` on the same problem takes the search from the
-  process-wide search store: no search, no ``LayerProfile.time`` call,
-  and one records/assemble/build/validate for its own winner graph;
+  process-wide search store: no search, no packing, and one
+  records/assemble/build/validate for its own winner graph;
 - the number of candidates Algorithm 1 enumerates;
-- the ``LayerProfile.time`` calls one ``plan()`` makes: one per layer
-  per (phase, microbatch size) time table, however many packs and
-  candidates are timed from it;
+- the per-(phase, microbatch size) time tables and memory prefixes one
+  ``plan()`` builds, each once, however many packs and candidates are
+  timed from it;
+- the Algorithm 2 packings one cold ``plan()`` computes, and that a
+  second ``Harmony`` on the same model, at a new minibatch and GPU
+  count, computes only packings the first did not: the packing table is
+  shared per profiled model;
 - the ``LayerProfile.act_out_bytes`` calls one ``plan()`` makes:
   Algorithm 2's pack-count lower bound reads a per-sample prefix, not
   one call per layer per forced tail and microbatch size;
@@ -53,9 +57,10 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.core import packing
 from repro.core.decomposer import LayerUnit
 from repro.core.harmony import Harmony, HarmonyOptions
-from repro.core.profiler import LayerProfile
+from repro.core.profiler import LayerProfile, ModelProfiles
 from repro.core.search import ConfigurationSearch
 from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskGraph
@@ -76,8 +81,13 @@ class Case:
     #: ``n_feasible + n_infeasible`` of the search: the schedules scored
     #: from records, each without a task graph.
     candidates: int
-    #: ``LayerProfile.time`` calls made by one ``plan()``.
-    layer_times: int
+    #: Time tables and memory prefixes one ``plan()`` builds.
+    tables: int
+    #: ``_balanced_time_packing`` runs of one cold ``plan()``.
+    packings: int
+    #: Those of a second ``Harmony`` on the model at twice the GPUs and
+    #: twice the minibatch.
+    warm_packings: int
     #: ``LayerProfile.act_out_bytes`` calls made by one ``plan()``.
     act_outs: int
     #: ``Simulator.steps`` drained by ``run(plan=..., iterations=1)``.
@@ -90,14 +100,14 @@ class Case:
 
 CASES = (
     Case("toy-transformer", "pp", 2, 8,
-         candidates=48, layer_times=80, act_outs=9, steps=427,
-         kernel_times=25, max_drift=0.39),
+         candidates=48, tables=16, packings=20, warm_packings=22, act_outs=9,
+         steps=427, kernel_times=25, max_drift=0.39),
     Case("tiny-cnn", "dp", 2, 8,
-         candidates=9, layer_times=78, act_outs=2, steps=157,
-         kernel_times=26, max_drift=0.17),
+         candidates=9, tables=9, packings=6, warm_packings=0, act_outs=2,
+         steps=157, kernel_times=26, max_drift=0.17),
     Case("gpt2", "pp", 4, 32,
-         candidates=68, layer_times=624, act_outs=243, steps=5233,
-         kernel_times=152, max_drift=0.02),
+         candidates=68, tables=24, packings=65, warm_packings=28, act_outs=243,
+         steps=5233, kernel_times=152, max_drift=0.02),
 )
 
 #: ``analytics._union`` calls one ``analyze_trace`` makes over a traced
@@ -121,6 +131,34 @@ def _count_calls(monkeypatch, counts: Counter, cls: type, name: str) -> None:
     monkeypatch.setattr(cls, name, counted)
 
 
+def _count_tables(monkeypatch, counts: Counter) -> None:
+    """Count the per-(phase, u) time tables and memory prefixes built."""
+    memo = ModelProfiles.memo
+
+    def counted(self, key, compute):
+        if key[0] in ("times", "memp") and key not in self._memo:
+            counts["tables"] += 1
+        return memo(self, key, compute)
+
+    monkeypatch.setattr(ModelProfiles, "memo", counted)
+
+
+def _record_packings(monkeypatch) -> list:
+    """The key of every packing Algorithm 2 computes, in call order."""
+    keys: list = []
+    original = packing._balanced_time_packing
+
+    def recorded(phase, u, profiles, capacity, n_layers, forced_tail,
+                 min_packs):
+        keys.append(("btp", phase, u, capacity, n_layers, forced_tail,
+                     min_packs))
+        return original(phase, u, profiles, capacity, n_layers, forced_tail,
+                        min_packs)
+
+    monkeypatch.setattr(packing, "_balanced_time_packing", recorded)
+    return keys
+
+
 @by_case
 def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
     counts: Counter = Counter()
@@ -128,8 +166,9 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "assemble")
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "records")
     _count_calls(monkeypatch, counts, TaskGraph, "validate")
-    _count_calls(monkeypatch, counts, LayerProfile, "time")
+    _count_tables(monkeypatch, counts)
     _count_calls(monkeypatch, counts, LayerProfile, "act_out_bytes")
+    packings = _record_packings(monkeypatch)
     simulators: list[Simulator] = []
     original_init = Simulator.__init__
 
@@ -145,15 +184,17 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
     search = plan.search
     assert search.n_feasible + search.n_infeasible == case.candidates
     expected = {"build": 1, "validate": 1, "assemble": 1,
-                "records": case.candidates + 1, "time": case.layer_times,
+                "records": case.candidates + 1, "tables": case.tables,
                 "act_out_bytes": case.act_outs}
     assert counts == expected, (
         "one plan() must assemble, build and validate only the winner, "
-        "emit each candidate's records once, time each layer once per "
-        "time table and read the lower bound off prefixes"
+        "emit each candidate's records once, build each time table and "
+        "memory prefix once and read the lower bound off prefixes"
     )
+    assert len(packings) == len(set(packings)) == case.packings
     assert harmony.plan() is plan
     assert counts == expected, "a second plan() must be a memo hit"
+    assert len(packings) == case.packings
 
     kernel_counts: Counter = Counter()
     _count_calls(monkeypatch, kernel_counts, LayerUnit, "run_time")
@@ -192,15 +233,45 @@ def test_second_harmony_takes_the_stored_search(case, monkeypatch,
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "assemble")
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "records")
     _count_calls(monkeypatch, counts, TaskGraph, "validate")
-    _count_calls(monkeypatch, counts, LayerProfile, "time")
+    packings = _record_packings(monkeypatch)
     again = fresh().plan()
     assert counts == {"build": 1, "validate": 1, "assemble": 1,
                       "records": 1}, (
-        "a stored search must not search or time a layer again; only the "
-        "winner graph is built"
+        "a stored search must not search again; only the winner graph is "
+        "built"
     )
+    assert packings == [], "a stored search must not pack again"
     assert again.search is plan.search
     assert again.graph is not plan.graph
+
+
+@by_case
+def test_second_model_plan_packs_only_new_keys(case, monkeypatch,
+                                               cold_stores):
+    """A second ``Harmony`` on the model at a new minibatch and GPU count
+    takes every packing the first plan computed from the shared table."""
+    packings = _record_packings(monkeypatch)
+    first = Harmony(case.model, server_for(case.gpus), case.minibatch,
+                    options=HarmonyOptions(mode=case.mode)).plan()
+    cold = set(packings)
+    assert len(packings) == len(cold) == case.packings
+    requested: list = []
+    shared = ModelProfiles.packing
+
+    def recorded(self, key, compute):
+        requested.append(key)
+        return shared(self, key, compute)
+
+    monkeypatch.setattr(ModelProfiles, "packing", recorded)
+    packings.clear()
+    second = Harmony(case.model, server_for(2 * case.gpus),
+                     2 * case.minibatch,
+                     options=HarmonyOptions(mode=case.mode)).plan()
+    assert second.profiles._entry is first.profiles._entry
+    assert len(packings) == len(set(packings)) == case.warm_packings
+    assert not cold & set(packings), \
+        "a packing the first plan computed was computed again"
+    assert cold & set(requested), "the second plan took no stored packing"
 
 
 def test_traced_run_analytics_do_exact_work(monkeypatch):

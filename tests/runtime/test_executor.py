@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import Configuration
 from repro.core.packing import balanced_time_packing
 from repro.core.taskgraph import HarmonyGraphBuilder, ScheduleOptions
-from repro.core.types import TaskKind
 from repro.graph.layer import Phase
 from repro.hardware.server import SimulatedServer
 from repro.runtime.executor import Executor

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import AllOf, Resource, SimEvent, Simulator, Timeout
+from repro.sim.engine import AllOf, Resource, Timeout
 from repro.sim.stream import Stream
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import Simulator
 from repro.sim.links import Link, Route, transfer
 
 

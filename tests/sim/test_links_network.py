@@ -15,7 +15,6 @@ Regressions this file pins:
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import Simulator
 from repro.sim.links import Link, NetworkLink, Route, transfer
 from repro.trace import TraceRecorder
 

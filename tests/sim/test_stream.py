@@ -1,6 +1,5 @@
 """Tests for the CUDA-stream analog."""
 
-from repro.sim.engine import Simulator
 from repro.sim.stream import Stream, StreamSet
 
 

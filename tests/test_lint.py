@@ -7,11 +7,15 @@ import repro.lint as lint
 from repro.lint import lint_file, lint_tree, main
 
 
-def run(tmp_path, rel, source):
+def run(tmp_path, rel, source, unused=False):
+    """The rules ``source`` trips at ``rel``.  The import rules' snippets
+    import names they never read, so ``import/unused`` is left out unless
+    ``unused`` asks for it."""
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source)
-    return [f.rule for f in lint_file(path, tmp_path)]
+    return [f.rule for f in lint_file(path, tmp_path)
+            if unused or f.rule != "import/unused"]
 
 
 class TestStdlibRandom:
@@ -338,6 +342,52 @@ class TestFloatSum:
             assert set(names) <= summing, (rel, set(names) - summing)
 
 
+class TestUnusedImport:
+    def test_unused_imports_flagged(self, tmp_path):
+        src = ("import os\nimport numpy as np\nimport a.b.c\n"
+               "from typing import Callable, Optional\n"
+               "def f(x: Optional[int]):\n    return x\n")
+        path = tmp_path / "repro" / "x.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(src)
+        findings = lint_file(path, tmp_path)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("import/unused", 1), ("import/unused", 2), ("import/unused", 3),
+            ("import/unused", 4)]
+        assert ["'os'", "'np'", "'a'", "'Callable'"] == \
+            [f.message.split()[0] for f in findings]
+
+    def test_read_names_ok(self, tmp_path):
+        src = ("from __future__ import annotations\n"
+               "import os.path\nimport numpy as np\n"
+               "from typing import TYPE_CHECKING, Sequence\n"
+               "from x import Graph, Layer, Unit\n"
+               "def f(g: 'Graph', xs: Sequence['Layer']) -> 'Unit':\n"
+               "    return os.path.join(np.pi)\n"
+               "if TYPE_CHECKING:\n    pass\n")
+        assert run(tmp_path, "repro/core/x.py", src, unused=True) == []
+
+    def test_all_and_annotated_assignments_read(self, tmp_path):
+        src = ("from x import exported, Kind\n"
+               "__all__ = ['exported']\n"
+               "table: 'dict[str, Kind]' = {}\n")
+        assert run(tmp_path, "repro/x/__init__.py", src, unused=True) == []
+
+    def test_noqa_f401_honoured(self, tmp_path):
+        """Pass modules imported for their registration side effect."""
+        src = ("from repro.analysis import hb as _hb  # noqa: F401  isort:skip\n"
+               "from repro.analysis import (  # noqa: F401\n"
+               "    lifetime as _lifetime,\n)\n"
+               "import json  # noqa: E501\n")
+        assert run(tmp_path, "repro/analysis/analyzer.py", src,
+                   unused=True) == ["import/unused"]
+
+    def test_nested_import_flagged(self, tmp_path):
+        src = "def f():\n    import json\n    return 1\n"
+        assert run(tmp_path, "repro/x.py", src, unused=True) == \
+            ["import/unused"]
+
+
 class TestTreeAndMain:
     def test_shipping_tree_is_clean(self):
         src_root = Path(lint.__file__).resolve().parent.parent
@@ -345,7 +395,8 @@ class TestTreeAndMain:
 
     def test_main_reports_and_counts(self, tmp_path, capsys):
         (tmp_path / "repro").mkdir()
-        (tmp_path / "repro" / "bad.py").write_text("import random\n")
+        (tmp_path / "repro" / "bad.py").write_text(
+            "import random\nrandom.seed(0)\n")
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "rng/stdlib-random" in out

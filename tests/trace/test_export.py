@@ -3,8 +3,6 @@
 import io
 import json
 
-from conftest import validate_chrome_trace
-
 from repro.trace import (
     TraceRecorder,
     dump_chrome_trace,
