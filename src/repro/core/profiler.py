@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Callable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -171,21 +171,21 @@ class ModelProfiles:
     dependent cache such as the runtime estimator's) can go stale.  A
     different profile is a new instance.  The per-``(phase, u)`` tables
     are per instance and freed with their plan; Algorithm 2's packing
-    table lives on ``entry``, the :class:`FittedModel` the store shares
-    (a ``ModelProfiles`` built without one keeps a private entry).
+    table lives on the :class:`FittedModel` the profile is built from.
+    ``layers`` is either that entry (how the store shares one) or the
+    per-layer fits, which get a private entry.
     """
 
     def __init__(
         self,
-        layers: Sequence[LayerProfile],
+        layers: FittedModel | Sequence[LayerProfile],
         optimizer_slots: int,
         gpu: GpuSpec,
-        entry: Optional[FittedModel] = None,
     ):
-        if entry is None:
-            entry = FittedModel(tuple(layers))
-        self._entry = entry
-        self.layers = entry.layers
+        if not isinstance(layers, FittedModel):
+            layers = FittedModel(tuple(layers))
+        self._entry = layers
+        self.layers = layers.layers
         self.optimizer_slots = optimizer_slots
         self.gpu = gpu
         self._memo: dict[Any, Any] = {}
@@ -387,10 +387,9 @@ class Profiler:
                         lambda: FittedModel(self._fit(decomposed)),
                         PROFILE_STORE_SIZE)
         return ModelProfiles(
-            entry.layers,
+            entry,
             optimizer_slots=decomposed.model.optimizer_slots,
             gpu=self.gpu,
-            entry=entry,
         )
 
     def _fit(self, decomposed: DecomposedModel) -> tuple[LayerProfile, ...]:

@@ -54,8 +54,9 @@ the AST of every file under ``src/repro`` and enforces them:
   reduction folds with :func:`repro.common.ordered_sum` instead;
 - **no unused imports** (``import/unused``): every name an import binds
   is read somewhere in its module or listed in ``__all__`` (the F401 of
-  CI's ruff leg, which is absent locally).  An import kept for its side
-  effect says so with ``# noqa: F401`` on its line.
+  CI's ruff leg, which is absent locally; ``tests/test_lint.py`` holds
+  ``tests`` to it as well).  An import kept for its side effect says so
+  with ``# noqa: F401`` on its line.
 
 Exit status is the number of findings (0 = clean), and each finding
 prints as ``path:line: rule: message``.

@@ -12,12 +12,13 @@ suite pins, exactly:
 - ``HarmonyGraphBuilder.records`` runs once per search candidate, plus
   once for the winner's graph, and a second ``plan()`` is a memo hit;
 - a second ``Harmony`` on the same problem takes the search from the
-  process-wide search store: no search, no packing, and one
-  records/assemble/build/validate for its own winner graph;
+  process-wide search store: no search, no packing request, no time
+  table, one records/assemble/build/validate for its own winner graph
+  and the memory prefixes that graph's task footprints read;
 - the number of candidates Algorithm 1 enumerates;
 - the per-(phase, microbatch size) time tables and memory prefixes one
   ``plan()`` builds, each once, however many packs and candidates are
-  timed from it;
+  timed and sized from it;
 - the Algorithm 2 packings one cold ``plan()`` computes, and that a
   second ``Harmony`` on the same model, at a new minibatch and GPU
   count, computes only packings the first did not: the packing table is
@@ -81,8 +82,13 @@ class Case:
     #: ``n_feasible + n_infeasible`` of the search: the schedules scored
     #: from records, each without a task graph.
     candidates: int
-    #: Time tables and memory prefixes one ``plan()`` builds.
-    tables: int
+    #: Time tables one ``plan()`` builds.
+    time_tables: int
+    #: Memory prefixes one ``plan()`` builds.
+    mem_prefixes: int
+    #: Memory prefixes a plan that takes the stored search builds for
+    #: its winner graph's task footprints (it builds no time table).
+    winner_prefixes: int
     #: ``_balanced_time_packing`` runs of one cold ``plan()``.
     packings: int
     #: Those of a second ``Harmony`` on the model at twice the GPUs and
@@ -100,13 +106,16 @@ class Case:
 
 CASES = (
     Case("toy-transformer", "pp", 2, 8,
-         candidates=48, tables=16, packings=20, warm_packings=22, act_outs=9,
+         candidates=48, time_tables=8, mem_prefixes=8, winner_prefixes=2,
+         packings=20, warm_packings=22, act_outs=9,
          steps=427, kernel_times=25, max_drift=0.39),
     Case("tiny-cnn", "dp", 2, 8,
-         candidates=9, tables=9, packings=6, warm_packings=0, act_outs=2,
+         candidates=9, time_tables=6, mem_prefixes=3, winner_prefixes=1,
+         packings=6, warm_packings=0, act_outs=2,
          steps=157, kernel_times=26, max_drift=0.17),
     Case("gpt2", "pp", 4, 32,
-         candidates=68, tables=24, packings=65, warm_packings=28, act_outs=243,
+         candidates=68, time_tables=12, mem_prefixes=12, winner_prefixes=2,
+         packings=65, warm_packings=28, act_outs=243,
          steps=5233, kernel_times=152, max_drift=0.02),
 )
 
@@ -132,15 +141,30 @@ def _count_calls(monkeypatch, counts: Counter, cls: type, name: str) -> None:
 
 
 def _count_tables(monkeypatch, counts: Counter) -> None:
-    """Count the per-(phase, u) time tables and memory prefixes built."""
+    """Count the per-(phase, u) time tables (``"times"``) and memory
+    prefixes (``"memp"``) built."""
     memo = ModelProfiles.memo
 
     def counted(self, key, compute):
         if key[0] in ("times", "memp") and key not in self._memo:
-            counts["tables"] += 1
+            counts[key[0]] += 1
         return memo(self, key, compute)
 
     monkeypatch.setattr(ModelProfiles, "memo", counted)
+
+
+def _record_requests(monkeypatch) -> list:
+    """The key of every packing Algorithm 2 asks the shared table for,
+    hit or miss, in call order."""
+    requested: list = []
+    shared = ModelProfiles.packing
+
+    def recorded(self, key, compute):
+        requested.append(key)
+        return shared(self, key, compute)
+
+    monkeypatch.setattr(ModelProfiles, "packing", recorded)
+    return requested
 
 
 def _record_packings(monkeypatch) -> list:
@@ -184,7 +208,8 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
     search = plan.search
     assert search.n_feasible + search.n_infeasible == case.candidates
     expected = {"build": 1, "validate": 1, "assemble": 1,
-                "records": case.candidates + 1, "tables": case.tables,
+                "records": case.candidates + 1, "times": case.time_tables,
+                "memp": case.mem_prefixes,
                 "act_out_bytes": case.act_outs}
     assert counts == expected, (
         "one plan() must assemble, build and validate only the winner, "
@@ -233,14 +258,17 @@ def test_second_harmony_takes_the_stored_search(case, monkeypatch,
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "assemble")
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "records")
     _count_calls(monkeypatch, counts, TaskGraph, "validate")
+    _count_tables(monkeypatch, counts)
+    requested = _record_requests(monkeypatch)
     packings = _record_packings(monkeypatch)
     again = fresh().plan()
     assert counts == {"build": 1, "validate": 1, "assemble": 1,
-                      "records": 1}, (
-        "a stored search must not search again; only the winner graph is "
-        "built"
+                      "records": 1, "memp": case.winner_prefixes}, (
+        "a stored search must not search again or build a time table; "
+        "only the winner graph and its footprints' prefixes are built"
     )
-    assert packings == [], "a stored search must not pack again"
+    assert requested == packings == [], \
+        "a stored search must not ask for a packing, stored or not"
     assert again.search is plan.search
     assert again.graph is not plan.graph
 
@@ -255,14 +283,7 @@ def test_second_model_plan_packs_only_new_keys(case, monkeypatch,
                     options=HarmonyOptions(mode=case.mode)).plan()
     cold = set(packings)
     assert len(packings) == len(cold) == case.packings
-    requested: list = []
-    shared = ModelProfiles.packing
-
-    def recorded(self, key, compute):
-        requested.append(key)
-        return shared(self, key, compute)
-
-    monkeypatch.setattr(ModelProfiles, "packing", recorded)
+    requested = _record_requests(monkeypatch)
     packings.clear()
     second = Harmony(case.model, server_for(2 * case.gpus),
                      2 * case.minibatch,

@@ -393,6 +393,15 @@ class TestTreeAndMain:
         src_root = Path(lint.__file__).resolve().parent.parent
         assert list(lint_tree(src_root)) == []
 
+    def test_tests_import_only_what_they_use(self):
+        """``python -m repro.lint`` scans ``src`` only; ``import/unused``
+        also holds for the tests, which CI's ruff leg checks too.  The
+        other rules guard ``src/repro``'s invariants, not the tests'."""
+        tests_root = Path(__file__).resolve().parent
+        unused = [f.describe() for f in lint_tree(tests_root)
+                  if f.rule == "import/unused"]
+        assert unused == []
+
     def test_main_reports_and_counts(self, tmp_path, capsys):
         (tmp_path / "repro").mkdir()
         (tmp_path / "repro" / "bad.py").write_text(
