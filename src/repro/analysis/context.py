@@ -13,6 +13,7 @@ from typing import Any, Callable, Optional, TypeVar
 
 from repro.core.taskgraph import ScheduleOptions
 from repro.core.types import Task, TaskGraph
+from repro.core.waits import task_slots
 from repro.hardware.server import ServerSpec
 
 T = TypeVar("T")
@@ -50,7 +51,7 @@ class AnalysisContext:
     @property
     def fetch_slots(self) -> int:
         """Concurrent per-device task windows (Executor's slot capacity)."""
-        return 2 if self.prefetch else 1
+        return task_slots(self.prefetch)
 
     def device_capacity(self, device: int) -> int:
         """GPU memory capacity of ``device`` in bytes (requires a server).

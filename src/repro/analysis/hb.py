@@ -3,11 +3,13 @@
 The Runtime orders work through two mechanisms the task graph does not
 spell out: explicit ``src_task`` dependencies (a fetch waits for its
 producer's completion or host flush) and per-GPU stream FIFOs (compute,
-swap-in, p2p-in, swap-out are each serial queues).  The one wait graph
+swap-in, p2p-in, swap-out are each serial queues), both declared in
+:mod:`repro.core.waits`.  The one wait graph
 (:func:`repro.analysis.deadlock.build_happens_before`, shared with the
 deadlock pass) models both; its transitive closure is the static
 happens-before relation this pass checks every pair of accesses to
-shared model state against.
+shared model state against.  Slot grants order no particular pair of
+tasks, so they add nothing to it.
 
 Accesses to *shared model state* -- weight and optimizer-state tensors,
 keyed by ``(family, layer span)`` -- race when two tasks touch an
@@ -28,8 +30,8 @@ Per-replica gradient buffers (``DW``) are deliberately not race-checked:
 data-parallel replicas each own a private buffer, so cross-device
 gradient writes are disjoint by construction.
 
-A cyclic wait graph is reported by the deadlock pass; race detection
-declines to guess about orderings inside a wedged schedule.
+A deadlocked wait graph is reported by the deadlock pass; race
+detection declines to guess about orderings inside a wedged schedule.
 """
 
 from __future__ import annotations

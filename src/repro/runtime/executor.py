@@ -34,10 +34,8 @@ bit-identical to the pre-fault runtime.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-from repro.analysis.deadlock import fetch_stream
 from repro.analysis.diagnostics import stream_ref, task_ref
 from repro.common.backoff import (
     DEFAULT_BACKOFF_BASE,
@@ -51,36 +49,35 @@ from repro.common.errors import (
     SimulationError,
     TransferFaultError,
 )
-from repro.core.taskgraph import mb_dependency
-from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
+from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind
+from repro.core.waits import (
+    DONE,
+    FLUSHED,
+    OUT_STREAM,
+    SLOT_LANE,
+    compute_lane,
+    compute_stream,
+    fetch_lane,
+    fetch_stream,
+    per_task,
+    producer_wait,
+    task_slots,
+)
 from repro.hardware.server import ServerSpec, SimulatedServer
 from repro.runtime.metrics import GpuMetrics, RecoveryMetrics, RunMetrics
 from repro.runtime.timemodel import TrueTimeModel
 from repro.sim.engine import Resource, SimEvent, Simulator
 from repro.sim.links import Route, transfer
+from repro.sim.stream import Stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.faults.injector import FaultInjector
     from repro.faults.policy import RecoveryPolicy
 
-_PER_TASK_TENSORS = frozenset({TensorKind.W, TensorKind.DW, TensorKind.K})
-
 #: Watchdog default: generous enough that no legitimate schedule in the
 #: repository comes within two orders of magnitude, small enough that a
 #: leaked process surfaces as a typed error in bounded wall time.
 DEFAULT_MAX_STEPS = 50_000_000
-
-
-def _is_per_task(move: Move) -> bool:
-    return move.tensor in _PER_TASK_TENSORS
-
-
-@lru_cache(maxsize=1024)
-def _mb_dependency(producer_sizes: tuple[int, ...],
-                   consumer_sizes: tuple[int, ...]) -> tuple[int, ...]:
-    """:func:`mb_dependency`, computed once per pair of microbatch groups
-    rather than once per chunk."""
-    return tuple(mb_dependency(producer_sizes, consumer_sizes))
 
 
 def _chunk_sizes(nbytes: int, microbatches: tuple[int, ...]) -> list[int]:
@@ -175,7 +172,7 @@ class Executor:
         self._resident = [0] * graph.n_devices
 
         slots = [
-            Resource(sim, capacity=2 if self.prefetch else 1, name=f"slots{d}")
+            Resource(sim, capacity=task_slots(self.prefetch), name=f"slots{d}")
             for d in range(graph.n_devices)
         ]
         barrier: Optional[SimEvent] = None
@@ -218,8 +215,10 @@ class Executor:
         A drained simulator with unfinished tasks means the schedule
         deadlocked (a fetch or compute waited on an event that can never
         fire).  The error names the stalled tasks and streams with the
-        same ``t<tid>`` / ``gpu<d>.<stream>`` identifiers the static
-        analyzer's diagnostics use, so the two reports line up.
+        same ``t<tid>`` / ``gpu<d>.<lane>`` identifiers the static
+        analyzer's diagnostics use, so the two reports line up: a task
+        never granted a slot waits on ``gpu<d>.slots``, and a CPU update
+        computes on ``gpu<d>.cpu``.
         """
         stuck = [rt for rt in self.runtimes if not rt.done.fired]
         if not stuck:
@@ -227,14 +226,15 @@ class Executor:
         details = []
         for rt in stuck[:6]:
             task = rt.task
-            fetch_stuck = (
-                rt.state_ready is not None and not rt.state_ready.fired
-            ) or any(not event.fired for event in rt.input_ready)
-            if fetch_stuck:
-                stream = stream_ref(task.device, fetch_stream(task))
+            if rt.state_ready is None:  # never granted a slot
+                where = f"waiting on {stream_ref(task.device, SLOT_LANE)}"
+            elif not rt.state_ready.fired or any(
+                    not event.fired for event in rt.input_ready):
+                stream = stream_ref(task.device, fetch_lane(task))
                 where = f"fetching inputs on {stream}"
             else:
-                where = f"computing on {stream_ref(task.device, 'compute')}"
+                lane = stream_ref(task.device, compute_lane(task))
+                where = f"computing on {lane}"
             details.append(f"{task_ref(task.tid)} stalled {where}")
         more = len(stuck) - len(details)
         if more > 0:
@@ -412,18 +412,12 @@ class Executor:
         if move.src_task is None:
             return None
         producer = self.runtimes[move.src_task]
-        if consumer.on_cpu or move.channel is Channel.SWAP:
-            # Stashed state read back from host: wait until the producer
-            # flushed its outputs.  (Message-passing chains still pipeline
-            # per microbatch -- the relay is streamed, not batched.)
+        wait = producer_wait(move, consumer, producer.task, mb_index)
+        if wait == FLUSHED:
             return producer.outs_flushed
-        if mb_index is None:
-            return producer.done
-        if producer.task.group_samples != consumer.group_samples:
-            return producer.done
-        dep_map = _mb_dependency(producer.task.microbatches,
-                                 consumer.microbatches)
-        return producer.mb_done[dep_map[mb_index]]
+        if isinstance(wait, int):
+            return producer.mb_done[wait]
+        return producer.done
 
     def _p2p_source(self, device: int, move: Move) -> int:
         src_device = (
@@ -501,46 +495,37 @@ class Executor:
         mb_events: list[list[SimEvent]] = [[] for _ in task.microbatches]
 
         for move in task.ins:
-            if _is_per_task(move):
-                dep = self._dep_event(move, task, None)
-                if move.channel is Channel.LOCAL or move.nbytes == 0:
-                    event = SimEvent(self.sim)
-                    if dep is None:
-                        event.succeed()
-                    else:
-                        self._chain(dep, event)
-                    state_events.append(event)
-                    continue
-                state_events.append(streams.swap_in.submit(
-                    self._fetch_op(device, move, move.nbytes, dep),
-                    label=move.label,
-                ))
-            else:
-                chunks = _chunk_sizes(move.nbytes, task.microbatches)
-                for i, chunk in enumerate(chunks):
-                    dep = self._dep_event(move, task, i)
-                    if move.channel is Channel.LOCAL:
-                        event = SimEvent(self.sim)
-                        if dep is None:
-                            event.succeed()
-                        else:
-                            self._chain(dep, event)
-                        mb_events[i].append(event)
-                        continue
-                    stream = (
-                        streams.p2p_in if move.channel is Channel.P2P
-                        else streams.swap_in
-                    )
-                    label = f"{move.label}#{i}"
-                    mb_events[i].append(stream.submit(
-                        self._fetch_op(device, move, chunk, dep, label=label),
-                        label=label,
-                    ))
+            stream = fetch_stream(move)
+            queue = None if stream is None else getattr(streams, stream)
+            if per_task(move):
+                state_events.append(self._fetch(
+                    device, task, move, queue, None, move.nbytes, move.label))
+                continue
+            chunks = _chunk_sizes(move.nbytes, task.microbatches)
+            for i, chunk in enumerate(chunks):
+                mb_events[i].append(self._fetch(
+                    device, task, move, queue, i, chunk, f"{move.label}#{i}"))
 
         rt.state_ready = self.sim.all_of(state_events)
         rt.input_ready = [
             self.sim.all_of([rt.state_ready] + events) for events in mb_events
         ]
+
+    def _fetch(self, device: int, task: Task, move: Move,
+               queue: Optional[Stream], mb_index: Optional[int], nbytes: int,
+               label: str) -> SimEvent:
+        """One fetch queued on ``queue``; with no stream to occupy, an
+        event that fires with the producer event it waits on."""
+        dep = self._dep_event(move, task, mb_index)
+        if queue is None:
+            event = SimEvent(self.sim)
+            if dep is None:
+                event.succeed()
+            else:
+                self._chain(dep, event)
+            return event
+        return queue.submit(
+            self._fetch_op(device, move, nbytes, dep, label=label), label=label)
 
     # -- compute side ------------------------------------------------------------------
 
@@ -614,7 +599,7 @@ class Executor:
         for i, u in enumerate(task.microbatches):
             streams.compute.submit(mb_op(i, u), label=f"{task.label}#{i}")
         self._chain(self.sim.all_of(rt.mb_done), rt.done,
-                    notify=self._task_tick(device, task.tid, "done"))
+                    notify=self._task_tick(device, task.tid, DONE))
 
     def _submit_update(self, device: int, rt: _TaskRuntime) -> None:
         task = rt.task
@@ -639,14 +624,14 @@ class Executor:
                 self.metrics[device].compute_busy += self.sim.now - start
             trace = self.sim.trace
             if trace is not None:
-                lane = "cpu" if task.on_cpu else "compute"
+                lane = compute_lane(task)
                 trace.span("compute", task.label, start, self.sim.now,
                            device=device, lane=lane, tid=task.tid,
                            mb=0, attempt=0)
                 for i in range(len(rt.mb_done)):
                     trace.instant("task", f"mb{i}", self.sim.now,
                                   device=device, lane=lane, tid=task.tid)
-                trace.instant("task", "done", self.sim.now,
+                trace.instant("task", DONE, self.sim.now,
                               device=device, lane=lane, tid=task.tid)
             for event in rt.mb_done:
                 event.succeed()
@@ -654,7 +639,7 @@ class Executor:
 
         # CPU updates run off the GPU's compute stream so they overlap GPU
         # work; on-GPU updates occupy the compute stream like any kernel.
-        if task.on_cpu:
+        if compute_stream(task) is None:
             self.sim.process(op(), name=f"cpu-upd{task.tid}")
         else:
             streams.compute.submit(op(), label=task.label)
@@ -672,11 +657,11 @@ class Executor:
 
     def _submit_outs(self, device: int, rt: _TaskRuntime) -> None:
         task = rt.task
-        streams = self.server.streams[device]
+        queue = getattr(self.server.streams[device], OUT_STREAM)
         events: list[SimEvent] = []
         for move in task.outs:
-            if _is_per_task(move):
-                events.append(streams.swap_out.submit(
+            if per_task(move):
+                events.append(queue.submit(
                     self._out_op(device, move, move.nbytes, rt.done),
                     label=move.label,
                 ))
@@ -684,14 +669,14 @@ class Executor:
                 chunks = _chunk_sizes(move.nbytes, task.microbatches)
                 for i, chunk in enumerate(chunks):
                     label = f"{move.label}#{i}"
-                    events.append(streams.swap_out.submit(
+                    events.append(queue.submit(
                         self._out_op(device, move, chunk, rt.mb_done[i],
                                      label=label),
                         label=label,
                     ))
         gate = self.sim.all_of(events + [rt.done])
         self._chain(gate, rt.outs_flushed,
-                    notify=self._task_tick(device, task.tid, "flushed"))
+                    notify=self._task_tick(device, task.tid, FLUSHED))
 
 
 def run_phase(

@@ -9,9 +9,10 @@ validates them before writing an export:
   complete in submission order (a CUDA stream is a serial queue);
   compute attempts on one GPU never overlap;
 - **dependency order**: a task's compute begins only after the trace
-  shows its producers' completion events (per-microbatch where the
-  executor pipelines per microbatch, task-level for state, flush-level
-  for host-staged reads);
+  shows the producer events it waits on, read from
+  :mod:`repro.core.waits` (per-microbatch where the executor pipelines
+  per microbatch, task-level for state, flush-level for host swaps and
+  CPU consumers);
 - **byte reconciliation**: bytes moved by transfer spans agree with the
   run's :class:`~repro.runtime.metrics.RunMetrics` swap/p2p accounting;
 - **busy reconciliation**: compute span time agrees with the aggregate
@@ -30,12 +31,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Optional, Sequence
 
-from repro.core.taskgraph import mb_dependency
-from repro.core.types import Channel, TaskGraph, TensorKind
+from repro.core.types import TaskGraph
+from repro.core.waits import per_task, producer_wait
 from repro.trace.events import TraceEvent
 
 _EPS = 1e-9
-_PER_TASK_TENSORS = frozenset({TensorKind.W, TensorKind.DW, TensorKind.K})
 _SWAP_LANES = ("swap_in", "swap_out")
 
 
@@ -118,11 +118,11 @@ def check_dependencies(events: Sequence[TraceEvent],
                        graph: TaskGraph) -> None:
     """Every compute span starts at/after its producers' trace events.
 
-    Mirrors the executor's dependency rules
-    (:meth:`repro.runtime.executor.Executor._dep_event`): host-staged
-    reads wait for the producer's flush, state tensors for the producer's
-    completion, pipelined activations for the producing microbatch.
-    Occurrences pair up positionally across iterations.
+    Reads the Runtime's dependency rules from
+    :func:`repro.core.waits.producer_wait`, the declaration the Executor
+    runs by: a fetch waits on the producer's ``flushed`` or ``done``
+    instant, or on the ``mb<j>`` instant of the microbatch that covers
+    its chunk.  Occurrences pair up positionally across iterations.
     """
     computes = _first_attempt_computes(events)
     instants = _task_instants(events)
@@ -131,17 +131,12 @@ def check_dependencies(events: Sequence[TraceEvent],
             if move.src_task is None:
                 continue
             producer = graph[move.src_task]
-            if task.on_cpu or move.channel is Channel.SWAP:
-                self_deps = {None: "flushed"}
-            elif move.tensor in _PER_TASK_TENSORS:
-                self_deps = {None: "done"}
-            elif producer.group_samples != task.group_samples:
-                self_deps = {None: "done"}
-            else:
-                dep_map = mb_dependency(producer.microbatches,
-                                        task.microbatches)
-                self_deps = {i: f"mb{dep_map[i]}"
-                             for i in range(len(task.microbatches))}
+            mbs = ([None] if per_task(move)
+                   else range(len(task.microbatches)))
+            self_deps = {}
+            for mb in mbs:
+                wait = producer_wait(move, task, producer, mb)
+                self_deps[mb] = wait if isinstance(wait, str) else f"mb{wait}"
             for mb, dep_name in self_deps.items():
                 dep_times = instants.get((producer.tid, dep_name), [])
                 if not dep_times:

@@ -11,8 +11,10 @@ trace recorder attached and the recorded timeline re-checked.
 
 (The other direction is deliberately *not* required: static analysis is
 conservative and may reject schedules whose one concrete interleaving
-would have survived.  The injection corpus in test_inject.py pins the
-zero-false-negative side.)
+would have survived.  The zero-false-negative side of the deadlock
+pass is pinned by the seeded graph soups of test_wait_agreement.py,
+which hold its verdict to the Executor's outcome; the injection corpus
+in test_inject.py pins every other rule's.)
 """
 
 import pytest

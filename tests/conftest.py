@@ -4,7 +4,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.analysis import check, verify_graph
+from repro.analysis import STRUCTURAL_PASSES, check
 from repro.core import harmony, profiler
 from repro.core.decomposer import Decomposer
 from repro.core.profiler import Profiler
@@ -25,7 +25,8 @@ def _verify_executed_graphs(request, monkeypatch):
 
     Any schedule handed to ``Executor.run`` anywhere in the test suite
     must first pass the analyzer's structural passes (structure, deadlock,
-    dataflow, channel) in strict mode.  Capacity and ablation passes need
+    dataflow, channel) in strict mode, with the deadlock pass granting
+    the executor's own slot count.  Capacity and ablation passes need
     context a blanket hook cannot reconstruct faithfully -- dedicated
     tests cover those.  Exception: a *bound* graph (the executor's server
     carries a ``repro.virt`` DeviceBinding) additionally gets the
@@ -51,7 +52,7 @@ def _verify_executed_graphs(request, monkeypatch):
 
     def run(self, graph, iterations=1, **kwargs):
         if check_graphs:
-            verify_graph(graph)
+            check(graph, passes=STRUCTURAL_PASSES, prefetch=self.prefetch)
             binding = getattr(self.server, "binding", None)
             if binding is not None:
                 spec = self.server.spec

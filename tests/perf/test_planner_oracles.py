@@ -68,7 +68,8 @@ from repro.core.packing import (
 from repro.core.profiler import AffineFit, LayerProfile, ModelProfiles, Profiler
 from repro.core.search import ConfigurationSearch
 from repro.core.taskgraph import HarmonyGraphBuilder, mb_dependency
-from repro.core.types import Channel, TaskKind, TaskRecord, TensorKind
+from repro.core.types import Channel, TaskKind, TaskRecord
+from repro.core.waits import PER_TASK_TENSORS
 from repro.experiments.common import server_for
 from repro.graph.layer import Phase
 from repro.models.zoo import build_model
@@ -363,9 +364,6 @@ def test_packing_table_key_holds_every_argument(model, cold_stores):
 
 # -- Runtime Estimator ----------------------------------------------------------
 
-_PER_TASK_TENSORS = frozenset({TensorKind.W, TensorKind.DW, TensorKind.K})
-
-
 class NaiveEstimator(RuntimeEstimator):
     """The estimator walked chunk by chunk, with per-layer time sums
     (memoized per task shape, as the estimator always has)."""
@@ -424,7 +422,7 @@ class NaiveEstimator(RuntimeEstimator):
             state_bytes = 0
             state_dep = 0.0
             for move in task.ins:
-                if move.tensor not in _PER_TASK_TENSORS:
+                if move.tensor not in PER_TASK_TENSORS:
                     continue
                 if move.src_task is not None:
                     state_dep = max(state_dep, times[move.src_task].outs_flushed)
@@ -437,7 +435,7 @@ class NaiveEstimator(RuntimeEstimator):
             mbs = task.microbatches
             input_ready = [state_ready] * len(mbs)
             for move in task.ins:
-                if move.tensor in _PER_TASK_TENSORS:
+                if move.tensor in PER_TASK_TENSORS:
                     continue
                 chunk = move.nbytes / len(mbs) if mbs else 0.0
                 for i in range(len(mbs)):
@@ -464,7 +462,7 @@ class NaiveEstimator(RuntimeEstimator):
             for move in task.outs:
                 if move.channel is Channel.LOCAL or move.nbytes == 0:
                     continue
-                if move.tensor in _PER_TASK_TENSORS:
+                if move.tensor in PER_TASK_TENSORS:
                     begin = max(swap_out_free[d], done)
                     end = begin + self._xfer(move, move.nbytes)
                 else:
