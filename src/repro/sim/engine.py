@@ -16,6 +16,15 @@ its ``seq`` is the largest yet, so the FIFO is sorted by ``(time, seq)``
 too; each step runs the lower of the FIFO's head and the heap's.  The
 heap head wins a tie on time when it was scheduled earlier (a timeout
 due now), which is what keeps the merge equal to the single heap.
+
+The loop runs the FIFO head outright, with no comparison of the two
+heads and no clock update, whenever the heap is empty or its head is
+strictly later than now.  Every FIFO entry is due now, so then no heap
+entry can precede it in ``(time, seq)`` order and the single heap would
+pop it too.  A heap entry due now -- a timeout expiring at this
+instant, or a positive delay absorbed by a huge clock -- sends the step
+back through the general comparison above.
+
 Scheduling hops are part of that order: a timeout's waiter runs one hop
 after the timeout fires, never inside it, so same-time events interleave
 as they always have.
@@ -57,7 +66,7 @@ import heapq
 import math
 import sys
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, NoReturn, Optional
 
 from repro.common.errors import SimulationError
 
@@ -194,7 +203,13 @@ class Timeout(SimEvent):
         super().__init__(sim)
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
-        sim.schedule(delay, self.succeed)
+        # Inlined ``sim.schedule(delay, self.succeed)``.
+        sim._seq += 1
+        if delay == 0:
+            sim._fifo.append((sim._now, sim._seq, self.succeed, ()))
+        else:
+            heapq.heappush(sim._heap,
+                           (sim._now + delay, sim._seq, self.succeed, ()))
 
 
 class AllOf(SimEvent):
@@ -262,8 +277,10 @@ class Process(SimEvent):
         super().__init__(sim, name=name)
         self._body = body
         self._target: Optional[SimEvent] = None
-        sim._register_process(self)
-        sim.schedule(0.0, self._resume, None)
+        # Register, then the inlined ``sim.schedule(0.0, self._resume, None)``.
+        sim._processes[self] = None
+        sim._seq += 1
+        sim._fifo.append((sim._now, sim._seq, self._resume, (None,)))
 
     def _resume(self, _value: Any) -> None:
         """Advance the generator past its wait on ``_target`` (or start
@@ -281,14 +298,14 @@ class Process(SimEvent):
                     target = self._body.throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
-            self.sim._unregister_process(self)
+            del self.sim._processes[self]
             return
         except SimulationError:
             # Kernel-invariant violations abort the simulation outright.
             raise
         except BaseException as exc:
             self.fail(exc)
-            self.sim._unregister_process(self)
+            del self.sim._processes[self]
             return
         if not isinstance(target, SimEvent):
             raise SimulationError(
@@ -328,7 +345,8 @@ class Resource:
         event = SimEvent(self.sim)
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed()
+            # A free grant fires with no waiters: all ``succeed()`` would do.
+            event._fired = True
         else:
             self._queue.append(event)
         return event
@@ -386,7 +404,8 @@ class Simulator:
 
     @property
     def steps(self) -> int:
-        """Callbacks executed so far (the watchdog's step counter)."""
+        """Callbacks executed so far (the watchdog's step counter); the
+        count is brought up to date when :meth:`run` returns or raises."""
         return self._steps
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
@@ -413,12 +432,6 @@ class Simulator:
         """Register a generator as a process starting at the current time."""
         return Process(self, body, name=name)
 
-    def _register_process(self, process: Process) -> None:
-        self._processes[process] = None
-
-    def _unregister_process(self, process: Process) -> None:
-        self._processes.pop(process, None)
-
     def _pending_processes(self, limit: int = 8) -> str:
         pending = [p.name for p in self._processes if not p.fired]
         shown = ", ".join(repr(n) for n in pending[:limit])
@@ -432,6 +445,13 @@ class Simulator:
         self._unhandled.clear()
         raise exc
 
+    def _raise_step_limit(self, max_steps: Optional[int]) -> NoReturn:
+        raise SimulationError(
+            f"simulation exceeded {max_steps} steps without "
+            f"draining (suspected runaway or leaked process); "
+            f"pending processes: {self._pending_processes()}"
+        )
+
     def run(
         self,
         until: Optional[float] = None,
@@ -440,63 +460,82 @@ class Simulator:
     ) -> float:
         """Execute events until the heap drains (or ``until`` is reached).
 
-        ``until`` pauses quietly at the given virtual time (resumable);
-        ``max_steps`` / ``horizon`` are watchdog limits -- exceeding
-        either raises :class:`SimulationError` naming the still-pending
-        processes.  An unhandled event failure (see :meth:`SimEvent.fail`)
-        is re-raised out of this method.
+        ``until`` pauses quietly at the given virtual time (resumable); it
+        may equal the current time but not precede it.  ``max_steps`` /
+        ``horizon`` are watchdog limits -- exceeding either raises
+        :class:`SimulationError` naming the still-pending processes.  An
+        unhandled event failure (see :meth:`SimEvent.fail`) is re-raised
+        out of this method.
 
         Returns the final simulation time.
         """
         if self._unhandled:
             self._raise_unhandled()
+        now = self._now
+        if until is not None and until < now:
+            raise SimulationError(
+                f"run(until={until!r}) would rewind the clock from "
+                f"{now!r}; a pause must not precede the current time"
+            )
         # Everything the loop touches is bound to locals: it runs once per
         # scheduled callback and is re-entered thousands of times across a
-        # chaos sweep, so attribute lookups in it are measurable.
+        # chaos sweep, so attribute lookups in it are measurable.  The
+        # step count is a local too, written back however the loop ends.
         heap, fifo, unhandled = self._heap, self._fifo, self._unhandled
         heappop, popleft = heapq.heappop, fifo.popleft
         # One comparison per step guards both ``until`` and ``horizon``.
         bound = min((t for t in (until, horizon) if t is not None),
                     default=math.inf)
         limit = sys.maxsize if max_steps is None else max_steps
-        while True:
-            if fifo:
-                item = fifo[0]
-                from_heap = False
-                # Tuples compare by (time, seq): an earlier-scheduled heap
-                # entry due now still runs first.
-                if heap and heap[0] < item:
+        steps = self._steps
+        try:
+            while True:
+                # Fast path: a FIFO entry is due now, so while the heap
+                # head is strictly later the FIFO head is the lowest
+                # ``(time, seq)``, and the clock stays where it is.
+                while fifo and (not heap or heap[0][0] > now) and now <= bound:
+                    if steps >= limit:
+                        self._raise_step_limit(max_steps)
+                    item = popleft()
+                    steps += 1
+                    item[2](*item[3])
+                    if unhandled:
+                        self._raise_unhandled()
+                if fifo:
+                    item = fifo[0]
+                    from_heap = False
+                    # Tuples compare by (time, seq): an earlier-scheduled
+                    # heap entry due now still runs first.
+                    if heap and heap[0] < item:
+                        item = heap[0]
+                        from_heap = True
+                elif heap:
                     item = heap[0]
                     from_heap = True
-            elif heap:
-                item = heap[0]
-                from_heap = True
-            else:
-                return self._now
-            time = item[0]
-            if time > bound:
-                if until is not None and time > until:
-                    self._now = until
-                    return until
-                raise SimulationError(
-                    f"simulation exceeded its virtual-time horizon "
-                    f"({horizon:.6g}s) with work still pending; pending "
-                    f"processes: {self._pending_processes()}"
-                )
-            if self._steps >= limit:
-                raise SimulationError(
-                    f"simulation exceeded {max_steps} steps without "
-                    f"draining (suspected runaway or leaked process); "
-                    f"pending processes: {self._pending_processes()}"
-                )
-            if from_heap:
-                heappop(heap)
-            else:
-                popleft()
-            if time < self._now - 1e-12:
-                raise SimulationError("event heap time went backwards")
-            self._now = time
-            self._steps += 1
-            item[2](*item[3])
-            if unhandled:
-                self._raise_unhandled()
+                else:
+                    return now
+                time = item[0]
+                if time > bound:
+                    if until is not None and time > until:
+                        self._now = until
+                        return until
+                    raise SimulationError(
+                        f"simulation exceeded its virtual-time horizon "
+                        f"({horizon:.6g}s) with work still pending; pending "
+                        f"processes: {self._pending_processes()}"
+                    )
+                if steps >= limit:
+                    self._raise_step_limit(max_steps)
+                if from_heap:
+                    heappop(heap)
+                else:
+                    popleft()
+                if time < now - 1e-12:
+                    raise SimulationError("event heap time went backwards")
+                self._now = now = time
+                steps += 1
+                item[2](*item[3])
+                if unhandled:
+                    self._raise_unhandled()
+        finally:
+            self._steps = steps

@@ -41,7 +41,7 @@ from typing import Callable, Generator, Iterable, Optional
 
 from repro.common.errors import SimulationError, TransferFaultError
 from repro.common.floats import ordered_sum
-from repro.sim.engine import Resource, Simulator
+from repro.sim.engine import Resource, Simulator, Timeout
 
 
 class Link:
@@ -211,11 +211,11 @@ def transfer(
             raise fault.error
         return
     trace = sim.trace
-    requested = sim.now
+    requested = sim._now
     ordered = route.ordered
     for link in ordered:
         yield link._resource.request()
-    acquired = sim.now
+    acquired = sim._now
     bandwidth = route.bandwidth
     for link in hops:
         if link.degradation is not None:
@@ -225,25 +225,25 @@ def transfer(
     if fault is not None:
         held = duration * fault.fraction
         if held > 0:
-            yield sim.timeout(held)
+            yield Timeout(sim, held)
         for link in ordered:
             link.busy_time += held
             link._resource.release()
         if trace is not None:
             trace.span(
-                "xfer", label, acquired, sim.now,
+                "xfer", label, acquired, sim._now,
                 device=device, lane=lane, nbytes=0, links=route.names,
                 wait=acquired - requested, faulted=1,
             )
         raise fault.error
-    yield sim.timeout(duration)
+    yield Timeout(sim, duration)
     for link in ordered:
         link.bytes_moved += nbytes
         link.busy_time += duration
         link._resource.release()
     if trace is not None:
         trace.span(
-            "xfer", label, acquired, sim.now,
+            "xfer", label, acquired, sim._now,
             device=device, lane=lane, nbytes=nbytes, links=route.names,
             wait=acquired - requested,
         )

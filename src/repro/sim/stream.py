@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Generator
 
-from repro.sim.engine import SimEvent, Simulator
+from repro.sim.engine import Process, SimEvent, Simulator
 
 
 class Stream:
@@ -38,6 +38,7 @@ class Stream:
         self.lane = name.rsplit(".", 1)[-1]
         self._queue: deque[tuple[Generator, SimEvent, str]] = deque()
         self._op_name = f"{name}:op"
+        self._drain_name = f"stream:{name}"
         self._running = False
         self.busy_time = 0.0
         self._ops_done = 0
@@ -52,7 +53,7 @@ class Stream:
         self._queue.append((op, done, label))
         if not self._running:
             self._running = True
-            self.sim.process(self._drain(), name=f"stream:{self.name}")
+            Process(self.sim, self._drain(), self._drain_name)
         return done
 
     def delay(self, seconds: float, label: str = "") -> SimEvent:
@@ -88,23 +89,24 @@ class Stream:
         return self.submit(body())
 
     def _drain(self) -> Generator:
-        while self._queue:
-            op, done, label = self._queue.popleft()
-            trace = self.sim.trace
-            start = self.sim.now
+        sim, queue = self.sim, self._queue
+        while queue:
+            op, done, label = queue.popleft()
+            trace = sim.trace
+            start = sim._now
             try:
-                result = yield self.sim.process(op, name=self._op_name)
+                result = yield Process(sim, op, self._op_name)
             except Exception as exc:
                 # The op failed; fail its completion event so dependents
                 # observe the typed error, and keep serving the queue.
                 if trace is not None:
-                    trace.span("stream", label, start, self.sim.now,
+                    trace.span("stream", label, start, sim._now,
                                device=self.device, lane=self.lane, ok=0)
                 done.fail(exc)
                 continue
             self._ops_done += 1
             if trace is not None:
-                trace.span("stream", label, start, self.sim.now,
+                trace.span("stream", label, start, sim._now,
                            device=self.device, lane=self.lane, ok=1)
             done.succeed(result)
         self._running = False

@@ -126,6 +126,19 @@ class TestWatchdog:
         assert "steps" in str(err.value)
         assert "runaway-proc" in str(err.value)
 
+    @pytest.mark.parametrize("delay", [0.0, 1.0], ids=["fifo", "heap"])
+    def test_max_steps_trip_leaves_exact_step_count(self, delay):
+        sim = Simulator()
+
+        def spinner():
+            while True:
+                yield sim.timeout(delay)
+
+        sim.process(spinner(), name="runaway-proc")
+        with pytest.raises(SimulationError, match="steps"):
+            sim.run(max_steps=16)
+        assert sim.steps == 16
+
     def test_horizon_trips_on_virtual_time(self):
         sim = Simulator()
 

@@ -18,6 +18,9 @@ events that succeed or fail, ``AllOf`` gates (with duplicate
 constituents, constituents that fired before the gate was built, and
 failures among success countdowns), contended resources, joins, failing
 processes and ``run(until=...)`` pauses with work injected between them.
+They reach heap entries due now while FIFO entries wait (ties and the
+huge clock), the case the engine's FIFO fast path must leave to the
+merge.
 """
 
 from __future__ import annotations
@@ -34,13 +37,16 @@ from repro.sim.engine import Resource, SimEvent, Simulator
 
 
 class _OnTheHeap:
-    """Stands in for the FIFO: every zero-delay entry goes on the heap."""
+    """Stands in for the FIFO: every zero-delay entry goes on the heap,
+    and its ``seq`` is kept in ``pending`` until it runs."""
 
     def __init__(self, heap: list) -> None:
         self.heap = heap
+        self.pending: set[int] = set()
 
     def append(self, entry: tuple) -> None:
         heapq.heappush(self.heap, entry)
+        self.pending.add(entry[1])
 
 
 class HopAllOf(SimEvent):
@@ -94,7 +100,8 @@ class HeapSimulator(Simulator):
 
     def __init__(self) -> None:
         super().__init__()
-        self._fifo = _OnTheHeap(self._heap)  # type: ignore[assignment]
+        self.zero_delay = _OnTheHeap(self._heap)
+        self._fifo = self.zero_delay  # type: ignore[assignment]
         #: Hops the engine's countdown drops: success countdowns that do
         #: not fire their gate.
         self.non_final = 0
@@ -121,6 +128,13 @@ class HeapSimulator(Simulator):
             if max_steps is not None and self._steps >= max_steps:
                 raise SimulationError("max_steps")
             heappop(heap)
+            zero_delay = self.zero_delay.pending
+            if _seq in zero_delay:
+                zero_delay.remove(_seq)
+            elif zero_delay:
+                # A heap entry due now runs ahead of FIFO entries: the
+                # engine's FIFO fast path must hand this step back.
+                self.cases.add("due-now")
             if time < self._now - 1e-12:
                 raise SimulationError("event heap time went backwards")
             self._now = time
@@ -298,5 +312,25 @@ def test_soups_reach_the_interesting_cases():
             seen.add("huge")
     assert seen == {"caught", "unhandled", "granted", "joined", "got",
                     "injected", ":cb", "ties", "huge", "prefired",
-                    "duplicate", "failure-after-countdown"}
+                    "duplicate", "failure-after-countdown", "due-now"}
     assert dropped > 0
+
+
+def test_unhandled_failure_from_a_fifo_callback_keeps_the_step_count():
+    """The engine counts steps in a local; a failure escaping ``run``
+    from a zero-delay callback still leaves the reference's count."""
+
+    def steps_at_failure(sim: Simulator) -> int:
+        def body():
+            yield sim.timeout(0.0)
+            yield sim.timeout(0.0)
+            sim.event("orphan").fail(SoupError("lost"))
+            yield sim.timeout(1.0)
+
+        sim.process(body(), name="p")
+        with pytest.raises(SoupError, match="lost"):
+            sim.run()
+        return sim.steps
+
+    assert steps_at_failure(Simulator()) == steps_at_failure(HeapSimulator())
+    assert steps_at_failure(Simulator()) == 5

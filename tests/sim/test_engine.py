@@ -44,6 +44,16 @@ class TestSimulatorBasics:
         assert seen == [1]
         assert sim.now == 2.0
 
+    def test_run_until_before_now_is_rejected(self, sim):
+        sim.schedule(5.0, lambda: None)
+        sim.schedule(10.0, lambda: None)
+        assert sim.run(until=5.0) == 5.0
+        with pytest.raises(SimulationError, match=r"until=3\.0.*from 5\.0"):
+            sim.run(until=3.0)
+        assert sim.now == 5.0
+        assert sim.run(until=5.0) == 5.0  # an equal pause stays quiet
+        assert sim.run() == 10.0
+
     def test_callbacks_can_schedule_more(self, sim):
         seen = []
         sim.schedule(1.0, lambda: sim.schedule(1.0, lambda: seen.append(sim.now)))
