@@ -11,15 +11,15 @@ Profiler's *regressed* layer times rather than true kernel times, and it
 ignores cross-GPU link contention -- which is why Figure 14 compares its
 estimates against actual (fully simulated) runs and finds them close but
 not identical.  Being contention-free and allocation-free, it scores a
-candidate in about 0.18 ms (traced ``bench/run.py --workload plan-zoo``,
-median of six runs: ~11.8 ms of estimator self time per plan over ~65
+candidate in about 0.13 ms (traced ``bench/run.py --workload plan-zoo``,
+median of three runs: ~8.6 ms of estimator self time per plan over ~65
 candidates, Python 3.11 on a shared 2-vCPU x86 host), cheap enough for
 the sweep of Algorithm 1.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.profiler import ModelProfiles
 from repro.core.taskgraph import mb_dependency
@@ -40,12 +40,6 @@ _AnyTask = Union[Task, TaskRecord]
 
 _PHASES = {TaskKind.FWD: Phase.FWD, TaskKind.BWD: Phase.BWD,
            TaskKind.UPD: Phase.UPD}
-
-
-class _TaskTimes(NamedTuple):
-    mb_done: list[float]
-    done: float
-    outs_flushed: float
 
 
 def _dep_map(src_sizes: tuple[int, ...],
@@ -87,6 +81,10 @@ class RuntimeEstimator:
         # (producer sizes, consumer sizes) -> per-chunk producer index, or
         # None when the two granularities cover different samples.
         self._dep_maps: dict[tuple, Optional[tuple[int, ...]]] = {}
+        # (first, last, FLOPs, on CPU, device count) -> an update's
+        # ``update_time``: the key holds everything it reads, and a graph
+        # may span fewer devices than the server.
+        self._update_times: dict[tuple, float] = {}
 
     # -- task timing from regressed profiles -------------------------------------
 
@@ -138,9 +136,9 @@ class RuntimeEstimator:
 
         Each move's chunk dependencies, chunk transfer time and lane are
         worked out once per move, and a task's per-microbatch durations
-        once per search for each task shape; the per-chunk ``max``/``+``
-        sequence is the same as a chunk-by-chunk walk, so every estimate
-        is bit-identical to it.
+        (an update's duration) once per search for each task shape; the
+        per-chunk ``max``/``+`` sequence is the same as a chunk-by-chunk
+        walk, so every estimate is bit-identical to it.
         """
         if isinstance(schedule, TaskGraph):
             n = schedule.n_devices
@@ -157,25 +155,66 @@ class RuntimeEstimator:
         cpu_free = [0.0] * n
         prev_compute_done = [0.0] * n
 
-        times: list[_TaskTimes] = []
+        # The timeline so far, per tid: each microbatch's compute end, the
+        # compute end and the time the task's outputs are flushed.
+        mb_dones: list[Sequence[float]] = []
+        dones: list[float] = []
+        flushes: list[float] = []
         finish = 0.0
 
         # Hot loop: lookups are bound to locals, and the move helpers
-        # (``_xfer``, the tensor test, chunk dependencies) are inlined.
+        # (``_xfer``, the tensor test, chunk dependencies) and update
+        # timing are inlined.  Each ``max(a, b)`` is spelled as a compare,
+        # ``if b > a: a = b``: ties keep the first operand, as ``max`` does.
         prefetch = self.prefetch
         swap_bw, p2p_bw, relay = self._swap_bw, self._p2p_bw, self._relay
         dep_maps, mb_times = self._dep_maps, self._mb_times
+        update_times = self._update_times
         UPD, BWD = TaskKind.UPD, TaskKind.BWD
         W, DW, K = TensorKind.W, TensorKind.DW, TensorKind.K
         LOCAL, SWAP, P2P, MSG = Channel.LOCAL, Channel.SWAP, Channel.P2P, Channel.MSG
 
         for task in tasks:
-            (kind, d, first, last, mbs, fused, recompute, _, _, ins, outs,
-             _, _) = task
+            (kind, d, first, last, mbs, fused, recompute, on_cpu, flops, ins,
+             outs, _, _) = task
             if kind is UPD:
-                tt = self._estimate_update(task, times, cpu_free, compute_free)
-                times.append(tt)
-                finish = max(finish, tt.outs_flushed)
+                # After every producer's flush; offloaded updates run on
+                # the host lane, GPU-side ones swap their state through
+                # the compute lane.
+                dep = 0.0
+                for _, _, _, src, _ in ins:
+                    if src is not None and flushes[src] > dep:
+                        dep = flushes[src]
+                key = (first, last, flops, on_cpu, n)
+                duration = update_times.get(key)
+                if duration is None:
+                    duration = update_times[key] = self.update_time(task, n)
+                if on_cpu:
+                    end = cpu_free[d]
+                    if dep > end:
+                        end = dep
+                    end = cpu_free[d] = end + duration
+                else:
+                    # Moves via host (``Channel.via_host``: neither LOCAL
+                    # nor P2P) cross PCIe before and after the step.
+                    host_in = host_out = 0
+                    for _, channel, nbytes, _, _ in ins:
+                        if channel is not LOCAL and channel is not P2P:
+                            host_in += nbytes
+                    for _, channel, nbytes, _, _ in outs:
+                        if channel is not LOCAL and channel is not P2P:
+                            host_out += nbytes
+                    end = compute_free[d]
+                    dep += host_in / swap_bw
+                    if dep > end:
+                        end = dep
+                    end = compute_free[d] = (end + duration
+                                             + host_out / swap_bw)
+                mb_dones.append((end,))
+                dones.append(end)
+                flushes.append(end)
+                if end > finish:
+                    finish = end
                 continue
 
             fetch_floor = 0.0 if prefetch else prev_compute_done[d]
@@ -190,25 +229,28 @@ class RuntimeEstimator:
                 if not (tensor is W or tensor is DW or tensor is K):
                     chunked.append(move)
                     continue
-                if src is not None and times[src].outs_flushed > state_dep:
-                    state_dep = times[src].outs_flushed
+                if src is not None and flushes[src] > state_dep:
+                    state_dep = flushes[src]
                 if channel is not LOCAL:
                     state_bytes += nbytes
-            start = max(swap_in_free[d], state_dep, fetch_floor)
+            start = swap_in_free[d]
+            if state_dep > start:
+                start = state_dep
+            if fetch_floor > start:
+                start = fetch_floor
             state_ready = start + state_bytes / swap_bw
             swap_in_free[d] = state_ready
 
             # Per-microbatch chunks wait on the producer's flush (swap),
             # its last microbatch (mismatched granularities) or the
-            # microbatch completing their samples.  The hot loops spell
-            # ``max(a, b)`` as ``b if b > a else a``, ties included.
+            # microbatch completing their samples.
             n_mb = len(mbs)
             input_ready = [state_ready] * n_mb
             for _, channel, nbytes, src, _ in chunked:
                 if src is None:
-                    deps = [0.0] * n_mb
+                    deps: Sequence[float] = (0.0,) * n_mb
                 elif channel is SWAP:
-                    deps = [times[src].outs_flushed] * n_mb
+                    deps = (flushes[src],) * n_mb
                 else:
                     # Pure in the two size tuples, which recur across
                     # chunks and candidates, so memoized.
@@ -217,14 +259,15 @@ class RuntimeEstimator:
                         dep_map = dep_maps[key]
                     except KeyError:
                         dep_map = dep_maps[key] = _dep_map(*key)
-                    producer = times[src]
                     if dep_map is None:
-                        deps = [producer.done] * n_mb
+                        deps = (dones[src],) * n_mb
                     else:
-                        mb_done = producer.mb_done
+                        mb_done = mb_dones[src]
                         deps = [mb_done[j] for j in dep_map]
                 if channel is LOCAL:
-                    input_ready = list(map(max, input_ready, deps))
+                    for i, dep in enumerate(deps):
+                        if dep > input_ready[i]:
+                            input_ready[i] = dep
                     continue
                 chunk = int(nbytes / n_mb)
                 lane = p2p_free if channel is P2P else swap_in_free
@@ -245,8 +288,9 @@ class RuntimeEstimator:
             key = (first, last, bwd, bwd and (fused or recompute), mbs)
             durations = mb_times.get(key)
             if durations is None:
-                durations = mb_times[key] = tuple(
-                    [self.mb_time(task, u) for u in mbs])
+                # A group holds at most two sizes: time each once.
+                timed = {u: self.mb_time(task, u) for u in set(mbs)}
+                durations = mb_times[key] = tuple([timed[u] for u in mbs])
             end = compute_free[d]
             mb_done = []
             for duration, ready in zip(durations, input_ready):
@@ -254,11 +298,9 @@ class RuntimeEstimator:
                     end = ready
                 end += duration
                 mb_done.append(end)
-            compute_free[d] = end
-            done = end
-            prev_compute_done[d] = done
+            compute_free[d] = prev_compute_done[d] = done = end
 
-            outs_flushed = done
+            flushed = done
             for tensor, channel, nbytes, src, _ in outs:
                 if channel is LOCAL or nbytes == 0:
                     continue
@@ -267,42 +309,24 @@ class RuntimeEstimator:
                     nbytes = int(nbytes / n_mb)
                 xfer = (nbytes * relay if channel is MSG and src is not None
                         else nbytes / (p2p_bw if channel is P2P else swap_bw))
+                end = swap_out_free[d]
                 if per_task:
-                    end = max(swap_out_free[d], done) + xfer
+                    if done > end:
+                        end = done
+                    end += xfer
                 else:
-                    end = swap_out_free[d]
                     for mb_end in mb_done:
                         if mb_end > end:
                             end = mb_end
                         end += xfer
                 swap_out_free[d] = end
-                outs_flushed = max(outs_flushed, end)
+                if end > flushed:
+                    flushed = end
 
-            times.append(_TaskTimes(mb_done, done, outs_flushed))
-            finish = max(finish, outs_flushed)
+            mb_dones.append(mb_done)
+            dones.append(done)
+            flushes.append(flushed)
+            if flushed > finish:
+                finish = flushed
 
         return finish
-
-    def _estimate_update(self, task: TaskRecord, times: list[_TaskTimes],
-                         cpu_free: list[float], compute_free: list[float]) -> _TaskTimes:
-        d = task.device
-        dep = 0.0
-        for move in task.ins:
-            if move.src_task is not None:
-                dep = max(dep, times[move.src_task].outs_flushed)
-        duration = self.update_time(task, n_gpus=len(cpu_free))
-        if task.on_cpu:
-            begin = max(cpu_free[d], dep)
-            end = begin + duration
-            cpu_free[d] = end
-        else:
-            swap_bytes = sum(
-                m.nbytes for m in task.ins if m.channel.via_host
-            )
-            out_bytes = sum(
-                m.nbytes for m in task.outs if m.channel.via_host
-            )
-            begin = max(compute_free[d], dep + swap_bytes / self._swap_bw)
-            end = begin + duration + out_bytes / self._swap_bw
-            compute_free[d] = end
-        return _TaskTimes([end], end, end)

@@ -74,6 +74,7 @@ class HarmonyOptions:
                 f"analyze must be 'off', 'warn' or 'strict', "
                 f"got {self.analyze!r}"
             )
+        self.search_settings()  # validates the search knobs
 
     def schedule_options(self) -> ScheduleOptions:
         return ScheduleOptions(

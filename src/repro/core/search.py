@@ -45,6 +45,18 @@ class SearchSettings:
     # the forward pass instead of searching them independently.
     equi_fb: bool = False
 
+    def __post_init__(self) -> None:
+        if self.u_fmax < 1 or self.u_bmax < 1:
+            raise SchedulingError(
+                f"microbatch size limits must be at least 1, got "
+                f"u_fmax={self.u_fmax}, u_bmax={self.u_bmax}"
+            )
+        if not 0.0 < self.capacity_fraction <= 1.0:
+            raise SchedulingError(
+                f"capacity_fraction must be in (0, 1], got "
+                f"{self.capacity_fraction}"
+            )
+
 
 @dataclass(frozen=True)
 class Explored:
@@ -181,10 +193,14 @@ class ConfigurationSearch:
         return candidates
 
     def _enumerate_candidates(self) -> list[Configuration]:
-        """Lines 1-8 of Algorithm 1: the deduplicated candidate four-tuples,
-        in the exact order the original nested sweep visited them.  Packing
-        (Algorithm 2) runs here, memoized; the per-candidate schedule
-        emission + estimate runs in :meth:`search`."""
+        """Lines 1-8 of Algorithm 1: the candidate four-tuples, in the exact
+        order the original nested sweep visited them.  Packing (Algorithm
+        2) runs here, memoized; the per-candidate schedule emission +
+        estimate runs in :meth:`search`.
+
+        No four-tuple repeats: each ``u_b`` is visited once, its rounded
+        backward packing differs in length from the default, and so does a
+        forward variant (it is kept only at its wanted length)."""
         local = self.minibatch
         if self.options.mode == "dp":
             if self.minibatch % self.server.n_gpus:
@@ -199,16 +215,11 @@ class ConfigurationSearch:
                                 self.settings.exhaustive)
 
         candidates: list[Configuration] = []
-        seen: set[tuple] = set()
         for u_b in u_bs:
             for packs_b in self._backward_candidates(u_b):
                 forward_candidates = [u_b] if self.settings.equi_fb else u_fs
                 for u_f in forward_candidates:
                     for packs_f in self._forward_candidates(u_f, packs_b):
-                        key = (u_f, packs_f, u_b, packs_b)
-                        if key in seen:
-                            continue
-                        seen.add(key)
                         candidates.append(Configuration(
                             u_f=u_f, packs_f=packs_f,
                             u_b=u_b, packs_b=packs_b,

@@ -45,6 +45,7 @@ from repro.core.types import (
     TaskRecord,
     TensorKind,
 )
+from repro.graph.layer import Phase
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,6 @@ def mb_dependency(producer_sizes: tuple[int, ...], consumer_sizes: tuple[int, ..
 #: One task's microbatch group: its sizes, its sample count, its largest size.
 _Group = tuple[tuple[int, ...], int, int]
 
-#: The producers of a chain-head activation: the tid of their first task
-#: (a pass's tasks are consecutive) and the microbatch size they ran at.
-_Producers = tuple[int, int]
-
 _K = TypeVar("_K")
 _V = TypeVar("_V")
 
@@ -117,16 +114,25 @@ class _Table(dict[_K, _V]):
 
 class _PackParts:
     """What every task of one pack needs and no candidate changes: its
-    label, its boundary activation sizes and its weights' in-move."""
+    labels, its boundary activation sizes, its weights' in-move and its
+    gradients' out-move."""
 
-    __slots__ = ("name", "w_in", "in_per_sample", "out_per_sample")
+    __slots__ = ("name", "w_in", "dw_out", "in_per_sample", "out_per_sample",
+                 "fwd", "bwd", "fused", "upd", "x", "ckpt", "dy")
 
     def __init__(self, profiles: ModelProfiles, pack: Pack):
         name = self.name = str(pack)
-        self.w_in = MoveRecord(TensorKind.W, Channel.SHM,
-                               profiles.pack_param_bytes(pack), None, f"W{name}")
+        param = profiles.pack_param_bytes(pack)
+        self.w_in = MoveRecord(TensorKind.W, Channel.SHM, param, None,
+                               "W" + name)
+        # A backward task's gradients out, to the host optimizer.
+        self.dw_out = MoveRecord(TensorKind.DW, Channel.SWAP, param, None,
+                                 "dW" + name)
         self.in_per_sample = profiles.boundary_in_bytes(pack, 1)
         self.out_per_sample = profiles.boundary_out_bytes(pack, 1)
+        self.fwd, self.bwd, self.fused, self.upd = (
+            "F" + name, "B" + name, "FB" + name, "U" + name)
+        self.x, self.ckpt, self.dy = "X" + name, "ckpt" + name, "dY" + name
 
 
 def _task_groups(total: int, u: int, grouping: bool) -> tuple[_Group, ...]:
@@ -136,12 +142,6 @@ def _task_groups(total: int, u: int, grouping: bool) -> tuple[_Group, ...]:
     sizes = microbatch_group(total, u)
     split = [sizes] if grouping else [(size,) for size in sizes]
     return tuple((group, sum(group), max(group)) for group in split)
-
-
-def _dw_out(profiles: ModelProfiles, pack: Pack) -> MoveRecord:
-    """A backward task's gradients out, to the host optimizer."""
-    return MoveRecord(TensorKind.DW, Channel.SWAP,
-                      profiles.pack_param_bytes(pack), None, f"dW{pack}")
 
 
 def _optimizer_moves(profiles: ModelProfiles,
@@ -163,20 +163,28 @@ class _ScheduleMemo:
     code, which would cost about what the memo saves.  It grows with the
     packs, microbatch sizes and task counts a search visits, not with its
     candidates.  Chain activations depend on the candidate and are not
-    kept; resident bytes come from the profiles' ``(phase, u)`` tables.
+    kept; footprints are read off the profiles' own ``(phase, u)``
+    memory prefixes, which are bound here, not copied.
     """
 
     def __init__(self, profiles: ModelProfiles, grouping: bool) -> None:
-        # (first, last) -> the pack's label, boundary sizes and W in
+        # (first, last) -> the pack's labels, boundary sizes, W in, dW out
         self.packs: _Table[tuple[int, int], _PackParts] = _Table(
             lambda span: _PackParts(profiles, Pack(*span)))
-        # (first, last) -> the gradients' out-move
-        self.dw_outs: _Table[tuple[int, int], MoveRecord] = _Table(
-            lambda span: _dw_out(profiles, Pack(*span)))
         # (first, last) -> a GPU-side update's K in, W' and K' out
         self.optimizer_moves: _Table[
             tuple[int, int], tuple[MoveRecord, MoveRecord, MoveRecord]
         ] = _Table(lambda span: _optimizer_moves(profiles, Pack(*span)))
+        # (first, last) -> the FLOPs of the pack's optimizer step
+        self.update_flops: _Table[tuple[int, int], float] = _Table(
+            lambda span: profiles.pack_update_flops(Pack(*span)))
+        # u -> the FWD / BWD memory prefix at u: a task's footprint is
+        # ``prefix[last + 1] - prefix[first]`` (``pack_fwd_memory``,
+        # ``pack_bwd_memory``)
+        self.fwd_memory: _Table[int, list[int]] = _Table(
+            lambda u: profiles._mem_prefix(Phase.FWD, u))
+        self.bwd_memory: _Table[int, list[int]] = _Table(
+            lambda u: profiles._mem_prefix(Phase.BWD, u))
         # (total samples, u) -> the task groups of one pass
         groups: _Table[tuple[int, int], tuple[_Group, ...]] = _Table(
             lambda key: _task_groups(*key, grouping))
@@ -270,16 +278,6 @@ class HarmonyGraphBuilder:
 
     # -- shared emission helpers -------------------------------------------------
 
-    def _sources(self, producers: Optional[_Producers], total: int,
-                 u: int) -> list[Optional[int]]:
-        """For each task group of a pass at ``u``, the producer task whose
-        completion covers its samples (None without producers)."""
-        if producers is None:
-            return [None] * len(self._memo.groups[total, u])
-        first_tid, producer_u = producers
-        return [first_tid + index
-                for index in self._memo.covering[total, producer_u, u]]
-
     @staticmethod
     def _stash_boundaries(fwd_packs: tuple[Pack, ...],
                           bwd_packs: tuple[Pack, ...]) -> list[tuple[int, ...]]:
@@ -301,41 +299,44 @@ class HarmonyGraphBuilder:
     def _emit_pp(self, config: Configuration) -> list[TaskRecord]:
         opts = self.options
         memo = self._memo
+        n_gpus = self.n_gpus
         records: list[TaskRecord] = []
         total = self.minibatch
+        groups_f = memo.groups[total, config.u_f]
+        groups_b = memo.groups[total, config.u_b]
+        act_cover = memo.covering[total, config.u_f, config.u_b]
         chain = Channel.P2P if opts.p2p else Channel.MSG
 
         fuse_last = opts.jit and config.jit_compute_aligned
         fwd_packs = config.packs_f[:-1] if fuse_last else config.packs_f
         wrap = 0  # wrap-around device index, advances once per pack
-        stash_by_boundary: dict[int, _Producers] = {}
-        prev_act: Optional[_Producers] = None
+        stash_by_boundary: dict[int, int] = {}
+        prev_act: Optional[int] = None
 
         stashes = self._stash_boundaries(fwd_packs, config.packs_b)
         for pack, boundaries in zip(fwd_packs, stashes):
             parts = memo.packs[pack.first, pack.last]
-            producers = (len(records), config.u_f)
-            self._emit_fwd(records, pack, parts, wrap % self.n_gpus, total,
-                           config.u_f, prev_act, chain, boundaries,
-                           "F" + parts.name)
+            producer = len(records)
+            self._emit_fwd(records, pack, parts, wrap % n_gpus, groups_f,
+                           prev_act, chain, boundaries, parts.fwd)
             wrap += 1
-            prev_act = producers
+            prev_act = producer
             for boundary in boundaries:
-                stash_by_boundary[boundary] = producers
+                stash_by_boundary[boundary] = producer
 
-        prev_bwd: Optional[_Producers] = None
+        prev_bwd: Optional[int] = None
         updates: list[tuple[Pack, _PackParts, int, int]] = []
         for pos, pack in enumerate(reversed(config.packs_b)):
             parts = memo.packs[pack.first, pack.last]
             fused = fuse_last and pos == 0
-            producers = (len(records), config.u_b)
-            device = wrap % self.n_gpus
-            self._emit_bwd(records, pack, parts, device, total, config.u_b,
-                           fused, prev_act, prev_bwd,
+            producer = len(records)
+            device = wrap % n_gpus
+            self._emit_bwd(records, pack, parts, device, groups_b,
+                           act_cover, fused, prev_act, prev_bwd,
                            stash_by_boundary.get(pack.first), chain, chain,
-                           ("FB" if fused else "B") + parts.name)
+                           parts.fused if fused else parts.bwd)
             wrap += 1
-            prev_bwd = producers
+            prev_bwd = producer
             update = (pack, parts, len(records) - 1, device)
             if opts.jit:
                 self._emit_update(records, *update)
@@ -357,6 +358,9 @@ class HarmonyGraphBuilder:
             )
         share = self.minibatch // self.n_gpus
         records: list[TaskRecord] = []
+        groups_f = memo.groups[share, config.u_f]
+        groups_b = memo.groups[share, config.u_b]
+        act_cover = memo.covering[share, config.u_f, config.u_b]
 
         fuse_last = opts.jit and config.jit_compute_aligned
         fwd_packs = config.packs_f[:-1] if fuse_last else config.packs_f
@@ -367,35 +371,35 @@ class HarmonyGraphBuilder:
         bwd_tail: dict[tuple[int, int], int] = {}  # (gpu, pack pos) -> tid
         for gpu in range(self.n_gpus):
             at_gpu = f"@g{gpu}"
-            stash_by_boundary: dict[int, _Producers] = {}
-            prev_act: Optional[_Producers] = None
+            stash_by_boundary: dict[int, int] = {}
+            prev_act: Optional[int] = None
             prev_spilled = False
             for pack, boundaries in zip(fwd_packs, stashes):
                 parts = memo.packs[pack.first, pack.last]
-                producers = (len(records), config.u_f)
+                producer = len(records)
                 self._emit_fwd(
-                    records, pack, parts, gpu, share, config.u_f, prev_act,
+                    records, pack, parts, gpu, groups_f, prev_act,
                     Channel.MSG if prev_spilled else Channel.LOCAL,
-                    boundaries, "F" + parts.name + at_gpu,
+                    boundaries, parts.fwd + at_gpu,
                 )
-                prev_act = producers
+                prev_act = producer
                 for boundary in boundaries:
-                    stash_by_boundary[boundary] = producers
+                    stash_by_boundary[boundary] = producer
                 prev_spilled = parts.out_per_sample * share > budget
 
-            prev_bwd: Optional[_Producers] = None
+            prev_bwd: Optional[int] = None
             for pos, pack in enumerate(reversed(bwd_packs)):
                 parts = memo.packs[pack.first, pack.last]
                 fused = fuse_last and pos == 0
-                producers = (len(records), config.u_b)
+                producer = len(records)
                 self._emit_bwd(
-                    records, pack, parts, gpu, share, config.u_b, fused,
+                    records, pack, parts, gpu, groups_b, act_cover, fused,
                     prev_act, prev_bwd, stash_by_boundary.get(pack.first),
                     Channel.LOCAL,
                     Channel.MSG if prev_spilled else Channel.LOCAL,
-                    ("FB" if fused else "B") + parts.name + at_gpu,
+                    (parts.fused if fused else parts.bwd) + at_gpu,
                 )
-                prev_bwd = producers
+                prev_bwd = producer
                 bwd_tail[(gpu, pos)] = len(records) - 1
 
         # One (reduced) weight update per pack, spread across runtimes.
@@ -413,9 +417,8 @@ class HarmonyGraphBuilder:
         pack: Pack,
         parts: _PackParts,
         device: int,
-        total: int,
-        u: int,
-        prev_act: Optional[_Producers],
+        groups: tuple[_Group, ...],
+        prev_act: Optional[int],
         chain_channel: Channel,
         boundaries: tuple[int, ...],
         label: str,
@@ -423,26 +426,32 @@ class HarmonyGraphBuilder:
         """The forward task(s) of ``pack``: weights in, the chain-head
         activation (or the host input data) in, checkpoints out.
 
+        ``prev_act`` is the tid of the previous pack's first task (a
+        pack's tasks are consecutive); it ran at the same microbatch
+        size, so group ``i`` reads its group ``i``.
+
         Host-routed chains (message passing: the p2p ablation, or a DP
         boundary spilled to host) are executed by the Runtime as a two-hop
         relay -- producer GPU to host staging to consumer GPU -- so the
         activation crosses PCIe twice and pays the host copy.
         """
         memo = self._memo
-        sources = self._sources(prev_act, total, u)
-        for (sizes, samples, umax), src in zip(memo.groups[total, u], sources):
-            if pack.first == 0:
+        first, last = pack.first, pack.last
+        footprints = memo.fwd_memory
+        for i, (sizes, samples, umax) in enumerate(groups):
+            if first == 0:
                 x_in = memo.inputs[samples]
             else:
-                x_in = MoveRecord(TensorKind.X, chain_channel,
-                                  parts.in_per_sample * samples, src,
-                                  "X" + parts.name)
+                x_in = MoveRecord(
+                    TensorKind.X, chain_channel, parts.in_per_sample * samples,
+                    None if prev_act is None else prev_act + i, parts.x)
+            prefix = footprints[umax]
             records.append(TaskRecord(
-                TaskKind.FWD, device, pack.first, pack.last, sizes,
+                TaskKind.FWD, device, first, last, sizes,
                 False, True, False, 0.0,
                 [parts.w_in, x_in],
                 [memo.ckpt_outs[b, samples] for b in boundaries],
-                self.profiles.pack_fwd_memory(pack, umax), label,
+                prefix[last + 1] - prefix[first], label,
             ))
 
     def _emit_bwd(
@@ -451,12 +460,12 @@ class HarmonyGraphBuilder:
         pack: Pack,
         parts: _PackParts,
         device: int,
-        total: int,
-        u: int,
+        groups: tuple[_Group, ...],
+        act_cover: tuple[int, ...],
         fused: bool,
-        prev_act: Optional[_Producers],
-        prev_bwd: Optional[_Producers],
-        stash: Optional[_Producers],
+        prev_act: Optional[int],
+        prev_bwd: Optional[int],
+        stash: Optional[int],
         chain_channel: Channel,
         fused_channel: Channel,
         label: str,
@@ -465,40 +474,46 @@ class HarmonyGraphBuilder:
         forward input (jit-compute: the task runs forward+backward on the
         previous forward pack's output, or on the host input data when
         the fused pack is the whole model) or the stashed checkpoint plus
-        the upstream gradient; gradients out."""
+        the upstream gradient; gradients out.
+
+        Producers are tids of a pack's first task.  Group ``i``'s
+        activation or checkpoint comes from that forward pack's group
+        ``act_cover[i]``, the one covering its samples; its upstream
+        gradient from ``prev_bwd``'s group ``i``, which ran at the same
+        microbatch size."""
         opts = self.options
         memo = self._memo
+        first, last = pack.first, pack.last
         # Gradients leave for the host optimizer (or for the late update
         # when jit is off); with a GPU-side jit update they stay resident.
-        dw_out = ([memo.dw_outs[pack.first, pack.last]]
+        dw_out = ([parts.dw_out]
                   if opts.offload_optimizer or not opts.jit else [])
-        groups = memo.groups[total, u]
-        from_input = fused and (pack.first == 0 or prev_act is None)
-        if fused:
-            sources = self._sources(None if from_input else prev_act, total, u)
-        else:
-            sources = self._sources(stash, total, u)
-            dy_sources = self._sources(prev_bwd, total, u)
+        from_input = fused and (first == 0 or prev_act is None)
+        # The forward producer: the fused pack's input, or the stash.
+        act = prev_act if fused else stash
+        footprints = memo.bwd_memory
         for i, (sizes, samples, umax) in enumerate(groups):
             ins = [parts.w_in]
+            src = None if act is None else act + act_cover[i]
             if from_input:
                 ins.append(memo.inputs[samples])
             elif fused:
                 ins.append(MoveRecord(TensorKind.X, fused_channel,
-                                      parts.in_per_sample * samples,
-                                      sources[i], "X" + parts.name))
+                                      parts.in_per_sample * samples, src,
+                                      parts.x))
             else:
                 ins.append(MoveRecord(TensorKind.CKPT, Channel.SWAP,
-                                      parts.in_per_sample * samples,
-                                      sources[i], "ckpt" + parts.name))
+                                      parts.in_per_sample * samples, src,
+                                      parts.ckpt))
                 if prev_bwd is not None:
                     ins.append(MoveRecord(TensorKind.DY, chain_channel,
                                           parts.out_per_sample * samples,
-                                          dy_sources[i], "dY" + parts.name))
+                                          prev_bwd + i, parts.dy))
+            prefix = footprints[umax]
             records.append(TaskRecord(
-                TaskKind.BWD, device, pack.first, pack.last, sizes,
+                TaskKind.BWD, device, first, last, sizes,
                 fused, True, False, 0.0, ins, list(dw_out),
-                self.profiles.pack_bwd_memory(pack, umax), label,
+                prefix[last + 1] - prefix[first], label,
             ))
 
     def _emit_update(
@@ -514,6 +529,7 @@ class HarmonyGraphBuilder:
         profiles = self.profiles
         memo = self._memo
         on_cpu = opts.offload_optimizer
+        span = pack.first, pack.last
         ins = [memo.dep_links[dep] for dep in (src_bwd, *extra_deps)]
         outs: list[MoveRecord] = []
         resident = 0
@@ -523,15 +539,13 @@ class HarmonyGraphBuilder:
                 # late update must swap everything back in (the paper's
                 # "unnecessary swaps").
                 ins.append(parts.w_in)
-                ins.append(MoveRecord(TensorKind.DW, Channel.SWAP,
-                                      parts.w_in.nbytes, src_bwd,
-                                      "dW" + parts.name))
-            k_in, w_out, k_out = memo.optimizer_moves[pack.first, pack.last]
+                ins.append(parts.dw_out._replace(src_task=src_bwd))
+            k_in, w_out, k_out = memo.optimizer_moves[span]
             ins.append(k_in)
             outs += (w_out, k_out)
             resident = (2 + profiles.optimizer_slots) * parts.w_in.nbytes
         records.append(TaskRecord(
             TaskKind.UPD, device, pack.first, pack.last, (1,),
-            False, True, on_cpu, profiles.pack_update_flops(pack), ins, outs,
-            resident, "U" + parts.name,
+            False, True, on_cpu, memo.update_flops[span], ins, outs,
+            resident, parts.upd,
         ))

@@ -107,7 +107,7 @@ FLOAT_SUM_PACKAGES = (Path("repro/core"), Path("repro/trace"), Path("repro/runti
 #: The functions in those packages whose builtin ``sum`` adds only ints
 #: (or bools), reviewed one by one: an int ``sum`` is exact everywhere.
 INTEGER_SUMS = {
-    Path("repro/core/estimator.py"): ("_dep_map", "_estimate_update"),
+    Path("repro/core/estimator.py"): ("_dep_map",),
     Path("repro/core/profiler.py"): ("pack_memory_naive", "total_param_bytes"),
     Path("repro/core/taskgraph.py"): ("mb_dependency", "_task_groups"),
     Path("repro/core/types.py"): ("group_samples", "global_swap_bytes", "p2p_bytes",

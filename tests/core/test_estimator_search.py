@@ -1,5 +1,7 @@
 """Tests for the Runtime Estimator and the Configuration Search Engine."""
 
+import itertools
+
 import pytest
 
 from repro.core.config import Configuration
@@ -132,3 +134,62 @@ class TestSearch:
         )
         with pytest.raises(InfeasibleConfigError):
             search.search()
+
+
+class TestSearchSettings:
+    """Out-of-range search knobs fail typed, at construction, instead of
+    deep inside Algorithm 2 or as an infeasible search."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("u_fmax", 0), ("u_bmax", 0), ("u_bmax", -3),
+        ("capacity_fraction", 0.0), ("capacity_fraction", -0.5),
+        ("capacity_fraction", 1.5), ("capacity_fraction", float("nan")),
+    ])
+    def test_out_of_range_knob_raises(self, field, value):
+        from repro.common.errors import SchedulingError
+
+        with pytest.raises(SchedulingError, match=field):
+            SearchSettings(**{field: value})
+        with pytest.raises(SchedulingError, match=field):
+            HarmonyOptions(**{field: value})
+
+    def test_edges_are_accepted(self):
+        SearchSettings(u_fmax=1, u_bmax=1, capacity_fraction=1.0)
+        HarmonyOptions(u_fmax=1, u_bmax=1, capacity_fraction=1.0)
+
+
+#: The bench zoo's models.
+BENCH_ZOO = ("gpt2", "gpt2-medium", "bert96", "bert-large", "vgg416",
+             "resnet1k")
+
+
+@pytest.mark.parametrize("sweep", [{}, {"exhaustive_search": True},
+                                   {"equi_fb": True}],
+                         ids=["default", "exhaustive", "equi-fb"])
+@pytest.mark.parametrize("mode", ["pp", "dp"])
+def test_enumeration_is_duplicate_free(mode, sweep):
+    """Algorithm 1 never enumerates a four-tuple twice, so it keeps no
+    dedupe set: on the bench zoo's problems every candidate is new."""
+    from repro.core.decomposer import Decomposer
+    from repro.core.profiler import Profiler
+    from repro.experiments.common import server_for
+    from repro.models.zoo import build_model
+
+    options = HarmonyOptions(mode=mode, **sweep)
+    enumerated = 0
+    for model in BENCH_ZOO:
+        decomposed = Decomposer(seed=options.seed) \
+            .decompose(build_model(model))
+        for gpus, step in itertools.product((4, 8), (0, 4)):
+            server = server_for(gpus)
+            profiles = Profiler(server.gpu).profile(decomposed)
+            # The bench's warm-up and a timed minibatch size.
+            minibatch = 8 + step if mode == "pp" else gpus * (2 + step)
+            candidates = ConfigurationSearch(
+                profiles, server, minibatch, options.schedule_options(),
+                options.search_settings(),
+            )._enumerate_candidates()
+            keys = [(c.u_f, c.packs_f, c.u_b, c.packs_b) for c in candidates]
+            assert len(set(keys)) == len(keys), (model, gpus, minibatch)
+            enumerated += len(keys)
+    assert enumerated

@@ -1,9 +1,11 @@
 """Bit-identity regression: the caches must not move a single bit.
 
-The planner and the Runtime keep six caches: the search store, the
+The planner and the Runtime keep eight caches: the search store, the
 profile store, the packing table it shares per model, the
 ``ModelProfiles`` memo tables (built from the fits' coefficient
-columns), the estimator's task-time cache and the Runtime's kernel-time
+columns), the graph builder's schedule memo (pack parts, task groups,
+footprint prefixes, update FLOPs), the estimator's task-time cache, its
+per-search duration and dependency memos, and the Runtime's kernel-time
 store with its pack tables.  Each promises the bits of the naive
 computation it replaces.
 This suite holds that promise down to ``float.hex()`` on the small zoo
@@ -22,7 +24,7 @@ from itertools import accumulate
 
 import pytest
 
-from repro.core import harmony, profiler
+from repro.core import harmony, profiler, taskgraph
 from repro.core.estimator import _PHASES, RuntimeEstimator
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.profiler import ModelProfiles, Profiler
@@ -91,6 +93,37 @@ def _naive_task_time(self, task, u, recompute):
     return value
 
 
+class _Forgetful(dict):
+    """A memo dict that stores nothing: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _NaiveTable(dict):
+    """The builder's memo table, filled afresh on every lookup."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        return self.fill(key)
+
+
+def _forgetful_estimator(init):
+    """``RuntimeEstimator.__init__`` with per-search memos that keep
+    nothing: every task's durations and dependency maps are worked out
+    anew."""
+    def forgetful_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._mb_times = _Forgetful()
+        self._dep_maps = _Forgetful()
+        self._update_times = _Forgetful()
+
+    return forgetful_init
+
+
 def _naive_pack_time(self, task, phase, u):
     """Fresh kernel times, left to right: no kernel store, no pack table."""
     total = 0.0
@@ -113,6 +146,9 @@ def naive(monkeypatch):
         monkeypatch.setattr(harmony, "lru_get", _naive_search)
         monkeypatch.setattr(Profiler, "profile", _naive_profile)
         monkeypatch.setattr(RuntimeEstimator, "_task_time", _naive_task_time)
+        monkeypatch.setattr(RuntimeEstimator, "__init__",
+                            _forgetful_estimator(RuntimeEstimator.__init__))
+        monkeypatch.setattr(taskgraph, "_Table", _NaiveTable)
         monkeypatch.setattr(TrueTimeModel, "_pack_time", _naive_pack_time)
 
     return disable_caches

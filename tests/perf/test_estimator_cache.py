@@ -181,3 +181,31 @@ def test_estimates_track_replaced_profiles_end_to_end(planned):
     after = RuntimeEstimator(slower, planned.server) \
         .estimate(planned.graph)
     assert after > before
+
+
+@pytest.mark.parametrize("order", ["reduced-first", "full-first"])
+def test_update_times_key_on_the_graph_device_count(order):
+    """A graph may span fewer devices than the estimator's server (an
+    elastic re-plan), and an offloaded update's host cores depend on the
+    device count.  One estimator scores the re-plan's 2-device graph and
+    the same configuration's 4-device graph, whose updates have the same
+    spans and FLOPs, in either order: each estimate must match a fresh
+    estimator's."""
+    harmony = Harmony("toy-transformer", server_for(4), 8,
+                      options=HarmonyOptions(mode="pp"))
+    full = harmony.plan()
+    reduced = harmony.plan_for_server(2)
+    assert reduced.profiles is full.profiles
+    wide = HarmonyGraphBuilder(
+        full.profiles, 4, 8, full.options.schedule_options(),
+    ).build(reduced.search.best)
+    graphs = [reduced.graph, wide]
+    assert [g.n_devices for g in graphs] == [2, 4]
+    assert any(t.kind is TaskKind.UPD and t.on_cpu for t in wide.tasks)
+    if order == "full-first":
+        graphs.reverse()
+    estimator = RuntimeEstimator(full.profiles, full.server)
+    for graph in graphs:
+        fresh = RuntimeEstimator(full.profiles, full.server)
+        assert estimator.estimate(graph).hex() == \
+            fresh.estimate(graph).hex(), graph.n_devices

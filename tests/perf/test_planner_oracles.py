@@ -48,6 +48,7 @@ import gc
 import weakref
 from collections import OrderedDict
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ from repro.common.rng import seeded_rng
 from repro.core import harmony, profiler
 from repro.core.config import Pack, packs_from_boundaries
 from repro.core.decomposer import Decomposer
-from repro.core.estimator import RuntimeEstimator, _TaskTimes
+from repro.core.estimator import RuntimeEstimator
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.packing import (
     _balanced_time_packing,
@@ -364,9 +365,16 @@ def test_packing_table_key_holds_every_argument(model, cold_stores):
 
 # -- Runtime Estimator ----------------------------------------------------------
 
+class _TaskTimes(NamedTuple):
+    mb_done: list[float]
+    done: float
+    outs_flushed: float
+
+
 class NaiveEstimator(RuntimeEstimator):
     """The estimator walked chunk by chunk, with per-layer time sums
-    (memoized per task shape, as the estimator always has)."""
+    (memoized per task shape, as the estimator always has), one
+    ``_TaskTimes`` per task and every update timed on its own call."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -495,6 +503,30 @@ class NaiveEstimator(RuntimeEstimator):
                 mb_dependency(src_sizes, task.microbatches)
             )
         return producer.mb_done[dep_map[mb_index]]
+
+    def _estimate_update(self, task: TaskRecord, times: list[_TaskTimes],
+                         cpu_free: list[float], compute_free: list[float]) -> _TaskTimes:
+        d = task.device
+        dep = 0.0
+        for move in task.ins:
+            if move.src_task is not None:
+                dep = max(dep, times[move.src_task].outs_flushed)
+        duration = self.update_time(task, n_gpus=len(cpu_free))
+        if task.on_cpu:
+            begin = max(cpu_free[d], dep)
+            end = begin + duration
+            cpu_free[d] = end
+        else:
+            swap_bytes = sum(
+                m.nbytes for m in task.ins if m.channel.via_host
+            )
+            out_bytes = sum(
+                m.nbytes for m in task.outs if m.channel.via_host
+            )
+            begin = max(compute_free[d], dep + swap_bytes / self._swap_bw)
+            end = begin + duration + out_bytes / self._swap_bw
+            compute_free[d] = end
+        return _TaskTimes([end], end, end)
 
 
 #: The search-pin problems: (model, mode, gpus, minibatch).

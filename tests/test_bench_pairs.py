@@ -62,3 +62,26 @@ def test_unpaired_input_is_rejected():
         bench_pairs.verdict(PARENT, PARENT[:-1])
     with pytest.raises(ValueError):
         bench_pairs.verdict([], [])
+
+
+def test_also_lists_extra_metrics_in_order():
+    args = bench_pairs.parse_args([
+        "--parent", "p", "--change", "c", "--workload", "plan-zoo",
+        "--seed", "1", "--also", "peak_rss_mib, setup_s",
+    ])
+    assert args.also == ["peak_rss_mib", "setup_s"]
+    assert args.metric == "ops_per_s"
+    assert bench_pairs.parse_args([
+        "--parent", "p", "--change", "c", "--workload", "plan-zoo",
+        "--seed", "1",
+    ]).also == []
+
+
+@pytest.mark.parametrize("text", ["", "setup_s,", "setup_s,,peak_rss_mib",
+                                  "setup_s,setup_s"])
+def test_also_rejects_empty_or_repeated_names(text):
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args([
+            "--parent", "p", "--change", "c", "--workload", "plan-zoo",
+            "--seed", "1", "--also", text,
+        ])
