@@ -19,7 +19,7 @@ from repro.analysis import deadlock as _deadlock    # noqa: F401  isort:skip
 from repro.analysis import dataflow as _dataflow    # noqa: F401  isort:skip
 from repro.analysis import hb as _hb                # noqa: F401  isort:skip
 from repro.analysis import lifetime as _lifetime    # noqa: F401  isort:skip
-from repro.analysis import parametric as _parametric  # noqa: F401  isort:skip
+from repro.analysis import parametric as _parametric  # isort:skip
 from repro.analysis import channels as _channels    # noqa: F401  isort:skip
 from repro.analysis import ablation as _ablation    # noqa: F401  isort:skip
 from repro.analysis.context import AnalysisContext
@@ -97,6 +97,8 @@ def analyze(
             else:
                 result.diagnostics.append(diagnostic)
         report.results.append(result)
+        if name in ("capacity", "parametric"):
+            report.certificates = _parametric.capacity_certificates(ctx)
     if unused:
         report.results.append(PassResult("waiver", diagnostics=[
             Diagnostic(

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.common.errors import ScheduleAnalysisError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.parametric import CapacityCertificate
 
 
 def task_ref(tid: int) -> str:
@@ -144,6 +147,9 @@ class AnalysisReport:
     graph_mode: str
     n_tasks: int
     results: list[PassResult] = field(default_factory=list)
+    # Every scope's capacity certificate, as the capacity passes computed
+    # them; empty when neither ran.
+    certificates: list["CapacityCertificate"] = field(default_factory=list)
 
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)

@@ -72,7 +72,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.analysis import INJECTIONS, analyze, inject
+from repro.analysis import INJECTIONS, inject
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import render, server_for
 from repro.models.zoo import available_models
@@ -366,31 +366,10 @@ def _check(args: argparse.Namespace) -> int:
         )
         if wanted
     ]
-    report = analyze(
-        plan.graph,
-        server=harmony.server,
-        options=options,
-        host_state_bytes=harmony.host_state_bytes,
-        host_input_bytes=harmony.minibatch * harmony.model.sample_bytes,
-        prefetch=options.prefetch,
-        passes=subset or None,
-    )
+    report = plan.analyze(options=options, passes=subset or None)
     print(report.describe())
-    certificates = []
-    if not subset or "parametric" in subset:
-        from repro.analysis import capacity_certificates
-        from repro.analysis.context import AnalysisContext
-
-        certificates = capacity_certificates(AnalysisContext(
-            plan.graph,
-            server=harmony.server,
-            options=options,
-            host_state_bytes=harmony.host_state_bytes,
-            host_input_bytes=harmony.minibatch * harmony.model.sample_bytes,
-            prefetch=options.prefetch,
-        ))
-        for cert in certificates:
-            print(f"  certificate: {cert.describe()}")
+    for cert in report.certificates:
+        print(f"  certificate: {cert.describe()}")
     if args.json:
         import dataclasses
 
@@ -427,7 +406,7 @@ def _check(args: argparse.Namespace) -> int:
                     "smallest_violating_n": cert.smallest_violating_n(),
                     "safe_for_all": cert.safe_for_all,
                 }
-                for cert in certificates
+                for cert in report.certificates
             ],
             "ok": report.ok,
         }

@@ -17,9 +17,9 @@ the plan and the measured iteration metrics.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.common.fingerprint import fingerprint
 from repro.common.lru import lru_get
@@ -41,6 +41,9 @@ from repro.models.zoo import build_model
 from repro.runtime.executor import DEFAULT_MAX_STEPS
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.timemodel import TrueTimeModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis import AnalysisReport
 
 #: Bound of the search store: 1.5x the 32 distinct problems one
 #: ``serve-fleet`` storm pass plans.
@@ -106,19 +109,14 @@ class HarmonyOptions:
 
     def without(self, optimization: str) -> "HarmonyOptions":
         """Turn one optimization off (for the Figure 13 ablations)."""
-        known = {
-            "grouping": {"grouping": False},
-            "jit": {"jit": False},
-            "p2p": {"p2p": False},
-            "offload_optimizer": {"offload_optimizer": False},
-            "prefetch": {"prefetch": False},
-        }
+        known = [f.name for f in fields(ScheduleOptions)
+                 if f.type in ("bool", bool)]
         if optimization not in known:
             raise ValueError(
                 f"unknown optimization {optimization!r}; "
                 f"expected one of {sorted(known)}"
             )
-        return replace(self, **known[optimization])
+        return replace(self, **{optimization: False})
 
 
 def plan_key(model: ModelSpec, server: Optional[ServerSpec], minibatch: int,
@@ -175,6 +173,32 @@ class HarmonyPlan:
     @property
     def config(self) -> Configuration:
         return self.search.best
+
+    def analyze(self, graph: Optional[TaskGraph] = None, *,
+                server: Optional[ServerSpec] = None,
+                **kwargs) -> "AnalysisReport":
+        """Certify this plan with the static analyzer (never raises).
+
+        The one place a plan's analyzer inputs are stated: the host-pinned
+        state (model state plus the input batch), the input-staging share
+        of it, the schedule options and prefetch.  ``graph`` and
+        ``server`` default to the plan's own; a bind passes its rewritten
+        graph and physical machine.  Other keywords (``options``,
+        ``device_memory``, ``passes``, ...) go to
+        :func:`repro.analysis.analyze` as they are.
+        """
+        from repro.analysis import analyze
+
+        host_input = self.minibatch * self.model.sample_bytes
+        kwargs.setdefault("options", self.options.schedule_options())
+        return analyze(
+            self.graph if graph is None else graph,
+            server=self.server if server is None else server,
+            host_state_bytes=self.model.model_state_bytes + host_input,
+            host_input_bytes=host_input,
+            prefetch=self.options.prefetch,
+            **kwargs,
+        )
 
     def describe(self) -> str:
         return (
@@ -237,22 +261,28 @@ class Harmony:
         search and plans that configuration verbatim (used by the
         ablation and estimator-accuracy experiments).
         """
-        key = plan_key(self.model, self.server, self.minibatch, self.options)
+        return self._plan(self.server, self.options, config)
+
+    def _plan(self, server: ServerSpec, options: HarmonyOptions,
+              config: Optional[Configuration] = None) -> HarmonyPlan:
+        """The one planning path: this model and minibatch on ``server``
+        under ``options``, memoized by :func:`plan_key` unless ``config``
+        pins the configuration."""
+        key = plan_key(self.model, server, self.minibatch, options)
         if config is None and key in self._plans:
             return self._plans[key]
-        decomposed = Decomposer(seed=self.options.seed).decompose(self.model)
-        profiles = Profiler(self.server.gpu).profile(decomposed)
-        schedule_options = self.options.schedule_options()
+        decomposed = Decomposer(seed=options.seed).decompose(self.model)
+        profiles = Profiler(server.gpu).profile(decomposed)
+        schedule_options = options.schedule_options()
         builder = HarmonyGraphBuilder(
-            profiles, self.server.n_gpus, self.minibatch, schedule_options
+            profiles, server.n_gpus, self.minibatch, schedule_options
         )
         if config is None:
-            search = _search(key, profiles, self.server, self.minibatch,
-                             self.options)
+            search = _search(key, profiles, server, self.minibatch, options)
             graph = builder.build(search.best)
         else:
             graph = builder.build(config)
-            estimator = RuntimeEstimator(profiles, self.server,
+            estimator = RuntimeEstimator(profiles, server,
                                          prefetch=schedule_options.prefetch)
             estimate = estimator.estimate(graph)
             search = SearchResult(
@@ -261,9 +291,9 @@ class Harmony:
             )
         plan = HarmonyPlan(
             model=self.model,
-            server=self.server,
+            server=server,
             minibatch=self.minibatch,
-            options=self.options,
+            options=options,
             decomposed=decomposed,
             profiles=profiles,
             search=search,
@@ -292,59 +322,35 @@ class Harmony:
         """Re-run the Scheduler for a reduced GPU count; memoized.
 
         This is the online re-planning entry point the elastic runtime
-        calls under fire (:class:`repro.elastic.ElasticReplanner`): the
-        model's decomposition and profiles are reused from the memoized
-        full plan (the model did not change -- the machine shrank), only
-        the configuration search and packing run again, against
-        :meth:`reduced_server`, through the same search store as
-        :meth:`plan`: a fresh ``Harmony`` on the reduced server reuses
-        this search, and vice versa.  A DP plan whose minibatch cannot
-        divide the survivor count falls back to PP on the same survivors.
+        calls under fire (:class:`repro.elastic.ElasticReplanner`).  It
+        plans :meth:`reduced_server` exactly as :meth:`plan` plans the
+        full server -- same memo, same search store, same profile-store
+        entry (the model did not change, the machine shrank) -- so a
+        fresh ``Harmony`` on the reduced server reuses this search, and
+        vice versa.  A DP plan whose minibatch cannot divide the survivor
+        count falls back to PP on the same survivors.
         """
         from repro.common.errors import InfeasibleConfigError, SchedulingError
 
-        mode = mode if mode is not None else self.options.mode
-        options = replace(self.options, mode=mode)
+        options = replace(self.options,
+                          mode=mode if mode is not None else self.options.mode)
         server = self.reduced_server(n_gpus)
-        key = plan_key(self.model, server, self.minibatch, options)
-        if key in self._plans:
-            return self._plans[key]
-        if n_gpus == self.server.n_gpus and mode == self.options.mode:
-            return self.plan()  # same key: the full server is unreduced
-        base = self.plan()
-        schedule_options = options.schedule_options()
         try:
-            search = _search(key, base.profiles, server, self.minibatch,
-                             options)
-            builder = HarmonyGraphBuilder(
-                base.profiles, n_gpus, self.minibatch, schedule_options
-            )
-            graph = builder.build(search.best)
+            return self._plan(server, options)
         except (InfeasibleConfigError, SchedulingError):
-            if mode != "dp":
+            if options.mode != "dp":
                 raise
-            # DP cannot split this minibatch across the survivors; the
-            # wrap-around pipeline works for any device count >= 1.
-            plan = self.plan_for_server(n_gpus, mode="pp")
-            self._plans[key] = plan
-            return plan
-        plan = HarmonyPlan(
-            model=self.model,
-            server=server,
-            minibatch=self.minibatch,
-            options=options,
-            decomposed=base.decomposed,
-            profiles=base.profiles,
-            search=search,
-            graph=graph,
-        )
-        self._plans[key] = plan
+        # DP cannot split this minibatch across the survivors; the
+        # wrap-around pipeline works for any device count >= 1.
+        plan = self.plan_for_server(n_gpus, mode="pp")
+        self._plans[plan_key(self.model, server, self.minibatch,
+                             options)] = plan
         return plan
 
     # -- binding -----------------------------------------------------------------
 
-    def bind(self, binding: object, plan: Optional[HarmonyPlan] = None,
-             verify: bool = True):
+    def bind(self, binding: object,
+             plan: Optional[HarmonyPlan] = None):
         """Map a logical plan onto physical hardware (``repro.virt``).
 
         ``binding`` is a :class:`repro.virt.DeviceBinding`; the plan's
@@ -353,14 +359,12 @@ class Harmony:
         execution), fewer devices (time-slice multiplexing), or a
         heterogeneous FLOPs/memory mix.  The bound graph is re-certified
         by the strict analyzer against per-physical-device memory before
-        it is returned (``verify=False`` skips that, for callers that
-        re-check themselves).  Returns a :class:`repro.virt.BoundPlan`
-        accepted by :meth:`run`.
+        it is returned.  Returns a :class:`repro.virt.BoundPlan` accepted
+        by :meth:`run`.
         """
         from repro.virt.bind import bind as bind_plan
 
-        return bind_plan(plan or self.plan(), binding,  # type: ignore[arg-type]
-                         verify=verify)
+        return bind_plan(plan or self.plan(), binding)  # type: ignore[arg-type]
 
     # -- execution ---------------------------------------------------------------
 
@@ -370,8 +374,7 @@ class Harmony:
             recovery: Optional[object] = None,
             max_steps: Optional[int] = DEFAULT_MAX_STEPS,
             horizon: Optional[float] = None,
-            trace: Optional[object] = None,
-            binding: Optional[object] = None) -> HarmonyReport:
+            trace: Optional[object] = None) -> HarmonyReport:
         """Execute training iterations on a fresh simulated server.
 
         ``iterations > 1`` runs back-to-back iterations (flush-separated,
@@ -399,9 +402,7 @@ class Harmony:
         timeline.
 
         ``plan`` may be a :class:`repro.virt.BoundPlan` (from
-        :meth:`bind`), or ``binding`` a
-        :class:`repro.virt.DeviceBinding` applied to the logical plan
-        here; either way the run executes the *bound* graph on the
+        :meth:`bind`): the run then executes the *bound* graph on the
         binding's physical machine -- scaled task times and per-device
         memory pools for heterogeneous mixes, deterministic time-slice
         multiplexing when several logical devices share one physical
@@ -412,14 +413,7 @@ class Harmony:
 
         bound: Optional[BoundPlan] = None
         if isinstance(plan, BoundPlan):
-            if binding is not None:
-                raise ValueError(
-                    "pass either a BoundPlan or a binding, not both"
-                )
             bound = plan
-            plan = bound.plan
-        elif binding is not None:
-            bound = self.bind(binding, plan=plan)
             plan = bound.plan
         else:
             plan = plan or self.plan()
@@ -431,10 +425,9 @@ class Harmony:
         )
         if bound is not None and not bound.binding.topology.is_uniform:
             time_model = ScaledTimeModel(time_model, bound.binding)
-        host_state = self.host_state_bytes
         if self.options.analyze != "off" and bound is None:
             # Bound plans were already strictly certified by bind().
-            self._analyze(plan, host_state)
+            self._analyze(plan)
         # Imported lazily: repro.faults pulls in the runner (and thus
         # this module's dependencies) at package scope.
         from repro.elastic import ElasticReplanner
@@ -451,7 +444,7 @@ class Harmony:
             exec_spec, time_model, fault_plan,  # type: ignore[arg-type]
             policy=recovery,  # type: ignore[arg-type]
             prefetch=self.options.prefetch,
-            host_state_bytes=host_state,
+            host_state_bytes=self.host_state_bytes,
             max_steps=max_steps,
             horizon=horizon,
             replanner=ElasticReplanner(self) if elastic_on else None,
@@ -478,18 +471,9 @@ class Harmony:
             dropped=trace.dropped,  # type: ignore[attr-defined]
         )
 
-    def _analyze(self, plan: HarmonyPlan, host_state: int) -> None:
+    def _analyze(self, plan: HarmonyPlan) -> None:
         """Run the static schedule verifier per ``options.analyze``."""
-        from repro.analysis import analyze
-
-        report = analyze(
-            plan.graph,
-            server=self.server,
-            options=self.options.schedule_options(),
-            host_state_bytes=host_state,
-            host_input_bytes=self.minibatch * self.model.sample_bytes,
-            prefetch=self.options.prefetch,
-        )
+        report = plan.analyze()
         if self.options.analyze == "strict":
             report.raise_if_errors()
         elif report.diagnostics:

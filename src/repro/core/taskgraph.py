@@ -48,6 +48,12 @@ from repro.core.types import (
 from repro.graph.layer import Phase
 
 
+#: Fraction of GPU memory the DP planner may devote to keeping a whole
+#: local batch's boundary activation resident between consecutive packs
+#: before spilling it to host.
+RESIDENT_BOUNDARY_FRAC = 0.25
+
+
 @dataclass(frozen=True)
 class ScheduleOptions:
     """Mode plus the optimization switches (defaults: everything on)."""
@@ -58,10 +64,6 @@ class ScheduleOptions:
     p2p: bool = True
     offload_optimizer: bool = True
     prefetch: bool = True              # consumed by the Runtime
-    # Fraction of GPU memory the DP planner may devote to keeping a whole
-    # local batch's boundary activation resident between consecutive packs
-    # before spilling it to host.
-    resident_boundary_frac: float = 0.25
 
     def __post_init__(self) -> None:
         if self.mode not in ("pp", "dp"):
@@ -366,7 +368,7 @@ class HarmonyGraphBuilder:
         fwd_packs = config.packs_f[:-1] if fuse_last else config.packs_f
         bwd_packs = config.packs_b
         stashes = self._stash_boundaries(fwd_packs, bwd_packs)
-        budget = int(self.profiles.gpu.memory_bytes * opts.resident_boundary_frac)
+        budget = int(self.profiles.gpu.memory_bytes * RESIDENT_BOUNDARY_FRAC)
 
         bwd_tail: dict[tuple[int, int], int] = {}  # (gpu, pack pos) -> tid
         for gpu in range(self.n_gpus):

@@ -88,7 +88,8 @@ class ElasticReplanner:
                     f"survivor gpu{device} outside device range [0, {n_full})"
                 )
         plan = self.harmony.plan_for_server(len(ordered))
-        self._verify(plan)
+        # Strict verification against the *reduced* server spec.
+        plan.analyze().raise_if_errors()
         mapping = {logical: physical for logical, physical in enumerate(ordered)}
         graph = relabel_graph(plan.graph, mapping, n_devices=n_full)
         return ElasticPlan(
@@ -98,16 +99,3 @@ class ElasticReplanner:
             mode=plan.options.mode,
             mode_switched=plan.options.mode != self.harmony.options.mode,
         )
-
-    def _verify(self, plan: "HarmonyPlan") -> None:
-        """Strict static verification against the *reduced* server spec."""
-        from repro.analysis import analyze
-
-        report = analyze(
-            plan.graph,
-            server=plan.server,
-            options=plan.options.schedule_options(),
-            host_state_bytes=self.harmony.host_state_bytes,
-            prefetch=plan.options.prefetch,
-        )
-        report.raise_if_errors()

@@ -268,8 +268,8 @@ class FleetPlacer:
 
     # -- certification -----------------------------------------------------------
 
-    def bind(self, reservation: FleetReservation, plan: "HarmonyPlan", *,
-             verify: bool = True) -> "BoundPlan":
+    def bind(self, reservation: FleetReservation,
+             plan: "HarmonyPlan") -> "BoundPlan":
         """Realize a placement as an analyzer-certified bound plan.
 
         The plan must target exactly the reservation's logical device
@@ -286,7 +286,7 @@ class FleetPlacer:
                 f"plan targets {plan.graph.n_devices} logical device(s) "
                 f"but the reservation holds {reservation.n_logical}"
             )
-        return bind_plan(plan, reservation.binding(), verify=verify)
+        return bind_plan(plan, reservation.binding())
 
     # -- reporting ---------------------------------------------------------------
 

@@ -24,11 +24,6 @@ class TrainCurve:
     eval_accuracy: float = 0.0
     eval_loss: float = 0.0
 
-    @property
-    def eval_perplexity(self) -> float:
-        """exp of the evaluation loss (the LM-quality metric of Table 3)."""
-        return float(np.exp(self.eval_loss))
-
 
 class ReferenceTrainer:
     """Full-batch training, recording the loss of every minibatch."""

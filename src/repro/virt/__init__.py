@@ -12,7 +12,7 @@ re-certification).  See DESIGN.md §15.
     >>> harmony.run(plan=bound)                # doctest: +SKIP
 """
 
-from repro.virt.bind import BoundPlan, bind, verify_bound
+from repro.virt.bind import BoundPlan, bind
 from repro.virt.devices import (
     DeviceBinding,
     LogicalDevice,
@@ -33,5 +33,4 @@ __all__ = [
     "apply_device_mapping",
     "bind",
     "remap_move",
-    "verify_bound",
 ]

@@ -45,35 +45,6 @@ class BoundPlan:
         return "\n".join(lines)
 
 
-def verify_bound(graph: TaskGraph, server: ServerSpec,
-                 binding: DeviceBinding, *,
-                 options: Optional[object] = None,
-                 host_state_bytes: Optional[int] = None,
-                 host_input_bytes: Optional[int] = None,
-                 prefetch: bool = True) -> "AnalysisReport":
-    """Strict analyzer run against the physical machine.
-
-    Structural passes prove the rewritten graph is still well-formed and
-    deadlock-free (the safety argument for time-slice multiplexing: one
-    driver per physical device walks its merged task list in global tid
-    order, so the analyzer's wait-graph check covers the interleaving);
-    the capacity and parametric passes re-evaluate every per-device bound
-    against that device's *scaled* memory.  Raises
-    :class:`~repro.common.errors.ScheduleAnalysisError` on any error.
-    """
-    from repro.analysis import check
-
-    return check(
-        graph,
-        server=server,
-        options=options,  # type: ignore[arg-type]
-        host_state_bytes=host_state_bytes,
-        host_input_bytes=host_input_bytes,
-        prefetch=prefetch,
-        device_memory=binding.device_memory(server.gpu.memory_bytes),
-    )
-
-
 def bind(plan: "HarmonyPlan", binding: DeviceBinding, *,
          verify: bool = True) -> BoundPlan:
     """Map a logical plan onto physical hardware.
@@ -81,7 +52,12 @@ def bind(plan: "HarmonyPlan", binding: DeviceBinding, *,
     Validates the shape (the binding must cover exactly the plan's
     logical device count), rewrites the graph, derives the physical
     server spec, and -- unless ``verify=False`` -- re-certifies the
-    result with the strict analyzer before handing it to the runtime.
+    result through :meth:`HarmonyPlan.analyze` against the physical
+    machine's per-device memory before handing it to the runtime,
+    raising :class:`~repro.common.errors.ScheduleAnalysisError` on any
+    error.  One driver per physical device walks its merged task list
+    in global tid order, so the wait-graph check covers a time slice's
+    interleaving.
     """
     if binding.n_logical != plan.graph.n_devices:
         raise ValueError(
@@ -94,13 +70,8 @@ def bind(plan: "HarmonyPlan", binding: DeviceBinding, *,
     server = plan.server.with_gpus(binding.n_physical)
     report = None
     if verify:
-        host_input = plan.minibatch * plan.model.sample_bytes
-        report = verify_bound(
-            graph, server, binding,
-            options=plan.options.schedule_options(),
-            host_state_bytes=plan.model.model_state_bytes + host_input,
-            host_input_bytes=host_input,
-            prefetch=plan.options.prefetch,
-        )
+        report = plan.analyze(graph, server=server, device_memory=(
+            binding.device_memory(server.gpu.memory_bytes)))
+        report.raise_if_errors()
     return BoundPlan(plan=plan, binding=binding, graph=graph,
                      server=server, report=report)

@@ -42,10 +42,10 @@ class TestPlanForServer:
         plan = toy_pp.plan_for_server(1)
         assert plan.server.n_gpus == 1
         assert {t.device for t in plan.graph.tasks} == {0}
-        # decomposition/profiles reused from the memoized full plan: the
+        # the full plan's decomposition and profile-store entry: the
         # model did not change, only the machine shrank
-        assert plan.profiles is toy_pp.plan().profiles
-        assert plan.decomposed is toy_pp.plan().decomposed
+        assert plan.profiles.layers is toy_pp.plan().profiles.layers
+        assert plan.decomposed == toy_pp.plan().decomposed
 
     def test_dp_falls_back_to_pp_when_minibatch_cannot_split(self):
         # minibatch 8 across 3 survivors: DP needs an even split, the

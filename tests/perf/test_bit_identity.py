@@ -46,17 +46,19 @@ GPUS = 2
 MINIBATCH = 8
 
 #: ``Harmony.run`` arguments for the run paths beyond the plain executor,
-#: built fresh per arm.
+#: built fresh per arm from the cell's ``Harmony`` and plan.
 RUN_PATHS = {
     # FaultTolerantRunner: seed 2 injects transfer and compute retries,
     # so the same packs are timed again within one run.
-    "chaos": lambda: {
+    "chaos": lambda harmony, plan: {
+        "plan": plan,
         "iterations": 2,
         "fault_plan": FaultPlan(FaultSpec.chaos(1.0), seed=2),
     },
     # ScaledTimeModel wrapping the tabulated TrueTimeModel.
-    "hetero-bind": lambda: {
-        "binding": DeviceBinding.heterogeneous([1.5, 0.75]),
+    "hetero-bind": lambda harmony, plan: {
+        "plan": harmony.bind(DeviceBinding.heterogeneous([1.5, 0.75]),
+                             plan=plan),
     },
 }
 
@@ -168,7 +170,8 @@ def _estimated_task_times(plan):
     return tuple(t.hex() for t in times)
 
 
-def _fingerprint(model, mode, run_kwargs=dict):
+def _fingerprint(model, mode,
+                 run_kwargs=lambda harmony, plan: {"plan": plan}):
     """Plan + run one cell and capture every output, floats as hex."""
     harmony = Harmony(
         model, server_for(GPUS), MINIBATCH,
@@ -176,7 +179,7 @@ def _fingerprint(model, mode, run_kwargs=dict):
     )
     plan = harmony.plan()
     recorder = TraceRecorder()
-    report = harmony.run(plan=plan, trace=recorder, **run_kwargs())
+    report = harmony.run(trace=recorder, **run_kwargs(harmony, plan))
     return {
         "config": plan.search.best,
         "best_estimate": plan.search.best_estimate.hex(),

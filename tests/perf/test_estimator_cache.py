@@ -195,7 +195,7 @@ def test_update_times_key_on_the_graph_device_count(order):
                       options=HarmonyOptions(mode="pp"))
     full = harmony.plan()
     reduced = harmony.plan_for_server(2)
-    assert reduced.profiles is full.profiles
+    assert reduced.profiles.layers is full.profiles.layers
     wide = HarmonyGraphBuilder(
         full.profiles, 4, 8, full.options.schedule_options(),
     ).build(reduced.search.best)

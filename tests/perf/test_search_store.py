@@ -129,9 +129,9 @@ VARIANTS = tuple(_variants())
 
 
 def test_variants_cover_every_key_input():
-    """Every search setting and every schedule flag has its variant
-    (``resident_boundary_frac`` is no ``HarmonyOptions`` field: it is the
-    same on every ``Harmony`` path)."""
+    """Every search setting and every schedule flag has its variant (the
+    DP resident-boundary budget is no option: it is the module constant
+    ``RESIDENT_BOUNDARY_FRAC`` of ``repro.core.taskgraph``)."""
     options = HarmonyOptions()
     settings = {f.name for f in dataclasses.fields(options.search_settings())}
     flags = {f.name for f in dataclasses.fields(options.schedule_options())
@@ -190,18 +190,42 @@ def test_infeasible_problem_raises_every_time_and_stores_nothing(
         assert not harmony._SEARCHES
 
 
+#: Elastic re-plans of the bench zoo on a 4-GPU server: every model x
+#: pp/dp x every survivor count (DP at 12 samples, so every count
+#: divides it), plus one DP plan whose minibatch 3 survivors cannot
+#: split, which falls back to PP.
+REPLANS = tuple(
+    (model, mode, 8 if mode == "pp" else 12, n)
+    for model in ("gpt2", "gpt2-medium", "bert96", "bert-large", "vgg416",
+                  "resnet1k")
+    for mode in ("pp", "dp") for n in range(1, 5)
+) + (("gpt2", "dp", 8, 3),)
+
+
 def test_elastic_replan_search_is_shared(cold_stores, monkeypatch):
-    full = Harmony("toy-transformer", server_for(4), 8)
-    replan = full.plan_for_server(2)
+    """A re-plan onto n survivors is the plan a fresh ``Harmony`` makes
+    on the reduced server: same search, same graph, same estimate bits."""
     counts = _count_searches(monkeypatch)
-    fresh = Harmony("toy-transformer", server_for(4).with_gpus(2), 8).plan()
-    assert counts == {}, "a fresh Harmony on the survivors must hit"
-    assert fresh.search is replan.search
-    assert _facts(fresh) == _facts(replan)
+    for model, mode, minibatch, n in REPLANS:
+        full = Harmony(model, server_for(4), minibatch,
+                       options=HarmonyOptions(mode=mode))
+        replan = full.plan_for_server(n)
+        fallback = mode == "dp" and minibatch % n != 0
+        assert replan.options.mode == ("pp" if fallback else mode)
+        counts.clear()
+        fresh = Harmony(model, server_for(4).with_gpus(n), minibatch,
+                        options=replan.options).plan()
+        case = f"{model} {mode} mb{minibatch} on {n}"
+        assert counts == {}, f"{case}: a fresh Harmony must hit"
+        assert fresh.search is replan.search, case
+        assert fresh.server == replan.server and replan.server.n_gpus == n
+        assert _facts(fresh) == _facts(replan), case
     # And the other way round: a re-plan onto a server already planned.
+    full = Harmony("toy-transformer", server_for(4), 8)
     planned = Harmony("toy-transformer", server_for(4).with_gpus(3), 8).plan()
+    counts.clear()
     assert full.plan_for_server(3).search is planned.search
-    assert counts == {"search": 1}
+    assert counts == {}
 
 
 def test_stored_result_is_immutable_and_slotted(cold_stores):

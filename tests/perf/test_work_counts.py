@@ -347,10 +347,9 @@ def test_each_service_runs_and_verifies_each_key_once(monkeypatch):
     _count_calls(monkeypatch, counts, Executor, "run")
     bind = FleetPlacer.bind
 
-    def counted_bind(self, reservation, plan, *, verify=True):
-        if verify:
-            counts["verified_bind"] += 1
-        return bind(self, reservation, plan, verify=verify)
+    def counted_bind(self, reservation, plan):
+        counts["verified_bind"] += 1
+        return bind(self, reservation, plan)
 
     monkeypatch.setattr(FleetPlacer, "bind", counted_bind)
 

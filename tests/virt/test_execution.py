@@ -67,8 +67,8 @@ class TestTimeSlice:
         unbound = TraceRecorder()
         harmony.run(trace=unbound)
         bound = TraceRecorder()
-        harmony.run(binding=DeviceBinding.pack(
-            GPUS, VirtualTopology.uniform(1)), trace=bound)
+        harmony.run(plan=harmony.bind(DeviceBinding.pack(
+            GPUS, VirtualTopology.uniform(1))), trace=bound)
         assert {e.device for e in bound.events if e.lane == "compute"} \
             == {0}
         assert gpu_compute_seconds(bound) \
@@ -140,8 +140,8 @@ class TestHeterogeneous:
 
     def test_uniformly_faster_hardware_is_not_slower(self, harmony):
         planned = harmony.run().metrics.iteration_time
-        fast = harmony.run(binding=DeviceBinding.heterogeneous(
-            [4.0] * GPUS)).metrics.iteration_time
+        fast = harmony.run(plan=harmony.bind(DeviceBinding.heterogeneous(
+            [4.0] * GPUS))).metrics.iteration_time
         assert fast <= planned
 
     def test_hetero_run_is_deterministic(self, harmony):
@@ -177,7 +177,7 @@ class TestFaultPath:
 
         binding = DeviceBinding.heterogeneous([1.25, 1.0, 1.0, 0.75])
         report = harmony.run(
-            binding=binding, iterations=2,
+            plan=harmony.bind(binding), iterations=2,
             fault_plan=FaultPlan(FaultSpec.chaos(1.0), seed=0),
         )
         assert report.metrics.iteration_time > 0
@@ -187,7 +187,7 @@ class TestFaultPath:
 
         binding = DeviceBinding.pack(GPUS, VirtualTopology.uniform(2))
         report = harmony.run(
-            binding=binding, iterations=2,
+            plan=harmony.bind(binding), iterations=2,
             fault_plan=FaultPlan(FaultSpec.chaos(1.0), seed=1),
         )
         assert report.metrics.iteration_time > 0

@@ -87,5 +87,5 @@ def test_bound_plans_execute(name):
     conftest fixture re-checks structure + per-device capacity and the
     trace invariants on the way)."""
     harmony = _harmony("toy-transformer", "pp", seed=0)
-    report = harmony.run(binding=BINDINGS[name]())
+    report = harmony.run(plan=harmony.bind(BINDINGS[name]()))
     assert report.metrics.iteration_time > 0
