@@ -84,9 +84,11 @@ fleet-smoke:
 # Virtual-device smoke: one 4-logical-GPU plan bound three ways --
 # identity (bit-identical), heterogeneous 2-fast/2-slow, and
 # oversubscribed onto 2 physical GPUs (time-slice) -- each executed and
-# re-certified by the analyzer against per-device memory.  Exits nonzero
-# if any bind is rejected or any run fails; machine-readable outcomes
-# land in virt-*.json.
+# re-certified by the analyzer against per-device memory, plus a chaos
+# sweep over a heterogeneous bind that loses a device (restarts and an
+# elastic re-plan on scaled timing).  Exits nonzero if any bind is
+# rejected or any run fails; machine-readable outcomes land in
+# virt-*.json.
 virt-smoke:
 	python -m repro.cli bind toy-transformer --minibatch 16 --gpus 4 \
 	    --run --json virt-identity.json
@@ -94,6 +96,9 @@ virt-smoke:
 	    --hetero 1.5,1.5,0.75,0.75 --run --json virt-hetero.json
 	python -m repro.cli bind toy-transformer --minibatch 16 --gpus 4 \
 	    --physical 2 --run --json virt-timeslice.json
+	python -m repro.cli chaos toy-transformer --minibatch 8 --gpus 2 \
+	    --seeds 3 --hetero 1.5,0.75 --devices-lost 1 --iterations 3 \
+	    --json virt-chaos-hetero.json
 
 # Record a traced run (clean + chaos), invariant-check it, and export
 # Perfetto JSON; exits nonzero if the trace breaks a runtime invariant.

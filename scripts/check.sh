@@ -79,14 +79,18 @@ echo "== virt smoke =="
 # Virtual-device binds: the same 4-logical-GPU plan bound identically,
 # heterogeneously (2 fast + 2 slow), and oversubscribed onto 2 physical
 # GPUs (deterministic time-slice); each bind is re-certified by the
-# analyzer against per-device memory, then executed.  JSON artifacts
-# land in virt-*.json.
+# analyzer against per-device memory, then executed.  A chaos sweep over
+# a heterogeneous bind that loses a device runs restarts and an elastic
+# re-plan on scaled timing.  JSON artifacts land in virt-*.json.
 python -m repro.cli bind toy-transformer --minibatch 16 --gpus 4 \
     --run --json virt-identity.json || failed=1
 python -m repro.cli bind toy-transformer --minibatch 16 --gpus 4 \
     --hetero 1.5,1.5,0.75,0.75 --run --json virt-hetero.json || failed=1
 python -m repro.cli bind toy-transformer --minibatch 16 --gpus 4 \
     --physical 2 --run --json virt-timeslice.json || failed=1
+python -m repro.cli chaos toy-transformer --minibatch 8 --gpus 2 --seeds 3 \
+    --hetero 1.5,0.75 --devices-lost 1 --iterations 3 \
+    --json virt-chaos-hetero.json || failed=1
 
 echo "== trace smoke =="
 # Record, invariant-check, and export a clean and a chaos trace; the CLI

@@ -31,7 +31,7 @@ from repro.models.spec import ModelSpec
 from repro.models.zoo import build_model
 from repro.runtime.executor import run_phase
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 
 
 def layer_chunks(profiles, max_bytes: int, max_layers: int = 32) -> list[tuple[int, int]]:
@@ -296,7 +296,7 @@ class BaselineScheme:
     def run(self, plan: Optional[BaselinePlan] = None) -> RunMetrics:
         plan = plan or self.plan()
         time_model = TrueTimeModel(
-            self.decomposed, self.server.gpu, self.server.host,
+            KernelTimes(self.decomposed, self.server.gpu), self.server.host,
             n_gpus=self.server.n_gpus,
         )
         return run_phase(

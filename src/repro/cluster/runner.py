@@ -69,7 +69,7 @@ from repro.runtime.metrics import (
     RunMetrics,
 )
 from repro.runtime.migration import run_transfers
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 from repro.sim.engine import Simulator
 
 
@@ -163,7 +163,7 @@ class ClusterRunner:
         for stage in plan.stages:
             spec = self.planner.cluster.servers[stage.server]
             time_model = TrueTimeModel(
-                stage.plan.decomposed, spec.gpu, spec.host,
+                KernelTimes(stage.plan.decomposed, spec.gpu), spec.host,
                 n_gpus=spec.n_gpus,
             )
             runner = FaultTolerantRunner(

@@ -6,11 +6,13 @@ event-driven simulation over per-device timelines (compute, swap, p2p,
 host optimizer lane), at per-microbatch granularity so pipeline overlap is
 captured.
 
-It deliberately differs from the full Runtime in two ways -- it uses the
-Profiler's *regressed* layer times rather than true kernel times, and it
-ignores cross-GPU link contention -- which is why Figure 14 compares its
-estimates against actual (fully simulated) runs and finds them close but
-not identical.  Being contention-free and allocation-free, it scores a
+It times each task by the Runtime's own rule
+(:class:`~repro.runtime.timemodel.TrueTimeModel`) and differs from the
+full Runtime only in where the layer times come from -- the Profiler's
+*regressed* fits rather than true kernel times -- and in ignoring
+cross-GPU link sharing.  That is why Figure 14 compares its estimates
+against actual (fully simulated) runs and finds them close but not
+identical.  Being contention-free and allocation-free, it scores a
 candidate in about 0.13 ms (traced ``bench/run.py --workload plan-zoo``,
 median of three runs: ~8.6 ms of estimator self time per plan over ~65
 candidates, Python 3.11 on a shared 2-vCPU x86 host), cheap enough for
@@ -26,20 +28,13 @@ from repro.core.taskgraph import mb_dependency
 from repro.core.types import (
     Channel,
     MoveRecord,
-    Task,
     TaskGraph,
     TaskKind,
     TaskRecord,
     TensorKind,
 )
-from repro.graph.layer import Phase
 from repro.hardware.server import ServerSpec
-
-#: A built task or its record: both carry every field the timing reads.
-_AnyTask = Union[Task, TaskRecord]
-
-_PHASES = {TaskKind.FWD: Phase.FWD, TaskKind.BWD: Phase.BWD,
-           TaskKind.UPD: Phase.UPD}
+from repro.runtime.timemodel import TrueTimeModel
 
 
 def _dep_map(src_sizes: tuple[int, ...],
@@ -66,54 +61,23 @@ class RuntimeEstimator:
         self._staging_bw = server.host.pageable_copy_bandwidth
         # A relayed MSG move: two PCIe hops plus the host staging copy.
         self._relay = 2.0 / self._swap_bw + 1.0 / self._staging_bw
-        # Task-time cache shared by every candidate of one configuration
-        # search: candidates share most of their (pack, u, phase)
-        # combinations.  A miss sums a slice of the profiles' per-layer
-        # time table, in the same order as the per-layer sum, so entries
-        # are bit-identical to the uncached path.  No invalidation:
-        # ``ModelProfiles`` is immutable.  The cache lives here, not on
-        # the profiles, so it is freed with the search while a plan keeps
-        # its profiles alive.
-        self._time_cache: dict[tuple, float] = {}
+        # Device count -> the time model timing tasks from the fitted
+        # profiles; its pack table is shared by every candidate of one
+        # configuration search, as candidates share most of their packs.
+        # No invalidation: ``ModelProfiles`` is immutable.  The tables
+        # live here, not on the profiles, so they are freed with the
+        # search while a plan keeps its profiles alive.
+        self._time_models: dict[int, TrueTimeModel] = {}
         # (first, last, is BWD, recomputes, sizes) -> per-microbatch
-        # ``mb_time``s; ints and tuples, as hashing an enum runs Python.
+        # times; ints and tuples, as hashing an enum runs Python.
         self._mb_times: dict[tuple, tuple[float, ...]] = {}
         # (producer sizes, consumer sizes) -> per-chunk producer index, or
         # None when the two granularities cover different samples.
         self._dep_maps: dict[tuple, Optional[tuple[int, ...]]] = {}
         # (first, last, FLOPs, on CPU, device count) -> an update's
-        # ``update_time``: the key holds everything it reads, and a graph
+        # update time: the key holds everything it reads, and a graph
         # may span fewer devices than the server.
         self._update_times: dict[tuple, float] = {}
-
-    # -- task timing from regressed profiles -------------------------------------
-
-    def mb_time(self, task: _AnyTask, u: int) -> float:
-        if task.kind is TaskKind.UPD:
-            raise ValueError("update tasks timed separately")
-        recompute = task.kind is TaskKind.BWD and (task.fused or task.recompute)
-        return self._task_time(task, u, recompute)
-
-    def update_time(self, task: _AnyTask, n_gpus: int) -> float:
-        if task.on_cpu:
-            cores = max(1, self.server.host.cores // max(1, n_gpus))
-            return self.server.host.optimizer_time(task.compute_flops, cores)
-        return self._task_time(task, 1, False)
-
-    def _task_time(self, task: _AnyTask, u: int, recompute: bool) -> float:
-        """Sum of ``task``'s layer times at ``u`` in its own phase, plus
-        their forward times when it recomputes them."""
-        key = (task.kind, task.first_layer, task.last_layer, u, recompute)
-        value = self._time_cache.get(key)
-        if value is None:
-            span_time = self.profiles.span_time
-            value = span_time(_PHASES[task.kind], task.first_layer,
-                              task.last_layer, u)
-            if recompute:
-                value += span_time(Phase.FWD, task.first_layer,
-                                   task.last_layer, u)
-            self._time_cache[key] = value
-        return value
 
     def _xfer(self, move: MoveRecord, nbytes: int) -> float:
         """Transfer time of ``nbytes`` of ``move`` (inlined in ``estimate``)."""
@@ -148,6 +112,10 @@ class RuntimeEstimator:
         else:
             n = self.server.n_gpus
             tasks = schedule
+        time_model = self._time_models.get(n)
+        if time_model is None:
+            time_model = self._time_models[n] = TrueTimeModel(
+                self.profiles, self.server.host, n)
         compute_free = [0.0] * n
         swap_in_free = [0.0] * n
         swap_out_free = [0.0] * n
@@ -188,7 +156,8 @@ class RuntimeEstimator:
                 key = (first, last, flops, on_cpu, n)
                 duration = update_times.get(key)
                 if duration is None:
-                    duration = update_times[key] = self.update_time(task, n)
+                    duration = update_times[key] = \
+                        time_model.update_time(task)
                 if on_cpu:
                     end = cpu_free[d]
                     if dep > end:
@@ -289,7 +258,8 @@ class RuntimeEstimator:
             durations = mb_times.get(key)
             if durations is None:
                 # A group holds at most two sizes: time each once.
-                timed = {u: self.mb_time(task, u) for u in set(mbs)}
+                timed = {u: time_model.microbatch_time(task, u)
+                         for u in set(mbs)}
                 durations = mb_times[key] = tuple([timed[u] for u in mbs])
             end = compute_free[d]
             mb_done = []

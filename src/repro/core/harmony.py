@@ -40,10 +40,11 @@ from repro.models.spec import ModelSpec
 from repro.models.zoo import build_model
 from repro.runtime.executor import DEFAULT_MAX_STEPS
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis import AnalysisReport
+    from repro.faults import FaultPlan, RecoveryPolicy
 
 #: Bound of the search store: 1.5x the 32 distinct problems one
 #: ``serve-fleet`` storm pass plans.
@@ -370,8 +371,8 @@ class Harmony:
 
     def run(self, plan: Optional[HarmonyPlan] = None,
             iterations: int = 1,
-            fault_plan: Optional[object] = None,
-            recovery: Optional[object] = None,
+            fault_plan: Optional[FaultPlan] = None,
+            recovery: Optional[RecoveryPolicy] = None,
             max_steps: Optional[int] = DEFAULT_MAX_STEPS,
             horizon: Optional[float] = None,
             trace: Optional[object] = None) -> HarmonyReport:
@@ -409,7 +410,6 @@ class Harmony:
         GPU.  An identity binding is bit-identical to no binding at all.
         """
         from repro.virt.bind import BoundPlan
-        from repro.virt.timemodel import ScaledTimeModel
 
         bound: Optional[BoundPlan] = None
         if isinstance(plan, BoundPlan):
@@ -419,12 +419,12 @@ class Harmony:
             plan = plan or self.plan()
         exec_spec = bound.server if bound is not None else self.server
         graph = bound.graph if bound is not None else plan.graph
-        time_model: object = TrueTimeModel(
-            plan.decomposed, exec_spec.gpu, exec_spec.host,
+        time_model = TrueTimeModel(
+            KernelTimes(plan.decomposed, exec_spec.gpu), exec_spec.host,
             n_gpus=exec_spec.n_gpus,
+            flops_scales=(bound.binding.topology.flops_scales()
+                          if bound is not None else ()),
         )
-        if bound is not None and not bound.binding.topology.is_uniform:
-            time_model = ScaledTimeModel(time_model, bound.binding)
         if self.options.analyze != "off" and bound is None:
             # Bound plans were already strictly certified by bind().
             self._analyze(plan)
@@ -433,7 +433,7 @@ class Harmony:
         from repro.elastic import ElasticReplanner
         from repro.faults.runner import FaultTolerantRunner
 
-        elastic_on = recovery is None or getattr(recovery, "elastic", True)
+        elastic_on = recovery is None or recovery.elastic
         if bound is not None and exec_spec.n_gpus != self.server.n_gpus:
             # The elastic replanner plans in the logical universe
             # (this Harmony's server); under a count-changing bind
@@ -441,8 +441,8 @@ class Harmony:
             # device range, so escalation stops at rebind/restart.
             elastic_on = False
         runner = FaultTolerantRunner(
-            exec_spec, time_model, fault_plan,  # type: ignore[arg-type]
-            policy=recovery,  # type: ignore[arg-type]
+            exec_spec, time_model, fault_plan,
+            policy=recovery,
             prefetch=self.options.prefetch,
             host_state_bytes=self.host_state_bytes,
             max_steps=max_steps,

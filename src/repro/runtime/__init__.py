@@ -9,10 +9,11 @@ metrics are directly comparable.
 
 from repro.runtime.executor import Executor, run_phase
 from repro.runtime.metrics import GpuMetrics, RunMetrics
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 
 __all__ = [
     "Executor",
+    "KernelTimes",
     "run_phase",
     "GpuMetrics",
     "RunMetrics",

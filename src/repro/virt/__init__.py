@@ -21,14 +21,12 @@ from repro.virt.devices import (
     apply_device_mapping,
     remap_move,
 )
-from repro.virt.timemodel import ScaledTimeModel
 
 __all__ = [
     "BoundPlan",
     "DeviceBinding",
     "LogicalDevice",
     "PhysicalDevice",
-    "ScaledTimeModel",
     "VirtualTopology",
     "apply_device_mapping",
     "bind",

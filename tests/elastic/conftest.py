@@ -12,7 +12,7 @@ from repro.elastic import ElasticReplanner
 from repro.experiments.common import server_for
 from repro.faults.policy import RecoveryPolicy
 from repro.faults.runner import FaultTolerantRunner
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 
 
 def _planned(model, gpus, minibatch, mode):
@@ -51,7 +51,8 @@ def make_elastic_runner():
         spec = spec if spec is not None else harmony.server
         hplan = harmony.plan()
         time_model = TrueTimeModel(
-            hplan.decomposed, spec.gpu, spec.host, n_gpus=spec.n_gpus,
+            KernelTimes(hplan.decomposed, spec.gpu), spec.host,
+            n_gpus=spec.n_gpus,
         )
         if replanner == "auto":
             replanner = ElasticReplanner(harmony)

@@ -11,7 +11,7 @@ from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import server_for
 from repro.faults.policy import RecoveryPolicy
 from repro.faults.runner import FaultTolerantRunner
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +47,8 @@ def make_runner(toy_harmony):
         spec = spec if spec is not None else toy_harmony.server
         hplan = toy_harmony.plan()
         time_model = TrueTimeModel(
-            hplan.decomposed, spec.gpu, spec.host, n_gpus=spec.n_gpus,
+            KernelTimes(hplan.decomposed, spec.gpu), spec.host,
+            n_gpus=spec.n_gpus,
         )
         host_state = (
             toy_harmony.model.model_state_bytes

@@ -4,9 +4,10 @@ The planner and the Runtime keep eight caches: the search store, the
 profile store, the packing table it shares per model, the
 ``ModelProfiles`` memo tables (built from the fits' coefficient
 columns), the graph builder's schedule memo (pack parts, task groups,
-footprint prefixes, update FLOPs), the estimator's task-time cache, its
-per-search duration and dependency memos, and the Runtime's kernel-time
-store with its pack tables.  Each promises the bits of the naive
+footprint prefixes, update FLOPs), the estimator's per-search duration
+and dependency memos, the time model's pack tables (over fitted times in
+the estimator, kernel times in the Runtime), and the Runtime's
+kernel-time store.  Each promises the bits of the naive
 computation it replaces.
 This suite holds that promise down to ``float.hex()`` on the small zoo
 models in both execution modes, against a ``naive`` arm that swaps every
@@ -25,14 +26,13 @@ from itertools import accumulate
 import pytest
 
 from repro.core import harmony, profiler, taskgraph
-from repro.core.estimator import _PHASES, RuntimeEstimator
+from repro.core.estimator import RuntimeEstimator
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.profiler import ModelProfiles, Profiler
 from repro.core.types import TaskKind
 from repro.experiments.common import server_for
 from repro.faults import FaultPlan, FaultSpec
-from repro.graph.layer import Phase
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 from repro.trace import TraceRecorder
 from repro.virt import DeviceBinding
 
@@ -55,7 +55,7 @@ RUN_PATHS = {
         "iterations": 2,
         "fault_plan": FaultPlan(FaultSpec.chaos(1.0), seed=2),
     },
-    # ScaledTimeModel wrapping the tabulated TrueTimeModel.
+    # The tabulated TrueTimeModel dividing by per-device FLOPs scales.
     "hetero-bind": lambda harmony, plan: {
         "plan": harmony.bind(DeviceBinding.heterogeneous([1.5, 0.75]),
                              plan=plan),
@@ -86,13 +86,9 @@ def _naive_search(store, key, make, bound):
     return make()
 
 
-def _naive_task_time(self, task, u, recompute):
-    """The task's layer times summed one by one: no time cache, no table."""
-    layers = range(task.first_layer, task.last_layer + 1)
-    value = sum(self.profiles[i].time(_PHASES[task.kind], u) for i in layers)
-    if recompute:
-        value += sum(self.profiles[i].time(Phase.FWD, u) for i in layers)
-    return value
+def _naive_span_time(self, phase, first, last, u):
+    """The fitted layer times summed one by one: no time table."""
+    return sum(self[i].time(phase, u) for i in range(first, last + 1))
 
 
 class _Forgetful(dict):
@@ -126,12 +122,17 @@ def _forgetful_estimator(init):
     return forgetful_init
 
 
-def _naive_pack_time(self, task, phase, u):
-    """Fresh kernel times, left to right: no kernel store, no pack table."""
+def _naive_kernel_span_time(self, phase, first, last, u):
+    """Fresh kernel times, left to right: no kernel store."""
     total = 0.0
-    for i in task.layers:
+    for i in range(first, last + 1):
         total += self.units[i].run_time(self.gpu, phase, u)
     return total
+
+
+def _naive_pack_time(self, phase, first, last, u):
+    """The source's span time on every call: no pack table."""
+    return self.source.span_time(phase, first, last, u)
 
 
 @pytest.fixture
@@ -147,7 +148,8 @@ def naive(monkeypatch):
         monkeypatch.setattr(ModelProfiles, "_mem_prefix", _naive_mem_prefix)
         monkeypatch.setattr(harmony, "lru_get", _naive_search)
         monkeypatch.setattr(Profiler, "profile", _naive_profile)
-        monkeypatch.setattr(RuntimeEstimator, "_task_time", _naive_task_time)
+        monkeypatch.setattr(ModelProfiles, "span_time", _naive_span_time)
+        monkeypatch.setattr(KernelTimes, "span_time", _naive_kernel_span_time)
         monkeypatch.setattr(RuntimeEstimator, "__init__",
                             _forgetful_estimator(RuntimeEstimator.__init__))
         monkeypatch.setattr(taskgraph, "_Table", _NaiveTable)
@@ -157,16 +159,18 @@ def naive(monkeypatch):
 
 
 def _estimated_task_times(plan):
-    """The estimator's time for every microbatch (or update) of every
-    task: the explored estimates alone can hide a task time that only
-    moves a lane the iteration does not wait on."""
-    estimator = RuntimeEstimator(plan.profiles, plan.server)
+    """The fitted time the estimator charges every microbatch (or
+    update) of every task: the explored estimates alone can hide a task
+    time that only moves a lane the iteration does not wait on."""
+    time_model = TrueTimeModel(plan.profiles, plan.server.host,
+                               plan.server.n_gpus)
     times = []
     for task in plan.graph.tasks:
         if task.kind is TaskKind.UPD:
-            times.append(estimator.update_time(task, plan.server.n_gpus))
+            times.append(time_model.update_time(task))
         else:
-            times.extend(estimator.mb_time(task, u) for u in task.microbatches)
+            times.extend(time_model.microbatch_time(task, u)
+                         for u in task.microbatches)
     return tuple(t.hex() for t in times)
 
 

@@ -1,13 +1,15 @@
-"""The estimator's shared task-time cache must never serve stale values.
+"""The estimator's shared task-time tables must never serve stale values.
 
-The cache in :class:`RuntimeEstimator` is keyed on
-``(kind, first_layer, last_layer, u, recompute)`` and needs no
-invalidation because :class:`ModelProfiles` is immutable: a changed
-layer profile is a new ``ModelProfiles`` and a new estimator.  These
-tests swap a layer that way and check the new estimator tracks it while
-the old one is untouched, and check that nothing one graph's estimate
-leaves behind changes another's.  Cached task times are compared with a
-per-layer sum over the fits, the naive computation they replace.
+The estimator times tasks with a :class:`TrueTimeModel` over the fitted
+profiles, one per graph device count, whose pack table is keyed on
+``(phase, first_layer, last_layer, u)`` and needs no invalidation
+because :class:`ModelProfiles` is immutable: a changed layer profile is
+a new ``ModelProfiles``, a new estimator and new time models.  These
+tests swap a layer that way and check the new time model tracks it
+while the old one is untouched, and check that nothing one graph's
+estimate leaves behind changes another's.  Tabulated task times are
+compared with a per-layer sum over the fits, the naive computation they
+replace.
 """
 
 from dataclasses import replace
@@ -21,6 +23,7 @@ from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskKind
 from repro.experiments.common import server_for
 from repro.graph.layer import Phase
+from repro.runtime.timemodel import TrueTimeModel
 
 
 @pytest.fixture
@@ -48,6 +51,11 @@ def naive_mb_time(profiles, task, u):
     return bwd
 
 
+def fitted(profiles, server):
+    """The time model the estimator times ``server``'s tasks with."""
+    return TrueTimeModel(profiles, server.host, server.n_gpus)
+
+
 def _fwd_task(graph):
     return next(t for t in graph.tasks if t.kind is TaskKind.FWD)
 
@@ -60,62 +68,62 @@ def _upd_gpu_task(graph):
 
 
 def test_mb_time_cache_hit_is_identical(planned):
-    estimator = RuntimeEstimator(planned.profiles, planned.server)
+    time_model = fitted(planned.profiles, planned.server)
     task = _fwd_task(planned.graph)
     u = task.microbatches[0]
-    first = estimator.mb_time(task, u)
-    assert (TaskKind.FWD, task.first_layer, task.last_layer, u, False) \
-        in estimator._time_cache
-    assert estimator.mb_time(task, u).hex() == first.hex()
-    assert estimator.mb_time(task, u).hex() == \
+    first = time_model.microbatch_time(task, u)
+    assert (Phase.FWD, task.first_layer, task.last_layer, u) \
+        in time_model._pack_times
+    assert time_model.microbatch_time(task, u).hex() == first.hex()
+    assert time_model.microbatch_time(task, u).hex() == \
         naive_mb_time(planned.profiles, task, u).hex()
 
 
 def test_replaced_layer_gets_fresh_times(planned):
-    estimator = RuntimeEstimator(planned.profiles, planned.server)
+    time_model = fitted(planned.profiles, planned.server)
     task = _fwd_task(planned.graph)
     u = task.microbatches[0]
-    before = estimator.mb_time(task, u)
+    before = time_model.microbatch_time(task, u)
 
     layer = planned.profiles[task.first_layer]
     doubled = _with_layer(planned.profiles, task.first_layer, replace(
         layer, time_fwd=AffineFit(2 * layer.time_fwd.intercept,
                                   2 * layer.time_fwd.slope)))
-    fresh = RuntimeEstimator(doubled, planned.server)
+    fresh = fitted(doubled, planned.server)
 
-    after = fresh.mb_time(task, u)
+    after = fresh.microbatch_time(task, u)
     assert after > before, "new profiles served the old task time"
     assert after.hex() == naive_mb_time(doubled, task, u).hex()
     assert planned.profiles[task.first_layer] is layer
-    assert estimator.mb_time(task, u).hex() == before.hex()
+    assert time_model.microbatch_time(task, u).hex() == before.hex()
 
 
 def test_rebuilt_profiles_start_a_fresh_cache(planned):
     """Profiles cannot change in place; rebuilding them over the same
-    fits gives a new estimator an empty cache and the same bits."""
+    fits gives a new estimator no time tables and the same bits."""
     profiles = planned.profiles
     assert isinstance(profiles.layers, tuple)
     with pytest.raises(TypeError):
         profiles.layers[0] = profiles.layers[0]
     estimator = RuntimeEstimator(profiles, planned.server)
-    task = _fwd_task(planned.graph)
-    first = estimator.mb_time(task, task.microbatches[0])
-    assert estimator._time_cache
+    first = estimator.estimate(planned.graph)
+    assert estimator._time_models[planned.graph.n_devices]._pack_times
 
     rebuilt = ModelProfiles(profiles.layers, profiles.optimizer_slots,
                             profiles.gpu)
     assert rebuilt.layers is profiles.layers
     fresh = RuntimeEstimator(rebuilt, planned.server)
-    assert fresh._time_cache == {}
-    assert fresh.mb_time(task, task.microbatches[0]).hex() == first.hex()
+    assert fresh._time_models == {}
+    assert fresh.estimate(planned.graph).hex() == first.hex()
 
 
 def test_distinct_u_are_distinct_entries(planned):
-    estimator = RuntimeEstimator(planned.profiles, planned.server)
+    time_model = fitted(planned.profiles, planned.server)
     task = _fwd_task(planned.graph)
-    t1, t2 = estimator.mb_time(task, 1), estimator.mb_time(task, 2)
+    t1 = time_model.microbatch_time(task, 1)
+    t2 = time_model.microbatch_time(task, 2)
     assert t1 != t2
-    keys = {k for k in estimator._time_cache if k[0] is TaskKind.FWD}
+    keys = {k for k in time_model._pack_times if k[0] is Phase.FWD}
     assert len(keys) >= 2
 
 
@@ -125,13 +133,13 @@ def test_update_time_gpu_cached_cpu_not():
         options=HarmonyOptions(mode="pp", offload_optimizer=False),
     )
     planned = harmony.plan()
-    estimator = RuntimeEstimator(planned.profiles, planned.server)
+    time_model = fitted(planned.profiles, planned.server)
     upd = _upd_gpu_task(planned.graph)
     assert upd is not None, "offload disabled, expected a GPU update task"
-    first = estimator.update_time(upd, planned.server.n_gpus)
-    key = (TaskKind.UPD, upd.first_layer, upd.last_layer, 1, False)
-    assert estimator._time_cache[key] == first
-    assert estimator.update_time(upd, planned.server.n_gpus) == first
+    first = time_model.update_time(upd)
+    key = (Phase.UPD, upd.first_layer, upd.last_layer, 1)
+    assert time_model._pack_times[key] == first
+    assert time_model.update_time(upd) == first
 
 
 def test_no_state_leaks_between_graphs(planned):

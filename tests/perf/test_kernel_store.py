@@ -1,8 +1,8 @@
 """The shared true-kernel-time store against a naive oracle.
 
-``TrueTimeModel`` keeps per-layer kernel times in a process-wide store
-(``repro.runtime.timemodel._STORE``) and per-instance pack sums over
-them.  The oracle is the naive computation: a fresh left-to-right sum of
+``KernelTimes`` keeps per-layer kernel times in a process-wide store
+(``repro.runtime.timemodel._STORE``), and ``TrueTimeModel`` per-instance
+pack sums over them.  The oracle is the naive computation: a fresh left-to-right sum of
 ``LayerUnit.run_time`` over the pack's layers, compared by ``float.hex``
 for every pack of every bench-zoo plan at the benchmark's warm-up size --
 with the store cold and warm.  The store's key must keep different GPUs and seeds apart, and the store must
@@ -23,7 +23,7 @@ from repro.experiments.common import server_for
 from repro.graph.layer import Phase
 from repro.models.zoo import build_model
 from repro.runtime import timemodel
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 
 #: The bench zoo (``bench/workloads.py``): every model x mode x GPU count.
 MODELS = ("gpt2", "gpt2-medium", "bert96", "bert-large", "vgg416", "resnet1k")
@@ -95,7 +95,8 @@ def test_every_zoo_pack_equals_the_naive_sum(arm, zoo_plans, cold_store):
         units = plan.decomposed.units
         rounds = 2 if arm == "warm" else 1
         for _ in range(rounds):  # warm: a second instance over a full store
-            time_model = TrueTimeModel(plan.decomposed, server.gpu,
+            time_model = TrueTimeModel(KernelTimes(plan.decomposed,
+                                                   server.gpu),
                                        server.host, n_gpus=server.n_gpus)
             for task in plan.graph.tasks:
                 if task.kind is TaskKind.UPD and task.on_cpu:
@@ -152,7 +153,8 @@ def test_different_gpus_and_seeds_never_share(cold_store):
                                  peak_flops=2 * server.gpu.peak_flops)
 
     def pack_time(decomposed, gpu) -> float:
-        time_model = TrueTimeModel(decomposed, gpu, server.host, n_gpus=2)
+        time_model = TrueTimeModel(KernelTimes(decomposed, gpu), server.host,
+                                   n_gpus=2)
         return time_model.microbatch_time(task, 2)
 
     times = {
@@ -175,11 +177,10 @@ def test_store_stays_within_its_bound(cold_store, monkeypatch):
     keys = []
     for seed in range(5):
         decomposed = Decomposer(seed=seed).decompose(model)
-        TrueTimeModel(decomposed, server.gpu, server.host, n_gpus=2)
+        KernelTimes(decomposed, server.gpu)
         assert len(cold_store) <= 3
         keys.append(next(reversed(cold_store)))
     assert list(cold_store) == keys[2:]
     # A hit refreshes the entry: seed 2 is now the most recent.
-    TrueTimeModel(Decomposer(seed=2).decompose(model), server.gpu,
-                  server.host, n_gpus=2)
+    KernelTimes(Decomposer(seed=2).decompose(model), server.gpu)
     assert list(cold_store) == [keys[3], keys[4], keys[2]]

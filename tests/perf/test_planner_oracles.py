@@ -398,7 +398,9 @@ class NaiveEstimator(RuntimeEstimator):
 
     def update_time(self, task, n_gpus):
         if task.on_cpu:
-            return super().update_time(task, n_gpus)
+            host = self.server.host
+            cores = max(1, host.cores // max(1, n_gpus))
+            return host.optimizer_time(task.compute_flops, cores)
         return sum(self.profiles[i].time(Phase.UPD, 1) for i in task.layers)
 
     def estimate(self, graph):

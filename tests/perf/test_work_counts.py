@@ -26,11 +26,12 @@ suite pins, exactly:
 - the ``LayerProfile.act_out_bytes`` calls one ``plan()`` makes:
   Algorithm 2's pack-count lower bound reads a per-sample prefix, not
   one call per layer per forced tail and microbatch size;
-- the ``RuntimeEstimator.mb_time`` calls one cold ``plan()`` makes: one
-  per distinct microbatch size of each task shape, not one per
-  microbatch; and its ``ModelProfiles.memo`` calls: the emitter reads
-  footprints and update FLOPs off its own memo, not one memo call per
-  emitted task;
+- the ``TrueTimeModel.microbatch_time`` calls the estimator makes in
+  one cold ``plan()``: one per distinct microbatch size of each task
+  shape, not one per microbatch; and its ``ModelProfiles.memo`` calls:
+  the emitter reads footprints and update FLOPs off its own memo, not
+  one memo call per emitted task, and a forward task and a recomputing
+  backward task over the same layers share one fitted span time;
 - the ``Simulator.steps`` one simulated iteration drains; an ``AllOf``
   takes a hop only for its final countdown (or a failure), never one
   per constituent;
@@ -65,7 +66,6 @@ import pytest
 
 from repro.core import packing
 from repro.core.decomposer import LayerUnit
-from repro.core.estimator import RuntimeEstimator
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.profiler import LayerProfile, ModelProfiles
 from repro.core.search import ConfigurationSearch
@@ -74,6 +74,7 @@ from repro.core.types import TaskGraph
 from repro.experiments.common import server_for
 from repro.fleet import FleetPlacer, fleet_of
 from repro.runtime.executor import Executor
+from repro.runtime.timemodel import TrueTimeModel
 from repro.service import PlannerService, ServiceConfig, scripted_workload
 from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder, analytics
@@ -102,7 +103,7 @@ class Case:
     warm_packings: int
     #: ``LayerProfile.act_out_bytes`` calls made by one ``plan()``.
     act_outs: int
-    #: ``RuntimeEstimator.mb_time`` calls made by one cold ``plan()``.
+    #: ``TrueTimeModel.microbatch_time`` calls made by one cold ``plan()``.
     mb_times: int
     #: ``ModelProfiles.memo`` calls made by one cold ``plan()``.
     memo_calls: int
@@ -118,7 +119,7 @@ CASES = (
     Case("toy-transformer", "pp", 2, 8,
          candidates=48, time_tables=8, mem_prefixes=8, winner_prefixes=2,
          packings=20, warm_packings=22, act_outs=9, mb_times=24,
-         memo_calls=124,
+         memo_calls=120,
          steps=427, kernel_times=25, max_drift=0.39),
     Case("tiny-cnn", "dp", 2, 8,
          candidates=9, time_tables=6, mem_prefixes=3, winner_prefixes=1,
@@ -128,7 +129,7 @@ CASES = (
     Case("gpt2", "pp", 4, 32,
          candidates=68, time_tables=12, mem_prefixes=12, winner_prefixes=2,
          packings=65, warm_packings=28, act_outs=243, mb_times=323,
-         memo_calls=2297,
+         memo_calls=2287,
          steps=5233, kernel_times=152, max_drift=0.02),
 )
 
@@ -205,7 +206,7 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
     _count_calls(monkeypatch, counts, TaskGraph, "validate")
     _count_tables(monkeypatch, counts)
     _count_calls(monkeypatch, counts, ModelProfiles, "memo")
-    _count_calls(monkeypatch, counts, RuntimeEstimator, "mb_time")
+    _count_calls(monkeypatch, counts, TrueTimeModel, "microbatch_time")
     _count_calls(monkeypatch, counts, LayerProfile, "act_out_bytes")
     packings = _record_packings(monkeypatch)
     simulators: list[Simulator] = []
@@ -225,7 +226,8 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
     expected = {"build": 1, "validate": 1, "assemble": 1,
                 "records": case.candidates + 1, "times": case.time_tables,
                 "memp": case.mem_prefixes,
-                "act_out_bytes": case.act_outs, "mb_time": case.mb_times,
+                "act_out_bytes": case.act_outs,
+                "microbatch_time": case.mb_times,
                 "memo": case.memo_calls}
     assert counts == expected, (
         "one plan() must assemble, build and validate only the winner, "

@@ -8,7 +8,7 @@ from repro.core.taskgraph import HarmonyGraphBuilder, ScheduleOptions
 from repro.graph.layer import Phase
 from repro.hardware.server import SimulatedServer
 from repro.runtime.executor import Executor
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 from repro.sim.engine import Simulator
 
 
@@ -32,8 +32,8 @@ def execute(server_spec, decomposed, profiles, config, mode="pp",
     ).build(config)
     sim = Simulator()
     server = SimulatedServer(sim, server_spec)
-    time_model = TrueTimeModel(decomposed, server_spec.gpu, server_spec.host,
-                               server_spec.n_gpus)
+    time_model = TrueTimeModel(KernelTimes(decomposed, server_spec.gpu),
+                               server_spec.host, server_spec.n_gpus)
     executor = Executor(server, time_model, prefetch=prefetch)
     return executor.run(graph)
 
@@ -69,7 +69,8 @@ class TestExecution:
         ).build(toy_config)
         sim = Simulator()
         server = SimulatedServer(sim, small_server)
-        time_model = TrueTimeModel(toy_decomposed, small_server.gpu,
+        time_model = TrueTimeModel(KernelTimes(toy_decomposed,
+                                               small_server.gpu),
                                    small_server.host, 2)
         metrics = Executor(server, time_model).run(graph)
         assert metrics.global_swap_bytes == graph.global_swap_bytes()
@@ -124,7 +125,8 @@ class TestExecution:
         ).build(toy_config)
         sim = Simulator()
         server = SimulatedServer(sim, small_server)
-        time_model = TrueTimeModel(toy_decomposed, small_server.gpu,
+        time_model = TrueTimeModel(KernelTimes(toy_decomposed,
+                                               small_server.gpu),
                                    small_server.host, 2)
         executor = Executor(server, time_model,
                             host_state_bytes=small_server.host.memory_bytes * 2)

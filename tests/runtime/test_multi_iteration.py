@@ -36,14 +36,14 @@ class TestMultiIteration:
         plan = harmony.plan()
         from repro.hardware.server import SimulatedServer
         from repro.runtime.executor import Executor
-        from repro.runtime.timemodel import TrueTimeModel
+        from repro.runtime.timemodel import KernelTimes, TrueTimeModel
         from repro.sim.engine import Simulator
 
         sim = Simulator()
         server = SimulatedServer(sim, harmony.server)
         executor = Executor(
             server,
-            TrueTimeModel(plan.decomposed, harmony.server.gpu,
+            TrueTimeModel(KernelTimes(plan.decomposed, harmony.server.gpu),
                           harmony.server.host, 2),
         )
         with pytest.raises(SchedulingError):

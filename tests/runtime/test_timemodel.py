@@ -5,13 +5,13 @@ import pytest
 from repro.common.floats import ordered_sum
 from repro.core.types import Task, TaskKind
 from repro.graph.layer import Phase
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 
 
 @pytest.fixture
 def time_model(toy_decomposed, small_server):
-    return TrueTimeModel(toy_decomposed, small_server.gpu, small_server.host,
-                         n_gpus=small_server.n_gpus)
+    return TrueTimeModel(KernelTimes(toy_decomposed, small_server.gpu),
+                         small_server.host, n_gpus=small_server.n_gpus)
 
 
 def make_task(kind, first=1, last=3, fused=False, recompute=True,

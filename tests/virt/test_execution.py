@@ -15,13 +15,19 @@ from repro.common.errors import ScheduleAnalysisError
 from repro.common.floats import ordered_sum
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.experiments.common import server_for
-from repro.runtime.timemodel import TrueTimeModel
+from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 from repro.trace import TraceRecorder
-from repro.virt import DeviceBinding, ScaledTimeModel, VirtualTopology
+from repro.virt import DeviceBinding, VirtualTopology
 from tests.sum312 import sum312
 
 GPUS = 4
 MINIBATCH = 16
+
+
+def _time_model(harmony, plan, flops_scales=()):
+    return TrueTimeModel(KernelTimes(plan.decomposed, harmony.server.gpu),
+                         harmony.server.host, n_gpus=GPUS,
+                         flops_scales=flops_scales)
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +84,9 @@ class TestTimeSlice:
 class TestHeterogeneous:
     def test_scaled_time_model_divides_by_flops_scale(self, harmony):
         plan = harmony.plan()
-        base = TrueTimeModel(plan.decomposed, harmony.server.gpu,
-                             harmony.server.host, n_gpus=GPUS)
-        scaled = ScaledTimeModel(
-            base, DeviceBinding.heterogeneous([2.0, 1.0, 1.0, 0.5]))
+        base = _time_model(harmony, plan)
+        scaled = _time_model(harmony, plan, DeviceBinding.heterogeneous(
+            [2.0, 1.0, 1.0, 0.5]).topology.flops_scales())
         from repro.core.types import TaskKind
 
         checked = 0
@@ -106,10 +111,9 @@ class TestHeterogeneous:
         even where Python 3.12's compensated ``sum`` (emulated here)
         would round the microbatch fold differently."""
         plan = harmony.plan()
-        base = TrueTimeModel(plan.decomposed, harmony.server.gpu,
-                             harmony.server.host, n_gpus=GPUS)
-        scaled = ScaledTimeModel(base, DeviceBinding.heterogeneous(
-            [1.0] * GPUS))
+        base = _time_model(harmony, plan)
+        scaled = _time_model(harmony, plan, DeviceBinding.heterogeneous(
+            [1.0] * GPUS).topology.flops_scales())
         monkeypatch.setattr(builtins, "sum", sum312)
         from repro.core.types import TaskKind
 
@@ -126,10 +130,9 @@ class TestHeterogeneous:
 
     def test_cpu_updates_are_not_scaled(self, harmony):
         plan = harmony.plan()
-        base = TrueTimeModel(plan.decomposed, harmony.server.gpu,
-                             harmony.server.host, n_gpus=GPUS)
-        scaled = ScaledTimeModel(
-            base, DeviceBinding.heterogeneous([2.0] * GPUS))
+        base = _time_model(harmony, plan)
+        scaled = _time_model(harmony, plan, DeviceBinding.heterogeneous(
+            [2.0] * GPUS).topology.flops_scales())
         from repro.core.types import TaskKind
 
         cpu_updates = [t for t in plan.graph.tasks
@@ -137,6 +140,18 @@ class TestHeterogeneous:
         assert cpu_updates, "fixture should offload the optimizer"
         for task in cpu_updates:
             assert scaled.update_time(task) == base.update_time(task)
+
+    def test_device_outside_the_scales_is_an_error(self, harmony):
+        """A task on a device the scales do not cover is a graph/binding
+        mismatch, never an unscaled time."""
+        plan = harmony.plan()
+        scaled = _time_model(harmony, plan, (2.0, 0.5))
+        from repro.core.types import TaskKind
+
+        task = next(t for t in plan.graph.tasks
+                    if t.kind is TaskKind.FWD and t.device >= 2)
+        with pytest.raises(IndexError):
+            scaled.microbatch_time(task, task.microbatches[0])
 
     def test_uniformly_faster_hardware_is_not_slower(self, harmony):
         planned = harmony.run().metrics.iteration_time
