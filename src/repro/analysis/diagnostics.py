@@ -12,7 +12,7 @@ point at the same identifiers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.common.errors import ScheduleAnalysisError
@@ -195,6 +195,33 @@ class AnalysisReport:
             f"{len(self.warnings)} warning(s) -- {verdict}"
         )
         return "\n".join(lines)
+
+    def snapshot(self) -> dict:
+        """The per-pass outcomes, diagnostics, certificates and verdict
+        as plain JSON values (``repro check --json``)."""
+        return {
+            "passes": [
+                {
+                    "name": result.name,
+                    "skipped": result.skipped,
+                    "suppressed": result.suppressed,
+                    "diagnostics": len(result.diagnostics),
+                }
+                for result in self.results
+            ],
+            "diagnostics": [
+                asdict(d) | {"severity": d.severity.name.lower()}
+                for d in self.diagnostics
+            ],
+            "certificates": [
+                asdict(cert) | {
+                    "smallest_violating_n": cert.smallest_violating_n(),
+                    "safe_for_all": cert.safe_for_all,
+                }
+                for cert in self.certificates
+            ],
+            "ok": self.ok,
+        }
 
     def raise_if_errors(self) -> None:
         if self.ok:

@@ -20,7 +20,7 @@ step order, their weight versions and the host state those versions need.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
 
 from repro.baselines.base import (
     BaselinePlan,
@@ -31,6 +31,7 @@ from repro.baselines.base import (
 )
 from repro.common.errors import SchedulingError
 from repro.core.config import Pack, microbatch_group, packs_from_boundaries
+from repro.core.packing import quantile_cuts
 from repro.core.types import Channel, Move, TaskKind, TensorKind
 from repro.graph.layer import Phase
 
@@ -50,11 +51,8 @@ def compute_balanced_stages(profiles, n_stages: int) -> tuple[Pack, ...]:
         profiles[i].time(Phase.FWD, 1) + profiles[i].time(Phase.BWD, 1)
         for i in range(n_layers)
     ]
-    prefix = np.cumsum(times)
-    targets = np.arange(1, n_stages) * (prefix[-1] / n_stages)
-    cuts = np.searchsorted(prefix, targets) + 1
-    cuts = np.clip(cuts, 1, n_layers - 1)
-    boundaries = [0] + sorted(set(int(c) for c in cuts))
+    prefix = list(accumulate(times))
+    boundaries = [0] + sorted(set(quantile_cuts(prefix, n_stages)))
     # Degenerate tiny models: cut after the last boundary while layers
     # remain, then at the first unused layers.
     spare = (layer for layer in range(1, n_layers) if layer not in boundaries)

@@ -41,6 +41,10 @@ Subcommands:
   any metric or per-request mismatch, ``--max-shed-rate`` turns an
   excessive shed rate into a nonzero exit.
 
+Each subparser names its handler (``set_defaults(handler=...)``); a
+handler prints its text report and returns ``(exit code, payload)``, and
+:func:`main` writes the payload to ``--json PATH`` when one is given.
+
 Examples::
 
     python -m repro.cli plan gpt2 --minibatch 64 --mode pp
@@ -69,6 +73,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import sys
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -100,28 +105,43 @@ EXPERIMENTS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Harmony (VLDB 2022) reproduction CLI"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("model", choices=available_models())
-        p.add_argument("--minibatch", type=int, default=32)
-        p.add_argument("--mode", choices=("dp", "pp"), default="pp")
-        p.add_argument("--gpus", type=int, default=4, choices=(1, 2, 4, 8))
+    def command(
+        name: str,
+        handler: Callable[[argparse.Namespace], tuple[int, Optional[dict]]],
+        help: str,
+        model: bool = True,
+    ) -> argparse.ArgumentParser:
+        """Add subcommand ``name`` run by ``handler`` (see the module
+        docstring); ``model`` adds the model/minibatch/mode/gpus args."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if model:
+            p.add_argument("model", choices=available_models())
+            p.add_argument("--minibatch", type=_positive_int, default=32)
+            p.add_argument("--mode", choices=("dp", "pp"), default="pp")
+            p.add_argument("--gpus", type=int, default=4,
+                           choices=(1, 2, 4, 8))
+        return p
 
-    plan = sub.add_parser("plan", help="run the Scheduler only")
-    add_model_args(plan)
+    command("plan", _plan, "run the Scheduler only")
+    command("run", _run, "plan and execute one iteration")
 
-    run = sub.add_parser("run", help="plan and execute one iteration")
-    add_model_args(run)
-
-    check = sub.add_parser(
-        "check", help="statically verify the planned schedule"
-    )
-    add_model_args(check)
+    check = command("check", _check, "statically verify the planned schedule")
     check.add_argument(
         "--inject", choices=sorted(INJECTIONS), default=None,
         help="seed one defect into the plan first, to see the analyzer "
@@ -148,10 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "parametric capacity certificates as JSON",
     )
 
-    bind = sub.add_parser(
-        "bind", help="late-bind the logical plan onto a physical topology"
-    )
-    add_model_args(bind)
+    bind = command("bind", _bind,
+                   "late-bind the logical plan onto a physical topology")
     bind.add_argument("--physical", type=int, default=None,
                       help="physical GPU count (default: the logical "
                            "count); fewer than --gpus time-slices several "
@@ -165,32 +183,30 @@ def _build_parser() -> argparse.ArgumentParser:
                            "scales (default: 1.0 each)")
     bind.add_argument("--run", action="store_true",
                       help="also execute the bound schedule")
-    bind.add_argument("--iterations", type=int, default=1,
+    bind.add_argument("--iterations", type=_positive_int, default=1,
                       help="iterations for --run (default 1)")
     bind.add_argument("--json", metavar="PATH", default=None,
                       help="write the binding, analyzer verdict and (with "
                            "--run) metrics as JSON")
 
-    experiment = sub.add_parser(
-        "experiment", help="regenerate a paper table/figure"
-    )
+    experiment = command("experiment", _experiment,
+                         "regenerate a paper table/figure", model=False)
     experiment.add_argument("name", choices=sorted(EXPERIMENTS))
     experiment.add_argument("--fast", action="store_true",
                             help="shrunk sweep for a quick look")
 
-    trace = sub.add_parser(
-        "trace",
-        help="execute with the trace recorder on and export the timeline",
+    trace = command(
+        "trace", _trace,
+        "execute with the trace recorder on and export the timeline",
     )
-    add_model_args(trace)
-    trace.add_argument("--iterations", type=int, default=1,
+    trace.add_argument("--iterations", type=_positive_int, default=1,
                        help="iterations to record (default 1)")
     trace.add_argument("--out", metavar="PATH", default=None,
                        help="write Chrome/Perfetto trace_event JSON here "
                             "(load in chrome://tracing or ui.perfetto.dev)")
     trace.add_argument("--text", action="store_true",
                        help="also print the per-lane ASCII timeline")
-    trace.add_argument("--ring", type=int, default=None,
+    trace.add_argument("--ring", type=_positive_int, default=None,
                        help="bounded-memory mode: keep only the newest N "
                             "events (accounting checks are skipped once "
                             "events drop)")
@@ -200,17 +216,15 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--intensity", type=float, default=1.0,
                        help="chaos intensity when --chaos-seed is given")
 
-    chaos = sub.add_parser(
-        "chaos", help="execute under fault injection across a seed sweep"
-    )
-    add_model_args(chaos)
+    chaos = command("chaos", _chaos,
+                    "execute under fault injection across a seed sweep")
     chaos.add_argument("--seeds", type=int, default=5,
                        help="number of fault seeds to sweep (default 5)")
     chaos.add_argument("--seed-base", type=int, default=0,
                        help="first fault seed of the sweep")
     chaos.add_argument("--intensity", type=float, default=1.0,
                        help="chaos intensity multiplier (default 1.0)")
-    chaos.add_argument("--iterations", type=int, default=2,
+    chaos.add_argument("--iterations", type=_positive_int, default=2,
                        help="iterations per run (default 2, so iteration-"
                             "boundary recovery gets exercised)")
     chaos.add_argument("--transfer-rate", type=float, default=None,
@@ -255,9 +269,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(cluster sweeps add per-category cluster "
                             "fault counts and recovery outcomes)")
 
-    serve = sub.add_parser(
-        "serve",
-        help="drive a seeded request storm through the planning service",
+    serve = command(
+        "serve", _serve,
+        "drive a seeded request storm through the planning service",
+        model=False,
     )
     serve.add_argument("--requests", type=int, default=200,
                        help="storm size (default 200)")
@@ -318,38 +333,42 @@ def _harmony(args: argparse.Namespace) -> Harmony:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "plan":
-        plan = _harmony(args).plan()
-        print(plan.describe())
-        print(plan.config.pack_table())
-        return 0
-    if args.command == "run":
-        report = _harmony(args).run()
-        print(report.describe())
-        return 0
-    if args.command == "check":
-        return _check(args)
-    if args.command == "bind":
-        return _bind(args)
-    if args.command == "experiment":
-        module = importlib.import_module(
-            f"repro.experiments.{EXPERIMENTS[args.name]}"
-        )
-        rows = module.run(fast=args.fast)
-        print(render(rows))
-        return 0
-    if args.command == "trace":
-        return _trace(args)
-    if args.command == "chaos":
-        return _chaos(args)
-    if args.command == "serve":
-        return _serve(args)
-    return 2  # pragma: no cover - argparse enforces the choices
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        code, payload = args.handler(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
+    if payload is not None and args.json is not None:
+        with open(args.json, "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote JSON report to {args.json}")
+    return code
 
 
-def _check(args: argparse.Namespace) -> int:
-    """The ``check`` subcommand: static verification, optional JSON."""
+def _plan(args: argparse.Namespace) -> tuple[int, None]:
+    plan = _harmony(args).plan()
+    print(plan.describe())
+    print(plan.config.pack_table())
+    return 0, None
+
+
+def _run(args: argparse.Namespace) -> tuple[int, None]:
+    print(_harmony(args).run().describe())
+    return 0, None
+
+
+def _experiment(args: argparse.Namespace) -> tuple[int, None]:
+    module = importlib.import_module(
+        f"repro.experiments.{EXPERIMENTS[args.name]}"
+    )
+    print(render(module.run(fast=args.fast)))
+    return 0, None
+
+
+def _check(args: argparse.Namespace) -> tuple[int, dict]:
+    """The ``check`` subcommand: static verification."""
     harmony = _harmony(args)
     plan = harmony.plan()
     options = plan.options.schedule_options()
@@ -370,51 +389,12 @@ def _check(args: argparse.Namespace) -> int:
     print(report.describe())
     for cert in report.certificates:
         print(f"  certificate: {cert.describe()}")
-    if args.json:
-        import dataclasses
-
-        payload = {
-            "model": args.model,
-            "mode": args.mode,
-            "gpus": args.gpus,
-            "minibatch": args.minibatch,
-            "injected": args.inject,
-            "passes": [
-                {
-                    "name": result.name,
-                    "skipped": result.skipped,
-                    "suppressed": result.suppressed,
-                    "diagnostics": len(result.diagnostics),
-                }
-                for result in report.results
-            ],
-            "diagnostics": [
-                {
-                    "rule": d.rule,
-                    "severity": d.severity.name.lower(),
-                    "message": d.message,
-                    "task": d.task,
-                    "device": d.device,
-                    "move": d.move,
-                    "hint": d.hint,
-                }
-                for d in report.diagnostics
-            ],
-            "certificates": [
-                {
-                    **dataclasses.asdict(cert),
-                    "smallest_violating_n": cert.smallest_violating_n(),
-                    "safe_for_all": cert.safe_for_all,
-                }
-                for cert in report.certificates
-            ],
-            "ok": report.ok,
-        }
-        _write_json(args.json, payload)
-    return 0 if report.ok else 1
+    payload = (_settings(args, "model", "mode", "gpus", "minibatch")
+               | {"injected": args.inject} | report.snapshot())
+    return 0 if report.ok else 1, payload
 
 
-def _serve(args: argparse.Namespace) -> int:
+def _serve(args: argparse.Namespace) -> tuple[int, dict]:
     """The ``serve`` subcommand: one seeded storm through the service.
 
     Everything the storm produces is a deterministic function of the
@@ -485,7 +465,7 @@ def _serve(args: argparse.Namespace) -> int:
              if args.chaos else ", no chaos")
           + (f", fleet of {args.fleet_servers} server(s) x "
              f"{args.fleet_gpus} GPUs" if fleet_on else ""))
-    print(service.run_metrics().describe())
+    print(metrics.describe())
     if fleet_on and service.fleet is not None:
         print(service.fleet.describe())
 
@@ -510,39 +490,38 @@ def _serve(args: argparse.Namespace) -> int:
         else:
             failures.append(f"shed rate {metrics.shed_rate:.3f} exceeds "
                             f"bound {args.max_shed_rate}")
-    if args.json:
-        payload = {
-            "requests": args.requests,
-            "seed": args.seed,
-            "chaos": spec.describe() if args.chaos else None,
-            "intensity": args.intensity if args.chaos else 0.0,
-            "fleet": (service.fleet.snapshot()
-                      if fleet_on and service.fleet is not None else None),
-            "metrics": metrics.snapshot(),
-            "breaker": service.breaker.describe(),
-            "results": [r.describe() for r in service.results],
-            "ok": not failures,
-            "failures": failures,
-        }
-        _write_json(args.json, payload)
     for failure in failures:
         print(failure)
-    return 1 if failures else 0
+    return 1 if failures else 0, {
+        "requests": args.requests,
+        "seed": args.seed,
+        "chaos": spec.describe() if args.chaos else None,
+        "intensity": args.intensity if args.chaos else 0.0,
+        "fleet": (service.fleet.snapshot()
+                  if fleet_on and service.fleet is not None else None),
+        "metrics": metrics.snapshot(),
+        "breaker": service.breaker.describe(),
+        "results": [r.describe() for r in service.results],
+        "ok": not failures,
+        "failures": failures,
+    }
 
 
 def _parse_scales(text: str) -> list[float]:
-    """``"1.5,0.75"`` -> ``[1.5, 0.75]``; rejects empties and <= 0."""
+    """``"1.5,0.75"`` -> ``[1.5, 0.75]``; rejects empties, <= 0 and
+    non-finite scales."""
     try:
         scales = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise SystemExit(f"malformed scale list {text!r}; expected "
                          f"comma-separated numbers like 1.5,0.75")
-    if not scales or any(s <= 0 for s in scales):
-        raise SystemExit(f"scales must be positive numbers, got {text!r}")
+    if not scales or not all(s > 0 and math.isfinite(s) for s in scales):
+        raise SystemExit(f"scales must be positive finite numbers, "
+                         f"got {text!r}")
     return scales
 
 
-def _bind(args: argparse.Namespace) -> int:
+def _bind(args: argparse.Namespace) -> tuple[int, dict]:
     """The ``bind`` subcommand: late-bind a logical plan onto hardware.
 
     Plans for ``--gpus`` *logical* devices, builds the requested physical
@@ -590,8 +569,7 @@ def _bind(args: argparse.Namespace) -> int:
     except ScheduleAnalysisError as exc:
         print(f"bind REJECTED by the analyzer:\n{exc}")
         payload.update(ok=False, error=str(exc))
-        _write_json(args.json, payload, "JSON report to ")
-        return 1
+        return 1, payload
     print(bound.describe())
     print(f"analyzer: clean on {bound.server.describe()}")
     payload.update(
@@ -607,11 +585,10 @@ def _bind(args: argparse.Namespace) -> int:
             iteration_time=report.metrics.iteration_time,
             throughput=report.metrics.throughput,
         )
-    _write_json(args.json, payload, "JSON report to ")
-    return 0
+    return 0, payload
 
 
-def _trace(args: argparse.Namespace) -> int:
+def _trace(args: argparse.Namespace) -> tuple[int, None]:
     """Record one traced run and export/validate the timeline.
 
     The recorded trace is validated against the runtime invariants
@@ -655,7 +632,7 @@ def _trace(args: argparse.Namespace) -> int:
               f"(trace_event JSON; load in ui.perfetto.dev)")
     if args.text:
         print(to_text_timeline(recorder.events))
-    return 0
+    return 0, None
 
 
 def _loss_victims(graph, n: int, seed: int) -> list[int]:
@@ -681,7 +658,7 @@ def _loss_victims(graph, n: int, seed: int) -> list[int]:
     return sorted(rotated[:k])
 
 
-def _chaos(args: argparse.Namespace) -> int:
+def _chaos(args: argparse.Namespace) -> tuple[int, dict]:
     """Seed-sweep fault injection over one planned schedule.
 
     ``--devices-lost`` scripts permanent GPU losses on top of the seeded
@@ -690,6 +667,12 @@ def _chaos(args: argparse.Namespace) -> int:
     """
     from repro.faults import FaultPlan, FaultSpec, ScriptedFaultPlan
 
+    if ((args.devices_lost or args.servers_lost)
+            and args.lose_at >= args.iterations):
+        raise argparse.ArgumentError(
+            None, f"--lose-at {args.lose_at} needs --iterations > "
+                  f"{args.lose_at}, got {args.iterations}"
+        )
     if args.servers > 1:
         if args.hetero:
             raise SystemExit("--hetero applies to single-server sweeps")
@@ -745,7 +728,7 @@ _CLUSTER_COUNTERS = (
 )
 
 
-def _cluster_chaos(args: argparse.Namespace) -> int:
+def _cluster_chaos(args: argparse.Namespace) -> tuple[int, dict]:
     """Seed-sweep cluster chaos: failure domains above one machine.
 
     Recovery is the server-level ladder (replica restore, cross-server
@@ -848,8 +831,8 @@ def _sweep(
     run_seed: Callable[[int, dict], RunMetrics],
     summary: Callable[[list[dict]], dict],
     completed: Callable[[RunMetrics], dict] = lambda metrics: {},
-) -> int:
-    """Run one chaos seed sweep, print and ``--json``-report it.
+) -> tuple[int, dict]:
+    """Run one chaos seed sweep, print it and return its report.
 
     Three per-seed outcomes: *completed* (recovery won -- byte invariants
     were audited inside the runner), *typed failure* (faults exhausted the
@@ -861,7 +844,7 @@ def _sweep(
     the run's metrics; what it puts in ``extra`` ends the seed's record
     whatever the outcome.  ``summary(records)`` adds summary totals,
     ``completed(metrics)`` fields to completed records, and ``settings``
-    opens the ``--json`` report.
+    opens the report.
     """
     from dataclasses import asdict
 
@@ -908,24 +891,13 @@ def _sweep(
           f"{counts['failed']} failed with a typed fault, {hard} hard "
           f"failure(s) "
           f"({'runtime bug' if hard else 'byte accounting intact, no hangs'})")
-    _write_json(args.json, settings | {
+    return 1 if hard else 0, settings | {
         "seed_base": args.seed_base,
         "seeds": args.seeds,
         "spec": spec.describe(),
         "results": records,
         "summary": counts | summary(records),
-    }, "JSON report to ")
-    return 1 if hard else 0
-
-
-def _write_json(path: Optional[str], payload: dict, what: str = "") -> None:
-    """Write a subcommand's ``--json`` report (no-op without a path)."""
-    if path is None:
-        return
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {what}{path}")
+    }
 
 
 if __name__ == "__main__":

@@ -30,26 +30,34 @@ from repro.core.profiler import ModelProfiles
 from repro.graph.layer import Phase
 
 
+def quantile_cuts(prefix: Sequence[float], n: int) -> list[int]:
+    """The ``n - 1`` time-quantile cuts of lines 7-11 of Algorithm 2.
+
+    With the average part time ``c = prefix[-1] / n``, binary-search the
+    accumulated part times ``[c, 2c, ...]`` into ``prefix``, the running
+    sums of the layer times, and cut after the layer found (capped so the
+    last part keeps a layer).  The cuts are non-decreasing; two equal
+    cuts mean a single layer exceeds the quantile step.
+    """
+    step = prefix[-1] / n
+    last = len(prefix) - 1
+    return [min(bisect_left(prefix, k * step) + 1, last) for k in range(1, n)]
+
+
 def _split_packs(prefix: list[float], n_packs: int) -> Optional[tuple[Pack, ...]]:
     """Split layers into ``n_packs`` contiguous packs of near-equal time.
 
-    Implements lines 7-11 of Algorithm 2: compute the average per-pack
-    time ``c``, binary-search the accumulated pack times ``[c, 2c, ...]``
-    into ``prefix``, the running sums of the layer times, and cut there
-    (capped so the last pack keeps a layer).  Returns ``None`` when cuts
-    collide (a single layer exceeds the quantile step), in which case the
-    caller tries more packs.
+    Cuts at :func:`quantile_cuts`, then refines the cuts.  Returns
+    ``None`` when cuts collide, in which case the caller tries more
+    packs.
     """
     n_layers = len(prefix)
     if n_packs == 1:
         return (Pack(0, n_layers - 1),)
-    step = prefix[-1] / n_packs
-    last = n_layers - 1
-    cuts = {min(bisect_left(prefix, k * step) + 1, last)
-            for k in range(1, n_packs)}
-    if len(cuts) != n_packs - 1:
+    cuts = quantile_cuts(prefix, n_packs)
+    if len(set(cuts)) != n_packs - 1:
         return None
-    boundaries = _refine_boundaries(prefix, [0] + sorted(cuts))
+    boundaries = _refine_boundaries(prefix, [0] + cuts)
     return packs_from_boundaries(boundaries, n_layers)
 
 

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.common.errors import (
     FaultError,
     ReproError,
+    SchedulingError,
     SimulationError,
     UnrecoveredFaultError,
 )
@@ -359,6 +360,8 @@ class FaultTolerantRunner:
         -- run-scoped losses persist, strikes accumulate, and the rescued
         graph carries forward through ``state.graph``.
         """
+        if iterations < 1:
+            raise SchedulingError("need at least one iteration")
         if self.plan is None or not self.plan.enabled:
             # Zero-overhead path: no injector, no recovery machinery --
             # the plain executor phase.

@@ -9,7 +9,7 @@ through :func:`~repro.graph.sequentialize.sequentialize`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.common.errors import GraphError
 from repro.graph.layer import LayerSpec
@@ -115,26 +115,3 @@ class LayerGraph:
             f"{self.n_parameters / 1e9:.2f} B params, "
             f"{self.total_param_bytes / 2**30:.1f} GiB weights"
         )
-
-
-def subchain_layers(graph: LayerGraph, first: int,
-                    last: int) -> tuple[LayerSpec, ...]:
-    """Layers ``first..last`` inclusive, with bounds checking."""
-    if not (0 <= first <= last < len(graph)):
-        raise GraphError(f"bad subchain [{first}, {last}] of {len(graph)} layers")
-    return graph.layers[first : last + 1]
-
-
-def iter_packs(boundaries: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """Validate a pack list is contiguous and ordered; yields it unchanged."""
-    prev_last = -1
-    for first, last in boundaries:
-        if first != prev_last + 1:
-            raise GraphError(
-                f"pack ({first}, {last}) does not start right after layer "
-                f"{prev_last}; packs must partition the chain contiguously"
-            )
-        if last < first:
-            raise GraphError(f"pack ({first}, {last}) is empty")
-        prev_last = last
-        yield first, last

@@ -1,10 +1,10 @@
 """Per-layer analytic cost model.
 
 A layer is the unit the Decomposer extracts and the Profiler measures:
-linear layers, transformer blocks, conv+bn+relu triples, residual adds,
-identity relays.  Scheduling only consumes four per-layer quantities --
-compute time, memory footprint, input size, output size -- each a function
-of phase (forward/backward/update) and microbatch size.  Costs here are
+linear layers, transformer blocks, conv+bn+relu triples and residual
+adds.  Scheduling only consumes four per-layer quantities -- compute
+time, memory footprint, input size, output size -- each a function of
+phase (forward/backward/update) and microbatch size.  Costs here are
 affine in the microbatch size (``fixed + per_sample * u``), which is also
 what lets the Profiler's linear regression interpolate unsampled sizes so
 accurately (Section 4.2).
@@ -110,24 +110,3 @@ class LayerSpec:
             + self.act_in_bytes(microbatch)  # produced dX
             + self.workspace_bytes_per_sample * microbatch
         )
-
-    def is_identity(self) -> bool:
-        return self.kind == "identity"
-
-
-def identity_layer(index: int, carried_bytes_per_sample: int, name: str = "") -> LayerSpec:
-    """An identity relay node inserted by the sequentializer (Figure 6).
-
-    It carries a branch tensor one hop downstream over p2p with no compute
-    and no parameters.
-    """
-    return LayerSpec(
-        index=index,
-        name=name or f"identity{index}",
-        kind="identity",
-        param_bytes=0,
-        flops_fwd_per_sample=0.0,
-        act_in_bytes_per_sample=carried_bytes_per_sample,
-        act_out_bytes_per_sample=carried_bytes_per_sample,
-        bwd_flops_ratio=0.0,
-    )

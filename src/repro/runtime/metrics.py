@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from repro.service.metrics import ServiceMetrics
     from repro.trace.analytics import TraceAnalytics
 
 
@@ -249,11 +248,6 @@ class RunMetrics:
     #: exact interval arithmetic over the trace instead of aggregate
     #: counters.
     trace: Optional["TraceAnalytics"] = None
-    #: Service-level counters, present when these metrics describe a
-    #: :class:`repro.service.PlannerService` run (mode ``"service"``:
-    #: ``minibatch`` is the request count, ``iteration_time`` the
-    #: makespan, so ``throughput`` reads requests per virtual second).
-    service: Optional["ServiceMetrics"] = None
     #: Cluster-level counters, present when these metrics describe a
     #: multi-server :class:`repro.cluster.ClusterRunner` run.
     cluster: Optional[ClusterMetrics] = None
@@ -334,9 +328,5 @@ class RunMetrics:
         if self.trace is not None:
             lines.extend(
                 "  " + line for line in self.trace.describe().splitlines()
-            )
-        if self.service is not None:
-            lines.extend(
-                "  " + line for line in self.service.describe().splitlines()
             )
         return "\n".join(lines)

@@ -222,21 +222,6 @@ class PlannerService:
             self.metrics.fleet_gpus = self.fleet.total_gpus
         return sorted(self.results, key=lambda r: r.request.rid)
 
-    def run_metrics(self) -> "Any":
-        """The service run as a :class:`~repro.runtime.metrics.RunMetrics`
-        (throughput = requests per virtual second over the makespan),
-        with :attr:`~repro.runtime.metrics.RunMetrics.service` attached
-        so ``describe()`` folds the service section in."""
-        from repro.runtime.metrics import RunMetrics
-
-        metrics = RunMetrics(
-            mode="service",
-            minibatch=self.metrics.requests,
-            iteration_time=self.metrics.makespan,
-        )
-        metrics.service = self.metrics
-        return metrics
-
     # -- simulation processes ----------------------------------------------------
 
     def _arrivals(self, ordered: list[PlanRequest]) -> Generator:

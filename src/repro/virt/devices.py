@@ -30,6 +30,7 @@ elastic, and service layers can use it without cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -129,11 +130,11 @@ class PhysicalDevice:
         if self.index < 0:
             raise ValueError(f"physical device index must be >= 0, "
                              f"got {self.index}")
-        if not self.flops_scale > 0:
-            raise ValueError(f"flops_scale must be > 0, "
+        if not (self.flops_scale > 0 and math.isfinite(self.flops_scale)):
+            raise ValueError(f"flops_scale must be finite and > 0, "
                              f"got {self.flops_scale}")
-        if not self.memory_scale > 0:
-            raise ValueError(f"memory_scale must be > 0, "
+        if not (self.memory_scale > 0 and math.isfinite(self.memory_scale)):
+            raise ValueError(f"memory_scale must be finite and > 0, "
                              f"got {self.memory_scale}")
 
     def memory_bytes(self, base_bytes: int) -> int:

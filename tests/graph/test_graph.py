@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import GraphError
-from repro.graph.graph import Edge, LayerGraph, iter_packs, subchain_layers
+from repro.graph.graph import Edge, LayerGraph
 from repro.graph.layer import LayerSpec
 
 
@@ -72,22 +72,3 @@ class TestQueries:
 
     def test_summary_mentions_name(self, chain):
         assert "c:" in chain.summary()
-
-
-class TestHelpers:
-    def test_subchain_layers(self, chain):
-        sub = subchain_layers(chain, 1, 3)
-        assert [l.index for l in sub] == [1, 2, 3]
-
-    def test_subchain_bounds_checked(self, chain):
-        with pytest.raises(GraphError):
-            subchain_layers(chain, 3, 1)
-        with pytest.raises(GraphError):
-            subchain_layers(chain, 0, 9)
-
-    def test_iter_packs_validates_contiguity(self):
-        assert list(iter_packs([(0, 2), (3, 4)])) == [(0, 2), (3, 4)]
-        with pytest.raises(GraphError):
-            list(iter_packs([(0, 2), (4, 5)]))
-        with pytest.raises(GraphError):
-            list(iter_packs([(1, 2)]))

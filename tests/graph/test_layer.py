@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph.layer import LayerSpec, Phase, identity_layer
+from repro.graph.layer import LayerSpec, Phase
 
 
 @pytest.fixture
@@ -67,12 +67,5 @@ class TestSizes:
 
 
 class TestIdentity:
-    def test_identity_is_free(self):
-        relay = identity_layer(5, carried_bytes_per_sample=100)
-        assert relay.is_identity()
-        assert relay.param_bytes == 0
-        assert relay.flops(Phase.FWD, 10) == 0.0
-        assert relay.act_in_bytes(2) == 200
-
     def test_with_index_renumbers(self, layer):
         assert layer.with_index(9).index == 9

@@ -49,6 +49,16 @@ class TestMultiIteration:
         with pytest.raises(SchedulingError):
             executor.run(plan.graph, iterations=0)
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_zero_iterations_rejected_under_a_fault_plan(self, harmony,
+                                                         iterations):
+        from repro.common.errors import SchedulingError
+        from repro.faults import FaultPlan, FaultSpec
+
+        with pytest.raises(SchedulingError, match="at least one iteration"):
+            harmony.run(iterations=iterations,
+                        fault_plan=FaultPlan(FaultSpec.chaos(1.0), seed=0))
+
     def test_throughput_uses_average(self, harmony):
         report = harmony.run(iterations=2)
         assert report.metrics.throughput == pytest.approx(

@@ -220,16 +220,6 @@ class TestRunRequests:
 
 
 class TestObservability:
-    def test_run_metrics_folds_the_service_section(self):
-        service, _ = _serve([_request(0)])
-        run_metrics = service.run_metrics()
-        assert run_metrics.mode == "service"
-        assert run_metrics.minibatch == 1
-        assert run_metrics.service is service.metrics
-        text = run_metrics.describe()
-        assert "service: 1 request(s)" in text
-        assert "breaker" in text
-
     def test_trace_records_service_lane_events(self):
         recorder = TraceRecorder()
         assert "service" in LANES

@@ -172,9 +172,3 @@ class TestStormReporting:
         service, _ = storm
         assert 0.0 < service.metrics.cache_hit_rate <= 1.0
 
-    def test_run_metrics_throughput_is_requests_per_second(self, storm):
-        service, _ = storm
-        run_metrics = service.run_metrics()
-        assert run_metrics.throughput == pytest.approx(
-            STORM_SIZE / service.metrics.makespan
-        )

@@ -134,3 +134,53 @@ class TestChaosJson:
         assert payload["devices_lost"] == 1
         assert payload["summary"]["replans"] == 2
         assert [r["elastic"]["replans"] for r in payload["results"]] == [1, 1]
+
+
+class TestUsageErrors:
+    """Bad values exit with a message, not a traceback or a silent no-op."""
+
+    BIND = ["bind", "toy-transformer", "--minibatch", "16", "--gpus", "4"]
+    CHAOS = ["chaos", "toy-transformer", "--minibatch", "8", "--gpus", "2"]
+
+    def _usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    def test_infinite_memory_scale_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(self.BIND + ["--memory-scales", "inf,1.0"])
+        assert "finite" in str(exc.value)
+
+    @pytest.mark.parametrize("command", ["bind", "chaos"])
+    def test_infinite_flops_scale_rejected(self, command):
+        argv = self.BIND if command == "bind" else self.CHAOS
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--hetero", "inf,1.0"])
+        assert "finite" in str(exc.value)
+
+    def test_devices_lost_after_the_last_iteration(self, capsys):
+        err = self._usage_error(self.CHAOS + [
+            "--devices-lost", "1", "--lose-at", "5", "--iterations", "2",
+        ], capsys)
+        assert "--lose-at" in err
+
+    def test_servers_lost_after_the_last_iteration(self, capsys):
+        err = self._usage_error(self.CHAOS + [
+            "--servers", "3", "--servers-lost", "1", "--lose-at", "2",
+            "--iterations", "2",
+        ], capsys)
+        assert "--lose-at" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "toy-transformer", "--minibatch", "0"],
+        ["chaos", "toy-transformer", "--iterations", "0"],
+        ["bind", "toy-transformer", "--run", "--iterations", "-1"],
+        ["trace", "toy-transformer", "--iterations", "0"],
+        ["trace", "toy-transformer", "--ring", "0"],
+    ], ids=["minibatch", "chaos-iterations", "bind-iterations",
+            "trace-iterations", "ring"])
+    def test_nonpositive_counts_rejected(self, argv, capsys):
+        err = self._usage_error(argv, capsys)
+        assert "positive integer" in err

@@ -25,6 +25,13 @@ class TestPhysicalDevice:
         with pytest.raises(ValueError):
             LogicalDevice(-1)
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_scales(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalDevice(0, flops_scale=scale)
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalDevice(0, memory_scale=scale)
+
     def test_memory_bytes_is_integer_exact(self):
         base = 11 * 2**30
         assert PhysicalDevice(0).memory_bytes(base) == base
