@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide gate: lint + typecheck + tier-1 tests.
+# Repo-wide gate: lint + typecheck + tier-1 and benchmark tests + smokes.
 #
 # ruff and mypy are optional in minimal environments (no network, no
 # installs); when a tool is absent we say so and skip that leg rather
@@ -33,6 +33,11 @@ python -m repro.lint || failed=1
 
 echo "== pytest (tier 1) =="
 python -m pytest -x -q tests/ || failed=1
+
+echo "== pytest (benchmark) =="
+# The benchmark's own suite: every op against bench/golden.json and the
+# traced-run smoke.
+python -m pytest -q bench/tests || failed=1
 
 echo "== chaos smoke =="
 python -m repro.cli chaos toy-transformer --minibatch 8 --gpus 2 --seeds 3 \

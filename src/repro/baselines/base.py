@@ -34,7 +34,11 @@ from repro.runtime.metrics import RunMetrics
 from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 
 
-def layer_chunks(profiles, max_bytes: int, max_layers: int = 32) -> list[tuple[int, int]]:
+#: most layers one chunk of :func:`layer_chunks` spans
+MAX_CHUNK_LAYERS = 32
+
+
+def layer_chunks(profiles, max_bytes: int) -> list[tuple[int, int]]:
     """Contiguous layer chunks whose weights fit a transfer window.
 
     LMS interleaves swapping and compute layer by layer; emitting one task
@@ -49,7 +53,7 @@ def layer_chunks(profiles, max_bytes: int, max_layers: int = 32) -> list[tuple[i
         acc = profiles[first].param_bytes
         while (
             last + 1 < n
-            and last - first + 1 < max_layers
+            and last - first + 1 < MAX_CHUNK_LAYERS
             and acc + profiles[last + 1].param_bytes <= max_bytes
         ):
             last += 1

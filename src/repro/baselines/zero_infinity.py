@@ -8,9 +8,10 @@ every microbatch re-fetches every pack's weights, so its swap volume
 scales with the microbatch count (``~3 m |W|`` per GPU versus Harmony
 DP's ``3 |W|``) even though both offload the update to the CPU.
 
-For a fair comparison the planner adopts Harmony's configuration
-(microbatch size and recompute pack granularity), mirroring the paper's
-methodology.
+For a fair comparison the planner adopts Harmony's microbatch sizes
+(``u_f``/``u_b`` of Harmony DP's searched configuration), mirroring the
+paper's methodology.  Its packs are its own: contiguous layer chunks
+whose weights fit an eighth of GPU memory (:func:`layer_chunks`).
 
 Host memory: ZeRO-Infinity keeps fp32 master state plus partition and
 pinned staging buffers; we charge 25% overhead over the raw model state,
@@ -20,7 +21,7 @@ host while Harmony (no overhead beyond state + stash) still trains.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.analysis.diagnostics import Waiver
 from repro.baselines.base import (
@@ -58,11 +59,9 @@ class ZeroInfinityPlanner(BaselineScheme):
         Waiver("parametric/gpu-unsafe", _ENGINE_WATERMARK),
     )
 
-    def __init__(self, *args, packs: Optional[Sequence[Pack]] = None,
-                 u_f: Optional[int] = None, u_b: Optional[int] = None,
-                 **kwargs):
+    def __init__(self, *args, u_f: Optional[int] = None,
+                 u_b: Optional[int] = None, **kwargs):
         super().__init__(*args, **kwargs)
-        self._packs = tuple(packs) if packs is not None else None
         self.u_f = u_f
         self.u_b = u_b
 
@@ -71,16 +70,6 @@ class ZeroInfinityPlanner(BaselineScheme):
             self.model.model_state_bytes * HOST_OVERHEAD
             + self.minibatch * self.model.sample_bytes
         )
-
-    def packs(self) -> tuple[Pack, ...]:
-        """Recompute pack granularity; defaults to weight-sized chunks when
-        no Harmony configuration is supplied."""
-        if self._packs is not None:
-            return self._packs
-        chunks = layer_chunks(
-            self.profiles, max_bytes=self.server.gpu.memory_bytes // 8
-        )
-        return tuple(Pack(first, last) for first, last in chunks)
 
     def plan(self) -> BaselinePlan:
         n = self.server.n_gpus
@@ -91,7 +80,8 @@ class ZeroInfinityPlanner(BaselineScheme):
         u_b = min(self.u_b or self.microbatch, share)
         mbs_f = microbatch_group(share, u_f)
         mbs_b = microbatch_group(share, u_b)
-        packs = self.packs()
+        packs = [Pack(first, last) for first, last in layer_chunks(
+            self.profiles, max_bytes=self.server.gpu.memory_bytes // 8)]
         profiles = self.profiles
         graph = self.new_graph()
         last_bwd: dict[tuple[int, int], int] = {}

@@ -118,16 +118,3 @@ class Decomposer:
             raise GraphError(f"model {model.name!r} has no layers")
         units = tuple(LayerUnit(spec=layer, seed=self.seed) for layer in graph)
         return DecomposedModel(model=model, graph=graph, units=units)
-
-
-def split_minibatch(minibatch: int, microbatch: int) -> list[int]:
-    """Decompose a minibatch into microbatch sizes (Decomposer's data side)."""
-    if minibatch < 1 or microbatch < 1:
-        raise GraphError(
-            f"bad minibatch split: minibatch={minibatch}, microbatch={microbatch}"
-        )
-    sizes = [microbatch] * (minibatch // microbatch)
-    remainder = minibatch % microbatch
-    if remainder:
-        sizes.append(remainder)
-    return sizes

@@ -38,7 +38,6 @@ from repro.core.types import TaskGraph
 from repro.hardware.server import ServerSpec
 from repro.models.spec import ModelSpec
 from repro.models.zoo import build_model
-from repro.runtime.executor import DEFAULT_MAX_STEPS
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 
@@ -373,8 +372,6 @@ class Harmony:
             iterations: int = 1,
             fault_plan: Optional[FaultPlan] = None,
             recovery: Optional[RecoveryPolicy] = None,
-            max_steps: Optional[int] = DEFAULT_MAX_STEPS,
-            horizon: Optional[float] = None,
             trace: Optional[object] = None) -> HarmonyReport:
         """Execute training iterations on a fresh simulated server.
 
@@ -388,8 +385,8 @@ class Harmony:
         ``recovery`` (a :class:`repro.faults.RecoveryPolicy`, default
         policy if omitted).  Without a plan, or with every fault
         disabled, the runner executes one plain executor phase.
-        ``max_steps`` and ``horizon`` bound the simulator watchdog: a
-        schedule that stops making progress raises
+        The simulator watchdog (``DEFAULT_MAX_STEPS`` engine steps)
+        bounds every run: a schedule that stops making progress raises
         :class:`~repro.common.errors.SimulationError` naming the pending
         work instead of spinning forever.
 
@@ -445,19 +442,16 @@ class Harmony:
             policy=recovery,
             prefetch=self.options.prefetch,
             host_state_bytes=self.host_state_bytes,
-            max_steps=max_steps,
-            horizon=horizon,
             replanner=ElasticReplanner(self) if elastic_on else None,
             trace=trace,
             binding=bound.binding if bound is not None else None,
         )
         metrics = runner.run(graph, iterations=iterations)
-        self._attach_analytics(metrics, trace, n_devices=graph.n_devices)
+        self._attach_analytics(metrics, trace, graph.n_devices)
         return HarmonyReport(plan=plan, metrics=metrics)
 
     def _attach_analytics(self, metrics: RunMetrics,
-                          trace: Optional[object],
-                          n_devices: Optional[int] = None) -> None:
+                          trace: Optional[object], n_devices: int) -> None:
         """Fold a recorder's derived timeline analytics into the metrics."""
         if trace is None:
             return
@@ -465,8 +459,7 @@ class Harmony:
 
         metrics.trace = analyze_trace(
             trace.events,  # type: ignore[attr-defined]
-            n_devices=n_devices if n_devices is not None
-            else self.server.n_gpus,
+            n_devices=n_devices,
             total_time=trace.extent,  # type: ignore[attr-defined]
             dropped=trace.dropped,  # type: ignore[attr-defined]
         )

@@ -114,7 +114,6 @@ def balanced_time_packing(
     u: int,
     profiles: ModelProfiles,
     capacity: int,
-    n_layers: Optional[int] = None,
     backward_packs: Optional[Sequence[Pack]] = None,
     min_packs: int = 1,
 ) -> tuple[Pack, ...]:
@@ -145,14 +144,12 @@ def balanced_time_packing(
     keep it alive as long as the store entry).
     """
     forced_tail = backward_packs[-1] if backward_packs is not None else None
-    key = ("btp", phase, u, capacity, n_layers, forced_tail, min_packs)
+    key = ("btp", phase, u, capacity, forced_tail, min_packs)
 
     def compute() -> tuple[bool, object]:
         try:
             return (True, _balanced_time_packing(
-                phase, u, profiles, capacity,
-                n_layers=n_layers, forced_tail=forced_tail,
-                min_packs=min_packs,
+                phase, u, profiles, capacity, forced_tail, min_packs,
             ))
         except InfeasibleConfigError as exc:
             return (False, str(exc))
@@ -168,12 +165,10 @@ def _balanced_time_packing(
     u: int,
     profiles: ModelProfiles,
     capacity: int,
-    n_layers: Optional[int],
     forced_tail: Optional[Pack],
     min_packs: int,
 ) -> tuple[Pack, ...]:
-    total_layers = len(profiles) if n_layers is None else n_layers
-
+    total_layers = len(profiles)
     if forced_tail is not None:
         total_layers = forced_tail.first  # pack only layers before it
         if total_layers == 0:

@@ -85,8 +85,9 @@ def run_scheme(
 ) -> RunMetrics:
     """Execute one (scheme, model, minibatch) cell; memoized per process.
 
-    ``zero-infinity`` adopts Harmony DP's searched configuration, per the
-    paper's fair-comparison methodology.
+    ``zero-infinity`` adopts the microbatch sizes (``u_f``/``u_b``) of
+    Harmony DP's searched configuration, per the paper's fair-comparison
+    methodology; its packs stay its own weight-sized layer chunks.
     """
     server = server_for(n_gpus)
     if scheme == "harmony-dp":
@@ -109,32 +110,15 @@ def run_scheme(
 
 @lru_cache(maxsize=None)
 def server_for(n_gpus: int) -> ServerSpec:
-    """The paper's testbeds, shrunk for intermediate GPU counts."""
+    """The paper's testbeds: the 4-GPU main testbed at 4 GPUs, the
+    scaling testbed at every other count."""
     if n_gpus == 4:
         return four_gpu_commodity_server()
-    if n_gpus == 8:
-        return eight_gpu_commodity_server()
-    base = eight_gpu_commodity_server()
-    from repro.hardware.interconnect import TopologySpec
-
-    return ServerSpec(
-        n_gpus=n_gpus,
-        gpu=base.gpu,
-        host=base.host,
-        topology=TopologySpec(n_gpus=n_gpus, gpus_per_switch=4),
-    )
+    return scaling_server(n_gpus)
 
 
 @lru_cache(maxsize=None)
 def scaling_server(n_gpus: int) -> ServerSpec:
     """Section 5.7's scaling testbed at any GPU count: same dual-socket
     750 GB host, 1..8 GPUs populated."""
-    from repro.hardware.interconnect import TopologySpec
-
-    base = eight_gpu_commodity_server()
-    return ServerSpec(
-        n_gpus=n_gpus,
-        gpu=base.gpu,
-        host=base.host,
-        topology=TopologySpec(n_gpus=n_gpus, gpus_per_switch=4),
-    )
+    return eight_gpu_commodity_server().with_gpus(n_gpus)

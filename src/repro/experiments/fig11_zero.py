@@ -1,9 +1,10 @@
 """Figure 11: comparison with ZeRO-Infinity on GPT2 (1.5B), 4 GPUs.
 
-ZeRO-Infinity shares Harmony's configuration (microbatch sizes, recompute
-pack granularity) per the paper's methodology; the throughput gap is then
-attributable to its per-microbatch re-fetch of sharded state (no
-input-batch grouping), visible as an order-of-magnitude higher swap load.
+ZeRO-Infinity shares Harmony's microbatch sizes per the paper's
+methodology (its packs are its own weight-sized chunks); the throughput
+gap is then attributable to its per-microbatch re-fetch of sharded state
+(no input-batch grouping), visible as an order-of-magnitude higher swap
+load.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ from repro.faults.monitor import DeviceHealthMonitor
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import REBIND_THRESHOLD, RecoveryPolicy
 from repro.hardware.server import ServerSpec
-from repro.runtime.executor import DEFAULT_MAX_STEPS, run_phase
+from repro.runtime.executor import run_phase
 from repro.runtime.metrics import (
     ElasticMetrics,
     GpuMetrics,
@@ -163,8 +163,6 @@ class FaultTolerantRunner:
         policy: Optional[RecoveryPolicy] = None,
         prefetch: bool = True,
         host_state_bytes: int = 0,
-        max_steps: Optional[int] = DEFAULT_MAX_STEPS,
-        horizon: Optional[float] = None,
         replanner: Optional["ElasticReplanner"] = None,
         trace=None,
         binding=None,
@@ -175,8 +173,6 @@ class FaultTolerantRunner:
         self.policy = policy if policy is not None else RecoveryPolicy()
         self.prefetch = prefetch
         self.host_state_bytes = host_state_bytes
-        self.max_steps = max_steps
-        self.horizon = horizon
         #: elastic escalation target; None leaves only rebind-level rescue
         #: (anything with ``.replan(survivors) -> ElasticPlan`` works)
         self.replanner = replanner
@@ -209,8 +205,6 @@ class FaultTolerantRunner:
             host_state_bytes=self.host_state_bytes,
             faults=faults,
             recovery=self.policy,
-            max_steps=self.max_steps,
-            horizon=self.horizon,
             trace=self.trace,
             binding=self.binding,
             failed=failed,

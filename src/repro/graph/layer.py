@@ -58,10 +58,6 @@ class LayerSpec:
         """Gradient buffer is the same shape as the weights."""
         return self.param_bytes
 
-    def optimizer_state_bytes(self, slots: int) -> int:
-        """Adam keeps two fp32 moments per parameter (``slots == 2``)."""
-        return self.param_bytes * slots
-
     # -- per-phase compute -------------------------------------------------
 
     def flops(self, phase: Phase, microbatch: int) -> float:

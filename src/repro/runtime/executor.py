@@ -27,9 +27,9 @@ compute attempts retry from their still-resident inputs.
 Faults that exhaust the :class:`~repro.faults.policy.RecoveryPolicy`
 propagate as typed :class:`~repro.common.errors.FaultError` through the
 simulator's failure machinery -- never as a hang, which the simulator
-watchdog (``max_steps`` / ``horizon``) additionally enforces.  With no
-injector attached the fault hooks are never consulted and execution is
-bit-identical to the pre-fault runtime.
+watchdog (``DEFAULT_MAX_STEPS`` engine steps) additionally enforces.
+With no injector attached the fault hooks are never consulted and
+execution is bit-identical to the pre-fault runtime.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.faults.injector import FaultInjector
     from repro.faults.policy import RecoveryPolicy
 
-#: Watchdog default: generous enough that no legitimate schedule in the
-#: repository comes within two orders of magnitude, small enough that a
-#: leaked process surfaces as a typed error in bounded wall time.
+#: Watchdog bound on engine steps per run: generous enough that no
+#: legitimate schedule in the repository comes within two orders of
+#: magnitude, small enough that a leaked process surfaces as a typed
+#: error in bounded wall time.
 DEFAULT_MAX_STEPS = 50_000_000
 
 
@@ -120,8 +121,6 @@ class Executor:
         host_state_bytes: int = 0,
         faults: Optional["FaultInjector"] = None,
         recovery: Optional["RecoveryPolicy"] = None,
-        max_steps: Optional[int] = DEFAULT_MAX_STEPS,
-        horizon: Optional[float] = None,
     ):
         self.server = server
         self.sim = server.sim
@@ -136,8 +135,6 @@ class Executor:
 
             recovery = _Policy()
         self.policy = recovery
-        self.max_steps = max_steps
-        self.horizon = horizon
 
     # -- public -----------------------------------------------------------------
 
@@ -191,7 +188,7 @@ class Executor:
             barrier = sim.all_of(update_flushes or
                                  [rt.outs_flushed for rt in self.runtimes],
                                  name="iteration-barrier")
-            sim.run(max_steps=self.max_steps, horizon=self.horizon)
+            sim.run(max_steps=DEFAULT_MAX_STEPS)
             self._check_completion()
 
         end_time = sim.now
@@ -436,16 +433,8 @@ class Executor:
         if move.channel is Channel.LOCAL or nbytes == 0:
             return
         if move.channel is Channel.MSG and move.src_task is not None:
-            # Message passing: relay GPU -> host staging -> GPU.  Pays both
-            # PCIe hops plus the host-side copy.
-            src_device = self.runtimes[move.src_task].task.device
-            server = self.server
-            yield from self._transfer(server.route(src_device, None, True),
-                                      nbytes, device, "swap_in", label)
-            yield from self._transfer(server.route(None, device), nbytes,
-                                      device, "swap_in", f"{label}^")
-            self.metrics[src_device].swap_out_bytes += nbytes
-            self.metrics[device].swap_in_bytes += nbytes
+            yield from self._relay(self.runtimes[move.src_task].task.device,
+                                   device, nbytes, label)
             return
         if move.channel is Channel.P2P:
             src_device = self._p2p_source(device, move)
@@ -461,8 +450,15 @@ class Executor:
                 # on the swap route.  Bytes are re-accounted as swap traffic
                 # on both endpoints (they now ride the contended host links)
                 # and no longer count as p2p.
-                yield from self._p2p_fallback_op(src_device, device, label,
-                                                nbytes)
+                yield from self._relay(src_device, device, nbytes,
+                                       f"{label}~fallback")
+                self.recovery.p2p_fallbacks += 1
+                self.recovery.fallback_bytes += nbytes
+                trace = self.sim.trace
+                if trace is not None:
+                    trace.instant("fallback", "p2p", self.sim.now,
+                                  device=device, lane="swap_in", label=label,
+                                  nbytes=nbytes, src=src_device)
                 return
             self.metrics[device].p2p_in_bytes += nbytes
             return
@@ -470,23 +466,19 @@ class Executor:
                                   "swap_in", label)
         self.metrics[device].swap_in_bytes += nbytes
 
-    def _p2p_fallback_op(self, src_device: int, device: int, label: str,
-                         nbytes: int) -> Generator:
+    def _relay(self, src: int, dst: int, nbytes: int,
+               label: str) -> Generator:
+        """Host-staged relay GPU ``src`` -> host -> GPU ``dst`` (message
+        passing, and the p2p fallback): both PCIe hops plus the host-side
+        copy on ``dst``'s swap-in stream, accounted as swap traffic on
+        both endpoints."""
         server = self.server
-        yield from self._transfer(server.route(src_device, None, True),
-                                  nbytes, device, "swap_in",
-                                  f"{label}~fallback")
-        yield from self._transfer(server.route(None, device), nbytes, device,
-                                  "swap_in", f"{label}~fallback^")
-        self.metrics[src_device].swap_out_bytes += nbytes
-        self.metrics[device].swap_in_bytes += nbytes
-        self.recovery.p2p_fallbacks += 1
-        self.recovery.fallback_bytes += nbytes
-        trace = self.sim.trace
-        if trace is not None:
-            trace.instant("fallback", "p2p", self.sim.now, device=device,
-                          lane="swap_in", label=label, nbytes=nbytes,
-                          src=src_device)
+        yield from self._transfer(server.route(src, None, True), nbytes, dst,
+                                  "swap_in", label)
+        yield from self._transfer(server.route(None, dst), nbytes, dst,
+                                  "swap_in", f"{label}^")
+        self.metrics[src].swap_out_bytes += nbytes
+        self.metrics[dst].swap_in_bytes += nbytes
 
     def _submit_fetch(self, device: int, rt: _TaskRuntime) -> None:
         task = rt.task
@@ -688,8 +680,6 @@ def run_phase(
     host_state_bytes: int = 0,
     faults: Optional["FaultInjector"] = None,
     recovery: Optional["RecoveryPolicy"] = None,
-    max_steps: Optional[int] = DEFAULT_MAX_STEPS,
-    horizon: Optional[float] = None,
     trace=None,
     binding=None,
     failed: Optional[RecoveryMetrics] = None,
@@ -711,7 +701,7 @@ def run_phase(
     live = SimulatedServer(sim, spec, binding=binding)
     executor = Executor(
         live, time_model, prefetch=prefetch, host_state_bytes=host_state_bytes,
-        faults=faults, recovery=recovery, max_steps=max_steps, horizon=horizon,
+        faults=faults, recovery=recovery,
     )
     try:
         return executor.run(graph, iterations=iterations)

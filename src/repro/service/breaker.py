@@ -21,11 +21,10 @@ asserts via :attr:`open_intervals`.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.common.backoff import BackoffPolicy
 
-#: Default cooldown schedule: 4s, 8s, ... capped at 120s virtual.
+#: Cooldown schedule: 4s, 8s, ... capped at 120s virtual.
 DEFAULT_COOLDOWN = BackoffPolicy(max_retries=6, base=4.0, factor=2.0,
                                  cap=120.0)
 
@@ -39,13 +38,10 @@ class BreakerState(enum.Enum):
 class CircuitBreaker:
     """Failure-counting breaker with exponentially growing cooldowns."""
 
-    def __init__(self, threshold: int = 3,
-                 cooldown: Optional[BackoffPolicy] = None,
-                 name: str = "planner"):
+    def __init__(self, threshold: int = 3, name: str = "planner"):
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         self.threshold = threshold
-        self.cooldown = cooldown if cooldown is not None else DEFAULT_COOLDOWN
         self.name = name
         self.state = BreakerState.CLOSED
         self._failures = 0        # consecutive failures while CLOSED
@@ -106,8 +102,8 @@ class CircuitBreaker:
 
     def _trip(self, now: float) -> None:
         self.trips += 1
-        exponent = min(self._level, self.cooldown.max_retries)
-        interval = self.cooldown.delay(exponent, "breaker", self.name)
+        exponent = min(self._level, DEFAULT_COOLDOWN.max_retries)
+        interval = DEFAULT_COOLDOWN.delay(exponent, "breaker", self.name)
         self._level += 1
         self._failures = 0
         self._open_until = now + interval

@@ -37,7 +37,7 @@ Serving walks the degradation ladder, cheapest-and-best first:
 4. **baseline plan** -- a :class:`~repro.baselines.GpipeSwapPlanner`
    schedule: pessimistic but always plannable;
 5. **shed** -- with a typed reason (deadline expired, or breaker open
-   with degradation disabled/exhausted).
+   with the degraded rungs exhausted).
 
 Every admitted request terminates in exactly one
 :class:`~repro.service.request.Outcome`; the simulator's unhandled-
@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.common.backoff import BackoffPolicy
 from repro.common.errors import (
@@ -60,6 +60,7 @@ from repro.common.errors import (
 )
 from repro.fleet.placer import FleetPlacer, FleetReservation
 from repro.core.harmony import Harmony, HarmonyOptions, HarmonyPlan
+from repro.experiments.common import server_for
 from repro.hardware.server import ServerSpec
 from repro.models.zoo import build_model
 from repro.service.breaker import CircuitBreaker
@@ -69,12 +70,6 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.request import Outcome, PlanRequest, RequestResult
 from repro.sim.engine import SimEvent, Simulator
 from repro.virt.devices import DeviceBinding
-
-
-def _default_server_factory(n_gpus: int) -> ServerSpec:
-    from repro.experiments.common import server_for
-
-    return server_for(n_gpus)
 
 
 #: virtual budget for requests that carry no deadline
@@ -114,8 +109,6 @@ class ServiceConfig:
     queue_limit: int = 16
     #: unresolved requests (queued + in service) per tenant; 0 = no quota
     tenant_quota: int = 8
-    #: False turns rungs 3-4 off: breaker-open misses shed immediately
-    degradation: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -153,7 +146,6 @@ class PlannerService:
         options: Optional[HarmonyOptions] = None,
         chaos: Optional[ServiceFaultPlan] = None,
         trace: Optional[Any] = None,
-        server_factory: Callable[[int], ServerSpec] = _default_server_factory,
         seed: int = 0,
         fleet: Optional[FleetPlacer] = None,
     ):
@@ -161,7 +153,6 @@ class PlannerService:
         self.options = options if options is not None else HarmonyOptions()
         self.chaos = chaos if chaos is not None else ServiceFaultPlan()
         self.seed = seed
-        self.server_factory = server_factory
         self.sim = Simulator()
         self.sim.trace = trace
         self.trace = trace
@@ -176,7 +167,6 @@ class PlannerService:
         self._wakeup: SimEvent = self.sim.event("svc.wakeup")
         self._remaining = 0
         self._tenant_load: dict[str, int] = {}
-        self._servers: dict[int, ServerSpec] = {}
         #: mode -> the service's options in that mode (one object per
         #: mode, so its cached fingerprint makes plan keys cheap)
         self._modes: dict[str, HarmonyOptions] = {}
@@ -331,7 +321,7 @@ class PlannerService:
                 return
             self._place(request, reservation)
 
-        server = self._server(request.gpus)
+        server = server_for(request.gpus)
         options = self._options(request.mode)
         key = plan_key(model, server, request.minibatch, options)
         family = family_key(model, request.minibatch, options)
@@ -369,55 +359,48 @@ class PlannerService:
             )
 
         # Rungs 3-4: degraded service.
-        if self.config.degradation:
-            near = self.cache.near(family, request.gpus, exclude=key)
-            if near is not None and fits(STALE_COST):
-                source_gpus, source_key, source = near
-                # The cached plan's logical devices embed in-place into
-                # the request's (larger or equal) physical device range;
-                # late binding makes the graph rewrite purely mechanical.
-                embedding = DeviceBinding.embed(
-                    source.graph.n_devices, request.gpus
-                )
-                graph = embedding.apply(source.graph)
-                yield self.sim.timeout(STALE_COST)
-                self.metrics.stale_rebinds += 1
-                stale = StalePlan(
-                    source=source, graph=graph,
-                    source_gpus=source_gpus, gpus=request.gpus,
-                )
+        near = self.cache.near(family, request.gpus, exclude=key)
+        if near is not None and fits(STALE_COST):
+            source_gpus, source_key, source = near
+            # The cached plan's logical devices embed in-place into
+            # the request's (larger or equal) physical device range;
+            # late binding makes the graph rewrite purely mechanical.
+            embedding = DeviceBinding.embed(source.graph.n_devices,
+                                            request.gpus)
+            graph = embedding.apply(source.graph)
+            yield self.sim.timeout(STALE_COST)
+            self.metrics.stale_rebinds += 1
+            stale = StalePlan(
+                source=source, graph=graph,
+                source_gpus=source_gpus, gpus=request.gpus,
+            )
+            self._resolve(
+                request, Outcome.DEGRADED_STALE,
+                detail=f"reused {source_gpus}-gpu plan relabeled onto "
+                       f"{request.gpus} device(s)",
+                wait=wait, plan=stale, plan_key=source_key,
+                attempts=attempts,
+            )
+            return
+        if fits(BASELINE_COST):
+            baseline = self._baseline_plan(key, model, server,
+                                           request.minibatch)
+            if baseline is not None:
+                yield self.sim.timeout(BASELINE_COST)
+                self.metrics.baseline_plans += 1
                 self._resolve(
-                    request, Outcome.DEGRADED_STALE,
-                    detail=f"reused {source_gpus}-gpu plan relabeled onto "
-                           f"{request.gpus} device(s)",
-                    wait=wait, plan=stale, plan_key=source_key,
-                    attempts=attempts,
+                    request, Outcome.DEGRADED_BASELINE,
+                    detail="gpipe-swap baseline plan",
+                    wait=wait, plan=baseline, attempts=attempts,
                 )
                 return
-            if fits(BASELINE_COST):
-                baseline = self._baseline_plan(
-                    key, model, server, request.minibatch
-                )
-                if baseline is not None:
-                    yield self.sim.timeout(BASELINE_COST)
-                    self.metrics.baseline_plans += 1
-                    self._resolve(
-                        request, Outcome.DEGRADED_BASELINE,
-                        detail="gpipe-swap baseline plan",
-                        wait=wait, plan=baseline, attempts=attempts,
-                    )
-                    return
 
         # Rung 5: shed, with the honest reason.  The deadline is the
-        # binding constraint when it has expired outright, or when the
-        # cheapest degraded rung no longer fits the remaining budget;
+        # binding constraint when the cheapest degraded rung no longer
+        # fits the remaining budget (an expired deadline included);
         # otherwise the planner (breaker open, crashes, no plannable
         # rung) is what failed the request.
-        cheapest = min(STALE_COST, BASELINE_COST)
-        deadline_bound = self.sim.now + _EPS >= deadline or (
-            self.config.degradation and not fits(cheapest)
-        )
-        if deadline_bound:
+        if not fits(min(STALE_COST, BASELINE_COST)):
             self._resolve(
                 request, Outcome.TIMED_OUT,
                 detail="deadline expired before any rung could serve",
@@ -426,8 +409,7 @@ class PlannerService:
         else:
             self._resolve(
                 request, Outcome.SHED_BREAKER,
-                detail="planner unavailable and degraded rungs "
-                       "exhausted or disabled",
+                detail="planner unavailable and degraded rungs exhausted",
                 wait=wait, attempts=attempts,
             )
 
@@ -647,13 +629,6 @@ class PlannerService:
         if options is None:
             options = self._modes[mode] = replace(self.options, mode=mode)
         return options
-
-    def _server(self, n_gpus: int) -> ServerSpec:
-        server = self._servers.get(n_gpus)
-        if server is None:
-            server = self.server_factory(n_gpus)
-            self._servers[n_gpus] = server
-        return server
 
     def _plan_cost(self, model: Any) -> float:
         """Nominal virtual planning cost, scaled by model depth."""

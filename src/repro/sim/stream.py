@@ -115,19 +115,9 @@ class Stream:
 class StreamSet:
     """The five per-GPU streams the Harmony runtime uses (Section 4.4)."""
 
-    NAMES = ("compute", "swap_in", "swap_out", "p2p_in", "p2p_out")
-
     def __init__(self, sim: Simulator, owner: str, device: int = -1):
         self.compute = Stream(sim, f"{owner}.compute", device=device)
         self.swap_in = Stream(sim, f"{owner}.swap_in", device=device)
         self.swap_out = Stream(sim, f"{owner}.swap_out", device=device)
         self.p2p_in = Stream(sim, f"{owner}.p2p_in", device=device)
         self.p2p_out = Stream(sim, f"{owner}.p2p_out", device=device)
-
-    def all(self) -> tuple[Stream, ...]:
-        return (self.compute, self.swap_in, self.swap_out, self.p2p_in, self.p2p_out)
-
-    def by_name(self, name: str) -> Stream:
-        if name not in self.NAMES:
-            raise KeyError(f"unknown stream {name!r}; expected one of {self.NAMES}")
-        return getattr(self, name)

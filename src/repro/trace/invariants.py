@@ -305,7 +305,6 @@ def check_trace(
     metrics=None,
     iterations: int = 1,
     dropped: int = 0,
-    fault_events: bool = True,
 ) -> None:
     """Run every applicable invariant over ``events``.
 
@@ -323,5 +322,4 @@ def check_trace(
     if metrics is not None:
         check_bytes(events, metrics, iterations=iterations)
         check_compute_busy(events, metrics, iterations=iterations)
-        if fault_events:
-            check_fault_events(events, metrics)
+        check_fault_events(events, metrics)

@@ -120,6 +120,12 @@ class TestMicrobatchGroup:
     def test_single_large(self):
         assert microbatch_group(3, 100) == (3,)
 
+    def test_bad_inputs(self):
+        with pytest.raises(SchedulingError):
+            microbatch_group(0, 4)
+        with pytest.raises(SchedulingError):
+            microbatch_group(4, 0)
+
     @given(st.integers(1, 200), st.integers(1, 64))
     def test_group_always_sums_to_total(self, total, size):
         group = microbatch_group(total, size)

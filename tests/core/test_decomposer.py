@@ -2,15 +2,11 @@
 
 import hashlib
 
-import pytest
-
-from repro.common.errors import GraphError
 from repro.core.decomposer import (
     Decomposer,
     KERNEL_NOISE,
     SHAPE_JITTER,
     _noise,
-    split_minibatch,
 )
 from repro.graph.layer import Phase
 from repro.models.cnn import tiny_cnn
@@ -77,20 +73,3 @@ def test_noise_matches_the_unfactored_formula():
                     assert _noise(seed, layer, phase, u).hex() == \
                         _reference_noise(seed, layer, phase, u).hex(), \
                         (seed, phase, layer, u)
-
-
-class TestSplitMinibatch:
-    def test_even_split(self):
-        assert split_minibatch(8, 2) == [2, 2, 2, 2]
-
-    def test_remainder_microbatch(self):
-        assert split_minibatch(10, 4) == [4, 4, 2]
-
-    def test_single(self):
-        assert split_minibatch(3, 8) == [3]
-
-    def test_bad_inputs(self):
-        with pytest.raises(GraphError):
-            split_minibatch(0, 4)
-        with pytest.raises(GraphError):
-            split_minibatch(4, 0)

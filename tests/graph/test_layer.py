@@ -50,10 +50,6 @@ class TestSizes:
     def test_grad_matches_params(self, layer):
         assert layer.grad_bytes == layer.param_bytes
 
-    def test_optimizer_state_slots(self, layer):
-        assert layer.optimizer_state_bytes(2) == 2000
-        assert layer.optimizer_state_bytes(0) == 0
-
     def test_activation_scaling(self, layer):
         assert layer.act_in_bytes(3) == 192
         assert layer.act_out_bytes(5) == 320

@@ -299,10 +299,10 @@ def test_shared_packings_match_fresh_packings(zoo_sweep):
                               profiles.gpu)
         assert fresh._entry is not entry and not fresh._entry.packings
         for key, stored in entry.packings.items():
-            _, phase, u, capacity, n_layers, tail, min_packs = key
+            _, phase, u, capacity, tail, min_packs = key
             try:
                 expected = (True, _balanced_time_packing(
-                    phase, u, fresh, capacity, n_layers, tail, min_packs))
+                    phase, u, fresh, capacity, tail, min_packs))
             except InfeasibleConfigError as exc:
                 expected = (False, str(exc))
             assert stored == expected, key
@@ -333,24 +333,23 @@ def test_packing_table_key_holds_every_argument(model, cold_stores):
     whole = shared.pack_memory(Phase.BWD, Pack(0, n - 1), 8)
     capacities = (whole, whole // 3, whole // 9)
     tail = balanced_time_packing(Phase.BWD, 2, shared, whole // 3)
-    grid = [(phase, u, capacity, n_layers, tails, min_packs)
+    grid = [(phase, u, capacity, tails, min_packs)
             for phase in (Phase.FWD, Phase.BWD)
             for u in (1, 2, 8)
             for capacity in capacities
-            for n_layers in (None, n - 1)
             for tails in (None, tail)
             for min_packs in (1, 3)]
     results = {}
     for args in grid:
-        phase, u, capacity, n_layers, tails, min_packs = args
+        phase, u, capacity, tails, min_packs = args
         private = ModelProfiles(shared.layers, shared.optimizer_slots,
                                 shared.gpu)
         outcome = []
         for profiles in (shared, private):
             try:
                 outcome.append(balanced_time_packing(
-                    phase, u, profiles, capacity, n_layers=n_layers,
-                    backward_packs=tails, min_packs=min_packs))
+                    phase, u, profiles, capacity, backward_packs=tails,
+                    min_packs=min_packs))
             except InfeasibleConfigError as exc:
                 outcome.append(str(exc))
         assert outcome[0] == outcome[1], args

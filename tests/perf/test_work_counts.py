@@ -186,12 +186,9 @@ def _record_packings(monkeypatch) -> list:
     keys: list = []
     original = packing._balanced_time_packing
 
-    def recorded(phase, u, profiles, capacity, n_layers, forced_tail,
-                 min_packs):
-        keys.append(("btp", phase, u, capacity, n_layers, forced_tail,
-                     min_packs))
-        return original(phase, u, profiles, capacity, n_layers, forced_tail,
-                        min_packs)
+    def recorded(phase, u, profiles, capacity, forced_tail, min_packs):
+        keys.append(("btp", phase, u, capacity, forced_tail, min_packs))
+        return original(phase, u, profiles, capacity, forced_tail, min_packs)
 
     monkeypatch.setattr(packing, "_balanced_time_packing", recorded)
     return keys

@@ -8,8 +8,11 @@ discipline and the level reset on a genuine recovery.
 
 import pytest
 
-from repro.common.backoff import BackoffPolicy
-from repro.service.breaker import BreakerState, CircuitBreaker
+from repro.service.breaker import (
+    DEFAULT_COOLDOWN,
+    BreakerState,
+    CircuitBreaker,
+)
 
 
 def _tripped(threshold=3, now=0.0):
@@ -99,10 +102,19 @@ class TestCooldownMonotonicity:
         assert all(a <= b for a, b in zip(intervals, intervals[1:]))
 
     def test_cooldown_schedule_is_the_shared_backoff(self):
-        cooldown = BackoffPolicy(max_retries=3, base=2.0, factor=3.0)
-        breaker = CircuitBreaker(threshold=1, cooldown=cooldown)
-        breaker.record_failure(0.0)
-        assert breaker.open_intervals == [2.0]
+        breaker = CircuitBreaker(threshold=1)
+        levels = DEFAULT_COOLDOWN.max_retries + 2
+        now = 0.0
+        for _ in range(levels):
+            breaker.record_failure(now)
+            now += breaker.open_intervals[-1]
+            assert breaker.allow(now)
+        assert breaker.open_intervals == [
+            DEFAULT_COOLDOWN.delay(min(level, DEFAULT_COOLDOWN.max_retries),
+                                   "breaker", "planner")
+            for level in range(levels)
+        ]
+        assert breaker.open_intervals[:2] == [4.0, 8.0]
 
     def test_cap_bounds_deep_levels(self):
         breaker = CircuitBreaker(threshold=1)  # default cap 120s

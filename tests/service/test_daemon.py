@@ -151,17 +151,6 @@ class TestDegradationLadder:
         assert by_rid[0].plan is not None
         assert service.metrics.baseline_plans == 1
 
-    def test_degradation_disabled_sheds_instead(self):
-        config = ServiceConfig(degradation=False)
-        chaos = ScriptedServiceFaultPlan(crashes={0: -1, 1: -1, 2: -1})
-        service, by_rid = _serve([
-            _request(rid, tenant=f"t{rid}", arrival=float(rid))
-            for rid in range(3)
-        ], config=config, chaos=chaos)
-        outcomes = {by_rid[r].outcome for r in range(3)}
-        assert outcomes <= {Outcome.SHED_BREAKER, Outcome.TIMED_OUT}
-        assert service.breaker.trips >= 1
-
     def test_crashed_attempts_retry_with_backoff_then_recover(self):
         """Two crashes inside the retry budget still end SERVED_FRESH."""
         chaos = ScriptedServiceFaultPlan(crashes={0: 2})

@@ -88,22 +88,6 @@ class TestHostCallback:
 
 
 class TestStreamSet:
-    def test_five_streams(self, sim):
-        streams = StreamSet(sim, "gpu0")
-        assert len(streams.all()) == 5
-
-    def test_by_name(self, sim):
-        streams = StreamSet(sim, "gpu0")
-        assert streams.by_name("compute") is streams.compute
-        assert streams.by_name("p2p_in") is streams.p2p_in
-
-    def test_by_name_rejects_unknown(self, sim):
-        import pytest
-
-        streams = StreamSet(sim, "gpu0")
-        with pytest.raises(KeyError):
-            streams.by_name("bogus")
-
     def test_streams_are_independent(self, sim):
         streams = StreamSet(sim, "gpu0")
         a = streams.compute.delay(5.0)
