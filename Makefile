@@ -100,10 +100,13 @@ virt-smoke:
 	    --seeds 3 --hetero 1.5,0.75 --devices-lost 1 --iterations 3 \
 	    --json virt-chaos-hetero.json
 
-# Record a traced run (clean + chaos), invariant-check it, and export
-# Perfetto JSON; exits nonzero if the trace breaks a runtime invariant.
+# Record a traced run (clean, chaos and a 64-event ring), invariant-check
+# it, and export Perfetto JSON; exits nonzero if the trace breaks a
+# runtime invariant.
 trace-smoke:
 	python -m repro.cli trace toy-transformer --minibatch 8 --gpus 2 \
 	    --out trace-clean.json --text
 	python -m repro.cli trace toy-transformer --minibatch 8 --gpus 2 \
 	    --chaos-seed 1 --out trace-chaos.json
+	python -m repro.cli trace toy-transformer --minibatch 8 --gpus 2 \
+	    --ring 64 --out trace-ring.json

@@ -98,11 +98,14 @@ python -m repro.cli chaos toy-transformer --minibatch 8 --gpus 2 --seeds 3 \
     --json virt-chaos-hetero.json || failed=1
 
 echo "== trace smoke =="
-# Record, invariant-check, and export a clean and a chaos trace; the CLI
-# exits nonzero if the recorded timeline violates a runtime invariant.
+# Record, invariant-check, and export a clean, a chaos and a ring trace;
+# the CLI exits nonzero if the recorded timeline violates a runtime
+# invariant.
 python -m repro.cli trace toy-transformer --minibatch 8 --gpus 2 \
     --out trace-clean.json || failed=1
 python -m repro.cli trace toy-transformer --minibatch 8 --gpus 2 \
     --chaos-seed 1 --out trace-chaos.json || failed=1
+python -m repro.cli trace toy-transformer --minibatch 8 --gpus 2 \
+    --ring 64 --out trace-ring.json || failed=1
 
 exit "$failed"

@@ -617,8 +617,9 @@ def _trace(args: argparse.Namespace) -> tuple[int, None]:
     report = harmony.run(plan=plan, iterations=args.iterations,
                          fault_plan=fault_plan, trace=recorder)
     fault_free = fault_plan is None
+    events = recorder.events
     check_trace(
-        recorder.events,
+        events,
         graph=plan.graph if fault_free else None,
         metrics=report.metrics if fault_free else None,
         iterations=args.iterations,
@@ -627,11 +628,11 @@ def _trace(args: argparse.Namespace) -> tuple[int, None]:
     print(plan.describe())
     print(report.metrics.describe())
     if args.out:
-        dump_chrome_trace(recorder.events, args.out)
-        print(f"wrote {len(recorder.events)} events to {args.out} "
+        dump_chrome_trace(events, args.out)
+        print(f"wrote {len(events)} events to {args.out} "
               f"(trace_event JSON; load in ui.perfetto.dev)")
     if args.text:
-        print(to_text_timeline(recorder.events))
+        print(to_text_timeline(events))
     return 0, None
 
 

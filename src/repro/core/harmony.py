@@ -457,12 +457,7 @@ class Harmony:
             return
         from repro.trace import analyze_trace
 
-        metrics.trace = analyze_trace(
-            trace.events,  # type: ignore[attr-defined]
-            n_devices=n_devices,
-            total_time=trace.extent,  # type: ignore[attr-defined]
-            dropped=trace.dropped,  # type: ignore[attr-defined]
-        )
+        metrics.trace = analyze_trace(trace, n_devices)  # type: ignore[arg-type]
 
     def _analyze(self, plan: HarmonyPlan) -> None:
         """Run the static schedule verifier per ``options.analyze``."""

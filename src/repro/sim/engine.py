@@ -58,10 +58,27 @@ silently swallowing it.  The net effect is the guarantee the fault
 subsystem (:mod:`repro.faults`) builds on: an injected fault either gets
 handled by a recovery policy or surfaces as a typed exception -- never as
 a hang.
+
+Cyclic GC
+---------
+
+:meth:`Simulator.run` turns the cyclic garbage collector off for its
+loop and restores the caller's setting when it returns or raises.  The
+loop allocates an event, a tuple or a generator frame at nearly every
+step, so collections kept triggering inside it, and on fault-free runs
+they found nothing to free: processes, events and drained stream ops are
+freed by reference counting (a finished process drops its target and its
+resume callback; see :class:`Process`).  A nested run (the planning
+service's loop executing a plan's own simulation) finds the collector
+already off and leaves it off; only the outermost run turns it back on.
+Chaos runs do make cycles -- an exception thrown into a process keeps a
+traceback that refers to the frames that caught it -- and those wait
+for the first collection after the outermost ``run`` returns.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import sys
@@ -488,6 +505,8 @@ class Simulator:
                     default=math.inf)
         limit = sys.maxsize if max_steps is None else max_steps
         steps = self._steps
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 # Fast path: a FIFO entry is due now, so while the heap
@@ -539,3 +558,5 @@ class Simulator:
                     self._raise_unhandled()
         finally:
             self._steps = steps
+            if collecting:
+                gc.enable()

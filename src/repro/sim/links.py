@@ -113,11 +113,13 @@ class Route:
     ``hops`` keeps path order, ``ordered`` the canonical acquisition
     order (by link id), ``latency`` the hops' latencies folded with
     :func:`~repro.common.floats.ordered_sum` in path order, ``bandwidth``
-    the nominal minimum (infinite for the zero-hop route) and ``names``
-    the hop names in acquisition order, as ``xfer`` spans carry them.
+    the nominal minimum (infinite for the zero-hop route), ``link_names``
+    the hop names in acquisition order and ``names`` those joined by
+    ``+``, as ``xfer`` spans carry them.
     """
 
-    __slots__ = ("hops", "ordered", "latency", "bandwidth", "names")
+    __slots__ = ("hops", "ordered", "latency", "bandwidth", "link_names",
+                 "names")
 
     def __init__(self, hops: Iterable[Link]):
         self.hops = tuple(hops)
@@ -125,7 +127,8 @@ class Route:
         self.latency = ordered_sum(link.latency for link in self.hops)
         self.bandwidth = min((link.bandwidth for link in self.hops),
                              default=math.inf)
-        self.names = "+".join(link.name for link in self.ordered)
+        self.link_names = tuple(link.name for link in self.ordered)
+        self.names = "+".join(self.link_names)
 
     def time(self, nbytes: int) -> float:
         """Uncontended transfer time for ``nbytes`` (estimation).
@@ -192,6 +195,11 @@ def transfer(
     per call, from path acquisition to release, carrying the hop names,
     the queueing delay (``wait``), and the bytes that actually moved
     (0 for a faulted hold -- the bus time was real, the goodput was not).
+    The span also charges each hop its hold and the time the transfer
+    queued for that hop: from its grant of the previous hop (or from its
+    request, for the first) to its grant of this one.  A grant that was
+    free on request queued for nothing, so only a queued grant reads the
+    clock.
     """
     if nbytes < 0:
         raise SimulationError(f"negative transfer size: {nbytes}")
@@ -211,10 +219,18 @@ def transfer(
             raise fault.error
         return
     trace = sim.trace
-    requested = sim._now
+    requested = granted = sim._now
+    waits = None
     ordered = route.ordered
     for link in ordered:
-        yield link._resource.request()
+        grant = link._resource.request()
+        queued = not grant._fired
+        yield grant
+        if queued and trace is not None and sim._now > granted:
+            if waits is None:
+                waits = []
+            waits.append((link.name, sim._now - granted))
+            granted = sim._now
     acquired = sim._now
     bandwidth = route.bandwidth
     for link in hops:
@@ -232,7 +248,8 @@ def transfer(
         if trace is not None:
             trace.span(
                 "xfer", label, acquired, sim._now,
-                device=device, lane=lane, nbytes=0, links=route.names,
+                device=device, lane=lane, nbytes=0,
+                holds=route.link_names, waits=waits, links=route.names,
                 wait=acquired - requested, faulted=1,
             )
         raise fault.error
@@ -244,6 +261,7 @@ def transfer(
     if trace is not None:
         trace.span(
             "xfer", label, acquired, sim._now,
-            device=device, lane=lane, nbytes=nbytes, links=route.names,
+            device=device, lane=lane, nbytes=nbytes,
+            holds=route.link_names, waits=waits, links=route.names,
             wait=acquired - requested,
         )

@@ -3,9 +3,11 @@
 Everything here is computed from event intervals, not from aggregate
 counters -- that is the point: the aggregate path (``compute_busy`` /
 ``iteration_time``) cannot see *when* work happened, so it cannot measure
-overlap, bubbles, or contention.  :func:`analyze_trace` produces a
-:class:`TraceAnalytics` that :class:`~repro.runtime.metrics.RunMetrics`
-attaches and folds into ``describe()``.
+overlap, bubbles, or contention.  The :class:`~repro.trace.TraceRecorder`
+keeps per-lane interval unions and per-link totals as events arrive;
+:func:`analyze_trace` folds them into a :class:`TraceAnalytics` that
+:class:`~repro.runtime.metrics.RunMetrics` attaches and folds into
+``describe()``.  It reads no event.
 
 Definitions:
 
@@ -18,63 +20,73 @@ Definitions:
   the swap hold time -- "how much of my swapping hid under compute";
 - **pipeline bubble**: idle compute time inside a device's active window
   [first compute start, last compute end];
-- **link contention**: per link, time some transfer spent waiting on the
-  path while the link was held by another transfer (approximate: a
-  multi-hop wait is attributed to every busy hop of the path).
+- **link contention**: per link, the time transfers spent queued for
+  that link (exact).  A transfer acquires its path's links one at a
+  time in a fixed order; its wait for a link runs from its grant of the
+  previous link (from its request, for the first) to its grant of this
+  one, so each moment of a multi-hop wait is charged to the one link it
+  was spent queued on.  ``intervals`` counts the (transfer, link) pairs
+  with a positive wait, and ``busy`` is the sum of the link's holds.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from operator import sub
+from typing import TYPE_CHECKING
 
 from repro.common.floats import ordered_sum
-from repro.trace.events import TraceEvent
+
+if TYPE_CHECKING:
+    from repro.trace.recorder import TraceRecorder
 
 _SWAP_LANES = ("swap_in", "swap_out")
 
 
-def _union(intervals: Iterable[tuple]) -> list:
-    """Merge intervals into a sorted disjoint list."""
+# Interval sets are flat, strictly increasing lists ``[start0, end0,
+# start1, end1, ...]`` of disjoint intervals, the form the recorder keeps.
+
+
+def _union(tracks: list) -> list:
+    """The union of several flat interval lists (one list is its own)."""
+    if len(tracks) < 2:
+        return tracks[0] if tracks else []
+    pairs = sorted(chain.from_iterable(
+        zip(track[::2], track[1::2]) for track in tracks))
     merged: list = []
-    lo = hi = None
-    for start, end in sorted(intervals):
-        if end <= start:
-            continue
-        if hi is not None and start <= hi:
-            if end > hi:
-                hi = end
-            continue
-        if hi is not None:
-            merged.append((lo, hi))
-        lo, hi = start, end
-    if hi is not None:
-        merged.append((lo, hi))
+    for start, end in pairs:
+        if merged and start <= merged[-1]:
+            if end > merged[-1]:
+                merged[-1] = end
+        else:
+            merged += (start, end)
     return merged
 
 
-def _measure(intervals: Sequence[tuple]) -> float:
+def _measure(intervals: list) -> float:
     # Nothing measured stays the int 0 that builtin ``sum`` returned: the
     # analytics pins and reports render it as ``0``.
     if not intervals:
         return 0
-    return ordered_sum(end - start for start, end in intervals)
+    return ordered_sum(map(sub, intervals[1::2], intervals[::2]))
 
 
-def _intersect(a: Sequence[tuple], b: Sequence[tuple]) -> list:
-    """Intersection of two disjoint sorted interval lists."""
-    out = []
+def _intersect(a: list, b: list) -> list:
+    """Intersection of two flat interval lists."""
+    out: list = []
     i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        a0, a1, b0, b1 = a[i], a[i + 1], b[j], b[j + 1]
+        lo = b0 if b0 > a0 else a0      # max(a0, b0)
+        hi = b1 if b1 < a1 else a1      # min(a1, b1)
         if hi > lo:
-            out.append((lo, hi))
-        if a[i][1] <= b[j][1]:
-            i += 1
+            out += (lo, hi)
+        if a1 <= b1:
+            i += 2
         else:
-            j += 1
+            j += 2
     return out
 
 
@@ -83,8 +95,8 @@ class LinkContention:
     """Contention summary for one link."""
 
     busy: float = 0.0          # seconds the link was held
-    contended: float = 0.0     # seconds somebody waited while it was held
-    intervals: int = 0         # distinct (transfer, link) wait overlaps
+    contended: float = 0.0     # seconds transfers spent queued for it
+    intervals: int = 0         # (transfer, link) pairs with a positive wait
 
 
 @dataclass
@@ -158,38 +170,33 @@ class TraceAnalytics:
         return "\n".join(lines)
 
 
-def analyze_trace(events: Sequence[TraceEvent], n_devices: int,
-                  total_time: float = 0.0,
-                  dropped: int = 0) -> TraceAnalytics:
-    """Compute :class:`TraceAnalytics` over recorded events."""
-    if total_time <= 0:
-        total_time = max((e.t1 for e in events), default=0.0)
+def analyze_trace(recorder: "TraceRecorder",
+                  n_devices: int) -> TraceAnalytics:
+    """Fold a recorder's accumulators into :class:`TraceAnalytics`.
+
+    Covers the whole run, ring mode included: ``total_time`` is the
+    recorder's extent, ``n_events`` the surviving events.
+    """
     compute: list = [[] for _ in range(n_devices)]
     cpu: list = [[] for _ in range(n_devices)]
-    stream: list = [dict() for _ in range(n_devices)]
+    stream: list = [{} for _ in range(n_devices)]
     swap: list = [[] for _ in range(n_devices)]
     p2p: list = [[] for _ in range(n_devices)]
-    xfers = []
-    for e in events:
-        if e.kind != "span":
+    for (cat, d, lane), track in recorder.tracks.items():
+        if not 0 <= d < n_devices:
             continue
-        d = e.device
-        on_device = 0 <= d < n_devices
-        if e.cat == "compute" and on_device:
-            (cpu if e.lane == "cpu" else compute)[d].append((e.t0, e.t1))
-        elif e.cat == "stream" and on_device:
-            stream[d].setdefault(e.lane, []).append((e.t0, e.t1))
-        elif e.cat == "xfer":
-            xfers.append(e)
-            if on_device:
-                if e.lane in _SWAP_LANES:
-                    swap[d].append((e.t0, e.t1))
-                elif e.lane.startswith("p2p"):
-                    p2p[d].append((e.t0, e.t1))
+        if cat == "compute":
+            (cpu if lane == "cpu" else compute)[d].append(track)
+        elif cat == "stream":
+            stream[d][lane] = track
+        elif lane in _SWAP_LANES:
+            swap[d].append(track)
+        elif lane.startswith("p2p"):
+            p2p[d].append(track)
 
     out = TraceAnalytics(
-        total_time=total_time, n_devices=n_devices,
-        n_events=len(events), dropped=dropped,
+        total_time=recorder.extent, n_devices=n_devices,
+        n_events=len(recorder), dropped=recorder.dropped,
     )
     for d in range(n_devices):
         comp = _union(compute[d])
@@ -197,59 +204,18 @@ def analyze_trace(events: Sequence[TraceEvent], n_devices: int,
         out.compute_busy.append(_measure(comp))
         out.cpu_busy.append(_measure(_union(cpu[d])))
         out.stream_busy.append({
-            lane: _measure(_union(spans))
-            for lane, spans in sorted(stream[d].items())
+            lane: _measure(track) for lane, track in sorted(stream[d].items())
         })
         out.swap_hold.append(_measure(swp))
         out.p2p_hold.append(_measure(_union(p2p[d])))
         out.overlap_time.append(_measure(_intersect(comp, swp)))
         if comp:
-            window = comp[-1][1] - comp[0][0]
+            window = comp[-1] - comp[0]
             out.bubble_time.append(max(0.0, window - _measure(comp)))
         else:
             out.bubble_time.append(0.0)
-    out.link_contention = _contention(xfers)
-    return out
-
-
-def _contention(xfers: Sequence[TraceEvent]) -> dict:
-    """Per-link busy/contended time from transfer hold spans.
-
-    A transfer's wait interval is ``[t0 - wait, t0)``; its overlap with
-    *other* transfers' holds of a shared link is contention on that link.
-    Each link's holds are unioned once and every wait window is bisected
-    into that union.  The waiting transfer's own hold needs no exclusion:
-    it starts exactly where the window ends, so it can only extend a
-    union piece past ``t0`` or add one at or after it, and neither
-    changes the measure inside the window.
-    """
-    paths = []
-    holds: dict = {}
-    for e in xfers:
-        meta = dict(e.meta)
-        links = [name for name in str(meta.get("links", "")).split("+")
-                 if name]
-        paths.append((e.t0, float(meta.get("wait", 0.0)), links))
-        for link in links:
-            holds.setdefault(link, []).append((e.t0, e.t1))
-    out: dict = {}
-    unions: dict = {}
-    for link, spans in holds.items():
-        out[link] = LinkContention(busy=_measure(spans))
-        merged = _union(spans)
-        unions[link] = (merged, [end for _, end in merged])
-    for t0, wait, links in paths:
-        if wait <= 0:
-            continue
-        w0 = t0 - wait
-        for link in links:
-            merged, ends = unions[link]
-            overlap = 0.0
-            for start, end in merged[bisect_right(ends, w0):]:
-                if start >= t0:
-                    break
-                overlap += min(t0, end) - max(w0, start)
-            if overlap > 0:
-                out[link].contended += overlap
-                out[link].intervals += 1
+    out.link_contention = {
+        link: LinkContention(busy, contended, intervals)
+        for link, (busy, contended, intervals) in recorder.links.items()
+    }
     return out

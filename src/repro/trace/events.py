@@ -99,8 +99,3 @@ class TraceEvent(NamedTuple):
             f"{self.lane}|t{self.tid}|{self.nbytes}|{self.t0!r}|{self.t1!r}"
             f"|{meta}"
         )
-
-
-def make_meta(**kwargs) -> tuple:
-    """Normalize keyword metadata into the sorted-tuple form."""
-    return tuple(sorted(kwargs.items()))

@@ -10,21 +10,65 @@ on a fresh simulator whose clock starts at zero, and state migrations run
 on their own simulator too -- advance the base by each phase's virtual
 duration, so the recorded events form one continuous global timeline.
 
+Besides the events, the recorder keeps the accumulators
+:func:`~repro.trace.analytics.analyze_trace` folds, updated as each span
+arrives:
+
+- :attr:`tracks` -- per ``(category, device, lane)`` of every
+  ``compute``, ``stream`` and ``xfer`` span, the union of the lane's
+  spans as one flat, strictly increasing list ``[start0, end0, start1,
+  end1, ...]`` of disjoint intervals (touching intervals merge;
+  zero-length spans add nothing).  A lane is a FIFO track, so spans
+  arrive in end-time order and the common update appends an interval or
+  moves the last end; a span that starts before the last interval or
+  ends before it does is bisected into place (:func:`_insert`).
+- :attr:`links` -- per link name, ``[busy, contended, intervals]``:
+  ``busy`` is the left fold, in record order, of every ``xfer`` hold's
+  duration; ``contended`` the fold of the per-link waits the transfer
+  charged (:func:`repro.sim.links.transfer`) and ``intervals`` how many
+  of those waits were positive.
+
 Ring mode (``ring=N``) keeps only the newest ``N`` events and counts the
-rest in :attr:`dropped`; memory stays bounded no matter how long the run.
-Analytics and invariants over a ring see only the surviving suffix.
+rest in :attr:`dropped`, so memory for events stays bounded no matter how
+long the run.  The accumulators are not evicted: analytics over a ring
+cover the whole run (only ``n_events`` and ``dropped`` tell a ring run
+apart), while invariant checks over :attr:`events` see the surviving
+suffix.  :meth:`clear` resets events and accumulators alike.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Optional
 
-from repro.trace.events import TraceEvent, make_meta
+from repro.trace.events import TraceEvent
 
 #: Fills a :class:`TraceEvent` from a tuple of its fields in declaration
 #: order, skipping the generated ``__new__``'s per-field argument binding.
 _new_event = tuple.__new__
+
+#: Span categories whose per-lane interval unions the recorder keeps.
+TRACKED = frozenset(("compute", "stream", "xfer"))
+
+
+def _insert(track: list, t0: float, t1: float) -> None:
+    """Merge ``[t0, t1)`` into the flat union ``track`` wherever it lands:
+    in an earlier gap, across several intervals, or over the last one.
+
+    ``track`` is strictly increasing, so an odd bisection index means the
+    endpoint falls inside (or touches) an interval, whose own endpoint
+    then bounds the merge.
+    """
+    i = bisect_left(track, t0)
+    j = bisect_right(track, t1)
+    if i % 2:
+        i -= 1
+        t0 = track[i]
+    if j % 2:
+        t1 = track[j]
+        j += 1
+    track[i:j] = (t0, t1)
 
 
 class TraceRecorder:
@@ -42,37 +86,82 @@ class TraceRecorder:
         #: largest (base-adjusted) end time seen, even for evicted events
         self.extent = 0.0
         self._seq = 0
+        #: {(cat, device, lane): flat union [start0, end0, start1, ...]}
+        self.tracks: dict = {}
+        #: {link name: [busy, contended, intervals]}, first hold first
+        self.links: dict = {}
 
     # -- recording ---------------------------------------------------------------
 
     def span(self, cat: str, name: str, t0: float, t1: float, *,
              device: int = -1, lane: str = "", tid: int = -1,
-             nbytes: int = 0, **meta) -> TraceEvent:
-        """Record an interval event (local times; base applied here)."""
-        return self._record("span", cat, name, self.base + t0,
-                            self.base + t1, device, lane, tid, nbytes, meta)
+             nbytes: int = 0, holds: tuple = (),
+             waits: Optional[list] = None, **meta) -> TraceEvent:
+        """Record an interval event (local times; base applied here).
+
+        ``holds`` names the links an ``xfer`` span held, each charged the
+        span's duration as busy time; ``waits`` lists the positive
+        ``(link, seconds)`` queueing delays the transfer saw before each
+        grant.  Neither is part of the event.
+        """
+        base = self.base
+        t0 = base + t0
+        t1 = base + t1
+        self._seq = seq = self._seq + 1
+        event = _new_event(TraceEvent, (
+            "span", cat, name, t0, t1, device, lane, tid, nbytes, seq,
+            tuple(sorted(meta.items())) if meta else (),
+        ))
+        events = self._events
+        if len(events) == self.ring:
+            self.dropped += 1
+        events.append(event)
+        if t1 > self.extent:
+            self.extent = t1
+        if cat in TRACKED:
+            track = self.tracks.get((cat, device, lane))
+            if track is None:
+                # A lane of zero-length spans is still a lane.
+                self.tracks[(cat, device, lane)] = [t0, t1] if t1 > t0 else []
+            elif t1 > t0:
+                if not track or t0 > track[-1]:
+                    track.append(t0)
+                    track.append(t1)
+                elif t1 >= track[-1] and t0 >= track[-2]:
+                    track[-1] = t1
+                else:
+                    _insert(track, t0, t1)
+        if holds:
+            held = t1 - t0
+            links = self.links
+            for link in holds:
+                acc = links.get(link)
+                if acc is None:
+                    acc = links[link] = [0.0, 0.0, 0]
+                acc[0] += held
+            if waits:
+                for link, wait in waits:
+                    acc = links[link]
+                    acc[1] += wait
+                    acc[2] += 1
+        return event
 
     def instant(self, cat: str, name: str, t: float, *,
                 device: int = -1, lane: str = "", tid: int = -1,
                 nbytes: int = 0, **meta) -> TraceEvent:
         """Record a point event (local time; base applied here)."""
         at = self.base + t
-        return self._record("instant", cat, name, at, at, device, lane, tid,
-                            nbytes, meta)
-
-    def _record(self, kind: str, cat: str, name: str, t0: float, t1: float,
-                device: int, lane: str, tid: int, nbytes: int,
-                meta: dict) -> TraceEvent:
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         event = _new_event(TraceEvent, (
-            kind, cat, name, t0, t1, device, lane, tid, nbytes, self._seq,
-            make_meta(**meta) if meta else (),
+            "instant", cat, name, at, at, device, lane, tid, nbytes, seq,
+            tuple(sorted(meta.items())) if meta else (),
         ))
-        if self.ring is not None and len(self._events) == self.ring:
+        events = self._events
+        if len(events) == self.ring:
             self.dropped += 1
-        self._events.append(event)
-        if t1 > self.extent:
-            self.extent = t1
+        events.append(event)
+        if at > self.extent:
+            self.extent = at
         return event
 
     # -- multi-simulator stitching ------------------------------------------------
@@ -99,6 +188,8 @@ class TraceRecorder:
         self.base = 0.0
         self.extent = 0.0
         self._seq = 0
+        self.tracks.clear()
+        self.links.clear()
 
     def canonical(self) -> str:
         """One line per event -- the golden-trace file format."""

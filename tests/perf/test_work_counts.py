@@ -39,9 +39,13 @@ suite pins, exactly:
   a plan draws, one per layer per (phase, microbatch size) it runs, and
   that a second run from a new ``Harmony`` draws none: the kernel-time
   store is shared across runs;
-- the interval unions one ``analyze_trace`` makes over a traced gpt2
-  iteration: one per (device, track) and one per link, not one per
-  (waiting transfer, link) pair;
+- the interval unions one ``analyze_trace`` merges over a traced gpt2
+  iteration: one per device figure that spans two lanes (swap in and
+  out, p2p in and out); every other figure reads one lane's union as
+  the recorder kept it, and no event is scanned;
+- that every traced bench warm-up run adds each tracked span to its
+  lane's union in end-time order: no span needs an out-of-order
+  insertion;
 - that a fleet storm simulates each served plan key once and verifies
   each (plan, binding) pair once, and that a second ``PlannerService``
   on the same storm does that same work again: only searches are shared
@@ -78,6 +82,7 @@ from repro.runtime.timemodel import TrueTimeModel
 from repro.service import PlannerService, ServiceConfig, scripted_workload
 from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder, analytics
+from repro.trace import recorder as recorder_module
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,18 @@ CASES = (
 )
 
 #: ``analytics._union`` calls one ``analyze_trace`` makes over a traced
-#: gpt2 pp x4 mb32 iteration (1,782 events).
-TRACED_GPT2_UNIONS = 42
+#: gpt2 pp x4 mb32 iteration (1,782 events) that merge two or more lanes:
+#: one per device, for its swap-in and swap-out lanes.
+TRACED_GPT2_MERGES = 4
+
+#: (model, mode, gpus, minibatch) of the bench's warm-up problems
+#: (``bench/workloads.py``), each run for two iterations there.
+BENCH_WARMUPS = tuple(
+    (model, mode, gpus, 8 if mode == "pp" else gpus * 2)
+    for model in ("gpt2", "gpt2-medium", "bert96", "bert-large", "vgg416",
+                  "resnet1k")
+    for mode in ("pp", "dp") for gpus in (4, 8)
+)
 
 
 by_case = pytest.mark.parametrize(
@@ -316,9 +331,9 @@ def test_traced_run_analytics_do_exact_work(monkeypatch):
     counts: Counter = Counter()
     union = analytics._union
 
-    def counted_union(intervals):
-        counts["union"] += 1
-        return union(intervals)
+    def counted_union(tracks):
+        counts["union"] += len(tracks) > 1
+        return union(tracks)
 
     analyze = analytics.analyze_trace
 
@@ -334,9 +349,31 @@ def test_traced_run_analytics_do_exact_work(monkeypatch):
     report = harmony.run(iterations=1, trace=recorder)
     assert len(recorder) == 1782
     assert report.metrics.trace.link_contention
-    assert counts == {"analyze": 1, "union": TRACED_GPT2_UNIONS}, (
-        "analyze_trace must union each track and each link once"
+    assert counts == {"analyze": 1, "union": TRACED_GPT2_MERGES}, (
+        "analyze_trace must merge only the figures that span two lanes"
     )
+
+
+def test_traced_bench_runs_keep_every_lane_in_end_time_order(monkeypatch):
+    out_of_order: Counter = Counter()
+    insert = recorder_module._insert
+
+    def counted_insert(track, t0, t1):
+        if track and t1 < track[-1]:
+            out_of_order[(t0, t1)] += 1
+        return insert(track, t0, t1)
+
+    monkeypatch.setattr(recorder_module, "_insert", counted_insert)
+    spans = 0
+    for model, mode, gpus, minibatch in BENCH_WARMUPS:
+        recorder = TraceRecorder()
+        Harmony(model, server_for(gpus), minibatch,
+                options=HarmonyOptions(mode=mode)).run(iterations=2,
+                                                       trace=recorder)
+        spans += sum(e.kind == "span" and e.cat in recorder_module.TRACKED
+                     for e in recorder.events)
+    assert spans > 0
+    assert not out_of_order, "a tracked span arrived out of end-time order"
 
 
 def test_each_service_runs_and_verifies_each_key_once(monkeypatch):

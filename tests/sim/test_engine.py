@@ -372,3 +372,107 @@ class TestFreedByRefcount:
         sim.run()
         assert stream.ops_completed == 1
         assert [ref() for ref in refs] == [None, None]
+
+    def test_fault_free_traced_run_leaves_no_cycles(self):
+        """A fault-free traced gpt2 pp x4 run makes no garbage cycles, so
+        the collector pause inside ``Simulator.run`` defers nothing.
+
+        Collecting until nothing is found first clears what earlier tests
+        left: a cycle whose generators run finalizers is freed by the
+        collection after the one that finalized it.
+        """
+        from repro.core.harmony import Harmony, HarmonyOptions
+        from repro.experiments.common import server_for
+        from repro.trace import TraceRecorder
+
+        harmony = Harmony("gpt2", server_for(4), 16,
+                          options=HarmonyOptions(mode="pp"))
+        plan = harmony.plan()
+        while gc.collect():
+            pass
+        report = harmony.run(plan=plan, iterations=1, trace=TraceRecorder())
+        assert report.metrics.trace.compute_busy
+        assert gc.collect() == 0
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector's state, restored whatever the test leaves."""
+    enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+class TestCyclicGcPause:
+    """``Simulator.run`` keeps the cyclic collector off for its loop and
+    leaves the caller's setting as it found it, however the run ends."""
+
+    def _probe(self, sim, seen):
+        def body():
+            seen.append(gc.isenabled())
+            yield sim.timeout(1.0)
+            seen.append(gc.isenabled())
+
+        sim.process(body())
+
+    def test_off_inside_and_restored_after_a_normal_return(self, sim,
+                                                           collector):
+        gc.enable()
+        seen: list = []
+        self._probe(sim, seen)
+        assert sim.run() == 1.0
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_restored_after_the_watchdog_raises(self, sim, collector):
+        gc.enable()
+
+        def forever():
+            while True:
+                yield sim.timeout(1.0)
+
+        sim.process(forever())
+        with pytest.raises(SimulationError, match="exceeded 5 steps"):
+            sim.run(max_steps=5)
+        assert gc.isenabled()
+        with pytest.raises(SimulationError, match="horizon"):
+            sim.run(horizon=100.0)
+        assert gc.isenabled()
+
+    def test_restored_after_an_unhandled_failure(self, sim, collector):
+        gc.enable()
+        sim.schedule(1.0, lambda: sim.event("orphan").fail(
+            ValueError("nobody waits")))
+        with pytest.raises(ValueError, match="nobody waits"):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_nested_run_keeps_it_off_until_the_outer_run_ends(self, sim,
+                                                               collector):
+        from repro.sim.engine import Simulator
+
+        gc.enable()
+        seen: list = []
+
+        def outer():
+            inner = Simulator()
+            self._probe(inner, seen)
+            inner.run()
+            seen.append(gc.isenabled())
+            yield sim.timeout(1.0)
+
+        sim.process(outer())
+        sim.run()
+        assert seen == [False, False, False]
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_it_keeps_it_disabled(self, sim,
+                                                          collector):
+        gc.disable()
+        seen: list = []
+        self._probe(sim, seen)
+        sim.run()
+        assert seen == [False, False]
+        assert not gc.isenabled()

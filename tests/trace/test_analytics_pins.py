@@ -14,7 +14,8 @@ in the dict's own order:
 - a seeded chaos run, whose faulted holds move no bytes and whose
   retries hold links again (its canonical event lines are pinned too:
   the golden traces cover only fault-free and heterogeneous runs);
-- a ring recorder that dropped events, so the analytics see a suffix.
+- a ring recorder that dropped events (the analytics still cover the
+  whole run; only the event count and ``dropped`` differ from toy-pp).
 
 Any change to what the analytics compute moves a digest.
 """
@@ -31,7 +32,7 @@ from repro.trace import TraceRecorder
 #: run name -> (sha256 of the analytics, sha256 of the trace lines)
 DIGESTS = {
     "toy-pp": (
-        "f2e79e3dcf5f2af7782493502e219d1ecd7cabd1fe47108cf8303d2a74012391",
+        "06c1497fb74c298378e581dd75a59c641fcd43148875d93323dcbff5aa57ed79",
         None),
     "toy-dp": (
         "7f11311c77e106d0c66c665f03dc8a32c1469b6123ed1582794c78cf800f3bd2",
@@ -40,10 +41,10 @@ DIGESTS = {
         "87264916913c0bc83f3885ab7bddc66aa3604150f2f7d6160d84ba6df0045c28",
         None),
     "toy-pp-chaos": (
-        "a91ebeb65afa4d4a5fe8efbceefeea20612d1421312c7d4544c7d34ce189e43d",
+        "269880db4b576a9d0a0c13447d367ebb7bff34c2681c81568cada437230982d0",
         "36b47f6467548500bf7cd8be99e07afc2c45293ada48f0d2518ea96cf1381fae"),
     "toy-pp-ring": (
-        "fe43e86308725d9d1740da6698a4c58b55475b7e467f1239f051a5200c4cc576",
+        "7a84bfab8982ef12542d23841e0f532634b4d650e7977c56e189ddf00c1dbb85",
         None),
 }
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.trace import TraceRecorder
-from repro.trace.events import LANES, TraceEvent, make_meta
+from repro.trace.events import LANES, TraceEvent
 
 
 def test_span_and_instant_recording():
@@ -88,9 +88,13 @@ def test_canonical_is_stable_text():
     )
 
 
-def test_make_meta_sorted_and_stable():
-    assert make_meta(z=1, a=2) == (("a", 2), ("z", 1))
-    assert make_meta() == ()
+def test_meta_is_sorted_and_stable():
+    rec = TraceRecorder()
+    assert rec.span("compute", "x", 0.0, 1.0, z=1, a=2).meta == \
+        (("a", 2), ("z", 1))
+    assert rec.instant("task", "y", 1.0, z=1, a=2).meta == \
+        (("a", 2), ("z", 1))
+    assert rec.span("compute", "x", 0.0, 1.0).meta == ()
 
 
 def test_event_is_frozen_value_type():
