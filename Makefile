@@ -25,8 +25,9 @@ analyze:
 	python -m repro.cli check gpt2 --minibatch 64 --mode pp
 
 # Analyzer smoke: project linter + the full static pass set (races,
-# lifetime, parametric certificates) over the CNN zoo in both modes,
-# leaving machine-readable diagnostics in analyze-<model>-<mode>.json.
+# lifetime, capacity with its parametric certificates) over the CNN zoo
+# in both modes, leaving machine-readable diagnostics in
+# analyze-<model>-<mode>.json.
 analyze-smoke:
 	python -m repro.lint
 	for model in tiny-cnn resnet1k vgg416; do \

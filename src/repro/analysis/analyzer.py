@@ -97,7 +97,7 @@ def analyze(
             else:
                 result.diagnostics.append(diagnostic)
         report.results.append(result)
-        if name in ("capacity", "parametric"):
+        if name == "capacity":
             report.certificates = _parametric.capacity_certificates(ctx)
     if unused:
         report.results.append(PassResult("waiver", diagnostics=[

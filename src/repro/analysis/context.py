@@ -30,7 +30,7 @@ class AnalysisContext:
     # certification (mirrors Executor's host working-set bound).
     host_state_bytes: Optional[int] = None
     # The portion of host_state_bytes that is input staging and so grows
-    # with the microbatch count; lets the parametric pass split the host
+    # with the microbatch count; lets the capacity pass split the host
     # bound into fixed and per-N components.  None: treat all as fixed.
     host_input_bytes: Optional[int] = None
     # Whether the Runtime will run with prefetch double-buffering; bounds
@@ -58,7 +58,7 @@ class AnalysisContext:
 
         Honors the per-device override of a heterogeneous binding;
         integer-exact (the override is computed with Fraction arithmetic
-        upstream), so capacity passes stay bit-stable.
+        upstream), so capacity certificates stay bit-stable.
         """
         assert self.server is not None, "device capacity needs a server"
         if (self.device_memory is not None

@@ -147,8 +147,8 @@ class AnalysisReport:
     graph_mode: str
     n_tasks: int
     results: list[PassResult] = field(default_factory=list)
-    # Every scope's capacity certificate, as the capacity passes computed
-    # them; empty when neither ran.
+    # Every scope's capacity certificate, as the capacity pass computed
+    # them; empty when it did not run.
     certificates: list["CapacityCertificate"] = field(default_factory=list)
 
     def __iter__(self) -> Iterator[Diagnostic]:

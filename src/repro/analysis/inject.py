@@ -9,9 +9,7 @@ rather than by a hand-maintained fixture graph.
 An injector mutates the graph in place and returns
 ``(options, expected_rules)`` -- options may differ from the input when
 the defect is an ablation inconsistency rather than a graph edit, and
-``expected_rules`` lists *every* rule the defect must trip (a defect
-that breaks two certifications, e.g. point capacity and its parametric
-twin, names both).
+``expected_rules`` lists *every* rule the defect must trip.
 """
 
 from __future__ import annotations
@@ -95,9 +93,7 @@ def inject_over_capacity(
     """Inflate one task's planned working set past any real GPU."""
     task = next(t for t in graph.tasks if not t.on_cpu)
     task.resident_bytes = 1 << 50  # 1 PiB
-    # The point check and the N = 1 of its parametric generalization are
-    # the same bound; both must reject.
-    return options, ("capacity/gpu", "parametric/gpu-unsafe")
+    return options, ("capacity/gpu",)
 
 
 def inject_illegal_p2p(
@@ -266,7 +262,7 @@ def inject_capacity_growth(
         TensorKind.CKPT, 1 << 50, Channel.MSG,
         label="injected-stash-bomb",
     ))
-    return options, ("capacity/host", "parametric/host-unsafe")
+    return options, ("capacity/host",)
 
 
 #: Defect name -> injector, one per seeded defect kind.

@@ -31,18 +31,17 @@ float accumulation and the project linter enforces that):
 
 Each scope yields one :class:`CapacityCertificate` for its *binding*
 window -- the one violated at the smallest N, ties broken by the highest
-``peak(1)`` and then by the first window.  Two passes read them:
+``peak(1)`` and then by the first window.  The ``capacity`` pass reads
+them and reports at most one finding per scope:
 
-- ``capacity`` (``capacity/gpu`` / ``capacity/host``) flags every scope
-  whose ``peak(1)`` exceeds its capacity -- the plan as built overflows;
-- ``parametric`` flags the same violation at N = 1 as an error
-  (``parametric/gpu-unsafe`` / ``parametric/host-unsafe``) and a finite
-  ceiling N* > 1 as advice (``parametric/gpu-ceiling`` /
-  ``parametric/host-ceiling``): the plan as built is safe, but scaling
+- ``capacity/gpu`` / ``capacity/host`` (error) when ``peak(1)`` exceeds
+  the capacity -- the plan as built overflows;
+- otherwise ``capacity/gpu-ceiling`` / ``capacity/host-ceiling`` (info)
+  for a finite ceiling N* > 1: the plan as built is safe, but scaling
   the microbatch group past N* - 1 overflows.
 
-Both need a server spec; the host bound additionally needs the caller to
-say how much host state the run pins.
+The pass needs a server spec; the host bound additionally needs the
+caller to say how much host state the run pins.
 """
 
 from __future__ import annotations
@@ -182,26 +181,39 @@ def capacity_certificates(ctx: AnalysisContext) -> list[CapacityCertificate]:
     return [cert for cert, _window in ctx.memo(_bounds)]
 
 
-class _NeedsServer(AnalysisPass):
+@register
+class CapacityPass(AnalysisPass):
+    """The plan as built (N = 1) must fit; a finite ceiling is advice."""
+
+    name = "capacity"
+    rules = (
+        "capacity/gpu",
+        "capacity/gpu-ceiling",
+        "capacity/host",
+        "capacity/host-ceiling",
+    )
+
     def skip_reason(self, ctx: AnalysisContext) -> Optional[str]:
         if ctx.server is None:
             return "no server spec"
         return None
 
-
-@register
-class CapacityPass(_NeedsServer):
-    """The point check: the plan as built (N = 1) must fit."""
-
-    name = "capacity"
-    rules = ("capacity/gpu", "capacity/host")
-
     def run(self, ctx: AnalysisContext) -> Iterator[Diagnostic]:
         for cert, window in ctx.memo(_bounds):
+            n = cert.smallest_violating_n()
             peak, capacity = cert.peak(1), cert.capacity_bytes
-            if peak <= capacity:
-                continue
-            if cert.scope != "host":
+            if n is None:
+                continue  # safe for all N >= 1: nothing to flag
+            if n > 1:
+                host = cert.scope == "host"
+                yield Diagnostic(
+                    f"capacity/{'host' if host else 'gpu'}-ceiling",
+                    Severity.INFO,
+                    f"{cert.describe()}; safe as built, ceiling at "
+                    f"N = {n - 1} ({cert.detail})",
+                    device=None if host else int(cert.scope[3:]),
+                )
+            elif cert.scope != "host":
                 device = window[0].device
                 yield Diagnostic(
                     "capacity/gpu", Severity.ERROR,
@@ -222,40 +234,4 @@ class CapacityPass(_NeedsServer):
                     f"{capacity / 2**30:.1f} GiB",
                     hint="reduce the checkpoint stash (more recompute) "
                          "or the minibatch",
-                )
-
-
-@register
-class ParametricCapacityPass(_NeedsServer):
-    name = "parametric"
-    rules = (
-        "parametric/gpu-unsafe",
-        "parametric/gpu-ceiling",
-        "parametric/host-unsafe",
-        "parametric/host-ceiling",
-    )
-
-    def run(self, ctx: AnalysisContext) -> Iterator[Diagnostic]:
-        for cert in capacity_certificates(ctx):
-            n = cert.smallest_violating_n()
-            if n is None:
-                continue  # safe for all N >= 1: nothing to flag
-            kind = "host" if cert.scope == "host" else "gpu"
-            device = (int(cert.scope[3:])
-                      if cert.scope.startswith("gpu") else None)
-            if n <= 1:
-                yield Diagnostic(
-                    f"parametric/{kind}-unsafe", Severity.ERROR,
-                    f"{cert.describe()}; the plan overflows at its own "
-                    f"microbatch count ({cert.detail})",
-                    device=device,
-                    hint="repack with a smaller capacity fraction or "
-                         "shrink the microbatch group",
-                )
-            else:
-                yield Diagnostic(
-                    f"parametric/{kind}-ceiling", Severity.INFO,
-                    f"{cert.describe()}; safe as built, ceiling at "
-                    f"N = {n - 1} ({cert.detail})",
-                    device=device,
                 )

@@ -37,11 +37,10 @@ HOST_OVERHEAD = 1.25
 
 # The analyzer's pack-granularity double-buffer bound over-approximates
 # ZeRO-Infinity's transfer engine, which prefetches layer by layer under
-# an allocator watermark and never holds two whole packs.  Both the point
-# check and its N = 1 parametric twin trip on that over-approximation, so
-# both carry the same justification -- and because waivers are
-# load-bearing (an unmatched waiver is an error), they die the moment the
-# planner stops over-approximating.
+# an allocator watermark and never holds two whole packs, so the capacity
+# check trips on that over-approximation.  Waivers are load-bearing (an
+# unmatched waiver is an error), so this one dies the moment the planner
+# stops over-approximating.
 _ENGINE_WATERMARK = (
     "the modeled pack-level double-buffer over-approximates ZeRO-"
     "Infinity's layer-by-layer watermark prefetch engine; the real peak "
@@ -54,10 +53,7 @@ class ZeroInfinityPlanner(BaselineScheme):
 
     name = "zero-infinity"
     reactive = False  # ZeRO ships a pinned, overlapped transfer engine
-    waivers = (
-        Waiver("capacity/gpu", _ENGINE_WATERMARK),
-        Waiver("parametric/gpu-unsafe", _ENGINE_WATERMARK),
-    )
+    waivers = (Waiver("capacity/gpu", _ENGINE_WATERMARK),)
 
     def __init__(self, *args, u_f: Optional[int] = None,
                  u_b: Optional[int] = None, **kwargs):

@@ -159,8 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--parametric", action="store_true",
-        help="run only the parametric capacity certificates (plus any "
-             "other pass-subset flags given)",
+        help="run only the capacity pass and its parametric "
+             "certificates (plus any other pass-subset flags given)",
     )
     check.add_argument(
         "--json", metavar="PATH", default=None,
@@ -381,7 +381,7 @@ def _check(args: argparse.Namespace) -> tuple[int, dict]:
         for name, wanted in (
             ("hb", args.races),
             ("lifetime", args.lifetime),
-            ("parametric", args.parametric),
+            ("capacity", args.parametric),
         )
         if wanted
     ]

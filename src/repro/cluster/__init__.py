@@ -30,7 +30,6 @@ from repro.cluster.spec import (
     ETH_100G,
     ClusterSpec,
     NetworkSpec,
-    SimulatedCluster,
     homogeneous_cluster,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "NetworkSpec",
     "PartitionWindow",
     "ScriptedClusterFaultPlan",
-    "SimulatedCluster",
     "StagePlan",
     "homogeneous_cluster",
     "partition_stages",

@@ -1,21 +1,19 @@
-"""Multi-server cluster descriptions and the instantiated fabric.
+"""Multi-server cluster descriptions: servers joined by a network.
 
 A :class:`ClusterSpec` joins several
 :class:`~repro.hardware.server.ServerSpec` machines through a
 :class:`NetworkSpec` -- per-server full-duplex NIC links feeding a shared
 switch, each modeled as a :class:`~repro.sim.links.NetworkLink` with the
 same bandwidth arbitration the PCIe tree uses plus propagation latency.
-:class:`SimulatedCluster` binds the spec to a simulator: one
-:class:`~repro.hardware.server.SimulatedServer` per machine plus a
-:class:`~repro.cluster.fabric.ClusterFabric` for the cross-server hops.
+A :class:`~repro.cluster.fabric.ClusterFabric` binds the network to a
+simulator for the cross-server hops.
 
 The routing model is host-to-host: Harmony's execution model flushes all
 state to host memory at every iteration boundary (synchronous SGD), so
 cross-server traffic -- pipeline activations, DP all-reduce shards,
 checkpoint replicas, migrated state -- always originates and terminates
 in host RAM.  A cross-server path is therefore
-``[src NIC up, switch, dst NIC down]``; GPU-to-GPU paths additionally
-traverse each end's PCIe tree (:meth:`SimulatedCluster.gpu_path`).
+``[src NIC up, switch, dst NIC down]`` (:meth:`ClusterFabric.route`).
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import SimulationError
 from repro.common.units import GB
-from repro.hardware.server import ServerSpec, SimulatedServer, four_gpu_commodity_server
-from repro.sim.engine import Simulator
-from repro.sim.links import Route
+from repro.hardware.server import ServerSpec, four_gpu_commodity_server
 
 
 @dataclass(frozen=True)
@@ -118,38 +114,3 @@ def homogeneous_cluster(
     return ClusterSpec(servers=tuple(spec for _ in range(n_servers)),
                        network=network)
 
-
-class SimulatedCluster:
-    """Live cluster: per-server machines plus the network fabric.
-
-    All servers share one simulator, so intra-server PCIe traffic and
-    cross-server network traffic contend on a single virtual clock.  The
-    cluster runner normally simulates phases on *separate* simulators
-    (per-server compute is independent between synchronization points);
-    this class exists for whole-cluster experiments and path queries.
-    """
-
-    def __init__(self, sim: Simulator, spec: ClusterSpec):
-        from repro.cluster.fabric import ClusterFabric
-
-        self.sim = sim
-        self.spec = spec
-        self.servers = [SimulatedServer(sim, s) for s in spec.servers]
-        self.fabric = ClusterFabric(sim, spec)
-
-    def gpu_path(self, src_server: int, src_gpu: int,
-                 dst_server: int, dst_gpu: int) -> Route:
-        """The route from one GPU's memory to another's, cross-server.
-
-        Same-server pairs ride the local PCIe tree (p2p route); different
-        servers ride GPU -> host tree, NIC up, switch, NIC down, host ->
-        GPU tree -- the host-staged route every cross-server tensor takes.
-        """
-        src = self.servers[src_server]
-        if src_server == dst_server:
-            return src.route(src_gpu, dst_gpu)
-        return Route(
-            src.route(src_gpu, None).hops
-            + self.fabric.route(src_server, dst_server).hops
-            + self.servers[dst_server].route(None, dst_gpu).hops
-        )

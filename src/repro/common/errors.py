@@ -16,10 +16,10 @@ class GpuOutOfMemoryError(ReproError):
 
 
 class HostOutOfMemoryError(ReproError):
-    """The host (CPU) memory pool could not satisfy an allocation.
+    """A run's host working set exceeds the server's CPU memory.
 
-    Raised e.g. when ZeRO-Infinity's working set exceeds the server's CPU
-    memory (Figure 15 of the paper).
+    Raised by the Executor's host check, e.g. for ZeRO-Infinity at 40 B
+    parameters (Figure 15 of the paper).
     """
 
 

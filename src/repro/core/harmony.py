@@ -66,17 +66,8 @@ class HarmonyOptions:
     exhaustive_search: bool = False
     equi_fb: bool = False
     seed: int = 0
-    # Static schedule verification before execution: "off" skips it,
-    # "warn" prints diagnostics to stderr, "strict" refuses to run a
-    # schedule with error-severity findings.
-    analyze: str = "off"
 
     def __post_init__(self) -> None:
-        if self.analyze not in ("off", "warn", "strict"):
-            raise ValueError(
-                f"analyze must be 'off', 'warn' or 'strict', "
-                f"got {self.analyze!r}"
-            )
         self.search_settings()  # validates the search knobs
 
     def schedule_options(self) -> ScheduleOptions:
@@ -101,9 +92,8 @@ class HarmonyOptions:
     @cached_property
     def fingerprint(self) -> str:
         """Content address of everything a plan depends on in the options:
-        the search settings, the schedule options and the seed (not
-        ``analyze``, which only gates execution).  Cached: the options
-        are frozen, and a plan key is made per request."""
+        the search settings, the schedule options and the seed.  Cached:
+        the options are frozen, and a plan key is made per request."""
         return fingerprint(self.search_settings(), self.schedule_options(),
                            self.seed)
 
@@ -125,9 +115,9 @@ def plan_key(model: ModelSpec, server: Optional[ServerSpec], minibatch: int,
 
     A plan is a pure function of the model content, the server, the
     minibatch, the search and schedule settings, and the seed, so the key
-    covers exactly those (``analyze`` only gates execution).  ``server``
-    None gives the *family* key: the same workload on any server.  Each
-    part is its object's cached fingerprint, so a key costs one digest.
+    covers exactly those.  ``server`` None gives the *family* key: the
+    same workload on any server.  Each part is its object's cached
+    fingerprint, so a key costs one digest.
     """
     return fingerprint(model.fingerprint,
                        None if server is None else server.fingerprint,
@@ -401,10 +391,14 @@ class Harmony:
 
         ``plan`` may be a :class:`repro.virt.BoundPlan` (from
         :meth:`bind`): the run then executes the *bound* graph on the
-        binding's physical machine -- scaled task times and per-device
-        memory pools for heterogeneous mixes, deterministic time-slice
-        multiplexing when several logical devices share one physical
-        GPU.  An identity binding is bit-identical to no binding at all.
+        binding's physical machine -- scaled task times for heterogeneous
+        mixes, deterministic time-slice multiplexing when several logical
+        devices share one physical GPU.  An identity binding is
+        bit-identical to no binding at all.
+
+        A run does not certify its plan: to refuse a schedule the static
+        analyzer rejects, call ``plan.analyze().raise_if_errors()`` first
+        (:meth:`bind` already certifies a bound plan).
         """
         from repro.virt.bind import BoundPlan
 
@@ -422,9 +416,6 @@ class Harmony:
             flops_scales=(bound.binding.topology.flops_scales()
                           if bound is not None else ()),
         )
-        if self.options.analyze != "off" and bound is None:
-            # Bound plans were already strictly certified by bind().
-            self._analyze(plan)
         # Imported lazily: repro.faults pulls in the runner (and thus
         # this module's dependencies) at package scope.
         from repro.elastic import ElasticReplanner
@@ -444,7 +435,6 @@ class Harmony:
             host_state_bytes=self.host_state_bytes,
             replanner=ElasticReplanner(self) if elastic_on else None,
             trace=trace,
-            binding=bound.binding if bound is not None else None,
         )
         metrics = runner.run(graph, iterations=iterations)
         self._attach_analytics(metrics, trace, graph.n_devices)
@@ -458,13 +448,3 @@ class Harmony:
         from repro.trace import analyze_trace
 
         metrics.trace = analyze_trace(trace, n_devices)  # type: ignore[arg-type]
-
-    def _analyze(self, plan: HarmonyPlan) -> None:
-        """Run the static schedule verifier per ``options.analyze``."""
-        report = plan.analyze()
-        if self.options.analyze == "strict":
-            report.raise_if_errors()
-        elif report.diagnostics:
-            import sys
-
-            print(report.describe(), file=sys.stderr)

@@ -152,7 +152,9 @@ class FaultTolerantRunner:
     iterations are flush-separated anyway (synchronous SGD): the plain
     multi-iteration executor also starts every iteration from an all-idle,
     all-flushed state.  Without an enabled plan, the whole run is one
-    plain phase.
+    plain phase.  A bound plan needs no binding here: ``spec`` is its
+    physical machine, its FLOPs scales are in ``time_model``, and its
+    memory scales were certified by the analyzer when it was bound.
     """
 
     def __init__(
@@ -165,7 +167,6 @@ class FaultTolerantRunner:
         host_state_bytes: int = 0,
         replanner: Optional["ElasticReplanner"] = None,
         trace=None,
-        binding=None,
     ):
         self.spec = spec
         self.time_model = time_model
@@ -180,11 +181,6 @@ class FaultTolerantRunner:
         #: to every attempt's fresh simulator and advanced by each phase's
         #: duration so all attempts/migrations form one global timeline
         self.trace = trace
-        #: optional :class:`repro.virt.DeviceBinding` (duck-typed): every
-        #: simulated server this runner builds carries it, so per-GPU
-        #: memory pools reflect a heterogeneous bind across retries and
-        #: checkpoint restarts too
-        self.binding = binding
 
     def _mark(self, cat: str, name: str, **meta) -> None:
         """A run-level control instant at the current global trace time."""
@@ -206,7 +202,6 @@ class FaultTolerantRunner:
             faults=faults,
             recovery=self.policy,
             trace=self.trace,
-            binding=self.binding,
             failed=failed,
         )
 

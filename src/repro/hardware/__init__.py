@@ -7,7 +7,7 @@ topology.
 """
 
 from repro.hardware.gpu import GpuSpec, GTX_1080TI
-from repro.hardware.host import HostSpec, HostMemoryPool
+from repro.hardware.host import HostSpec
 from repro.hardware.interconnect import PcieTree
 from repro.hardware.server import (
     ServerSpec,
@@ -20,7 +20,6 @@ __all__ = [
     "GpuSpec",
     "GTX_1080TI",
     "HostSpec",
-    "HostMemoryPool",
     "PcieTree",
     "ServerSpec",
     "SimulatedServer",

@@ -1,8 +1,9 @@
 """GPU device model.
 
-A :class:`GpuSpec` carries the two numbers scheduling cares about --
-memory capacity and sustained compute throughput -- plus a memory pool
-that enforces the capacity during execution.
+A :class:`GpuSpec` carries the two numbers scheduling cares about:
+memory capacity and sustained compute throughput.  Nothing allocates
+against the capacity at run time; the analyzer's ``capacity`` pass
+certifies a schedule's peak residency against it before execution.
 
 The default spec models the paper's GTX-1080Ti: 11 GB of GDDR5X and
 11.3 TFLOPS fp32 peak.  Real training kernels sustain well below peak;
@@ -12,9 +13,8 @@ regime as the paper's measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.common.errors import GpuOutOfMemoryError
 from repro.common.units import GiB
 
 
@@ -41,41 +41,3 @@ class GpuSpec:
 
 GTX_1080TI = GpuSpec(name="GTX-1080Ti", memory_bytes=11 * GiB, peak_flops=11.34e12)
 
-
-@dataclass
-class GpuMemoryPool:
-    """Capacity-enforcing byte allocator for one simulated GPU.
-
-    The runtime's "central memory manager" (Section 4.4) does the actual
-    placement bookkeeping; this pool is the hard capacity backstop that
-    raises :class:`GpuOutOfMemoryError` if a schedule's working set was
-    mis-planned.
-    """
-
-    capacity: int
-    used: int = 0
-    high_water: int = field(default=0, repr=False)
-
-    def alloc(self, nbytes: int, what: str = "tensor") -> None:
-        if nbytes < 0:
-            raise ValueError(f"negative allocation: {nbytes}")
-        if self.used + nbytes > self.capacity:
-            raise GpuOutOfMemoryError(
-                f"allocating {nbytes} B for {what} exceeds GPU capacity "
-                f"({self.used}/{self.capacity} B in use)"
-            )
-        self.used += nbytes
-        self.high_water = max(self.high_water, self.used)
-
-    def free(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError(f"negative free: {nbytes}")
-        if nbytes > self.used:
-            raise GpuOutOfMemoryError(
-                f"freeing {nbytes} B but only {self.used} B allocated"
-            )
-        self.used -= nbytes
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.used

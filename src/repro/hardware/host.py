@@ -1,16 +1,16 @@
-"""Host (CPU) side of the machine: memory pool and optimizer compute.
+"""Host (CPU) side of the machine: memory capacity and optimizer compute.
 
 Harmony keeps all model state pinned in host memory and can offload weight
 updates to CPU cores (Section 4.4, "optimizer offload").  ZeRO-Infinity
 does the same but with a larger working set; Figure 15 shows it exhausting
-host memory at 40 B parameters while Harmony still trains.
+host memory at 40 B parameters while Harmony still trains; the Runtime's
+host check (``Executor._check_host_memory``) is where that run fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import HostOutOfMemoryError
 from repro.common.units import GiB
 
 
@@ -41,34 +41,3 @@ class HostSpec:
 COMMODITY_XEON_18C = HostSpec(cores=18, memory_bytes=374 * GiB)
 COMMODITY_XEON_36C = HostSpec(cores=36, memory_bytes=750 * GiB)
 
-
-class HostMemoryPool:
-    """Byte allocator for host memory; raises when the server runs out.
-
-    This is what fails for ZeRO-Infinity at 40 B parameters in Figure 15.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.used = 0
-        self.high_water = 0
-
-    def alloc(self, nbytes: int, what: str = "state") -> None:
-        if nbytes < 0:
-            raise ValueError(f"negative allocation: {nbytes}")
-        if self.used + nbytes > self.capacity:
-            raise HostOutOfMemoryError(
-                f"allocating {nbytes} B for {what} exceeds host memory "
-                f"({self.used}/{self.capacity} B in use)"
-            )
-        self.used += nbytes
-        self.high_water = max(self.high_water, self.used)
-
-    def free(self, nbytes: int) -> None:
-        if nbytes < 0 or nbytes > self.used:
-            raise HostOutOfMemoryError(f"bad free of {nbytes} B ({self.used} B in use)")
-        self.used -= nbytes
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.used

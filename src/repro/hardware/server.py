@@ -2,8 +2,8 @@
 
 :class:`ServerSpec` is the static description users hand to Harmony's
 Scheduler (GPU count/type, host memory, topology); :class:`SimulatedServer`
-binds that spec to a simulator instance with live links, routes,
-streams, and memory pools for the Runtime to execute against.
+binds that spec to a simulator instance with live links, routes and
+streams for the Runtime to execute against.
 """
 
 from __future__ import annotations
@@ -13,13 +13,8 @@ from functools import cached_property
 from typing import Optional
 
 from repro.common.fingerprint import fingerprint
-from repro.hardware.gpu import GTX_1080TI, GpuMemoryPool, GpuSpec
-from repro.hardware.host import (
-    COMMODITY_XEON_18C,
-    COMMODITY_XEON_36C,
-    HostMemoryPool,
-    HostSpec,
-)
+from repro.hardware.gpu import GTX_1080TI, GpuSpec
+from repro.hardware.host import COMMODITY_XEON_18C, COMMODITY_XEON_36C, HostSpec
 from repro.hardware.interconnect import PcieTree, TopologySpec
 from repro.sim.engine import Simulator
 from repro.sim.links import Link, Route
@@ -98,41 +93,26 @@ def eight_gpu_commodity_server() -> ServerSpec:
 
 
 class SimulatedServer:
-    """Live server: links, routes, per-GPU stream sets, and memory pools.
+    """Live server: links, routes and per-GPU stream sets.
 
     One instance per simulated run; the Runtime executes task graphs
     against it and metrics are read back from streams/links afterwards.
+    It holds no memory model: GPU and host capacity are the analyzer's
+    ``capacity`` pass to certify, and the Executor's host check is the
+    one capacity bound enforced during a run.
 
     Every route a run takes is built once, on first use, by
     :meth:`route`, and kept for the run.  Routes hold live links, so the
     table belongs to this server and nothing is shared across runs.
     """
 
-    def __init__(self, sim: Simulator, spec: ServerSpec, binding=None):
-        # ``binding`` (a repro.virt.DeviceBinding, duck-typed to avoid an
-        # import cycle) rescales per-GPU memory pools for heterogeneous
-        # binds; None keeps the spec's uniform capacity.
-        if binding is not None and binding.n_physical != spec.n_gpus:
-            raise ValueError(
-                f"binding targets {binding.n_physical} physical devices, "
-                f"server has {spec.n_gpus}"
-            )
+    def __init__(self, sim: Simulator, spec: ServerSpec):
         self.sim = sim
         self.spec = spec
-        self.binding = binding
         self.tree = PcieTree(sim, spec.topology)
         self.streams = [
             StreamSet(sim, f"gpu{g}", device=g) for g in range(spec.n_gpus)
         ]
-        capacities = (
-            binding.device_memory(spec.gpu.memory_bytes)
-            if binding is not None
-            else [spec.gpu.memory_bytes] * spec.n_gpus
-        )
-        self.gpu_memory = [
-            GpuMemoryPool(capacity=c) for c in capacities
-        ]
-        self.host_memory = HostMemoryPool(capacity=spec.host.memory_bytes)
         # Shared pageable-staging engine (a host DRAM memcpy lane) that
         # LMS-style on-demand swaps must traverse; pinned transfers skip it.
         self.pageable_staging = Link(

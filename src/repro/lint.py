@@ -40,8 +40,7 @@ the AST of every file under ``src/repro`` and enforces them:
   arguments alone and no cache can grow a second, switchable code path;
 - **integer-exact capacity arithmetic** (``exact/float-arithmetic``):
   the capacity certification paths -- ``analysis/parametric.py`` (the
-  certificates and the ``capacity`` / ``parametric`` passes that read
-  them) and ``core/types.py`` (``TaskGraph.checkpoint_stash_bytes``,
+  certificates and the ``capacity`` pass that reads them) and ``core/types.py`` (``TaskGraph.checkpoint_stash_bytes``,
   the host stash they sum) -- must stay in integer arithmetic -- no
   true division, no ``float()`` -- so certificates are exact at any
   byte count instead of drifting past 2**53.  Formatting inside

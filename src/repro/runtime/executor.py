@@ -258,8 +258,6 @@ class Executor:
                 f"{capacity / 2**30:.1f} GiB"
             )
         self._host_peak = peak
-        self.server.host_memory.alloc(self.host_state_bytes, "model state")
-        self.server.host_memory.free(self.host_state_bytes)
 
     @staticmethod
     def _minibatch_of(graph: TaskGraph) -> int:
@@ -681,15 +679,14 @@ def run_phase(
     faults: Optional["FaultInjector"] = None,
     recovery: Optional["RecoveryPolicy"] = None,
     trace=None,
-    binding=None,
     failed: Optional[RecoveryMetrics] = None,
 ) -> RunMetrics:
     """Run ``graph`` as one simulated phase on a fresh server.
 
     Builds a fresh :class:`Simulator` (with ``trace`` attached) and a
-    :class:`SimulatedServer` carrying ``binding``, and runs
-    ``iterations`` iterations through :meth:`Executor.run` with
-    ``faults`` armed on that server.
+    :class:`SimulatedServer` of ``spec``, and runs ``iterations``
+    iterations through :meth:`Executor.run` with ``faults`` armed on
+    that server.
     Success or not, the phase's virtual time really elapsed, so the
     recorder's base advances by it and later phases continue the global
     timeline.  When the phase dies of a :class:`FaultError`, its partial
@@ -698,7 +695,7 @@ def run_phase(
     """
     sim = Simulator()
     sim.trace = trace
-    live = SimulatedServer(sim, spec, binding=binding)
+    live = SimulatedServer(sim, spec)
     executor = Executor(
         live, time_model, prefetch=prefetch, host_state_bytes=host_state_bytes,
         faults=faults, recovery=recovery,

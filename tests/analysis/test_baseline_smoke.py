@@ -3,10 +3,9 @@
 The one exception is declared, not hidden: the ZeRO-Infinity analog
 models the real system's memory-throttled transfer engine with the
 Runtime's two fetch slots at *pack* granularity, so the pack-level
-double-buffer bound (``capacity/gpu`` and its N = 1 parametric twin)
-over-approximates the true peak.  The scheme carries explicit
-:class:`~repro.analysis.Waiver`s for exactly those rules -- the findings
-still surface in the report as INFO with the justification attached, and
+double-buffer bound (``capacity/gpu``) over-approximates the true peak.
+The scheme carries an explicit :class:`~repro.analysis.Waiver` for
+exactly that rule -- the findings still surface in the report as INFO with the justification attached, and
 the analyzer turns any *unmatched* waiver into an error, so the waiver
 dies with the violation it excuses.
 """
@@ -68,14 +67,12 @@ class TestZeroInfinityWaiver:
         assert waived and all(
             "watermark" in (d.hint or "") for d in waived
         ), report.describe()
-        assert report.has("waiver/parametric.gpu-unsafe")
 
     def test_waiver_is_load_bearing(self):
-        # Without the waivers the violations come back as errors; if the
-        # planner stops over-approximating, remove the waivers.
+        # Without the waiver the violations come back as errors; if the
+        # planner stops over-approximating, remove the waiver.
         report = analyzed(ZeroInfinityPlanner, waivers=())
         assert report.has("capacity/gpu"), report.describe()
-        assert report.has("parametric/gpu-unsafe")
 
     def test_unmatched_waiver_is_an_error(self):
         report = analyzed(

@@ -24,7 +24,7 @@ EXPECTED_RULES = {
     "double-release": "lifetime/double-release",
     "use-after-evict": "lifetime/use-after-evict",
     "use-before-fetch": "lifetime/use-before-fetch",
-    "capacity-growth": "parametric/host-unsafe",
+    "capacity-growth": "capacity/host",
 }
 
 
@@ -32,8 +32,9 @@ def test_clean_schedule_exits_zero(capsys):
     assert main(ARGS) == 0
     out = capsys.readouterr().out
     for name in ("structure", "deadlock", "dataflow", "hb", "lifetime",
-                 "capacity", "channel", "ablation"):
+                 "channel", "ablation"):
         assert f"{name:<10} ok" in out
+    assert "capacity   1 note(s)" in out  # the host ceiling is advice
     assert "schedule is safe" in out
     # The parametric certificates are printed alongside the verdict.
     assert "certificate: gpu0" in out
@@ -64,12 +65,13 @@ def test_pass_subset_flags(capsys):
     assert "hb         ok" in out
     assert "lifetime   ok" in out
     assert "structure" not in out
-    assert "certificate:" not in out  # parametric not selected
+    assert "certificate:" not in out  # capacity not selected
 
 
 def test_parametric_flag_prints_certificates(capsys):
     assert main(ARGS + ["--parametric"]) == 0
     out = capsys.readouterr().out
+    assert "capacity   1 note(s)" in out
     assert "certificate: gpu0" in out
     assert "certificate: host" in out
 
@@ -80,7 +82,7 @@ def test_json_report(tmp_path, capsys):
     payload = json.loads(path.read_text())
     assert payload["ok"] is True
     assert {p["name"] for p in payload["passes"]} >= {
-        "structure", "hb", "lifetime", "capacity", "parametric",
+        "structure", "hb", "lifetime", "capacity",
     }
     scopes = {c["scope"] for c in payload["certificates"]}
     assert scopes == {"gpu0", "gpu1", "gpu2", "gpu3", "host"}

@@ -149,8 +149,11 @@ class TestUndersizedServer:
         report = analyze(plan.graph, server=undersized,
                          options=options.schedule_options())
         assert not report.ok
-        assert report.has("parametric/gpu-unsafe")
-        assert report.has("capacity/gpu")  # the N = 1 point check agrees
+        assert report.has("capacity/gpu")
+        # One error per overflowing scope.
+        assert len(report.errors) == sum(
+            c.peak(1) > c.capacity_bytes for c in report.certificates
+        )
         shrunk = AnalysisContext(plan.graph, server=undersized)
         assert any(c.smallest_violating_n() == 1
                    for c in capacity_certificates(shrunk))
@@ -172,7 +175,7 @@ class TestUndersizedServer:
                          options=options.schedule_options(),
                          host_state_bytes=state, host_input_bytes=inputs)
         assert report.ok  # as built (N = 1) the plan still fits
-        [diag] = report.by_rule("parametric/host-ceiling")
+        [diag] = report.by_rule("capacity/host-ceiling")
         assert "ceiling at N = 2" in diag.message
         shrunk = AnalysisContext(plan.graph, server=undersized,
                                  host_state_bytes=state,

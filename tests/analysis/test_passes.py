@@ -35,7 +35,7 @@ class TestRegistry:
     def test_all_passes_registered(self):
         assert set(registered_passes()) == {
             "structure", "deadlock", "dataflow", "hb", "lifetime",
-            "capacity", "parametric", "channel", "ablation",
+            "capacity", "channel", "ablation",
         }
 
     def test_structural_passes_need_no_context(self):
@@ -48,7 +48,6 @@ class TestRegistry:
         skipped = {r.name: r.skipped for r in report.results if r.skipped}
         assert skipped == {
             "capacity": "no server spec",
-            "parametric": "no server spec",
             "ablation": "no schedule options",
         }
 

@@ -1,14 +1,16 @@
 """One certification call per Harmony plan: ``HarmonyPlan.analyze``.
 
-Every site that certifies a plan -- a strict run, an elastic re-plan, a
-bind and ``repro check`` -- must hand the analyzer the same host state,
+Every site that certifies a plan -- an elastic re-plan, a bind and
+``repro check`` -- must hand the analyzer the same host state,
 input-staging share, schedule options and prefetch for the same plan.
 And the report carries the capacity certificates its passes computed:
 ``AnalysisReport.certificates`` equals what a fresh context derives, and
-is empty when no capacity pass ran.
+is empty when the capacity pass did not run.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -29,10 +31,10 @@ PLAN_INPUTS = ("server", "options", "host_state_bytes", "host_input_bytes",
 TOY = ("toy-transformer", 4, 16)
 
 
-def _toy(analyze: str = "off") -> Harmony:
+def _toy() -> Harmony:
     model, gpus, minibatch = TOY
     return Harmony(model, server_for(gpus), minibatch,
-                   HarmonyOptions(mode="pp", analyze=analyze))
+                   HarmonyOptions(mode="pp"))
 
 
 @pytest.fixture
@@ -56,7 +58,6 @@ def test_every_site_certifies_a_plan_with_the_same_inputs(certifications,
     model, gpus, minibatch = TOY
     replanned = _toy()
     sites = {
-        "strict run": lambda: _toy("strict").run(),
         # Re-planning onto every device is plan() itself.
         "elastic replan": lambda: ElasticReplanner(replanned).replan(
             range(gpus)),
@@ -122,9 +123,9 @@ def _bind_case():
     return bound.graph, kwargs
 
 
-def _inject_case():
+def _inject_case(defect):
     graph, kwargs = _harmony_case()
-    options, _expected = inject("capacity-growth", graph, kwargs["options"])
+    options, _expected = inject(defect, graph, kwargs["options"])
     kwargs.update(options=options)
     return graph, kwargs
 
@@ -142,15 +143,16 @@ CASES = {
     "harmony-pp": _harmony_case,
     "harmony-dp": _dp_case,
     "oversubscribed-bind": _bind_case,
-    "capacity-growth": _inject_case,
+    "capacity-growth": partial(_inject_case, "capacity-growth"),
+    "over-capacity": partial(_inject_case, "over-capacity"),
     "gp-swap": _baseline_case,
 }
 
-#: Pass subsets: every pass, each capacity pass alone, and none of them.
+#: Pass subsets: every pass, the capacity pass alone, and a subset
+#: without it.
 SUBSETS = {
     "all": None,
     "capacity": ["capacity"],
-    "parametric": ["parametric"],
     "races": ["hb", "lifetime"],
 }
 
@@ -163,8 +165,13 @@ def test_report_carries_the_capacity_certificates(case, subset):
     report = analyze(graph, passes=passes, **kwargs)
     expected = capacity_certificates(AnalysisContext(graph, **kwargs))
     assert expected
-    if passes is None or {"capacity", "parametric"} & set(passes):
+    if passes is None or "capacity" in passes:
         assert report.certificates == expected
+        # One error per overflowing scope (every case's other passes
+        # are clean).
+        assert len(report.errors) == sum(
+            c.peak(1) > c.capacity_bytes for c in expected
+        )
     else:
         assert report.certificates == []
 
@@ -176,5 +183,5 @@ def test_report_without_a_server_carries_no_certificates(case):
     kwargs.pop("device_memory", None)
     report = analyze(graph, **kwargs)
     skipped = {r.name for r in report.results if r.skipped}
-    assert {"capacity", "parametric"} <= skipped
+    assert "capacity" in skipped
     assert report.certificates == []

@@ -154,115 +154,115 @@ def digest(case: str) -> str:
 #: case -> sha256 of the canonical verdict dump
 DIGESTS = {
     "bench/bert-large/dp/4/8":
-        "30fbabef6a660032de9b977ca0d2066e294dcc44f8b675e63008cea58e65c2af",
+        "e034e5b2de4ee5b987ac3037796cc2ca59221509cc2a93009f7075278638f82b",
     "bench/bert-large/dp/8/16":
-        "4f213da373f69b5a78af6c05573b3171f0ad29da9b073bf9962828f869fdcfec",
+        "b186e25cb11356d2b5dcee4d6d9a5e506ae125939f6bd577286cab752f4e00e3",
     "bench/bert-large/pp/4/8":
-        "a1e5042f31cd06cc9c60058b099f9c501d9c586d80c25b17cb52cdf69e2448fc",
+        "a7853c73fa74dd4b07da1964b74254b34433c58ce25b1f7dcb544c05c56d8e29",
     "bench/bert-large/pp/8/8":
-        "1526bf1e2e154bfbc57352b08d0db9bd5bb0ef5310039296716dd5527a8df028",
+        "e3ef7ae37fc9ad302d0e2227aa2f05022037be80f12329ee0cf5cce05ab73a04",
     "bench/bert96/dp/4/8":
-        "2367fd18f60a0d2126a36c786e124a4cb14ff34ff67d37abcb231ce4ad0bda4f",
+        "aa5a3b62f03c1aa04948616a682a2df594fabc2b574294403f53d5699a223f28",
     "bench/bert96/dp/8/16":
-        "f9bef7cb16682005199bb90578dcbea7c14c4c852d488fd47b18b812b8743805",
+        "138cbdbcb7cdf73e3506e752b4314bec7082b9794380bc6782e65831c793efad",
     "bench/bert96/pp/4/8":
-        "7163c8a681451eca1dfe2540555fd7f84356abec31fdc83cf8367f83acd347f6",
+        "67f9874c3e2a7848fe2ca2a960e08f343e106e3b706b1ca0f405c8b270a20148",
     "bench/bert96/pp/8/8":
-        "94f910e8fd534f9fc7146f7f5ba711c6c9233656fe8fcdcd6200d7dd8cf70677",
+        "9a7033bce139be049e93576d91333843af80a2e0fe29c8450fc874317c4cac00",
     "bench/gpt2-medium/dp/4/8":
-        "8e7e7d2d5dcd09741d9f877b2cabaebf3e355dd76a56dab9664389a7af81713a",
+        "603acd6a9de72e02668cd32656566f1404ecc53d60199e176c7c0305ffdcbc67",
     "bench/gpt2-medium/dp/8/16":
-        "3a3cb77ffde78e82747abc30b887b35348ef6481edd356fc1f320c12e57abec6",
+        "a91e22f3509adc24d020a6ff96f825c8ad0d77612d849ab6535ffc4bcfea63e2",
     "bench/gpt2-medium/pp/4/8":
-        "d0333f0997646196551e05a0d4423f7d05a3f4551f2869cb6acfa87074f2d7de",
+        "5a6667f073a00903f13fca6ed5c4051924cbcefe54678481fb7d169c842d99ee",
     "bench/gpt2-medium/pp/8/8":
-        "daa50574ca2b34a304d1f7e46c344c0043c1b0ff47ffc58bc7bb8eeb040d6332",
+        "2c38e7a0d372f1f3f8b73a02d0adc5feda4b339cd72a73f59d521e0301cda00b",
     "bench/gpt2/dp/4/8":
-        "566aee4940fb79e5127423cd868878e38ec54f11b5dc778929e432e71a03e972",
+        "15796dde7b77a12b116273fa26e7c5c5d1f909f102cc76478cd6ce6045b8cc18",
     "bench/gpt2/dp/8/16":
-        "49407efee37b19e37f86afb42501fae9be41cc03987f5fe916818c653d158fa0",
+        "e1af9ac34215cc9d80d3ba4f152429d882389b30ba64738ccddf416a9e762bad",
     "bench/gpt2/pp/4/8":
-        "7583212f05661e0289eb369f904cc63063ae03cfab477430d89e87c2f596d7b2",
+        "933b9916077d6020093dba7440c8df29d2314d5cff4c4baaa4fbe926c7f677d0",
     "bench/gpt2/pp/8/8":
-        "3c99097134022e962e1465978e7a46d1cb76e6392f6c4cde983c93887532f56b",
+        "0d6267e82593589b9381bd485cd6f65a4bfc83b4910976ef5605bc3d7dd30e2c",
     "bench/resnet1k/dp/4/8":
-        "723020d081b11ba03054b3ac765015aba4a4427d7c25c355b69cf9c346d7a6de",
+        "9b3d624f95f22938a059ab954bcfd9142061fc264eb3cb3639d84dedc42c9c0e",
     "bench/resnet1k/dp/8/16":
-        "bd3c258883bf2ef2bb507fb0f0ec49b88e0a351e32ea7ef244b5d377c8641b92",
+        "d02e577c7d35c1f58edb45334913a83a8554a94c71afbdb72c7c4926f2a811f4",
     "bench/resnet1k/pp/4/8":
-        "1b9d1a8ddbe4ccf6ef20c9792da4cdb94e25ff1780b6d3bc980b9244a916b82b",
+        "04f438dadc29a18373f16e986021fc9285499cdf562957cf74d414ce602d6aa9",
     "bench/resnet1k/pp/8/8":
-        "48af172d8c9b11f9fc8d3abde16865ab1f6113ebf99577c64f4f849c51432309",
+        "8ae0c70c65962628028ac0fb14d7f101695597c25c7faea139480feb4579fb76",
     "bench/vgg416/dp/4/8":
-        "a68e8c40ca2141e6f3be87c546f9b77a680cb5116ee53657a35618609135e341",
+        "570192fd468c593299b3b1955e585f4274cb62e2bd628a52ea9fb57205359bad",
     "bench/vgg416/dp/8/16":
-        "96adfcde07b93a139b056f9e4a38fadeff1dd1a0e1a77931d331bdcf656e9cda",
+        "57a6ab7ca6cb6b2cb23443cc77669a25e8a4241be62b303b427e1e781307ab6f",
     "bench/vgg416/pp/4/8":
-        "509574245f687a4cc685b8210e942ea9971d78d5592e62df20b4c650daaa8c80",
+        "fab5f26b3a23bb746cba5170d48cab09c41434d2a8bb0507b36f9eba988964e1",
     "bench/vgg416/pp/8/8":
-        "a3988b95ac335156c78587ee15399279831845152ff7e520ae018d64b9847c26",
+        "e1c9606434e6e6a38bbe732c00cfd22269035a8bf5695045fddf0aae6329aebf",
     "bind/hetero":
-        "10e9a4e69d2bbe36f0fcf3f144758e498476ef043e05f1600f09c5a10bb6c143",
+        "6e87f80423501a38902c218f7081c756ab4d845fbbd6465e467aea25fc674d1e",
     "bind/identity":
-        "10e9a4e69d2bbe36f0fcf3f144758e498476ef043e05f1600f09c5a10bb6c143",
+        "6e87f80423501a38902c218f7081c756ab4d845fbbd6465e467aea25fc674d1e",
     "bind/oversubscribed":
-        "54446bc37acae44c6f6cd4ff60731a95e6e939794b324edd6b0f7206b4d42ff3",
+        "8438836394ae359667d47064050f26f388c54277dcb15de697118dcf3eaab304",
     "bind/time-slice":
-        "d7acd7ac7a019d993debb626c2b40b174733fa63b0b59dcce5eecde7cdc488f7",
+        "6f4e502fdcf747757f19ef015462f296c209a035f9b75265cc9276c8f3cd494b",
     "inject/ablation":
-        "ae07b773d9dd8e6b97e4eb133a77b677d1680cff90c5aeb13ed3a871983a9cb5",
+        "e109f1af869c3cfeef2ef424af99cc43362f828829c2a555217299292ce863c4",
     "inject/capacity-growth":
-        "3fbbd5ae7e1d4d648f0c91417696629b4ed21e56c927f56911231a58885870c9",
+        "f4b3277a3432e992f1b378887453e196a1821013516efd3a90c6978be1fc3f6e",
     "inject/cycle":
-        "c1465ce72544c01082a4842cdef4711f3e51aecc6431becd2cb6ce2f81a94ba7",
+        "75d7f57b4380defac6642879f98272f1950d94085c1bbaded2a1729ea9aba98a",
     "inject/double-release":
-        "06cbb2c2ef4f9b1ea1b1c87e5a63148a738ab6a39510a2db37d2e2821d9ab5d7",
+        "b85d912380b2156d63a3187cb693f41b907275aa0a06bc0d4467d87b8d587d23",
     "inject/illegal-p2p":
-        "79a9400766525d192c35e1e4da5032cfc0b85d65415c4a1e30fd2e4725c4254d",
+        "328f8da9d7a88d6a232100809fe6887d2df2c27cf7613d4d86235ead8778c7a3",
     "inject/over-capacity":
-        "5156e800f722e3f6b064f7a83fae8f6e51c3dd1533e3c3dafca47e9363be4df9",
+        "6c6cad0b580f8571b0b9ac6802c2cecf16ffea324dc4a7a0486e40e5774dd7de",
     "inject/rw-race":
-        "b7a1eb81fa1a767196b28390375cc200f809846c919f99f054fdac3acfb2254d",
+        "76c350e1b0ca9ea23218beef1464e64edcbfed0e4db80367cdecd28b81a9bdc9",
     "inject/use-after-evict":
-        "f06b32e0b3c64886cd309f9fb6ad82a45ab136c71a6f4a8fb5837a9ec6188a39",
+        "86a5025dbf12c1e488ba6e7fbd04df19dcf395c1d9bbc2977accd7643407d993",
     "inject/use-before-fetch":
-        "cc85144224fdb2d16348ce24f45f55047dbdfb81a51645eb2b5c27f8af8bead8",
+        "f44da4ea623d0714ba181b1b230256e3187d32da0d6c5f0b9cfc14f5de5d9a85",
     "inject/use-before-produce":
-        "09ff88e3f2756ef99023e13bf23a70da05f0185de504d37ed934ae479d8e8de2",
+        "9ffc48dc5472a31e8b5ba00672b72f2e5692dd11373fe45fe6a384d7cae64505",
     "inject/war-race":
-        "1e700bfabc8104eac2867e7ff820c8e165539217df6549150e7bbb4b9a6e07c5",
+        "0bf287aa9755ad105a708eb00dbe17e6411373b2835e6dcab59c80197130ad4b",
     "inject/waw-race":
-        "3c15ae8d3b082e0d13617c034995aefb0aed83c498492f20d7cc9820ade19ff6",
+        "fbccf393e0f28b2f2a13d4a94e4f19a4cb67deb4bf8724881eaaf395e4c9f667",
     "lms/2bw-swap-r/bert-large":
-        "ada9aa8ea5dc29392f80afe7cc2527ff3799fc5b2a3d929f16e8430591da39f4",
+        "494f1fe1131e0bf340f07f8af3209ef2cd02ab038aac00c0fb3e04ab47e22c30",
     "lms/2bw-swap-r/tiny-cnn":
-        "9e2f594a190c27485933f2bb2b67cb66603cc8421c1853f171df1581833dca7b",
+        "b033c430786235ff52246289fdce5fac4510730f5eaf3d062f69b9030a47814c",
     "lms/2bw-swap-r/toy-transformer":
-        "b84ca86d480bc24fd8a84fdccefb8d7cd5612230f953c181d1685b1a7677ce4e",
+        "72108d47987fb908dc455882f242f67221262e37995236f0dea605ea7b807f3d",
     "lms/2bw-swap/bert-large":
-        "ada9aa8ea5dc29392f80afe7cc2527ff3799fc5b2a3d929f16e8430591da39f4",
+        "494f1fe1131e0bf340f07f8af3209ef2cd02ab038aac00c0fb3e04ab47e22c30",
     "lms/2bw-swap/tiny-cnn":
-        "9e2f594a190c27485933f2bb2b67cb66603cc8421c1853f171df1581833dca7b",
+        "b033c430786235ff52246289fdce5fac4510730f5eaf3d062f69b9030a47814c",
     "lms/2bw-swap/toy-transformer":
-        "b84ca86d480bc24fd8a84fdccefb8d7cd5612230f953c181d1685b1a7677ce4e",
+        "72108d47987fb908dc455882f242f67221262e37995236f0dea605ea7b807f3d",
     "lms/dp-swap/bert-large":
-        "0f6b7ac2c73faa0caaea5d26a277018f60e5bcc167bb2505c8f8357b641c4f14",
+        "4c9f700c221fdda067e3c37eab3561b647b99e06cba66f6da1138a4815d8bc21",
     "lms/dp-swap/tiny-cnn":
-        "0ca1ea9ae84d5a70c220aabb11c6143a25a00a6b002200cd1fa1b362eb7e715a",
+        "e320612928a1ea26e6823ec3fcd70465c4d94ca0ace89165301dd83b5c34edb8",
     "lms/dp-swap/toy-transformer":
-        "a64697a5fe727760a5517d253e1e3740b9d850bf849a9d114dbc9e706e5644e2",
+        "e32978e467a2f04d65576c72cacfdae318c80c4520e6e0f72dc1ba27b4fbb04f",
     "lms/gp-swap-r/bert-large":
-        "89911fe9d69c232cb2c6cc8a35fd9ca4eb14cda6c04da71429ad1a0915f8e55e",
+        "79b7c5328e3d0d015b0d98089638aff33cefa51f3081539efaf1cf9d971f0e27",
     "lms/gp-swap-r/tiny-cnn":
-        "7bd5bd7e6e23f7aca7cc321582ec4343b82bff7fc9bee6f094238996e4095c1c",
+        "e5e3347b1a1cc2d85619d1ab7c6b91e778e44a22b620fbb04dbb7a204def4e78",
     "lms/gp-swap-r/toy-transformer":
-        "f27af696dcdc9867c914018436103343b8deda06a7b768b414b6470d9af7ea1f",
+        "7374e8d2acd835eec28cb94efe02675e502a69c0992de09e53cf002b273b3de7",
     "lms/gp-swap/bert-large":
-        "89911fe9d69c232cb2c6cc8a35fd9ca4eb14cda6c04da71429ad1a0915f8e55e",
+        "79b7c5328e3d0d015b0d98089638aff33cefa51f3081539efaf1cf9d971f0e27",
     "lms/gp-swap/tiny-cnn":
-        "7bd5bd7e6e23f7aca7cc321582ec4343b82bff7fc9bee6f094238996e4095c1c",
+        "e5e3347b1a1cc2d85619d1ab7c6b91e778e44a22b620fbb04dbb7a204def4e78",
     "lms/gp-swap/toy-transformer":
-        "f27af696dcdc9867c914018436103343b8deda06a7b768b414b6470d9af7ea1f",
+        "7374e8d2acd835eec28cb94efe02675e502a69c0992de09e53cf002b273b3de7",
 }
 
 

@@ -8,7 +8,6 @@ from repro.cluster import (
     ClusterFabric,
     ClusterSpec,
     NetworkSpec,
-    SimulatedCluster,
     homogeneous_cluster,
 )
 from repro.common.errors import NetworkPartitionError, SimulationError
@@ -103,20 +102,3 @@ class TestFabric:
         # Unaffected pairs still route.
         assert len(fabric.route(0, 1).hops) == 3
 
-
-class TestSimulatedCluster:
-    def test_same_server_path_stays_on_pcie(self, cluster2):
-        live = SimulatedCluster(Simulator(), cluster2)
-        path = live.gpu_path(0, 0, 0, 1)
-        assert all(not isinstance(link, NetworkLink) for link in path.hops)
-
-    def test_cross_server_path_traverses_fabric(self, cluster2):
-        live = SimulatedCluster(Simulator(), cluster2)
-        path = live.gpu_path(0, 0, 1, 1)
-        names = [link.name for link in path.hops]
-        assert "s0.nic.up" in names
-        assert "net.switch" in names
-        assert "s1.nic.down" in names
-        # PCIe hops on both ends of the network segment.
-        assert names.index("s0.nic.up") > 0
-        assert names.index("s1.nic.down") < len(names) - 1

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import STRUCTURAL_PASSES, check
 from repro.core import harmony, profiler
 from repro.core.decomposer import Decomposer
+from repro.core.harmony import Harmony
 from repro.core.profiler import Profiler
 from repro.hardware.gpu import GpuSpec
 from repro.hardware.host import HostSpec
@@ -17,6 +18,7 @@ from repro.runtime import timemodel
 from repro.runtime.executor import Executor
 from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder, check_trace
+from repro.virt.bind import BoundPlan
 
 
 @pytest.fixture(autouse=True)
@@ -28,13 +30,14 @@ def _verify_executed_graphs(request, monkeypatch):
     dataflow, channel) in strict mode, with the deadlock pass granting
     the executor's own slot count.  Capacity and ablation passes need
     context a blanket hook cannot reconstruct faithfully -- dedicated
-    tests cover those.  Exception: a *bound* graph (the executor's server
-    carries a ``repro.virt`` DeviceBinding) additionally gets the
-    capacity pass against per-physical-device memory -- the binding
-    supplies exactly the context the blanket hook otherwise lacks, so
-    every time-sliced or heterogeneous bind executed anywhere in the
-    suite is re-certified.  Tests that deliberately execute broken graphs
-    opt out with ``@pytest.mark.no_graph_analysis``.
+    tests cover those.  Exception: every graph executed while
+    ``Harmony.run`` runs a ``repro.virt`` BoundPlan (rebound graphs of
+    its retries included) additionally gets the capacity pass against
+    per-physical-device memory -- the binding supplies exactly the
+    context the blanket hook otherwise lacks, so every time-sliced or
+    heterogeneous bind executed anywhere in the suite is re-certified.
+    Tests that deliberately execute broken graphs opt out with
+    ``@pytest.mark.no_graph_analysis``.
 
     Additionally, every run is executed with a trace recorder attached
     (unless the test brought its own) and the recorded timeline is held
@@ -49,11 +52,23 @@ def _verify_executed_graphs(request, monkeypatch):
         yield
         return
     original = Executor.run
+    original_harmony_run = Harmony.run
+    # The binding of each BoundPlan whose Harmony.run is in progress
+    # (None for an unbound plan), innermost last.
+    bindings = []
+
+    def harmony_run(self, plan=None, *args, **kwargs):
+        bindings.append(plan.binding if isinstance(plan, BoundPlan)
+                        else None)
+        try:
+            return original_harmony_run(self, plan, *args, **kwargs)
+        finally:
+            bindings.pop()
 
     def run(self, graph, iterations=1, **kwargs):
         if check_graphs:
             check(graph, passes=STRUCTURAL_PASSES, prefetch=self.prefetch)
-            binding = getattr(self.server, "binding", None)
+            binding = bindings[-1] if bindings else None
             if binding is not None:
                 spec = self.server.spec
                 check(graph, server=spec, prefetch=self.prefetch,
@@ -75,6 +90,8 @@ def _verify_executed_graphs(request, monkeypatch):
         return metrics
 
     monkeypatch.setattr(Executor, "run", run)
+    if check_graphs:
+        monkeypatch.setattr(Harmony, "run", harmony_run)
     yield
 
 

@@ -97,7 +97,7 @@ def test_partition_bind_is_analyzer_certified(model, mode):
     bound = placer.bind(res, plan)
     assert bound.report is not None and not bound.report.errors
     ran = {r.name for r in bound.report.results if r.skipped is None}
-    assert {"capacity", "parametric", "hb", "lifetime"} <= ran
+    assert {"capacity", "hb", "lifetime"} <= ran
 
     # The certified capacity vector IS the carved partition: exactly
     # share x the physical card, on every device the tenant holds.

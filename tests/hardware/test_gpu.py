@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.common.errors import GpuOutOfMemoryError
 from repro.common.units import GiB
-from repro.hardware.gpu import GTX_1080TI, GpuMemoryPool, GpuSpec
+from repro.hardware.gpu import GTX_1080TI, GpuSpec
 
 
 class TestGpuSpec:
@@ -28,43 +27,3 @@ class TestGpuSpec:
         gpu = GpuSpec(name="x", memory_bytes=GiB, peak_flops=1e12, efficiency=0.5)
         assert gpu.sustained_flops == pytest.approx(5e11)
 
-
-class TestGpuMemoryPool:
-    def test_alloc_within_capacity(self):
-        pool = GpuMemoryPool(capacity=100)
-        pool.alloc(60)
-        assert pool.used == 60
-        assert pool.available == 40
-
-    def test_alloc_over_capacity_raises(self):
-        pool = GpuMemoryPool(capacity=100)
-        pool.alloc(60)
-        with pytest.raises(GpuOutOfMemoryError):
-            pool.alloc(50)
-
-    def test_free_returns_capacity(self):
-        pool = GpuMemoryPool(capacity=100)
-        pool.alloc(60)
-        pool.free(60)
-        pool.alloc(100)
-        assert pool.used == 100
-
-    def test_over_free_raises(self):
-        pool = GpuMemoryPool(capacity=100)
-        pool.alloc(10)
-        with pytest.raises(GpuOutOfMemoryError):
-            pool.free(20)
-
-    def test_high_water_tracks_peak(self):
-        pool = GpuMemoryPool(capacity=100)
-        pool.alloc(80)
-        pool.free(50)
-        pool.alloc(10)
-        assert pool.high_water == 80
-
-    def test_negative_sizes_rejected(self):
-        pool = GpuMemoryPool(capacity=100)
-        with pytest.raises(ValueError):
-            pool.alloc(-1)
-        with pytest.raises(ValueError):
-            pool.free(-1)

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.common.errors import HostOutOfMemoryError
 from repro.common.units import GiB
-from repro.hardware.host import COMMODITY_XEON_18C, COMMODITY_XEON_36C, HostMemoryPool
+from repro.hardware.host import COMMODITY_XEON_18C, COMMODITY_XEON_36C
 
 
 class TestHostSpec:
@@ -27,27 +26,3 @@ class TestHostSpec:
         with pytest.raises(ValueError):
             COMMODITY_XEON_18C.optimizer_time(1e10, cores_used=0)
 
-
-class TestHostMemoryPool:
-    def test_alloc_and_free(self):
-        pool = HostMemoryPool(capacity=1000)
-        pool.alloc(700)
-        pool.free(200)
-        assert pool.used == 500
-        assert pool.available == 500
-
-    def test_exhaustion_raises(self):
-        pool = HostMemoryPool(capacity=1000)
-        with pytest.raises(HostOutOfMemoryError):
-            pool.alloc(1001)
-
-    def test_high_water(self):
-        pool = HostMemoryPool(capacity=1000)
-        pool.alloc(900)
-        pool.free(900)
-        assert pool.high_water == 900
-
-    def test_bad_free_raises(self):
-        pool = HostMemoryPool(capacity=1000)
-        with pytest.raises(HostOutOfMemoryError):
-            pool.free(1)

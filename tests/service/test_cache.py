@@ -65,10 +65,6 @@ class TestKeyHits:
         assert renamed.fingerprint == model.fingerprint
         assert _key(renamed, server) == _key(model, server)
 
-    def test_analyze_gate_stays_out_of_the_key(self, model, server):
-        """``analyze`` gates execution, not the plan."""
-        assert _key(model, server, analyze="strict") == _key(model, server)
-
 
 class TestKeyMisses:
     @pytest.mark.parametrize("override", [

@@ -3,8 +3,8 @@
 Time-slice binds must be deterministic (one driver per physical device
 walks the merged task list in global tid order -- FIFO multiplexing, no
 new engine machinery); heterogeneous binds must actually rescale compute
-times and per-device memory pools; undersized memory must be refused by
-the analyzer *before* execution.
+times and the per-device memory the analyzer certifies against;
+undersized memory must be refused by the analyzer *before* execution.
 """
 
 import builtins
@@ -18,6 +18,7 @@ from repro.experiments.common import server_for
 from repro.runtime.timemodel import KernelTimes, TrueTimeModel
 from repro.trace import TraceRecorder
 from repro.virt import DeviceBinding, VirtualTopology
+from repro.virt.bind import BoundPlan
 from tests.sum312 import sum312
 
 GPUS = 4
@@ -167,17 +168,27 @@ class TestHeterogeneous:
         harmony.run(plan=bound, trace=second)
         assert first.canonical() == second.canonical()
 
-    def test_memory_pools_reflect_the_binding(self, harmony):
-        from repro.hardware.server import SimulatedServer
-        from repro.sim.engine import Simulator
-
+    def test_certificates_reflect_the_binding(self, harmony):
         binding = DeviceBinding.heterogeneous([1.0] * GPUS,
                                               [1.0, 1.0, 0.5, 0.75])
-        spec = harmony.server.with_gpus(binding.n_physical)
-        live = SimulatedServer(Simulator(), spec, binding=binding)
-        base = spec.gpu.memory_bytes
-        assert [p.capacity for p in live.gpu_memory] \
+        bound = harmony.bind(binding)
+        base = bound.server.gpu.memory_bytes
+        assert [c.capacity_bytes for c in bound.report.certificates
+                if c.scope != "host"] \
             == [base, base, base // 2, base * 3 // 4]
+
+    def test_hand_built_undersized_bind_is_recertified_when_run(self,
+                                                                harmony):
+        """The suite re-certifies every graph a bound plan executes, so a
+        BoundPlan built by hand, without bind()'s own check, still
+        cannot run on a device too small for it."""
+        plan = harmony.plan()
+        tiny = DeviceBinding.heterogeneous([1.0] * GPUS,
+                                           [1.0, 1.0, 1.0, 1e-6])
+        bound = BoundPlan(plan=plan, binding=tiny, graph=plan.graph,
+                          server=plan.server)
+        with pytest.raises(ScheduleAnalysisError, match="capacity"):
+            harmony.run(plan=bound)
 
     def test_undersized_memory_is_refused_before_execution(self, harmony):
         tiny = DeviceBinding.heterogeneous([1.0] * GPUS,

@@ -75,10 +75,10 @@ def test_bound_plans_pass_the_strict_analyzer(model, mode, name):
     bound = harmony.bind(BINDINGS[name]())
     assert bound.report is not None
     assert not bound.report.errors
-    # Capacity/parametric must have actually run against the physical
-    # server -- not been skipped for lack of context.
+    # Capacity must have actually run against the physical server --
+    # not been skipped for lack of context.
     ran = {r.name for r in bound.report.results if r.skipped is None}
-    assert {"capacity", "parametric", "hb", "lifetime"} <= ran
+    assert {"capacity", "hb", "lifetime"} <= ran
 
 
 @pytest.mark.parametrize("name", sorted(BINDINGS))
