@@ -108,4 +108,9 @@ python -m repro.cli trace toy-transformer --minibatch 8 --gpus 2 \
 python -m repro.cli trace toy-transformer --minibatch 8 --gpus 2 \
     --ring 64 --out trace-ring.json || failed=1
 
+echo "== trace overhead =="
+# What tracing costs the bench warm-up runs (wall ratio, recorder ms per
+# op); one pass pair keeps the script running.  Reports, never gates.
+python scripts/trace_overhead.py --passes 1 || failed=1
+
 exit "$failed"

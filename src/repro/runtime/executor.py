@@ -298,19 +298,20 @@ class Executor:
 
         source.add_callback(relay)
 
-    def _task_tick(self, device: int, tid: int, name: str) -> Optional[
-            Callable[[], None]]:
-        """A ``task``-lifecycle instant emitter, or None when untraced.
+    def _task_tick(self, device: int, tid: int,
+                   name: str) -> Callable[[], None]:
+        """A ``task``-lifecycle instant emitter, traced or not.
 
-        Resolved lazily (at fire time) so a recorder attached after
+        The closure reads ``sim.trace`` when it fires and records nothing
+        when no recorder is attached then, so a recorder attached after
         executor construction still sees the ticks.
         """
 
         def tick() -> None:
             trace = self.sim.trace
             if trace is not None:
-                trace.instant("task", name, self.sim.now,
-                              device=device, lane="compute", tid=tid)
+                trace.instant("task", name, self.sim.now, device, "compute",
+                              tid)
 
         return tick
 
@@ -540,9 +541,8 @@ class Executor:
             trace = self.sim.trace
             if trace is not None:
                 trace.span("compute", f"{task.label}#{index}", start,
-                           self.sim.now, device=device, lane="compute",
-                           tid=task.tid, mb=index, attempt=attempt,
-                           crashed=1)
+                           self.sim.now, device, "compute", task.tid,
+                           mb=index, attempt=attempt, crashed=1)
             assert self.policy is not None
             if attempt >= self.policy.max_task_retries:
                 raise crash.error
@@ -558,8 +558,8 @@ class Executor:
         trace = self.sim.trace
         if trace is not None:
             trace.span("compute", f"{task.label}#{index}", start,
-                       self.sim.now, device=device, lane="compute",
-                       tid=task.tid, mb=index, attempt=attempt)
+                       self.sim.now, device, "compute", task.tid,
+                       mb=index, attempt=attempt)
 
     def _submit_compute(self, device: int, rt: _TaskRuntime) -> None:
         task = rt.task
@@ -582,8 +582,8 @@ class Executor:
             yield from self._compute_attempt(device, rt, index, duration)
             trace = self.sim.trace
             if trace is not None:
-                trace.instant("task", f"mb{index}", self.sim.now,
-                              device=device, lane="compute", tid=task.tid)
+                trace.instant("task", f"mb{index}", self.sim.now, device,
+                              "compute", task.tid)
             rt.mb_done[index].succeed()
 
         for i, u in enumerate(task.microbatches):
@@ -616,13 +616,12 @@ class Executor:
             if trace is not None:
                 lane = compute_lane(task)
                 trace.span("compute", task.label, start, self.sim.now,
-                           device=device, lane=lane, tid=task.tid,
-                           mb=0, attempt=0)
+                           device, lane, task.tid, mb=0, attempt=0)
                 for i in range(len(rt.mb_done)):
-                    trace.instant("task", f"mb{i}", self.sim.now,
-                                  device=device, lane=lane, tid=task.tid)
-                trace.instant("task", DONE, self.sim.now,
-                              device=device, lane=lane, tid=task.tid)
+                    trace.instant("task", f"mb{i}", self.sim.now, device,
+                                  lane, task.tid)
+                trace.instant("task", DONE, self.sim.now, device, lane,
+                              task.tid)
             for event in rt.mb_done:
                 event.succeed()
             rt.done.succeed()

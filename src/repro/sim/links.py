@@ -247,9 +247,8 @@ def transfer(
             link._resource.release()
         if trace is not None:
             trace.span(
-                "xfer", label, acquired, sim._now,
-                device=device, lane=lane, nbytes=0,
-                holds=route.link_names, waits=waits, links=route.names,
+                "xfer", label, acquired, sim._now, device, lane, -1, 0,
+                route.link_names, waits, links=route.names,
                 wait=acquired - requested, faulted=1,
             )
         raise fault.error
@@ -260,8 +259,7 @@ def transfer(
         link._resource.release()
     if trace is not None:
         trace.span(
-            "xfer", label, acquired, sim._now,
-            device=device, lane=lane, nbytes=nbytes,
-            holds=route.link_names, waits=waits, links=route.names,
+            "xfer", label, acquired, sim._now, device, lane, -1, nbytes,
+            route.link_names, waits, links=route.names,
             wait=acquired - requested,
         )

@@ -101,13 +101,13 @@ class Stream:
                 # observe the typed error, and keep serving the queue.
                 if trace is not None:
                     trace.span("stream", label, start, sim._now,
-                               device=self.device, lane=self.lane, ok=0)
+                               self.device, self.lane, ok=0)
                 done.fail(exc)
                 continue
             self._ops_done += 1
             if trace is not None:
                 trace.span("stream", label, start, sim._now,
-                           device=self.device, lane=self.lane, ok=1)
+                           self.device, self.lane, ok=1)
             done.succeed(result)
         self._running = False
 

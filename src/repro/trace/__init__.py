@@ -3,8 +3,9 @@
 The subsystem has four parts:
 
 - :mod:`repro.trace.events` / :mod:`repro.trace.recorder` -- the
-  :class:`TraceEvent` record and the :class:`TraceRecorder` that collects
-  them (optionally as a bounded ring).  A recorder attaches to a
+  :class:`TraceEvent` record and the :class:`TraceRecorder`, which keeps
+  one raw row per event (optionally as a bounded ring) and builds the
+  events only when they are read.  A recorder attaches to a
   :class:`~repro.sim.engine.Simulator` as ``sim.trace``; every traced
   layer guards on ``sim.trace is not None``, so a run without a recorder
   pays nothing and is bit-identical to the pre-trace runtime.

@@ -61,10 +61,11 @@ class TraceEvent(NamedTuple):
     """One timeline event.  Immutable; ``meta`` is a sorted k/v tuple.
 
     A named tuple rather than a frozen dataclass: the recorder builds one
-    per recorded event, and a tuple is filled in one allocation where a
-    frozen dataclass pays ``object.__setattr__`` for every field.  Fields
-    stay read-only (assignment raises ``AttributeError``); ``_replace``
-    makes a modified copy.
+    per surviving event each time its events are read, and a tuple is
+    filled in one allocation where a frozen dataclass pays
+    ``object.__setattr__`` for every field.  Fields stay read-only
+    (assignment raises ``AttributeError``); ``_replace`` makes a modified
+    copy.
     """
 
     kind: str                  # "span" | "instant"
@@ -87,15 +88,20 @@ class TraceEvent(NamedTuple):
         return dict(self.meta)
 
     def canonical(self) -> str:
-        """A stable one-line form (golden traces diff these).
+        """A stable one-line form (golden traces diff these)."""
+        return canonical_line(*self[:9], self.meta)
 
-        Times use ``repr`` (shortest round-trip float form, stable since
-        CPython 3.1) so the line is bit-stable across runs and versions
-        as long as the simulation itself is deterministic.
-        """
-        meta = ",".join(f"{k}={v}" for k, v in self.meta)
-        return (
-            f"{self.kind}|{self.cat}|{self.name}|dev{self.device}|"
-            f"{self.lane}|t{self.tid}|{self.nbytes}|{self.t0!r}|{self.t1!r}"
-            f"|{meta}"
-        )
+
+def canonical_line(kind: str, cat: str, name: str, t0: float, t1: float,
+                   device: int, lane: str, tid: int, nbytes: int,
+                   meta) -> str:
+    """The canonical line of an event's fields (``seq`` is not part of it)
+    and its key-sorted ``meta`` pairs.
+
+    Times use ``repr`` (shortest round-trip float form, stable since
+    CPython 3.1) so the line is bit-stable across runs and versions as
+    long as the simulation itself is deterministic.
+    """
+    items = ",".join([f"{k}={v}" for k, v in meta]) if meta else ""
+    return (f"{kind}|{cat}|{name}|dev{device}|{lane}|t{tid}|{nbytes}|"
+            f"{t0!r}|{t1!r}|{items}")

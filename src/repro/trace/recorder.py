@@ -4,13 +4,23 @@ A recorder attaches to a simulator as ``sim.trace``; traced layers call
 :meth:`span` / :meth:`instant` only after checking the attribute, so an
 unattached run does no recording work at all.
 
+Recording stores one raw row per event: the event's positional fields
+and the caller's own ``**meta`` dict, with no sort and no
+:class:`TraceEvent`.  Reading :attr:`events` builds the events from the
+rows, each with its meta sorted into a tuple and its ``seq`` derived
+from the row's position; :meth:`canonical` formats the rows directly.
+A traced run whose only reader is
+:func:`~repro.trace.analytics.analyze_trace` therefore builds no event
+at all.  The ``**meta`` dict is a fresh one the interpreter made for the
+call, so no caller can alias or mutate it after the row keeps it.
+
 The recorder owns a *base* time offset.  Runs that span several
 simulators -- the fault-tolerant runner restarts each iteration attempt
 on a fresh simulator whose clock starts at zero, and state migrations run
 on their own simulator too -- advance the base by each phase's virtual
 duration, so the recorded events form one continuous global timeline.
 
-Besides the events, the recorder keeps the accumulators
+Besides the rows, the recorder keeps the accumulators
 :func:`~repro.trace.analytics.analyze_trace` folds, updated as each span
 arrives:
 
@@ -28,12 +38,13 @@ arrives:
   charged (:func:`repro.sim.links.transfer`) and ``intervals`` how many
   of those waits were positive.
 
-Ring mode (``ring=N``) keeps only the newest ``N`` events and counts the
+Ring mode (``ring=N``) keeps only the newest ``N`` rows and counts the
 rest in :attr:`dropped`, so memory for events stays bounded no matter how
-long the run.  The accumulators are not evicted: analytics over a ring
-cover the whole run (only ``n_events`` and ``dropped`` tell a ring run
-apart), while invariant checks over :attr:`events` see the surviving
-suffix.  :meth:`clear` resets events and accumulators alike.
+long the run.  A surviving event keeps the ``seq`` it was recorded with.
+The accumulators are not evicted: analytics over a ring cover the whole
+run (only ``n_events`` and ``dropped`` tell a ring run apart), while
+invariant checks over :attr:`events` see the surviving suffix.
+:meth:`clear` resets rows and accumulators alike.
 """
 
 from __future__ import annotations
@@ -42,10 +53,11 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Optional
 
-from repro.trace.events import TraceEvent
+from repro.trace.events import TraceEvent, canonical_line
 
 #: Fills a :class:`TraceEvent` from a tuple of its fields in declaration
 #: order, skipping the generated ``__new__``'s per-field argument binding.
+#: Every event the recorder builds is built here, on read.
 _new_event = tuple.__new__
 
 #: Span categories whose per-lane interval unions the recorder keeps.
@@ -72,19 +84,21 @@ def _insert(track: list, t0: float, t1: float) -> None:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` records in arrival order."""
+    """Records events as raw rows in arrival order; builds
+    :class:`TraceEvent` records only when they are read."""
 
     def __init__(self, ring: Optional[int] = None):
         if ring is not None and ring < 1:
             raise ValueError(f"ring capacity must be >= 1, got {ring}")
         self.ring = ring
-        self._events: deque = deque(maxlen=ring)
+        #: (kind, cat, name, t0, t1, device, lane, tid, nbytes, meta dict)
+        self._rows: deque = deque(maxlen=ring)
+        self._append = self._rows.append
         #: global time offset added to every recorded timestamp
         self.base = 0.0
-        #: events evicted by ring mode
-        self.dropped = 0
         #: largest (base-adjusted) end time seen, even for evicted events
         self.extent = 0.0
+        #: events recorded since construction or the last clear()
         self._seq = 0
         #: {(cat, device, lane): flat union [start0, end0, start1, ...]}
         self.tracks: dict = {}
@@ -93,29 +107,24 @@ class TraceRecorder:
 
     # -- recording ---------------------------------------------------------------
 
-    def span(self, cat: str, name: str, t0: float, t1: float, *,
+    def span(self, cat: str, name: str, t0: float, t1: float,
              device: int = -1, lane: str = "", tid: int = -1,
              nbytes: int = 0, holds: tuple = (),
-             waits: Optional[list] = None, **meta) -> TraceEvent:
+             waits: Optional[list] = None, **meta) -> None:
         """Record an interval event (local times; base applied here).
 
         ``holds`` names the links an ``xfer`` span held, each charged the
         span's duration as busy time; ``waits`` lists the positive
         ``(link, seconds)`` queueing delays the transfer saw before each
-        grant.  Neither is part of the event.
+        grant.  Neither is part of the event.  Hot sites pass the fields
+        up to ``waits`` positionally.
         """
         base = self.base
         t0 = base + t0
         t1 = base + t1
-        self._seq = seq = self._seq + 1
-        event = _new_event(TraceEvent, (
-            "span", cat, name, t0, t1, device, lane, tid, nbytes, seq,
-            tuple(sorted(meta.items())) if meta else (),
-        ))
-        events = self._events
-        if len(events) == self.ring:
-            self.dropped += 1
-        events.append(event)
+        self._seq += 1
+        self._append(("span", cat, name, t0, t1, device, lane, tid, nbytes,
+                      meta))
         if t1 > self.extent:
             self.extent = t1
         if cat in TRACKED:
@@ -144,25 +153,17 @@ class TraceRecorder:
                     acc = links[link]
                     acc[1] += wait
                     acc[2] += 1
-        return event
 
-    def instant(self, cat: str, name: str, t: float, *,
-                device: int = -1, lane: str = "", tid: int = -1,
-                nbytes: int = 0, **meta) -> TraceEvent:
+    def instant(self, cat: str, name: str, t: float, device: int = -1,
+                lane: str = "", tid: int = -1, nbytes: int = 0,
+                **meta) -> None:
         """Record a point event (local time; base applied here)."""
         at = self.base + t
-        self._seq = seq = self._seq + 1
-        event = _new_event(TraceEvent, (
-            "instant", cat, name, at, at, device, lane, tid, nbytes, seq,
-            tuple(sorted(meta.items())) if meta else (),
-        ))
-        events = self._events
-        if len(events) == self.ring:
-            self.dropped += 1
-        events.append(event)
+        self._seq += 1
+        self._append(("instant", cat, name, at, at, device, lane, tid, nbytes,
+                      meta))
         if at > self.extent:
             self.extent = at
-        return event
 
     # -- multi-simulator stitching ------------------------------------------------
 
@@ -176,15 +177,32 @@ class TraceRecorder:
 
     @property
     def events(self) -> list:
-        """The surviving events, in record order."""
-        return list(self._events)
+        """The surviving events, in record order, built from the rows.
+
+        ``seq`` counts from the first event since construction or the
+        last :meth:`clear`, so a ring's survivors keep their numbers.
+        """
+        seq = self.dropped
+        events = []
+        for kind, cat, name, t0, t1, device, lane, tid, nbytes, meta in \
+                self._rows:
+            seq += 1
+            events.append(_new_event(TraceEvent, (
+                kind, cat, name, t0, t1, device, lane, tid, nbytes, seq,
+                tuple(sorted(meta.items())) if meta else (),
+            )))
+        return events
+
+    @property
+    def dropped(self) -> int:
+        """Events evicted by ring mode."""
+        return self._seq - len(self._rows)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
+        self._rows.clear()
         self.base = 0.0
         self.extent = 0.0
         self._seq = 0
@@ -192,5 +210,14 @@ class TraceRecorder:
         self.links.clear()
 
     def canonical(self) -> str:
-        """One line per event -- the golden-trace file format."""
-        return "\n".join(e.canonical() for e in self._events)
+        """One line per event -- the golden-trace file format.
+
+        Formatted from the rows, without building the events: the text
+        equals joining the events' own :meth:`TraceEvent.canonical` lines.
+        """
+        return "\n".join([
+            canonical_line(kind, cat, name, t0, t1, device, lane, tid, nbytes,
+                           sorted(meta.items()) if meta else ())
+            for kind, cat, name, t0, t1, device, lane, tid, nbytes, meta
+            in self._rows
+        ])

@@ -46,6 +46,9 @@ suite pins, exactly:
 - that every traced bench warm-up run adds each tracked span to its
   lane's union in end-time order: no span needs an out-of-order
   insertion;
+- that a traced gpt2 iteration whose only reader is its analytics
+  builds no ``TraceEvent``: the recorder keeps raw rows and builds the
+  events when (and each time) they are read;
 - that a fleet storm simulates each served plan key once and verifies
   each (plan, binding) pair once, and that a second ``PlannerService``
   on the same storm does that same work again: only searches are shared
@@ -352,6 +355,26 @@ def test_traced_run_analytics_do_exact_work(monkeypatch):
     assert counts == {"analyze": 1, "union": TRACED_GPT2_MERGES}, (
         "analyze_trace must merge only the figures that span two lanes"
     )
+
+
+def test_traced_run_builds_events_only_when_read(monkeypatch):
+    built: Counter = Counter()
+    new_event = recorder_module._new_event
+
+    def counted_new_event(cls, fields):
+        built[cls.__name__] += 1
+        return new_event(cls, fields)
+
+    monkeypatch.setattr(recorder_module, "_new_event", counted_new_event)
+    harmony = Harmony("gpt2", server_for(4), 16,
+                      options=HarmonyOptions(mode="pp"))
+    recorder = TraceRecorder()
+    report = harmony.run(iterations=1, trace=recorder)
+    assert report.metrics.trace.n_events == len(recorder) > 0
+    assert built == {}, "recording or analytics built a TraceEvent"
+    events = recorder.events
+    assert built == {"TraceEvent": len(recorder)} == {"TraceEvent":
+                                                       len(events)}
 
 
 def test_traced_bench_runs_keep_every_lane_in_end_time_order(monkeypatch):

@@ -90,11 +90,61 @@ def test_canonical_is_stable_text():
 
 def test_meta_is_sorted_and_stable():
     rec = TraceRecorder()
-    assert rec.span("compute", "x", 0.0, 1.0, z=1, a=2).meta == \
-        (("a", 2), ("z", 1))
-    assert rec.instant("task", "y", 1.0, z=1, a=2).meta == \
-        (("a", 2), ("z", 1))
-    assert rec.span("compute", "x", 0.0, 1.0).meta == ()
+    rec.span("compute", "x", 0.0, 1.0, z=1, a=2)
+    assert rec.events[-1].meta == (("a", 2), ("z", 1))
+    rec.instant("task", "y", 1.0, z=1, a=2)
+    assert rec.events[-1].meta == (("a", 2), ("z", 1))
+    rec.span("compute", "x", 0.0, 1.0)
+    assert rec.events[-1].meta == ()
+
+
+# -- the lazy-event contract: events are built on read ------------------------
+
+
+def test_ring_survivors_keep_their_seq():
+    rec = TraceRecorder(ring=4)
+    for i in range(10):
+        rec.span("compute", f"s{i}", float(i), float(i) + 1.0)
+    assert [e.seq for e in rec.events] == [7, 8, 9, 10]
+
+
+def test_clear_restarts_seq():
+    rec = TraceRecorder(ring=2)
+    for i in range(3):
+        rec.span("compute", f"s{i}", float(i), float(i) + 1.0)
+    rec.clear()
+    rec.span("compute", "fresh", 0.0, 1.0)
+    rec.instant("task", "tick", 1.0)
+    assert [e.seq for e in rec.events] == [1, 2]
+
+
+def test_reads_of_events_are_equal():
+    rec = TraceRecorder()
+    rec.span("xfer", "WL0", 0.0, 0.25, device=1, lane="swap_in",
+             nbytes=1024, links="a+b", wait=0.125)
+    rec.instant("task", "done", 0.25, device=1, lane="compute", tid=4)
+    first = rec.events
+    assert rec.events == first and len(first) == 2
+
+
+def test_canonical_joins_the_events_canonical_lines():
+    rec = TraceRecorder(ring=3)
+    for i in range(5):
+        rec.span("stream", f"op{i}", float(i), float(i) + 0.5, device=0,
+                 lane="swap_in", ok=1)
+        rec.instant("task", f"mb{i}", float(i) + 0.5, device=0,
+                    lane="compute", tid=i)
+    assert rec.canonical() == "\n".join(e.canonical() for e in rec.events)
+
+
+def test_meta_out_of_order_comes_back_sorted():
+    rec = TraceRecorder()
+    rec.span("compute", "x", 0.0, 1.0, device=0, lane="compute", tid=1,
+             mb=3, attempt=0, crashed=1)
+    rec.instant("fault", "y", 1.0, zeta=2, alpha=1, mid=0)
+    span, instant = rec.events
+    assert span.meta == (("attempt", 0), ("crashed", 1), ("mb", 3))
+    assert instant.meta == (("alpha", 1), ("mid", 0), ("zeta", 2))
 
 
 def test_event_is_frozen_value_type():
