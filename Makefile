@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check lint typecheck test analyze analyze-smoke chaos-smoke cluster-smoke trace-smoke service-smoke virt-smoke fleet-smoke
+.PHONY: check lint typecheck test regen-golden analyze analyze-smoke chaos-smoke cluster-smoke trace-smoke service-smoke virt-smoke fleet-smoke
 
 # Full gate: lint + typecheck + tier-1 tests.  Lint/typecheck legs skip
 # themselves (with a message) when ruff/mypy are not installed.
@@ -19,6 +19,13 @@ typecheck:
 
 test:
 	python -m pytest -x -q tests/
+
+# Rewrite every golden file under tests/golden/ (CLI corpus, traces and
+# the verdict, baseline-plan, phase, analytics, search and chaos pins)
+# from a fresh recording.  Only when a change legitimately moves one:
+# review the diff and explain it with the change.
+regen-golden:
+	python scripts/regen_golden.py
 
 # Convenience: statically verify the headline schedule.
 analyze:

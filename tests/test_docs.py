@@ -1,8 +1,10 @@
-"""DESIGN.md's module map and experiment index name files that exist.
+"""The docs name files that exist.
 
 Every backticked path in the tables of DESIGN.md §3 (system inventory)
-and §4 (per-experiment index) must resolve in the repository, so a rename
-or deletion that leaves the design document stale fails the tier-1 suite.
+and §4 (per-experiment index) must resolve in the repository, and so
+must every ``scripts/*.py`` that README.md, DESIGN.md or the verify
+skill names in code (inline or fenced), so a rename or deletion that
+leaves a document stale fails the tier-1 suite.
 
 A path resolves against the repository root, ``src/`` or ``src/repro/``
 (the tables abbreviate ``repro/sim/stream.py`` as ``sim/stream.py``).  A
@@ -23,6 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DESIGN = ROOT / "DESIGN.md"
 BASES = (ROOT, ROOT / "src", ROOT / "src" / "repro")
 SECTIONS = ("## 3.", "## 4.")
+SCRIPT_DOCS = ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+SCRIPT = re.compile(r"(?<![\w/.])scripts/[\w/.-]+\.py\b")
 
 
 def _section_rows(heading: str) -> list[str]:
@@ -118,3 +122,34 @@ def test_resolver_rejects_stale_names():
     assert _expand("a/{b,c}.py") == ["a/b.py", "a/c.py"]
     assert not _is_path("Harmony(model).plan()/run()")
     assert not _is_path("repro plan/run")
+
+
+def _script_paths(text: str) -> set[str]:
+    """The ``scripts/*.py`` paths ``text`` names in inline code spans and
+    fenced code blocks."""
+    chunks = text.split("```")
+    spans = chunks[1::2] + [span for prose in chunks[0::2]
+                            for span in re.findall(r"`([^`]+)`", prose)]
+    return {path for span in spans for path in SCRIPT.findall(span)}
+
+
+def _documented_scripts() -> list[tuple[str, str]]:
+    return sorted((doc, path) for doc in SCRIPT_DOCS
+                  for path in _script_paths((ROOT / doc).read_text()))
+
+
+@pytest.mark.parametrize("doc, path", _documented_scripts(),
+                         ids=lambda value: value)
+def test_documented_script_exists(doc, path):
+    assert (ROOT / path).is_file(), f"{doc} names missing `{path}`"
+
+
+def test_script_parser_finds_code_paths():
+    """Guards the parser: it reads inline code and fenced blocks, not
+    prose, and the docs name several scripts."""
+    text = ("run `PYTHONPATH=src python scripts/a.py` or scripts/b.py\n"
+            "```\npython3 scripts/c.py --x  # `make lint`\n```\n"
+            "`scripts/d.py`")
+    assert _script_paths(text) == {"scripts/a.py", "scripts/c.py",
+                                   "scripts/d.py"}
+    assert len({path for _, path in _documented_scripts()}) >= 3

@@ -1,59 +1,32 @@
 """Golden-trace regression tests.
 
 Seeded fault-free runs of the small zoo models must replay the exact
-event sequence pinned under ``tests/trace/golden/``.  The matrix and the
-recording procedure live in ``scripts/regen_golden_traces.py`` -- the
-single source of truth, imported here -- so the test can never check a
-different run than the one the regeneration script writes.
-
-If a scheduler or runtime change legitimately moves the timeline::
-
-    PYTHONPATH=src python scripts/regen_golden_traces.py
-
-and commit the refreshed goldens with the change that moved them.
+event sequence pinned in ``tests/golden/trace/<model>-<mode>.trace``.
+The matrix and the recording live in ``tests/goldens.py``, which the
+test and ``scripts/regen_golden.py`` share, so the test can never check
+a different run than the one regeneration writes.
 """
-
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-_SCRIPT = (
-    Path(__file__).resolve().parent.parent.parent
-    / "scripts" / "regen_golden_traces.py"
-)
-_spec = importlib.util.spec_from_file_location("regen_golden_traces", _SCRIPT)
-regen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(regen)
+from tests.goldens import TRACE, TRACE_CELLS, check
 
 
-@pytest.mark.parametrize("model,mode", regen.GOLDEN,
-                         ids=[f"{m}-{mode}" for m, mode in regen.GOLDEN])
-def test_trace_matches_golden(model, mode):
-    golden = regen.golden_path(model, mode)
-    assert golden.is_file(), (
-        f"missing golden {golden.name}; run "
-        "PYTHONPATH=src python scripts/regen_golden_traces.py"
-    )
-    expected = golden.read_text()
-    actual = regen.record(model, mode)
-    assert actual == expected, (
-        f"{model}/{mode}: trace diverged from {golden.name}. If a runtime "
-        "change legitimately moved the timeline, regenerate via "
-        "scripts/regen_golden_traces.py and commit the new golden with it."
-    )
+@pytest.mark.parametrize("case", TRACE_CELLS)
+def test_trace_matches_golden(case):
+    check(TRACE, case)
 
 
 def test_golden_matrix_covers_both_modes():
-    models = {m for m, _ in regen.GOLDEN}
-    modes = {mode for _, mode in regen.GOLDEN}
+    models = {m for m, _ in TRACE_CELLS.values()}
+    modes = {mode for _, mode in TRACE_CELLS.values()}
     assert len(models) >= 2 and modes == {"pp", "dp"}
 
 
 def test_goldens_are_canonical_lines():
     """Every golden line parses as the pipe-separated canonical format."""
-    for model, mode in regen.GOLDEN:
-        for line in regen.golden_path(model, mode).read_text().splitlines():
+    for case in TRACE_CELLS:
+        for line in TRACE.path(case).read_text().splitlines():
             fields = line.split("|", 9)
             assert fields[0] in ("span", "instant"), line
             assert len(fields) == 10, line

@@ -1,44 +1,25 @@
 """Golden-trace regression for the heterogeneous bind.
 
 The toy transformer planned for 4 logical GPUs, bound onto 2 fast + 2
-slow physical devices, must replay the exact pinned timeline.  Matrix
-and recording procedure live in ``scripts/regen_golden_traces.py`` (the
-same single source of truth the plain goldens use), so a timing-rescale
+slow physical devices, must replay the exact timeline pinned in
+``tests/golden/trace/toy-transformer-pp-hetero.trace`` (recorded by
+``tests/goldens.py``, like the plain golden traces), so a timing-rescale
 change surfaces as a reviewable golden diff, never a silent drift.
 """
 
-import importlib.util
-from pathlib import Path
-
-_SCRIPT = (
-    Path(__file__).resolve().parent.parent.parent
-    / "scripts" / "regen_golden_traces.py"
-)
-_spec = importlib.util.spec_from_file_location("regen_golden_traces", _SCRIPT)
-regen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(regen)
+from tests.goldens import HETERO, HETERO_GPUS, TRACE, check, traced_run
 
 
 def test_hetero_trace_matches_golden():
-    golden = regen.hetero_golden_path()
-    assert golden.is_file(), (
-        f"missing golden {golden.name}; run "
-        "PYTHONPATH=src python scripts/regen_golden_traces.py"
-    )
-    assert regen.record_hetero() == golden.read_text(), (
-        "heterogeneous bind trace diverged from the golden. If a "
-        "timing-rescale change legitimately moved the timeline, "
-        "regenerate via scripts/regen_golden_traces.py and commit the "
-        "new golden with it."
-    )
+    check(TRACE, HETERO)
 
 
 def test_hetero_recording_is_deterministic():
-    assert regen.record_hetero() == regen.record_hetero()
+    assert TRACE.record(HETERO) == TRACE.record(HETERO)
 
 
 def test_hetero_golden_is_canonical_lines():
-    for line in regen.hetero_golden_path().read_text().splitlines():
+    for line in TRACE.path(HETERO).read_text().splitlines():
         fields = line.split("|", 9)
         assert fields[0] in ("span", "instant"), line
         assert len(fields) == 10, line
@@ -47,15 +28,5 @@ def test_hetero_golden_is_canonical_lines():
 def test_hetero_golden_differs_from_homogeneous_timeline():
     """The rescale must actually show: the bound run's timeline is not
     the unbound 4-GPU run merely relabeled."""
-    from repro.core.harmony import Harmony, HarmonyOptions
-    from repro.experiments.common import server_for
-    from repro.trace import TraceRecorder
-
-    harmony = Harmony(
-        regen.HETERO_MODEL, server_for(regen.HETERO_GPUS), regen.MINIBATCH,
-        options=HarmonyOptions(mode=regen.HETERO_MODE),
-    )
-    recorder = TraceRecorder()
-    harmony.run(iterations=regen.ITERATIONS, trace=recorder)
-    assert recorder.canonical() + "\n" \
-        != regen.hetero_golden_path().read_text()
+    _, recorder = traced_run("toy-transformer", "pp", HETERO_GPUS)
+    assert recorder.canonical() + "\n" != TRACE.path(HETERO).read_text()
