@@ -4,10 +4,11 @@
 Runs ``bench/run.py`` from a parent tree and from a change tree in
 alternating pairs (pair ``i`` uses seed ``seed + i``; even pairs run the
 parent first, odd pairs the change first), then prints each pair, each
-side's median and quartiles, the change's wins, and whether the gain
-rule holds: the change wins at least nine tenths of the pairs, ties
-counting for neither, and the medians differ, in the metric's better
-direction, by more than the parent's interquartile range.  ``--also``
+side's median and quartiles, the change's wins, the change/parent
+median ratio, and whether the gain rule holds: the change wins at least
+nine tenths of the pairs, ties counting for neither, and the medians
+differ, in the metric's better direction, by more than the parent's
+interquartile range.  ``--also``
 names more end-to-end metrics to report from the same runs, each side's
 median and quartiles; the verdict judges ``--metric`` alone.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -48,6 +50,14 @@ class Verdict(NamedTuple):
     pairs: int
     holds: bool
 
+    @property
+    def ratio(self) -> float:
+        """The change's median over the parent's (nan when the parent's
+        median is zero)."""
+        if not self.parent.median:
+            return math.nan
+        return self.change.median / self.parent.median
+
 
 def spread(values: list[float]) -> Spread:
     """Median and quartiles (inclusive method; one value is its own)."""
@@ -69,6 +79,15 @@ def verdict(parent: list[float], change: list[float],
     gap = sign * (after.median - before.median)
     holds = 10 * wins >= 9 * len(parent) and gap > before.q3 - before.q1
     return Verdict(before, after, wins, ties, len(parent), holds)
+
+
+def verdict_line(v: Verdict) -> str:
+    """The closing line: wins, the median ratio, the parent's IQR and
+    whether the gain rule holds."""
+    return (f"change wins {v.wins} of {v.pairs} pairs ({v.ties} ties); "
+            f"change/parent median ratio {v.ratio:.4g}; "
+            f"parent IQR {v.parent.q3 - v.parent.q1:.4g}; "
+            f"gain rule {'holds' if v.holds else 'does not hold'}")
 
 
 def metric_names(text: str) -> list[str]:
@@ -146,9 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             s = spread(columns[k])
             print(f"{name} {side}: median {s.median:.4g} "
                   f"[q1 {s.q1:.4g}, q3 {s.q3:.4g}]")
-    print(f"change wins {v.wins} of {v.pairs} pairs ({v.ties} ties); "
-          f"parent IQR {v.parent.q3 - v.parent.q1:.4g}; "
-          f"gain rule {'holds' if v.holds else 'does not hold'}")
+    print(verdict_line(v))
     return 0 if v.holds else 1
 
 

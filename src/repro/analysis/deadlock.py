@@ -14,7 +14,11 @@ question is answered on.  It reads every rule from
 
 - three nodes per task: ``F(t)`` (all input fetches complete), ``C(t)``
   (compute complete) and ``O(t)`` (outputs flushed), chained
-  ``F -> C -> O``;
+  ``F -> C -> O``.  They are numbered ``base``, ``base + 1`` and
+  ``base + 2``, ``base`` three times the task's position among distinct
+  tids, so edges and slot gates are built with integer arithmetic;
+  :attr:`HappensBefore.index` maps ``(phase, tid)`` to those numbers for
+  the race pass and for naming a cycle;
 - dependency edges: an in-move with a ``src_task`` waits on ``O(src)``
   when the Runtime waits on the producer's flush, and on ``C(src)`` when
   it waits on the producer's completion or one of its microbatches;
@@ -64,6 +68,9 @@ from repro.core.waits import (
 Node = tuple[str, int]
 
 _PHASES = ("F", "C", "O")
+#: A task's node numbers are ``base + offset``, ``offset`` its phase's
+#: position in :data:`_PHASES`.
+_F, _C, _O = range(3)
 
 
 @dataclass
@@ -114,56 +121,57 @@ def build_happens_before(ctx: AnalysisContext) -> HappensBefore:
     return ctx.memo(_wait_graph)
 
 
-def _queues(task: Task) -> Iterator[tuple[str, str]]:
-    """``(phase, stream)`` of every FIFO stream ``task`` occupies."""
+def _queues(task: Task) -> Iterator[tuple[int, str]]:
+    """``(node offset, stream)`` of every FIFO stream ``task`` occupies."""
     for stream in fetch_streams(task):
-        yield "F", stream
+        yield _F, stream
     stream = compute_stream(task)
     if stream is not None:
-        yield "C", stream
+        yield _C, stream
     if flushes(task):
-        yield "O", OUT_STREAM
+        yield _O, OUT_STREAM
 
 
 def _wait_graph(ctx: AnalysisContext) -> HappensBefore:
     graph = ctx.graph
-    index: dict[Node, int] = {}
+    base: dict[int, int] = {}
     tasks: dict[int, Task] = {}
     for task in graph.tasks:
         tasks[task.tid] = task
-        for phase in _PHASES:
-            index.setdefault((phase, task.tid), len(index))
-    succ: list[list[int]] = [[] for _ in range(len(index))]
-
-    def add(src: Node, dst: Node) -> None:
-        succ[index[src]].append(index[dst])
+        base.setdefault(task.tid, 3 * len(base))
+    succ: list[list[int]] = [[] for _ in range(3 * len(base))]
 
     for task in graph.tasks:
-        add(("F", task.tid), ("C", task.tid))
-        add(("C", task.tid), ("O", task.tid))
+        fetched = base[task.tid]
+        succ[fetched].append(fetched + _C)
+        succ[fetched + _C].append(fetched + _O)
         for move in task.ins:
-            if move.src_task not in tasks:
+            src = move.src_task
+            if src not in tasks:
                 continue  # structure pass reports dangling sources
-            wait = producer_wait(move, task, tasks[move.src_task], None)
-            add(("O" if wait == FLUSHED else "C", move.src_task),
-                ("F", task.tid))
+            wait = producer_wait(move, task, tasks[src], None)
+            succ[base[src] + (_O if wait == FLUSHED else _C)].append(fetched)
 
     for device_tasks in ctx.device_order():
         last: dict[str, int] = {}
         for task in device_tasks:
-            for phase, stream in _queues(task):
+            node = base[task.tid]
+            for offset, stream in _queues(task):
                 if stream in last:
-                    add((phase, last[stream]), (phase, task.tid))
-                last[stream] = task.tid
+                    succ[last[stream] + offset].append(node + offset)
+                last[stream] = node
 
-    order = _sweep(ctx, index, succ)
+    order = _sweep(ctx, base, succ)
+    index = {(phase, tid): node + offset
+             for tid, node in base.items()
+             for offset, phase in enumerate(_PHASES)}
     cycle = None
     if len(order) < len(succ):
         cycle = _stalled_cycle(ctx, index, succ, tasks, set(order))
     return HappensBefore(index=index, succ=succ, order=order, cycle=cycle)
 
 
-def _sweep(ctx: AnalysisContext, index: dict[Node, int],
+def _sweep(ctx: AnalysisContext, base: dict[int, int],
            succ: list[list[int]]) -> list[int]:
     """Kahn's algorithm over ``succ``, with each device's slot grants as
     counted gates on its ``F`` nodes: the nodes in completion order."""
@@ -172,12 +180,13 @@ def _sweep(ctx: AnalysisContext, index: dict[Node, int],
     for nexts in succ:
         for nxt in nexts:
             indeg[nxt] += 1
-    gated = [[index["F", t.tid] for t in tasks] for tasks in ctx.device_order()]
-    for fetches in gated:
+    gated = [[base[t.tid] for t in tasks] for tasks in ctx.device_order()]
+    # Per node, the device whose slot its completion frees, else -1.
+    frees = [-1] * len(succ)
+    for device, fetches in enumerate(gated):
         for node in fetches:
             indeg[node] += 1  # its slot grant
-    frees = {index["C", t.tid]: d
-             for d, tasks in enumerate(ctx.device_order()) for t in tasks}
+            frees[node + _C] = device
     granted, freed = [0] * len(gated), [0] * len(gated)
     ready = deque(i for i, n in enumerate(indeg) if not n)
 
@@ -201,9 +210,10 @@ def _sweep(ctx: AnalysisContext, index: dict[Node, int],
         order.append(node)
         for nxt in succ[node]:
             arrive(nxt)
-        if node in frees:
-            freed[frees[node]] += 1
-            grant(frees[node])
+        device = frees[node]
+        if device >= 0:
+            freed[device] += 1
+            grant(device)
     return order
 
 

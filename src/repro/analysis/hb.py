@@ -37,14 +37,14 @@ detection declines to guess about orderings inside a wedged schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataflow import _FAMILY
 from repro.analysis.deadlock import Node, build_happens_before
 from repro.analysis.diagnostics import Diagnostic, Severity, task_ref
 from repro.analysis.passes import AnalysisPass, register
-from repro.core.types import Task, TaskGraph, TaskKind
+from repro.core.types import Move, Task, TaskGraph, TaskKind
 
 #: Tensor families treated as shared mutable model state.
 _STATE_FAMILIES = ("weights", "optimizer-state")
@@ -58,11 +58,22 @@ class _Access:
     first_layer: int
     last_layer: int
     write: bool
-    what: str           # human-readable access description
+    #: the move carrying the access; None for a CPU update's in-place write
+    move: Optional[Move]
 
     def overlaps(self, other: "_Access") -> bool:
         return (self.first_layer <= other.last_layer
                 and other.first_layer <= self.last_layer)
+
+    @property
+    def what(self) -> str:
+        """Human-readable access description, formatted only for a race
+        the pass reports."""
+        if self.move is None:
+            return f"updates host {self.family} in place"
+        verb = "writes" if self.write else "reads"
+        return (f"{verb} {self.family} via "
+                f"{self.move.label or self.move.tensor.name}")
 
 
 def _state_accesses(graph: TaskGraph) -> list["_Access"]:
@@ -74,17 +85,14 @@ def _state_accesses(graph: TaskGraph) -> list["_Access"]:
             if move.nbytes > 0 and family in _STATE_FAMILIES:
                 accesses.append(_Access(
                     task, ("F", task.tid), family,
-                    task.first_layer, task.last_layer, write=False,
-                    what=f"reads {family} via {move.label or move.tensor.name}",
+                    task.first_layer, task.last_layer, write=False, move=move,
                 ))
         for move in task.outs:
             family = _FAMILY[move.tensor]
             if move.nbytes > 0 and family in _STATE_FAMILIES:
                 accesses.append(_Access(
                     task, ("O", task.tid), family,
-                    task.first_layer, task.last_layer, write=True,
-                    what=f"writes {family} via "
-                         f"{move.label or move.tensor.name}",
+                    task.first_layer, task.last_layer, write=True, move=move,
                 ))
         if task.kind is TaskKind.UPD and task.on_cpu:
             # A CPU-offloaded update mutates pinned host state in place;
@@ -92,8 +100,7 @@ def _state_accesses(graph: TaskGraph) -> list["_Access"]:
             for family in _STATE_FAMILIES:
                 accesses.append(_Access(
                     task, ("C", task.tid), family,
-                    task.first_layer, task.last_layer, write=True,
-                    what=f"updates host {family} in place",
+                    task.first_layer, task.last_layer, write=True, move=None,
                 ))
     return accesses
 

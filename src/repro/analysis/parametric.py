@@ -73,12 +73,8 @@ class CapacityCertificate:
 
     def smallest_violating_n(self) -> Optional[int]:
         """Least N >= 1 with ``peak(N) > capacity``; None if safe for all."""
-        if self.peak(1) > self.capacity_bytes:
-            return 1
-        if self.slope_bytes <= 0:
-            return _INF
-        headroom = self.capacity_bytes - self.fixed_bytes
-        return headroom // self.slope_bytes + 1
+        return _smallest_violating_n(self.fixed_bytes, self.slope_bytes,
+                                     self.capacity_bytes)
 
     @property
     def safe_for_all(self) -> bool:
@@ -92,6 +88,16 @@ class CapacityCertificate:
         verdict = ("safe for all N >= 1" if n is None
                    else f"violates at N = {n}")
         return f"{bound} -- {verdict}"
+
+
+def _smallest_violating_n(fixed: int, slope: int,
+                          capacity: int) -> Optional[int]:
+    """Least N >= 1 with ``fixed + slope * N > capacity``, else None."""
+    if fixed + slope > capacity:
+        return 1
+    if slope <= 0:
+        return _INF
+    return (capacity - fixed) // slope + 1
 
 
 def _local_in_bytes(task: Task) -> int:
@@ -111,36 +117,35 @@ def _device_certificate(
     device: int, tasks: list[Task], window: int, capacity: int
 ) -> tuple[CapacityCertificate, list[Task]]:
     """The binding (smallest violating N) window bound for one GPU, and
-    that window's tasks."""
+    that window's tasks.  Window sums are integers; only the binding
+    window becomes a certificate."""
+    if not tasks:
+        return CapacityCertificate(
+            scope=f"gpu{device}", fixed_bytes=0, slope_bytes=0,
+            capacity_bytes=capacity, detail="no tasks bound to this GPU",
+        ), []
     slopes = [0 if t.on_cpu else _local_in_bytes(t) for t in tasks]
     fixeds = [
         0 if t.on_cpu else max(0, t.resident_bytes - slopes[i])
         for i, t in enumerate(tasks)
     ]
-    certs = [
-        CapacityCertificate(
-            scope=f"gpu{device}",
-            fixed_bytes=sum(fixeds[i:i + window]),
-            slope_bytes=sum(slopes[i:i + window]),
-            capacity_bytes=capacity,
-            detail=f"window {_window_names(tasks[i:i + window])}",
-        )
-        for i in range(len(tasks))
-    ]
-    if not certs:
-        return CapacityCertificate(
-            scope=f"gpu{device}", fixed_bytes=0, slope_bytes=0,
-            capacity_bytes=capacity, detail="no tasks bound to this GPU",
-        ), []
+    sums = [(sum(fixeds[i:i + window]), sum(slopes[i:i + window]))
+            for i in range(len(tasks))]
 
     def key(i: int) -> tuple[int, int]:
         # Violated earliest, then highest as-built peak; min() keeps
         # the first of equal windows.
-        n = certs[i].smallest_violating_n()
-        return (n if n is not None else 1 << 62, -certs[i].peak(1))
+        fixed, slope = sums[i]
+        n = _smallest_violating_n(fixed, slope, capacity)
+        return (n if n is not None else 1 << 62, -(fixed + slope))
 
-    at = min(range(len(certs)), key=key)
-    return certs[at], tasks[at:at + window]
+    at = min(range(len(sums)), key=key)
+    fixed, slope = sums[at]
+    chosen = tasks[at:at + window]
+    return CapacityCertificate(
+        scope=f"gpu{device}", fixed_bytes=fixed, slope_bytes=slope,
+        capacity_bytes=capacity, detail=f"window {_window_names(chosen)}",
+    ), chosen
 
 
 def _bounds(

@@ -561,7 +561,7 @@ def _bind(args: argparse.Namespace) -> tuple[int, dict]:
         "assignment": list(binding.assignment),
         "flops_scales": flops,
         "memory_scales": memory,
-        "fingerprint": binding.fingerprint(),
+        "fingerprint": binding.fingerprint,
     }
 
     try:

@@ -13,10 +13,11 @@ full Runtime only in where the layer times come from -- the Profiler's
 cross-GPU link sharing.  That is why Figure 14 compares its estimates
 against actual (fully simulated) runs and finds them close but not
 identical.  Being contention-free and allocation-free, it scores a
-candidate in about 0.13 ms (traced ``bench/run.py --workload plan-zoo``,
-median of three runs: ~8.6 ms of estimator self time per plan over ~65
-candidates, Python 3.11 on a shared 2-vCPU x86 host), cheap enough for
-the sweep of Algorithm 1.
+candidate in about 0.11 ms (``python3 bench/run.py --workload plan-zoo
+--seconds 0 --trace 1`` at seeds 7701-7703, median of the three runs:
+~7.0 ms of ``core.estimator`` self time per plan over ~66 candidates,
+in the bench's reference seconds, Python 3.11 on a shared 2-vCPU x86
+host), cheap enough for the sweep of Algorithm 1.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.cluster.spec import ClusterSpec, homogeneous_cluster
@@ -93,24 +94,32 @@ class FleetReservation:
         bit-identical to the solo run.  A fractional share carves the
         tenant's memory partition via ``memory_scale``; a time-slice
         reservation round-robins the logical devices onto the slice.
+        The binding depends only on ``(share, width, n_logical)``, so
+        every reservation of one shape shares one binding object and
+        its cached fingerprint.
         """
-        k = len(self.devices)
-        if self.share == 1:
-            if k == self.n_logical:
-                return DeviceBinding.identity(k)
-            return DeviceBinding.pack(self.n_logical,
-                                      VirtualTopology.uniform(k))
-        topology = VirtualTopology(tuple(
-            PhysicalDevice(i, flops_scale=1.0, memory_scale=float(self.share))
-            for i in range(k)
-        ))
-        return DeviceBinding.pack(self.n_logical, topology)
+        return _binding(self.share, len(self.devices), self.n_logical)
 
     def describe(self) -> str:
         slots = ", ".join(f"gpu{g}" for g in self.devices)
         return (f"{self.kind} placement for {self.tenant}: "
                 f"{self.n_logical} logical device(s) on s{self.server}"
                 f"[{slots}] at share {self.share}")
+
+
+@lru_cache(maxsize=64)
+def _binding(share: Fraction, width: int, n_logical: int) -> DeviceBinding:
+    """The binding of every reservation of one shape (see
+    :meth:`FleetReservation.binding`)."""
+    if share == 1:
+        if width == n_logical:
+            return DeviceBinding.identity(width)
+        return DeviceBinding.pack(n_logical, VirtualTopology.uniform(width))
+    topology = VirtualTopology(tuple(
+        PhysicalDevice(i, flops_scale=1.0, memory_scale=float(share))
+        for i in range(width)
+    ))
+    return DeviceBinding.pack(n_logical, topology)
 
 
 class FleetPlacer:

@@ -612,7 +612,7 @@ class PlannerService:
         the content the verdict depends on: the plan and the binding the
         reservation realizes, not the request or a summary of its shape."""
         assert self.fleet is not None
-        memo_key = (key, reservation.binding().fingerprint())
+        memo_key = (key, reservation.binding().fingerprint)
         if memo_key in self.fleet_bounds:
             return self.fleet_bounds[memo_key]
         try:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.common.fingerprint import fingerprint
@@ -199,7 +200,10 @@ class VirtualTopology:
         """Exact per-physical-device capacity in bytes."""
         return [d.memory_bytes(base_bytes) for d in self.devices]
 
+    @cached_property
     def fingerprint(self) -> str:
+        """Content address of every device's scales.  Cached: the
+        topology is frozen."""
         return fingerprint(self.devices)
 
     def describe(self) -> str:
@@ -349,7 +353,11 @@ class DeviceBinding:
         """Exact per-physical-device memory capacity in bytes."""
         return self.topology.device_memory(base_bytes)
 
+    @cached_property
     def fingerprint(self) -> str:
+        """Content address of the assignment and the topology's devices.
+        Cached: the binding is frozen, and a fleet bind's memo key reads
+        it once per certify call."""
         return fingerprint(self.assignment, self.topology.devices)
 
     def describe(self) -> str:

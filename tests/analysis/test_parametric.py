@@ -3,9 +3,18 @@ deliberately undersized servers naming a concrete smallest violating N."""
 
 from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analysis import analyze, capacity_certificates
 from repro.analysis.context import AnalysisContext
-from repro.analysis.parametric import CapacityCertificate
+from repro.analysis.parametric import (
+    CapacityCertificate,
+    _device_certificate,
+    _local_in_bytes,
+    _window_names,
+)
 from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.types import Channel, Move, Task, TaskGraph, TaskKind, TensorKind
 from repro.experiments.common import server_for
@@ -13,6 +22,8 @@ from repro.hardware.gpu import GpuSpec
 from repro.hardware.host import HostSpec
 from repro.hardware.interconnect import TopologySpec
 from repro.hardware.server import ServerSpec
+from repro.virt import DeviceBinding, PhysicalDevice, VirtualTopology
+from tests.goldens import BENCH_PLANS, _harmony_graph
 
 
 def task(tid, device=0, resident=0, local_in=0, src=None,
@@ -181,3 +192,94 @@ class TestUndersizedServer:
                                  host_state_bytes=state,
                                  host_input_bytes=inputs)
         assert capacity_certificates(shrunk)[-1].smallest_violating_n() == 3
+
+
+def every_window_certificate(device, tasks, window, capacity):
+    """The selection :func:`_device_certificate` replaced: a full
+    certificate, ``detail`` included, for every window, then ``min``."""
+    slopes = [0 if t.on_cpu else _local_in_bytes(t) for t in tasks]
+    fixeds = [
+        0 if t.on_cpu else max(0, t.resident_bytes - slopes[i])
+        for i, t in enumerate(tasks)
+    ]
+    certs = [
+        CapacityCertificate(
+            scope=f"gpu{device}",
+            fixed_bytes=sum(fixeds[i:i + window]),
+            slope_bytes=sum(slopes[i:i + window]),
+            capacity_bytes=capacity,
+            detail=f"window {_window_names(tasks[i:i + window])}",
+        )
+        for i in range(len(tasks))
+    ]
+    if not certs:
+        return CapacityCertificate(
+            scope=f"gpu{device}", fixed_bytes=0, slope_bytes=0,
+            capacity_bytes=capacity, detail="no tasks bound to this GPU",
+        ), []
+
+    def key(i):
+        n = certs[i].smallest_violating_n()
+        return (n if n is not None else 1 << 62, -certs[i].peak(1))
+
+    at = min(range(len(certs)), key=key)
+    return certs[at], tasks[at:at + window]
+
+
+def assert_same_selection(device, tasks, window, capacity):
+    cert, chosen = _device_certificate(device, tasks, window, capacity)
+    ref, ref_chosen = every_window_certificate(device, tasks, window,
+                                               capacity)
+    assert cert == ref  # every field, ``detail`` included
+    assert len(chosen) == len(ref_chosen)
+    assert all(a is b for a, b in zip(chosen, ref_chosen))
+    return cert
+
+
+class TestBindingWindowSelection:
+    """One certificate per scope, chosen on integer window sums, equals
+    the certificate the build-every-window rule picked."""
+
+    @pytest.mark.parametrize("case", BENCH_PLANS,
+                             ids=lambda c: "/".join(map(str, c)))
+    def test_zoo_plans_bound_at_fractional_shares(self, case):
+        graph, kwargs = _harmony_graph(*case)
+        base = kwargs["server"].gpu.memory_bytes
+        n = graph.n_devices
+        verdicts = set()
+        for share in (1.0, 0.5, 0.25):
+            for width in (n, n // 2):
+                binding = DeviceBinding.pack(n, VirtualTopology(tuple(
+                    PhysicalDevice(i, memory_scale=share)
+                    for i in range(width)
+                )))
+                bound = binding.apply(graph)
+                memory = binding.device_memory(base)
+                for prefetch in (True, False):
+                    ctx = AnalysisContext(bound, prefetch=prefetch)
+                    for device, tasks in enumerate(ctx.device_order()):
+                        cert = assert_same_selection(
+                            device, tasks, ctx.fetch_slots, memory[device])
+                        verdicts.add(cert.smallest_violating_n() == 1)
+        assert False in verdicts
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        residencies=st.lists(st.tuples(
+            st.sampled_from((0, 10, 40, 100)) | st.integers(0, 300),
+            st.sampled_from((0, 0, 10, 30)),
+            st.booleans(),
+        ), max_size=7),
+        window=st.integers(1, 9),
+        capacity=st.sampled_from((0, 50, 100, 200)) | st.integers(0, 600),
+    )
+    def test_residency_lists(self, residencies, window, capacity):
+        """Ties, zero slopes, CPU tasks, overflow at N = 1 and windows
+        longer than the task list."""
+        tasks = [
+            task(tid, resident=resident, local_in=local_in,
+                 src=tid - 1 if tid else None,
+                 **(dict(kind=TaskKind.UPD, on_cpu=True) if on_cpu else {}))
+            for tid, (resident, local_in, on_cpu) in enumerate(residencies)
+        ]
+        assert_same_selection(0, tasks, window, capacity)

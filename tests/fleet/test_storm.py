@@ -88,7 +88,7 @@ class TestStormCell:
             if reservation is None or not result.outcome.carries_plan:
                 continue
             bound = service.fleet_bounds[
-                (result.plan_key, reservation.binding().fingerprint())]
+                (result.plan_key, reservation.binding().fingerprint)]
             assert bound is not None, (
                 f"req{result.request.rid} served off an uncertified bind"
             )

@@ -53,7 +53,11 @@ suite pins, exactly:
   each (plan, binding) pair once, and that a second ``PlannerService``
   on the same storm does that same work again: only searches are shared
   across services, so a rerun compares two real simulations and
-  analyses.
+  analyses;
+- that the two storms together digest each ``DeviceBinding`` shape
+  once: every reservation of one ``(share, width, n_logical)`` shares
+  one binding and its cached fingerprint, so a certify call's memo key
+  is a lookup, not a digest.
 
 It also holds the estimator's drift from the simulated iteration time
 under a ceiling per case, so the cost model may get closer to the
@@ -80,12 +84,14 @@ from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskGraph
 from repro.experiments.common import server_for
 from repro.fleet import FleetPlacer, fleet_of
+from repro.fleet import placer as placer_module
 from repro.runtime.executor import Executor
 from repro.runtime.timemodel import TrueTimeModel
 from repro.service import PlannerService, ServiceConfig, scripted_workload
 from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder, analytics
 from repro.trace import recorder as recorder_module
+from repro.virt import devices as devices_module
 
 
 @dataclass(frozen=True)
@@ -411,11 +417,26 @@ def test_each_service_runs_and_verifies_each_key_once(monkeypatch):
         return bind(self, reservation, plan)
 
     monkeypatch.setattr(FleetPlacer, "bind", counted_bind)
+    # The binding digests and certify calls both storms make; the
+    # shared bindings start cold, so no earlier test's shapes hide one.
+    work: Counter = Counter()
+    placer_module._binding.cache_clear()
+    digest = devices_module.fingerprint
+
+    def counted_digest(*parts):
+        work["binding_digests"] += 1
+        return digest(*parts)
+
+    monkeypatch.setattr(devices_module, "fingerprint", counted_digest)
+    _count_calls(monkeypatch, work, PlannerService, "_certify")
+    shapes: set = set()
 
     def storm() -> PlannerService:
         service = PlannerService(ServiceConfig(workers=3),
                                  fleet=FleetPlacer(fleet_of(1, 4)))
         service.run(requests)
+        shapes.update((r.share, r.n_devices, r.n_logical)
+                      for r in service.fleet_placed.values())
         return service
 
     first = storm()
@@ -433,3 +454,7 @@ def test_each_service_runs_and_verifies_each_key_once(monkeypatch):
         "another service's results"
     )
     assert second.metrics.snapshot() == first.metrics.snapshot()
+    assert 0 < work["binding_digests"] <= len(shapes) < work["_certify"], (
+        "the storms must digest each binding shape at most once, not "
+        "once per certify call"
+    )

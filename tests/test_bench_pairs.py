@@ -1,6 +1,7 @@
 """The gain rule of ``scripts/bench_pairs.py``: at least 9 in 10 paired
 wins, ties counting for neither, and a median gap, in the metric's
-better direction, wider than the parent's interquartile range."""
+better direction, wider than the parent's interquartile range; and the
+verdict line that reports them with the change/parent median ratio."""
 
 import importlib.util
 from pathlib import Path
@@ -85,3 +86,25 @@ def test_also_rejects_empty_or_repeated_names(text):
             "--parent", "p", "--change", "c", "--workload", "plan-zoo",
             "--seed", "1", "--also", text,
         ])
+
+
+def test_verdict_line_prints_the_median_ratio():
+    change = [p * 1.25 for p in PARENT]
+    v = bench_pairs.verdict(PARENT, change)
+    assert v.ratio == v.change.median / v.parent.median
+    assert abs(v.ratio - 1.25) < 1e-12
+    line = bench_pairs.verdict_line(v)
+    assert line == (
+        f"change wins 10 of 10 pairs (0 ties); change/parent median "
+        f"ratio 1.25; parent IQR {v.parent.q3 - v.parent.q1:.4g}; "
+        f"gain rule holds"
+    )
+    slower = bench_pairs.verdict(PARENT, [p * 0.5 for p in PARENT])
+    assert "median ratio 0.5;" in bench_pairs.verdict_line(slower)
+    assert "does not hold" in bench_pairs.verdict_line(slower)
+
+
+def test_ratio_of_a_zero_parent_median_is_nan():
+    v = bench_pairs.verdict([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    assert v.ratio != v.ratio
+    assert "median ratio nan;" in bench_pairs.verdict_line(v)

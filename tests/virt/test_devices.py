@@ -1,9 +1,13 @@
 """Unit tests for the logical/physical device vocabulary."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
-from repro.common.fingerprint import fingerprint
+from repro.common.fingerprint import _canon, fingerprint
 from repro.core.types import Channel
+from repro.fleet import FleetPlacer, fleet_of
 from repro.virt import (
     DeviceBinding,
     LogicalDevice,
@@ -67,8 +71,8 @@ class TestVirtualTopology:
     def test_fingerprint_tracks_scales(self):
         a = VirtualTopology.uniform(2)
         b = VirtualTopology.heterogeneous([1.0, 1.5])
-        assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() == VirtualTopology.uniform(2).fingerprint()
+        assert a.fingerprint != b.fingerprint
+        assert a.fingerprint == VirtualTopology.uniform(2).fingerprint
 
 
 class TestDeviceBinding:
@@ -109,9 +113,82 @@ class TestDeviceBinding:
         ident = DeviceBinding.identity(2)
         packed = DeviceBinding.pack(2, VirtualTopology.uniform(1))
         hetero = DeviceBinding.heterogeneous([1.0, 1.5])
-        prints = {b.fingerprint() for b in (ident, packed, hetero)}
+        prints = {b.fingerprint for b in (ident, packed, hetero)}
         assert len(prints) == 3
-        assert ident.fingerprint() == DeviceBinding.identity(2).fingerprint()
+        assert ident.fingerprint == DeviceBinding.identity(2).fingerprint
+
+
+class TestCachedFingerprint:
+    """``fingerprint`` is a cached property: computed once per object,
+    equal to a fresh digest, and invisible to equality, hashing and the
+    canonical text of anything that contains the object."""
+
+    BINDINGS = (
+        DeviceBinding.identity(2),
+        DeviceBinding.pack(4, VirtualTopology.uniform(2)),
+        DeviceBinding.heterogeneous([1.5, 0.75], [1.0, 0.5]),
+    )
+
+    @pytest.mark.parametrize("binding", BINDINGS)
+    def test_cached_value_is_a_fresh_digest(self, binding):
+        fresh = fingerprint(binding.assignment, binding.topology.devices)
+        assert binding.fingerprint == fresh
+        assert binding.fingerprint is binding.fingerprint
+        topology = binding.topology
+        assert topology.fingerprint == fingerprint(topology.devices)
+
+    @pytest.mark.parametrize("binding", BINDINGS)
+    def test_cache_is_no_field_and_changes_no_identity(self, binding):
+        names = {f.name for f in dataclasses.fields(DeviceBinding)}
+        assert names == {"topology", "assignment"}
+        assert {f.name for f in dataclasses.fields(VirtualTopology)} \
+            == {"devices"}
+        twin = DeviceBinding(binding.topology, binding.assignment)
+        before = (hash(twin), _canon(twin), _canon((twin, 7)),
+                  fingerprint(twin))
+        assert "fingerprint" not in vars(twin)
+        assert twin.fingerprint == binding.fingerprint
+        assert "fingerprint" in vars(twin)
+        assert twin.topology.fingerprint
+        after = (hash(twin), _canon(twin), _canon((twin, 7)),
+                 fingerprint(twin))
+        assert after == before
+        fresh = DeviceBinding(binding.topology, binding.assignment)
+        assert twin == fresh and hash(twin) == hash(fresh)
+
+    def test_replace_gives_a_fresh_digest(self):
+        binding = DeviceBinding.pack(4, VirtualTopology.uniform(2))
+        old = binding.fingerprint
+        moved = dataclasses.replace(binding, assignment=(0, 0, 1, 1))
+        assert moved.fingerprint != old
+        assert moved.fingerprint == fingerprint((0, 0, 1, 1),
+                                                binding.topology.devices)
+        same = dataclasses.replace(binding)
+        assert same is not binding and same.fingerprint == old
+        scaled = dataclasses.replace(
+            binding.topology,
+            devices=tuple(dataclasses.replace(d, memory_scale=0.5)
+                          for d in binding.topology.devices),
+        )
+        assert scaled.fingerprint != binding.topology.fingerprint
+        rebound = dataclasses.replace(binding, topology=scaled)
+        assert rebound.fingerprint not in (old, moved.fingerprint)
+
+    def test_reservations_share_one_binding_per_shape(self):
+        placer = FleetPlacer(fleet_of(2, 4))
+        whole = [placer.require(f"w{i}", 2) for i in range(2)]
+        half = [placer.require(f"h{i}", 2, share=Fraction(1, 2))
+                for i in range(2)]
+        quarter = placer.require("q", 2, share=Fraction(1, 4))
+        assert whole[0].devices != whole[1].devices
+        assert whole[0].binding() is whole[1].binding()
+        assert half[0].binding() is half[1].binding()
+        bindings = [whole[0].binding(), half[0].binding(),
+                    quarter.binding()]
+        assert len({id(b) for b in bindings}) == 3
+        assert len({b.fingerprint for b in bindings}) == 3
+        assert [b.topology.devices[0].memory_scale for b in bindings] \
+            == [1.0, 0.5, 0.25]
 
 
 @pytest.fixture(scope="module")
