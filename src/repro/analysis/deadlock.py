@@ -247,9 +247,15 @@ def _stalled_cycle(ctx: AnalysisContext, index: dict[Node, int],
         else:
             device_tasks, position = slots[node]
             lane = SLOT_LANE
-            blocker = next(index["C", t.tid] for t in device_tasks[:position]
-                           if index["C", t.tid] not in finished)
+            blocker = next((index["C", t.tid]
+                            for t in device_tasks[:position]
+                            if index["C", t.tid] not in finished), None)
         path.append((node, lane))
+        if blocker is None:
+            # Tasks sharing a tid share one F node, so its slot may have
+            # no holder: the waits walked so far are the cycle.
+            node = path[0][0]
+            break
         node = blocker
     waits = path[seen[node]:]
     waits.reverse()  # edge order: each node precedes the next

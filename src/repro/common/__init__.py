@@ -14,7 +14,6 @@ from repro.common.errors import (
     FaultError,
     TransferFaultError,
     TaskCrashError,
-    GpuDegradedError,
     UnrecoveredFaultError,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "FaultError",
     "TransferFaultError",
     "TaskCrashError",
-    "GpuDegradedError",
     "UnrecoveredFaultError",
 ]

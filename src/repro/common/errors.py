@@ -78,11 +78,6 @@ class TaskCrashError(FaultError):
     """A task's compute attempt crashed (spurious kernel/process failure)."""
 
 
-class GpuDegradedError(FaultError):
-    """A GPU is persistently degraded beyond the recovery policy's
-    tolerance; its tasks should be re-bound to a healthy device."""
-
-
 class GpuLostError(FaultError):
     """A GPU permanently died (hardware loss, not a slowdown).
 

@@ -11,7 +11,7 @@ directly comparable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
@@ -96,7 +96,6 @@ class Task:
     ins: list[Move] = field(default_factory=list)
     outs: list[Move] = field(default_factory=list)
     compute_flops: float = 0.0      # total for the whole group
-    recompute_flops: float = 0.0    # rematerialization before backward
     resident_bytes: int = 0         # planned peak working set on the GPU
     label: str = ""
 
@@ -112,18 +111,11 @@ class Task:
     def group_samples(self) -> int:
         return sum(self.microbatches)
 
-    @property
-    def total_flops(self) -> float:
-        return self.compute_flops + self.recompute_flops
-
     def moves(self) -> Iterator[tuple[str, Move]]:
         for move in self.ins:
             yield "in", move
         for move in self.outs:
             yield "out", move
-
-    def with_device(self, device: int) -> "Task":
-        return replace(self, device=device)
 
 
 class MoveRecord(NamedTuple):

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.common.errors import SchedulingError
 from repro.core.types import TaskGraph
-from repro.elastic.rebind import relabel_graph
+from repro.virt.devices import DeviceBinding, VirtualTopology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.harmony import Harmony, HarmonyPlan
@@ -90,8 +90,10 @@ class ElasticReplanner:
         plan = self.harmony.plan_for_server(len(ordered))
         # Strict verification against the *reduced* server spec.
         plan.analyze().raise_if_errors()
-        mapping = {logical: physical for logical, physical in enumerate(ordered)}
-        graph = relabel_graph(plan.graph, mapping, n_devices=n_full)
+        graph = DeviceBinding.from_mapping(
+            dict(enumerate(ordered)), len(ordered),
+            VirtualTopology.uniform(n_full),
+        ).apply(plan.graph)
         return ElasticPlan(
             plan=plan,
             survivors=ordered,

@@ -31,11 +31,7 @@ from repro.faults.plan import (
     ScriptedFaultPlan,
 )
 from repro.faults.policy import RecoveryPolicy
-from repro.faults.runner import (
-    FaultTolerantRunner,
-    check_byte_invariants,
-    rebind_graph,
-)
+from repro.faults.runner import FaultTolerantRunner, check_byte_invariants
 
 __all__ = [
     "Crash",
@@ -51,5 +47,4 @@ __all__ = [
     "ScriptedFaultPlan",
     "ServerHealthMonitor",
     "check_byte_invariants",
-    "rebind_graph",
 ]

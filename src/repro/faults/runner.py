@@ -14,11 +14,12 @@ recovery mechanisms that live *above* a single iteration:
   identity (Section 4.3.2's late binding), so at an iteration boundary the
   tasks of a dead GPU, or of one persistently slowed by
   :data:`~repro.faults.policy.REBIND_THRESHOLD` or more, can be re-bound
-  to a healthy spare device.  P2P moves whose endpoints collapse onto one
-  device become LOCAL (no traffic), exactly the transformation
-  :func:`repro.elastic.rebind.rebind_graph` performs.  Re-binding repeats
-  as often as trouble appears: a second device degrading later in the run
-  is rescued exactly like the first, as long as spares remain;
+  to a healthy spare device.  The rebind is a
+  :class:`~repro.virt.DeviceBinding` applied to the graph: P2P moves
+  whose endpoints collapse onto one device become LOCAL (no traffic).
+  Re-binding repeats as often as trouble appears: a second device
+  degrading later in the run is rescued exactly like the first, as long
+  as spares remain;
 - **elastic re-plan** -- when a device is permanently *lost* (or a
   degraded device has struck out past the health monitor's patience) and
   no spare exists, the runner escalates past binding patches entirely:
@@ -55,7 +56,6 @@ from repro.common.errors import (
 )
 from repro.core.types import Channel, TaskGraph
 from repro.elastic.migration import plan_migration
-from repro.elastic.rebind import rebind_graph
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import DeviceHealthMonitor
 from repro.faults.plan import FaultPlan
@@ -70,6 +70,7 @@ from repro.runtime.metrics import (
 )
 from repro.runtime.migration import MigrationExecutor
 from repro.runtime.timemodel import TrueTimeModel
+from repro.virt.devices import DeviceBinding, VirtualTopology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.elastic.replanner import ElasticReplanner
@@ -78,7 +79,6 @@ __all__ = [
     "FaultTolerantRunner",
     "RunnerState",
     "check_byte_invariants",
-    "rebind_graph",  # re-exported from repro.elastic.rebind
 ]
 
 
@@ -275,8 +275,10 @@ class FaultTolerantRunner:
                     break
                 mapping[device] = spares.pop(0)
             if mapping:
-                current = rebind_graph(current, mapping,
-                                       n_devices=self.spec.n_gpus)
+                current = DeviceBinding.from_mapping(
+                    mapping, current.n_devices,
+                    VirtualTopology.uniform(self.spec.n_gpus),
+                ).apply(current)
                 recovery.rebinds += len(mapping)
                 for src, dst in sorted(mapping.items()):
                     self._mark("rebind", f"gpu{src}->gpu{dst}",

@@ -19,8 +19,8 @@ first:
   the same exponential schedule, so the breaker flaps less and less;
 - **graceful degradation** (the ladder in
   :meth:`PlannerService._serve`): exact cached plan -> fresh plan ->
-  near-spec cached plan relabeled onto the requested device range
-  (:func:`repro.elastic.rebind.relabel_graph`) -> cheap baseline-scheme
+  near-spec cached plan packed into the requested device range
+  (:meth:`repro.virt.DeviceBinding.pack`) -> cheap baseline-scheme
   plan -> shed with a reason.  Every admitted request resolves
   terminally; nothing hangs, nothing is silently dropped;
 - **fleet co-placement** (:mod:`repro.fleet`, optional): with a

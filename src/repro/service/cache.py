@@ -11,8 +11,9 @@ misses (the cross-request correctness tests enumerate them).
 For the degradation ladder the cache also indexes plans by *family* --
 the same key without the server (:func:`family_key`) -- so a
 breaker-open request can be served a **near-spec** plan: a cached plan
-for the same workload on *fewer* devices, relabeled onto the requested
-device range via :func:`repro.elastic.rebind.relabel_graph`.
+for the same workload on *fewer* devices, which the daemon packs into the
+requested device range with :meth:`repro.virt.DeviceBinding.pack` (the
+plan's devices keep their ids; the graph's range widens).
 
 Eviction is LRU over a fixed capacity; evicted plans leave their family
 index too, so a near-spec lookup can never resurrect an evicted plan.
@@ -88,7 +89,7 @@ class PlanCache:
     def near(self, family: str, gpus: int,
              exclude: str = "") -> Optional[tuple[int, str, Any]]:
         """Best near-spec entry: the largest cached plan of this family
-        with ``n_gpus <= gpus`` (its graph relabels injectively onto the
+        with ``n_gpus <= gpus`` (its graph packs in place into the
         requested device range; a *larger* plan never fits).  Returns
         ``(n_gpus, key, plan)`` or None.  ``exclude`` skips the exact
         key already probed, and ties break on the lexically smallest key

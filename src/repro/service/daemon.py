@@ -31,8 +31,8 @@ Serving walks the degradation ladder, cheapest-and-best first:
    *before* the time is spent and counts as a planner timeout (these
    trip the breaker, exactly like crashes);
 3. **stale/near-spec plan** -- a cached plan of the same workload family
-   on fewer devices, embedded into the requested device range via
-   :meth:`repro.virt.DeviceBinding.embed` (late binding makes the
+   on fewer devices, packed into the requested device range by
+   :meth:`repro.virt.DeviceBinding.pack` (late binding makes the
    schedule valid under the new labeling);
 4. **baseline plan** -- a :class:`~repro.baselines.GpipeSwapPlanner`
    schedule: pessimistic but always plannable;
@@ -69,7 +69,7 @@ from repro.service.chaos import ServiceFaultPlan
 from repro.service.metrics import ServiceMetrics
 from repro.service.request import Outcome, PlanRequest, RequestResult
 from repro.sim.engine import SimEvent, Simulator
-from repro.virt.devices import DeviceBinding
+from repro.virt.devices import DeviceBinding, VirtualTopology
 
 
 #: virtual budget for requests that carry no deadline
@@ -362,12 +362,14 @@ class PlannerService:
         near = self.cache.near(family, request.gpus, exclude=key)
         if near is not None and fits(STALE_COST):
             source_gpus, source_key, source = near
-            # The cached plan's logical devices embed in-place into
-            # the request's (larger or equal) physical device range;
-            # late binding makes the graph rewrite purely mechanical.
-            embedding = DeviceBinding.embed(source.graph.n_devices,
-                                            request.gpus)
-            graph = embedding.apply(source.graph)
+            # The cached plan's logical devices keep their ids inside
+            # the request's (larger or equal) physical device range:
+            # ``near`` returns only plans with n_gpus <= gpus, so the
+            # round-robin pack is the in-place embedding.
+            graph = DeviceBinding.pack(
+                source.graph.n_devices,
+                VirtualTopology.uniform(request.gpus),
+            ).apply(source.graph)
             yield self.sim.timeout(STALE_COST)
             self.metrics.stale_rebinds += 1
             stale = StalePlan(

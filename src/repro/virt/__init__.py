@@ -13,22 +13,12 @@ re-certification).  See DESIGN.md §15.
 """
 
 from repro.virt.bind import BoundPlan, bind
-from repro.virt.devices import (
-    DeviceBinding,
-    LogicalDevice,
-    PhysicalDevice,
-    VirtualTopology,
-    apply_device_mapping,
-    remap_move,
-)
+from repro.virt.devices import DeviceBinding, PhysicalDevice, VirtualTopology
 
 __all__ = [
     "BoundPlan",
     "DeviceBinding",
-    "LogicalDevice",
     "PhysicalDevice",
     "VirtualTopology",
-    "apply_device_mapping",
     "bind",
-    "remap_move",
 ]

@@ -45,16 +45,14 @@ class BoundPlan:
         return "\n".join(lines)
 
 
-def bind(plan: "HarmonyPlan", binding: DeviceBinding, *,
-         verify: bool = True) -> BoundPlan:
+def bind(plan: "HarmonyPlan", binding: DeviceBinding) -> BoundPlan:
     """Map a logical plan onto physical hardware.
 
     Validates the shape (the binding must cover exactly the plan's
     logical device count), rewrites the graph, derives the physical
-    server spec, and -- unless ``verify=False`` -- re-certifies the
-    result through :meth:`HarmonyPlan.analyze` against the physical
-    machine's per-device memory before handing it to the runtime,
-    raising :class:`~repro.common.errors.ScheduleAnalysisError` on any
+    server spec, and re-certifies the result through
+    :meth:`HarmonyPlan.analyze` against the physical machine's
+    per-device memory before handing it to the runtime, raising :class:`~repro.common.errors.ScheduleAnalysisError` on any
     error.  One driver per physical device walks its merged task list
     in global tid order, so the wait-graph check covers a time slice's
     interleaving.
@@ -68,10 +66,8 @@ def bind(plan: "HarmonyPlan", binding: DeviceBinding, *,
     # Same-count binds keep the planned spec (identity binds must be
     # spec-identical, and heterogeneity is carried by the binding).
     server = plan.server.with_gpus(binding.n_physical)
-    report = None
-    if verify:
-        report = plan.analyze(graph, server=server, device_memory=(
-            binding.device_memory(server.gpu.memory_bytes)))
-        report.raise_if_errors()
+    report = plan.analyze(graph, server=server, device_memory=(
+        binding.device_memory(server.gpu.memory_bytes)))
+    report.raise_if_errors()
     return BoundPlan(plan=plan, binding=binding, graph=graph,
                      server=server, report=report)

@@ -2,12 +2,11 @@
 
 Harmony's task graphs are *late bound* (Section 4.3.2): tasks carry a
 device binding, not an identity, so the schedule's structure (task order,
-dependencies, move lists) is valid under any device assignment.  This
-module makes the split explicit:
+dependencies, move lists) is valid under any device assignment.  The
+Scheduler plans on *logical* devices ``0..k-1``, uniform by construction
+(the plan's capacity fit and timing model assume the server spec's GPU);
+this module maps them onto real ones:
 
-- :class:`LogicalDevice` -- the planning-time GPU identity ``0..k-1`` the
-  Scheduler targets.  Logical devices are uniform by construction: the
-  plan's capacity fit and timing model assume the server spec's GPU.
 - :class:`PhysicalDevice` -- one real GPU, described *relative* to the
   planned spec by a FLOPs scale and a memory scale.  ``1.0/1.0`` is the
   planned GPU itself; ``1.5/1.0`` is a faster card with the same memory.
@@ -21,96 +20,23 @@ module makes the split explicit:
   new engine machinery); heterogeneous topologies rescale task times and
   per-device memory, re-checked by the analyzer before execution.
 
-The graph rewrite itself -- :func:`apply_device_mapping` -- is the single
-implementation behind every rebind in the codebase; the elastic recovery
-and relabel paths (:mod:`repro.elastic.rebind`) are thin validation
-wrappers over it.  Kept free of runtime/scheduler imports so faults,
+:meth:`DeviceBinding.apply` is the one graph rewrite in the codebase:
+``bind``, the fault runner's rebind onto spares, the elastic replanner's
+survivor relabel and the service's stale-plan rung all build a binding
+and apply it.  Kept free of runtime/scheduler imports so faults,
 elastic, and service layers can use it without cycles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.common.fingerprint import fingerprint
-from repro.core.types import Channel, Move, Task, TaskGraph
-
-
-def remap_move(move: Move, task_device: dict[int, int],
-               device_map: dict[int, int], new_device: int) -> Move:
-    """Re-target one move after its task moved to ``new_device``."""
-    peer = move.peer
-    if peer is not None:
-        peer = device_map.get(peer, peer)
-    if move.channel is Channel.P2P:
-        src = (
-            task_device[move.src_task]
-            if move.src_task is not None else peer
-        )
-        if src == new_device:
-            # Producer and consumer collapsed onto one device: the
-            # transfer disappears (the analyzer rejects same-device P2P).
-            return Move(
-                tensor=move.tensor, nbytes=move.nbytes,
-                channel=Channel.LOCAL, peer=None,
-                src_task=move.src_task, label=move.label,
-            )
-    if peer is not move.peer:
-        return Move(
-            tensor=move.tensor, nbytes=move.nbytes, channel=move.channel,
-            peer=peer, src_task=move.src_task, label=move.label,
-        )
-    return move
-
-
-def apply_device_mapping(graph: TaskGraph, mapping: dict[int, int],
-                         n_devices: int) -> TaskGraph:
-    """Rebuild ``graph`` with every binding pushed through ``mapping``.
-
-    The one graph rewrite behind every rebind: devices absent from
-    ``mapping`` keep their binding, P2P moves whose endpoints collapse
-    onto one device become LOCAL.  No injectivity requirement -- a
-    many-to-one mapping is a legal time-slice bind; callers that need
-    injectivity (the elastic relabel, whose plans' capacity fit assumed
-    one logical device per GPU) validate before calling.
-    """
-    task_device = {
-        t.tid: mapping.get(t.device, t.device) for t in graph.tasks
-    }
-    rebound = TaskGraph(
-        mode=graph.mode,
-        n_devices=n_devices,
-        pageable_swaps=graph.pageable_swaps,
-    )
-    for task in graph.tasks:
-        new_device = task_device[task.tid]
-        moved: Task = task.with_device(new_device)
-        moved.ins = [
-            remap_move(m, task_device, mapping, new_device)
-            for m in task.ins
-        ]
-        moved.outs = [
-            remap_move(m, task_device, mapping, new_device)
-            for m in task.outs
-        ]
-        rebound.add(moved)
-    return rebound
-
-
-@dataclass(frozen=True)
-class LogicalDevice:
-    """A planning-time GPU identity: what ``Harmony.plan`` targets."""
-
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"logical device index must be >= 0, "
-                             f"got {self.index}")
+from repro.core.types import Channel, Move, TaskGraph
 
 
 @dataclass(frozen=True)
@@ -222,8 +148,9 @@ class DeviceBinding:
     bind shapes: :meth:`identity` (bit-identical execution),
     :meth:`pack` (round-robin time-slice onto fewer devices),
     :meth:`heterogeneous` (same count, rescaled devices); plus
-    :meth:`from_mapping` for explicit maps and :meth:`embed` for placing
-    a small plan inside a larger server's device range.
+    :meth:`from_mapping` for explicit maps.  :meth:`pack` onto a larger
+    uniform topology places a small plan inside a larger server's device
+    range.
     """
 
     topology: VirtualTopology
@@ -271,31 +198,16 @@ class DeviceBinding:
 
     @classmethod
     def from_mapping(cls, mapping: dict[int, int], n_logical: int,
-                     topology: Optional[VirtualTopology] = None,
-                     ) -> "DeviceBinding":
-        """Explicit map; devices absent from ``mapping`` bind in place."""
+                     topology: VirtualTopology) -> "DeviceBinding":
+        """Explicit map; devices absent from ``mapping`` bind in place.
+
+        ``mapping`` applies simultaneously, so a target may also be a
+        source: ``{0: 1, 1: 0}`` swaps two devices.
+        """
         assignment = tuple(
             mapping.get(logical, logical) for logical in range(n_logical)
         )
-        if topology is None:
-            topology = VirtualTopology.uniform(max(assignment) + 1)
         return cls(topology, assignment)
-
-    @classmethod
-    def embed(cls, n_logical: int, n_physical: int) -> "DeviceBinding":
-        """Place an ``n_logical``-device plan in a larger device range.
-
-        The service's stale-plan rung uses this: a cached 2-GPU plan
-        served on a 4-GPU request keeps its bindings and widens the
-        graph's device range so per-device metric arrays line up.
-        """
-        if n_logical > n_physical:
-            raise ValueError(
-                f"cannot embed {n_logical} logical devices into "
-                f"{n_physical} physical ones; use pack() to time-slice"
-            )
-        return cls(VirtualTopology.uniform(n_physical),
-                   tuple(range(n_logical)))
 
     # -- properties -----------------------------------------------------------
 
@@ -337,8 +249,10 @@ class DeviceBinding:
         """Rewrite the graph's device bindings onto physical devices.
 
         Identity bindings return the input graph unchanged (bit-identity
-        by construction); everything else goes through the shared
-        :func:`apply_device_mapping` rewrite.
+        by construction).  Otherwise a new graph spans the physical
+        range: every task and move peer follows the assignment, and a
+        P2P move whose endpoints now share a device becomes LOCAL (the
+        transfer disappears; the analyzer rejects same-device P2P).
         """
         if graph.n_devices != self.n_logical:
             raise ValueError(
@@ -347,7 +261,32 @@ class DeviceBinding:
             )
         if self.identity_assignment and self.n_physical == graph.n_devices:
             return graph
-        return apply_device_mapping(graph, self.mapping(), self.n_physical)
+        mapping = self.mapping()
+        task_device = {
+            t.tid: mapping.get(t.device, t.device) for t in graph.tasks
+        }
+
+        def remap(move: Move, device: int) -> Move:
+            peer = move.peer
+            if peer is not None:
+                peer = mapping.get(peer, peer)
+            if move.channel is Channel.P2P:
+                src = (task_device[move.src_task]
+                       if move.src_task is not None else peer)
+                if src == device:
+                    return replace(move, channel=Channel.LOCAL, peer=None)
+            return move if peer == move.peer else replace(move, peer=peer)
+
+        rebound = TaskGraph(mode=graph.mode, n_devices=self.n_physical,
+                            pageable_swaps=graph.pageable_swaps)
+        for task in graph.tasks:
+            device = task_device[task.tid]
+            rebound.add(replace(
+                task, device=device,
+                ins=[remap(m, device) for m in task.ins],
+                outs=[remap(m, device) for m in task.outs],
+            ))
+        return rebound
 
     def device_memory(self, base_bytes: int) -> list[int]:
         """Exact per-physical-device memory capacity in bytes."""

@@ -116,11 +116,11 @@ def _bind_case():
     plan = _toy().plan()
     binding = DeviceBinding.pack(4, VirtualTopology.heterogeneous(
         [1.5, 1.5, 0.75, 0.75], [1.0, 1.0, 1.0, 0.000001]))
-    bound = bind(plan, binding, verify=False)
+    server = plan.server.with_gpus(binding.n_physical)
     kwargs = _plan_inputs(plan)
-    kwargs.update(server=bound.server, device_memory=list(
-        binding.device_memory(bound.server.gpu.memory_bytes)))
-    return bound.graph, kwargs
+    kwargs.update(server=server, device_memory=list(
+        binding.device_memory(server.gpu.memory_bytes)))
+    return binding.apply(plan.graph), kwargs
 
 
 def _inject_case(defect):

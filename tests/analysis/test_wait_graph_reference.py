@@ -13,9 +13,10 @@ the same ``index`` (in insertion order), ``succ``, ``order`` and
 
 import pytest
 
-from repro.analysis import INJECTIONS
+from repro.analysis import INJECTIONS, analyze, check
 from repro.analysis.context import AnalysisContext
 from repro.analysis.deadlock import build_happens_before
+from repro.common.errors import ScheduleAnalysisError
 from tests.analysis.naive_wait_graph import reference_wait_graph
 from tests.analysis.test_wait_agreement import MULTI, SINGLE, SOUPS, soup
 from tests.goldens import BENCH_PLANS, _harmony_graph, _inject_graph
@@ -66,27 +67,33 @@ def test_seeded_soups(groups, prefetch):
 def test_structurally_broken_soups(prefetch):
     """Repeated tids, tids out of order and devices outside the graph:
     the structure pass reports them, and the wait graph built alongside
-    must still match the reference.  Naming a stalled cycle through a
-    repeated tid fails the same way in both (the shared
-    ``_stalled_cycle`` finds no slot holder), so those graphs compare
-    the exception."""
+    must still match the reference."""
     for seed in range(300):
-        graph = soup(seed, MULTI)
-        tasks = graph.tasks
-        if seed % 3 == 0 and len(tasks) > 2:
-            tasks[2].tid = tasks[0].tid
-        elif seed % 3 == 1:
-            tasks[0].tid, tasks[-1].tid = tasks[-1].tid, tasks[0].tid
-        else:
-            tasks[-1].device = graph.n_devices
-        outcomes = []
-        for build in (build_happens_before, reference_wait_graph):
-            try:
-                outcomes.append(build(AnalysisContext(graph,
-                                                      prefetch=prefetch)))
-            except StopIteration as err:
-                outcomes.append(type(err))
-        if StopIteration in outcomes:
-            assert outcomes == [StopIteration, StopIteration], seed
-        else:
-            assert_same(*outcomes)
+        assert_same_wait_graph(dict(prefetch=prefetch),
+                               broken_soup(seed))
+
+
+def broken_soup(seed):
+    graph = soup(seed, MULTI)
+    tasks = graph.tasks
+    if seed % 3 == 0 and len(tasks) > 2:
+        tasks[2].tid = tasks[0].tid
+    elif seed % 3 == 1:
+        tasks[0].tid, tasks[-1].tid = tasks[-1].tid, tasks[0].tid
+    else:
+        tasks[-1].device = graph.n_devices
+    return graph
+
+
+def test_stalled_slot_with_a_repeated_tid_is_reported():
+    """Two tasks sharing a tid share one ``F`` node, so the stalled walk
+    can reach a slot no earlier task holds.  ``analyze`` still returns a
+    report: the walk ends there and names the waits it took."""
+    graph = broken_soup(15)
+    hb = build_happens_before(AnalysisContext(graph, prefetch=False))
+    assert hb.cyclic and hb.cycle
+    report = analyze(graph, prefetch=False)
+    assert {"structure/dense-tids", "deadlock/cycle"} <= {
+        d.rule for d in report.errors}
+    with pytest.raises(ScheduleAnalysisError):
+        check(graph, prefetch=False)

@@ -12,9 +12,16 @@ from repro.elastic import (
     MigrationMove,
     layer_ownership,
     plan_migration,
-    rebind_graph,
 )
 from repro.runtime.migration import MigrationExecutor
+from repro.virt import DeviceBinding, VirtualTopology
+
+
+def onto_spare(graph):
+    """gpu1's tasks rebound onto the spare gpu2 of a 4-GPU server."""
+    return DeviceBinding.from_mapping(
+        {1: 2}, graph.n_devices, VirtualTopology.uniform(4),
+    ).apply(graph)
 
 
 class TestLayerOwnership:
@@ -54,7 +61,7 @@ class TestPlanMigration:
         plan = toy_pp.plan()
         # gpu1's tasks (and state) move to the spare gpu2; gpu1 is alive,
         # so its state travels directly, never via the host checkpoint.
-        moved = rebind_graph(plan.graph, {1: 2}, n_devices=4)
+        moved = onto_spare(plan.graph)
         moves = plan_migration(plan.graph, moved, plan.profiles)
         assert moves
         assert all(m.src == 1 and m.dst == 2 for m in moves
@@ -63,7 +70,7 @@ class TestPlanMigration:
 
     def test_moves_aggregated_per_endpoint_pair(self, toy_pp):
         plan = toy_pp.plan()
-        moved = rebind_graph(plan.graph, {1: 2}, n_devices=4)
+        moved = onto_spare(plan.graph)
         moves = plan_migration(plan.graph, moved, plan.profiles)
         endpoints = [(m.src, m.dst) for m in moves]
         assert len(endpoints) == len(set(endpoints))

@@ -1,46 +1,46 @@
-"""relabel_graph: the simultaneous logical->physical device relabel.
+"""The elastic relabel: a ``DeviceBinding`` applied to a survivor plan.
 
-The recovery rebind (sequential, target-must-be-healthy) is covered in
-tests/faults/test_recovery.py; these tests pin the elastic relabel's
-distinct semantics -- simultaneous application, injectivity, and the
-absence of spurious P2P collapses.
+The replanner maps a fresh plan's logical devices ``0..k-1`` onto the
+surviving physical GPUs with ``DeviceBinding.from_mapping(...).apply``.
+The mapping applies simultaneously, so a target may also be a source,
+and an injective map never collapses a P2P move.  The recovery rebind
+onto a spare is the same rewrite (tests/faults/test_recovery.py).
 """
 
 import pytest
 
 from repro.core.types import Channel
-from repro.elastic import rebind_graph, relabel_graph
+from repro.virt import DeviceBinding, VirtualTopology
+
+
+def relabel(graph, mapping, n_physical=None):
+    n = graph.n_devices if n_physical is None else n_physical
+    return DeviceBinding.from_mapping(
+        mapping, graph.n_devices, VirtualTopology.uniform(n),
+    ).apply(graph)
 
 
 class TestRelabelGraph:
     def test_target_may_equal_another_source(self, toy_pp):
         # {0: 1, 1: 2} relabels simultaneously: old-gpu0 tasks land on
-        # gpu1, old-gpu1 tasks on gpu2 -- nothing collapses.  The same
-        # mapping is an illegal *rebind* (target 1 is itself a source).
+        # gpu1, old-gpu1 tasks on gpu2 -- nothing collapses.
         graph = toy_pp.plan().graph
-        moved = relabel_graph(graph, {0: 1, 1: 2}, n_devices=4)
+        moved = relabel(graph, {0: 1, 1: 2}, 4)
         assert {t.device for t in moved.tasks} == {1, 2}
         assert moved.p2p_bytes() == graph.p2p_bytes()
         moved.validate()
-        with pytest.raises(Exception):
-            rebind_graph(graph, {0: 1, 1: 2}, n_devices=4)
 
     def test_swap_is_legal(self, toy_pp):
         graph = toy_pp.plan().graph
-        swapped = relabel_graph(graph, {0: 1, 1: 0})
+        swapped = relabel(graph, {0: 1, 1: 0})
         assert {t.device for t in swapped.tasks} == {0, 1}
         assert swapped.p2p_bytes() == graph.p2p_bytes()
         swapped.validate()
 
-    def test_non_injective_mapping_rejected(self, toy_pp):
-        graph = toy_pp.plan().graph
-        with pytest.raises(ValueError, match="not injective"):
-            relabel_graph(graph, {0: 1, 1: 1}, n_devices=4)
-
     def test_out_of_range_target_rejected(self, toy_pp):
         graph = toy_pp.plan().graph
         with pytest.raises(ValueError, match="outside"):
-            relabel_graph(graph, {0: 5})
+            relabel(graph, {0: 5})
 
     def test_no_spurious_p2p_collapse(self, toy_pp):
         # Distinct targets keep every P2P move a real transfer; only a
@@ -48,7 +48,7 @@ class TestRelabelGraph:
         # relabel never creates one.
         graph = toy_pp.plan().graph
         assert graph.p2p_bytes() > 0
-        moved = relabel_graph(graph, {0: 3, 1: 2}, n_devices=4)
+        moved = relabel(graph, {0: 3, 1: 2}, 4)
         channels = [
             m.channel for t in moved.tasks for _, m in t.moves()
         ]
@@ -59,10 +59,10 @@ class TestRelabelGraph:
     def test_original_graph_untouched(self, toy_pp):
         graph = toy_pp.plan().graph
         before = [(t.tid, t.device) for t in graph.tasks]
-        relabel_graph(graph, {0: 1, 1: 0})
+        relabel(graph, {0: 1, 1: 0})
         assert [(t.tid, t.device) for t in graph.tasks] == before
 
     def test_n_devices_widens_device_range(self, toy_pp):
         graph = toy_pp.plan().graph
-        moved = relabel_graph(graph, {1: 3}, n_devices=4)
+        moved = relabel(graph, {1: 3}, 4)
         assert moved.n_devices == 4

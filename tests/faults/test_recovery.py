@@ -9,11 +9,7 @@ accounting.
 import pytest
 
 from repro.common.backoff import DEFAULT_TRANSFER_RETRIES
-from repro.common.errors import (
-    GpuDegradedError,
-    SimulationError,
-    UnrecoveredFaultError,
-)
+from repro.common.errors import SimulationError, UnrecoveredFaultError
 from repro.core.types import Channel
 from repro.faults import (
     Crash,
@@ -22,9 +18,9 @@ from repro.faults import (
     RecoveryPolicy,
     ScriptedFaultPlan,
     check_byte_invariants,
-    rebind_graph,
 )
 from repro.experiments.common import server_for
+from repro.virt import DeviceBinding, VirtualTopology
 
 # Moves in the session-scoped toy PP plan (see conftest): task 1 pulls
 # activation chunks 'XL3-4#<i>' over p2p from task 0; task 0 reads the
@@ -210,11 +206,19 @@ class TestRebind:
         assert slow.iteration_time > clean.iteration_time
 
 
+def rebind(graph, mapping, n_physical=None):
+    """The runner's rung-1 rewrite: ``mapping``'s sources onto targets."""
+    n = graph.n_devices if n_physical is None else n_physical
+    return DeviceBinding.from_mapping(
+        mapping, graph.n_devices, VirtualTopology.uniform(n),
+    ).apply(graph)
+
+
 class TestRebindGraph:
     def test_collapsed_p2p_becomes_local(self, toy_harmony):
         graph = toy_harmony.plan().graph
         assert graph.p2p_bytes() > 0
-        merged = rebind_graph(graph, {1: 0})
+        merged = rebind(graph, {1: 0})
         assert merged.p2p_bytes() == 0
         assert all(task.device == 0 for task in merged.tasks)
         for task in merged.tasks:
@@ -224,26 +228,20 @@ class TestRebindGraph:
 
     def test_rebind_to_spare_keeps_p2p(self, toy_harmony):
         graph = toy_harmony.plan().graph
-        moved = rebind_graph(graph, {0: 2}, n_devices=4)
+        moved = rebind(graph, {0: 2}, 4)
         assert moved.p2p_bytes() == graph.p2p_bytes()
         assert {t.device for t in moved.tasks} == {1, 2}
         moved.validate()
 
-    def test_rebind_onto_degraded_target_rejected(self, toy_harmony):
-        graph = toy_harmony.plan().graph
-        with pytest.raises(GpuDegradedError) as err:
-            rebind_graph(graph, {0: 1, 1: 2}, n_devices=4)
-        assert err.value.entity.startswith("gpu")
-
     def test_out_of_range_target_rejected(self, toy_harmony):
         graph = toy_harmony.plan().graph
         with pytest.raises(ValueError, match="outside"):
-            rebind_graph(graph, {0: 7})
+            rebind(graph, {0: 7})
 
     def test_original_graph_untouched(self, toy_harmony):
         graph = toy_harmony.plan().graph
         before = [(t.tid, t.device) for t in graph.tasks]
-        rebind_graph(graph, {1: 0})
+        rebind(graph, {1: 0})
         assert [(t.tid, t.device) for t in graph.tasks] == before
 
 

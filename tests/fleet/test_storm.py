@@ -93,11 +93,11 @@ class TestStormCell:
                 f"req{result.request.rid} served off an uncertified bind"
             )
             logical = Counter(
-                (t.kind, t.total_flops, t.first_layer, t.last_layer)
+                (t.kind, t.compute_flops, t.first_layer, t.last_layer)
                 for t in bound.plan.graph.tasks
             )
             physical = Counter(
-                (t.kind, t.total_flops, t.first_layer, t.last_layer)
+                (t.kind, t.compute_flops, t.first_layer, t.last_layer)
                 for t in bound.graph.tasks
             )
             assert physical == logical, (

@@ -67,7 +67,6 @@ from repro.service import (
 )
 from repro.trace import TraceRecorder
 from repro.virt import DeviceBinding, VirtualTopology
-from repro.virt.bind import bind
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -359,16 +358,16 @@ def _bind_graph(name):
     binding = DeviceBinding.pack(
         4, VirtualTopology.heterogeneous(flops, memory)
     )
-    bound = bind(plan, binding, verify=False)
+    server = plan.server.with_gpus(binding.n_physical)
     host_input = plan.minibatch * plan.model.sample_bytes
-    return bound.graph, dict(
-        server=bound.server,
+    return binding.apply(plan.graph), dict(
+        server=server,
         options=plan.options.schedule_options(),
         host_state_bytes=plan.model.model_state_bytes + host_input,
         host_input_bytes=host_input,
         prefetch=plan.options.prefetch,
         device_memory=list(
-            binding.device_memory(bound.server.gpu.memory_bytes)
+            binding.device_memory(server.gpu.memory_bytes)
         ),
     )
 

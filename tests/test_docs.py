@@ -1,4 +1,4 @@
-"""The docs name files that exist.
+"""The docs name files and objects that exist.
 
 Every backticked path in the tables of DESIGN.md §3 (system inventory)
 and §4 (per-experiment index) must resolve in the repository, and so
@@ -12,10 +12,18 @@ bare file name such as ``gpipe_swap.py`` lives next to the path before it
 in the same cell.  ``*`` globs and ``{a,b}`` alternatives must each match
 at least one file.  Backticked text that is not path-like (an identifier
 such as ``nvlink_bandwidth``, a call, a command line) is skipped.
+
+Every Sphinx cross-reference (``:func:``, ``:class:``, ``:meth:``,
+``:mod:``, ``:attr:``, ``:data:``, ``:exc:``) to a ``repro.`` target in
+the package's source must resolve: the longest importable module prefix,
+then ``getattr`` for the rest, where the last name may also be a
+dataclass field.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -27,6 +35,8 @@ BASES = (ROOT, ROOT / "src", ROOT / "src" / "repro")
 SECTIONS = ("## 3.", "## 4.")
 SCRIPT_DOCS = ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
 SCRIPT = re.compile(r"(?<![\w/.])scripts/[\w/.-]+\.py\b")
+XREF = re.compile(r":(?:func|class|meth|mod|attr|data|exc):"
+                  r"`~?(repro(?:\.\w+)+)(?:\(\))?`")
 
 
 def _section_rows(heading: str) -> list[str]:
@@ -153,3 +163,53 @@ def test_script_parser_finds_code_paths():
     assert _script_paths(text) == {"scripts/a.py", "scripts/c.py",
                                    "scripts/d.py"}
     assert len({path for _, path in _documented_scripts()}) >= 3
+
+
+def _source_references() -> list[tuple[str, str]]:
+    """``(file, target)`` for every cross-reference to a ``repro.``
+    target in ``src/repro``."""
+    return sorted({(str(path.relative_to(ROOT)), target)
+                   for path in (ROOT / "src" / "repro").rglob("*.py")
+                   for target in XREF.findall(path.read_text())})
+
+
+def _resolves_reference(target: str) -> bool:
+    parts = target.split(".")
+    cut = len(parts)
+    while True:
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+            break
+        except ImportError:
+            cut -= 1
+    for position, name in enumerate(parts[cut:], cut + 1):
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+            continue
+        return (position == len(parts) and dataclasses.is_dataclass(obj)
+                and name in {f.name for f in dataclasses.fields(obj)})
+    return True
+
+
+def test_source_references_resolve():
+    references = _source_references()
+    assert len(references) >= 100  # guards the pattern
+    broken = [f"{path}: {target}" for path, target in references
+              if not _resolves_reference(target)]
+    assert not broken, "stale cross-references:\n" + "\n".join(broken)
+
+
+def test_reference_resolver_rejects_stale_names():
+    """The check fails on the kinds of stale names it exists to catch,
+    and accepts a dataclass field that has no class attribute."""
+    for stale in ("repro.sim.stream.StreamEvent", "repro.nothing",
+                  "repro.virt.DeviceBinding.missing",
+                  "repro.core.types.Task.tid.real.missing"):
+        assert not _resolves_reference(stale), stale
+    for live in ("repro.virt", "repro.virt.DeviceBinding.apply",
+                 "repro.core.types.Task.tid"):
+        assert _resolves_reference(live), live
+    text = (":class:`~repro.virt.DeviceBinding` and "
+            ":meth:`repro.virt.DeviceBinding.pack()`, not :class:`Task`")
+    assert XREF.findall(text) == ["repro.virt.DeviceBinding",
+                                  "repro.virt.DeviceBinding.pack"]

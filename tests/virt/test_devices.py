@@ -10,7 +10,6 @@ from repro.core.types import Channel
 from repro.fleet import FleetPlacer, fleet_of
 from repro.virt import (
     DeviceBinding,
-    LogicalDevice,
     PhysicalDevice,
     VirtualTopology,
 )
@@ -26,8 +25,6 @@ class TestPhysicalDevice:
             PhysicalDevice(0, flops_scale=0.0)
         with pytest.raises(ValueError):
             PhysicalDevice(0, memory_scale=-1.0)
-        with pytest.raises(ValueError):
-            LogicalDevice(-1)
 
     @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
     def test_rejects_nonfinite_scales(self, scale):
@@ -95,13 +92,15 @@ class TestDeviceBinding:
         assert b.identity_assignment and not b.is_identity
 
     def test_embed(self):
-        b = DeviceBinding.embed(2, 4)
+        # Packing onto a larger uniform topology keeps every logical id:
+        # the service's stale-plan rung widens a small plan this way.
+        b = DeviceBinding.pack(2, VirtualTopology.uniform(4))
         assert b.assignment == (0, 1) and b.n_physical == 4
-        with pytest.raises(ValueError):
-            DeviceBinding.embed(4, 2)
+        assert b.injective and not b.identity_assignment
 
     def test_from_mapping(self):
-        b = DeviceBinding.from_mapping({0: 0, 1: 2, 2: 3}, n_logical=3)
+        b = DeviceBinding.from_mapping({0: 0, 1: 2, 2: 3}, 3,
+                                       VirtualTopology.uniform(4))
         assert b.assignment == (0, 2, 3)
         assert b.injective and b.n_physical == 4
 

@@ -1,19 +1,19 @@
-"""Differential proof: DeviceBinding subsumes the elastic relabel path.
+"""DeviceBinding is the one device rewrite.
 
-The elastic replanner relabels a survivor plan's logical devices onto the
-surviving physical ids via ``relabel_graph``; a ``DeviceBinding`` built
-from the same mapping must produce the *same* task graph (dataclass
-equality covers tasks, devices, move lists, channels).  This is what
-justified deleting the duplicated relabel implementation: both paths now
-share ``repro.virt.apply_device_mapping``.
+The elastic replanner relabels a survivor plan's logical devices onto
+the surviving physical ids, and the fault runner rebinds a troubled
+device onto a spare; both are a ``DeviceBinding`` applied to a graph.
+The replanner's executable graph must equal the binding applied to its
+plan (dataclass equality covers tasks, devices, move lists, channels),
+and every task and move peer must land where the mapping says.
 """
 
 import pytest
 
 from repro.core.harmony import Harmony, HarmonyOptions
-from repro.elastic.rebind import rebind_graph, relabel_graph
+from repro.elastic import ElasticReplanner
 from repro.experiments.common import server_for
-from repro.virt import DeviceBinding, VirtualTopology, apply_device_mapping
+from repro.virt import DeviceBinding, VirtualTopology
 
 #: Survivor subsets of a 4-GPU server: (survivor ids, logical->physical).
 SURVIVOR_CASES = (
@@ -30,51 +30,41 @@ def harmony():
                    options=HarmonyOptions(mode="pp"))
 
 
+def assert_follows(graph, bound, mapping):
+    """Every task and move peer of ``bound`` is ``graph``'s, mapped."""
+    for old, new in zip(graph.tasks, bound.tasks, strict=True):
+        assert new.device == mapping.get(old.device, old.device)
+        for (_, before), (_, after) in zip(old.moves(), new.moves(),
+                                           strict=True):
+            if after.peer is not None:
+                assert after.peer == mapping.get(before.peer, before.peer)
+
+
 @pytest.mark.parametrize("survivors,mapping", SURVIVOR_CASES,
                          ids=["-".join(map(str, s))
                               for s, _ in SURVIVOR_CASES])
 def test_binding_matches_relabel_on_survivor_subsets(
         harmony, survivors, mapping):
-    plan = harmony.plan_for_server(len(survivors))
-    relabeled = relabel_graph(plan.graph, mapping, n_devices=4)
+    eplan = ElasticReplanner(harmony).replan(survivors)
     binding = DeviceBinding.from_mapping(
-        mapping, n_logical=len(survivors),
-        topology=VirtualTopology.uniform(4),
+        mapping, len(survivors), VirtualTopology.uniform(4),
     )
-    assert binding.apply(plan.graph) == relabeled
+    bound = binding.apply(eplan.plan.graph)
+    assert bound == eplan.graph
+    assert bound.n_devices == 4
+    assert bound.p2p_bytes() == eplan.plan.graph.p2p_bytes()
+    assert_follows(eplan.plan.graph, bound, mapping)
 
 
 def test_binding_matches_recovery_rebind(harmony):
     """The recovery rebind (degraded -> spare) is the same rewrite."""
     plan = harmony.plan_for_server(3)
     mapping = {1: 3}  # gpu1 degraded, gpu3 is the spare
-    rebound = rebind_graph(plan.graph, mapping, n_devices=4)
-    binding = DeviceBinding.from_mapping(
-        mapping, n_logical=3, topology=VirtualTopology.uniform(4),
-    )
-    assert binding.apply(plan.graph) == rebound
-
-
-def test_relabel_still_requires_injectivity(harmony):
-    """relabel_graph keeps its validation; deliberate many-to-one binds
-    must go through DeviceBinding (which re-certifies capacity)."""
-    plan = harmony.plan_for_server(2)
-    with pytest.raises(ValueError, match="injective"):
-        relabel_graph(plan.graph, {0: 1, 1: 1}, n_devices=4)
-    # ...while the same collapse is a legal time-slice bind.
-    merged = apply_device_mapping(plan.graph, {0: 1, 1: 1}, 4)
-    assert {t.device for t in merged.tasks} == {1}
-
-
-def test_wrappers_share_the_virt_rewrite():
-    """The duplicated relabel logic is gone: elastic.rebind delegates to
-    repro.virt.apply_device_mapping."""
-    import inspect
-
-    import repro.elastic.rebind as rebind_module
-
-    assert rebind_module.apply_device_mapping \
-        is apply_device_mapping
-    source = inspect.getsource(rebind_module)
-    assert "def _apply_mapping" not in source
-    assert "def _remap_move" not in source
+    bound = DeviceBinding.from_mapping(
+        mapping, 3, VirtualTopology.uniform(4),
+    ).apply(plan.graph)
+    assert bound.n_devices == 4
+    assert {t.device for t in bound.tasks} == {0, 2, 3}
+    assert bound.p2p_bytes() == plan.graph.p2p_bytes()
+    assert_follows(plan.graph, bound, mapping)
+    bound.validate()
