@@ -2,10 +2,13 @@
 
 The placer answers one question deterministically: *where on the fleet
 do this job's logical devices go, and how much of each GPU does it get?*
-Every GPU's residual memory is tracked as an exact
-:class:`~fractions.Fraction` in ``[0, 1]`` of the planned card -- the
-same number :class:`~repro.virt.devices.PhysicalDevice.memory_scale`
-speaks -- so placement arithmetic can never drift and a carved partition
+Every GPU's residual memory is a fraction in ``[0, 1]`` of the planned
+card -- the same number
+:class:`~repro.virt.devices.PhysicalDevice.memory_scale` speaks -- kept
+as an integer count of ``1/den`` units, where ``den`` is the least
+common multiple of the share denominators seen so far.  Placement
+arithmetic is integer, so it can never drift, and it reads back as the
+exact :class:`~fractions.Fraction` it stands for: a carved partition
 round-trips bit-exactly into the capacity analyzer's per-device vector.
 
 The placement ladder, cheapest isolation first (Synergy's insight that
@@ -31,9 +34,11 @@ seeded storms through it are bit-reproducible.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.cluster.spec import ClusterSpec, homogeneous_cluster
@@ -123,7 +128,13 @@ def _binding(share: Fraction, width: int, n_logical: int) -> DeviceBinding:
 
 
 class FleetPlacer:
-    """Deterministic Fraction-exact placement over a shared fleet.
+    """Deterministic, exact placement over a shared fleet.
+
+    Capacity is counted in integer ``1/den`` units of a GPU (float
+    shares are dyadic, so ``den`` stays a power of two for them): a
+    share with a new denominator rescales the counts once, in place, and
+    reserve, release and eligibility are integer compares and adds.
+    :meth:`residual` and :meth:`occupancy` build exact Fractions on read.
 
     ``allow_sharing=False`` restricts eligibility to fully free GPUs
     (no cross-tenant co-residency); ``allow_timeslice=False`` turns off
@@ -136,13 +147,16 @@ class FleetPlacer:
         self.cluster = cluster
         self.allow_sharing = allow_sharing
         self.allow_timeslice = allow_timeslice
-        #: residual memory fraction per [server][gpu], exact
-        self._residual: list[list[Fraction]] = [
-            [Fraction(1)] * spec.n_gpus for spec in cluster.servers
+        self._total = cluster.total_gpus
+        #: capacity units per GPU: the residuals count ``1/_den``ths
+        self._den = 1
+        #: residual capacity per [server][gpu], in units
+        self._residual: list[list[int]] = [
+            [1] * spec.n_gpus for spec in cluster.servers
         ]
-        #: occupied capacity in whole GPUs, kept by ``_commit`` and
-        #: ``release``: exactly the sum of ``1 - residual``
-        self._held = Fraction(0)
+        #: occupied capacity in units, kept by ``_commit`` and
+        #: ``release``: exactly the sum of ``_den - residual``
+        self._held = 0
         self._active: dict[int, FleetReservation] = {}
         self._next_token = 0
         self.placements = 0
@@ -156,7 +170,7 @@ class FleetPlacer:
 
     @property
     def total_gpus(self) -> int:
-        return self.cluster.total_gpus
+        return self._total
 
     @property
     def active(self) -> tuple[FleetReservation, ...]:
@@ -166,11 +180,16 @@ class FleetPlacer:
         )
 
     def residual(self, server: int, gpu: int) -> Fraction:
-        return self._residual[server][gpu]
+        return Fraction(self._residual[server][gpu], self._den)
 
     def occupancy(self) -> Fraction:
         """Occupied fraction of the whole fleet's GPU capacity, exact."""
-        return self._held / self.total_gpus
+        return Fraction(self._held, self._den * self._total)
+
+    def occupancy_float(self) -> float:
+        """``float(occupancy())`` without building the Fraction: int true
+        division is correctly rounded, so the bits are the same."""
+        return self._held / (self._den * self._total)
 
     def tenants_on(self, server: int, gpu: int) -> tuple[str, ...]:
         """Tenants co-resident on one GPU, oldest placement first."""
@@ -179,50 +198,70 @@ class FleetPlacer:
             if res.server == server and gpu in res.devices
         )
 
+    def _units(self, share: Fraction) -> int:
+        """``share`` in capacity units, refining ``_den`` first when its
+        denominator does not divide it (the one in-place rescale)."""
+        q = share.denominator
+        if self._den % q:
+            scale = q // gcd(self._den, q)
+            for row in self._residual:
+                row[:] = [r * scale for r in row]
+            self._held *= scale
+            self._den *= scale
+        return share.numerator * (self._den // q)
+
     # -- placement ---------------------------------------------------------------
 
     def reserve(self, tenant: str, gpus: int,
                 share: ShareLike = 1) -> Optional[FleetReservation]:
         """Place ``gpus`` logical devices for ``tenant``; None if nothing
         on the fleet can host them at the requested memory share."""
-        share = Fraction(share)
+        try:
+            gpus = operator.index(gpus)
+        except TypeError as exc:
+            raise SimulationError(
+                f"gpus must be an integer, got {gpus!r}"
+            ) from exc
+        try:
+            share = Fraction(share)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SimulationError(
+                f"memory share must be a finite number, got {share!r}"
+            ) from exc
         if gpus < 1:
             raise SimulationError(f"gpus must be >= 1, got {gpus}")
-        if not 0 < share <= 1:
+        if not 0 < share.numerator <= share.denominator:
             raise SimulationError(
                 f"memory share must be in (0, 1], got {share}"
             )
-        floor = Fraction(1) if not self.allow_sharing else share
-
-        def eligible(server: int) -> list[int]:
-            row = self._residual[server]
-            picked = [g for g in range(len(row)) if row[g] >= floor]
+        units = self._units(share)
+        floor = self._den if not self.allow_sharing else units
+        eligible = []
+        for server, row in enumerate(self._residual):
+            slots = [g for g, left in enumerate(row) if left >= floor]
             # Best-fit: fill partially carved GPUs before fresh ones so
-            # whole servers stay free for identity placements.
-            picked.sort(key=lambda g: (row[g], g))
-            return picked
-
-        # Rung 1: full width on one server.
-        for server in range(self.n_servers):
-            slots = eligible(server)
+            # whole servers stay free for identity placements (the sort
+            # is stable, so ties keep the lowest index first).
+            slots.sort(key=row.__getitem__)
+            # Rung 1: full width on one server.
             if len(slots) >= gpus:
-                kind = "identity" if share == 1 else "partition"
+                kind = "identity" if units == self._den else "partition"
                 return self._commit(tenant, server,
                                     tuple(sorted(slots[:gpus])),
-                                    share, gpus, kind)
+                                    share, units, gpus, kind)
+            eligible.append(slots)
 
-        # Rung 2: time-slice onto the widest eligible server.
+        # Rung 2: time-slice onto the widest eligible server (every
+        # server has fewer than ``gpus`` eligible slots by now).
         if self.allow_timeslice:
             best_server, best_slots = -1, []
-            for server in range(self.n_servers):
-                slots = eligible(server)
+            for server, slots in enumerate(eligible):
                 if len(slots) > len(best_slots):
                     best_server, best_slots = server, slots
             if best_slots:
-                width = min(gpus, len(best_slots))
                 return self._commit(tenant, best_server,
-                                    tuple(sorted(best_slots[:width])),
-                                    share, gpus, "timeslice")
+                                    tuple(sorted(best_slots)),
+                                    share, units, gpus, "timeslice")
         return None
 
     def require(self, tenant: str, gpus: int,
@@ -237,16 +276,17 @@ class FleetPlacer:
         return reservation
 
     def _commit(self, tenant: str, server: int, devices: tuple[int, ...],
-                share: Fraction, n_logical: int,
+                share: Fraction, units: int, n_logical: int,
                 kind: str) -> FleetReservation:
         row = self._residual[server]
         for gpu in devices:
-            row[gpu] -= share
+            row[gpu] -= units
             if row[gpu] < 0:  # pragma: no cover - guarded by eligibility
                 raise SimulationError(
-                    f"s{server}/gpu{gpu} oversubscribed to {row[gpu]}"
+                    f"s{server}/gpu{gpu} oversubscribed to "
+                    f"{self.residual(server, gpu)}"
                 )
-        self._held += share * len(devices)
+        self._held += units * len(devices)
         reservation = FleetReservation(
             token=self._next_token, tenant=tenant, server=server,
             devices=devices, share=share, n_logical=n_logical, kind=kind,
@@ -264,15 +304,17 @@ class FleetPlacer:
                 f"release of unknown/already released reservation "
                 f"{reservation.token} ({reservation.tenant})"
             )
+        share = reservation.share
+        units = share.numerator * (self._den // share.denominator)
         row = self._residual[reservation.server]
         for gpu in reservation.devices:
-            row[gpu] += reservation.share
-            if row[gpu] > 1:  # pragma: no cover - implies corrupt state
+            row[gpu] += units
+            if row[gpu] > self._den:  # pragma: no cover - corrupt state
                 raise SimulationError(
                     f"s{reservation.server}/gpu{gpu} released past full: "
-                    f"{row[gpu]}"
+                    f"{self.residual(reservation.server, gpu)}"
                 )
-        self._held -= reservation.share * len(reservation.devices)
+        self._held -= units * len(reservation.devices)
         self.releases += 1
 
     # -- certification -----------------------------------------------------------
@@ -308,19 +350,20 @@ class FleetPlacer:
             "placements": self.placements,
             "releases": self.releases,
             "active": len(self._active),
-            "occupancy": float(self.occupancy()),
+            "occupancy": self.occupancy_float(),
             "residual": [
-                [float(r) for r in row] for row in self._residual
+                [r / self._den for r in row] for row in self._residual
             ],
         }
 
     def describe(self) -> str:
         lines = [
             f"fleet: {self.n_servers} server(s) / {self.total_gpus} GPUs, "
-            f"occupancy {float(self.occupancy()) * 100:.0f}%, "
+            f"occupancy {self.occupancy_float() * 100:.0f}%, "
             f"{self.placements} placement(s), {self.releases} release(s)"
         ]
         for server, row in enumerate(self._residual):
-            slots = " ".join(f"gpu{g}:{row[g]}" for g in range(len(row)))
+            slots = " ".join(f"gpu{g}:{self.residual(server, g)}"
+                             for g in range(len(row)))
             lines.append(f"  s{server}: {slots}")
         return "\n".join(lines)

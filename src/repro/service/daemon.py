@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Any, Generator, Optional
 
 from repro.common.backoff import BackoffPolicy
@@ -309,7 +308,7 @@ class PlannerService:
             yield self.sim.timeout(PLACE_COST)
             reservation = self.fleet.reserve(
                 request.tenant, request.gpus,
-                share=Fraction(request.memory_share),
+                share=request.memory_share,
             )
             if reservation is None:
                 self._resolve(
@@ -586,7 +585,7 @@ class PlannerService:
             self.metrics.fleet_timesliced += 1
         self.metrics.fleet_peak_occupancy = max(
             self.metrics.fleet_peak_occupancy,
-            float(self.fleet.occupancy()),
+            self.fleet.occupancy_float(),
         )
         if self.trace is not None:
             self.trace.instant(
@@ -603,7 +602,7 @@ class PlannerService:
         dt = now - self._fleet_last
         if dt > 0:
             self.metrics.fleet_gpu_seconds += (
-                float(self.fleet.occupancy()) * self.fleet.total_gpus * dt
+                self.fleet.occupancy_float() * self.fleet.total_gpus * dt
             )
         self._fleet_last = now
 

@@ -3,13 +3,15 @@
 Every request the service admits (or refuses) resolves to exactly one
 :class:`Outcome`; the acceptance criterion "every request terminally
 resolved (served/degraded/shed with reason)" is checked over these.
-Kept import-light (dataclasses + enum only) so tests and tooling can
+Kept import-light (standard library only) so tests and tooling can
 consume results without pulling in the daemon.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -91,6 +93,17 @@ class PlanRequest:
     memory_share: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("minibatch", "gpus"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
+        for name in ("arrival", "deadline"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.minibatch < 1:
             raise ValueError(f"minibatch must be >= 1, got {self.minibatch}")
         if self.gpus < 1:

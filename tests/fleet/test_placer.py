@@ -6,6 +6,7 @@ values that must round-trip exactly through any reserve/release history,
 and identical call sequences must produce identical placements.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,20 @@ class TestReserveLadder:
             p.reserve("a", 2, share=0)
         with pytest.raises(SimulationError):
             p.reserve("a", 2, share=Fraction(3, 2))
+
+    @pytest.mark.parametrize("gpus, share", [
+        (2, math.nan), (2, math.inf), (2, -math.inf), (2.5, 1), (2.0, 1),
+    ])
+    def test_malformed_arguments_raise_typed_errors(self, gpus, share):
+        """A NaN or infinite share and a non-integral device count are
+        typed SimulationErrors, not ValueError, OverflowError or a
+        TypeError from deep in the ladder; nothing is placed."""
+        p = placer()
+        with pytest.raises(SimulationError):
+            p.reserve("a", gpus, share)
+        with pytest.raises(SimulationError):
+            p.require("a", gpus, share)
+        assert p.placements == 0 and p.occupancy() == 0
 
 
 class TestExactAccounting:

@@ -58,6 +58,10 @@ suite pins, exactly:
   once: every reservation of one ``(share, width, n_logical)`` shares
   one binding and its cached fingerprint, so a certify call's memo key
   is a lookup, not a digest.
+- that a fleet storm builds at most one ``Fraction`` per
+  ``FleetPlacer.reserve`` call (its share) and none anywhere else in the
+  placer: placement, release and the service's occupancy reads are
+  integer arithmetic on capacity units.
 
 It also holds the estimator's drift from the simulated iteration time
 under a ceiling per case, so the cost model may get closer to the
@@ -70,6 +74,7 @@ speed is measured by the repository benchmark under ``bench/``.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -457,4 +462,30 @@ def test_each_service_runs_and_verifies_each_key_once(monkeypatch):
     assert 0 < work["binding_digests"] <= len(shapes) < work["_certify"], (
         "the storms must digest each binding shape at most once, not "
         "once per certify call"
+    )
+
+
+def test_fleet_storm_builds_a_fraction_only_for_each_reserved_share(
+        monkeypatch):
+    requests = scripted_workload(30, seed=1, gpus=(2, 4), shares=(1.0, 0.5),
+                                 execute_fraction=0.5)
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls, FleetPlacer, "reserve")
+    _count_calls(monkeypatch, calls, FleetPlacer, "release")
+    made: Counter = Counter()
+    fraction = placer_module.Fraction
+
+    def counted_fraction(*args):
+        made[sys._getframe(1).f_code.co_name] += 1
+        return fraction(*args)
+
+    monkeypatch.setattr(placer_module, "Fraction", counted_fraction)
+    service = PlannerService(ServiceConfig(workers=3),
+                             fleet=FleetPlacer(fleet_of(1, 4)))
+    service.run(requests)
+    assert calls["reserve"] and calls["release"]
+    assert service.metrics.fleet_gpu_seconds > 0
+    assert set(made) <= {"reserve"} and made["reserve"] <= calls["reserve"], (
+        f"Fractions built by caller: {dict(made)}; placement, release "
+        f"and the service's occupancy reads must stay integer"
     )

@@ -7,6 +7,8 @@ Virtual costs are the defaults (cache 0.02s, stale 0.10s, baseline
 lean on.
 """
 
+import math
+
 import pytest
 
 from repro.baselines import GpipeSwapPlanner
@@ -254,3 +256,20 @@ class TestConfigValidation:
             _request(0, mode="zz")
         with pytest.raises(ValueError):
             _request(0, gpus=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gpus": 2.5},
+        {"gpus": 2.0},
+        {"minibatch": 8.5},
+        {"arrival": math.nan},
+        {"arrival": math.inf},
+        {"deadline": math.nan},
+        {"deadline": math.inf},
+    ])
+    def test_request_rejects_fractional_counts_and_non_finite_times(
+            self, kwargs):
+        """Device and sample counts must be integers and times finite:
+        a fleet-backed service would otherwise crash on the counts and
+        silently serve the NaN or infinite times."""
+        with pytest.raises(ValueError):
+            _request(0, **kwargs)
