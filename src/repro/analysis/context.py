@@ -57,8 +57,8 @@ class AnalysisContext:
         """GPU memory capacity of ``device`` in bytes (requires a server).
 
         Honors the per-device override of a heterogeneous binding;
-        integer-exact (the override is computed with Fraction arithmetic
-        upstream), so capacity certificates stay bit-stable.
+        integer-exact (the override is computed from each scale's exact
+        integer ratio upstream), so capacity certificates stay bit-stable.
         """
         assert self.server is not None, "device capacity needs a server"
         if (self.device_memory is not None

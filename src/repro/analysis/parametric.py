@@ -52,7 +52,7 @@ from typing import Iterator, Optional
 from repro.analysis.context import AnalysisContext
 from repro.analysis.diagnostics import Diagnostic, Severity, task_ref
 from repro.analysis.passes import AnalysisPass, register
-from repro.core.types import Channel, Task
+from repro.core.types import Channel, Task, TaskGraph
 
 _INF = None  # "no violating N" sentinel, for readability
 
@@ -113,6 +113,38 @@ def _window_names(tasks: list[Task]) -> str:
     )
 
 
+def _window_sums(tasks: list[Task], window: int) -> list[tuple[int, int]]:
+    """Each window's affine sum ``(fixed_w, slope_w)``: the ``window``
+    tasks from each position of one GPU's issue order (shorter at the
+    tail)."""
+    slopes = [0 if t.on_cpu else _local_in_bytes(t) for t in tasks]
+    fixeds = [
+        0 if t.on_cpu else max(0, t.resident_bytes - slopes[i])
+        for i, t in enumerate(tasks)
+    ]
+    return [(sum(fixeds[i:i + window]), sum(slopes[i:i + window]))
+            for i in range(len(tasks))]
+
+
+def gpu_peaks(graph: TaskGraph, prefetch: bool) -> list[int]:
+    """Each GPU's as-built peak bound ``max_w(fixed_w + slope_w)``.
+
+    The ``capacity`` pass reports ``capacity/gpu`` for a GPU at capacity
+    ``c`` iff its peak exceeds ``c``: a window over ``c`` at N = 1 is
+    violated at the smallest N there is, so the binding window is one of
+    them.  The binding certificate's own ``peak(1)`` is no substitute --
+    it is the peak of the *earliest-violated* window, which need not be
+    the highest.
+    """
+    ctx = AnalysisContext(graph, prefetch=prefetch)
+    return [
+        max((fixed + slope
+             for fixed, slope in _window_sums(tasks, ctx.fetch_slots)),
+            default=0)
+        for tasks in ctx.device_order()
+    ]
+
+
 def _device_certificate(
     device: int, tasks: list[Task], window: int, capacity: int
 ) -> tuple[CapacityCertificate, list[Task]]:
@@ -124,13 +156,7 @@ def _device_certificate(
             scope=f"gpu{device}", fixed_bytes=0, slope_bytes=0,
             capacity_bytes=capacity, detail="no tasks bound to this GPU",
         ), []
-    slopes = [0 if t.on_cpu else _local_in_bytes(t) for t in tasks]
-    fixeds = [
-        0 if t.on_cpu else max(0, t.resident_bytes - slopes[i])
-        for i, t in enumerate(tasks)
-    ]
-    sums = [(sum(fixeds[i:i + window]), sum(slopes[i:i + window]))
-            for i in range(len(tasks))]
+    sums = _window_sums(tasks, window)
 
     def key(i: int) -> tuple[int, int]:
         # Violated earliest, then highest as-built peak; min() keeps

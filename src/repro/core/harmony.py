@@ -175,7 +175,9 @@ class HarmonyPlan:
         ``server`` default to the plan's own; a bind passes its rewritten
         graph and physical machine.  Other keywords (``options``,
         ``device_memory``, ``passes``, ...) go to
-        :func:`repro.analysis.analyze` as they are.
+        :func:`repro.analysis.analyze` as they are.  The plan's own
+        analysis also certifies every same-count relabel of it: see
+        :attr:`relabel_peaks`, which keeps the facts that needs.
         """
         from repro.analysis import analyze
 
@@ -189,6 +191,21 @@ class HarmonyPlan:
             prefetch=self.options.prefetch,
             **kwargs,
         )
+
+    @cached_property
+    def relabel_peaks(self) -> Optional[tuple[int, ...]]:
+        """Each logical GPU's as-built peak bound
+        (:func:`repro.analysis.parametric.gpu_peaks`), or None when the
+        plan's own :meth:`analyze` reports an error other than
+        ``capacity/gpu``.  These are the facts
+        :func:`repro.virt.bind.certify_relabel` certifies a same-count
+        injective bind from; analyzed once per plan object and kept on
+        it, so they go when the plan does."""
+        from repro.analysis.parametric import gpu_peaks
+
+        if any(d.rule != "capacity/gpu" for d in self.analyze().errors):
+            return None
+        return tuple(gpu_peaks(self.graph, self.options.prefetch))
 
     def describe(self) -> str:
         return (

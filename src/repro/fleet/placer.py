@@ -324,11 +324,14 @@ class FleetPlacer:
         """Realize a placement as an analyzer-certified bound plan.
 
         The plan must target exactly the reservation's logical device
-        count.  Verification re-runs the full static pass set with the
-        tenant's partition as the per-device capacity vector, so an
-        accepted co-placement is *proved* to fit inside its share;
+        count.  Verification rewrites the graph and re-runs the full
+        static pass set with the tenant's partition as the per-device
+        capacity vector, so an accepted co-placement is *proved* to fit
+        inside its share;
         :class:`~repro.common.errors.ScheduleAnalysisError` propagates
         when the partition is too small (callers release and shed).
+        The planner service calls this for time-slice reservations only;
+        a full-width one is :func:`repro.virt.bind.certify_relabel`'s.
         """
         from repro.virt.bind import bind as bind_plan
 

@@ -40,8 +40,10 @@ the AST of every file under ``src/repro`` and enforces them:
   arguments alone and no cache can grow a second, switchable code path;
 - **integer-exact capacity arithmetic** (``exact/float-arithmetic``):
   the capacity certification paths -- ``analysis/parametric.py`` (the
-  certificates and the ``capacity`` pass that reads them) and ``core/types.py`` (``TaskGraph.checkpoint_stash_bytes``,
-  the host stash they sum) -- must stay in integer arithmetic -- no
+  certificates and the ``capacity`` pass that reads them),
+  ``core/types.py`` (``TaskGraph.checkpoint_stash_bytes``, the host
+  stash they sum) and ``virt/devices.py`` (the bound per-device
+  capacity vector) -- must stay in integer arithmetic -- no
   true division, no ``float()`` -- so certificates are exact at any
   byte count instead of drifting past 2**53.  Formatting inside
   f-strings is exempt (messages may render GiB);
@@ -97,6 +99,7 @@ SIMULATOR_MODULES = (
 INTEGER_EXACT = (
     Path("repro") / "analysis" / "parametric.py",
     Path("repro") / "core" / "types.py",
+    Path("repro") / "virt" / "devices.py",
 )
 
 #: Packages whose float reductions must not depend on the interpreter.

@@ -16,9 +16,11 @@ reserved on the shared fleet at the request's declared memory share
 (identity / partition / time-slice, per the placer's ladder).  A miss is
 a typed :attr:`~repro.service.request.Outcome.SHED_NO_CAPACITY`; a hit
 holds the carved capacity until the request resolves, and served plans
-are re-certified by the analyzer against the tenant's partition before
-they count as served (degraded plans are plan-only and skip
-certification -- they carry no execution promise).
+are certified against the tenant's partition before they count as
+served (degraded plans are plan-only and skip certification -- they
+carry no execution promise).  A full-width reservation is certified
+from the plan's own analysis, made once per plan; only a time-slice
+bind is rewritten and re-analyzed.
 
 Serving walks the degradation ladder, cheapest-and-best first:
 
@@ -68,6 +70,7 @@ from repro.service.chaos import ServiceFaultPlan
 from repro.service.metrics import ServiceMetrics
 from repro.service.request import Outcome, PlanRequest, RequestResult
 from repro.sim.engine import SimEvent, Simulator
+from repro.virt.bind import certify_relabel
 from repro.virt.devices import DeviceBinding, VirtualTopology
 
 
@@ -176,9 +179,9 @@ class PlannerService:
         self.fleet = fleet
         #: rid -> (live reservation, virtual placement time)
         self._reservations: dict[int, tuple[FleetReservation, float]] = {}
-        #: (plan key, bound topology's fingerprint) -> certified bound
-        #: plan (None = analyzer rejected that placement)
-        self.fleet_bounds: dict[tuple, Optional[Any]] = {}
+        #: (plan key, binding fingerprint) -> certification verdict
+        #: (False = the partition cannot hold the plan)
+        self.fleet_verdicts: dict[tuple, bool] = {}
         #: rid -> its reservation, kept after release for reporting
         self.fleet_placed: dict[int, FleetReservation] = {}
         self._fleet_last = 0.0
@@ -484,17 +487,15 @@ class PlannerService:
         """Resolve a served request, running one simulated iteration
         first for run requests (when it fits the deadline).
 
-        Fleet mode gates serving on certification: the plan is bound
-        onto the held reservation and re-proved by the analyzer against
-        the tenant's memory partition (memoized per plan and bound
-        topology, so a storm pays each unique analysis once).  A rejected
-        bind sheds with ``SHED_NO_CAPACITY`` -- the fleet cannot honestly
-        host the job at its declared share."""
+        Fleet mode gates serving on certification: the plan must fit
+        the held reservation's binding, the tenant's memory partition
+        included (see :meth:`_certify`).  A rejected bind sheds with
+        ``SHED_NO_CAPACITY`` -- the fleet cannot honestly host the job
+        at its declared share."""
         if self.fleet is not None:
             held = self._reservations.get(request.rid)
             if held is not None:
-                bound = self._certify(request, key, plan, held[0])
-                if bound is None:
+                if not self._certify(key, plan, held[0]):
                     self.metrics.fleet_rejections += 1
                     self._resolve(
                         request, Outcome.SHED_NO_CAPACITY,
@@ -606,22 +607,33 @@ class PlannerService:
             )
         self._fleet_last = now
 
-    def _certify(self, request: PlanRequest, key: str, plan: Any,
-                 reservation: FleetReservation) -> Optional[Any]:
-        """Analyzer-certified bound plan for (plan, bound topology), or
-        None when the partition cannot hold the schedule.  Memoized on
-        the content the verdict depends on: the plan and the binding the
-        reservation realizes, not the request or a summary of its shape."""
+    def _certify(self, key: str, plan: HarmonyPlan,
+                 reservation: FleetReservation) -> bool:
+        """Whether the plan, bound onto the reservation's binding, is
+        certified -- False when the partition cannot hold the schedule.
+
+        A same-count injective binding (every full-width reservation) is
+        decided by :func:`~repro.virt.bind.certify_relabel` from the
+        plan's cached analysis: no graph rewrite, no pass per bind.  A
+        time-slice binding goes through :meth:`FleetPlacer.bind`'s full
+        re-analysis.  Verdicts are memoized on the content they depend
+        on: the plan and the binding the reservation realizes, not the
+        request or a summary of its shape."""
         assert self.fleet is not None
-        memo_key = (key, reservation.binding().fingerprint)
-        if memo_key in self.fleet_bounds:
-            return self.fleet_bounds[memo_key]
-        try:
-            bound = self.fleet.bind(reservation, plan)
-        except ScheduleAnalysisError:
-            bound = None
-        self.fleet_bounds[memo_key] = bound
-        return bound
+        binding = reservation.binding()
+        memo_key = (key, binding.fingerprint)
+        verdict = self.fleet_verdicts.get(memo_key)
+        if verdict is None:
+            if binding.is_permutation:
+                verdict = certify_relabel(plan, binding)
+            else:
+                try:
+                    self.fleet.bind(reservation, plan)
+                    verdict = True
+                except ScheduleAnalysisError:
+                    verdict = False
+            self.fleet_verdicts[memo_key] = verdict
+        return verdict
 
     # -- plan production ---------------------------------------------------------
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -44,9 +43,9 @@ class PhysicalDevice:
     """One real GPU, relative to the planned spec.
 
     ``flops_scale`` rescales compute speed (2.0 = twice as fast);
-    ``memory_scale`` rescales capacity.  Memory is derived via exact
-    :class:`~fractions.Fraction` arithmetic so capacity checks stay
-    integer-exact (the project linter forbids float capacity math).
+    ``memory_scale`` rescales capacity.  Memory is derived from the
+    scale's exact integer ratio, so capacity checks stay integer-exact
+    (the project linter forbids float capacity math in this module).
     """
 
     index: int
@@ -65,8 +64,11 @@ class PhysicalDevice:
                              f"got {self.memory_scale}")
 
     def memory_bytes(self, base_bytes: int) -> int:
-        """Exact scaled capacity: ``int(Fraction(scale) * base)``."""
-        return int(Fraction(self.memory_scale) * base_bytes)
+        """Exact scaled capacity, ``floor(scale * base)`` over the
+        scale's exact value: the same bytes as ``int(Fraction(scale) *
+        base)`` for a non-negative base, in integer arithmetic."""
+        num, den = self.memory_scale.as_integer_ratio()
+        return base_bytes * num // den
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,12 @@ class DeviceBinding:
     @property
     def injective(self) -> bool:
         return len(set(self.assignment)) == len(self.assignment)
+
+    @property
+    def is_permutation(self) -> bool:
+        """True iff ``n`` logical devices map one-to-one onto ``n``
+        physical ones: the bound graph is the logical one relabeled."""
+        return self.n_physical == self.n_logical and self.injective
 
     @property
     def identity_assignment(self) -> bool:

@@ -3,7 +3,7 @@
 Each test scripts exact requests against a small fleet so the outcome is
 forced, not sampled: saturation sheds with the typed
 ``SHED_NO_CAPACITY`` reason, carved partitions are certified (or
-rejected) by the analyzer at finish time, and every terminal path --
+rejected) at finish time, and every terminal path --
 served, shed, chaos-crashed -- releases its reservation, so the fleet
 always drains back to zero occupancy.
 """
@@ -117,17 +117,17 @@ class TestCertificationGate:
         assert service.fleet.occupancy() == 0
 
     def test_certification_is_memoized_per_shape(self):
-        """Identical (plan, width, share) shapes pay the analyzer once;
-        the memo stores the certified bound plan."""
+        """Identical (plan, width, share) shapes are certified once;
+        the memo stores the identity binding's accepting verdict."""
         service, by_rid = _serve([
             _request(rid, tenant=f"t{rid}", gpus=4, arrival=40.0 * rid)
             for rid in range(3)
         ])
         assert all(by_rid[r].outcome.group == "served" for r in range(3))
         assert service.metrics.fleet_certified == 3
-        assert len(service.fleet_bounds) == 1
-        (bound,) = service.fleet_bounds.values()
-        assert bound is not None and bound.binding.is_identity
+        assert list(service.fleet_verdicts.values()) == [True]
+        ((_key, digest),) = service.fleet_verdicts
+        assert digest == DeviceBinding.identity(4).fingerprint
 
     def test_same_shape_different_topology_is_certified_separately(
             self, monkeypatch):
@@ -135,16 +135,18 @@ class TestCertificationGate:
         reservation's (width, share, n_logical) summary: two placements
         of one shape whose bindings differ are each analysed."""
         realize = FleetReservation.binding
+        scales = {}
 
         def binding(self):
             bound = realize(self)
-            if self.token % 2 == 0:
-                return bound
-            slower = VirtualTopology(tuple(
-                replace(device, flops_scale=0.5)
-                for device in bound.topology.devices
-            ))
-            return DeviceBinding(slower, bound.assignment)
+            if self.token % 2 == 1:
+                slower = VirtualTopology(tuple(
+                    replace(device, flops_scale=0.5)
+                    for device in bound.topology.devices
+                ))
+                bound = DeviceBinding(slower, bound.assignment)
+            scales[bound.fingerprint] = bound.topology.devices[0].flops_scale
+            return bound
 
         monkeypatch.setattr(FleetReservation, "binding", binding)
         service, by_rid = _serve([
@@ -158,12 +160,10 @@ class TestCertificationGate:
         }
         assert len(shapes) == 1, "the three placements share one shape"
         assert service.metrics.fleet_certified == 3
-        assert len(service.fleet_bounds) == 2
-        scales = sorted(
-            bound.binding.topology.devices[0].flops_scale
-            for bound in service.fleet_bounds.values()
-        )
-        assert scales == [0.5, 1.0]
+        assert len(service.fleet_verdicts) == 2
+        assert sorted(
+            scales[digest] for _key, digest in service.fleet_verdicts
+        ) == [0.5, 1.0]
 
 
 class TestReleaseHygiene:

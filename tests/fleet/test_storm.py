@@ -78,27 +78,27 @@ class TestStormCell:
 
     def test_per_tenant_gpu_work_is_conserved(self, storms, seed, servers):
         """Every plan a tenant was served executed exactly its logical
-        GPU work: the certified bound graph's task multiset (kind, FLOPs,
-        layer range) equals the logical plan's -- binds relocate tasks,
-        they never create or destroy work."""
+        GPU work: the plan bound onto its certified binding has the
+        logical plan's task multiset (kind, FLOPs, layer range) -- binds
+        relocate tasks, they never create or destroy work."""
         service, results = storms[(seed, servers)]
         checked = 0
         for result in results:
             reservation = service.fleet_placed.get(result.request.rid)
             if reservation is None or not result.outcome.carries_plan:
                 continue
-            bound = service.fleet_bounds[
-                (result.plan_key, reservation.binding().fingerprint)]
-            assert bound is not None, (
+            binding = reservation.binding()
+            assert service.fleet_verdicts[
+                (result.plan_key, binding.fingerprint)], (
                 f"req{result.request.rid} served off an uncertified bind"
             )
             logical = Counter(
                 (t.kind, t.compute_flops, t.first_layer, t.last_layer)
-                for t in bound.plan.graph.tasks
+                for t in result.plan.graph.tasks
             )
             physical = Counter(
                 (t.kind, t.compute_flops, t.first_layer, t.last_layer)
-                for t in bound.graph.tasks
+                for t in binding.apply(result.plan.graph).tasks
             )
             assert physical == logical, (
                 f"req{result.request.rid} ({reservation.tenant}): "

@@ -49,11 +49,12 @@ suite pins, exactly:
 - that a traced gpt2 iteration whose only reader is its analytics
   builds no ``TraceEvent``: the recorder keeps raw rows and builds the
   events when (and each time) they are read;
-- that a fleet storm simulates each served plan key once and verifies
-  each (plan, binding) pair once, and that a second ``PlannerService``
-  on the same storm does that same work again: only searches are shared
-  across services, so a rerun compares two real simulations and
-  analyses;
+- that a fleet storm simulates each served plan key once, analyzes
+  each plan it certifies by relabel once (a same-count injective bind
+  runs no pass of its own), fully re-analyzes each time-slice (plan,
+  binding) pair once, and that a second ``PlannerService`` on the same
+  storm does that same work again: only searches are shared across
+  services, so a rerun compares two real simulations and analyses;
 - that the two storms together digest each ``DeviceBinding`` shape
   once: every reservation of one ``(share, width, n_logical)`` shares
   one binding and its cached fingerprint, so a certify call's memo key
@@ -82,7 +83,7 @@ import pytest
 
 from repro.core import packing
 from repro.core.decomposer import LayerUnit
-from repro.core.harmony import Harmony, HarmonyOptions
+from repro.core.harmony import Harmony, HarmonyOptions, HarmonyPlan
 from repro.core.profiler import LayerProfile, ModelProfiles
 from repro.core.search import ConfigurationSearch
 from repro.core.taskgraph import HarmonyGraphBuilder
@@ -415,13 +416,14 @@ def test_each_service_runs_and_verifies_each_key_once(monkeypatch):
                                  execute_fraction=0.5)
     counts: Counter = Counter()
     _count_calls(monkeypatch, counts, Executor, "run")
-    bind = FleetPlacer.bind
+    _count_calls(monkeypatch, counts, FleetPlacer, "bind")
+    analyze = HarmonyPlan.analyze
 
-    def counted_bind(self, reservation, plan):
-        counts["verified_bind"] += 1
-        return bind(self, reservation, plan)
+    def counted_analyze(self, graph=None, **kwargs):
+        counts["plan_analysis" if graph is None else "bind_analysis"] += 1
+        return analyze(self, graph, **kwargs)
 
-    monkeypatch.setattr(FleetPlacer, "bind", counted_bind)
+    monkeypatch.setattr(HarmonyPlan, "analyze", counted_analyze)
     # The binding digests and certify calls both storms make; the
     # shared bindings start cold, so no earlier test's shapes hide one.
     work: Counter = Counter()
@@ -433,10 +435,21 @@ def test_each_service_runs_and_verifies_each_key_once(monkeypatch):
         return digest(*parts)
 
     monkeypatch.setattr(devices_module, "fingerprint", counted_digest)
-    _count_calls(monkeypatch, work, PlannerService, "_certify")
+    certify = PlannerService._certify
+    certified: list = []
+
+    def recorded_certify(self, key, plan, reservation):
+        work["_certify"] += 1
+        binding = reservation.binding()
+        if (key, binding.fingerprint) not in self.fleet_verdicts:
+            certified.append((key, plan, binding))
+        return certify(self, key, plan, reservation)
+
+    monkeypatch.setattr(PlannerService, "_certify", recorded_certify)
     shapes: set = set()
 
     def storm() -> PlannerService:
+        certified.clear()
         service = PlannerService(ServiceConfig(workers=3),
                                  fleet=FleetPlacer(fleet_of(1, 4)))
         service.run(requests)
@@ -446,11 +459,20 @@ def test_each_service_runs_and_verifies_each_key_once(monkeypatch):
 
     first = storm()
     run_keys = {r.plan_key for r in first.results if r.run_seconds > 0}
-    assert run_keys and first.fleet_bounds
-    expected = {"run": len(run_keys), "verified_bind": len(first.fleet_bounds)}
+    # The memo misses, in order: each plan object certified by relabel
+    # is analyzed once, each time-slice pair bound once.
+    relabeled = {id(plan) for _key, plan, binding in certified
+                 if binding.is_permutation}
+    full = [pair for pair in certified if not pair[2].is_permutation]
+    assert run_keys and len(full) == 2
+    assert len(first.fleet_verdicts) == len(certified) < work["_certify"]
+    assert len(relabeled) < len(certified) - len(full)
+    expected = {"run": len(run_keys), "plan_analysis": len(relabeled),
+                "bind": len(full), "bind_analysis": len(full)}
     assert counts == expected, (
-        "a storm must simulate each run key and verify each "
-        "(plan, binding) pair once"
+        "a storm must simulate each run key once, analyze each plan it "
+        "certifies by relabel once (none per bind), and fully verify "
+        "each time-slice (plan, binding) pair once"
     )
     counts.clear()
     second = storm()

@@ -4,6 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.fingerprint import _canon, fingerprint
 from repro.core.types import Channel
@@ -38,10 +39,23 @@ class TestPhysicalDevice:
         assert PhysicalDevice(0).memory_bytes(base) == base
         assert PhysicalDevice(0, memory_scale=0.5).memory_bytes(base) \
             == base // 2
-        # 0.75 is exactly representable; the Fraction path keeps the
+        # 0.75 is exactly representable; the integer ratio keeps the
         # product exact instead of round-tripping through float.
         assert PhysicalDevice(0, memory_scale=0.75).memory_bytes(base) \
             == base * 3 // 4
+
+    @settings(max_examples=500, deadline=None)
+    @given(scale=st.one_of(
+               st.floats(min_value=0.0, exclude_min=True,
+                         allow_infinity=False, allow_nan=False),
+               st.sampled_from((1 / 3, 5 / 12, 0.3, 0.1, 0.5, 0.25, 1.0))),
+           base=st.integers(0, 2**60))
+    def test_memory_bytes_matches_the_fraction_product(self, scale, base):
+        """The integer ratio gives the bytes ``int(Fraction(scale) *
+        base)`` does, for any positive finite scale: the placer's
+        dyadic and non-dyadic shares, subnormals and huge scales."""
+        assert PhysicalDevice(0, memory_scale=scale).memory_bytes(base) \
+            == int(Fraction(scale) * base)
 
 
 class TestVirtualTopology:
