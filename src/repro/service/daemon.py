@@ -22,6 +22,10 @@ carry no execution promise).  A full-width reservation is certified
 from the plan's own analysis, made once per plan; only a time-slice
 bind is rewritten and re-analyzed.
 
+A plan's bind verdicts and run seconds live on its cache
+:class:`~repro.service.cache.PlanRecord`, so evicting the plan frees
+them; baseline plans are planned on demand.
+
 Serving walks the degradation ladder, cheapest-and-best first:
 
 1. **exact cache hit** -- the content-addressed key matches a plan
@@ -65,7 +69,7 @@ from repro.experiments.common import server_for
 from repro.hardware.server import ServerSpec
 from repro.models.zoo import build_model
 from repro.service.breaker import CircuitBreaker
-from repro.service.cache import PlanCache, family_key, plan_key
+from repro.service.cache import PlanCache, PlanRecord, family_key, plan_key
 from repro.service.chaos import ServiceFaultPlan
 from repro.service.metrics import ServiceMetrics
 from repro.service.request import Outcome, PlanRequest, RequestResult
@@ -172,18 +176,9 @@ class PlannerService:
         #: mode -> the service's options in that mode (one object per
         #: mode, so its cached fingerprint makes plan keys cheap)
         self._modes: dict[str, HarmonyOptions] = {}
-        #: plan key -> memoized simulated iteration seconds
-        self._run_seconds: dict[str, float] = {}
-        #: plan key -> memoized baseline plan
-        self._baselines: dict[str, Any] = {}
         self.fleet = fleet
         #: rid -> (live reservation, virtual placement time)
         self._reservations: dict[int, tuple[FleetReservation, float]] = {}
-        #: (plan key, binding fingerprint) -> certification verdict
-        #: (False = the partition cannot hold the plan)
-        self.fleet_verdicts: dict[tuple, bool] = {}
-        #: rid -> its reservation, kept after release for reporting
-        self.fleet_placed: dict[int, FleetReservation] = {}
         self._fleet_last = 0.0
 
     # -- public API --------------------------------------------------------------
@@ -329,12 +324,12 @@ class PlannerService:
         family = family_key(model, request.minibatch, options)
 
         # Rung 1: exact content-addressed cache hit.
-        plan = self.cache.get(key)
-        if plan is not None:
+        record = self.cache.get(key)
+        if record is not None:
             if fits(CACHE_COST):
                 yield self.sim.timeout(CACHE_COST)
                 yield from self._finish(
-                    request, Outcome.SERVED_CACHED, plan=plan, key=key,
+                    request, Outcome.SERVED_CACHED, record,
                     wait=wait, deadline=deadline,
                 )
             else:
@@ -363,32 +358,30 @@ class PlannerService:
         # Rungs 3-4: degraded service.
         near = self.cache.near(family, request.gpus, exclude=key)
         if near is not None and fits(STALE_COST):
-            source_gpus, source_key, source = near
             # The cached plan's logical devices keep their ids inside
             # the request's (larger or equal) physical device range:
             # ``near`` returns only plans with n_gpus <= gpus, so the
             # round-robin pack is the in-place embedding.
-            graph = DeviceBinding.pack(
-                source.graph.n_devices,
-                VirtualTopology.uniform(request.gpus),
-            ).apply(source.graph)
+            stale = StalePlan(
+                source=near.plan,
+                graph=DeviceBinding.pack(
+                    near.plan.graph.n_devices,
+                    VirtualTopology.uniform(request.gpus),
+                ).apply(near.plan.graph),
+                source_gpus=near.n_gpus, gpus=request.gpus,
+            )
             yield self.sim.timeout(STALE_COST)
             self.metrics.stale_rebinds += 1
-            stale = StalePlan(
-                source=source, graph=graph,
-                source_gpus=source_gpus, gpus=request.gpus,
-            )
             self._resolve(
                 request, Outcome.DEGRADED_STALE,
-                detail=f"reused {source_gpus}-gpu plan relabeled onto "
+                detail=f"reused {near.n_gpus}-gpu plan relabeled onto "
                        f"{request.gpus} device(s)",
-                wait=wait, plan=stale, plan_key=source_key,
+                wait=wait, plan=stale, plan_key=near.key,
                 attempts=attempts,
             )
             return
         if fits(BASELINE_COST):
-            baseline = self._baseline_plan(key, model, server,
-                                           request.minibatch)
+            baseline = self._baseline_plan(model, server, request.minibatch)
             if baseline is not None:
                 yield self.sim.timeout(BASELINE_COST)
                 self.metrics.baseline_plans += 1
@@ -474,15 +467,15 @@ class PlannerService:
                 self.breaker.record_failure(self.sim.now)
                 return False, attempt + 1
             self.breaker.record_success(self.sim.now)
-            self.cache.put(key, plan, family=family, n_gpus=request.gpus)
+            record = self.cache.put(key, plan, family, request.gpus)
             yield from self._finish(
-                request, Outcome.SERVED_FRESH, plan=plan, key=key,
+                request, Outcome.SERVED_FRESH, record,
                 wait=wait, deadline=deadline, attempts=attempt + 1,
             )
             return True, attempt + 1
 
-    def _finish(self, request: PlanRequest, outcome: Outcome, *, plan: Any,
-                key: str, wait: float, deadline: float,
+    def _finish(self, request: PlanRequest, outcome: Outcome,
+                record: PlanRecord, *, wait: float, deadline: float,
                 attempts: int = 0) -> Generator:
         """Resolve a served request, running one simulated iteration
         first for run requests (when it fits the deadline).
@@ -492,10 +485,11 @@ class PlannerService:
         included (see :meth:`_certify`).  A rejected bind sheds with
         ``SHED_NO_CAPACITY`` -- the fleet cannot honestly host the job
         at its declared share."""
+        plan, key = record.plan, record.key
         if self.fleet is not None:
             held = self._reservations.get(request.rid)
             if held is not None:
-                if not self._certify(key, plan, held[0]):
+                if not self._certify(record, held[0]):
                     self.metrics.fleet_rejections += 1
                     self._resolve(
                         request, Outcome.SHED_NO_CAPACITY,
@@ -508,7 +502,7 @@ class PlannerService:
         detail = ""
         run_seconds = 0.0
         if request.execute:
-            seconds = self._iteration_seconds(key, plan)
+            seconds = self._iteration_seconds(record)
             if seconds > 0 and self.sim.now + seconds <= deadline + _EPS:
                 yield self.sim.timeout(seconds)
                 run_seconds = seconds
@@ -556,6 +550,7 @@ class PlannerService:
             resolved_at=now, latency=latency, wait=wait,
             attempts=attempts, plan_key=plan_key, plan=plan,
             run_seconds=run_seconds,
+            reservation=held[0] if held is not None else None,
         ))
         if self.trace is not None:
             self.trace.span(
@@ -576,7 +571,6 @@ class PlannerService:
         now = self.sim.now
         self._fleet_tick(now)
         self._reservations[request.rid] = (reservation, now)
-        self.fleet_placed[request.rid] = reservation
         self.metrics.fleet_placements += 1
         if reservation.kind == "identity":
             self.metrics.fleet_identity += 1
@@ -607,32 +601,31 @@ class PlannerService:
             )
         self._fleet_last = now
 
-    def _certify(self, key: str, plan: HarmonyPlan,
+    def _certify(self, record: PlanRecord,
                  reservation: FleetReservation) -> bool:
-        """Whether the plan, bound onto the reservation's binding, is
-        certified -- False when the partition cannot hold the schedule.
+        """Whether the record's plan, bound onto the reservation's
+        binding, is certified -- False when the partition cannot hold it.
 
         A same-count injective binding (every full-width reservation) is
         decided by :func:`~repro.virt.bind.certify_relabel` from the
         plan's cached analysis: no graph rewrite, no pass per bind.  A
         time-slice binding goes through :meth:`FleetPlacer.bind`'s full
         re-analysis.  Verdicts are memoized on the content they depend
-        on: the plan and the binding the reservation realizes, not the
-        request or a summary of its shape."""
+        on: the plan's record, by the binding the reservation realizes,
+        not the request or a summary of its shape."""
         assert self.fleet is not None
         binding = reservation.binding()
-        memo_key = (key, binding.fingerprint)
-        verdict = self.fleet_verdicts.get(memo_key)
+        verdict = record.verdicts.get(binding.fingerprint)
         if verdict is None:
             if binding.is_permutation:
-                verdict = certify_relabel(plan, binding)
+                verdict = certify_relabel(record.plan, binding)
             else:
                 try:
-                    self.fleet.bind(reservation, plan)
+                    self.fleet.bind(reservation, record.plan)
                     verdict = True
                 except ScheduleAnalysisError:
                     verdict = False
-            self.fleet_verdicts[memo_key] = verdict
+            record.verdicts[binding.fingerprint] = verdict
         return verdict
 
     # -- plan production ---------------------------------------------------------
@@ -647,30 +640,25 @@ class PlannerService:
         """Nominal virtual planning cost, scaled by model depth."""
         return PLAN_COST * (1.0 + model.n_layers / 32.0)
 
-    def _baseline_plan(self, key: str, model: Any, server: ServerSpec,
+    def _baseline_plan(self, model: Any, server: ServerSpec,
                        minibatch: int) -> Optional[Any]:
-        """GPipe-swap baseline plan memoized by the request's plan key
-        (None if even the baseline cannot plan this request -- then the
-        ladder sheds)."""
-        if key in self._baselines:
-            return self._baselines[key]
+        """GPipe-swap baseline plan, unmemoized: only a key with no
+        cached plan reaches this rung (None if even the baseline cannot
+        plan this request -- then the ladder sheds)."""
         from repro.baselines import GpipeSwapPlanner
 
         try:
-            plan = GpipeSwapPlanner(model, server, minibatch).plan()
+            return GpipeSwapPlanner(model, server, minibatch).plan()
         except ReproError:
-            plan = None
-        self._baselines[key] = plan
-        return plan
+            return None
 
-    def _iteration_seconds(self, key: str, plan: Any) -> float:
-        """Memoized simulated iteration time of a served plan (run
-        requests).  The first run request per plan key pays one real
-        simulated execution; later ones reuse its virtual duration."""
-        if key in self._run_seconds:
-            return self._run_seconds[key]
-        harmony = Harmony(plan.model, plan.server, plan.minibatch,
-                          plan.options)
-        seconds = harmony.run(plan=plan).metrics.iteration_time
-        self._run_seconds[key] = seconds
-        return seconds
+    def _iteration_seconds(self, record: PlanRecord) -> float:
+        """Simulated iteration time of a record's plan (run requests).
+        The first run request per record pays one real simulated
+        execution; later ones reuse its virtual duration."""
+        if record.run_seconds is None:
+            plan = record.plan
+            harmony = Harmony(plan.model, plan.server, plan.minibatch,
+                              plan.options)
+            record.run_seconds = harmony.run(plan=plan).metrics.iteration_time
+        return record.run_seconds

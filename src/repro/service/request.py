@@ -128,8 +128,9 @@ class RequestResult:
     the queued portion of it.  ``plan`` (when :attr:`Outcome.
     carries_plan`) is the served plan object -- a
     :class:`~repro.core.harmony.HarmonyPlan`, a relabeled stale plan, or
-    a :class:`~repro.baselines.base.BaselinePlan` -- excluded from
-    equality so results stay comparable records.
+    a :class:`~repro.baselines.base.BaselinePlan` -- and the fleet
+    ``reservation`` it held are excluded from equality so results stay
+    comparable records.
     """
 
     request: PlanRequest
@@ -143,6 +144,8 @@ class RequestResult:
     plan: Optional[Any] = field(default=None, compare=False, repr=False)
     #: virtual seconds of simulated training executed (run requests)
     run_seconds: float = 0.0
+    reservation: Optional[Any] = field(default=None, compare=False,
+                                       repr=False)
 
     @property
     def terminal(self) -> bool:

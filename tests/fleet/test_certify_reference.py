@@ -100,9 +100,9 @@ def storm_binds():
     calls, routed, full = [], [], {}
     certify, placer_bind = PlannerService._certify, FleetPlacer.bind
 
-    def checked_certify(self, key, plan, reservation):
-        binding = reservation.binding()
-        verdict = certify(self, key, plan, reservation)
+    def checked_certify(self, record, reservation):
+        plan, binding = record.plan, reservation.binding()
+        verdict = certify(self, record, reservation)
         pair = (id(plan), binding.fingerprint)
         if pair not in full:
             full[pair] = (plan, _full_verdict(plan, binding))

@@ -70,7 +70,7 @@ class TestPlacementOutcomes:
         ])
         assert by_rid[0].outcome is Outcome.SERVED_FRESH
         assert by_rid[1].outcome.group in ("served", "degraded")
-        placed = service.fleet_placed
+        placed = {rid: by_rid[rid].reservation for rid in (0, 1)}
         assert placed[0].kind == placed[1].kind == "partition"
         assert placed[0].devices == placed[1].devices
         assert service.metrics.fleet_partitioned == 2
@@ -84,7 +84,7 @@ class TestPlacementOutcomes:
             _request(1, tenant="b", gpus=4, arrival=0.1),
         ])
         assert by_rid[1].outcome.group in ("served", "degraded")
-        res = service.fleet_placed[1]
+        res = by_rid[1].reservation
         assert res.kind == "timeslice"
         assert res.n_logical == 4 and res.n_devices == 2
         assert service.metrics.fleet_timesliced == 1
@@ -118,16 +118,16 @@ class TestCertificationGate:
 
     def test_certification_is_memoized_per_shape(self):
         """Identical (plan, width, share) shapes are certified once;
-        the memo stores the identity binding's accepting verdict."""
+        the plan's record stores the identity binding's accepting
+        verdict."""
         service, by_rid = _serve([
             _request(rid, tenant=f"t{rid}", gpus=4, arrival=40.0 * rid)
             for rid in range(3)
         ])
         assert all(by_rid[r].outcome.group == "served" for r in range(3))
         assert service.metrics.fleet_certified == 3
-        assert list(service.fleet_verdicts.values()) == [True]
-        ((_key, digest),) = service.fleet_verdicts
-        assert digest == DeviceBinding.identity(4).fingerprint
+        verdicts = service.cache.get(by_rid[0].plan_key).verdicts
+        assert verdicts == {DeviceBinding.identity(4).fingerprint: True}
 
     def test_same_shape_different_topology_is_certified_separately(
             self, monkeypatch):
@@ -156,14 +156,13 @@ class TestCertificationGate:
         assert all(by_rid[r].outcome.group == "served" for r in range(3))
         shapes = {
             (res.n_devices, res.share, res.n_logical)
-            for res in service.fleet_placed.values()
+            for res in (by_rid[r].reservation for r in range(3))
         }
         assert len(shapes) == 1, "the three placements share one shape"
         assert service.metrics.fleet_certified == 3
-        assert len(service.fleet_verdicts) == 2
-        assert sorted(
-            scales[digest] for _key, digest in service.fleet_verdicts
-        ) == [0.5, 1.0]
+        verdicts = service.cache.get(by_rid[0].plan_key).verdicts
+        assert len(verdicts) == 2
+        assert sorted(scales[digest] for digest in verdicts) == [0.5, 1.0]
 
 
 class TestReleaseHygiene:
@@ -191,8 +190,7 @@ class TestReleaseHygiene:
 
     def test_placements_tracked_for_reporting_after_release(self):
         service, by_rid = _serve([_request(0, gpus=4)])
-        assert 0 in service.fleet_placed
-        assert service.fleet_placed[0].kind == "identity"
+        assert by_rid[0].reservation.kind == "identity"
         assert service.fleet.active == ()
 
 

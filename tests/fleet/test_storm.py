@@ -84,12 +84,12 @@ class TestStormCell:
         service, results = storms[(seed, servers)]
         checked = 0
         for result in results:
-            reservation = service.fleet_placed.get(result.request.rid)
+            reservation = result.reservation
             if reservation is None or not result.outcome.carries_plan:
                 continue
             binding = reservation.binding()
-            assert service.fleet_verdicts[
-                (result.plan_key, binding.fingerprint)], (
+            record = service.cache.get(result.plan_key)
+            assert record.verdicts[binding.fingerprint], (
                 f"req{result.request.rid} served off an uncertified bind"
             )
             logical = Counter(
@@ -136,9 +136,11 @@ class TestAcrossTheMatrix:
     def test_partition_shares_stay_dyadic_exact(self, storms):
         """The 1/2 shares the storm draws survive as exact Fractions all
         the way into the reservation log (no float drift)."""
-        for service, _ in storms.values():
-            for reservation in service.fleet_placed.values():
-                assert reservation.share in (Fraction(1), Fraction(1, 2))
+        for _service, results in storms.values():
+            for result in results:
+                if result.reservation is not None:
+                    assert result.reservation.share in (
+                        Fraction(1), Fraction(1, 2))
 
     def test_bigger_fleet_never_sheds_more(self, storms):
         """For the same seed, doubling the fleet can only reduce (or

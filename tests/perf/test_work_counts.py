@@ -438,12 +438,12 @@ def test_each_service_runs_and_verifies_each_key_once(monkeypatch):
     certify = PlannerService._certify
     certified: list = []
 
-    def recorded_certify(self, key, plan, reservation):
+    def recorded_certify(self, record, reservation):
         work["_certify"] += 1
         binding = reservation.binding()
-        if (key, binding.fingerprint) not in self.fleet_verdicts:
-            certified.append((key, plan, binding))
-        return certify(self, key, plan, reservation)
+        if binding.fingerprint not in record.verdicts:
+            certified.append((record, record.plan, binding))
+        return certify(self, record, reservation)
 
     monkeypatch.setattr(PlannerService, "_certify", recorded_certify)
     shapes: set = set()
@@ -452,26 +452,33 @@ def test_each_service_runs_and_verifies_each_key_once(monkeypatch):
         certified.clear()
         service = PlannerService(ServiceConfig(workers=3),
                                  fleet=FleetPlacer(fleet_of(1, 4)))
-        service.run(requests)
+        results = service.run(requests)
         shapes.update((r.share, r.n_devices, r.n_logical)
-                      for r in service.fleet_placed.values())
+                      for r in (result.reservation for result in results)
+                      if r is not None)
         return service
 
     first = storm()
-    run_keys = {r.plan_key for r in first.results if r.run_seconds > 0}
+    records = [first.cache.get(key) for key in
+               {r.plan_key for r in first.results if r.plan_key}]
+    assert None not in records, "the storm evicts no plan"
+    run_records = [rec for rec in records if rec.run_seconds is not None]
+    assert {rec.key for rec in run_records} == \
+        {r.plan_key for r in first.results if r.run_seconds > 0}
     # The memo misses, in order: each plan object certified by relabel
     # is analyzed once, each time-slice pair bound once.
-    relabeled = {id(plan) for _key, plan, binding in certified
+    relabeled = {id(plan) for _record, plan, binding in certified
                  if binding.is_permutation}
     full = [pair for pair in certified if not pair[2].is_permutation]
-    assert run_keys and len(full) == 2
-    assert len(first.fleet_verdicts) == len(certified) < work["_certify"]
+    assert run_records and len(full) == 2
+    assert sum(len(rec.verdicts) for rec in records) \
+        == len(certified) < work["_certify"]
     assert len(relabeled) < len(certified) - len(full)
-    expected = {"run": len(run_keys), "plan_analysis": len(relabeled),
+    expected = {"run": len(run_records), "plan_analysis": len(relabeled),
                 "bind": len(full), "bind_analysis": len(full)}
     assert counts == expected, (
-        "a storm must simulate each run key once, analyze each plan it "
-        "certifies by relabel once (none per bind), and fully verify "
+        "a storm must simulate each live record once, analyze each plan "
+        "it certifies by relabel once (none per bind), and fully verify "
         "each time-slice (plan, binding) pair once"
     )
     counts.clear()

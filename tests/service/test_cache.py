@@ -190,57 +190,73 @@ class TestFamilyKey:
 class TestPlanCacheMechanics:
     def test_hit_miss_counters_and_lru_refresh(self):
         cache = PlanCache(capacity=2)
-        cache.put("a", "plan-a")
-        cache.put("b", "plan-b")
-        assert cache.get("a") == "plan-a"          # refreshes a
-        cache.put("c", "plan-c")                   # evicts b (LRU)
+        a = cache.put("a", "plan-a", "fam", 1)
+        cache.put("b", "plan-b", "fam", 2)
+        assert cache.get("a") is a                 # refreshes a
+        cache.put("c", "plan-c", "fam", 4)         # evicts b (LRU)
         assert cache.get("b") is None
-        assert cache.get("a") == "plan-a"
+        assert cache.get("a").plan == "plan-a"
         assert (cache.hits, cache.misses, cache.evictions) == (2, 1, 1)
 
     def test_reput_refreshes_instead_of_duplicating(self):
         cache = PlanCache(capacity=2)
-        cache.put("a", "v1")
-        cache.put("b", "plan-b")
-        cache.put("a", "v2")
-        cache.put("c", "plan-c")                   # evicts b, not a
-        assert cache.get("a") == "v2"
+        record = cache.put("a", "v1", "fam", 1)
+        record.verdicts["binding"] = True
+        record.run_seconds = 1.5
+        cache.put("b", "plan-b", "fam", 2)
+        assert cache.put("a", "v2", "fam", 1) is record
+        cache.put("c", "plan-c", "fam", 4)         # evicts b, not a
+        assert cache.get("a") is record
+        assert (record.plan, record.verdicts, record.run_seconds) == \
+            ("v2", {"binding": True}, 1.5)
         assert cache.get("b") is None
 
     def test_near_prefers_largest_then_smallest_key(self):
-        cache = PlanCache()
+        cache = PlanCache(capacity=4)
         fam = "fam"
-        cache.put("k1", "one-gpu", family=fam, n_gpus=1)
-        cache.put("k2b", "two-gpu-b", family=fam, n_gpus=2)
-        cache.put("k2a", "two-gpu-a", family=fam, n_gpus=2)
-        n, key, plan = cache.near(fam, gpus=4)
-        assert (n, key, plan) == (2, "k2a", "two-gpu-a")
-        assert cache.stale_hits == 1
+        cache.put("k1", "one-gpu", fam, 1)
+        cache.put("k2b", "two-gpu-b", fam, 2)
+        cache.put("k2a", "two-gpu-a", fam, 2)
+        record = cache.near(fam, gpus=4)
+        assert (record.n_gpus, record.key, record.plan) == \
+            (2, "k2a", "two-gpu-a")
+
+    def test_near_refreshes_lru_order(self):
+        cache = PlanCache(capacity=2)
+        cache.put("k1", "one-gpu", "fam", 1)
+        cache.put("x", "other", "other-fam", 1)
+        assert cache.near("fam", gpus=2).key == "k1"
+        cache.put("y", "another", "other-fam", 2)  # evicts x, not k1
+        assert cache.get("x") is None
+        assert cache.get("k1") is not None
 
     def test_near_never_returns_a_larger_plan(self):
-        cache = PlanCache()
+        cache = PlanCache(capacity=4)
         fam = "fam"
-        cache.put("k4", "four-gpu", family=fam, n_gpus=4)
+        cache.put("k4", "four-gpu", fam, 4)
         assert cache.near(fam, gpus=2) is None
 
     def test_near_respects_exclude(self):
-        cache = PlanCache()
+        cache = PlanCache(capacity=4)
         fam = "fam"
-        cache.put("k2", "two-gpu", family=fam, n_gpus=2)
+        cache.put("k2", "two-gpu", fam, 2)
         assert cache.near(fam, gpus=2, exclude="k2") is None
 
     def test_eviction_cleans_the_family_index(self):
         """A near-spec lookup can never resurrect an evicted plan."""
         cache = PlanCache(capacity=1)
         fam = "fam"
-        cache.put("k1", "one-gpu", family=fam, n_gpus=1)
-        cache.put("k2", "two-gpu", family=fam, n_gpus=2)  # evicts k1
+        cache.put("k1", "one-gpu", fam, 1)
+        cache.put("k2", "two-gpu", fam, 2)         # evicts k1
         near = cache.near(fam, gpus=4)
-        assert near is not None and near[1] == "k2"
-        assert cache.near(fam, gpus=1) is None    # k1 is truly gone
+        assert near is not None and near.key == "k2"
+        assert cache.near(fam, gpus=1) is None     # k1 is truly gone
+        cache.put("k3", "other", "other-fam", 1)   # evicts k2
+        assert cache.near(fam, gpus=4) is None
+        assert fam not in cache._families
 
     def test_unknown_family_is_none(self):
-        assert PlanCache().near("nope", gpus=8) is None
+        assert PlanCache(capacity=1).near("nope", gpus=8) is None
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
