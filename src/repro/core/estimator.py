@@ -1,8 +1,8 @@
 """Runtime Estimator (the ``epsilon`` of Algorithm 1).
 
 Estimates one iteration's end-to-end time for a candidate schedule -- the
-graph builder's flat task records, or a built task graph -- by
-event-driven simulation over per-device timelines (compute, swap, p2p,
+task list the graph builder emits, or a built task graph of such tasks --
+by event-driven simulation over per-device timelines (compute, swap, p2p,
 host optimizer lane), at per-microbatch granularity so pipeline overlap is
 captured.
 
@@ -26,14 +26,7 @@ from typing import Optional, Sequence, Union
 
 from repro.core.profiler import ModelProfiles
 from repro.core.taskgraph import mb_dependency
-from repro.core.types import (
-    Channel,
-    MoveRecord,
-    TaskGraph,
-    TaskKind,
-    TaskRecord,
-    TensorKind,
-)
+from repro.core.types import Channel, Task, TaskGraph, TaskKind, TensorKind
 from repro.hardware.server import ServerSpec
 from repro.runtime.timemodel import TrueTimeModel
 
@@ -80,24 +73,16 @@ class RuntimeEstimator:
         # may span fewer devices than the server.
         self._update_times: dict[tuple, float] = {}
 
-    def _xfer(self, move: MoveRecord, nbytes: int) -> float:
-        """Transfer time of ``nbytes`` of ``move`` (inlined in ``estimate``)."""
-        if move.channel is Channel.LOCAL or nbytes == 0:
-            return 0.0
-        if move.channel is Channel.MSG and move.src_task is not None:
-            return nbytes * self._relay
-        bw = self._p2p_bw if move.channel is Channel.P2P else self._swap_bw
-        return nbytes / bw
-
     # -- the estimate -----------------------------------------------------------------
 
-    def estimate(self, schedule: Union[TaskGraph, Sequence[TaskRecord]]) -> float:
-        """The estimated iteration time of a task graph, or of the flat
-        records :meth:`HarmonyGraphBuilder.records` emits for one.
+    def estimate(self, schedule: Union[TaskGraph, Sequence[Task]]) -> float:
+        """The estimated iteration time of a task graph, or of the tasks
+        :meth:`HarmonyGraphBuilder.records` emits for one.
 
-        A graph is read as the records of its tasks, so both take this
-        one loop.  Records carry no device count: they are scored on this
-        estimator's server, the one the search's builder is bound to.
+        Both are read task by task in one loop; a task's tid must be its
+        position.  A graph is scored on its own device count, a bare task
+        list on this estimator's server, the one the search's builder is
+        bound to.
 
         Each move's chunk dependencies, chunk transfer time and lane are
         worked out once per move, and a task's per-microbatch durations
@@ -107,9 +92,7 @@ class RuntimeEstimator:
         """
         if isinstance(schedule, TaskGraph):
             n = schedule.n_devices
-            tasks: Sequence[TaskRecord] = [
-                TaskRecord.of(task) for task in schedule.tasks
-            ]
+            tasks: Sequence[Task] = schedule.tasks
         else:
             n = self.server.n_gpus
             tasks = schedule
@@ -132,9 +115,10 @@ class RuntimeEstimator:
         finish = 0.0
 
         # Hot loop: lookups are bound to locals, and the move helpers
-        # (``_xfer``, the tensor test, chunk dependencies) and update
-        # timing are inlined.  Each ``max(a, b)`` is spelled as a compare,
-        # ``if b > a: a = b``: ties keep the first operand, as ``max`` does.
+        # (transfer time, the tensor test, chunk dependencies) and update
+        # timing are inlined; moves are unpacked as tuples.  Each
+        # ``max(a, b)`` is spelled as a compare, ``if b > a: a = b``: ties
+        # keep the first operand, as ``max`` does.
         prefetch = self.prefetch
         swap_bw, p2p_bw, relay = self._swap_bw, self._p2p_bw, self._relay
         dep_maps, mb_times = self._dep_maps, self._mb_times
@@ -144,17 +128,19 @@ class RuntimeEstimator:
         LOCAL, SWAP, P2P, MSG = Channel.LOCAL, Channel.SWAP, Channel.P2P, Channel.MSG
 
         for task in tasks:
-            (kind, d, first, last, mbs, fused, recompute, on_cpu, flops, ins,
-             outs, _, _) = task
+            kind, d, first, last = (task.kind, task.device, task.first_layer,
+                                    task.last_layer)
+            ins, outs = task.ins, task.outs
             if kind is UPD:
                 # After every producer's flush; offloaded updates run on
                 # the host lane, GPU-side ones swap their state through
                 # the compute lane.
                 dep = 0.0
-                for _, _, _, src, _ in ins:
+                for _, _, _, _, src, _ in ins:
                     if src is not None and flushes[src] > dep:
                         dep = flushes[src]
-                key = (first, last, flops, on_cpu, n)
+                on_cpu = task.on_cpu
+                key = (first, last, task.compute_flops, on_cpu, n)
                 duration = update_times.get(key)
                 if duration is None:
                     duration = update_times[key] = \
@@ -168,10 +154,10 @@ class RuntimeEstimator:
                     # Moves via host (``Channel.via_host``: neither LOCAL
                     # nor P2P) cross PCIe before and after the step.
                     host_in = host_out = 0
-                    for _, channel, nbytes, _, _ in ins:
+                    for _, nbytes, channel, _, _, _ in ins:
                         if channel is not LOCAL and channel is not P2P:
                             host_in += nbytes
-                    for _, channel, nbytes, _, _ in outs:
+                    for _, nbytes, channel, _, _, _ in outs:
                         if channel is not LOCAL and channel is not P2P:
                             host_out += nbytes
                     end = compute_free[d]
@@ -195,7 +181,7 @@ class RuntimeEstimator:
             state_dep = 0.0
             chunked = []
             for move in ins:
-                tensor, channel, nbytes, src, _ = move
+                tensor, nbytes, channel, _, src, _ = move
                 if not (tensor is W or tensor is DW or tensor is K):
                     chunked.append(move)
                     continue
@@ -214,9 +200,10 @@ class RuntimeEstimator:
             # Per-microbatch chunks wait on the producer's flush (swap),
             # its last microbatch (mismatched granularities) or the
             # microbatch completing their samples.
+            mbs = task.microbatches
             n_mb = len(mbs)
             input_ready = [state_ready] * n_mb
-            for _, channel, nbytes, src, _ in chunked:
+            for _, nbytes, channel, _, src, _ in chunked:
                 if src is None:
                     deps: Sequence[float] = (0.0,) * n_mb
                 elif channel is SWAP:
@@ -255,7 +242,8 @@ class RuntimeEstimator:
                 lane[d] = end
 
             bwd = kind is BWD
-            key = (first, last, bwd, bwd and (fused or recompute), mbs)
+            key = (first, last, bwd, bwd and (task.fused or task.recompute),
+                   mbs)
             durations = mb_times.get(key)
             if durations is None:
                 # A group holds at most two sizes: time each once.
@@ -272,7 +260,7 @@ class RuntimeEstimator:
             compute_free[d] = prev_compute_done[d] = done = end
 
             flushed = done
-            for tensor, channel, nbytes, src, _ in outs:
+            for tensor, nbytes, channel, _, src, _ in outs:
                 if channel is LOCAL or nbytes == 0:
                     continue
                 per_task = tensor is W or tensor is DW or tensor is K

@@ -3,9 +3,9 @@
 Sweeps backward microbatch sizes, derives backward packs (Algorithm 2),
 then sweeps forward microbatch sizes with forward packs constrained so the
 last forward pack equals the last backward pack (jit-compute); every
-candidate four-tuple is unrolled into its schedule (Algorithm 3) as flat
-task records and scored by the Runtime Estimator.  The minimum-estimate
-configuration wins; only its task graph is built.
+candidate four-tuple is unrolled into its schedule (Algorithm 3) as the
+tasks the Runtime executes and scored by the Runtime Estimator.  The
+minimum-estimate configuration wins; only its task graph is built.
 
 The paper sweeps every integer microbatch size up to ``U_MAX``; by default
 we sweep divisors of the minibatch plus powers of two (a documented knob
@@ -227,7 +227,7 @@ class ConfigurationSearch:
         return candidates
 
     def _evaluate_one(self, config: Configuration) -> Optional[float]:
-        """Estimate one candidate from its schedule records, without
+        """Estimate one candidate from its emitted tasks, without
         building its task graph; None when infeasible."""
         try:
             return self.estimator.estimate(self.builder.records(config))

@@ -7,9 +7,10 @@ round-robin device binding ``pack i -> GPU (i mod N)`` and every tensor
 move (weights in, activations p2p, checkpoints stashed, gradients out)
 spelled out per Figure 5(a).
 
-The schedule is emitted once, as flat :class:`~repro.core.types.TaskRecord`
-rows: the configuration search scores every candidate on those records,
-and only the winner's records become a :class:`TaskGraph`.
+The schedule is emitted once, as the list of
+:class:`~repro.core.types.Task` objects the Runtime executes: the
+configuration search scores every candidate on that list, and only the
+winner's list becomes a :class:`TaskGraph`, as is.
 
 Each of Harmony's optimizations is an explicit switch so the Figure 13
 ablations can turn them off one at a time:
@@ -39,10 +40,10 @@ from repro.core.config import Configuration, Pack, microbatch_group
 from repro.core.profiler import ModelProfiles
 from repro.core.types import (
     Channel,
-    MoveRecord,
+    Move,
+    Task,
     TaskGraph,
     TaskKind,
-    TaskRecord,
     TensorKind,
 )
 from repro.graph.layer import Phase
@@ -125,11 +126,11 @@ class _PackParts:
     def __init__(self, profiles: ModelProfiles, pack: Pack):
         name = self.name = str(pack)
         param = profiles.pack_param_bytes(pack)
-        self.w_in = MoveRecord(TensorKind.W, Channel.SHM, param, None,
-                               "W" + name)
+        self.w_in = Move(TensorKind.W, param, Channel.SHM, None, None,
+                         "W" + name)
         # A backward task's gradients out, to the host optimizer.
-        self.dw_out = MoveRecord(TensorKind.DW, Channel.SWAP, param, None,
-                                 "dW" + name)
+        self.dw_out = Move(TensorKind.DW, param, Channel.SWAP, None, None,
+                           "dW" + name)
         self.in_per_sample = profiles.boundary_in_bytes(pack, 1)
         self.out_per_sample = profiles.boundary_out_bytes(pack, 1)
         self.fwd, self.bwd, self.fused, self.upd = (
@@ -147,14 +148,14 @@ def _task_groups(total: int, u: int, grouping: bool) -> tuple[_Group, ...]:
 
 
 def _optimizer_moves(profiles: ModelProfiles,
-                     pack: Pack) -> tuple[MoveRecord, MoveRecord, MoveRecord]:
+                     pack: Pack) -> tuple[Move, Move, Move]:
     """A GPU-side update's optimizer state in, weights and state out."""
     param = profiles.pack_param_bytes(pack)
     optimizer = profiles.pack_optimizer_bytes(pack)
     return (
-        MoveRecord(TensorKind.K, Channel.SWAP, optimizer, None, f"K{pack}"),
-        MoveRecord(TensorKind.W, Channel.SWAP, param, None, f"W'{pack}"),
-        MoveRecord(TensorKind.K, Channel.SWAP, optimizer, None, f"K'{pack}"),
+        Move(TensorKind.K, optimizer, Channel.SWAP, None, None, f"K{pack}"),
+        Move(TensorKind.W, param, Channel.SWAP, None, None, f"W'{pack}"),
+        Move(TensorKind.K, optimizer, Channel.SWAP, None, None, f"K'{pack}"),
     )
 
 
@@ -175,7 +176,7 @@ class _ScheduleMemo:
             lambda span: _PackParts(profiles, Pack(*span)))
         # (first, last) -> a GPU-side update's K in, W' and K' out
         self.optimizer_moves: _Table[
-            tuple[int, int], tuple[MoveRecord, MoveRecord, MoveRecord]
+            tuple[int, int], tuple[Move, Move, Move]
         ] = _Table(lambda span: _optimizer_moves(profiles, Pack(*span)))
         # (first, last) -> the FLOPs of the pack's optimizer step
         self.update_flops: _Table[tuple[int, int], float] = _Table(
@@ -199,29 +200,28 @@ class _ScheduleMemo:
                 tuple(g[1] for g in groups[key[0], key[2]]),
             )))
         # (boundary layer, samples) -> the checkpoint out-move
-        self.ckpt_outs: _Table[tuple[int, int], MoveRecord] = _Table(
-            lambda key: MoveRecord(
-                TensorKind.CKPT, Channel.MSG,
-                profiles[key[0]].act_in_bytes(1) * key[1], None,
-                f"ckpt@L{key[0]}"))
+        self.ckpt_outs: _Table[tuple[int, int], Move] = _Table(
+            lambda key: Move(
+                TensorKind.CKPT, profiles[key[0]].act_in_bytes(1) * key[1],
+                Channel.MSG, None, None, f"ckpt@L{key[0]}"))
         # samples -> the host input data's in-move
-        self.inputs: _Table[int, MoveRecord] = _Table(
-            lambda samples: MoveRecord(
-                TensorKind.X, Channel.SWAP,
-                profiles[0].act_in_bytes(1) * samples, None, "input"))
+        self.inputs: _Table[int, Move] = _Table(
+            lambda samples: Move(
+                TensorKind.X, profiles[0].act_in_bytes(1) * samples,
+                Channel.SWAP, None, None, "input"))
         # backward tid -> an update's dependency link on it
-        self.dep_links: _Table[int, MoveRecord] = _Table(
-            lambda tid: MoveRecord(TensorKind.DW, Channel.LOCAL, 0, tid,
-                                   f"dep:b{tid}"))
+        self.dep_links: _Table[int, Move] = _Table(
+            lambda tid: Move(TensorKind.DW, 0, Channel.LOCAL, None, tid,
+                             f"dep:b{tid}"))
 
 
 class HarmonyGraphBuilder:
     """Generates the schedule of one iteration (the ``rho`` of Alg 1).
 
     :meth:`records` is the one schedule emitter: the search scores its
-    flat records directly and :meth:`build` makes the winner's task graph
-    from the same records.  The builder memoizes what no candidate
-    changes, so it is meant to live for one search.
+    tasks directly and :meth:`build` makes the winner's task graph of
+    that very list.  The builder memoizes what no candidate changes, so
+    it is meant to live for one search.
     """
 
     def __init__(
@@ -253,19 +253,17 @@ class HarmonyGraphBuilder:
         return graph
 
     def assemble(self, config: Configuration) -> TaskGraph:
-        """The task graph made from ``records(config)``, unvalidated.
+        """The task graph holding ``records(config)``'s list, unvalidated.
 
         The only place a builder makes a graph; :meth:`build` validates
         its result.
         """
-        graph = TaskGraph(mode=f"harmony-{self.options.mode}",
-                          n_devices=self.n_gpus)
-        for tid, record in enumerate(self.records(config)):
-            graph.add(record.to_task(tid))
-        return graph
+        return TaskGraph(mode=f"harmony-{self.options.mode}",
+                         n_devices=self.n_gpus, tasks=self.records(config))
 
-    def records(self, config: Configuration) -> list[TaskRecord]:
-        """``config``'s schedule as flat task records in tid order.
+    def records(self, config: Configuration) -> list[Task]:
+        """``config``'s schedule: its tasks in tid order, each task's tid
+        its position.
 
         The search scores candidates on these without building graphs.
         A schedule failing validation is a builder bug, not an infeasible
@@ -298,11 +296,11 @@ class HarmonyGraphBuilder:
 
     # -- Harmony PP --------------------------------------------------------------
 
-    def _emit_pp(self, config: Configuration) -> list[TaskRecord]:
+    def _emit_pp(self, config: Configuration) -> list[Task]:
         opts = self.options
         memo = self._memo
         n_gpus = self.n_gpus
-        records: list[TaskRecord] = []
+        tasks: list[Task] = []
         total = self.minibatch
         groups_f = memo.groups[total, config.u_f]
         groups_b = memo.groups[total, config.u_b]
@@ -318,8 +316,8 @@ class HarmonyGraphBuilder:
         stashes = self._stash_boundaries(fwd_packs, config.packs_b)
         for pack, boundaries in zip(fwd_packs, stashes):
             parts = memo.packs[pack.first, pack.last]
-            producer = len(records)
-            self._emit_fwd(records, pack, parts, wrap % n_gpus, groups_f,
+            producer = len(tasks)
+            self._emit_fwd(tasks, pack, parts, wrap % n_gpus, groups_f,
                            prev_act, chain, boundaries, parts.fwd)
             wrap += 1
             prev_act = producer
@@ -331,26 +329,26 @@ class HarmonyGraphBuilder:
         for pos, pack in enumerate(reversed(config.packs_b)):
             parts = memo.packs[pack.first, pack.last]
             fused = fuse_last and pos == 0
-            producer = len(records)
+            producer = len(tasks)
             device = wrap % n_gpus
-            self._emit_bwd(records, pack, parts, device, groups_b,
+            self._emit_bwd(tasks, pack, parts, device, groups_b,
                            act_cover, fused, prev_act, prev_bwd,
                            stash_by_boundary.get(pack.first), chain, chain,
                            parts.fused if fused else parts.bwd)
             wrap += 1
             prev_bwd = producer
-            update = (pack, parts, len(records) - 1, device)
+            update = (pack, parts, len(tasks) - 1, device)
             if opts.jit:
-                self._emit_update(records, *update)
+                self._emit_update(tasks, *update)
             else:
                 updates.append(update)
         for update in updates:
-            self._emit_update(records, *update)
-        return records
+            self._emit_update(tasks, *update)
+        return tasks
 
     # -- Harmony DP --------------------------------------------------------------
 
-    def _emit_dp(self, config: Configuration) -> list[TaskRecord]:
+    def _emit_dp(self, config: Configuration) -> list[Task]:
         opts = self.options
         memo = self._memo
         if self.minibatch % self.n_gpus != 0:
@@ -359,7 +357,7 @@ class HarmonyGraphBuilder:
                 f"GPU count ({self.n_gpus})"
             )
         share = self.minibatch // self.n_gpus
-        records: list[TaskRecord] = []
+        tasks: list[Task] = []
         groups_f = memo.groups[share, config.u_f]
         groups_b = memo.groups[share, config.u_b]
         act_cover = memo.covering[share, config.u_f, config.u_b]
@@ -378,9 +376,9 @@ class HarmonyGraphBuilder:
             prev_spilled = False
             for pack, boundaries in zip(fwd_packs, stashes):
                 parts = memo.packs[pack.first, pack.last]
-                producer = len(records)
+                producer = len(tasks)
                 self._emit_fwd(
-                    records, pack, parts, gpu, groups_f, prev_act,
+                    tasks, pack, parts, gpu, groups_f, prev_act,
                     Channel.MSG if prev_spilled else Channel.LOCAL,
                     boundaries, parts.fwd + at_gpu,
                 )
@@ -393,29 +391,29 @@ class HarmonyGraphBuilder:
             for pos, pack in enumerate(reversed(bwd_packs)):
                 parts = memo.packs[pack.first, pack.last]
                 fused = fuse_last and pos == 0
-                producer = len(records)
+                producer = len(tasks)
                 self._emit_bwd(
-                    records, pack, parts, gpu, groups_b, act_cover, fused,
+                    tasks, pack, parts, gpu, groups_b, act_cover, fused,
                     prev_act, prev_bwd, stash_by_boundary.get(pack.first),
                     Channel.LOCAL,
                     Channel.MSG if prev_spilled else Channel.LOCAL,
                     (parts.fused if fused else parts.bwd) + at_gpu,
                 )
                 prev_bwd = producer
-                bwd_tail[(gpu, pos)] = len(records) - 1
+                bwd_tail[(gpu, pos)] = len(tasks) - 1
 
         # One (reduced) weight update per pack, spread across runtimes.
         for pos, pack in enumerate(reversed(bwd_packs)):
             deps = [bwd_tail[(g, pos)] for g in range(self.n_gpus)]
-            self._emit_update(records, pack, memo.packs[pack.first, pack.last],
+            self._emit_update(tasks, pack, memo.packs[pack.first, pack.last],
                               deps[-1], pos % self.n_gpus, deps[:-1])
-        return records
+        return tasks
 
     # -- task emission -------------------------------------------------------------
 
     def _emit_fwd(
         self,
-        records: list[TaskRecord],
+        tasks: list[Task],
         pack: Pack,
         parts: _PackParts,
         device: int,
@@ -444,21 +442,21 @@ class HarmonyGraphBuilder:
             if first == 0:
                 x_in = memo.inputs[samples]
             else:
-                x_in = MoveRecord(
-                    TensorKind.X, chain_channel, parts.in_per_sample * samples,
-                    None if prev_act is None else prev_act + i, parts.x)
+                x_in = Move(
+                    TensorKind.X, parts.in_per_sample * samples, chain_channel,
+                    None, None if prev_act is None else prev_act + i, parts.x)
             prefix = footprints[umax]
-            records.append(TaskRecord(
-                TaskKind.FWD, device, first, last, sizes,
-                False, True, False, 0.0,
+            tasks.append(Task(
+                len(tasks), TaskKind.FWD, first, last, device, sizes,
+                False, False, True,
                 [parts.w_in, x_in],
                 [memo.ckpt_outs[b, samples] for b in boundaries],
-                prefix[last + 1] - prefix[first], label,
+                0.0, prefix[last + 1] - prefix[first], label,
             ))
 
     def _emit_bwd(
         self,
-        records: list[TaskRecord],
+        tasks: list[Task],
         pack: Pack,
         parts: _PackParts,
         device: int,
@@ -500,27 +498,27 @@ class HarmonyGraphBuilder:
             if from_input:
                 ins.append(memo.inputs[samples])
             elif fused:
-                ins.append(MoveRecord(TensorKind.X, fused_channel,
-                                      parts.in_per_sample * samples, src,
-                                      parts.x))
+                ins.append(Move(TensorKind.X, parts.in_per_sample * samples,
+                                fused_channel, None, src, parts.x))
             else:
-                ins.append(MoveRecord(TensorKind.CKPT, Channel.SWAP,
-                                      parts.in_per_sample * samples, src,
-                                      parts.ckpt))
+                ins.append(Move(TensorKind.CKPT,
+                                parts.in_per_sample * samples, Channel.SWAP,
+                                None, src, parts.ckpt))
                 if prev_bwd is not None:
-                    ins.append(MoveRecord(TensorKind.DY, chain_channel,
-                                          parts.out_per_sample * samples,
-                                          prev_bwd + i, parts.dy))
+                    ins.append(Move(TensorKind.DY,
+                                    parts.out_per_sample * samples,
+                                    chain_channel, None, prev_bwd + i,
+                                    parts.dy))
             prefix = footprints[umax]
-            records.append(TaskRecord(
-                TaskKind.BWD, device, first, last, sizes,
-                fused, True, False, 0.0, ins, list(dw_out),
-                prefix[last + 1] - prefix[first], label,
+            tasks.append(Task(
+                len(tasks), TaskKind.BWD, first, last, device, sizes,
+                False, fused, True, ins, list(dw_out),
+                0.0, prefix[last + 1] - prefix[first], label,
             ))
 
     def _emit_update(
         self,
-        records: list[TaskRecord],
+        tasks: list[Task],
         pack: Pack,
         parts: _PackParts,
         src_bwd: int,
@@ -533,7 +531,7 @@ class HarmonyGraphBuilder:
         on_cpu = opts.offload_optimizer
         span = pack.first, pack.last
         ins = [memo.dep_links[dep] for dep in (src_bwd, *extra_deps)]
-        outs: list[MoveRecord] = []
+        outs: list[Move] = []
         resident = 0
         if not on_cpu:
             if not opts.jit:
@@ -546,8 +544,8 @@ class HarmonyGraphBuilder:
             ins.append(k_in)
             outs += (w_out, k_out)
             resident = (2 + profiles.optimizer_slots) * parts.w_in.nbytes
-        records.append(TaskRecord(
-            TaskKind.UPD, device, pack.first, pack.last, (1,),
-            False, True, on_cpu, memo.update_flops[span], ins, outs,
-            resident, parts.upd,
+        tasks.append(Task(
+            len(tasks), TaskKind.UPD, pack.first, pack.last, device, (1,),
+            on_cpu, False, True, ins, outs,
+            memo.update_flops[span], resident, parts.upd,
         ))

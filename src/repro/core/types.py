@@ -6,6 +6,12 @@ device binding, plus the explicit list of tensors to move in and out and
 the channel each rides on.  Baseline schedules compile to the very same
 representation, so one Runtime executes everything and metrics are
 directly comparable.
+
+There is one task type.  The configuration search scores the very
+:class:`Task` objects the graph builder emits, and the winner's list
+becomes its :class:`TaskGraph` as is.  A :class:`Move` is an immutable,
+validated tuple, so tasks share their pack's moves and hot loops unpack
+them.
 """
 
 from __future__ import annotations
@@ -54,30 +60,50 @@ class Channel(enum.Enum):
         return self in (Channel.SWAP, Channel.MSG, Channel.SHM)
 
 
-@dataclass(frozen=True)
-class Move:
+_tuple_new = tuple.__new__
+
+
+class _MoveFields(NamedTuple):
+    """:class:`Move`'s fields in order; its constructor holds the defaults."""
+
+    tensor: TensorKind
+    nbytes: int
+    channel: Channel
+    peer: Optional[int]
+    src_task: Optional[int]
+    label: str
+
+
+class Move(_MoveFields):
     """One tensor transfer attached to a task (input or output).
 
     ``src_task`` names the producing task when the data is generated
     within this iteration (p2p activations, stashed checkpoints); the
     Runtime uses it as an event dependency.  ``peer`` is the remote GPU
     for P2P moves.
+
+    An immutable tuple, so tasks share their pack's moves and hot loops
+    unpack them.  The constructor checks the size and the P2P endpoint,
+    and so does :meth:`_replace`: it goes through :meth:`_make`.
     """
 
-    tensor: TensorKind
-    nbytes: int
-    channel: Channel
-    peer: Optional[int] = None
-    src_task: Optional[int] = None
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError(f"negative move size: {self.nbytes}")
-        if self.channel is Channel.P2P and self.peer is None and self.src_task is None:
+    def __new__(cls, tensor: TensorKind, nbytes: int, channel: Channel,
+                peer: Optional[int] = None, src_task: Optional[int] = None,
+                label: str = "") -> "Move":
+        if nbytes < 0:
+            raise ValueError(f"negative move size: {nbytes}")
+        if channel is Channel.P2P and peer is None and src_task is None:
             raise ValueError(
                 "P2P move needs a peer GPU or a source task to derive it from"
             )
+        return _tuple_new(cls, (tensor, nbytes, channel, peer, src_task,
+                                label))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Move":
+        return cls(*iterable)
 
 
 @dataclass
@@ -116,70 +142,6 @@ class Task:
             yield "in", move
         for move in self.outs:
             yield "out", move
-
-
-class MoveRecord(NamedTuple):
-    """A :class:`Move` as the graph builder emits it and the estimator
-    scores it: a plain tuple, so a search candidate's moves are cheap to
-    make and share, and :meth:`to_move` validates only the winner's."""
-
-    tensor: TensorKind
-    channel: Channel
-    nbytes: int
-    src_task: Optional[int]
-    label: str
-
-    @classmethod
-    def of(cls, move: Move) -> "MoveRecord":
-        return cls(move.tensor, move.channel, move.nbytes, move.src_task,
-                   move.label)
-
-    def to_move(self) -> Move:
-        return Move(tensor=self.tensor, nbytes=self.nbytes,
-                    channel=self.channel, src_task=self.src_task,
-                    label=self.label)
-
-
-class TaskRecord(NamedTuple):
-    """One task of a schedule as a flat record: everything the Runtime
-    Estimator reads, plus the resident bytes and label a :class:`Task`
-    made from it carries.  A record's tid is its index in its schedule."""
-
-    kind: TaskKind
-    device: int
-    first_layer: int
-    last_layer: int
-    microbatches: tuple[int, ...]
-    fused: bool
-    recompute: bool
-    on_cpu: bool
-    compute_flops: float
-    ins: list[MoveRecord]
-    outs: list[MoveRecord]
-    resident_bytes: int
-    label: str
-
-    @classmethod
-    def of(cls, task: Task) -> "TaskRecord":
-        return cls(
-            task.kind, task.device, task.first_layer, task.last_layer,
-            task.microbatches, task.fused, task.recompute, task.on_cpu,
-            task.compute_flops, [MoveRecord.of(m) for m in task.ins],
-            [MoveRecord.of(m) for m in task.outs], task.resident_bytes,
-            task.label,
-        )
-
-    def to_task(self, tid: int) -> Task:
-        return Task(
-            tid=tid, kind=self.kind, first_layer=self.first_layer,
-            last_layer=self.last_layer, device=self.device,
-            microbatches=self.microbatches, on_cpu=self.on_cpu,
-            fused=self.fused, recompute=self.recompute,
-            ins=[m.to_move() for m in self.ins],
-            outs=[m.to_move() for m in self.outs],
-            compute_flops=self.compute_flops,
-            resident_bytes=self.resident_bytes, label=self.label,
-        )
 
 
 @dataclass
@@ -285,6 +247,3 @@ class TaskGraph:
 
         verify_graph(self)
 
-
-def total_bytes(moves: Iterable[Move]) -> int:
-    return sum(move.nbytes for move in moves)

@@ -113,7 +113,7 @@ INTEGER_SUMS = {
     Path("repro/core/profiler.py"): ("pack_memory_naive", "total_param_bytes"),
     Path("repro/core/taskgraph.py"): ("mb_dependency", "_task_groups"),
     Path("repro/core/types.py"): ("group_samples", "global_swap_bytes", "p2p_bytes",
-                                  "checkpoint_stash_bytes", "total_bytes"),
+                                  "checkpoint_stash_bytes"),
     Path("repro/runtime/executor.py"): ("_chunk_sizes", "_minibatch_of"),
     Path("repro/runtime/metrics.py"): ("global_swap_bytes", "global_p2p_bytes"),
     Path("repro/trace/export.py"): ("to_text_timeline",),

@@ -24,13 +24,13 @@ the identical float its source's ``span_time`` returned.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Protocol, Sequence, Union
+from typing import Optional, Protocol, Sequence
 
 from repro.common.fingerprint import fingerprint
 from repro.common.floats import ordered_sum
 from repro.common.lru import lru_get
 from repro.core.decomposer import DecomposedModel
-from repro.core.types import Task, TaskKind, TaskRecord
+from repro.core.types import Task, TaskKind
 from repro.graph.layer import Phase
 from repro.hardware.gpu import GpuSpec
 from repro.hardware.host import HostSpec
@@ -46,9 +46,6 @@ _Rows = dict[tuple[Phase, int], list[Optional[float]]]
 #: The kernel-time store: rows by ``fingerprint(model, gpu, seed)``, least
 #: recently used first.
 _STORE: OrderedDict[str, _Rows] = OrderedDict()
-
-#: A built task or its schedule record: both carry every field timed.
-_AnyTask = Union[Task, TaskRecord]
 
 
 class LayerTimes(Protocol):
@@ -109,14 +106,14 @@ class TrueTimeModel:
                 phase, first, last, u)
         return t
 
-    def _on_device(self, task: _AnyTask, t: float) -> float:
+    def _on_device(self, task: Task, t: float) -> float:
         """GPU time ``t`` on the task's device, divided by its FLOPs scale."""
         if self._scales is None:
             return t
         scale = self._scales[task.device]
         return t if scale == 1.0 else t / scale
 
-    def microbatch_time(self, task: _AnyTask, u: int) -> float:
+    def microbatch_time(self, task: Task, u: int) -> float:
         """Wall time of one microbatch of ``task`` on the GPU."""
         first, last = task.first_layer, task.last_layer
         if task.kind is TaskKind.FWD:
@@ -132,7 +129,7 @@ class TrueTimeModel:
                 f"update tasks are timed via update_time: {task.label}")
         return self._on_device(task, t)
 
-    def update_time(self, task: _AnyTask) -> float:
+    def update_time(self, task: Task) -> float:
         """Weight-update wall time (CPU-offloaded or on the GPU)."""
         if task.kind is not TaskKind.UPD:
             raise ValueError(f"not an update task: {task.label}")
@@ -144,7 +141,7 @@ class TrueTimeModel:
         return self._on_device(task, self._pack_time(
             Phase.UPD, task.first_layer, task.last_layer, 1))
 
-    def task_compute_time(self, task: _AnyTask) -> float:
+    def task_compute_time(self, task: Task) -> float:
         """Total compute across the task's microbatch group."""
         if task.kind is TaskKind.UPD:
             return self.update_time(task)

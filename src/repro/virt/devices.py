@@ -282,8 +282,8 @@ class DeviceBinding:
                 src = (task_device[move.src_task]
                        if move.src_task is not None else peer)
                 if src == device:
-                    return replace(move, channel=Channel.LOCAL, peer=None)
-            return move if peer == move.peer else replace(move, peer=peer)
+                    return move._replace(channel=Channel.LOCAL, peer=None)
+            return move if peer == move.peer else move._replace(peer=peer)
 
         rebound = TaskGraph(mode=graph.mode, n_devices=self.n_physical,
                             pageable_swaps=graph.pageable_swaps)

@@ -6,7 +6,7 @@ owner -> no move, live owner -> p2p (or host-staged relay), dead owner
 concurrent moves contend on shared hops.
 """
 
-from repro.core.types import TaskKind, total_bytes
+from repro.core.types import TaskKind
 from repro.elastic import (
     ElasticReplanner,
     MigrationMove,
@@ -55,7 +55,7 @@ class TestPlanMigration:
         assert moves
         assert all(m.src is None for m in moves)
         assert all(m.dst is not None for m in moves)
-        assert total_bytes(moves) > 0
+        assert sum(m.nbytes for m in moves) > 0
 
     def test_live_owner_moves_device_to_device(self, toy_pp):
         plan = toy_pp.plan()
@@ -66,7 +66,7 @@ class TestPlanMigration:
         assert moves
         assert all(m.src == 1 and m.dst == 2 for m in moves
                    if m.dst is not None)
-        assert total_bytes(moves) > 0
+        assert sum(m.nbytes for m in moves) > 0
 
     def test_moves_aggregated_per_endpoint_pair(self, toy_pp):
         plan = toy_pp.plan()

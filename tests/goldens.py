@@ -139,8 +139,8 @@ def _canon(value) -> str:
         return value.hex()
     if isinstance(value, Move):
         return "Move(" + ",".join(
-            f"{f.name}={_canon(getattr(value, f.name))}"
-            for f in dataclasses.fields(Move)
+            f"{name}={_canon(getattr(value, name))}"
+            for name in Move._fields
         ) + ")"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_canon(item) for item in value) + "]"

@@ -35,11 +35,11 @@ entry must equal a fresh packing of its key (an infeasible one its
 message, never an exception object), and varying each argument through
 one shared table must return what private profiles compute.
 
-The search scores candidates on the graph builder's flat schedule
-records and builds a task graph only for the winner.  On the same
-problems and arms, every candidate's record-scored estimate must equal
-the estimate of the graph built from those records, and the records
-must be exactly what that graph reads back as.  The builder's memo of
+The search scores candidates on the tasks the graph builder emits and
+builds a task graph only for the winner.  On the same problems and arms,
+every candidate's emitted tasks must equal, moves included, the tasks of
+the graph a fresh builder assembles, and scoring the bare task list must
+give the estimate of that graph.  The builder's memo of
 candidate-independent moves lives for one search: nothing a plan keeps
 may hold it.
 """
@@ -69,7 +69,7 @@ from repro.core.packing import (
 from repro.core.profiler import AffineFit, LayerProfile, ModelProfiles, Profiler
 from repro.core.search import ConfigurationSearch
 from repro.core.taskgraph import HarmonyGraphBuilder, mb_dependency
-from repro.core.types import Channel, TaskKind, TaskRecord
+from repro.core.types import Channel, Move, Task, TaskKind
 from repro.core.waits import PER_TASK_TENSORS
 from repro.experiments.common import server_for
 from repro.graph.layer import Phase
@@ -379,6 +379,15 @@ class NaiveEstimator(RuntimeEstimator):
         super().__init__(*args, **kwargs)
         self._naive_times = {}
 
+    def _xfer(self, move: Move, nbytes: int) -> float:
+        """Transfer time of ``nbytes`` of ``move`` (inlined in ``estimate``)."""
+        if move.channel is Channel.LOCAL or nbytes == 0:
+            return 0.0
+        if move.channel is Channel.MSG and move.src_task is not None:
+            return nbytes * self._relay
+        bw = self._p2p_bw if move.channel is Channel.P2P else self._swap_bw
+        return nbytes / bw
+
     def mb_time(self, task, u):
         key = (task.kind, task.first_layer, task.last_layer, u,
                task.fused or task.recompute)
@@ -505,7 +514,7 @@ class NaiveEstimator(RuntimeEstimator):
             )
         return producer.mb_done[dep_map[mb_index]]
 
-    def _estimate_update(self, task: TaskRecord, times: list[_TaskTimes],
+    def _estimate_update(self, task: Task, times: list[_TaskTimes],
                          cpu_free: list[float], compute_free: list[float]) -> _TaskTimes:
         d = task.device
         dep = 0.0
@@ -579,7 +588,8 @@ def test_estimator_matches_chunk_walk(problem, ablation):
     "problem", PROBLEMS, ids=lambda p: f"{p[0]}-{p[1]}-x{p[2]}-mb{p[3]}",
 )
 def test_record_scores_match_built_graphs(problem, ablation):
-    """Scoring a candidate's records is scoring the graph built from them.
+    """Scoring a candidate's emitted tasks is scoring the graph built of
+    them.
 
     The graph is made by the path ``build`` takes (``assemble``), with a
     fresh builder, so the search builder's memo state cannot leak in."""
@@ -589,13 +599,12 @@ def test_record_scores_match_built_graphs(problem, ablation):
     compared = 0
     for config in search._enumerate_candidates():
         try:
-            records = search.builder.records(config)
+            tasks = search.builder.records(config)
         except InfeasibleConfigError:
             continue
         graph = fresh.assemble(config)
-        assert [TaskRecord.of(task) for task in graph.tasks] == records, \
-            config.describe()
-        assert search.estimator.estimate(records).hex() == \
+        assert graph.tasks == tasks, config.describe()
+        assert search.estimator.estimate(tasks).hex() == \
             search.estimator.estimate(graph).hex(), config.describe()
         compared += 1
     assert compared

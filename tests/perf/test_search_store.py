@@ -30,7 +30,6 @@ from repro.core import harmony
 from repro.core.config import Configuration, Pack
 from repro.core.harmony import Harmony, HarmonyOptions, plan_key
 from repro.core.search import ConfigurationSearch, Explored
-from repro.core.types import TaskRecord
 from repro.experiments.common import server_for
 from repro.models.zoo import build_model
 
@@ -59,7 +58,7 @@ def _facts(plan) -> dict:
     """Everything a plan's search decided, floats as hex, plus a digest of
     the winner graph's tasks and moves."""
     search = plan.search
-    dump = repr([(task.tid, TaskRecord.of(task)) for task in plan.graph.tasks])
+    dump = repr(plan.graph.tasks)
     return {
         "config": search.best,
         "best_estimate": search.best_estimate.hex(),

@@ -8,7 +8,9 @@ suite pins, exactly:
 
 - one ``Harmony.plan()`` builds (and so validates) one graph: the winner;
 - ``HarmonyGraphBuilder.assemble`` runs once, for that build: candidates
-  are scored on the builder's schedule records, never on a task graph;
+  are scored on the tasks the builder emits, never on a task graph, and
+  the winner graph holds the very task list its ``records`` call
+  returned (no task or move is copied);
 - ``HarmonyGraphBuilder.records`` runs once per search candidate, plus
   once for the winner's graph, and a second ``plan()`` is a memo hit;
 - a second ``Harmony`` on the same problem takes the search from the
@@ -107,7 +109,7 @@ class Case:
     gpus: int
     minibatch: int
     #: ``n_feasible + n_infeasible`` of the search: the schedules scored
-    #: from records, each without a task graph.
+    #: from emitted tasks, each without a task graph.
     candidates: int
     #: Time tables one ``plan()`` builds.
     time_tables: int
@@ -289,6 +291,26 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
         f"estimator drift {drift:+.3f} exceeds the ceiling "
         f"{case.max_drift} for {case.model} {case.mode}"
     )
+
+
+@by_case
+def test_winner_graph_holds_the_emitted_tasks(case, monkeypatch,
+                                              cold_stores):
+    emitted: list = []
+    records = HarmonyGraphBuilder.records
+
+    def recorded(self, config):
+        emitted.append(records(self, config))
+        return emitted[-1]
+
+    monkeypatch.setattr(HarmonyGraphBuilder, "records", recorded)
+    plan = Harmony(case.model, server_for(case.gpus), case.minibatch,
+                   options=HarmonyOptions(mode=case.mode)).plan()
+    assert len(emitted) == case.candidates + 1
+    assert plan.graph.tasks is emitted[-1], (
+        "assemble must put the emitted task list into the graph as is"
+    )
+    assert all(task.tid == tid for tid, task in enumerate(plan.graph.tasks))
 
 
 @by_case
