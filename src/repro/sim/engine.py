@@ -29,6 +29,17 @@ Scheduling hops are part of that order: a timeout's waiter runs one hop
 after the timeout fires, never inside it, so same-time events interleave
 as they always have.
 
+A :class:`~repro.sim.stream.Stream` runs each op inside its drain's own
+generator (``yield from``), not as a process of its own, and yields an
+already-fired event right before the op and right after it returns or
+raises.  Those two yields are hops at the ``(time, seq)`` positions
+where an op run as a process of its own would start and would wake the
+drain on completion, so every callback keeps its order and
+:attr:`Simulator.steps` its count.  The fired event belongs to the
+stream, and a free :meth:`Resource.request` returns its resource's one
+fired event.  Any number of processes may wait on either at once:
+waiting on a fired event takes a hop and never registers with it.
+
 An :class:`AllOf` counts down in its constituents' waiter slots instead
 of taking a hop per constituent.  When a constituent succeeds, the
 composite's counter drops in place; only the final countdown takes a
@@ -218,8 +229,8 @@ class Timeout(SimEvent):
 
     def __init__(self, sim: "Simulator", delay: float):
         super().__init__(sim)
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN timeout: {delay}")
         # Inlined ``sim.schedule(delay, self.succeed)``.
         sim._seq += 1
         if delay == 0:
@@ -342,7 +353,10 @@ class Resource:
     """A counted FIFO resource (like a semaphore with fair queuing).
 
     ``request()`` returns an event that fires when a slot is granted;
-    the holder must call ``release()`` exactly once per grant.
+    the holder must call ``release()`` exactly once per grant.  A free
+    grant is the resource's one already-fired event, shared by every
+    free request; a queued grant is a new event, fired by ``release()``
+    in request order.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "res"):
@@ -353,19 +367,19 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._queue: deque[SimEvent] = deque()
+        #: Every free grant: one event, already fired.
+        self._granted = SimEvent(sim).succeed()
 
     @property
     def in_use(self) -> int:
         return self._in_use
 
     def request(self) -> SimEvent:
-        event = SimEvent(self.sim)
         if self._in_use < self.capacity:
             self._in_use += 1
-            # A free grant fires with no waiters: all ``succeed()`` would do.
-            event._fired = True
-        else:
-            self._queue.append(event)
+            return self._granted
+        event = SimEvent(self.sim)
+        self._queue.append(event)
         return event
 
     def release(self) -> None:
@@ -399,12 +413,12 @@ class Simulator:
         self._steps = 0
         self._unhandled: list[tuple[SimEvent, BaseException]] = []
         # Pending-process index.  Long simulations (multi-iteration chaos
-        # runs) spawn one short-lived process per stream operation; an
-        # append-only list both grows without bound and forces the
-        # watchdog to scan every process that ever ran.  An insertion-
-        # ordered dict keyed on the process gives O(1) register/retire
-        # and keeps only live processes, while preserving the
-        # registration order the watchdog's error message reports.
+        # runs) spawn many short-lived processes (stream drains, fetches,
+        # CPU updates); an append-only list both grows without bound and
+        # forces the watchdog to scan every process that ever ran.  An
+        # insertion-ordered dict keyed on the process gives O(1)
+        # register/retire and keeps only live processes, while preserving
+        # the registration order the watchdog's error message reports.
         self._processes: dict[Process, None] = {}
         #: Optional execution-trace recorder (duck-typed
         #: :class:`repro.trace.recorder.TraceRecorder`).  Traced layers
@@ -427,8 +441,9 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule into the past or at NaN (delay={delay})")
         self._seq += 1
         if delay == 0:
             self._fifo.append((self._now, self._seq, callback, args))
@@ -488,6 +503,9 @@ class Simulator:
         """
         if self._unhandled:
             self._raise_unhandled()
+        for arg, value in (("until", until), ("horizon", horizon)):
+            if value is not None and math.isnan(value):
+                raise SimulationError(f"run({arg}=nan) is not a virtual time")
         now = self._now
         if until is not None and until < now:
             raise SimulationError(

@@ -57,10 +57,11 @@ class Link:
 
     def __init__(self, sim: Simulator, name: str, bandwidth: float,
                  latency: float = 0.0):
-        if bandwidth <= 0:
+        if not bandwidth > 0:
             raise SimulationError(f"link {name!r} bandwidth must be positive")
-        if latency < 0:
-            raise SimulationError(f"link {name!r} latency cannot be negative")
+        if not latency >= 0:
+            raise SimulationError(
+                f"link {name!r} latency must be a non-negative time")
         self.sim = sim
         self.name = name
         self.bandwidth = float(bandwidth)  # nominal bytes per second

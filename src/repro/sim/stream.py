@@ -18,15 +18,25 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Generator
 
+from repro.common.errors import SimulationError
 from repro.sim.engine import Process, SimEvent, Simulator
 
 
 class Stream:
     """A FIFO executor: queued operations run one at a time, in order.
 
-    Operations are generators (sub-processes).  Each submitted op gets a
-    completion :class:`SimEvent`; ops may themselves wait on events from
-    other streams, giving CUDA-like cross-stream synchronization.
+    Operations are generators.  Each submitted op gets a completion
+    :class:`SimEvent`; ops may themselves wait on events from other
+    streams, giving CUDA-like cross-stream synchronization.
+
+    One drain process serves the queue until it empties; a submission
+    to an idle stream starts a new one.  The drain runs each op inside
+    its own generator (``result = yield from op``) between two yields of
+    the stream's one already-fired event, which keep every hop where an
+    op run as a process of its own would put it (see "Dispatch order" in
+    :mod:`repro.sim.engine`).  A failed event the op waits on is thrown
+    into it; an op's ``Exception`` fails its completion event, and a
+    :class:`SimulationError` aborts :meth:`Simulator.run`.
     """
 
     def __init__(self, sim: Simulator, name: str, device: int = -1):
@@ -37,7 +47,8 @@ class Stream:
         #: Trace lane: the short stream name ("compute", "swap_in", ...).
         self.lane = name.rsplit(".", 1)[-1]
         self._queue: deque[tuple[Generator, SimEvent, str]] = deque()
-        self._op_name = f"{name}:op"
+        #: Yielded around each op: already fired, so each yield is a hop.
+        self._hop = SimEvent(sim).succeed()
         self._drain_name = f"stream:{name}"
         self._running = False
         self.busy_time = 0.0
@@ -89,21 +100,26 @@ class Stream:
         return self.submit(body())
 
     def _drain(self) -> Generator:
-        sim, queue = self.sim, self._queue
+        sim, queue, hop = self.sim, self._queue, self._hop
         while queue:
             op, done, label = queue.popleft()
             trace = sim.trace
             start = sim._now
+            yield hop
             try:
-                result = yield Process(sim, op, self._op_name)
+                result = yield from op
+            except SimulationError:
+                raise
             except Exception as exc:
                 # The op failed; fail its completion event so dependents
                 # observe the typed error, and keep serving the queue.
+                yield hop
                 if trace is not None:
                     trace.span("stream", label, start, sim._now,
                                self.device, self.lane, ok=0)
                 done.fail(exc)
                 continue
+            yield hop
             self._ops_done += 1
             if trace is not None:
                 trace.span("stream", label, start, sim._now,

@@ -37,6 +37,10 @@ suite pins, exactly:
 - the ``Simulator.steps`` one simulated iteration drains; an ``AllOf``
   takes a hop only for its final countdown (or a failure), never one
   per constituent;
+- the ``Process`` and ``SimEvent`` objects that iteration builds
+  (subclasses included in the ``SimEvent`` count): a stream runs its ops
+  inside its drain, not one process per op, and a free
+  ``Resource.request()`` returns its resource's one fired event;
 - the ``LayerUnit.run_time`` calls (true kernel times) the first run of
   a plan draws, one per layer per (phase, microbatch size) it runs, and
   that a second run from a new ``Harmony`` draws none: the kernel-time
@@ -96,7 +100,7 @@ from repro.fleet import placer as placer_module
 from repro.runtime.executor import Executor
 from repro.runtime.timemodel import TrueTimeModel
 from repro.service import PlannerService, ServiceConfig, scripted_workload
-from repro.sim.engine import Simulator
+from repro.sim.engine import Process, SimEvent, Simulator
 from repro.trace import TraceRecorder, analytics
 from repro.trace import recorder as recorder_module
 from repro.virt import devices as devices_module
@@ -131,6 +135,11 @@ class Case:
     memo_calls: int
     #: ``Simulator.steps`` drained by ``run(plan=..., iterations=1)``.
     steps: int
+    #: ``Process`` objects that run builds.
+    processes: int
+    #: ``SimEvent`` objects that run builds, ``Process``, ``Timeout``
+    #: and ``AllOf`` included.
+    events: int
     #: ``LayerUnit.run_time`` calls made by that run, kernel store cold.
     kernel_times: int
     #: Ceiling on ``|best_estimate - iteration_time| / iteration_time``.
@@ -142,17 +151,20 @@ CASES = (
          candidates=48, time_tables=8, mem_prefixes=8, winner_prefixes=2,
          packings=20, warm_packings=22, act_outs=9, mb_times=24,
          memo_calls=120,
-         steps=427, kernel_times=25, max_drift=0.39),
+         steps=427, processes=12, events=250, kernel_times=25,
+         max_drift=0.39),
     Case("tiny-cnn", "dp", 2, 8,
          candidates=9, time_tables=6, mem_prefixes=3, winner_prefixes=1,
          packings=6, warm_packings=0, act_outs=2, mb_times=3,
          memo_calls=26,
-         steps=157, kernel_times=26, max_drift=0.17),
+         steps=157, processes=9, events=114, kernel_times=26,
+         max_drift=0.17),
     Case("gpt2", "pp", 4, 32,
          candidates=68, time_tables=12, mem_prefixes=12, winner_prefixes=2,
          packings=65, warm_packings=28, act_outs=243, mb_times=323,
          memo_calls=2287,
-         steps=5233, kernel_times=152, max_drift=0.02),
+         steps=5233, processes=63, events=2416, kernel_times=152,
+         max_drift=0.02),
 )
 
 #: ``analytics._union`` calls one ``analyze_trace`` makes over a traced
@@ -184,6 +196,18 @@ def _count_calls(monkeypatch, counts: Counter, cls: type, name: str) -> None:
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(cls, name, counted)
+
+
+def _count_made(monkeypatch, counts: Counter, cls: type) -> None:
+    """Count the ``cls`` objects built, by class name; a subclass's
+    ``super().__init__`` counts it under ``cls`` too."""
+    original = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        counts[cls.__name__] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
 
 
 def _count_tables(monkeypatch, counts: Counter) -> None:
@@ -272,12 +296,21 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
 
     kernel_counts: Counter = Counter()
     _count_calls(monkeypatch, kernel_counts, LayerUnit, "run_time")
+    made: Counter = Counter()
+    _count_made(monkeypatch, made, SimEvent)
+    _count_made(monkeypatch, made, Process)
     report = harmony.run(plan=plan, iterations=1)
     iteration_time = report.metrics.iteration_time
     assert len(simulators) == 1
     assert simulators[0].steps == case.steps
     assert kernel_counts == {"run_time": case.kernel_times}
+    built = {"Process": case.processes, "SimEvent": case.events}
+    assert made == built, (
+        "a stream op must run inside its drain, not as a process, and a "
+        "free grant must not build an event"
+    )
     kernel_counts.clear()
+    made.clear()
     rerun = Harmony(case.model, server_for(case.gpus), case.minibatch,
                     options=HarmonyOptions(mode=case.mode))
     rerun.run(plan=plan, iterations=1)
@@ -286,6 +319,7 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
         "store"
     )
     assert simulators[1].steps == case.steps
+    assert made == built
     drift = (search.best_estimate - iteration_time) / iteration_time
     assert abs(drift) <= case.max_drift, (
         f"estimator drift {drift:+.3f} exceeds the ceiling "

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import gc
+import math
 import weakref
 
 import pytest
@@ -35,6 +36,31 @@ class TestSimulatorBasics:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
+
+    def test_nan_delay_rejected(self, sim):
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.schedule(math.nan, lambda: None)
+
+    def test_nan_wait_never_takes_the_clock_to_nan(self, sim):
+        log = []
+
+        def waiter(name, delay):
+            yield sim.timeout(delay)
+            log.append((name, sim.now))
+
+        for name, delay in (("a", 2.0), ("nan", math.nan), ("b", 1.0)):
+            sim.process(waiter(name, delay), name=name)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run()
+        assert sim.now == 0.0 and log == []
+
+    def test_nan_pause_and_horizon_rejected(self, sim):
+        sim.schedule(1.0, lambda: None)
+        for kwargs in ({"until": math.nan}, {"horizon": math.nan}):
+            with pytest.raises(SimulationError, match="=nan"):
+                sim.run(**kwargs)
+        assert sim.now == 0.0 and sim.steps == 0
+        assert sim.run(horizon=0.5, until=0.5) == 0.5
 
     def test_run_until_stops_early(self, sim):
         seen = []
@@ -115,6 +141,12 @@ class TestTimeout:
     def test_negative_timeout_rejected(self, sim):
         with pytest.raises(SimulationError):
             Timeout(sim, -0.1)
+
+    def test_nan_timeout_rejected(self, sim):
+        with pytest.raises(SimulationError, match="NaN"):
+            Timeout(sim, math.nan)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.timeout(float("nan"))
 
 
 class TestAllOf:
@@ -324,7 +356,7 @@ def no_cyclic_gc():
 class TestFreedByRefcount:
     """Finished work must not sit in reference cycles.
 
-    A run spawns one short-lived process per stream operation; if a
+    A run spawns many short-lived processes and stream drains; if a
     finished process, the events it waited on or its generator were only
     freeable by the cyclic collector, every pass would hold them until
     the next collection (a bound ``_resume`` cached on the process is
@@ -360,18 +392,25 @@ class TestFreedByRefcount:
         assert [ref() for ref in refs] == [None] * len(refs)
 
     def test_drained_stream_op_is_freed(self, sim, no_cyclic_gc):
+        """A burst of three ops: the ops, their completion events, the
+        drain generator and its process are all freed once drained."""
         stream = Stream(sim, "gpu0.compute", device=0)
 
-        def op():
-            yield sim.timeout(1.0)
+        def op(delay):
+            yield sim.timeout(delay)
+            return delay
 
-        op_gen = op()
-        done = stream.submit(op_gen, label="k")
-        refs = [weakref.ref(op_gen), weakref.ref(done)]
-        del op_gen, done
+        refs = []
+        for delay in (1.0, 0.0, 2.0):
+            op_gen = op(delay)
+            done = stream.submit(op_gen, label="k")
+            refs += [weakref.ref(op_gen), weakref.ref(done)]
+        (drain,) = sim._processes
+        refs += [weakref.ref(drain), weakref.ref(drain._body)]
+        del op_gen, done, drain
         sim.run()
-        assert stream.ops_completed == 1
-        assert [ref() for ref in refs] == [None, None]
+        assert stream.ops_completed == 3 and sim.now == 3.0
+        assert [ref() for ref in refs] == [None] * 8
 
     def test_fault_free_traced_run_leaves_no_cycles(self):
         """A fault-free traced gpt2 pp x4 run makes no garbage cycles, so

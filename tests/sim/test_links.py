@@ -1,5 +1,7 @@
 """Tests for bandwidth-arbitrated links and path transfers."""
 
+import math
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -48,6 +50,12 @@ class TestSingleLink:
     def test_bad_bandwidth_rejected(self, sim):
         with pytest.raises(SimulationError):
             Link(sim, "l", bandwidth=0.0)
+
+    def test_nan_bandwidth_or_latency_rejected(self, sim):
+        with pytest.raises(SimulationError, match="bandwidth"):
+            Link(sim, "l", bandwidth=math.nan)
+        with pytest.raises(SimulationError, match="latency"):
+            Link(sim, "l", bandwidth=100.0, latency=math.nan)
 
 
 class TestPaths:

@@ -1,5 +1,8 @@
 """Tests for the CUDA-stream analog."""
 
+import pytest
+
+from repro.common.errors import SimulationError
 from repro.sim.stream import Stream, StreamSet
 
 
@@ -75,6 +78,64 @@ class TestBarriers:
         sim.schedule(10.0, gate.succeed)
         sim.run()
         assert stream.busy_time == 0.0
+
+
+class TestFailures:
+    def test_failed_op_fails_its_event_and_the_next_op_runs(self, sim):
+        stream = Stream(sim, "s")
+
+        def faulty():
+            yield sim.timeout(1.0)
+            raise ValueError("boom")
+
+        failed = stream.submit(faulty(), label="faulty")
+        seen = []
+        failed.add_callback(lambda exc: seen.append(("failed", sim.now, exc)))
+        after = stream.delay(2.0)
+        after.add_callback(lambda _v: seen.append(("after", sim.now, None)))
+        sim.run()
+        assert failed.failed and isinstance(failed.exception, ValueError)
+        assert [(what, t) for what, t, _ in seen] == [("failed", 1.0),
+                                                      ("after", 3.0)]
+        assert seen[0][2] is failed.exception
+        assert stream.ops_completed == 1 and stream.busy_time == 2.0
+
+    def test_failed_wait_is_thrown_into_the_op(self, sim):
+        stream = Stream(sim, "s")
+        gate = sim.event("gate")
+
+        def recovers():
+            try:
+                yield gate
+            except ValueError as exc:
+                return f"recovered {exc}"
+
+        done = stream.submit(recovers())
+        sim.schedule(1.0, gate.fail, ValueError("lost"))
+        sim.run()
+        assert done.value == "recovered lost"
+
+    def test_simulation_error_in_an_op_escapes_run(self, sim):
+        stream = Stream(sim, "s")
+
+        def broken():
+            yield sim.timeout(1.0)
+            raise SimulationError("kernel invariant")
+
+        done = stream.submit(broken())
+        with pytest.raises(SimulationError, match="kernel invariant"):
+            sim.run()
+        assert not done.fired
+
+    def test_op_yielding_a_non_event_raises(self, sim):
+        stream = Stream(sim, "s")
+
+        def bad():
+            yield 42
+
+        stream.submit(bad())
+        with pytest.raises(SimulationError, match="must yield SimEvent"):
+            sim.run()
 
 
 class TestHostCallback:
