@@ -8,10 +8,23 @@ Configuration Search Engine.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.common.errors import SchedulingError
+
+
+def integer(name: str, value: Any) -> int:
+    """``value`` as an int when it is integral: any type
+    ``operator.index`` takes (numpy ints included) except ``bool``.
+    Anything else raises :class:`SchedulingError` naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise SchedulingError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, order=True)

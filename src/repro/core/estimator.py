@@ -14,31 +14,21 @@ cross-GPU link sharing.  That is why Figure 14 compares its estimates
 against actual (fully simulated) runs and finds them close but not
 identical.  Being contention-free and allocation-free, it scores a
 candidate in about 0.11 ms (``python3 bench/run.py --workload plan-zoo
---seconds 0 --trace 1`` at seeds 7701-7703, median of the three runs:
-~7.0 ms of ``core.estimator`` self time per plan over ~66 candidates,
+--seconds 0 --trace 1`` at seeds 8801-8803, median of the three runs:
+~7.4 ms of ``core.estimator`` self time per plan over ~66 candidates,
 in the bench's reference seconds, Python 3.11 on a shared 2-vCPU x86
 host), cheap enough for the sweep of Algorithm 1.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from repro.core.profiler import ModelProfiles
-from repro.core.taskgraph import mb_dependency
 from repro.core.types import Channel, Task, TaskGraph, TaskKind, TensorKind
+from repro.core.waits import covering
 from repro.hardware.server import ServerSpec
 from repro.runtime.timemodel import TrueTimeModel
-
-
-def _dep_map(src_sizes: tuple[int, ...],
-             mbs: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Per consumer chunk, the producer microbatch that completes its
-    samples; ``None`` when the two granularities cover different
-    samples."""
-    if sum(src_sizes) != sum(mbs):
-        return None
-    return tuple(mb_dependency(src_sizes, mbs))
 
 
 class RuntimeEstimator:
@@ -65,9 +55,6 @@ class RuntimeEstimator:
         # (first, last, is BWD, recomputes, sizes) -> per-microbatch
         # times; ints and tuples, as hashing an enum runs Python.
         self._mb_times: dict[tuple, tuple[float, ...]] = {}
-        # (producer sizes, consumer sizes) -> per-chunk producer index, or
-        # None when the two granularities cover different samples.
-        self._dep_maps: dict[tuple, Optional[tuple[int, ...]]] = {}
         # (first, last, FLOPs, on CPU, device count) -> an update's
         # update time: the key holds everything it reads, and a graph
         # may span fewer devices than the server.
@@ -121,7 +108,7 @@ class RuntimeEstimator:
         # keep the first operand, as ``max`` does.
         prefetch = self.prefetch
         swap_bw, p2p_bw, relay = self._swap_bw, self._p2p_bw, self._relay
-        dep_maps, mb_times = self._dep_maps, self._mb_times
+        mb_times = self._mb_times
         update_times = self._update_times
         UPD, BWD = TaskKind.UPD, TaskKind.BWD
         W, DW, K = TensorKind.W, TensorKind.DW, TensorKind.K
@@ -198,8 +185,8 @@ class RuntimeEstimator:
             swap_in_free[d] = state_ready
 
             # Per-microbatch chunks wait on the producer's flush (swap),
-            # its last microbatch (mismatched granularities) or the
-            # microbatch completing their samples.
+            # its completion (the two groups cover different samples) or
+            # the microbatch completing their samples.
             mbs = task.microbatches
             n_mb = len(mbs)
             input_ready = [state_ready] * n_mb
@@ -209,13 +196,7 @@ class RuntimeEstimator:
                 elif channel is SWAP:
                     deps = (flushes[src],) * n_mb
                 else:
-                    # Pure in the two size tuples, which recur across
-                    # chunks and candidates, so memoized.
-                    key = (tasks[src].microbatches, mbs)
-                    try:
-                        dep_map = dep_maps[key]
-                    except KeyError:
-                        dep_map = dep_maps[key] = _dep_map(*key)
+                    dep_map = covering(tasks[src].microbatches, mbs)
                     if dep_map is None:
                         deps = (dones[src],) * n_mb
                     else:

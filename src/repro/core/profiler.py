@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -38,6 +39,8 @@ from repro.graph.layer import Phase
 from repro.hardware.gpu import GpuSpec
 
 _T = TypeVar("_T")
+_K = TypeVar("_K")
+_V = TypeVar("_V")
 
 DEFAULT_SAMPLE_SIZES = (1, 2, 4, 8, 16, 32, 64)
 
@@ -109,6 +112,18 @@ class LayerProfile:
         return (self.act_out_per_sample + self.workspace_per_sample) * u
 
 
+class _Table(dict[_K, _V]):
+    """A memo table: a missing key is filled once, from ``fill(key)``."""
+
+    def __init__(self, fill: Callable[[_K], _V]) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key: _K) -> _V:
+        value = self[key] = self.fill(key)
+        return value
+
+
 def _columns(fits: Sequence[AffineFit]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The intercept and slope columns of ``fits``."""
     return (tuple(fit.intercept for fit in fits),
@@ -121,10 +136,11 @@ class FittedModel:
     ``layers`` are the frozen fits; the intercept and slope columns of the
     FWD and BWD time and memory fits and the UPD times do not depend on
     ``u``, so each per-``(phase, u)`` table is one comprehension over two
-    columns; ``packings`` is Algorithm 2's table
-    (:meth:`ModelProfiles.packing`), shared by every plan of the model.
-    Its keys range over microbatch sizes up to the search's ``u_max``,
-    never over the minibatch, and it is evicted with the fits.
+    columns (:meth:`layer_times`, :meth:`mem_prefix`); ``packings`` is
+    Algorithm 2's table (:meth:`ModelProfiles.packing`), shared by every
+    plan of the model.  Its keys range over microbatch sizes up to the
+    search's ``u_max``, never over the minibatch, and it is evicted with
+    the fits.
     """
 
     __slots__ = ("layers", "time_columns", "mem_columns", "upd_times",
@@ -143,6 +159,28 @@ class FittedModel:
         self.upd_times = tuple(layer.time_upd for layer in layers)
         self.packings: dict[Any, Any] = {}
 
+    def layer_times(self, phase: Phase, u: int) -> tuple[float, ...]:
+        """The per-layer times at microbatch ``u``.
+
+        ``a + b * u`` clamped at 0.0 over the time fit's columns is the
+        float arithmetic :meth:`LayerProfile.time` does per layer, so the
+        table has its bits; UPD times do not depend on ``u``."""
+        if phase is Phase.UPD:
+            return self.upd_times
+        intercepts, slopes = self.time_columns[phase]
+        return tuple([v if (v := a + b * u) > 0.0 else 0.0
+                      for a, b in zip(intercepts, slopes)])
+
+    def mem_prefix(self, phase: Phase, u: int) -> list[int]:
+        """Prefix sums of the FWD or BWD per-layer memory list at ``u``.
+
+        ``int(a + b * u)`` clamped at 0 over the memory fit's columns is
+        what :meth:`LayerProfile.memory` computes per layer."""
+        intercepts, slopes = self.mem_columns[phase]
+        return list(accumulate(
+            [m if (m := int(a + b * u)) > 0 else 0
+             for a, b in zip(intercepts, slopes)], initial=0))
+
 
 class ModelProfiles:
     """The Scheduler's view of a profiled model (``phi``).
@@ -151,27 +189,30 @@ class ModelProfiles:
     builder's hot path: Algorithm 2 probes ``pack_memory`` for every
     candidate cut at every microbatch size, which naively re-sums the
     per-layer memory list each time (``O(R)`` per probe, ``O(R^3)`` per
-    search for deep CNNs).  The aggregates are served from memoized
-    per-``(phase, u)`` tables:
+    search for deep CNNs).  The aggregates are served from one table
+    per fact:
 
     - **integer** aggregates (memory footprints, parameter bytes, the
-      essential bytes of Algorithm 2's lower bound) come from prefix-sum
-      tables -- Python ints, so the prefix difference is *exactly* the
-      naive sum, bit for bit;
-    - **pack times** are slices of one memoized per-layer time table
-      (:meth:`layer_times`), folded left to right in the same order as
-      the naive per-layer sum, so they are the identical bit
-      pattern (prefix differences would NOT be bit-stable for floats,
-      which is why prefix tables are only used for ints);
-    - **update FLOPs** are memoized whole, computed once with the naive
-      summation order.
+      essential bytes of Algorithm 2's lower bound) are differences of
+      prefix sums -- Python ints, so *exactly* the naive sum, bit for
+      bit: ``memory[phase][u]`` for FWD and BWD, filled once per
+      ``(phase, u)``, and the ``u``-independent lists ``param_prefix``
+      and ``act_out_prefix`` (per sample);
+    - **pack times** are slices of the time table ``times[phase][u]``,
+      folded left to right in the same order as the naive per-layer
+      sum, so they are the identical bit pattern (prefix differences
+      would NOT be bit-stable for floats, which is why prefix tables are
+      only used for ints);
+    - **update FLOPs** are ``10.0 * param_bytes / 4`` over the pack:
+      the bits of the per-layer fold, as every term is a multiple of 0.5
+      and every partial sum stays below 2**52.
 
     Immutable: ``layers`` is a tuple of frozen fits, which the profile
-    store shares between instances, so no memo table (here or in a
-    dependent cache such as the runtime estimator's) can go stale.  A
-    different profile is a new instance.  The per-``(phase, u)`` tables
-    are per instance and freed with their plan; Algorithm 2's packing
-    table lives on the :class:`FittedModel` the profile is built from.
+    store shares between instances, so no table (here or in a dependent
+    cache such as the runtime estimator's) can go stale.  A different
+    profile is a new instance.  The per-``(phase, u)`` tables are per
+    instance and freed with their plan; Algorithm 2's packing table
+    lives on the :class:`FittedModel` the profile is built from.
     ``layers`` is either that entry (how the store shares one) or the
     per-layer fits, which get a private entry.
     """
@@ -184,11 +225,21 @@ class ModelProfiles:
     ):
         if not isinstance(layers, FittedModel):
             layers = FittedModel(tuple(layers))
-        self._entry = layers
-        self.layers = layers.layers
+        self._entry = entry = layers
+        self.layers = entry.layers
         self.optimizer_slots = optimizer_slots
         self.gpu = gpu
-        self._memo: dict[Any, Any] = {}
+        # phase -> u -> the per-layer time table at u
+        self.times = {phase: _Table(partial(entry.layer_times, phase))
+                      for phase in Phase}
+        # FWD or BWD -> u -> the per-layer memory prefix at u: a pack's
+        # footprint is ``prefix[last + 1] - prefix[first]``
+        self.memory = {phase: _Table(partial(entry.mem_prefix, phase))
+                       for phase in (Phase.FWD, Phase.BWD)}
+        self.param_prefix = list(accumulate(
+            (layer.param_bytes for layer in self.layers), initial=0))
+        self.act_out_prefix = list(accumulate(
+            (layer.act_out_per_sample for layer in self.layers), initial=0))
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -197,15 +248,6 @@ class ModelProfiles:
         return self.layers[index]
 
     # -- memoization -----------------------------------------------------------
-
-    def memo(self, key: Any, compute: Callable[[], _T]) -> _T:
-        """Memoize ``compute()`` under ``key`` for this instance; keys are
-        namespaced by their first element."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute()
-            return value
 
     def packing(self, key: Any, compute: Callable[[], _T]) -> _T:
         """Memoize ``compute()`` under ``key`` in the packing table shared
@@ -219,46 +261,12 @@ class ModelProfiles:
             value = table[key] = compute()
             return value
 
-    def _mem_prefix(self, phase: Phase, u: int) -> list[int]:
-        """Prefix sums of the per-layer memory list (exact: Python ints).
-
-        ``int(a + b * u)`` clamped at 0 over the FWD or BWD memory fit's
-        columns is what :meth:`LayerProfile.memory` computes per layer."""
-        def build() -> list[int]:
-            intercepts, slopes = self._entry.mem_columns[phase]
-            return list(accumulate(
-                [m if (m := int(a + b * u)) > 0 else 0
-                 for a, b in zip(intercepts, slopes)], initial=0))
-
-        return self.memo(("memp", phase, u), build)
-
-    def _param_prefix(self) -> list[int]:
-        return self.memo(("paramp",), lambda: list(accumulate(
-            (layer.param_bytes for layer in self.layers), initial=0)))
-
-    def _act_out_prefix(self) -> list[int]:
-        """Prefix sums of the per-sample output activations, for every
-        ``u`` at once: ``act_out_bytes(u)`` is per-sample bytes times ``u``."""
-        return self.memo(("actp",), lambda: list(accumulate(
-            (layer.act_out_per_sample for layer in self.layers), initial=0)))
-
     # -- per-layer lists used by Algorithm 2 ---------------------------------
 
     def layer_times(self, phase: Phase, u: int) -> tuple[float, ...]:
-        """The per-layer time table at microbatch ``u``, memoized per
-        ``(phase, u)``.  Every pack and task time is summed from it.
-
-        ``a + b * u`` clamped at 0.0 over the time fit's columns is the
-        float arithmetic :meth:`LayerProfile.time` does per layer, so the
-        table has its bits; UPD times do not depend on ``u``."""
-        def build() -> tuple[float, ...]:
-            if phase is Phase.UPD:
-                return self._entry.upd_times
-            intercepts, slopes = self._entry.time_columns[phase]
-            return tuple([v if (v := a + b * u) > 0.0 else 0.0
-                          for a, b in zip(intercepts, slopes)])
-
-        return self.memo(("times", phase, u), build)
+        """The per-layer time table at microbatch ``u``.  Every pack and
+        task time is summed from it."""
+        return self.times[phase][u]
 
     def span_time(self, phase: Phase, first: int, last: int, u: int) -> float:
         """Time of layers ``first..last`` (inclusive) at microbatch ``u``.
@@ -269,7 +277,7 @@ class ModelProfiles:
         prefix difference's would not be).  Builtin ``sum`` gives the same
         bits only up to Python 3.11: from 3.12 on it compensates float
         sums."""
-        return ordered_sum(self.layer_times(phase, u)[first:last + 1])
+        return ordered_sum(self.times[phase][u][first:last + 1])
 
     # -- pack-level aggregates -------------------------------------------------
 
@@ -277,13 +285,13 @@ class ModelProfiles:
         """Irreducible residency of layers ``0..n-1`` for Algorithm 2's
         lower bound ``S_min``: parameters (FWD), plus gradients and output
         activations (BWD).  Int prefixes, so exactly the per-layer sum."""
-        params = self._param_prefix()[n]
+        params = self.param_prefix[n]
         if phase is Phase.FWD:
             return params
-        return 2 * params + u * self._act_out_prefix()[n]
+        return 2 * params + u * self.act_out_prefix[n]
 
     def pack_param_bytes(self, pack: Pack) -> int:
-        prefix = self._param_prefix()
+        prefix = self.param_prefix
         return prefix[pack.last + 1] - prefix[pack.first]
 
     def pack_time(self, phase: Phase, pack: Pack, u: int) -> float:
@@ -295,14 +303,14 @@ class ModelProfiles:
         (``m[p].Sum()``).  Summing is conservative -- it charges every
         layer's live activations at once -- and is exactly what keeps the
         paper's packs fine-grained enough for the pipeline to balance."""
-        prefix = self._mem_prefix(Phase.FWD, u)
+        prefix = self.memory[Phase.FWD][u]
         return prefix[pack.last + 1] - prefix[pack.first]
 
     def pack_bwd_memory(self, pack: Pack, u: int) -> int:
         """Footprint of a backward task: the sum of the per-layer backward
         memory list (weights + grads + recomputed stash + transients per
         layer), per Algorithm 2."""
-        prefix = self._mem_prefix(Phase.BWD, u)
+        prefix = self.memory[Phase.BWD][u]
         return prefix[pack.last + 1] - prefix[pack.first]
 
     def pack_memory(self, phase: Phase, pack: Pack, u: int) -> int:
@@ -338,12 +346,7 @@ class ModelProfiles:
 
     def pack_update_flops(self, pack: Pack) -> float:
         """FLOPs of the optimizer step over the pack's parameters."""
-        return self.memo(
-            ("uflops", pack.first, pack.last),
-            lambda: ordered_sum(
-                10.0 * self.layers[i].param_bytes / 4 for i in pack.layers
-            ),
-        )
+        return 10.0 * self.pack_param_bytes(pack) / 4
 
     @property
     def total_param_bytes(self) -> int:

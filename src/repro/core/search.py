@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import InfeasibleConfigError, SchedulingError
-from repro.core.config import Configuration
+from repro.core.config import Configuration, integer
 from repro.core.estimator import RuntimeEstimator
 from repro.core.packing import balanced_time_packing
 from repro.core.profiler import ModelProfiles
@@ -46,7 +46,8 @@ class SearchSettings:
     equi_fb: bool = False
 
     def __post_init__(self) -> None:
-        if self.u_fmax < 1 or self.u_bmax < 1:
+        if integer("u_fmax", self.u_fmax) < 1 or \
+                integer("u_bmax", self.u_bmax) < 1:
             raise SchedulingError(
                 f"microbatch size limits must be at least 1, got "
                 f"u_fmax={self.u_fmax}, u_bmax={self.u_bmax}"
@@ -114,7 +115,7 @@ class ConfigurationSearch:
         options: ScheduleOptions,
         settings: SearchSettings = SearchSettings(),
     ):
-        if minibatch < 1:
+        if integer("minibatch", minibatch) < 1:
             raise SchedulingError("minibatch must be positive")
         self.profiles = profiles
         self.server = server

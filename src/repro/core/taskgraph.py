@@ -33,11 +33,11 @@ ablations can turn them off one at a time:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 from repro.common.errors import SchedulingError
-from repro.core.config import Configuration, Pack, microbatch_group
-from repro.core.profiler import ModelProfiles
+from repro.core.config import Configuration, Pack, integer, microbatch_group
+from repro.core.profiler import ModelProfiles, _Table
 from repro.core.types import (
     Channel,
     Move,
@@ -46,6 +46,7 @@ from repro.core.types import (
     TaskKind,
     TensorKind,
 )
+from repro.core.waits import covering
 from repro.graph.layer import Phase
 
 
@@ -71,57 +72,17 @@ class ScheduleOptions:
             raise SchedulingError(f"unknown Harmony mode {self.mode!r}")
 
 
-def mb_dependency(producer_sizes: tuple[int, ...], consumer_sizes: tuple[int, ...]) -> list[int]:
-    """For each consumer microbatch, the producer microbatch index whose
-    completion makes the consumer's samples fully available.
-
-    Used by the Runtime where forward (``U_F``) and backward (``U_B``)
-    granularities meet inside a grouped task pair.
-    """
-    if sum(producer_sizes) != sum(consumer_sizes):
-        raise SchedulingError(
-            f"producer covers {sum(producer_sizes)} samples, consumer "
-            f"{sum(consumer_sizes)}"
-        )
-    deps = []
-    produced = 0
-    producer_idx = -1
-    needed = 0
-    for size in consumer_sizes:
-        needed += size
-        while produced < needed:
-            producer_idx += 1
-            produced += producer_sizes[producer_idx]
-        deps.append(producer_idx)
-    return deps
-
-
 #: One task's microbatch group: its sizes, its sample count, its largest size.
 _Group = tuple[tuple[int, ...], int, int]
 
-_K = TypeVar("_K")
-_V = TypeVar("_V")
-
-
-class _Table(dict[_K, _V]):
-    """A memo table: a missing key is filled once, from ``fill(key)``."""
-
-    def __init__(self, fill: Callable[[_K], _V]) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key: _K) -> _V:
-        value = self[key] = self.fill(key)
-        return value
-
-
 class _PackParts:
     """What every task of one pack needs and no candidate changes: its
-    labels, its boundary activation sizes, its weights' in-move and its
-    gradients' out-move."""
+    labels, its boundary activation sizes, its weights' in-move, its
+    gradients' out-move and its optimizer step's FLOPs."""
 
     __slots__ = ("name", "w_in", "dw_out", "in_per_sample", "out_per_sample",
-                 "fwd", "bwd", "fused", "upd", "x", "ckpt", "dy")
+                 "update_flops", "fwd", "bwd", "fused", "upd", "x", "ckpt",
+                 "dy")
 
     def __init__(self, profiles: ModelProfiles, pack: Pack):
         name = self.name = str(pack)
@@ -133,6 +94,7 @@ class _PackParts:
                            "dW" + name)
         self.in_per_sample = profiles.boundary_in_bytes(pack, 1)
         self.out_per_sample = profiles.boundary_out_bytes(pack, 1)
+        self.update_flops = profiles.pack_update_flops(pack)
         self.fwd, self.bwd, self.fused, self.upd = (
             "F" + name, "B" + name, "FB" + name, "U" + name)
         self.x, self.ckpt, self.dy = "X" + name, "ckpt" + name, "dY" + name
@@ -145,6 +107,16 @@ def _task_groups(total: int, u: int, grouping: bool) -> tuple[_Group, ...]:
     sizes = microbatch_group(total, u)
     split = [sizes] if grouping else [(size,) for size in sizes]
     return tuple((group, sum(group), max(group)) for group in split)
+
+
+def _cover(producers: tuple[_Group, ...],
+           consumers: tuple[_Group, ...]) -> tuple[int, ...]:
+    """Per consumer group, the producer group whose completion covers its
+    samples; both pass the same total."""
+    cover = covering(tuple([group[1] for group in producers]),
+                     tuple([group[1] for group in consumers]))
+    assert cover is not None
+    return cover
 
 
 def _optimizer_moves(profiles: ModelProfiles,
@@ -166,39 +138,22 @@ class _ScheduleMemo:
     code, which would cost about what the memo saves.  It grows with the
     packs, microbatch sizes and task counts a search visits, not with its
     candidates.  Chain activations depend on the candidate and are not
-    kept; footprints are read off the profiles' own ``(phase, u)``
-    memory prefixes, which are bound here, not copied.
+    kept; footprints are read off the profiles' own FWD and BWD memory
+    tables and coverings come from :func:`repro.core.waits.covering`.
     """
 
     def __init__(self, profiles: ModelProfiles, grouping: bool) -> None:
-        # (first, last) -> the pack's labels, boundary sizes, W in, dW out
+        # (first, last) -> the pack's labels, boundary sizes, W in, dW
+        # out, update FLOPs
         self.packs: _Table[tuple[int, int], _PackParts] = _Table(
             lambda span: _PackParts(profiles, Pack(*span)))
         # (first, last) -> a GPU-side update's K in, W' and K' out
         self.optimizer_moves: _Table[
             tuple[int, int], tuple[Move, Move, Move]
         ] = _Table(lambda span: _optimizer_moves(profiles, Pack(*span)))
-        # (first, last) -> the FLOPs of the pack's optimizer step
-        self.update_flops: _Table[tuple[int, int], float] = _Table(
-            lambda span: profiles.pack_update_flops(Pack(*span)))
-        # u -> the FWD / BWD memory prefix at u: a task's footprint is
-        # ``prefix[last + 1] - prefix[first]`` (``pack_fwd_memory``,
-        # ``pack_bwd_memory``)
-        self.fwd_memory: _Table[int, list[int]] = _Table(
-            lambda u: profiles._mem_prefix(Phase.FWD, u))
-        self.bwd_memory: _Table[int, list[int]] = _Table(
-            lambda u: profiles._mem_prefix(Phase.BWD, u))
         # (total samples, u) -> the task groups of one pass
-        groups: _Table[tuple[int, int], tuple[_Group, ...]] = _Table(
+        self.groups: _Table[tuple[int, int], tuple[_Group, ...]] = _Table(
             lambda key: _task_groups(*key, grouping))
-        self.groups = groups
-        # (total samples, producer u, consumer u) -> per consumer group,
-        # the producer group whose completion covers its samples
-        self.covering: _Table[tuple[int, int, int], tuple[int, ...]] = _Table(
-            lambda key: tuple(mb_dependency(
-                tuple(g[1] for g in groups[key[0], key[1]]),
-                tuple(g[1] for g in groups[key[0], key[2]]),
-            )))
         # (boundary layer, samples) -> the checkpoint out-move
         self.ckpt_outs: _Table[tuple[int, int], Move] = _Table(
             lambda key: Move(
@@ -233,13 +188,16 @@ class HarmonyGraphBuilder:
     ):
         if n_gpus < 1:
             raise SchedulingError("need at least one GPU")
-        if minibatch < 1:
+        if integer("minibatch", minibatch) < 1:
             raise SchedulingError("minibatch must be positive")
         self.profiles = profiles
         self.n_gpus = n_gpus
         self.minibatch = minibatch
         self.options = options
         self._memo = _ScheduleMemo(profiles, options.grouping)
+        # u -> a task's footprint prefix: the profiles' own tables
+        self._fwd_memory = profiles.memory[Phase.FWD]
+        self._bwd_memory = profiles.memory[Phase.BWD]
 
     # -- public entry ----------------------------------------------------------
 
@@ -304,7 +262,7 @@ class HarmonyGraphBuilder:
         total = self.minibatch
         groups_f = memo.groups[total, config.u_f]
         groups_b = memo.groups[total, config.u_b]
-        act_cover = memo.covering[total, config.u_f, config.u_b]
+        act_cover = _cover(groups_f, groups_b)
         chain = Channel.P2P if opts.p2p else Channel.MSG
 
         fuse_last = opts.jit and config.jit_compute_aligned
@@ -360,7 +318,7 @@ class HarmonyGraphBuilder:
         tasks: list[Task] = []
         groups_f = memo.groups[share, config.u_f]
         groups_b = memo.groups[share, config.u_b]
-        act_cover = memo.covering[share, config.u_f, config.u_b]
+        act_cover = _cover(groups_f, groups_b)
 
         fuse_last = opts.jit and config.jit_compute_aligned
         fwd_packs = config.packs_f[:-1] if fuse_last else config.packs_f
@@ -437,7 +395,7 @@ class HarmonyGraphBuilder:
         """
         memo = self._memo
         first, last = pack.first, pack.last
-        footprints = memo.fwd_memory
+        footprints = self._fwd_memory
         for i, (sizes, samples, umax) in enumerate(groups):
             if first == 0:
                 x_in = memo.inputs[samples]
@@ -491,7 +449,7 @@ class HarmonyGraphBuilder:
         from_input = fused and (first == 0 or prev_act is None)
         # The forward producer: the fused pack's input, or the stash.
         act = prev_act if fused else stash
-        footprints = memo.bwd_memory
+        footprints = self._bwd_memory
         for i, (sizes, samples, umax) in enumerate(groups):
             ins = [parts.w_in]
             src = None if act is None else act + act_cover[i]
@@ -529,7 +487,6 @@ class HarmonyGraphBuilder:
         profiles = self.profiles
         memo = self._memo
         on_cpu = opts.offload_optimizer
-        span = pack.first, pack.last
         ins = [memo.dep_links[dep] for dep in (src_bwd, *extra_deps)]
         outs: list[Move] = []
         resident = 0
@@ -540,12 +497,12 @@ class HarmonyGraphBuilder:
                 # "unnecessary swaps").
                 ins.append(parts.w_in)
                 ins.append(parts.dw_out._replace(src_task=src_bwd))
-            k_in, w_out, k_out = memo.optimizer_moves[span]
+            k_in, w_out, k_out = memo.optimizer_moves[pack.first, pack.last]
             ins.append(k_in)
             outs += (w_out, k_out)
             resident = (2 + profiles.optimizer_slots) * parts.w_in.nbytes
         tasks.append(Task(
             len(tasks), TaskKind.UPD, pack.first, pack.last, device, (1,),
             on_cpu, False, True, ins, outs,
-            memo.update_flops[span], resident, parts.upd,
+            parts.update_flops, resident, parts.upd,
         ))

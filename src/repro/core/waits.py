@@ -18,7 +18,10 @@ The Executor (:mod:`repro.runtime.executor`) issues work by these
 rules, the analyzer's wait graph (:mod:`repro.analysis.deadlock`)
 proves schedules against them, and the trace checker
 (:func:`repro.trace.invariants.check_dependencies`) holds recorded runs
-to them, so the three cannot drift apart.
+to them, so the three cannot drift apart.  The search's schedule
+emitter (:mod:`repro.core.taskgraph`) and Runtime Estimator
+(:mod:`repro.core.estimator`) take their covering maps from
+:func:`covering` too; the estimator keeps its own dependency rule.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Union
 
-from repro.core.taskgraph import mb_dependency
+from repro.common.errors import SchedulingError
 from repro.core.types import Channel, Move, Task, TaskKind, TensorKind
 
 #: State tensors move once per task; every other family moves in one
@@ -50,11 +53,41 @@ def per_task(move: Move) -> bool:
     return move.tensor in PER_TASK_TENSORS
 
 
+def mb_dependency(producer_sizes: tuple[int, ...],
+                  consumer_sizes: tuple[int, ...]) -> list[int]:
+    """For each consumer microbatch, the producer microbatch index whose
+    completion makes the consumer's samples fully available.
+
+    Used where forward (``U_F``) and backward (``U_B``) granularities
+    meet inside a grouped task pair.
+    """
+    if sum(producer_sizes) != sum(consumer_sizes):
+        raise SchedulingError(
+            f"producer covers {sum(producer_sizes)} samples, consumer "
+            f"{sum(consumer_sizes)}"
+        )
+    deps = []
+    produced = 0
+    producer_idx = -1
+    needed = 0
+    for size in consumer_sizes:
+        needed += size
+        while produced < needed:
+            producer_idx += 1
+            produced += producer_sizes[producer_idx]
+        deps.append(producer_idx)
+    return deps
+
+
 @lru_cache(maxsize=1024)
-def _covering(producer_sizes: tuple[int, ...],
-              consumer_sizes: tuple[int, ...]) -> tuple[int, ...]:
-    """:func:`mb_dependency`, computed once per pair of microbatch groups."""
-    return tuple(mb_dependency(producer_sizes, consumer_sizes))
+def covering(producer_sizes: tuple[int, ...],
+             consumer_sizes: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """:func:`mb_dependency`, computed once per pair of microbatch
+    groups; None when the two groups cover different sample totals."""
+    try:
+        return tuple(mb_dependency(producer_sizes, consumer_sizes))
+    except SchedulingError:
+        return None
 
 
 def producer_wait(move: Move, consumer: Task, producer: Task,
@@ -71,9 +104,10 @@ def producer_wait(move: Move, consumer: Task, producer: Task,
     """
     if consumer.on_cpu or move.channel is Channel.SWAP:
         return FLUSHED
-    if mb is None or producer.group_samples != consumer.group_samples:
+    if mb is None:
         return DONE
-    return _covering(producer.microbatches, consumer.microbatches)[mb]
+    cover = covering(producer.microbatches, consumer.microbatches)
+    return DONE if cover is None else cover[mb]
 
 
 def fetch_stream(move: Move) -> Optional[str]:

@@ -49,6 +49,7 @@ invariant checks over :attr:`events` see the surviving suffix.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Optional
@@ -168,8 +169,9 @@ class TraceRecorder:
     # -- multi-simulator stitching ------------------------------------------------
 
     def advance(self, dt: float) -> None:
-        """Shift the base: the next simulator phase starts ``dt`` later."""
-        if dt < 0:
+        """Shift the base: the next simulator phase starts ``dt`` later.
+        ``dt`` must be finite and non-negative; NaN fails the check."""
+        if not 0 <= dt < math.inf:
             raise ValueError(f"cannot advance the trace base by {dt}")
         self.base += dt
 

@@ -10,6 +10,7 @@ from repro.core.harmony import Harmony, HarmonyOptions
 from repro.core.packing import balanced_time_packing
 from repro.core.search import ConfigurationSearch, SearchSettings, _candidate_sizes
 from repro.core.taskgraph import HarmonyGraphBuilder, ScheduleOptions
+from repro.experiments.common import server_for
 from repro.graph.layer import Phase
 
 
@@ -156,6 +157,51 @@ class TestSearchSettings:
     def test_edges_are_accepted(self):
         SearchSettings(u_fmax=1, u_bmax=1, capacity_fraction=1.0)
         HarmonyOptions(u_fmax=1, u_bmax=1, capacity_fraction=1.0)
+
+    @pytest.mark.parametrize("field", ["u_fmax", "u_bmax"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 8.0, True, "8"],
+                             ids=["nan", "2.5", "8.0", "True", "str"])
+    def test_non_integral_size_limit_raises(self, field, value):
+        """A bool is not a size limit: ``u_bmax=True`` must not plan as 1."""
+        from repro.common.errors import SchedulingError
+
+        with pytest.raises(SchedulingError, match=f"{field} must be an integer"):
+            SearchSettings(**{field: value})
+        with pytest.raises(SchedulingError, match=f"{field} must be an integer"):
+            HarmonyOptions(**{field: value})
+
+    def test_integral_types_are_accepted(self):
+        import numpy as np
+
+        settings = HarmonyOptions(u_fmax=np.int64(4),
+                                  u_bmax=np.int32(2)).search_settings()
+        assert settings.u_fmax == 4 and settings.u_bmax == 2
+
+
+class TestMinibatchType:
+    """A non-integral minibatch fails typed at every entry to the
+    Scheduler, not as a bare ``TypeError`` deep in it."""
+
+    @pytest.mark.parametrize("minibatch", [2.5, float("nan"), 8.0, True],
+                             ids=["2.5", "nan", "8.0", "True"])
+    def test_plan_rejects_non_integral_minibatch(self, minibatch, toy_model,
+                                                 small_server, toy_config):
+        from repro.common.errors import SchedulingError
+
+        harmony = Harmony(toy_model, small_server, minibatch)
+        with pytest.raises(SchedulingError, match="minibatch must be an integer"):
+            harmony.plan()
+        with pytest.raises(SchedulingError, match="minibatch must be an integer"):
+            harmony.plan(config=toy_config)
+
+    def test_numpy_minibatch_plans_like_an_int(self):
+        import numpy as np
+
+        plain = Harmony("toy-transformer", server_for(2), 8).plan()
+        numpy_plan = Harmony("toy-transformer", server_for(2),
+                             np.int64(8)).plan()
+        assert numpy_plan.search.n_feasible == plain.search.n_feasible
+        assert numpy_plan.config == plain.config
 
 
 #: The bench zoo's models.

@@ -109,8 +109,14 @@ class TestSharing:
                         options=HarmonyOptions(mode="dp")).plan()
         assert large.profiles.layers is small.profiles.layers
         assert large.profiles is not small.profiles
-        assert large.profiles._memo is not small.profiles._memo
-        assert small.profiles._memo and large.profiles._memo
+        for name in ("times", "memory"):
+            small_tables = getattr(small.profiles, name)
+            large_tables = getattr(large.profiles, name)
+            assert all(large_tables[phase] is not table
+                       for phase, table in small_tables.items())
+        # Each winner graph's footprints filled its own memory tables.
+        assert any(small.profiles.memory.values())
+        assert any(large.profiles.memory.values())
         assert large.profiles._entry is small.profiles._entry
         assert len(store) == 1
 

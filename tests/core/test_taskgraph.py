@@ -5,8 +5,9 @@ import pytest
 from repro.common.errors import SchedulingError
 from repro.core.config import Configuration
 from repro.core.packing import balanced_time_packing
-from repro.core.taskgraph import HarmonyGraphBuilder, ScheduleOptions, mb_dependency
+from repro.core.taskgraph import HarmonyGraphBuilder, ScheduleOptions
 from repro.core.types import Channel, TaskKind, TensorKind
+from repro.core.waits import mb_dependency
 from repro.graph.layer import Phase
 
 

@@ -1,13 +1,13 @@
 """Bit-identity regression: the caches must not move a single bit.
 
-The planner and the Runtime keep eight caches: the search store, the
+The planner and the Runtime keep nine caches: the search store, the
 profile store, the packing table it shares per model, the
-``ModelProfiles`` memo tables (built from the fits' coefficient
-columns), the graph builder's schedule memo (pack parts, task groups,
-footprint prefixes, update FLOPs), the estimator's per-search duration
-and dependency memos, the time model's pack tables (over fitted times in
-the estimator, kernel times in the Runtime), and the Runtime's
-kernel-time store.  Each promises the bits of the naive
+``ModelProfiles`` time and memory tables (built from the fits'
+coefficient columns), the graph builder's schedule memo (pack parts,
+task groups, moves), the covering maps of ``repro.core.waits``, the
+estimator's per-search duration memos, the time model's pack tables
+(over fitted times in the estimator, kernel times in the Runtime), and
+the Runtime's kernel-time store.  Each promises the bits of the naive
 computation it replaces.
 This suite holds that promise down to ``float.hex()`` on the small zoo
 models in both execution modes, against a ``naive`` arm that swaps every
@@ -25,10 +25,10 @@ from itertools import accumulate
 
 import pytest
 
-from repro.core import harmony, profiler, taskgraph
+from repro.core import estimator, harmony, profiler, taskgraph, waits
 from repro.core.estimator import RuntimeEstimator
 from repro.core.harmony import Harmony, HarmonyOptions
-from repro.core.profiler import ModelProfiles, Profiler
+from repro.core.profiler import FittedModel, ModelProfiles, Profiler
 from repro.core.types import TaskKind
 from repro.experiments.common import server_for
 from repro.faults import FaultPlan, FaultSpec
@@ -98,25 +98,14 @@ class _Forgetful(dict):
         pass
 
 
-class _NaiveTable(dict):
-    """The builder's memo table, filled afresh on every lookup."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        return self.fill(key)
-
-
 def _forgetful_estimator(init):
     """``RuntimeEstimator.__init__`` with per-search memos that keep
-    nothing: every task's durations and dependency maps are worked out
-    anew."""
+    nothing: every estimate builds its own time model and works every
+    task's durations out anew."""
     def forgetful_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
+        self._time_models = _Forgetful()
         self._mb_times = _Forgetful()
-        self._dep_maps = _Forgetful()
         self._update_times = _Forgetful()
 
     return forgetful_init
@@ -140,19 +129,22 @@ def naive(monkeypatch):
     """Call to swap every cache for the naive computation it replaces,
     for the rest of the test."""
     def disable_caches():
-        monkeypatch.setattr(ModelProfiles, "memo",
-                            lambda self, key, compute: compute())
         monkeypatch.setattr(ModelProfiles, "packing",
                             lambda self, key, compute: compute())
-        monkeypatch.setattr(ModelProfiles, "layer_times", _naive_layer_times)
-        monkeypatch.setattr(ModelProfiles, "_mem_prefix", _naive_mem_prefix)
+        monkeypatch.setattr(FittedModel, "layer_times", _naive_layer_times)
+        monkeypatch.setattr(FittedModel, "mem_prefix", _naive_mem_prefix)
         monkeypatch.setattr(harmony, "lru_get", _naive_search)
         monkeypatch.setattr(Profiler, "profile", _naive_profile)
         monkeypatch.setattr(ModelProfiles, "span_time", _naive_span_time)
         monkeypatch.setattr(KernelTimes, "span_time", _naive_kernel_span_time)
         monkeypatch.setattr(RuntimeEstimator, "__init__",
                             _forgetful_estimator(RuntimeEstimator.__init__))
-        monkeypatch.setattr(taskgraph, "_Table", _NaiveTable)
+        # Every memo table refills a key on every lookup.
+        monkeypatch.setattr(profiler._Table, "__missing__",
+                            lambda self, key: self.fill(key))
+        uncached_covering = waits.covering.__wrapped__
+        for module in (waits, taskgraph, estimator):
+            monkeypatch.setattr(module, "covering", uncached_covering)
         monkeypatch.setattr(TrueTimeModel, "_pack_time", _naive_pack_time)
 
     return disable_caches

@@ -167,9 +167,11 @@ def test_balanced_packing_is_memoized_and_stable(seed):
         pytest.skip("capacity draw infeasible for this seed")
     again = balanced_time_packing(Phase.FWD, u, profiles, capacity)
     assert again == first
-    # New profiles over the same fits start an empty memo: the result is
+    # New profiles over the same fits start empty tables: the result is
     # recomputed -- same inputs, same packs -- rather than served stale.
     rebuilt = ModelProfiles(profiles.layers, profiles.optimizer_slots,
                             profiles.gpu)
-    assert rebuilt._memo == {}
+    assert not any(rebuilt.times.values())
+    assert not any(rebuilt.memory.values())
+    assert rebuilt._entry.packings == {}
     assert balanced_time_packing(Phase.FWD, u, rebuilt, capacity) == first

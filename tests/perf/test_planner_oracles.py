@@ -29,7 +29,12 @@ The per-``(phase, u)`` time tables and memory prefixes are built from
 the fits' intercept and slope columns; they must equal per-layer
 ``LayerProfile.time`` and ``LayerProfile.memory`` calls for ``u`` in
 1..64 on the zoo and on a synthetic profile whose negative intercepts
-reach both clamps.  Algorithm 2's packings live in one table per
+reach both clamps.  A pack's update FLOPs are one product over its
+parameter prefix difference; they must equal the per-layer fold by
+``float.hex`` on every span of every registered model with at most 120
+layers and on a strided sample of the larger ones' spans.
+
+Algorithm 2's packings live in one table per
 profiled model, shared by every plan of it: after a zoo sweep every
 entry must equal a fresh packing of its key (an infeasible one its
 message, never an exception object), and varying each argument through
@@ -54,6 +59,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import InfeasibleConfigError
+from repro.common.floats import ordered_sum
 from repro.common.rng import seeded_rng
 from repro.core import harmony, profiler
 from repro.core.config import Pack, packs_from_boundaries
@@ -68,12 +74,12 @@ from repro.core.packing import (
 )
 from repro.core.profiler import AffineFit, LayerProfile, ModelProfiles, Profiler
 from repro.core.search import ConfigurationSearch
-from repro.core.taskgraph import HarmonyGraphBuilder, mb_dependency
+from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import Channel, Move, Task, TaskKind
-from repro.core.waits import PER_TASK_TENSORS
+from repro.core.waits import PER_TASK_TENSORS, mb_dependency
 from repro.experiments.common import server_for
 from repro.graph.layer import Phase
-from repro.models.zoo import build_model
+from repro.models.zoo import available_models, build_model
 
 #: The six bench zoo models and both toy models.
 ZOO = ("gpt2", "gpt2-medium", "bert96", "bert-large", "vgg416", "resnet1k",
@@ -252,7 +258,7 @@ def test_column_tables_match_per_layer_calls(model):
         for phase in (Phase.FWD, Phase.BWD):
             assert [t.hex() for t in profiles.layer_times(phase, u)] == \
                 [layer.time(phase, u).hex() for layer in layers], (phase, u)
-            assert profiles._mem_prefix(phase, u) == list(accumulate(
+            assert profiles.memory[phase][u] == list(accumulate(
                 (layer.memory(phase, u) for layer in layers), initial=0)), \
                 (phase, u)
             fits = ((layer.time_fwd, layer.mem_fwd) if phase is Phase.FWD
@@ -262,6 +268,38 @@ def test_column_tables_match_per_layer_calls(model):
                 clamped[1] += int(memory(u)) < 0
     if model == "synthetic":
         assert min(clamped) > 100, "the synthetic fits must reach both clamps"
+
+
+# -- update FLOPs ---------------------------------------------------------------
+
+
+def _sampled_spans(n_layers: int, most: int = 120) -> list[tuple[int, int]]:
+    """Every ``(first, last)`` span of a model with at most ``most``
+    layers; of a larger one, the spans between every ``stride``-th layer
+    and the last layer, so that at most ``most`` layers bound them."""
+    stride = -(-n_layers // most)
+    points = sorted({*range(0, n_layers, stride), n_layers - 1})
+    return [(first, last) for first in points for last in points
+            if last >= first]
+
+
+@pytest.mark.parametrize("model", available_models())
+def test_update_flops_match_the_per_layer_fold(model):
+    """``pack_update_flops`` is ``10.0 * S / 4`` over the pack's
+    parameter bytes ``S``.  It has the bits of the left fold of
+    ``10.0 * p / 4`` over the pack's layers: every term is a multiple of
+    0.5 and every partial sum an integer number of halves, all exact
+    while ``10 * S < 2**53``, which the model's total must satisfy."""
+    profiles = _profiles(model)
+    params = [layer.param_bytes for layer in profiles.layers]
+    assert 10 * sum(params) < 2 ** 53, "the exactness bound fails"
+    spans = _sampled_spans(len(params))
+    if len(params) <= 120:
+        assert len(spans) == len(params) * (len(params) + 1) // 2
+    for first, last in spans:
+        expected = ordered_sum(10.0 * p / 4 for p in params[first:last + 1])
+        assert profiles.pack_update_flops(Pack(first, last)).hex() == \
+            expected.hex(), (first, last)
 
 
 # -- the packing table shared per profiled model ---------------------------------

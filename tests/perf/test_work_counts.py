@@ -30,10 +30,13 @@ suite pins, exactly:
   one call per layer per forced tail and microbatch size;
 - the ``TrueTimeModel.microbatch_time`` calls the estimator makes in
   one cold ``plan()``: one per distinct microbatch size of each task
-  shape, not one per microbatch; and its ``ModelProfiles.memo`` calls:
-  the emitter reads footprints and update FLOPs off its own memo, not
-  one memo call per emitted task, and a forward task and a recomputing
-  backward task over the same layers share one fitted span time;
+  shape, not one per microbatch; and its ``ModelProfiles.span_time``
+  calls: a forward task and a recomputing backward task over the same
+  layers share one fitted span time;
+- the memo-table fills one cold ``plan()`` makes, over the profiles'
+  time and memory tables and the builders' schedule memos: each key is
+  filled once however often it is read, so a table that refilled per
+  lookup would move the count;
 - the ``Simulator.steps`` one simulated iteration drains; an ``AllOf``
   takes a hop only for its final countdown (or a failure), never one
   per constituent;
@@ -90,7 +93,7 @@ import pytest
 from repro.core import packing
 from repro.core.decomposer import LayerUnit
 from repro.core.harmony import Harmony, HarmonyOptions, HarmonyPlan
-from repro.core.profiler import LayerProfile, ModelProfiles
+from repro.core.profiler import FittedModel, LayerProfile, ModelProfiles, _Table
 from repro.core.search import ConfigurationSearch
 from repro.core.taskgraph import HarmonyGraphBuilder
 from repro.core.types import TaskGraph
@@ -131,8 +134,10 @@ class Case:
     act_outs: int
     #: ``TrueTimeModel.microbatch_time`` calls made by one cold ``plan()``.
     mb_times: int
-    #: ``ModelProfiles.memo`` calls made by one cold ``plan()``.
-    memo_calls: int
+    #: ``ModelProfiles.span_time`` calls made by one cold ``plan()``.
+    span_times: int
+    #: Memo-table (``_Table``) fills made by one cold ``plan()``.
+    table_fills: int
     #: ``Simulator.steps`` drained by ``run(plan=..., iterations=1)``.
     steps: int
     #: ``Process`` objects that run builds.
@@ -150,19 +155,19 @@ CASES = (
     Case("toy-transformer", "pp", 2, 8,
          candidates=48, time_tables=8, mem_prefixes=8, winner_prefixes=2,
          packings=20, warm_packings=22, act_outs=9, mb_times=24,
-         memo_calls=120,
+         span_times=32, table_fills=40,
          steps=427, processes=12, events=250, kernel_times=25,
          max_drift=0.39),
     Case("tiny-cnn", "dp", 2, 8,
          candidates=9, time_tables=6, mem_prefixes=3, winner_prefixes=1,
          packings=6, warm_packings=0, act_outs=2, mb_times=3,
-         memo_calls=26,
+         span_times=6, table_fills=21,
          steps=157, processes=9, events=114, kernel_times=26,
          max_drift=0.17),
     Case("gpt2", "pp", 4, 32,
          candidates=68, time_tables=12, mem_prefixes=12, winner_prefixes=2,
          packings=65, warm_packings=28, act_outs=243, mb_times=323,
-         memo_calls=2287,
+         span_times=396, table_fills=412,
          steps=5233, processes=63, events=2416, kernel_times=152,
          max_drift=0.02),
 )
@@ -213,14 +218,25 @@ def _count_made(monkeypatch, counts: Counter, cls: type) -> None:
 def _count_tables(monkeypatch, counts: Counter) -> None:
     """Count the per-(phase, u) time tables (``"times"``) and memory
     prefixes (``"memp"``) built."""
-    memo = ModelProfiles.memo
+    for name, key in (("layer_times", "times"), ("mem_prefix", "memp")):
+        build = getattr(FittedModel, name)
 
-    def counted(self, key, compute):
-        if key[0] in ("times", "memp") and key not in self._memo:
-            counts[key[0]] += 1
-        return memo(self, key, compute)
+        def counted(self, phase, u, build=build, key=key):
+            counts[key] += 1
+            return build(self, phase, u)
 
-    monkeypatch.setattr(ModelProfiles, "memo", counted)
+        monkeypatch.setattr(FittedModel, name, counted)
+
+
+def _count_fills(monkeypatch, counts: Counter) -> None:
+    """Count the keys every memo table fills (``"fills"``)."""
+    fill = _Table.__missing__
+
+    def counted(self, key):
+        counts["fills"] += 1
+        return fill(self, key)
+
+    monkeypatch.setattr(_Table, "__missing__", counted)
 
 
 def _record_requests(monkeypatch) -> list:
@@ -258,7 +274,8 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
     _count_calls(monkeypatch, counts, HarmonyGraphBuilder, "records")
     _count_calls(monkeypatch, counts, TaskGraph, "validate")
     _count_tables(monkeypatch, counts)
-    _count_calls(monkeypatch, counts, ModelProfiles, "memo")
+    _count_fills(monkeypatch, counts)
+    _count_calls(monkeypatch, counts, ModelProfiles, "span_time")
     _count_calls(monkeypatch, counts, TrueTimeModel, "microbatch_time")
     _count_calls(monkeypatch, counts, LayerProfile, "act_out_bytes")
     packings = _record_packings(monkeypatch)
@@ -281,13 +298,13 @@ def test_plan_and_run_do_exact_work(case, monkeypatch, cold_stores):
                 "memp": case.mem_prefixes,
                 "act_out_bytes": case.act_outs,
                 "microbatch_time": case.mb_times,
-                "memo": case.memo_calls}
+                "span_time": case.span_times, "fills": case.table_fills}
     assert counts == expected, (
         "one plan() must assemble, build and validate only the winner, "
         "emit each candidate's records once, build each time table and "
         "memory prefix once, read the lower bound off prefixes, time "
-        "each microbatch size of a task shape once and read footprints "
-        "and update FLOPs off the builder's memo"
+        "each microbatch size of a task shape once, share span times "
+        "and fill each memo table key once"
     )
     assert len(packings) == len(set(packings)) == case.packings
     assert harmony.plan() is plan

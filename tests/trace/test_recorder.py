@@ -1,7 +1,11 @@
 """Unit tests for :class:`repro.trace.TraceRecorder` and the event model."""
 
+import math
+
 import pytest
 
+from repro.core.harmony import Harmony
+from repro.experiments.common import server_for
 from repro.trace import TraceRecorder
 from repro.trace.events import LANES, TraceEvent
 
@@ -37,6 +41,24 @@ def test_advance_rejects_negative():
     rec = TraceRecorder()
     with pytest.raises(ValueError):
         rec.advance(-0.5)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), math.inf],
+                         ids=["nan", "inf"])
+def test_advance_rejects_non_finite(dt):
+    """A NaN or infinite shift is refused and leaves the base as it was,
+    so a run recorded afterwards keeps a finite timeline."""
+    rec = TraceRecorder()
+    rec.advance(1.0)
+    with pytest.raises(ValueError):
+        rec.advance(dt)
+    assert rec.base == 1.0
+    report = Harmony("toy-transformer", server_for(2), 8).run(
+        iterations=1, trace=rec)
+    assert rec.events
+    assert all(math.isfinite(e.t0) and e.t0 >= 1.0 for e in rec.events)
+    assert rec.extent > 1.0
+    assert report.metrics.trace.total_time > 0
 
 
 def test_ring_mode_bounds_memory():
